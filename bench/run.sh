@@ -1,0 +1,16 @@
+#!/usr/bin/env bash
+# Builds the benchmark harness from source and runs it from the repo root
+# with the arguments given. Build outputs and the Go build cache stay
+# inside the checkout, under .bench_build/.
+set -euo pipefail
+
+here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+root="$(dirname "$here")"
+build="$root/.bench_build"
+mkdir -p "$build"
+
+export GOCACHE="$build/gocache" GOPROXY=off GOTOOLCHAIN=local
+(cd "$here" && go build -o "$build/bench" .)
+
+cd "$root"
+exec "$build/bench" "$@"
