@@ -4,7 +4,7 @@ GO ?= go
 # Each PR that re-baselines benchmarks bumps the default.
 BENCH_OUT ?= BENCH_pr10.json
 
-.PHONY: build test short check race chaos bench bench-smoke ci lint lint-fast
+.PHONY: build test short check race chaos bench bench-smoke bench-selftest ci lint
 
 build:
 	$(GO) build ./...
@@ -27,11 +27,6 @@ short:
 # each interprocedural finding.
 lint:
 	$(GO) run ./cmd/minilint -trace ./internal/... ./cmd/...
-
-# Inner-dev-loop lint: per-package rules only, skipping the whole-program
-# call graph construction the interprocedural rules need.
-lint-fast:
-	$(GO) run ./cmd/minilint -fast ./internal/... ./cmd/...
 
 # Full verification: vet, then the repo lint suite, then the entire test
 # suite under the race detector (includes the obs registry, whose
@@ -62,10 +57,18 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ .
 
+# The wall-clock benchmark (bench/, see BENCHMARK.json) is its own module
+# with `replace repro => ../`, so root `go build ./...` and `go test ./...`
+# never compile it. This vets and self-tests it against the current tree —
+# the gate that catches an exported-API deletion the benchmark depended on.
+bench-selftest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # The gate a PR must pass end to end: vet, lint, build, tier-1 tests,
-# the race-checked obs + fault-injection subset, and a benchmark smoke
-# run. Static gates (vet, lint) come before tests so a determinism
-# violation fails the build even when no test happens to exercise it.
+# the race-checked obs + fault-injection subset, a benchmark smoke run,
+# and the nested bench module's self-test. Static gates (vet, lint) come
+# before tests so a determinism violation fails the build even when no
+# test happens to exercise it.
 ci: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/minilint ./internal/... ./cmd/...
@@ -78,3 +81,4 @@ ci: build
 	$(GO) test -run '^$$' -fuzz FuzzSeqReadCorrupt -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/iofmt/
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(MAKE) bench-selftest

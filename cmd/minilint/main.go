@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	minilint [-list] [-fast] [-trace] [pattern ...]
+//	minilint [-list] [-trace] [pattern ...]
 //
 // Patterns are directories, with "dir/..." walking recursively (testdata
 // and vendor trees are skipped, like the go tool). With no patterns it
@@ -11,11 +11,9 @@
 //
 //	go run ./cmd/minilint ./internal/... ./cmd/...
 //
-// -fast runs only the per-package analyzers, skipping the whole-program
-// call graph the interprocedural rules (dettaint, lockorder, commiterr)
-// need — the inner-dev-loop mode behind make lint-fast. -trace prints
-// each interprocedural finding's call chain, one frame per indented
-// line, under the diagnostic.
+// -trace prints the call chain behind each finding of the
+// interprocedural rules (dettaint, lockorder, commiterr), one frame per
+// indented line, under the diagnostic.
 //
 // Findings print as "file:line: [rule] message". A finding is either a
 // bug to fix or, rarely, an intentional exception to suppress with
@@ -42,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("minilint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	fast := fs.Bool("fast", false, "run only the per-package analyzers (skip the call-graph rules)")
 	trace := fs.Bool("trace", false, "print the call chain under each interprocedural finding")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -81,11 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	analyzers := lint.Analyzers()
-	if *fast {
-		analyzers = lint.FastAnalyzers()
-	}
-	diags := lint.Run(pkgs, analyzers)
+	diags := lint.Run(pkgs, lint.Analyzers())
 	cwd, _ := os.Getwd()
 	for _, d := range diags {
 		name := d.Pos.Filename

@@ -123,30 +123,6 @@ func TestListAnalyzers(t *testing.T) {
 	}
 }
 
-// TestFastSkipsInterprocedural: -fast runs only the per-package rules,
-// so the dirty fixture's call-graph findings disappear while the
-// per-package ones remain.
-func TestFastSkipsInterprocedural(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-fast", dirtyDir}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit %d, want 1\nstderr:\n%s", code, stderr.String())
-	}
-	out := stdout.String()
-	for _, rule := range []string{"[dettaint]", "[lockorder]", "[commiterr]"} {
-		if strings.Contains(out, rule) {
-			t.Errorf("-fast output contains %s finding:\n%s", rule, out)
-		}
-	}
-	if !strings.Contains(out, "[wallclock]") {
-		t.Errorf("-fast output lost the per-package wallclock findings:\n%s", out)
-	}
-	// The interprocedural fixtures' suppressions-free lines must not leak
-	// unused-ignore noise either: the only ignores live in ignore.go.
-	if got := strings.Count(out, "[unused-ignore]"); got != 2 {
-		t.Errorf("-fast output has %d unused-ignore findings, want 2:\n%s", got, out)
-	}
-}
-
 // TestTraceOutput: -trace prints the call chain, one indented frame per
 // line, under an interprocedural finding.
 func TestTraceOutput(t *testing.T) {

@@ -83,12 +83,12 @@ func e12CapacityQueues() yarn.QueueConfig {
 
 // e12Replay runs one scheduling mode over the workload and returns the
 // stats plus the RM and registry (for artifact extraction).
-func e12Replay(workload []datagen.TraceApp, capacityMode bool) (*E12RunStats, *yarn.ResourceManager, *obs.Registry, error) {
+func e12Replay(workload []datagen.TraceApp, multiTenant bool) (*E12RunStats, *yarn.ResourceManager, *obs.Registry, error) {
 	eng := sim.NewEngine()
 	topo := cluster.NewTopology(cluster.PaperNodeConfig(e12Nodes, 2))
 	reg := obs.NewRegistry()
 	opts := yarn.CapacityOptions{Obs: reg}
-	if capacityMode {
+	if multiTenant {
 		opts.Queues = e12CapacityQueues()
 		opts.Preemption = yarn.PreemptionConfig{Enabled: true}
 		opts.Autoscale = yarn.AutoscaleConfig{Enabled: true, MinNodes: 4}
@@ -108,7 +108,7 @@ func e12Replay(workload []datagen.TraceApp, capacityMode bool) (*E12RunStats, *y
 		i, wa := i, wa
 		eng.Schedule(sim.Time(wa.Submit), func() {
 			spec := yarn.AppSpec{Name: wa.Name, User: wa.User}
-			if capacityMode {
+			if multiTenant {
 				spec.Queue = wa.Queue
 			}
 			for _, t := range wa.Tasks {
@@ -255,7 +255,7 @@ func E12Multitenant(seed int64) (*Result, error) {
 	return E12Scaled(seed, E12Opts{})
 }
 
-// E12ReplayArtifacts runs the capacity-mode replay once and returns the
+// E12ReplayArtifacts runs the multi-tenant replay once and returns the
 // byte artifacts the determinism tests compare across runs: the
 // scheduler's event log (history JSONL) and the obs snapshot.
 func E12ReplayArtifacts(seed int64, o E12Opts) (eventLog, obsSnap []byte, err error) {

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -64,7 +67,13 @@ func TestE12Smoke(t *testing.T) {
 // at the full 1,200-app trace scale; the others at smoke scale. Any
 // wall-clock read, shared rand, or map-ordered decision anywhere in the
 // scheduler, preemption monitor, or autoscaler breaks this test.
+//
+// Replay-vs-replay cannot see a change that moves both replays, so each
+// artifact's sha256 is also pinned in testdata/e12_replay.sha256 (recorded
+// at the commit before internal/yarn became single-generation): a
+// scheduler refactor must not reorder or re-word a single event or metric.
 func TestE12TraceReplayDeterministic(t *testing.T) {
+	pinned := readDigests(t, "testdata/e12_replay.sha256")
 	cases := []struct {
 		seed int64
 		opts E12Opts
@@ -96,6 +105,32 @@ func TestE12TraceReplayDeterministic(t *testing.T) {
 			if !bytes.Equal(snap1, snap2) {
 				t.Fatalf("obs snapshots differ between identical replays (%d vs %d bytes)", len(snap1), len(snap2))
 			}
+			for name, data := range map[string][]byte{
+				fmt.Sprintf("e12-seed%d.events.jsonl", tc.seed): log1,
+				fmt.Sprintf("e12-seed%d.obs.json", tc.seed):     snap1,
+			} {
+				if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != pinned[name] {
+					t.Errorf("%s: sha256 %s, pinned %s", name, got, pinned[name])
+				}
+			}
 		})
 	}
+}
+
+// readDigests parses a sha256sum-format file into name -> hex digest.
+func readDigests(t *testing.T, path string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			t.Fatalf("%s: malformed line %q", path, line)
+		}
+		out[f[1]] = f[0]
+	}
+	return out
 }

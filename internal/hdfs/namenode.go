@@ -28,18 +28,23 @@ type Config struct {
 	HeartbeatExpiry     time.Duration
 	BlockReportInterval time.Duration
 	ReplMonitorInterval time.Duration
-	// ReplRetryBackoff is how long the replication monitor waits before
-	// re-attempting a block whose last re-replication attempt failed (no
-	// live source, no eligible target, partition, checksum error). Without
-	// it an unsatisfiable block — say every live node already holds a
-	// replica — re-runs target selection on every monitor tick.
-	ReplRetryBackoff  time.Duration
-	SafeModeThreshold float64
 	// RandomPlacement replaces the default writer-local/cross-rack policy
 	// with uniform random target selection — the ablation showing what
 	// the placement policy buys (map locality, rack fault tolerance).
 	RandomPlacement bool
 }
+
+const (
+	// replRetryBackoff is how long the replication monitor waits before
+	// re-attempting a block whose last re-replication attempt failed (no
+	// live source, no eligible target, partition, checksum error). Without
+	// it an unsatisfiable block — say every live node already holds a
+	// replica — re-runs target selection on every monitor tick.
+	replRetryBackoff = 30 * time.Second
+	// safeModeThreshold is the fraction of known blocks that must be
+	// reported before the NameNode leaves safe mode.
+	safeModeThreshold = 0.999
+)
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
@@ -60,12 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReplMonitorInterval <= 0 {
 		c.ReplMonitorInterval = 3 * time.Second
-	}
-	if c.ReplRetryBackoff <= 0 {
-		c.ReplRetryBackoff = 30 * time.Second
-	}
-	if c.SafeModeThreshold <= 0 {
-		c.SafeModeThreshold = 0.999
 	}
 	return c
 }
@@ -322,7 +321,7 @@ func (nn *NameNode) maybeLeaveSafeMode() {
 			reported++
 		}
 	}
-	if float64(reported) >= nn.cfg.SafeModeThreshold*float64(total) {
+	if float64(reported) >= safeModeThreshold*float64(total) {
 		nn.exitSafeMode()
 	}
 }
@@ -698,7 +697,7 @@ func (nn *NameNode) replicationMonitor() {
 			if nn.scheduleReplication(bm) {
 				delete(nn.replRetryAt, id)
 			} else {
-				nn.replRetryAt[id] = now + nn.cfg.ReplRetryBackoff
+				nn.replRetryAt[id] = now + replRetryBackoff
 			}
 		case live > bm.expected:
 			nn.dropExcessReplica(bm)

@@ -113,19 +113,6 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// FastAnalyzers returns only the per-package analyzers — the subset
-// that runs without building the call graph, for the inner dev loop
-// (minilint -fast, make lint-fast).
-func FastAnalyzers() []*Analyzer {
-	var fast []*Analyzer
-	for _, a := range Analyzers() {
-		if a.Run != nil {
-			fast = append(fast, a)
-		}
-	}
-	return fast
-}
-
 // RuleUnusedIgnore is the pseudo-rule under which stale or malformed
 // //lint:ignore directives are reported. A suppression that matches
 // nothing is itself a defect: it hides future regressions.
@@ -179,8 +166,7 @@ func (d *ignoreDirective) matches(diag Diagnostic) bool {
 // per package, whole-program analyzers once over the shared call graph),
 // applies suppression directives, reports stale ones, and returns the
 // findings sorted by position then rule. The call graph is built only
-// when an interprocedural analyzer is selected, so -fast runs skip its
-// cost entirely.
+// when an interprocedural analyzer is selected.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var raw []Diagnostic
 	var programAnalyzers []*Analyzer
@@ -228,19 +214,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			all = append(all, diag)
 		}
 	}
-	// A directive is stale only if its rule actually ran this invocation:
-	// under -fast, suppressions for the call-graph rules cannot match
-	// anything, and reporting them would make the fast loop cry wolf.
-	ran := map[string]bool{}
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
 	for _, ig := range ignores {
 		switch {
 		case ig.malformed:
 			all = append(all, Diagnostic{Pos: ig.pos, Rule: RuleUnusedIgnore,
 				Message: "malformed directive; want //lint:ignore RULE reason"})
-		case !ig.used && ran[ig.rule]:
+		case !ig.used:
 			all = append(all, Diagnostic{Pos: ig.pos, Rule: RuleUnusedIgnore,
 				Message: fmt.Sprintf("ignore directive for %q matches no diagnostic; delete it", ig.rule)})
 		}

@@ -806,7 +806,7 @@ func (jt *JobTracker) startMapAttempt(t *task, tt *TaskTracker, speculative bool
 		jt.mc.cfg.MapWork.Cost(ctx.Counters.Get(mapreduce.CtrSideFileBytesRead), 0)
 	if rstats.Compressed {
 		// Inflating the input costs CPU per decoded byte.
-		duration += jt.mc.cfg.CompressWork.Cost(rstats.BytesDecoded, 0)
+		duration += compressWork.Cost(rstats.BytesDecoded, 0)
 	}
 	if jr.job.NewCombiner != nil {
 		duration += jt.mc.cfg.CombineWork.Cost(0, ctx.Counters.Get(mapreduce.CtrCombineInputRecords))
@@ -975,13 +975,13 @@ func (jt *JobTracker) startReduceAttempt(t *task, tt *TaskTracker, speculative b
 	jt.traceAttempt(a)
 
 	// Shuffle cost: fetch this reducer's partition from every map node,
-	// ShuffleParallelism streams at a time. With CompressShuffle the wire
+	// shuffleParallelism streams at a time. With CompressShuffle the wire
 	// (and map-side disk) carries the real compressed size under the
-	// configured shuffle codec instead of raw bytes, and both ends pay
+	// shuffle codec instead of raw bytes, and both ends pay
 	// compression CPU.
 	var shufCodec iofmt.Codec
 	if jt.mc.cfg.CompressShuffle {
-		shufCodec, _ = iofmt.ByName(jt.mc.cfg.ShuffleCodec)
+		shufCodec, _ = iofmt.ByName(shuffleCodec)
 	}
 	var runs [][]mapreduce.Pair
 	var perSource []time.Duration
@@ -1006,10 +1006,10 @@ func (jt *JobTracker) startReduceAttempt(t *task, tt *TaskTracker, speculative b
 				jt.mc.Cost.DiskRead(wire)+jt.mc.Cost.Transfer(jt.mc.Topology.Distance(src, tt.id), wire))
 		}
 	}
-	shuffleTime := parallelTime(perSource, jt.mc.cfg.ShuffleParallelism)
+	shuffleTime := parallelTime(perSource, shuffleParallelism)
 	if jt.mc.cfg.CompressShuffle {
 		// Compress at the map side, decompress at the reduce side.
-		shuffleTime += jt.mc.cfg.CompressWork.Cost(2*rawBytes, 0)
+		shuffleTime += compressWork.Cost(2*rawBytes, 0)
 	}
 	jt.m.shuffleBytes.Add(shuffleBytes)
 	jt.m.shuffleTime.Observe(shuffleTime)
@@ -1057,7 +1057,7 @@ func (jt *JobTracker) startReduceAttempt(t *task, tt *TaskTracker, speculative b
 		client.Meter.WriteTime
 	if c, cerr := iofmt.ByName(jr.job.OutputCodec); cerr == nil && c != nil {
 		// Compressing the committed output costs CPU per raw byte.
-		duration += jt.mc.cfg.CompressWork.Cost(ostats.RawBytes, 0)
+		duration += compressWork.Cost(ostats.RawBytes, 0)
 	}
 	duration = time.Duration(float64(duration) * jt.slowdown(tt.id))
 	a.expectedEnd = a.startedAt + duration
@@ -1228,7 +1228,7 @@ func (jt *JobTracker) speculate() {
 			if med == 0 {
 				return
 			}
-			threshold := time.Duration(float64(med) * jt.mc.cfg.SpeculativeThreshold)
+			threshold := time.Duration(float64(med) * speculativeThreshold)
 			for _, t := range tasks {
 				if t.state != taskRunning || len(t.attempts) != 1 {
 					continue

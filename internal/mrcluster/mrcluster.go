@@ -27,9 +27,6 @@ type Config struct {
 	MaxAttempts        int
 	// Speculative enables speculative execution of straggling tasks.
 	Speculative bool
-	// SpeculativeThreshold is the slowdown versus the median completed
-	// task duration beyond which a backup attempt launches (default 1.5).
-	SpeculativeThreshold float64
 	// MapWork / ReduceWork model per-task CPU cost. CombineWork is the
 	// extra map-side cost per map-output record when a combiner runs —
 	// the "increased map task run time" half of the combiner trade-off.
@@ -49,16 +46,6 @@ type Config struct {
 	// (mapred.compress.map.output): network bytes drop to the real
 	// compressed size, at a CPU cost per uncompressed byte on both sides.
 	CompressShuffle bool
-	// ShuffleCodec names the iofmt codec the compressed shuffle uses
-	// (default "gzip"; "lzs" trades ratio for the cheaper LZ class).
-	ShuffleCodec string
-	// CompressWork is the per-byte CPU cost of compression +
-	// decompression — shuffle, compressed inputs and compressed outputs
-	// all charge it (default 6ns/B).
-	CompressWork cluster.CPUWork
-	// ShuffleParallelism is the number of concurrent fetch streams per
-	// reduce task (Hadoop's parallel copies, default 5).
-	ShuffleParallelism int
 	// HeartbeatInterval and TrackerExpiry govern TaskTracker liveness.
 	HeartbeatInterval time.Duration
 	TrackerExpiry     time.Duration
@@ -70,16 +57,33 @@ type Config struct {
 	// built over the same engine and topology) and every task attempt
 	// runs inside a negotiated container instead of a per-node slot. See
 	// yarnbridge.go for the semantic differences (speculation disabled,
-	// slot caps replaced by container sizes).
+	// slot caps replaced by the fixed mapContainer / reduceContainer sizes).
 	YARN *yarn.ResourceManager
 	// DefaultQueue is the capacity queue jobs land in when Job.Queue is
 	// empty (YARN mode only).
 	DefaultQueue string
-	// MapContainer / ReduceContainer size task containers in YARN mode
-	// (defaults 1vc/1024MB and 1vc/2048MB).
-	MapContainer    yarn.Resource
-	ReduceContainer yarn.Resource
 }
+
+const (
+	// speculativeThreshold is the slowdown versus the median completed
+	// task duration beyond which a backup attempt launches.
+	speculativeThreshold = 1.5
+	// shuffleCodec names the iofmt codec the compressed shuffle uses.
+	shuffleCodec = "gzip"
+	// shuffleParallelism is the number of concurrent fetch streams per
+	// reduce task (Hadoop's parallel copies).
+	shuffleParallelism = 5
+)
+
+var (
+	// compressWork is the per-byte CPU cost of compression +
+	// decompression — shuffle, compressed inputs and compressed outputs
+	// all charge it.
+	compressWork = cluster.CPUWork{PerByte: 6}
+	// mapContainer / reduceContainer size task containers in YARN mode.
+	mapContainer    = yarn.Resource{VCores: 1, MemoryMB: 1024}
+	reduceContainer = yarn.Resource{VCores: 1, MemoryMB: 2048}
+)
 
 func (c Config) withDefaults() Config {
 	if c.MapSlotsPerNode <= 0 {
@@ -91,26 +95,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
 	}
-	if c.SpeculativeThreshold <= 0 {
-		c.SpeculativeThreshold = 1.5
-	}
 	if c.MapWork == (cluster.CPUWork{}) {
 		c.MapWork = cluster.DefaultMapWork()
 	}
 	if c.ReduceWork == (cluster.CPUWork{}) {
 		c.ReduceWork = cluster.DefaultReduceWork()
 	}
-	if c.ShuffleParallelism <= 0 {
-		c.ShuffleParallelism = 5
-	}
 	if c.CombineWork == (cluster.CPUWork{}) {
 		c.CombineWork = cluster.CPUWork{PerRecord: 150}
-	}
-	if c.CompressWork == (cluster.CPUWork{}) {
-		c.CompressWork = cluster.CPUWork{PerByte: 6}
-	}
-	if c.ShuffleCodec == "" {
-		c.ShuffleCodec = "gzip"
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 3 * time.Second
@@ -122,12 +114,6 @@ func (c Config) withDefaults() Config {
 		// Preemption is the RM's rebalancing mechanism; a speculative
 		// backup attempt would fight it for containers.
 		c.Speculative = false
-		if c.MapContainer == (yarn.Resource{}) {
-			c.MapContainer = yarn.Resource{VCores: 1, MemoryMB: 1024}
-		}
-		if c.ReduceContainer == (yarn.Resource{}) {
-			c.ReduceContainer = yarn.Resource{VCores: 1, MemoryMB: 2048}
-		}
 	}
 	return c
 }

@@ -88,7 +88,7 @@ func (jt *JobTracker) syncRequests() {
 			for _, t := range pend[len(pend)-d:] {
 				jr.mapReqs++
 				rm.Request(jr.app, yarn.ContainerRequest{
-					Resource: jt.mc.cfg.MapContainer,
+					Resource: mapContainer,
 					Hosts:    t.split.Hosts,
 					Tag:      tagMap,
 				})
@@ -108,7 +108,7 @@ func (jt *JobTracker) syncRequests() {
 			for i := 0; i < d; i++ {
 				jr.reduceReqs++
 				rm.Request(jr.app, yarn.ContainerRequest{
-					Resource: jt.mc.cfg.ReduceContainer,
+					Resource: reduceContainer,
 					Tag:      tagReduce,
 				})
 			}

@@ -20,8 +20,11 @@ const (
 	EvRegionReassign = "region.reassign"
 	EvServerDead     = "server.dead"
 	EvServerJoin     = "server.join"
-	EvMergeFail      = "region.merge_fail"
 )
+
+// mergeMaxOps is the per-window op count under which a region counts as
+// cold enough to merge.
+const mergeMaxOps = 16
 
 // Master owns META — the authoritative (table, rowkey) → region → server
 // map — and the region lifecycle: create, assign, split hot regions,
@@ -389,7 +392,7 @@ func (ma *Master) copyRange(parent *kvstore.Table, daughter RegionInfo, dst *Ser
 }
 
 // MergeAdjacent merges the first adjacent cold pair of the table —
-// both sides under MergeMaxOps ops in the current window and combined
+// both sides under mergeMaxOps ops in the current window and combined
 // size under maxBytes — into one region on the low side's server.
 // Returns whether a merge happened.
 func (ma *Master) MergeAdjacent(table string, maxBytes int64) (bool, error) {
@@ -407,7 +410,7 @@ func (ma *Master) MergeAdjacent(table string, maxBytes int64) (bool, error) {
 		if ha == nil || hb == nil {
 			continue
 		}
-		if ha.ops >= ma.opts.MergeMaxOps || hb.ops >= ma.opts.MergeMaxOps {
+		if ha.ops >= mergeMaxOps || hb.ops >= mergeMaxOps {
 			continue
 		}
 		if ha.tbl.SizeBytes()+hb.tbl.SizeBytes() > maxBytes {
@@ -480,8 +483,7 @@ func mergedHalf(merged RegionInfo, start, end string) RegionInfo {
 
 // tick is the master's heartbeat pass: live servers refresh their beat,
 // silent servers past the expiry are declared dead and their regions
-// reassigned, restarted servers rejoin, and (when enabled) one cold
-// adjacent pair per table merges.
+// reassigned, and restarted servers rejoin.
 func (ma *Master) tick() {
 	now := ma.eng.Now()
 	for _, s := range ma.servers {
@@ -494,16 +496,6 @@ func (ma *Master) tick() {
 			ma.lastBeat[s.name] = now
 		case !ma.dead[s.name] && now-ma.lastBeat[s.name] >= ma.opts.HeartbeatExpiry:
 			ma.declareDead(s)
-		}
-	}
-	if ma.opts.MergeMaxBytes > 0 {
-		for _, table := range ma.Tables() {
-			// A merge flushes both source regions to store files; if that
-			// commit fails the merge is abandoned, which is safe, but the
-			// failure must land in the event log rather than vanish.
-			if _, err := ma.MergeAdjacent(table, ma.opts.MergeMaxBytes); err != nil {
-				ma.logEvent(EvMergeFail, map[string]string{"table": table, "error": err.Error()})
-			}
 		}
 	}
 }

@@ -125,13 +125,6 @@ type Options struct {
 	// since its last split check window (default 4000) — the hot-region
 	// trigger even when data fits.
 	SplitMaxOps int
-	// MergeMaxBytes merges two adjacent regions when both are colder
-	// than MergeMaxOps and their combined size is below this. 0 disables
-	// auto-merge (the default; Master.MergeAdjacent is always available).
-	MergeMaxBytes int64
-	// MergeMaxOps is the per-window op count under which a region counts
-	// as cold (default 16, only meaningful with MergeMaxBytes > 0).
-	MergeMaxOps int
 	// HeartbeatInterval is the server heartbeat period (default 500ms);
 	// HeartbeatExpiry the silence after which the master declares a
 	// server dead and reassigns its regions (default 2s).
@@ -148,9 +141,6 @@ func (o *Options) defaults() {
 	}
 	if o.SplitMaxOps <= 0 {
 		o.SplitMaxOps = 4000
-	}
-	if o.MergeMaxOps <= 0 {
-		o.MergeMaxOps = 16
 	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 500 * time.Millisecond

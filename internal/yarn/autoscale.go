@@ -16,18 +16,21 @@ type AutoscaleConfig struct {
 	Enabled bool
 	// MinNodes is the floor the pool never shrinks below (default 1).
 	MinNodes int
-	// Interval is the monitor period (default 30s sim time).
-	Interval time.Duration
-	// Step bounds nodes added per scale-up tick (default 4). Scale-down
-	// releases at most one node per tick regardless.
-	Step int
-	// ScaleDownIdle is the utilization threshold below which an idle
-	// cluster sheds nodes (default 0.35).
-	ScaleDownIdle float64
 	// Cooldown is the quiet period required after any scaling action
 	// before a scale-down (default 2m), damping oscillation.
 	Cooldown time.Duration
 }
+
+const (
+	// autoscaleInterval is the monitor period (sim time).
+	autoscaleInterval = 30 * time.Second
+	// autoscaleStep bounds nodes added per scale-up tick. Scale-down
+	// releases at most one node per tick regardless.
+	autoscaleStep = 4
+	// scaleDownIdle is the utilization threshold below which an idle
+	// cluster sheds nodes.
+	scaleDownIdle = 0.35
+)
 
 func (c AutoscaleConfig) withDefaults(pool int) AutoscaleConfig {
 	if c.MinNodes <= 0 {
@@ -35,15 +38,6 @@ func (c AutoscaleConfig) withDefaults(pool int) AutoscaleConfig {
 	}
 	if c.MinNodes > pool {
 		c.MinNodes = pool
-	}
-	if c.Interval <= 0 {
-		c.Interval = 30 * time.Second
-	}
-	if c.Step <= 0 {
-		c.Step = 4
-	}
-	if c.ScaleDownIdle <= 0 {
-		c.ScaleDownIdle = 0.35
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * time.Minute
@@ -53,10 +47,10 @@ func (c AutoscaleConfig) withDefaults(pool int) AutoscaleConfig {
 
 // runAutoscale is the periodic monitor. Scale-up: when unserved vcore
 // demand exceeds free capacity, activate the lowest-numbered parked
-// nodes (up to Step) to cover the shortfall. Scale-down: when there is
-// no demand at all, utilization sits under the idle threshold, and the
-// cooldown has passed, park the highest-numbered node that holds zero
-// containers — never one with live work.
+// nodes (up to autoscaleStep) to cover the shortfall. Scale-down: when
+// there is no demand at all, utilization sits under the idle threshold,
+// and the cooldown has passed, park the highest-numbered node that holds
+// zero containers — never one with live work.
 func (rm *ResourceManager) runAutoscale() {
 	cfg := rm.autoscaleCfg
 	demand := rm.pendingDemand()
@@ -71,7 +65,7 @@ func (rm *ResourceManager) runAutoscale() {
 		shortfall := demand - freeVC
 		added := 0
 		for _, nm := range rm.nodes {
-			if added >= cfg.Step || shortfall <= 0 {
+			if added >= autoscaleStep || shortfall <= 0 {
 				break
 			}
 			if nm.active {
@@ -96,7 +90,7 @@ func (rm *ResourceManager) runAutoscale() {
 		}
 		return
 	}
-	if demand > 0 || rm.Utilization() >= cfg.ScaleDownIdle {
+	if demand > 0 || rm.Utilization() >= scaleDownIdle {
 		return
 	}
 	if now-rm.lastScaleUp < cfg.Cooldown || now-rm.lastScaleDown < cfg.Cooldown {

@@ -16,7 +16,7 @@ import (
 // inside a pass) just mark the pass dirty; the outer loop re-runs until
 // a full pass places nothing and nothing re-dirtied it.
 func (rm *ResourceManager) kick() {
-	if !rm.capacityMode() || rm.inPass {
+	if rm.inPass {
 		rm.passDirty = true
 		return
 	}
@@ -100,6 +100,22 @@ func (rm *ResourceManager) allocateOne() bool {
 	return false
 }
 
+// allocate finds an active node with room for r (most-free-first for
+// spreading).
+func (rm *ResourceManager) allocate(r Resource) *nodeManager {
+	var best *nodeManager
+	for _, nm := range rm.nodes {
+		if !nm.active || !r.Fits(nm.free()) {
+			continue
+		}
+		if best == nil || nm.free().VCores > best.free().VCores ||
+			(nm.free().VCores == best.free().VCores && nm.id < best.id) {
+			best = nm
+		}
+	}
+	return best
+}
+
 // placeFor picks a node for a request: locality hosts in preference
 // order first, then the emptiest node (allocate's spreading policy).
 func (rm *ResourceManager) placeFor(req ContainerRequest) *nodeManager {
@@ -129,7 +145,12 @@ func (rm *ResourceManager) grantContainer(app *Application, q *leafQueue, nm *no
 	if isAM {
 		app.amContainer = c
 		app.State = AppRunning
-		app.StartedAt = rm.eng.Now()
+		// A node drain re-admits the app through a second AM grant; the
+		// wait for the first container is measured once.
+		if !app.amStarted {
+			app.amStarted = true
+			app.StartedAt = rm.eng.Now()
+		}
 	} else {
 		c.Tag = app.requests[0].Tag
 		app.requests = app.requests[1:]

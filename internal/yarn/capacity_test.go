@@ -35,7 +35,7 @@ func newCapRM(t testing.TB, nodes int, opts yarn.CapacityOptions) (*sim.Engine, 
 
 // drain advances the clock in fixed steps until every app finished (the
 // preemption/autoscale tickers keep the event queue alive forever, so
-// eng.Run() alone never returns in capacity mode).
+// eng.Run() alone never returns once either monitor is enabled).
 func drain(t testing.TB, eng *sim.Engine, rm *yarn.ResourceManager, step time.Duration, maxSteps int) {
 	t.Helper()
 	for i := 0; i < maxSteps; i++ {

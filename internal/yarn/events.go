@@ -7,7 +7,7 @@ import (
 	"repro/internal/history"
 )
 
-// Scheduler event types. Every capacity-mode decision appends one of
+// Scheduler event types. Every scheduling decision appends one of
 // these to the RM's history.Log, making a run's scheduling behaviour a
 // replayable, diffable artifact — and letting CheckLog re-derive the
 // cluster state event by event to verify the scheduler's invariants
@@ -36,8 +36,7 @@ const (
 	EvAppFinish = "rm.app_finish"
 )
 
-// event appends one scheduler event at the current sim time (nil-safe:
-// legacy RMs have no log and drop everything).
+// event appends one scheduler event at the current sim time.
 func (rm *ResourceManager) event(typ string, attrs map[string]string) {
 	rm.log.Append(rm.eng.Now(), typ, attrs)
 }

@@ -8,10 +8,9 @@ const (
 	SpanContainer = "yarn.container"
 )
 
-// rmMetrics is the capacity ResourceManager's interned metric bundle.
-// All handles are nil-safe, so an RM built without a registry costs
-// nothing. reg keeps the registry itself for span recording (nil in
-// legacy mode, where every trace operation no-ops).
+// rmMetrics is the ResourceManager's interned metric bundle. All handles
+// are nil-safe, so an RM built without a registry costs nothing. reg
+// keeps the registry itself for span recording.
 type rmMetrics struct {
 	reg                 *obs.Registry
 	events              *obs.Counter

@@ -1,7 +1,6 @@
 package yarn
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -13,18 +12,16 @@ type PreemptionConfig struct {
 	// Enabled turns the monitor on (off by default: pure capacity
 	// scheduling, a starved queue waits for natural container churn).
 	Enabled bool
-	// Interval is how often the monitor scans for starved queues
-	// (default 15s sim time).
-	Interval time.Duration
 	// MaxPerRound bounds containers killed per scan (default 8) so one
 	// scan can't mass-evict a queue.
 	MaxPerRound int
 }
 
+// preemptInterval is how often the monitor scans for starved queues
+// (sim time).
+const preemptInterval = 15 * time.Second
+
 func (c PreemptionConfig) withDefaults() PreemptionConfig {
-	if c.Interval <= 0 {
-		c.Interval = 15 * time.Second
-	}
 	if c.MaxPerRound <= 0 {
 		c.MaxPerRound = 8
 	}
@@ -178,28 +175,13 @@ func (rm *ResourceManager) preemptContainer(c *Container, forQueue string) {
 	if c.state != containerLive || c.AM {
 		return
 	}
-	c.state = containerPreempted
-	rm.freeContainer(c)
 	rm.preemptions++
 	c.App.Preemptions++
+	reason := "node_drain"
 	if forQueue != "" {
-		rm.containerSpan(c, "preempt")
-	} else {
-		rm.containerSpan(c, "node_drain")
+		reason = "preempt"
 	}
-	rm.m.containersPreempted.Inc()
-	attrs := map[string]string{
-		"container": c.idStr(),
-		"app":       appID(c.App),
-		"queue":     c.App.Queue,
-		"node":      fmt.Sprint(int(c.Node)),
-	}
-	if forQueue != "" {
-		attrs["for_queue"] = forQueue
-	} else {
-		attrs["reason"] = "node_drain"
-	}
-	rm.event(EvPreempt, attrs)
+	rm.endContainer(c, containerPreempted, rm.m.containersPreempted, EvPreempt, reason, forQueue)
 	if c.App.master != nil {
 		c.App.master.OnPreempted(c)
 	}

@@ -36,9 +36,9 @@ type QueueConfig struct {
 	Children []QueueConfig
 }
 
-// DefaultQueues is the single-queue tree capacity mode falls back to: one
-// leaf owning the whole cluster with unbounded elasticity — FIFO in a
-// trench coat, the baseline every multi-queue config is compared against.
+// DefaultQueues is the single-queue tree an RM built without Queues
+// gets: one leaf owning the whole cluster with unbounded elasticity —
+// FIFO, the baseline every multi-queue config is compared against.
 func DefaultQueues() QueueConfig {
 	return QueueConfig{
 		Name: "root",

@@ -19,11 +19,6 @@ func (rm *ResourceManager) StatusPage() string {
 	fmt.Fprintf(&b, "Utilization: %.1f%%   Preemptions: %d   Node-hours: %.2f   Containers launched: %d\n",
 		100*rm.Utilization(), rm.Preemptions(), rm.NodeHours(), rm.ContainersLaunched)
 
-	if !rm.capacityMode() {
-		fmt.Fprintf(&b, "Scheduler: %s (single queue)\n", rm.sched.Name())
-		return b.String()
-	}
-
 	b.WriteString("\nQueues:\n")
 	fmt.Fprintf(&b, "  %-20s %10s %10s %10s %6s\n", "queue", "guarantee", "ceiling", "used", "apps")
 	for _, q := range rm.leaves {

@@ -3,21 +3,21 @@
 // beyond MapReduce's limitations in order to support additional
 // capabilities such as cluster resource manager [YARN]"): a
 // ResourceManager that owns cluster capacity, NodeManagers that host
-// containers, applications that negotiate containers for their work, and
-// pluggable scheduling policies.
+// containers, and applications that negotiate containers for their work.
 //
-// Two generations coexist, mirroring Hadoop's own history:
+// There is one scheduler, a multi-tenant capacity scheduler:
+// hierarchical capacity queues with user limits (queue.go),
+// container-level allocation driven by AppMaster callbacks
+// (capacity.go), deterministic preemption of over-allocated queues
+// (preempt.go), and an elastic autoscaler over the node pool
+// (autoscale.go). Every decision lands in a replayable scheduler event
+// log (events.go) keyed on the sim clock.
 //
-//   - The legacy path (NewResourceManager with a FIFO or fair Scheduler)
-//     schedules whole task lists app-greedily — the single-queue world
-//     whose failure mode is the paper's Fall 2012 deadline queue.
-//   - The capacity path (NewCapacityResourceManager) is a real
-//     multi-tenant scheduler: hierarchical capacity queues with user
-//     limits (queue.go), container-level allocation driven by AppMaster
-//     callbacks (this file), deterministic preemption of over-allocated
-//     queues (preempt.go), and an elastic autoscaler over the node pool
-//     (autoscale.go). Every decision lands in a replayable scheduler
-//     event log (events.go) keyed on the sim clock.
+// Scheduling policy is a QueueConfig, not code. FIFO — the single-queue
+// world whose failure mode is the paper's Fall 2012 deadline queue — is
+// DefaultQueues(): one leaf, apps served in submission order. Fair
+// sharing is sibling leaves with equal Capacity: the most underserved
+// queue is served first, so tenants interleave.
 //
 // It runs on the same deterministic sim engine as the rest of the stack,
 // which makes the multi-tenancy question behind the whole paper
@@ -70,8 +70,7 @@ type AppSpec struct {
 	Name string
 	User string
 	// Queue names the leaf capacity queue (leaf segment or full dotted
-	// path). Ignored by the legacy single-queue path; empty means the
-	// "default" leaf in capacity mode.
+	// path); empty means the "default" leaf.
 	Queue string
 	Tasks []TaskSpec
 	// AMResource is the master container held for the app's lifetime
@@ -166,7 +165,7 @@ type AppMaster interface {
 type Application struct {
 	ID   int
 	Spec AppSpec
-	// Queue is the resolved leaf queue path ("" in legacy mode).
+	// Queue is the resolved leaf queue path.
 	Queue string
 	// User is the submitting principal (default "nobody").
 	User string
@@ -179,20 +178,13 @@ type Application struct {
 	// Preemptions counts containers this app lost to preemption.
 	Preemptions int
 
-	// ctx roots the app's trace (capacity mode; invalid when unsampled
-	// or in legacy mode).
+	// ctx roots the app's trace (invalid when unsampled).
 	ctx obs.Ctx
 
-	// --- legacy-path fields ---
-	amNode        cluster.NodeID
-	nextTask      int
-	runningTasks  int
-	finishedTasks int
-
-	// --- capacity-path fields ---
 	master      AppMaster
 	queue       *leafQueue
 	amContainer *Container
+	amStarted   bool         // an AM container has been granted at least once
 	containers  []*Container // live task containers, allocation order
 	requests    []ContainerRequest
 }
@@ -211,69 +203,6 @@ func (a *Application) Containers() []*Container {
 // PendingRequests returns the number of outstanding container requests.
 func (a *Application) PendingRequests() int { return len(a.requests) }
 
-func (a *Application) removeContainer(c *Container) {
-	for i, x := range a.containers {
-		if x == c {
-			a.containers = append(a.containers[:i], a.containers[i+1:]...)
-			return
-		}
-	}
-}
-
-// Scheduler picks which pending app gets the next free container (legacy
-// single-queue path).
-type Scheduler interface {
-	Name() string
-	// Pick returns the index into apps of the next app to serve, or -1.
-	// Every candidate has at least one unscheduled task.
-	Pick(apps []*Application) int
-}
-
-// FIFOScheduler serves the oldest app until it is fully scheduled — the
-// behaviour that let one student's job monopolise the paper's shared
-// cluster.
-type FIFOScheduler struct{}
-
-// Name implements Scheduler.
-func (FIFOScheduler) Name() string { return "fifo" }
-
-// Pick implements Scheduler.
-func (FIFOScheduler) Pick(apps []*Application) int {
-	best := -1
-	for i, a := range apps {
-		if best == -1 || a.SubmittedAt < apps[best].SubmittedAt ||
-			(a.SubmittedAt == apps[best].SubmittedAt && a.ID < apps[best].ID) {
-			best = i
-		}
-	}
-	return best
-}
-
-// FairScheduler gives the next container to the app currently holding the
-// fewest, breaking ties by submission time — instantaneous fair sharing.
-type FairScheduler struct{}
-
-// Name implements Scheduler.
-func (FairScheduler) Name() string { return "fair" }
-
-// Pick implements Scheduler.
-func (FairScheduler) Pick(apps []*Application) int {
-	best := -1
-	for i, a := range apps {
-		if best == -1 {
-			best = i
-			continue
-		}
-		b := apps[best]
-		if a.runningTasks < b.runningTasks ||
-			(a.runningTasks == b.runningTasks && a.SubmittedAt < b.SubmittedAt) ||
-			(a.runningTasks == b.runningTasks && a.SubmittedAt == b.SubmittedAt && a.ID < b.ID) {
-			best = i
-		}
-	}
-	return best
-}
-
 // nodeManager tracks one node's container capacity.
 type nodeManager struct {
 	id       cluster.NodeID
@@ -282,22 +211,23 @@ type nodeManager struct {
 	used     Resource
 	// active nodes accept allocations; the autoscaler parks the rest.
 	active bool
-	// containers live on this node, allocation order (capacity mode).
+	// containers live on this node, allocation order.
 	containers []*Container
 }
 
 func (nm *nodeManager) free() Resource { return nm.capacity.minus(nm.used) }
 
-func (nm *nodeManager) removeContainer(c *Container) {
-	for i, x := range nm.containers {
+// without returns list minus c, order preserved.
+func without(list []*Container, c *Container) []*Container {
+	for i, x := range list {
 		if x == c {
-			nm.containers = append(nm.containers[:i], nm.containers[i+1:]...)
-			return
+			return append(list[:i], list[i+1:]...)
 		}
 	}
+	return list
 }
 
-// CapacityOptions configures a capacity-mode ResourceManager.
+// CapacityOptions configures a ResourceManager.
 type CapacityOptions struct {
 	// Queues is the hierarchical queue tree (DefaultQueues() when zero).
 	Queues QueueConfig
@@ -311,8 +241,7 @@ type CapacityOptions struct {
 
 // ResourceManager owns the cluster's resources and runs the scheduler.
 type ResourceManager struct {
-	eng   *sim.Engine
-	sched Scheduler
+	eng *sim.Engine
 
 	nodes []*nodeManager
 	apps  []*Application
@@ -321,7 +250,6 @@ type ResourceManager struct {
 	// ContainersLaunched counts all container starts (AM + tasks).
 	ContainersLaunched int
 
-	// --- capacity mode (nil leaves == legacy mode) ---
 	leaves       []*leafQueue
 	preemptCfg   PreemptionConfig
 	autoscaleCfg AutoscaleConfig
@@ -338,17 +266,6 @@ type ResourceManager struct {
 	lastScaleDown   sim.Time
 	lastAccrue      sim.Time
 	nodeNanoseconds float64
-}
-
-// NewResourceManager builds a legacy single-queue RM over the topology;
-// each node's capacity derives from its cores and RAM.
-func NewResourceManager(eng *sim.Engine, topo *cluster.Topology, sched Scheduler) *ResourceManager {
-	if sched == nil {
-		sched = FIFOScheduler{}
-	}
-	rm := &ResourceManager{eng: eng, sched: sched}
-	rm.initNodes(topo, topo.Len())
-	return rm
 }
 
 // NewCapacityResourceManager builds a multi-tenant RM: hierarchical
@@ -376,31 +293,24 @@ func NewCapacityResourceManager(eng *sim.Engine, topo *cluster.Topology, opts Ca
 	if rm.autoscaleCfg.Enabled {
 		initial = rm.autoscaleCfg.MinNodes
 	}
-	rm.initNodes(topo, initial)
-	rm.logInit()
-	if rm.preemptCfg.Enabled {
-		eng.Every(rm.preemptCfg.Interval, rm.runPreemption)
-	}
-	if rm.autoscaleCfg.Enabled {
-		eng.Every(rm.autoscaleCfg.Interval, rm.runAutoscale)
-	}
-	return rm, nil
-}
-
-func (rm *ResourceManager) initNodes(topo *cluster.Topology, active int) {
 	for i, n := range topo.Nodes() {
 		rm.nodes = append(rm.nodes, &nodeManager{
 			id:       n.ID,
 			hostname: n.Hostname,
 			capacity: Resource{VCores: n.Cores, MemoryMB: n.RAMBytes >> 20},
-			active:   i < active,
+			active:   i < initial,
 		})
 	}
-	rm.m.activeNodes.Set(int64(active))
+	rm.m.activeNodes.Set(int64(initial))
+	rm.logInit()
+	if rm.preemptCfg.Enabled {
+		eng.Every(preemptInterval, rm.runPreemption)
+	}
+	if rm.autoscaleCfg.Enabled {
+		eng.Every(autoscaleInterval, rm.runAutoscale)
+	}
+	return rm, nil
 }
-
-// capacityMode reports whether this RM runs the capacity scheduler.
-func (rm *ResourceManager) capacityMode() bool { return rm.leaves != nil }
 
 // ClusterCapacity returns the summed capacity of the active node pool.
 func (rm *ResourceManager) ClusterCapacity() Resource {
@@ -443,45 +353,29 @@ func (rm *ResourceManager) Utilization() float64 {
 // Preemptions returns the number of containers killed by preemption.
 func (rm *ResourceManager) Preemptions() int { return rm.preemptions }
 
-// EventLog returns the scheduler's replayable event log (capacity mode;
-// nil-safe in legacy mode: a nil *Log drops everything).
+// EventLog returns the scheduler's replayable event log.
 func (rm *ResourceManager) EventLog() *history.Log { return rm.log }
 
-// Submit registers an application. In legacy mode its AM starts as soon
-// as capacity allows and tasks flow through the pluggable Scheduler; in
-// capacity mode the built-in task driver requests one container per task
-// through the capacity queues.
+// Submit registers an application whose task list the built-in task
+// driver runs: one container request per task through the app's queue.
 func (rm *ResourceManager) Submit(spec AppSpec) (*Application, error) {
 	if len(spec.Tasks) == 0 {
 		return nil, errors.New("yarn: application has no tasks")
 	}
-	if rm.capacityMode() {
-		app, err := rm.SubmitManaged(spec, nil)
-		if err != nil {
-			return nil, err
-		}
-		tm := &taskMaster{rm: rm, app: app}
-		app.master = tm
-		tm.start()
-		return app, nil
-	}
-	if err := rm.validateSpec(&spec); err != nil {
+	app, err := rm.SubmitManaged(spec, nil)
+	if err != nil {
 		return nil, err
 	}
-	rm.next++
-	app := &Application{ID: rm.next, Spec: spec, User: spec.User, SubmittedAt: rm.eng.Now()}
-	rm.apps = append(rm.apps, app)
-	rm.schedule()
+	tm := &taskMaster{rm: rm, app: app}
+	app.master = tm
+	tm.start()
 	return app, nil
 }
 
-// SubmitManaged registers an application driven by an external AppMaster
-// (capacity mode only). The RM launches the AM container through the
-// app's queue; the master then negotiates task containers with Request.
+// SubmitManaged registers an application driven by an external
+// AppMaster. The RM launches the AM container through the app's queue;
+// the master then negotiates task containers with Request.
 func (rm *ResourceManager) SubmitManaged(spec AppSpec, master AppMaster) (*Application, error) {
-	if !rm.capacityMode() {
-		return nil, errors.New("yarn: SubmitManaged requires a capacity ResourceManager")
-	}
 	if err := rm.validateSpec(&spec); err != nil {
 		return nil, err
 	}
@@ -553,11 +447,11 @@ func (rm *ResourceManager) largestNode() Resource {
 	return max
 }
 
-// Request asks for one more container for app (capacity mode). The
-// request queues FIFO per app and is served subject to the app's queue
-// capacity and user limit.
+// Request asks for one more container for app. The request queues FIFO
+// per app and is served subject to the app's queue capacity and user
+// limit.
 func (rm *ResourceManager) Request(app *Application, req ContainerRequest) {
-	if !rm.capacityMode() || app.State == AppFinished {
+	if app.State == AppFinished {
 		return
 	}
 	if req.Resource == (Resource{}) {
@@ -581,76 +475,69 @@ func (rm *ResourceManager) CancelRequests(app *Application, tag string, n int) i
 	return removed
 }
 
-// containerSpan records a container's allocation-to-terminal span under
-// its app's trace, with the terminal reason.
-func (rm *ResourceManager) containerSpan(c *Container, reason string) {
-	attrs := map[string]string{
+// endContainer is the one container-teardown routine. It marks c's
+// terminal state, returns its resources to node, app, queue and user,
+// records the allocation-to-terminal span under the app's trace, bumps
+// counter (nil for none) and logs evType. The event carries for_queue
+// when a starved queue is the beneficiary and reason otherwise.
+func (rm *ResourceManager) endContainer(c *Container, state containerState, counter *obs.Counter, evType, reason, forQueue string) {
+	c.state = state
+	nm := rm.nodes[c.Node]
+	nm.used = nm.used.minus(c.Resource)
+	nm.containers = without(nm.containers, c)
+	c.App.containers = without(c.App.containers, c) // no-op for an AM
+	c.App.queue.uncharge(c.App.User, c.Resource)
+	node := fmt.Sprint(int(c.Node))
+	span := map[string]string{
 		"container": c.idStr(),
 		"app":       appID(c.App),
-		"node":      fmt.Sprint(int(c.Node)),
+		"node":      node,
 		"reason":    reason,
 	}
 	if c.AM {
-		attrs["am"] = "1"
+		span["am"] = "1"
 	}
-	rm.m.reg.SpanCtx(c.ctx, SpanContainer, time.Duration(c.StartedAt), time.Duration(rm.eng.Now()), attrs)
+	rm.m.reg.SpanCtx(c.ctx, SpanContainer, time.Duration(c.StartedAt), time.Duration(rm.eng.Now()), span)
+	counter.Inc()
+	attrs := map[string]string{
+		"container": c.idStr(),
+		"app":       appID(c.App),
+		"queue":     c.App.Queue,
+		"node":      node,
+	}
+	if forQueue != "" {
+		attrs["for_queue"] = forQueue
+	} else {
+		attrs["reason"] = reason
+	}
+	rm.event(evType, attrs)
 }
 
-// Release returns a task container to the pool (capacity mode).
+// release ends a live container whose work is done.
+func (rm *ResourceManager) release(c *Container, reason string) {
+	rm.endContainer(c, containerReleased, rm.m.containersReleased, EvRelease, reason, "")
+}
+
+// Release returns a task container to the pool.
 func (rm *ResourceManager) Release(c *Container, reason string) {
 	if c == nil || c.state != containerLive || c.AM {
 		return
 	}
-	c.state = containerReleased
-	rm.freeContainer(c)
-	rm.containerSpan(c, reason)
-	rm.m.containersReleased.Inc()
-	rm.event(EvRelease, map[string]string{
-		"container": c.idStr(), "app": appID(c.App), "queue": c.App.Queue,
-		"node": fmt.Sprint(int(c.Node)), "reason": reason,
-	})
+	rm.release(c, reason)
 	rm.kick()
-}
-
-// freeContainer removes a container from node, app and queue accounting.
-func (rm *ResourceManager) freeContainer(c *Container) {
-	nm := rm.nodes[c.Node]
-	nm.used = nm.used.minus(c.Resource)
-	nm.removeContainer(c)
-	c.App.removeContainer(c)
-	c.App.queue.uncharge(c.App.User, c.Resource)
 }
 
 // FinishApp marks a managed app complete: leftover containers and the AM
 // are released and the app leaves its queue.
 func (rm *ResourceManager) FinishApp(app *Application) {
-	if !rm.capacityMode() || app.State == AppFinished {
+	if app.State == AppFinished {
 		return
 	}
 	for _, c := range append([]*Container(nil), app.containers...) {
-		if c.state == containerLive {
-			c.state = containerReleased
-			rm.freeContainer(c)
-			rm.containerSpan(c, "app_finish")
-			rm.m.containersReleased.Inc()
-			rm.event(EvRelease, map[string]string{
-				"container": c.idStr(), "app": appID(app), "queue": app.Queue,
-				"node": fmt.Sprint(int(c.Node)), "reason": "app_finish",
-			})
-		}
+		rm.release(c, "app_finish")
 	}
 	if am := app.amContainer; am != nil && am.state == containerLive {
-		am.state = containerReleased
-		nm := rm.nodes[am.Node]
-		nm.used = nm.used.minus(am.Resource)
-		nm.removeContainer(am)
-		app.queue.uncharge(app.User, am.Resource)
-		rm.containerSpan(am, "app_finish")
-		rm.m.containersReleased.Inc()
-		rm.event(EvRelease, map[string]string{
-			"container": am.idStr(), "app": appID(app), "queue": app.Queue,
-			"node": fmt.Sprint(int(am.Node)), "reason": "app_finish",
-		})
+		rm.release(am, "app_finish")
 	}
 	app.requests = nil
 	app.State = AppFinished
@@ -699,18 +586,9 @@ func (rm *ResourceManager) SetNodeActive(id cluster.NodeID, active bool) {
 				continue
 			}
 			if c.AM {
-				app := c.App
-				c.state = containerPreempted
-				nm.used = nm.used.minus(c.Resource)
-				nm.removeContainer(c)
-				app.queue.uncharge(app.User, c.Resource)
-				app.amContainer = nil
-				app.State = AppPending
-				rm.containerSpan(c, "node_drain")
-				rm.event(EvRelease, map[string]string{
-					"container": c.idStr(), "app": appID(app), "queue": app.Queue,
-					"node": fmt.Sprint(int(nm.id)), "reason": "node_drain",
-				})
+				rm.endContainer(c, containerPreempted, nil, EvRelease, "node_drain", "")
+				c.App.amContainer = nil
+				c.App.State = AppPending
 				continue
 			}
 			rm.preemptContainer(c, "")
@@ -741,112 +619,3 @@ func (rm *ResourceManager) AllFinished() bool {
 }
 
 func appID(a *Application) string { return fmt.Sprintf("app%05d", a.ID) }
-
-// --- legacy single-queue scheduling (unchanged semantics) ---
-
-// allocate finds an active node with room for r (most-free-first for
-// spreading).
-func (rm *ResourceManager) allocate(r Resource) *nodeManager {
-	var best *nodeManager
-	for _, nm := range rm.nodes {
-		if !nm.active || !r.Fits(nm.free()) {
-			continue
-		}
-		if best == nil || nm.free().VCores > best.free().VCores ||
-			(nm.free().VCores == best.free().VCores && nm.id < best.id) {
-			best = nm
-		}
-	}
-	return best
-}
-
-// schedule drives all legacy-path state transitions: AM launches for
-// pending apps in submit order, then task containers via the pluggable
-// scheduler.
-func (rm *ResourceManager) schedule() {
-	if rm.capacityMode() {
-		rm.kick()
-		return
-	}
-	// Launch ApplicationMasters (FIFO regardless of task scheduler, as in
-	// YARN where the AM itself is a scheduled container).
-	pending := append([]*Application(nil), rm.apps...)
-	sort.Slice(pending, func(i, j int) bool { return pending[i].ID < pending[j].ID })
-	for _, app := range pending {
-		if app.State != AppPending {
-			continue
-		}
-		nm := rm.allocate(app.Spec.AMResource)
-		if nm == nil {
-			continue
-		}
-		nm.used = nm.used.plus(app.Spec.AMResource)
-		app.amNode = nm.id
-		app.State = AppRunning
-		app.StartedAt = rm.eng.Now()
-		rm.ContainersLaunched++
-	}
-	// Task containers.
-	for {
-		var candidates []*Application
-		for _, app := range rm.apps {
-			if app.State == AppRunning && app.nextTask < len(app.Spec.Tasks) {
-				candidates = append(candidates, app)
-			}
-		}
-		if len(candidates) == 0 {
-			return
-		}
-		idx := rm.sched.Pick(candidates)
-		if idx < 0 || idx >= len(candidates) {
-			return
-		}
-		app := candidates[idx]
-		task := app.Spec.Tasks[app.nextTask]
-		nm := rm.allocate(task.Resource)
-		if nm == nil {
-			// No room for this app's next container; try to serve another
-			// app with a smaller request before giving up entirely.
-			served := false
-			for _, other := range candidates {
-				if other == app {
-					continue
-				}
-				t2 := other.Spec.Tasks[other.nextTask]
-				if nm2 := rm.allocate(t2.Resource); nm2 != nil {
-					rm.launchTask(other, t2, nm2)
-					served = true
-					break
-				}
-			}
-			if !served {
-				return
-			}
-			continue
-		}
-		rm.launchTask(app, task, nm)
-	}
-}
-
-func (rm *ResourceManager) launchTask(app *Application, task TaskSpec, nm *nodeManager) {
-	app.nextTask++
-	app.runningTasks++
-	nm.used = nm.used.plus(task.Resource)
-	rm.ContainersLaunched++
-	rm.eng.After(task.Duration, func() {
-		nm.used = nm.used.minus(task.Resource)
-		app.runningTasks--
-		app.finishedTasks++
-		if app.finishedTasks == len(app.Spec.Tasks) {
-			// Release the AM and finish.
-			for _, n := range rm.nodes {
-				if n.id == app.amNode {
-					n.used = n.used.minus(app.Spec.AMResource)
-				}
-			}
-			app.State = AppFinished
-			app.FinishedAt = rm.eng.Now()
-		}
-		rm.schedule()
-	})
-}

@@ -2,6 +2,7 @@ package yarn_test
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -10,10 +11,27 @@ import (
 	"repro/internal/yarn"
 )
 
-func newRM(t testing.TB, nodes int, sched yarn.Scheduler) (*sim.Engine, *yarn.ResourceManager) {
-	eng := sim.NewEngine()
-	topo := cluster.NewTopology(cluster.PaperNodeConfig(nodes, 1))
-	return eng, yarn.NewResourceManager(eng, topo, sched)
+// newRM builds an RM over the given queue tree; nil is FIFO, the
+// single-leaf DefaultQueues().
+func newRM(t testing.TB, nodes int, queues *yarn.QueueConfig) (*sim.Engine, *yarn.ResourceManager) {
+	t.Helper()
+	var opts yarn.CapacityOptions
+	if queues != nil {
+		opts.Queues = *queues
+	}
+	return newCapRM(t, nodes, opts)
+}
+
+// fairQueues is fair sharing as a queue tree: two equal-guarantee
+// leaves, each elastic to the whole idle cluster.
+func fairQueues() *yarn.QueueConfig {
+	return &yarn.QueueConfig{
+		Name: "root",
+		Children: []yarn.QueueConfig{
+			{Name: "grad", Capacity: 0.5, UserLimitFactor: 2},
+			{Name: "default", Capacity: 0.5, UserLimitFactor: 2},
+		},
+	}
 }
 
 func uniformApp(name, user string, tasks int, perTask time.Duration) yarn.AppSpec {
@@ -77,9 +95,13 @@ func TestFIFOStarvesSmallJobs(t *testing.T) {
 	// The multi-tenancy lesson: a deadline-night cluster with one huge job
 	// at the head of the queue. FIFO makes every later small job wait for
 	// the giant; fair sharing interleaves them.
-	run := func(sched yarn.Scheduler) (bigMakespan time.Duration, smallWait []time.Duration) {
-		eng, rm := newRM(t, 8, sched)
-		big, err := rm.Submit(uniformApp("thesis-job", "grad", 400, 2*time.Minute))
+	run := func(queues *yarn.QueueConfig) (bigMakespan time.Duration, smallWait []time.Duration) {
+		eng, rm := newRM(t, 8, queues)
+		bigSpec := uniformApp("thesis-job", "grad", 400, 2*time.Minute)
+		if queues != nil {
+			bigSpec.Queue = "grad" // students stay in "default"
+		}
+		big, err := rm.Submit(bigSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,8 +123,8 @@ func TestFIFOStarvesSmallJobs(t *testing.T) {
 		}
 		return big.Makespan(), smallWait
 	}
-	bigFIFO, smallFIFO := run(yarn.FIFOScheduler{})
-	bigFair, smallFair := run(yarn.FairScheduler{})
+	bigFIFO, smallFIFO := run(nil)
+	bigFair, smallFair := run(fairQueues())
 
 	medF := median(smallFIFO)
 	medR := median(smallFair)
@@ -128,8 +150,8 @@ func median(ds []time.Duration) time.Duration {
 func TestFairSharingIsWorkConserving(t *testing.T) {
 	// With a single app, fair and FIFO must perform identically: fairness
 	// never idles capacity.
-	mk := func(s yarn.Scheduler) time.Duration {
-		eng, rm := newRM(t, 2, s)
+	mk := func(queues *yarn.QueueConfig) time.Duration {
+		eng, rm := newRM(t, 2, queues)
 		app, err := rm.Submit(uniformApp("only", "solo", 40, time.Minute))
 		if err != nil {
 			t.Fatal(err)
@@ -137,7 +159,7 @@ func TestFairSharingIsWorkConserving(t *testing.T) {
 		eng.Run()
 		return app.Makespan()
 	}
-	if f, r := mk(yarn.FIFOScheduler{}), mk(yarn.FairScheduler{}); f != r {
+	if f, r := mk(nil), mk(fairQueues()); f != r {
 		t.Fatalf("single-app makespan differs: fifo=%v fair=%v", f, r)
 	}
 }
@@ -181,7 +203,7 @@ func TestMemoryConstrainedPacking(t *testing.T) {
 
 func TestDeterministicSchedule(t *testing.T) {
 	run := func() []time.Duration {
-		eng, rm := newRM(t, 4, yarn.FairScheduler{})
+		eng, rm := newRM(t, 4, fairQueues())
 		var apps []*yarn.Application
 		for i := 0; i < 6; i++ {
 			a, err := rm.Submit(uniformApp(fmt.Sprintf("a%d", i), "u", 10+i, time.Minute))
@@ -206,9 +228,9 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 }
 
-func BenchmarkFairSchedulerManyApps(b *testing.B) {
+func BenchmarkFairQueuesManyApps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		eng, rm := newRM(b, 8, yarn.FairScheduler{})
+		eng, rm := newRM(b, 8, fairQueues())
 		for j := 0; j < 50; j++ {
 			if _, err := rm.Submit(uniformApp(fmt.Sprintf("a%d", j), "u", 20, time.Minute)); err != nil {
 				b.Fatal(err)
@@ -218,5 +240,45 @@ func BenchmarkFairSchedulerManyApps(b *testing.B) {
 		if !rm.AllFinished() {
 			b.Fatal("unfinished")
 		}
+	}
+}
+
+// TestWaitTimeSurvivesAMDrain drains the node under a running app's AM.
+// The app is re-admitted through a second AM grant, but its wait for the
+// first container — WaitTime, and wait_ns in rm.app_finish — stays the
+// original one (zero: granted at submission), not the re-admission delay.
+func TestWaitTimeSurvivesAMDrain(t *testing.T) {
+	eng, rm := newRM(t, 2, nil)
+	app, err := rm.Submit(uniformApp("drained", "d", 4, time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	amStarts := func() (n int, node cluster.NodeID) {
+		for _, ev := range rm.EventLog().Events() {
+			if ev.Type == yarn.EvAMStart {
+				id, err := strconv.Atoi(ev.Attrs["node"])
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, node = n+1, cluster.NodeID(id)
+			}
+		}
+		return n, node
+	}
+	eng.Advance(20 * time.Second)
+	_, amNode := amStarts()
+	rm.SetNodeActive(amNode, false)
+	if n, node := amStarts(); n != 2 || node == amNode {
+		t.Fatalf("after the drain: %d AM starts, last on node %d (drained %d)", n, node, amNode)
+	}
+	if got := app.WaitTime(); got != 0 {
+		t.Fatalf("WaitTime = %v after the AM drain, want the original 0s", got)
+	}
+	eng.Run()
+	if app.State != yarn.AppFinished {
+		t.Fatalf("app state = %v after the drain", app.State)
+	}
+	if err := yarn.CheckLog(rm.EventLog().Events()); err != nil {
+		t.Fatal(err)
 	}
 }
