@@ -73,7 +73,7 @@ ci: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/minilint ./internal/... ./cmd/...
 	$(GO) test ./...
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/...
+	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/...
 	$(GO) test -run 'TestGoldenJobHistory|TestGoldenTrace' ./internal/jobs/
 	$(GO) run ./cmd/benchreport -trend
 	$(GO) test -run 'TestE12Smoke|TestE13Smoke' ./internal/experiments/

@@ -137,10 +137,3 @@ func RecordsInRange(data []byte, dataStart, off, end int64) []Record {
 	}
 	return out
 }
-
-// ReadSplitRecords reads the records of one split from fs, dispatching
-// on the file's format (plain text, compressed text, SequenceFile) via
-// ReadSplit. Returns the records and the read statistics.
-func ReadSplitRecords(fs vfs.FileSystem, split FileSplit) ([]Record, ReadStats, error) {
-	return ReadSplit(FSRangeReader(fs, split.Path), split)
-}

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/iofmt"
 	"repro/internal/vfs"
@@ -102,16 +103,23 @@ func readSeqSplit(read iofmt.RangeReaderFunc, split FileSplit) ([]Record, ReadSt
 }
 
 // FSRangeReader adapts a file on a plain filesystem to a ranged reader,
-// loading the file lazily on first use.
+// loading the file once, lazily, on first use. The reader is safe for
+// concurrent use, so every split of a file can share one.
 func FSRangeReader(fs vfs.FileSystem, path string) iofmt.RangeReaderFunc {
-	var file iofmt.RangeReaderFunc
+	var (
+		once sync.Once
+		file iofmt.RangeReaderFunc
+		err  error
+	)
 	return func(off, length int64) ([]byte, error) {
-		if file == nil {
-			data, err := vfs.ReadFile(fs, path)
-			if err != nil {
-				return nil, err
+		once.Do(func() {
+			var data []byte
+			if data, err = vfs.ReadFile(fs, path); err == nil {
+				file = iofmt.BytesRangeReader(data)
 			}
-			file = iofmt.BytesRangeReader(data)
+		})
+		if err != nil {
+			return nil, err
 		}
 		return file(off, length)
 	}

@@ -183,7 +183,7 @@ func TestReadSplitRecords(t *testing.T) {
 	}
 	var all []string
 	for _, s := range splits {
-		recs, _, err := ReadSplitRecords(fs, s)
+		recs, _, err := ReadSplit(FSRangeReader(fs, s.Path), s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package mrcluster_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -91,6 +92,7 @@ func TestChaosJobSurvivesNodeFailures(t *testing.T) {
 		if err := invariant.OutputsEqual(want, got); err != nil {
 			t.Fatalf("seed %d: %v\nlog:\n%s", seed, err, in.LogString())
 		}
+		assertLifecycleDigest(t, fmt.Sprintf("chaos-node-failures-seed%d", seed), rig, rep.JobID, in.LogString())
 		rig.eng.RunUntil(base + plan.Horizon() + time.Second)
 		if _, err := invariant.FsckSettled(rig.dfs, 3*time.Minute); err != nil {
 			t.Fatalf("seed %d: %v\nlog:\n%s", seed, err, in.LogString())
@@ -122,6 +124,7 @@ func TestChaosSpeculationFiresUnderSlowNode(t *testing.T) {
 	if launched := rep.Counters.Get(mapreduce.CtrSpeculativeLaunch); launched == 0 {
 		t.Fatalf("no speculative attempts launched against a x8 straggler:\n%s", rep)
 	}
+	assertLifecycleDigest(t, "chaos-speculation-slow-node", rig, rep.JobID, in.LogString())
 	if err := invariant.CountersConsistent(rep); err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +166,7 @@ func TestChaosTaskErrorsAllScopes(t *testing.T) {
 	if rep.Counters.Get(mapreduce.CtrTaskRetries) == 0 {
 		t.Fatalf("expected injected task errors to force retries:\n%s", rep)
 	}
+	assertLifecycleDigest(t, "chaos-task-errors-all-scopes", rig, rep.JobID, in.LogString())
 	if err := invariant.CountersConsistent(rep); err != nil {
 		t.Fatal(err)
 	}

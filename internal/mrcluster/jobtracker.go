@@ -28,9 +28,40 @@ const (
 	taskDone
 )
 
+// taskKind indexes the per-kind state the trackers and job runs keep
+// (slots in use, completed-attempt durations).
+type taskKind int
+
+const (
+	kindMap taskKind = iota
+	kindReduce
+)
+
+// attemptKind is one row of the JobTracker's per-kind table: everything
+// in an attempt's lifecycle that differs between map and reduce in name
+// only, plus the one step that genuinely differs — launch, which runs the
+// kind's user code and plans the attempt's outcome. The table is built
+// once per JobTracker (newJobTracker) because the metric handles are.
+type attemptKind struct {
+	idx         taskKind
+	name        string        // history and span "kind", first letter tags task ids
+	span        string        // attempt span name
+	hasLocality bool          // attempts carry an input-locality rank
+	slotCap     int           // per-tracker slots (slot mode)
+	container   yarn.Resource // per-attempt container (YARN mode)
+	ctrLaunched string
+	ctrFailed   string
+	launched    *obs.Counter
+	failed      *obs.Counter
+	attemptTime *obs.Histogram
+	// launch starts an attempt of t on tt, reporting whether it actually
+	// started.
+	launch func(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) bool
+}
+
 type task struct {
 	jr    *jobRun
-	isMap bool
+	kind  *attemptKind
 	idx   int
 	split mapreduce.FileSplit // map tasks only
 
@@ -53,11 +84,7 @@ type task struct {
 
 func (t *task) id() string {
 	if t.cachedID == "" {
-		kind := "r"
-		if t.isMap {
-			kind = "m"
-		}
-		t.cachedID = fmt.Sprintf("task_%s_%s_%06d", t.jr.id, kind, t.idx)
+		t.cachedID = fmt.Sprintf("task_%s_%s_%06d", t.jr.id, t.kind.name[:1], t.idx)
 	}
 	return t.cachedID
 }
@@ -69,7 +96,6 @@ type attempt struct {
 	speculative bool
 	locality    int // 0 data-local, 1 rack-local, 2 remote (maps)
 	startedAt   sim.Time
-	expectedEnd sim.Time
 	timer       sim.Timer
 	dead        bool
 	tempPath    string // reduce attempts: uncommitted output
@@ -114,8 +140,7 @@ type jobRun struct {
 	mapsDoneAt  sim.Time
 	finishedAt  sim.Time
 
-	mapDurations    []time.Duration
-	reduceDurations []time.Duration
+	durations [2][]time.Duration // completed attempts' run times, by kind
 
 	// hist is the job's history file in the making: every lifecycle event
 	// from submit to finish, persisted into HDFS when the job completes.
@@ -127,9 +152,8 @@ type jobRun struct {
 
 	// YARN mode: the job's application handle plus the outstanding
 	// (unserved) container-request counts syncRequests reconciles.
-	app        *yarn.Application
-	mapReqs    int
-	reduceReqs int
+	app  *yarn.Application
+	reqs [2]int
 
 	handle *JobHandle
 }
@@ -182,6 +206,16 @@ type JobTracker struct {
 	// m holds the JobTracker's interned metric handles (see metrics.go);
 	// spans land on the cluster's shared registry.
 	m jtMetrics
+
+	mapKind, reduceKind *attemptKind
+	// mapLocality counts completed maps by locality rank (0 data-local, 1
+	// rack-local, 2 remote): the job counter's name and the metric.
+	mapLocality [3]localityCounter
+}
+
+type localityCounter struct {
+	ctr string
+	n   *obs.Counter
 }
 
 // TotalTrackerLosses reports how many TaskTracker losses the JobTracker
@@ -198,6 +232,27 @@ func newJobTracker(mc *MRCluster, rng *sim.Rand) *JobTracker {
 	}
 	for _, n := range mc.Topology.Nodes() {
 		jt.hostToNode[n.Hostname] = n.ID
+	}
+	jt.mapKind = &attemptKind{
+		idx: kindMap, name: tagMap, span: SpanMapAttempt, hasLocality: true,
+		slotCap: mc.cfg.MapSlotsPerNode, container: mapContainer,
+		ctrLaunched: mapreduce.CtrLaunchedMaps, ctrFailed: mapreduce.CtrFailedMaps,
+		launched: mc.Obs.Counter(MetricJTMapsLaunched), failed: mc.Obs.Counter(MetricJTMapsFailed),
+		attemptTime: mc.Obs.Histogram(MetricMapAttemptTime),
+		launch:      jt.runMapAttempt,
+	}
+	jt.reduceKind = &attemptKind{
+		idx: kindReduce, name: tagReduce, span: SpanReduceAttempt,
+		slotCap: mc.cfg.ReduceSlotsPerNode, container: reduceContainer,
+		ctrLaunched: mapreduce.CtrLaunchedReduces, ctrFailed: mapreduce.CtrFailedReduces,
+		launched: mc.Obs.Counter(MetricJTReducesLaunched), failed: mc.Obs.Counter(MetricJTReducesFailed),
+		attemptTime: mc.Obs.Histogram(MetricReduceAttemptTime),
+		launch:      jt.runReduceAttempt,
+	}
+	jt.mapLocality = [3]localityCounter{
+		{mapreduce.CtrDataLocalMaps, mc.Obs.Counter(MetricJTMapsDataLocal)},
+		{mapreduce.CtrRackLocalMaps, mc.Obs.Counter(MetricJTMapsRackLocal)},
+		{mapreduce.CtrRemoteMaps, mc.Obs.Counter(MetricJTMapsRemote)},
 	}
 	return jt
 }
@@ -218,15 +273,11 @@ func (jt *JobTracker) checkTrackerLiveness() {
 	now := jt.mc.Engine.Now()
 	for _, tt := range jt.mc.trackers {
 		stale := now-tt.lastHeartbeat > jt.mc.cfg.TrackerExpiry
-		if (stale || !tt.alive) && !tt.lostProcessed() {
+		if (stale || !tt.alive) && !tt.lossHandled {
 			jt.handleTrackerLoss(tt)
 		}
 	}
 }
-
-// lostProcessed reports whether this tracker's loss has been handled since
-// it last started. A live, fresh tracker is trivially "processed".
-func (tt *TaskTracker) lostProcessed() bool { return tt.lossHandled }
 
 // handleTrackerLoss reschedules everything the lost tracker was doing or
 // holding: running attempts die, completed map outputs evaporate, and any
@@ -280,21 +331,30 @@ func (jt *JobTracker) killAttempt(a *attempt, reason string) {
 	if a.dead {
 		return
 	}
+	a.t.jr.counters.Inc(mapreduce.CtrKilledTaskAttempts, 1)
+	jt.m.attemptsKilled.Inc()
+	jt.abandon(a, "killed", "killed:"+reason, history.EvAttemptKill, map[string]string{"reason": reason})
+}
+
+// abandon ends an attempt that will not complete — killed or failed: its
+// outcome event is cancelled, its slot and container go back, any reduce
+// output it staged is discarded, its span and terminal history event are
+// recorded, and its task is pending again unless a sibling still runs.
+func (jt *JobTracker) abandon(a *attempt, release, outcome, evType string, evAttrs map[string]string) {
 	a.dead = true
 	a.timer.Cancel()
 	jt.releaseSlot(a)
-	jt.releaseContainer(a, "killed")
+	jt.releaseContainer(a, release)
 	a.t.removeAttempt(a)
 	if a.tempPath != "" {
-		// Best-effort GC of a killed attempt's temp output: nothing was
-		// acked from it, so a failed delete costs only disk, not data.
-		//lint:ignore commiterr killed-attempt temp output is unacked; delete is best-effort
+		// Best-effort GC of the attempt's temp output: nothing was acked
+		// from it, so a failed delete costs only disk, not data.
+		//lint:ignore commiterr abandoned-attempt temp output is unacked; delete is best-effort
 		_ = jt.mc.DFS.Client(a.tt.id).Remove(a.tempPath, false)
+		a.tempPath = ""
 	}
-	a.t.jr.counters.Inc(mapreduce.CtrKilledTaskAttempts, 1)
-	jt.m.attemptsKilled.Inc()
-	jt.attemptSpan(a, "killed:"+reason)
-	jt.histAttemptEnd(a, history.EvAttemptKill, map[string]string{"reason": reason})
+	jt.attemptSpan(a, outcome)
+	jt.histAttemptEnd(a, evType, evAttrs)
 	if a.t.state == taskRunning && len(a.t.attempts) == 0 {
 		a.t.state = taskPending
 	}
@@ -315,15 +375,13 @@ func (jt *JobTracker) histAttemptStart(a *attempt, shuffle time.Duration) {
 		"job":     a.t.jr.id,
 		"task":    a.t.id(),
 		"node":    a.tt.node.Hostname,
+		"kind":    a.t.kind.name,
 	}
-	if a.t.isMap {
-		attrs["kind"] = "map"
+	if a.t.kind.hasLocality {
 		attrs["locality"] = fmt.Sprint(a.locality)
-	} else {
-		attrs["kind"] = "reduce"
-		if shuffle >= 0 {
-			attrs["shuffle_ns"] = fmt.Sprint(int64(shuffle))
-		}
+	}
+	if shuffle >= 0 {
+		attrs["shuffle_ns"] = fmt.Sprint(int64(shuffle))
 	}
 	if a.speculative {
 		attrs["speculative"] = "true"
@@ -338,17 +396,6 @@ func (jt *JobTracker) histAttemptEnd(a *attempt, typ string, extra map[string]st
 		attrs[k] = v
 	}
 	jt.histEv(a.t.jr, typ, attrs)
-}
-
-// histFinish records the job's terminal event with its final counter
-// snapshot flattened into ctr.<NAME> attrs — the numbers `mrhistory`
-// reprints without the cluster object.
-func (jt *JobTracker) histFinish(jr *jobRun, outcome string) {
-	attrs := map[string]string{"job": jr.id, "outcome": outcome}
-	for name, v := range jr.counters.Snapshot() {
-		attrs["ctr."+name] = fmt.Sprint(v)
-	}
-	jr.hist.Append(time.Duration(jr.finishedAt), history.EvJobFinish, attrs)
 }
 
 // persistHistory writes the finished job's history file into HDFS under
@@ -382,52 +429,21 @@ func (jt *JobTracker) persistHistory(jr *jobRun) {
 	}
 }
 
-// traceAttempt hangs a freshly launched attempt in the job trace:
-// the task node is allocated lazily on its first attempt (that launch
-// instant is what the eventual mr.task span starts at), and the attempt
-// becomes its child.
-func (jt *JobTracker) traceAttempt(a *attempt) {
-	t := a.t
-	if !t.ctx.Valid() {
-		t.ctx = t.jr.ctx.NewChild()
-		t.firstStart = a.startedAt
-	}
-	a.ctx = t.ctx.NewChild()
-}
-
-// taskSpan records a task's first-launch-to-completion span — the parent
-// of its attempt spans in the trace tree.
-func (jt *JobTracker) taskSpan(t *task) {
-	kind := "reduce"
-	if t.isMap {
-		kind = "map"
-	}
-	jt.mc.Obs.SpanCtx(t.ctx, SpanTask, time.Duration(t.firstStart), time.Duration(jt.mc.Engine.Now()), map[string]string{
-		"task": t.id(),
-		"job":  t.jr.id,
-		"kind": kind,
-	})
-}
-
 // attemptSpan records a task attempt's lifetime span with its outcome.
 func (jt *JobTracker) attemptSpan(a *attempt, outcome string) {
-	name := SpanReduceAttempt
-	if a.t.isMap {
-		name = SpanMapAttempt
-	}
 	attrs := map[string]string{
 		"attempt": a.id(),
 		"job":     a.t.jr.id,
 		"node":    a.tt.node.Hostname,
 		"outcome": outcome,
 	}
-	if a.t.isMap {
+	if a.t.kind.hasLocality {
 		attrs["locality"] = fmt.Sprint(a.locality)
 	}
 	if a.speculative {
 		attrs["speculative"] = "true"
 	}
-	jt.mc.Obs.SpanCtx(a.ctx, name, time.Duration(a.startedAt), time.Duration(jt.mc.Engine.Now()), attrs)
+	jt.mc.Obs.SpanCtx(a.ctx, a.t.kind.span, time.Duration(a.startedAt), time.Duration(jt.mc.Engine.Now()), attrs)
 }
 
 func (t *task) removeAttempt(a *attempt) {
@@ -443,11 +459,7 @@ func (jt *JobTracker) releaseSlot(a *attempt) {
 	if !a.tt.alive {
 		return // slots reset when the tracker restarts
 	}
-	if a.t.isMap {
-		a.tt.mapSlotsUsed--
-	} else {
-		a.tt.reduceSlotsUsed--
-	}
+	a.tt.slotsUsed[a.t.kind.idx]--
 }
 
 // --- submission ---
@@ -477,10 +489,10 @@ func (jt *JobTracker) submit(job *mapreduce.Job) (*JobHandle, error) {
 	}
 	jr.ctx = jt.mc.Obs.NewTrace(time.Duration(jr.submittedAt))
 	for i, s := range splits {
-		jr.maps = append(jr.maps, &task{jr: jr, isMap: true, idx: i, split: s})
+		jr.maps = append(jr.maps, &task{jr: jr, kind: jt.mapKind, idx: i, split: s})
 	}
 	for r := 0; r < job.Reducers(); r++ {
-		jr.reduces = append(jr.reduces, &task{jr: jr, idx: r})
+		jr.reduces = append(jr.reduces, &task{jr: jr, kind: jt.reduceKind, idx: r})
 	}
 	jr.handle = &JobHandle{jr: jr}
 	if jt.yarnMode() {
@@ -586,17 +598,13 @@ func (jt *JobTracker) computeSplits(job *mapreduce.Job) ([]mapreduce.FileSplit, 
 
 // --- scheduling ---
 
-func (jt *JobTracker) orderedTrackers() []*TaskTracker {
-	return jt.mc.trackers // already in node order
-}
-
 // runningMapAttempts counts map attempts currently occupying slots —
 // the concurrent-reader count for the shared-storage contention model.
 func (jt *JobTracker) runningMapAttempts() int {
 	n := 0
 	for _, tt := range jt.mc.trackers {
 		if tt.alive {
-			n += tt.mapSlotsUsed
+			n += tt.slotsUsed[kindMap]
 		}
 	}
 	return n
@@ -635,44 +643,35 @@ func (jt *JobTracker) schedule() {
 	// local to another node — the matching that makes HDFS data locality
 	// pay off.
 	for rank := 0; rank <= 2; rank++ {
-		for _, tt := range jt.orderedTrackers() {
+		for _, tt := range jt.mc.trackers {
 			if !tt.alive {
 				continue
 			}
-			for tt.mapSlotsUsed < jt.mc.cfg.MapSlotsPerNode {
+			for tt.slotsUsed[kindMap] < jt.mapKind.slotCap {
 				best := jt.pickMapTaskAtRank(tt, rank)
 				if best == nil {
 					break
 				}
-				jt.startMapAttempt(best, tt, false, nil)
+				jt.runMapAttempt(best, tt, false, nil)
 			}
 		}
 	}
 	// Reduce assignment: only once a job's maps are all complete.
-	for _, tt := range jt.orderedTrackers() {
+	for _, tt := range jt.mc.trackers {
 		if !tt.alive {
 			continue
 		}
-		for tt.reduceSlotsUsed < jt.mc.cfg.ReduceSlotsPerNode {
+		for tt.slotsUsed[kindReduce] < jt.reduceKind.slotCap {
 			var pick *task
 			for _, jr := range jt.jobs {
 				if jr.state != jobRunning || jr.mapsDone < len(jr.maps) {
 					continue
 				}
-				for _, t := range jr.reduces {
-					if t.state == taskPending {
-						pick = t
-						break
-					}
-				}
-				if pick != nil {
+				if pick = firstPending(jr.reduces); pick != nil {
 					break
 				}
 			}
-			if pick == nil {
-				break
-			}
-			if !jt.startReduceAttempt(pick, tt, false, nil) {
+			if pick == nil || !jt.runReduceAttempt(pick, tt, false, nil) {
 				break
 			}
 		}
@@ -680,6 +679,16 @@ func (jt *JobTracker) schedule() {
 	if jt.mc.cfg.Speculative {
 		jt.speculate()
 	}
+}
+
+// firstPending returns the first pending task of tasks, or nil.
+func firstPending(tasks []*task) *task {
+	for _, t := range tasks {
+		if t.state == taskPending {
+			return t
+		}
+	}
+	return nil
 }
 
 func (jt *JobTracker) pickMapTaskAtRank(tt *TaskTracker, rank int) *task {
@@ -707,12 +716,6 @@ func (jt *JobTracker) slowdown(id cluster.NodeID) float64 {
 	return 1
 }
 
-// reachable reports whether a data transfer between the two nodes can
-// currently proceed on the (possibly partitioned) network.
-func (jt *JobTracker) reachable(a, b cluster.NodeID) bool {
-	return jt.mc.Net.Reachable(a, b)
-}
-
 // pickFault returns the armed fault for a job attempt in the given scope,
 // if it fires. The random draw happens only for matching faults, so arming
 // a fault for one job/scope never perturbs another's schedule.
@@ -726,31 +729,173 @@ func (jt *JobTracker) pickFault(jr *jobRun, scope TaskScope) *TaskFault {
 	return nil
 }
 
-// --- map attempts ---
+// --- the attempt lifecycle ---
+//
+// Every attempt, map or reduce, goes through the same four steps: launch
+// bookkeeping (newAttempt), the kind's own body (runMapAttempt /
+// runReduceAttempt: run the user code now over real data, model how long
+// it took), one outcome event on the sim clock (armOutcome), and then
+// exactly one of completeAttempt, failAttempt or killAttempt.
 
-func (jt *JobTracker) startMapAttempt(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) {
-	jr := t.jr
-	tt.mapSlotsUsed++
+// attemptPlan is what an attempt's body hands to armOutcome: when the
+// outcome lands and what completing the attempt commits.
+type attemptPlan struct {
+	duration time.Duration       // launch to successful completion
+	counters *mapreduce.Counters // the task's counters, merged into the job's on success
+	commit   func() error        // the kind-specific half of completion
+	err      error               // the attempt's own failure (user code or I/O) ...
+	errAfter time.Duration       // ... and how far into the attempt it surfaces
+	faults   []faultPoint        // where an injected fault may strike, in draw order
+}
+
+// faultPoint is one phase of an attempt an armed TaskFault can strike: a
+// fault in scope fires AfterFraction of the way through phase.
+type faultPoint struct {
+	scope TaskScope
+	phase time.Duration
+	what  string
+}
+
+const injectedTaskError = "injected task error (heap exhaustion)"
+
+// newAttempt is the launch bookkeeping: claim the slot, number the
+// attempt, index its container, count the launch, and hang the attempt in
+// the job trace — the task's trace node is allocated lazily on its first
+// attempt (that launch instant is what the eventual mr.task span starts
+// at), and the attempt becomes its child.
+func (jt *JobTracker) newAttempt(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) *attempt {
+	k, jr := t.kind, t.jr
+	tt.slotsUsed[k.idx]++
 	t.attemptSeq++
 	a := &attempt{
 		t: t, tt: tt, seq: t.attemptSeq,
 		speculative: speculative,
-		locality:    jt.localityRank(t, tt),
 		startedAt:   jt.mc.Engine.Now(),
 		container:   c,
+	}
+	if k.hasLocality {
+		a.locality = jt.localityRank(t, tt)
 	}
 	if c != nil {
 		jt.containerAttempts[c.ID] = a
 	}
 	t.attempts = append(t.attempts, a)
 	t.state = taskRunning
-	jr.counters.Inc(mapreduce.CtrLaunchedMaps, 1)
-	jt.m.mapsLaunched.Inc()
+	jr.counters.Inc(k.ctrLaunched, 1)
+	k.launched.Inc()
 	if speculative {
 		jr.counters.Inc(mapreduce.CtrSpeculativeLaunch, 1)
 		jt.m.speculativeLaunch.Inc()
 	}
-	jt.traceAttempt(a)
+	if !t.ctx.Valid() {
+		t.ctx = jr.ctx.NewChild()
+		t.firstStart = a.startedAt
+	}
+	a.ctx = t.ctx.NewChild()
+	return a
+}
+
+// armOutcome schedules the attempt's one outcome event: its own error if
+// it has one, else the first injected fault that fires, else completion.
+// Faults are drawn before the error is consulted, so an armed fault
+// consumes the same random stream whether or not the user code failed.
+func (jt *JobTracker) armOutcome(a *attempt, p attemptPlan) {
+	after, outcome := p.duration, func() { jt.completeAttempt(a, p) }
+	for _, fp := range p.faults {
+		if f := jt.pickFault(a.t.jr, fp.scope); f != nil {
+			cause, crash := errors.New(fp.what), f.CrashDaemons
+			after = time.Duration(float64(fp.phase) * f.AfterFraction)
+			outcome = func() { jt.failAttempt(a, cause, crash, false) }
+			break
+		}
+	}
+	if p.err != nil {
+		after, outcome = p.errAfter, func() { jt.failAttempt(a, p.err, false, false) }
+	}
+	a.timer = jt.mc.Engine.After(after, outcome)
+}
+
+// completeAttempt lands a successful attempt: the first finisher wins and
+// its siblings die, the kind commits its output, and the task is done.
+func (jt *JobTracker) completeAttempt(a *attempt, p attemptPlan) {
+	t, jr, k := a.t, a.t.jr, a.t.kind
+	if a.dead || !a.tt.alive || t.state == taskDone || jr.state != jobRunning {
+		return
+	}
+	t.removeAttempt(a)
+	for _, sib := range append([]*attempt(nil), t.attempts...) {
+		jt.killAttempt(sib, "sibling finished first")
+	}
+	if err := p.commit(); err != nil {
+		// An attempt whose output cannot be committed did not succeed: it
+		// ends as a failed attempt, and takes the job with it.
+		jt.failAttempt(a, err, false, true)
+		return
+	}
+	a.dead = true
+	jt.releaseSlot(a)
+	t.state = taskDone
+	jr.durations[k.idx] = append(jr.durations[k.idx], p.duration)
+	jr.counters.Merge(p.counters)
+	k.attemptTime.Observe(p.duration)
+	jt.attemptSpan(a, "succeeded")
+	// The task's span runs from its first launch to now — the parent of
+	// its attempt spans in the trace tree.
+	jt.mc.Obs.SpanCtx(t.ctx, SpanTask, time.Duration(t.firstStart), time.Duration(jt.mc.Engine.Now()), map[string]string{
+		"task": t.id(),
+		"job":  jr.id,
+		"kind": k.name,
+	})
+	jt.histAttemptEnd(a, history.EvAttemptFinish, nil)
+	if a.speculative {
+		jr.counters.Inc(mapreduce.CtrSpeculativeWon, 1)
+	}
+	jt.releaseContainer(a, "complete")
+	if jr.reducesDone == len(jr.reduces) {
+		jt.finishJob(jr)
+	} else {
+		jt.schedule()
+	}
+}
+
+// failAttempt charges the attempt's task a failure. The task retries
+// until it has failed MaxAttempts times; a fatal failure (a commit that
+// did not go through) fails the job at once.
+func (jt *JobTracker) failAttempt(a *attempt, cause error, crashDaemons, fatal bool) {
+	t, jr, k := a.t, a.t.jr, a.t.kind
+	if a.dead || jr.state != jobRunning {
+		return
+	}
+	jr.counters.Inc(k.ctrFailed, 1)
+	jr.counters.Inc(mapreduce.CtrTaskRetries, 1)
+	k.failed.Inc()
+	jt.abandon(a, "failed", "failed", history.EvAttemptFail, map[string]string{"error": cause.Error()})
+	t.failures++
+	if crashDaemons {
+		// The leaky attempt takes the daemons with it: the TaskTracker
+		// dies now; the co-located DataNode follows.
+		jt.mc.KillTaskTracker(a.tt.id)
+		if dn := jt.mc.DFS.DataNode(a.tt.id); dn != nil {
+			dn.Kill()
+		}
+	}
+	switch {
+	case fatal:
+		jt.endJob(jr, cause)
+	case t.failures >= jt.mc.cfg.MaxAttempts:
+		jt.endJob(jr, fmt.Errorf("task %s failed %d times: %w", t.id(), t.failures, cause))
+	default:
+		jt.schedule()
+	}
+}
+
+// --- the two kind-specific bodies ---
+
+// runMapAttempt launches a map attempt of t on tt: reads the split and
+// runs the user's mapper over it.
+func (jt *JobTracker) runMapAttempt(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) bool {
+	jr := t.jr
+	a := jt.newAttempt(t, tt, speculative, c)
 	jt.histAttemptStart(a, -1)
 
 	// Execute the user code now (real data, exact results); the modelled
@@ -786,12 +931,12 @@ func (jt *JobTracker) startMapAttempt(t *task, tt *TaskTracker, speculative bool
 		out, err = mapreduce.ExecuteMap(ctx, jr.job, records)
 	}
 
+	bytesRead := client.Meter.BytesRead()
 	readCost := client.Meter.ReadTime
 	if jt.mc.cfg.SharedStorage {
 		// HPC layout: the bytes come from the shared parallel filesystem,
 		// contended by every map task running right now.
-		readCost = jt.mc.Cost.ParallelStorageRead(
-			client.Meter.BytesRead(), jt.runningMapAttempts())
+		readCost = jt.mc.Cost.ParallelStorageRead(bytesRead, jt.runningMapAttempts())
 	}
 	// The mapper's CPU runs over logical (decoded) bytes; for plain text
 	// that is the split length it always was.
@@ -815,112 +960,36 @@ func (jt *JobTracker) startMapAttempt(t *task, tt *TaskTracker, speculative bool
 		duration += jt.mc.Cost.DiskWrite(out.Bytes())
 	}
 	duration = time.Duration(float64(duration) * jt.slowdown(tt.id))
-	a.expectedEnd = a.startedAt + duration
 
-	if fault := jt.pickFault(jr, ScopeMap); fault != nil && err == nil {
-		at := time.Duration(float64(duration) * fault.AfterFraction)
-		crash := fault.CrashDaemons
-		a.timer = jt.mc.Engine.After(at, func() {
-			jt.failMapAttempt(a, errors.New("injected task error (heap exhaustion)"), crash)
-		})
-		return
-	}
-	if err != nil {
-		a.timer = jt.mc.Engine.After(duration/2, func() {
-			jt.failMapAttempt(a, err, false)
-		})
-		return
-	}
-	meter := client.Meter
-	a.timer = jt.mc.Engine.After(duration, func() {
-		jt.completeMapAttempt(a, out, ctx, meter, duration)
+	jt.armOutcome(a, attemptPlan{
+		duration: duration,
+		counters: ctx.Counters,
+		err:      err,
+		errAfter: duration / 2,
+		faults:   []faultPoint{{ScopeMap, duration, injectedTaskError}},
+		// Commit: the output stays on the tracker's local disk for the
+		// reducers to fetch.
+		commit: func() error {
+			t.output, t.outputOn = out, tt.id
+			jr.mapsDone++
+			jr.counters.Inc(mapreduce.CtrHDFSBytesRead, bytesRead)
+			loc := jt.mapLocality[a.locality]
+			jr.counters.Inc(loc.ctr, 1)
+			loc.n.Inc()
+			if jr.mapsDone == len(jr.maps) && jr.mapsDoneAt == 0 {
+				jr.mapsDoneAt = jt.mc.Engine.Now()
+			}
+			return nil
+		},
 	})
+	return true
 }
 
-func (jt *JobTracker) completeMapAttempt(a *attempt, out *mapreduce.MapOutput, ctx *mapreduce.TaskContext, meter interface{ BytesRead() int64 }, dur time.Duration) {
-	t, jr := a.t, a.t.jr
-	if a.dead || !a.tt.alive || t.state == taskDone || jr.state != jobRunning {
-		return
-	}
-	a.dead = true
-	jt.releaseSlot(a)
-	t.removeAttempt(a)
-	// First finisher wins; kill the sibling attempt.
-	for _, sib := range append([]*attempt(nil), t.attempts...) {
-		jt.killAttempt(sib, "sibling finished first")
-	}
-	t.state = taskDone
-	t.output = out
-	t.outputOn = a.tt.id
-	a.tt.mapOutputs[outputKey{job: jr.id, m: t.idx}] = out
-	jr.mapsDone++
-	jr.mapDurations = append(jr.mapDurations, dur)
-	jr.counters.Merge(ctx.Counters)
-	jr.counters.Inc(mapreduce.CtrHDFSBytesRead, meter.BytesRead())
-	jt.m.mapAttemptTime.Observe(dur)
-	jt.attemptSpan(a, "succeeded")
-	jt.taskSpan(t)
-	jt.histAttemptEnd(a, history.EvAttemptFinish, nil)
-	if a.speculative {
-		jr.counters.Inc(mapreduce.CtrSpeculativeWon, 1)
-	}
-	switch a.locality {
-	case 0:
-		jr.counters.Inc(mapreduce.CtrDataLocalMaps, 1)
-		jt.m.mapsDataLocal.Inc()
-	case 1:
-		jr.counters.Inc(mapreduce.CtrRackLocalMaps, 1)
-		jt.m.mapsRackLocal.Inc()
-	default:
-		jr.counters.Inc(mapreduce.CtrRemoteMaps, 1)
-		jt.m.mapsRemote.Inc()
-	}
-	if jr.mapsDone == len(jr.maps) && jr.mapsDoneAt == 0 {
-		jr.mapsDoneAt = jt.mc.Engine.Now()
-	}
-	jt.releaseContainer(a, "complete")
-	jt.schedule()
-}
-
-func (jt *JobTracker) failMapAttempt(a *attempt, cause error, crashDaemons bool) {
-	t, jr := a.t, a.t.jr
-	if a.dead || jr.state != jobRunning {
-		return
-	}
-	a.dead = true
-	jt.releaseSlot(a)
-	jt.releaseContainer(a, "failed")
-	t.removeAttempt(a)
-	jr.counters.Inc(mapreduce.CtrFailedMaps, 1)
-	jr.counters.Inc(mapreduce.CtrTaskRetries, 1)
-	jt.m.mapsFailed.Inc()
-	jt.attemptSpan(a, "failed")
-	jt.histAttemptEnd(a, history.EvAttemptFail, map[string]string{"error": cause.Error()})
-	t.failures++
-	if len(t.attempts) == 0 && t.state != taskDone {
-		t.state = taskPending
-	}
-	if crashDaemons {
-		// The leaky attempt takes the daemons with it: the TaskTracker
-		// dies now; the co-located DataNode follows.
-		jt.mc.KillTaskTracker(a.tt.id)
-		if dn := jt.mc.DFS.DataNode(a.tt.id); dn != nil {
-			dn.Kill()
-		}
-	}
-	if t.failures >= jt.mc.cfg.MaxAttempts {
-		jt.failJob(jr, fmt.Errorf("task %s failed %d times: %w", t.id(), t.failures, cause))
-		return
-	}
-	jt.schedule()
-}
-
-// --- reduce attempts ---
-
-// startReduceAttempt launches a reduce attempt on tt, reporting whether it
-// actually started (false when map outputs are gone or unfetchable, so the
-// scheduler does not spin re-picking the same task for the same slot).
-func (jt *JobTracker) startReduceAttempt(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) bool {
+// runReduceAttempt launches a reduce attempt of t on tt, reporting whether
+// it actually started (false when map outputs are gone or unfetchable, so
+// the scheduler does not spin re-picking the same task for the same slot):
+// costs the shuffle, runs the user's reducer and stages its output.
+func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) bool {
 	jr := t.jr
 	// Verify every map output is still reachable; a lost tracker between
 	// map completion and now sends those maps back to pending. An output
@@ -941,7 +1010,7 @@ func (jt *JobTracker) startReduceAttempt(t *task, tt *TaskTracker, speculative b
 			missing = true
 			continue
 		}
-		if !jt.reachable(m.outputOn, tt.id) {
+		if !jt.mc.Net.Reachable(m.outputOn, tt.id) {
 			unfetchable = true
 		}
 	}
@@ -952,27 +1021,7 @@ func (jt *JobTracker) startReduceAttempt(t *task, tt *TaskTracker, speculative b
 	if unfetchable {
 		return false
 	}
-
-	tt.reduceSlotsUsed++
-	t.attemptSeq++
-	a := &attempt{
-		t: t, tt: tt, seq: t.attemptSeq,
-		speculative: speculative,
-		startedAt:   jt.mc.Engine.Now(),
-		container:   c,
-	}
-	if c != nil {
-		jt.containerAttempts[c.ID] = a
-	}
-	t.attempts = append(t.attempts, a)
-	t.state = taskRunning
-	jr.counters.Inc(mapreduce.CtrLaunchedReduces, 1)
-	jt.m.reducesLaunched.Inc()
-	if speculative {
-		jr.counters.Inc(mapreduce.CtrSpeculativeLaunch, 1)
-		jt.m.speculativeLaunch.Inc()
-	}
-	jt.traceAttempt(a)
+	a := jt.newAttempt(t, tt, speculative, c)
 
 	// Shuffle cost: fetch this reducer's partition from every map node,
 	// shuffleParallelism streams at a time. With CompressShuffle the wire
@@ -1035,21 +1084,16 @@ func (jt *JobTracker) startReduceAttempt(t *task, tt *TaskTracker, speculative b
 	if err == nil {
 		data, ostats, err = ow.Finish()
 	}
-	if err != nil {
-		a.timer = jt.mc.Engine.After(shuffleTime, func() {
-			jt.failReduceAttempt(a, err, false)
-		})
-		return true
+	if err == nil {
+		ctx.Counters.Inc(mapreduce.CtrOutputRawBytes, ostats.RawBytes)
+		jt.m.outputFileBytes.Add(ostats.FileBytes)
+		// Commit protocol: write to a temporary attempt file now, rename to
+		// the final part file at completion (Hadoop's OutputCommitter).
+		a.tempPath = vfs.Join(jr.job.OutputPath, "_temporary", a.id())
+		err = vfs.WriteFile(client, a.tempPath, data)
 	}
-	ctx.Counters.Inc(mapreduce.CtrOutputRawBytes, ostats.RawBytes)
-	jt.m.outputFileBytes.Add(ostats.FileBytes)
-	// Commit protocol: write to a temporary attempt file now, rename to
-	// the final part file at completion (Hadoop's OutputCommitter).
-	a.tempPath = vfs.Join(jr.job.OutputPath, "_temporary", a.id())
-	if werr := vfs.WriteFile(client, a.tempPath, data); werr != nil {
-		a.timer = jt.mc.Engine.After(shuffleTime, func() {
-			jt.failReduceAttempt(a, werr, false)
-		})
+	if err != nil {
+		jt.armOutcome(a, attemptPlan{err: err, errAfter: shuffleTime})
 		return true
 	}
 	duration := shuffleTime +
@@ -1060,26 +1104,26 @@ func (jt *JobTracker) startReduceAttempt(t *task, tt *TaskTracker, speculative b
 		duration += compressWork.Cost(ostats.RawBytes, 0)
 	}
 	duration = time.Duration(float64(duration) * jt.slowdown(tt.id))
-	a.expectedEnd = a.startedAt + duration
-	if fault := jt.pickFault(jr, ScopeShuffle); fault != nil {
-		at := time.Duration(float64(shuffleTime) * fault.AfterFraction)
-		crash := fault.CrashDaemons
-		a.timer = jt.mc.Engine.After(at, func() {
-			jt.failReduceAttempt(a, errors.New("injected shuffle fetch failure"), crash)
-		})
-		return true
-	}
-	if fault := jt.pickFault(jr, ScopeReduce); fault != nil {
-		at := time.Duration(float64(duration) * fault.AfterFraction)
-		crash := fault.CrashDaemons
-		a.timer = jt.mc.Engine.After(at, func() {
-			jt.failReduceAttempt(a, errors.New("injected task error (heap exhaustion)"), crash)
-		})
-		return true
-	}
+
 	written := client.Meter.BytesWritten
-	a.timer = jt.mc.Engine.After(duration, func() {
-		jt.completeReduceAttempt(a, ctx, written, duration)
+	jt.armOutcome(a, attemptPlan{
+		duration: duration,
+		counters: ctx.Counters,
+		faults: []faultPoint{
+			{ScopeShuffle, shuffleTime, "injected shuffle fetch failure"},
+			{ScopeReduce, duration, injectedTaskError},
+		},
+		// Commit: rename the attempt file to the final part file.
+		commit: func() error {
+			final := vfs.Join(jr.job.OutputPath, jr.job.OutputPartName(t.idx))
+			if err := jt.mc.DFS.Client(tt.id).Rename(a.tempPath, final); err != nil {
+				return fmt.Errorf("commit of %s: %w", a.id(), err)
+			}
+			a.tempPath = ""
+			jr.reducesDone++
+			jr.counters.Inc(mapreduce.CtrHDFSBytesWritten, written)
+			return nil
+		},
 	})
 	return true
 }
@@ -1126,83 +1170,6 @@ func parallelTime(costs []time.Duration, k int) time.Duration {
 	return t
 }
 
-func (jt *JobTracker) completeReduceAttempt(a *attempt, ctx *mapreduce.TaskContext, bytesWritten int64, dur time.Duration) {
-	t, jr := a.t, a.t.jr
-	if a.dead || !a.tt.alive || t.state == taskDone || jr.state != jobRunning {
-		return
-	}
-	a.dead = true
-	jt.releaseSlot(a)
-	t.removeAttempt(a)
-	for _, sib := range append([]*attempt(nil), t.attempts...) {
-		jt.killAttempt(sib, "sibling finished first")
-	}
-	// Commit: rename the attempt file to the final part file.
-	client := jt.mc.DFS.Client(a.tt.id)
-	final := vfs.Join(jr.job.OutputPath, jr.job.OutputPartName(t.idx))
-	if err := client.Rename(a.tempPath, final); err != nil {
-		jt.failJob(jr, fmt.Errorf("commit of %s: %w", a.id(), err))
-		return
-	}
-	a.tempPath = ""
-	t.state = taskDone
-	jr.reducesDone++
-	jr.reduceDurations = append(jr.reduceDurations, dur)
-	jr.counters.Merge(ctx.Counters)
-	jr.counters.Inc(mapreduce.CtrHDFSBytesWritten, bytesWritten)
-	jt.m.reduceAttemptTime.Observe(dur)
-	jt.attemptSpan(a, "succeeded")
-	jt.taskSpan(t)
-	jt.histAttemptEnd(a, history.EvAttemptFinish, nil)
-	if a.speculative {
-		jr.counters.Inc(mapreduce.CtrSpeculativeWon, 1)
-	}
-	jt.releaseContainer(a, "complete")
-	if jr.reducesDone == len(jr.reduces) {
-		jt.finishJob(jr)
-	} else {
-		jt.schedule()
-	}
-}
-
-func (jt *JobTracker) failReduceAttempt(a *attempt, cause error, crashDaemons bool) {
-	t, jr := a.t, a.t.jr
-	if a.dead || jr.state != jobRunning {
-		return
-	}
-	a.dead = true
-	jt.releaseSlot(a)
-	jt.releaseContainer(a, "failed")
-	t.removeAttempt(a)
-	if a.tempPath != "" {
-		// Same best-effort GC as killAttempt: the failed attempt's output
-		// was never acked, so its delete may fail silently.
-		//lint:ignore commiterr failed-attempt temp output is unacked; delete is best-effort
-		_ = jt.mc.DFS.Client(a.tt.id).Remove(a.tempPath, false)
-		a.tempPath = ""
-	}
-	jr.counters.Inc(mapreduce.CtrFailedReduces, 1)
-	jr.counters.Inc(mapreduce.CtrTaskRetries, 1)
-	jt.m.reducesFailed.Inc()
-	jt.attemptSpan(a, "failed")
-	jt.histAttemptEnd(a, history.EvAttemptFail, map[string]string{"error": cause.Error()})
-	t.failures++
-	if len(t.attempts) == 0 && t.state != taskDone {
-		t.state = taskPending
-	}
-	if crashDaemons {
-		jt.mc.KillTaskTracker(a.tt.id)
-		if dn := jt.mc.DFS.DataNode(a.tt.id); dn != nil {
-			dn.Kill()
-		}
-	}
-	if t.failures >= jt.mc.cfg.MaxAttempts {
-		jt.failJob(jr, fmt.Errorf("task %s failed %d times: %w", t.id(), t.failures, cause))
-		return
-	}
-	jt.schedule()
-}
-
 // --- speculation ---
 
 func median(ds []time.Duration) time.Duration {
@@ -1220,7 +1187,8 @@ func (jt *JobTracker) speculate() {
 		if jr.state != jobRunning {
 			continue
 		}
-		launch := func(tasks []*task, completed []time.Duration, isMap bool) {
+		launch := func(tasks []*task, k *attemptKind) {
+			completed := jr.durations[k.idx]
 			if len(completed) < 3 {
 				return
 			}
@@ -1238,41 +1206,23 @@ func (jt *JobTracker) speculate() {
 					continue
 				}
 				// Find a free slot on a different node.
-				for _, tt := range jt.orderedTrackers() {
-					if !tt.alive || tt.id == a.tt.id {
-						continue
-					}
-					if isMap && tt.mapSlotsUsed < jt.mc.cfg.MapSlotsPerNode {
-						jt.startMapAttempt(t, tt, true, nil)
-						break
-					}
-					if !isMap && tt.reduceSlotsUsed < jt.mc.cfg.ReduceSlotsPerNode {
-						jt.startReduceAttempt(t, tt, true, nil)
+				for _, tt := range jt.mc.trackers {
+					if tt.alive && tt.id != a.tt.id && tt.slotsUsed[k.idx] < k.slotCap {
+						k.launch(t, tt, true, nil)
 						break
 					}
 				}
 			}
 		}
-		launch(jr.maps, jr.mapDurations, true)
-		launch(jr.reduces, jr.reduceDurations, false)
+		launch(jr.maps, jt.mapKind)
+		launch(jr.reduces, jt.reduceKind)
 	}
 }
 
 // --- terminal states ---
 
+// finishJob commits a job whose last reduce completed.
 func (jt *JobTracker) finishJob(jr *jobRun) {
-	// Map outputs are intermediate data; drop them from tracker disks.
-	// The inner loop is the JobTracker's only range over a map: it just
-	// deletes matching keys, which commutes, so iteration order cannot
-	// reach scheduling, metrics or traces (the maporder lint rule guards
-	// against anything order-sensitive creeping in).
-	for _, tt := range jt.mc.trackers {
-		for k := range tt.mapOutputs {
-			if k.job == jr.id {
-				delete(tt.mapOutputs, k)
-			}
-		}
-	}
 	client := jt.mc.DFS.Client(GatewayForSubmit)
 	// The _temporary dir only exists for jobs whose reducers staged
 	// output; removing it is cosmetic cleanup, not a commit.
@@ -1281,45 +1231,46 @@ func (jt *JobTracker) finishJob(jr *jobRun) {
 	// The _SUCCESS marker is the job's commit record: downstream readers
 	// treat its presence as "output complete". If it cannot be written
 	// the job must not report success.
+	var cause error
 	if err := vfs.WriteFile(client, vfs.Join(jr.job.OutputPath, "_SUCCESS"), nil); err != nil {
-		jt.failJob(jr, fmt.Errorf("mrcluster: writing _SUCCESS marker: %w", err))
-		return
+		cause = fmt.Errorf("mrcluster: writing _SUCCESS marker: %w", err)
 	}
-	jr.state = jobSucceeded
-	jr.finishedAt = jt.mc.Engine.Now()
-	jt.m.jobsSucceeded.Inc()
-	jt.jobSpan(jr, "succeeded")
-	jt.histFinish(jr, "succeeded")
-	jt.persistHistory(jr)
-	if jt.yarnMode() && jr.app != nil {
-		jt.mc.cfg.YARN.FinishApp(jr.app)
-	}
-	jt.schedule()
+	jt.endJob(jr, cause)
 }
 
-// jobSpan records a job's submit-to-finish span with its outcome.
-func (jt *JobTracker) jobSpan(jr *jobRun, outcome string) {
+// endJob moves a job to its terminal state — failed when cause is
+// non-nil — and seals its span, history file and YARN application.
+func (jt *JobTracker) endJob(jr *jobRun, cause error) {
+	outcome, ended := "succeeded", jt.m.jobsSucceeded
+	jr.state = jobSucceeded
+	if cause != nil {
+		outcome, ended = "failed", jt.m.jobsFailed
+		jr.state, jr.err = jobFailed, cause
+	}
+	jr.finishedAt = jt.mc.Engine.Now()
+	ended.Inc()
 	jt.mc.Obs.SpanCtx(jr.ctx, SpanJob, time.Duration(jr.submittedAt), time.Duration(jr.finishedAt), map[string]string{
 		"job":     jr.id,
 		"name":    jr.job.Name,
 		"outcome": outcome,
 	})
-}
-
-func (jt *JobTracker) failJob(jr *jobRun, cause error) {
-	jr.state = jobFailed
-	jr.err = cause
-	jr.finishedAt = jt.mc.Engine.Now()
-	jt.m.jobsFailed.Inc()
-	jt.jobSpan(jr, "failed")
-	// Kill leftover attempts before sealing the history file, so their
-	// attempt.kill events precede the job.finish record.
-	for _, t := range append(append([]*task(nil), jr.maps...), jr.reduces...) {
-		for _, a := range append([]*attempt(nil), t.attempts...) {
-			jt.killAttempt(a, "job failed")
+	if cause != nil {
+		// Kill leftover attempts before sealing the history file, so their
+		// attempt.kill events precede the job.finish record.
+		for _, t := range append(append([]*task(nil), jr.maps...), jr.reduces...) {
+			for _, a := range append([]*attempt(nil), t.attempts...) {
+				jt.killAttempt(a, "job failed")
+			}
 		}
 	}
-	jt.histFinish(jr, "failed")
+	// The terminal event carries the final counter snapshot flattened into
+	// ctr.<NAME> attrs — the numbers `mrhistory` reprints without the
+	// cluster object.
+	attrs := map[string]string{"job": jr.id, "outcome": outcome}
+	for name, v := range jr.counters.Snapshot() {
+		attrs["ctr."+name] = fmt.Sprint(v)
+	}
+	jt.histEv(jr, history.EvJobFinish, attrs)
 	jt.persistHistory(jr)
 	if jt.yarnMode() && jr.app != nil {
 		jt.mc.cfg.YARN.FinishApp(jr.app)

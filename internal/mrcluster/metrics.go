@@ -38,27 +38,19 @@ const (
 	SpanShuffle       = "mr.shuffle"
 )
 
-// jtMetrics holds the JobTracker's interned metric handles.
+// jtMetrics holds the JobTracker's interned metric handles; the per-kind
+// launch/fail/run-time handles live in its attemptKind table.
 type jtMetrics struct {
 	jobsSubmitted     *obs.Counter
 	jobsSucceeded     *obs.Counter
 	jobsFailed        *obs.Counter
-	mapsLaunched      *obs.Counter
-	reducesLaunched   *obs.Counter
 	speculativeLaunch *obs.Counter
-	mapsFailed        *obs.Counter
-	reducesFailed     *obs.Counter
 	attemptsKilled    *obs.Counter
 	trackerLosses     *obs.Counter
 	schedulePasses    *obs.Counter
 	shuffleBytes      *obs.Counter
 	inputDecodedBytes *obs.Counter
 	outputFileBytes   *obs.Counter
-	mapsDataLocal     *obs.Counter
-	mapsRackLocal     *obs.Counter
-	mapsRemote        *obs.Counter
-	mapAttemptTime    *obs.Histogram
-	reduceAttemptTime *obs.Histogram
 	shuffleTime       *obs.Histogram
 
 	// Job-history emission/persistence counters (names owned by
@@ -74,22 +66,13 @@ func newJTMetrics(r *obs.Registry) jtMetrics {
 		jobsSubmitted:     r.Counter(MetricJTJobsSubmitted),
 		jobsSucceeded:     r.Counter(MetricJTJobsSucceeded),
 		jobsFailed:        r.Counter(MetricJTJobsFailed),
-		mapsLaunched:      r.Counter(MetricJTMapsLaunched),
-		reducesLaunched:   r.Counter(MetricJTReducesLaunched),
 		speculativeLaunch: r.Counter(MetricJTSpeculativeLaunch),
-		mapsFailed:        r.Counter(MetricJTMapsFailed),
-		reducesFailed:     r.Counter(MetricJTReducesFailed),
 		attemptsKilled:    r.Counter(MetricJTAttemptsKilled),
 		trackerLosses:     r.Counter(MetricJTTrackerLosses),
 		schedulePasses:    r.Counter(MetricJTSchedulePasses),
 		shuffleBytes:      r.Counter(MetricJTShuffleBytes),
 		inputDecodedBytes: r.Counter(MetricJTInputDecodedBytes),
 		outputFileBytes:   r.Counter(MetricJTOutputFileBytes),
-		mapsDataLocal:     r.Counter(MetricJTMapsDataLocal),
-		mapsRackLocal:     r.Counter(MetricJTMapsRackLocal),
-		mapsRemote:        r.Counter(MetricJTMapsRemote),
-		mapAttemptTime:    r.Histogram(MetricMapAttemptTime),
-		reduceAttemptTime: r.Histogram(MetricReduceAttemptTime),
 		shuffleTime:       r.Histogram(MetricShuffleTime),
 
 		historyEvents:         r.Counter(history.MetricJobEvents),

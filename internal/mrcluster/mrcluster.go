@@ -126,29 +126,20 @@ type TaskTracker struct {
 	id   cluster.NodeID
 	node *cluster.Node
 
-	alive           bool
-	lossHandled     bool
-	mapSlotsUsed    int
-	reduceSlotsUsed int
-	lastHeartbeat   sim.Time
+	alive         bool
+	lossHandled   bool
+	slotsUsed     [2]int // running attempts, by taskKind
+	lastHeartbeat sim.Time
 
 	// muteUntil suppresses heartbeats before this instant (fault
 	// injection); past TrackerExpiry the JobTracker declares the node lost.
 	muteUntil sim.Time
-
-	// mapOutputs holds completed map outputs keyed by (job, mapIndex).
-	mapOutputs map[outputKey]*mapreduce.MapOutput
 
 	// sideCache holds side files localised by the DistributedCache,
 	// keyed by path. Lost when the tracker dies.
 	sideCache map[string][]byte
 
 	hbTicker *sim.Ticker
-}
-
-type outputKey struct {
-	job string
-	m   int
 }
 
 // ID returns the node the tracker runs on.
@@ -248,11 +239,7 @@ func NewMRCluster(dfs *hdfs.MiniDFS, cfg Config, seed int64) *MRCluster {
 	jt := newJobTracker(mc, sim.NewRand(seed).Derive("jobtracker"))
 	mc.JT = jt
 	for _, n := range dfs.Topology.Nodes() {
-		tt := &TaskTracker{
-			id:         n.ID,
-			node:       n,
-			mapOutputs: map[outputKey]*mapreduce.MapOutput{},
-		}
+		tt := &TaskTracker{id: n.ID, node: n}
 		mc.trackers = append(mc.trackers, tt)
 		mc.StartTaskTracker(n.ID)
 	}
@@ -285,8 +272,7 @@ func (mc *MRCluster) StartTaskTracker(id cluster.NodeID) {
 	tt.lossHandled = false
 	tt.lastHeartbeat = mc.Engine.Now()
 	tt.muteUntil = 0
-	tt.mapSlotsUsed, tt.reduceSlotsUsed = 0, 0
-	tt.mapOutputs = map[outputKey]*mapreduce.MapOutput{}
+	tt.slotsUsed = [2]int{}
 	tt.sideCache = map[string][]byte{}
 	tt.hbTicker = mc.Engine.Every(mc.cfg.HeartbeatInterval, func() {
 		if tt.alive && mc.Engine.Now() >= tt.muteUntil {

@@ -247,10 +247,11 @@ func TestCrashingJobKillsDaemons(t *testing.T) {
 		mrcluster.Config{MaxAttempts: 4, HeartbeatInterval: time.Second, TrackerExpiry: 5 * time.Second})
 	rig.stage(t, "/in/data.txt", corpus(500))
 	rig.mc.InjectTaskFault(mrcluster.TaskFault{JobName: "wordcount", Probability: 1, AfterFraction: 0.9, CrashDaemons: true})
-	_, err := rig.mc.Run(wordCountJob("/in", "/out"))
+	rep, err := rig.mc.Run(wordCountJob("/in", "/out"))
 	if err == nil {
 		t.Fatal("daemon-crashing job succeeded")
 	}
+	assertLifecycleDigest(t, "crashing-job-kills-daemons", rig, rep.JobID, "")
 	deadTT := 0
 	for _, tt := range rig.mc.TaskTrackers() {
 		if !tt.Alive() {

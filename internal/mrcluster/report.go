@@ -93,8 +93,8 @@ func buildReport(jr *jobRun) *Report {
 		FinishedAt:       jr.finishedAt,
 		MapTasks:         len(jr.maps),
 		ReduceTasks:      len(jr.reduces),
-		MedianMapTime:    median(jr.mapDurations),
-		MedianReduceTime: median(jr.reduceDurations),
+		MedianMapTime:    median(jr.durations[kindMap]),
+		MedianReduceTime: median(jr.durations[kindReduce]),
 		Counters:         jr.counters,
 	}
 }

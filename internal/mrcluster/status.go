@@ -59,8 +59,8 @@ func (mc *MRCluster) StatusPage() string {
 			live++
 			mapSlots += mc.cfg.MapSlotsPerNode
 			redSlots += mc.cfg.ReduceSlotsPerNode
-			mapUsed += tt.mapSlotsUsed
-			redUsed += tt.reduceSlotsUsed
+			mapUsed += tt.slotsUsed[kindMap]
+			redUsed += tt.slotsUsed[kindReduce]
 		}
 	}
 	fmt.Fprintf(&b, "TaskTrackers: %d/%d alive   Map slots: %d/%d busy   Reduce slots: %d/%d busy\n",
@@ -75,7 +75,7 @@ func (mc *MRCluster) StatusPage() string {
 		state := "dead"
 		if tt.alive {
 			state = fmt.Sprintf("alive, %d map + %d reduce task(s) running",
-				tt.mapSlotsUsed, tt.reduceSlotsUsed)
+				tt.slotsUsed[kindMap], tt.slotsUsed[kindReduce])
 		}
 		fmt.Fprintf(&b, "  %-10s %s\n", tt.node.Hostname, state)
 	}

@@ -78,42 +78,29 @@ func (jt *JobTracker) syncRequests() {
 		if jr.state != jobRunning || jr.app == nil || jr.app.State != yarn.AppRunning {
 			continue
 		}
-		var pend []*task
-		for _, t := range jr.maps {
-			if t.state == taskPending {
-				pend = append(pend, t)
-			}
-		}
-		if d := len(pend) - jr.mapReqs; d > 0 {
-			for _, t := range pend[len(pend)-d:] {
-				jr.mapReqs++
-				rm.Request(jr.app, yarn.ContainerRequest{
-					Resource: mapContainer,
-					Hosts:    t.split.Hosts,
-					Tag:      tagMap,
-				})
-			}
-		} else if d < 0 {
-			jr.mapReqs -= rm.CancelRequests(jr.app, tagMap, -d)
-		}
-		rPend := 0
+		tasks := [2][]*task{kindMap: jr.maps}
 		if jr.mapsDone == len(jr.maps) {
-			for _, t := range jr.reduces {
+			tasks[kindReduce] = jr.reduces
+		}
+		for _, k := range [...]*attemptKind{jt.mapKind, jt.reduceKind} {
+			var pend []*task
+			for _, t := range tasks[k.idx] {
 				if t.state == taskPending {
-					rPend++
+					pend = append(pend, t)
 				}
 			}
-		}
-		if d := rPend - jr.reduceReqs; d > 0 {
-			for i := 0; i < d; i++ {
-				jr.reduceReqs++
-				rm.Request(jr.app, yarn.ContainerRequest{
-					Resource: reduceContainer,
-					Tag:      tagReduce,
-				})
+			if d := len(pend) - jr.reqs[k.idx]; d > 0 {
+				for _, t := range pend[len(pend)-d:] {
+					jr.reqs[k.idx]++
+					rm.Request(jr.app, yarn.ContainerRequest{
+						Resource: k.container,
+						Hosts:    t.split.Hosts, // nil for reduces: any node will do
+						Tag:      k.name,
+					})
+				}
+			} else if d < 0 {
+				jr.reqs[k.idx] -= rm.CancelRequests(jr.app, k.name, -d)
 			}
-		} else if d < 0 {
-			jr.reduceReqs -= rm.CancelRequests(jr.app, tagReduce, -d)
 		}
 	}
 }
@@ -125,9 +112,9 @@ func (jt *JobTracker) syncRequests() {
 func (jt *JobTracker) onContainerAllocated(jr *jobRun, c *yarn.Container) {
 	rm := jt.mc.cfg.YARN
 	if c.Tag == tagReduce {
-		jr.reduceReqs--
+		jr.reqs[kindReduce]--
 	} else {
-		jr.mapReqs--
+		jr.reqs[kindMap]--
 	}
 	if jr.state != jobRunning {
 		rm.Release(c, "job_done")
@@ -138,31 +125,20 @@ func (jt *JobTracker) onContainerAllocated(jr *jobRun, c *yarn.Container) {
 		rm.Release(c, "tracker_dead")
 		return
 	}
+	var t *task
 	switch c.Tag {
 	case tagMap:
-		t := jt.pickMapTaskFor(jr, tt)
-		if t == nil {
-			rm.Release(c, "stale")
-			return
-		}
-		jt.startMapAttempt(t, tt, false, c)
+		t = jt.pickMapTaskFor(jr, tt)
 	case tagReduce:
-		var pick *task
-		for _, t := range jr.reduces {
-			if t.state == taskPending {
-				pick = t
-				break
-			}
-		}
-		if pick == nil {
-			rm.Release(c, "stale")
-			return
-		}
-		if !jt.startReduceAttempt(pick, tt, false, c) {
-			rm.Release(c, "unfetchable")
-		}
+		t = firstPending(jr.reduces)
 	default:
 		rm.Release(c, "bad_tag")
+		return
+	}
+	if t == nil {
+		rm.Release(c, "stale")
+	} else if !t.kind.launch(t, tt, false, c) {
+		rm.Release(c, "unfetchable")
 	}
 }
 

@@ -156,10 +156,6 @@ type Registry struct {
 	hists    map[string]*Histogram
 	spans    []Span
 
-	// byName indexes spans by name (positions into spans), so the webui
-	// timeline's per-job lookups don't re-scan every span on every request.
-	byName map[string][]int
-
 	// Causal-tracing state (see trace.go): per-registry sequence counters
 	// — never wall clock, never math/rand — so trace and span IDs replay
 	// byte-identically, plus the head-sampling modulus.
@@ -174,7 +170,6 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		byName:   map[string][]int{},
 	}
 }
 
@@ -232,14 +227,8 @@ func (r *Registry) Span(name string, start, end time.Duration, attrs map[string]
 		return
 	}
 	r.mu.Lock()
-	r.record(Span{Name: name, Start: start, End: end, Attrs: attrs})
+	r.spans = append(r.spans, Span{Name: name, Start: start, End: end, Attrs: attrs})
 	r.mu.Unlock()
-}
-
-// record appends a span and maintains the by-name index. Callers hold r.mu.
-func (r *Registry) record(s Span) {
-	r.byName[s.Name] = append(r.byName[s.Name], len(r.spans))
-	r.spans = append(r.spans, s)
 }
 
 // Spans returns a copy of all recorded spans in record order.
@@ -250,39 +239,6 @@ func (r *Registry) Spans() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Span(nil), r.spans...)
-}
-
-// SpansNamed returns the recorded spans with the given name, in order.
-// Served from the by-name index: cost is proportional to the matches,
-// not to every span ever recorded (the webui timeline calls this per
-// request on registries holding thousands of pipeline spans).
-func (r *Registry) SpansNamed(name string) []Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idx := r.byName[name]
-	if len(idx) == 0 {
-		return nil
-	}
-	out := make([]Span, len(idx))
-	for i, j := range idx {
-		out[i] = r.spans[j]
-	}
-	return out
-}
-
-// spansNamedScan is the pre-index implementation, kept as the benchmark
-// baseline for BenchmarkSpansNamed.
-func (r *Registry) spansNamedScan(name string) []Span {
-	var out []Span
-	for _, s := range r.Spans() {
-		if s.Name == name {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // CounterValue returns the named counter's value (0 if never interned).

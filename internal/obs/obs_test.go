@@ -54,6 +54,17 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	}
 }
 
+// spansNamed filters a registry's spans by name, in record order.
+func spansNamed(r *obs.Registry, name string) []obs.Span {
+	var out []obs.Span
+	for _, s := range r.Spans() {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestSpansKeepRecordOrder(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Span("b", 10, 20, map[string]string{"k": "1"})
@@ -63,8 +74,8 @@ func TestSpansKeepRecordOrder(t *testing.T) {
 	if len(spans) != 3 || spans[0].Name != "b" || spans[1].Name != "a" {
 		t.Fatalf("spans out of record order: %+v", spans)
 	}
-	if got := r.SpansNamed("b"); len(got) != 2 || got[1].Start != 30 {
-		t.Fatalf("SpansNamed(b) = %+v", got)
+	if got := spansNamed(r, "b"); len(got) != 2 || got[1].Start != 30 {
+		t.Fatalf("spans named b = %+v", got)
 	}
 	if d := spans[0].Duration(); d != 10 {
 		t.Fatalf("duration = %v", d)
@@ -156,7 +167,7 @@ func TestConcurrentUse(t *testing.T) {
 	if h.Count() != 8000 {
 		t.Fatalf("hist count = %d", h.Count())
 	}
-	if got := len(r.SpansNamed("par.op")); got != 80 {
+	if got := len(spansNamed(r, "par.op")); got != 80 {
 		t.Fatalf("spans = %d", got)
 	}
 }

@@ -109,7 +109,7 @@ func (c Ctx) End(name string, start, end time.Duration, attrs map[string]string)
 		return
 	}
 	c.r.mu.Lock()
-	c.r.record(Span{
+	c.r.spans = append(c.r.spans, Span{
 		Name: name, Start: start, End: end,
 		Trace: c.trace, ID: c.span, Parent: c.parent,
 		Attrs: attrs,

@@ -73,7 +73,7 @@ func TestTraceHeadSampling(t *testing.T) {
 	if kept != 3 {
 		t.Fatalf("kept %d of 9 traces at 1-in-3 sampling, want 3", kept)
 	}
-	if got := len(r.SpansNamed("sampled.op")); got != 3 {
+	if got := len(spansNamed(r, "sampled.op")); got != 3 {
 		t.Fatalf("recorded %d sampled spans, want 3", got)
 	}
 }
@@ -81,7 +81,7 @@ func TestTraceHeadSampling(t *testing.T) {
 func TestSpanCtxFallsBackToOrphan(t *testing.T) {
 	r := obs.NewRegistry()
 	r.SpanCtx(obs.Ctx{}, "flat.op", 1, 2, nil)
-	spans := r.SpansNamed("flat.op")
+	spans := spansNamed(r, "flat.op")
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(spans))
 	}
@@ -92,7 +92,7 @@ func TestSpanCtxFallsBackToOrphan(t *testing.T) {
 	if c := r.ChildSpan(obs.Ctx{}, "flat.child", 2, 3, nil); c.Valid() {
 		t.Fatal("ChildSpan of invalid parent returned valid ctx")
 	}
-	if got := len(r.SpansNamed("flat.child")); got != 1 {
+	if got := len(spansNamed(r, "flat.child")); got != 1 {
 		t.Fatalf("orphan child spans = %d, want 1", got)
 	}
 }

@@ -25,15 +25,14 @@ type Client struct {
 	locs        map[string][]RegionInfo // per-table location cache
 	maxAttempts int
 
-	// TraceEvery is the client-side trace stride: every TraceEvery-th
-	// request roots a serving.request trace (cache lookup and per-attempt
-	// region calls hang below it). The serving data path is far too hot to
-	// trace every op — the default keeps the E13 benchmark's allocation
-	// profile flat. Set to 1 to trace everything (tests, labs); <= 0
-	// disables request tracing entirely.
-	TraceEvery int
-	reqSeq     uint64
+	reqSeq uint64 // requests issued, for the trace stride
 }
+
+// traceEvery is the client-side trace stride: every traceEvery-th request
+// roots a serving.request trace (cache lookup and per-attempt region calls
+// hang below it). The serving data path is far too hot to trace every op —
+// the stride keeps the E13 benchmark's allocation profile flat.
+const traceEvery = 64
 
 func newClient(ma *Master, cache *CacheTier) *Client {
 	return &Client{
@@ -44,18 +43,14 @@ func newClient(ma *Master, cache *CacheTier) *Client {
 		cache:       cache,
 		locs:        map[string][]RegionInfo{},
 		maxAttempts: 4,
-		TraceEvery:  64,
 	}
 }
 
 // reqCtx applies the client-side stride and roots a trace for sampled
 // requests (invalid Ctx otherwise — every downstream span then no-ops).
 func (cl *Client) reqCtx(at sim.Time) obs.Ctx {
-	if cl.TraceEvery <= 0 {
-		return obs.Ctx{}
-	}
 	cl.reqSeq++
-	if (cl.reqSeq-1)%uint64(cl.TraceEvery) != 0 {
+	if (cl.reqSeq-1)%traceEvery != 0 {
 		return obs.Ctx{}
 	}
 	return cl.m.reg.NewTrace(at)

@@ -89,6 +89,14 @@ func (r *Runner) Run(job *mapreduce.Job) (*Report, error) {
 	if par <= 0 {
 		par = 1
 	}
+	// One ranged reader per input file, shared by that file's splits, so a
+	// file is read once per job however many splits it has.
+	readers := map[string]iofmt.RangeReaderFunc{}
+	for _, split := range splits {
+		if readers[split.Path] == nil {
+			readers[split.Path] = mapreduce.FSRangeReader(r.FS, split.Path)
+		}
+	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, par)
 	for i, split := range splits {
@@ -98,7 +106,7 @@ func (r *Runner) Run(job *mapreduce.Job) (*Report, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			ctx := mapreduce.NewTaskContext(job.Name, fmt.Sprintf("attempt_m_%06d_0", i), r.FS, job)
-			recs, rstats, err := mapreduce.ReadSplitRecords(r.FS, split)
+			recs, rstats, err := mapreduce.ReadSplit(readers[split.Path], split)
 			if err != nil {
 				results[i] = mapResult{err: fmt.Errorf("split %v: %w", split, err)}
 				return

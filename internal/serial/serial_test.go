@@ -3,7 +3,9 @@ package serial
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/mapreduce"
@@ -157,6 +159,48 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	if outputs[0] != outputs[1] || outputs[1] != outputs[2] {
 		t.Fatal("output differs across parallelism levels")
+	}
+}
+
+// openCountingFS counts Open calls per path.
+type openCountingFS struct {
+	vfs.FileSystem
+	mu    sync.Mutex
+	opens map[string]int
+}
+
+func (c *openCountingFS) Open(path string) (io.ReadCloser, error) {
+	c.mu.Lock()
+	c.opens[vfs.Clean(path)]++
+	c.mu.Unlock()
+	return c.FileSystem.Open(path)
+}
+
+// TestEachInputFileReadOncePerJob pins the runner's I/O shape: a file cut
+// into many splits is still opened once, not once per split, whether the
+// mappers run one at a time or four at once.
+func TestEachInputFileReadOncePerJob(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		fs := &openCountingFS{FileSystem: vfs.NewMemFS(), opens: map[string]int{}}
+		for _, name := range []string{"/in/a.txt", "/in/b.txt"} {
+			if err := vfs.WriteFile(fs, name, []byte(strings.Repeat("alpha beta gamma\n", 200))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		job := wordCountJob("/in", "/out")
+		job.SplitSize = 256
+		rep, err := (&Runner{FS: fs, Parallelism: par}).Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.MapTasks < 20 {
+			t.Fatalf("only %d splits; the test needs many per file", rep.MapTasks)
+		}
+		for _, name := range []string{"/in/a.txt", "/in/b.txt"} {
+			if got := fs.opens[name]; got != 1 {
+				t.Errorf("parallelism %d: %s opened %d times for %d splits, want once", par, name, got, rep.MapTasks)
+			}
+		}
 	}
 }
 

@@ -239,16 +239,20 @@ func ganttBar(start, end, origin, span time.Duration) string {
 // the job's own time axis. This is the page lab exercises read to see
 // where a job's time went (see docs/OBSERVABILITY.md).
 func TimelinePage(reg *obs.Registry) string {
-	jobs := reg.SpansNamed(mrcluster.SpanJob)
-	if len(jobs) == 0 {
-		return "no completed jobs yet\n"
-	}
-	// Index attempt spans by the job id they carry in their attrs.
+	// One pass: the job spans, and the attempt spans indexed by the job id
+	// they carry in their attrs.
+	var jobs []obs.Span
 	attempts := map[string][]obs.Span{}
 	for _, s := range reg.Spans() {
-		if s.Name == mrcluster.SpanMapAttempt || s.Name == mrcluster.SpanReduceAttempt {
+		switch s.Name {
+		case mrcluster.SpanJob:
+			jobs = append(jobs, s)
+		case mrcluster.SpanMapAttempt, mrcluster.SpanReduceAttempt:
 			attempts[s.Attrs["job"]] = append(attempts[s.Attrs["job"]], s)
 		}
+	}
+	if len(jobs) == 0 {
+		return "no completed jobs yet\n"
 	}
 	var b strings.Builder
 	for _, job := range jobs {
