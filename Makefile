@@ -41,8 +41,11 @@ check:
 # Just the concurrency-sensitive surface, race-checked. internal/sim is
 # single-threaded by contract but included so the detector verifies the
 # engine's free-list never leaks events across goroutines in tests.
+# internal/serial is the one place map tasks run on real goroutines (each
+# worker on its own mapreduce.MapScratch), and the internal/jobs tests
+# drive it at Parallelism 3 and 4.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/...
+	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/... ./internal/mapreduce/... ./internal/serial/... ./internal/jobs/...
 
 chaos: race
 
@@ -65,7 +68,7 @@ bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The gate a PR must pass end to end: vet, lint, build, tier-1 tests,
-# the race-checked obs + fault-injection subset, a benchmark smoke run,
+# the race-checked subset (`make race`), a benchmark smoke run,
 # and the nested bench module's self-test. Static gates (vet, lint) come
 # before tests so a determinism violation fails the build even when no
 # test happens to exercise it.
@@ -73,7 +76,7 @@ ci: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/minilint ./internal/... ./cmd/...
 	$(GO) test ./...
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/...
+	$(MAKE) race
 	$(GO) test -run 'TestGoldenJobHistory|TestGoldenTrace' ./internal/jobs/
 	$(GO) run ./cmd/benchreport -trend
 	$(GO) test -run 'TestE12Smoke|TestE13Smoke' ./internal/experiments/

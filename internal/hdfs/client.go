@@ -329,15 +329,15 @@ func (c *Client) Open(path string) (io.ReadCloser, error) {
 	if f.dir {
 		return nil, &vfs.PathError{Op: "open", Path: path, Err: vfs.ErrIsDir}
 	}
-	var buf bytes.Buffer
+	buf := make([]byte, 0, f.size)
 	for _, bid := range f.blocks {
 		data, err := c.readBlock(bid)
 		if err != nil {
 			return nil, &vfs.PathError{Op: "open", Path: path, Err: err}
 		}
-		buf.Write(data)
+		buf = append(buf, data...)
 	}
-	return io.NopCloser(bytes.NewReader(buf.Bytes())), nil
+	return vfs.BytesFile(buf), nil
 }
 
 // ReadRange reads [off, off+length) of a file, touching only the blocks
@@ -359,7 +359,7 @@ func (c *Client) ReadRange(path string, off, length int64) ([]byte, error) {
 	if off < 0 || off >= end {
 		return nil, nil
 	}
-	var out []byte
+	out := make([]byte, 0, end-off)
 	blockStart := int64(0)
 	for _, bid := range f.blocks {
 		bm := c.nn.blocks[bid]

@@ -156,6 +156,16 @@ func TestReadRangeMatchesFullRead(t *testing.T) {
 		if !bytes.Equal(got, data[off:end]) {
 			t.Fatalf("range [%d,%d) mismatch", off, end)
 		}
+		if cap(got) != len(got) {
+			t.Fatalf("range [%d,%d): %d-byte buffer for %d bytes; the range is known up front", off, end, cap(got), len(got))
+		}
+	}
+	whole, err := vfs.ReadFile(c, "/f")
+	if err != nil || !bytes.Equal(whole, data) {
+		t.Fatalf("whole-file read: err=%v, %d bytes", err, len(whole))
+	}
+	if cap(whole) != len(whole) {
+		t.Fatalf("whole-file read: %d-byte buffer for %d bytes; the size is known up front", cap(whole), len(whole))
 	}
 }
 

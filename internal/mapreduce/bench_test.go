@@ -57,6 +57,9 @@ func BenchmarkRecordsInRange(b *testing.B) {
 	}
 }
 
+// cold gives every task a scratch of its own, as a job's first task and
+// the package-level ExecuteMap do; warm reuses one, as every later task of
+// a job does.
 func BenchmarkExecuteMapWordCount(b *testing.B) {
 	job := wordCountJob()
 	fs := vfs.NewMemFS()
@@ -67,13 +70,25 @@ func BenchmarkExecuteMapWordCount(b *testing.B) {
 		records = append(records, Record{Offset: bytes, Line: line})
 		bytes += int64(len(line)) + 1
 	}
-	b.SetBytes(bytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx := NewTaskContext("bench", "m0", fs, job)
-		if _, err := ExecuteMap(ctx, job, records); err != nil {
-			b.Fatal(err)
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(bytes)
+			b.ReportAllocs()
+			scratch := new(MapScratch)
+			for i := 0; i < b.N; i++ {
+				if !warm {
+					scratch = new(MapScratch)
+				}
+				ctx := NewTaskContext("bench", "m0", fs, job)
+				if _, err := scratch.ExecuteMap(ctx, job, records); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

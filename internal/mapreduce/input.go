@@ -109,7 +109,13 @@ func RecordsInRange(data []byte, dataStart, off, end int64) []Record {
 		}
 		pos = dataStart + scanFrom + int64(nl) + 1
 	}
-	var out []Record
+	// One record per newline that starts inside the split, plus the one
+	// that runs past its end (or to EOF without a newline).
+	lo, hi := min(pos-dataStart, int64(len(data))), min(end-dataStart, int64(len(data)))
+	if lo >= hi {
+		return nil
+	}
+	out := make([]Record, 0, bytes.Count(data[lo:hi], []byte{'\n'})+1)
 	for pos < end {
 		i := pos - dataStart
 		if i >= int64(len(data)) {

@@ -16,9 +16,42 @@ type keyIndex struct {
 	i   int32
 }
 
-// SortPairs orders pairs by key. Equal keys keep their emission order so
-// that values for a key arrive at the reducer deterministically, which
-// several of the course jobs rely on.
+// sortScratch is the working memory of sortPairsInto, kept between calls
+// so a map task's spills — and the next task's — pay for it once. The zero
+// value is ready to use. Every call clears the keys it stored before it
+// returns, so an idle scratch pins no map output.
+type sortScratch struct {
+	idx    []keyIndex       // general path: one (key, index) header per pair
+	gids   []int32          // grouped path: each pair's group id
+	groups []keyIndex       // grouped path: each distinct key plus its group id
+	counts []int32          // grouped path: pairs per group
+	offs   []int32          // grouped path: each group's next output slot
+	gidOf  map[string]int32 // grouped path: key -> group id; also the sample set
+}
+
+// resized returns a slice of length n over s's backing array when that is
+// large enough, else over a new one with a quarter to spare, so a run of
+// slightly larger tasks does not reallocate for each. The contents are
+// unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
+	}
+	return s[:n]
+}
+
+// SortPairs orders pairs by key, in place. Equal keys keep their emission
+// order so that values for a key arrive at the reducer deterministically,
+// which several of the course jobs rely on.
+func SortPairs(pairs []Pair) {
+	if len(pairs) < 2 {
+		return
+	}
+	sortPairsInto(pairs, slices.Clone(pairs), new(sortScratch))
+}
+
+// sortPairsInto writes src's pairs into dst (same length, no overlap) in
+// SortPairs order, leaving src untouched.
 //
 // Two strategies produce that order. The general path sorts (key, index)
 // headers. Duplicate-heavy outputs — counting jobs emit each word
@@ -26,17 +59,19 @@ type keyIndex struct {
 // distinct keys, turning an O(n log n) comparison sort into O(u log u)
 // for u unique keys plus two linear passes. A small sample of the input
 // picks the strategy; both yield byte-identical results.
-func SortPairs(pairs []Pair) {
-	n := len(pairs)
+func sortPairsInto(dst, src []Pair, s *sortScratch) {
+	n := len(src)
 	if n < 2 {
+		copy(dst, src)
 		return
 	}
-	if n >= dupSampleMinLen && looksDuplicateHeavy(pairs) {
-		groupSortPairs(pairs)
+	if n >= dupSampleMinLen && s.looksDuplicateHeavy(src) {
+		s.groupSortInto(dst, src)
 		return
 	}
-	idx := make([]keyIndex, n)
-	for i, p := range pairs {
+	idx := resized(s.idx, n)
+	s.idx = idx
+	for i, p := range src {
 		idx[i] = keyIndex{key: p.Key, i: int32(i)}
 	}
 	slices.SortFunc(idx, func(a, b keyIndex) int {
@@ -45,11 +80,10 @@ func SortPairs(pairs []Pair) {
 		}
 		return int(a.i) - int(b.i)
 	})
-	tmp := make([]Pair, n)
 	for i, k := range idx {
-		tmp[i] = pairs[k.i]
+		dst[i] = src[k.i]
 	}
-	copy(pairs, tmp)
+	clear(idx)
 }
 
 const (
@@ -60,25 +94,34 @@ const (
 // looksDuplicateHeavy samples evenly spaced keys and reports whether the
 // sample repeats keys enough to justify the grouped sort. It is only a
 // performance heuristic: either answer leaves the sorted output identical.
-func looksDuplicateHeavy(pairs []Pair) bool {
-	seen := make(map[string]struct{}, dupSampleSize)
+func (s *sortScratch) looksDuplicateHeavy(pairs []Pair) bool {
+	seen := s.keyMap()
 	step := len(pairs) / dupSampleSize
 	for i := 0; i < dupSampleSize; i++ {
-		seen[pairs[i*step].Key] = struct{}{}
+		seen[pairs[i*step].Key] = 0
 	}
-	return len(seen) <= dupSampleSize*3/4
+	distinct := len(seen)
+	clear(seen)
+	return distinct <= dupSampleSize*3/4
 }
 
-// groupSortPairs is the duplicate-heavy strategy: assign each distinct
-// key a group, sort the groups, then scatter the pairs into their group's
-// output window in emission order.
-func groupSortPairs(pairs []Pair) {
-	n := len(pairs)
-	gids := make([]int32, n)
-	gidOf := make(map[string]int32, 64)
-	var groups []keyIndex // key plus its group id
-	var counts []int32
-	for i, p := range pairs {
+// keyMap returns the scratch's (empty) key map, making it on first use.
+func (s *sortScratch) keyMap() map[string]int32 {
+	if s.gidOf == nil {
+		s.gidOf = make(map[string]int32, dupSampleSize)
+	}
+	return s.gidOf
+}
+
+// groupSortInto is the duplicate-heavy strategy: assign each distinct key
+// a group, sort the groups, then scatter the pairs into their group's
+// window of dst in emission order.
+func (s *sortScratch) groupSortInto(dst, src []Pair) {
+	gids := resized(s.gids, len(src))
+	s.gids = gids
+	groups, counts := s.groups[:0], s.counts[:0]
+	gidOf := s.keyMap()
+	for i, p := range src {
 		g, ok := gidOf[p.Key]
 		if !ok {
 			g = int32(len(groups))
@@ -92,19 +135,21 @@ func groupSortPairs(pairs []Pair) {
 	slices.SortFunc(groups, func(a, b keyIndex) int {
 		return strings.Compare(a.key, b.key) // keys are distinct: no ties
 	})
-	offs := make([]int32, len(groups))
+	offs := resized(s.offs, len(groups))
+	s.offs = offs
 	var off int32
 	for _, g := range groups {
 		offs[g.i] = off
 		off += counts[g.i]
 	}
-	tmp := make([]Pair, n)
-	for i, p := range pairs {
+	for i, p := range src {
 		g := gids[i]
-		tmp[offs[g]] = p
+		dst[offs[g]] = p
 		offs[g]++
 	}
-	copy(pairs, tmp)
+	clear(groups)
+	clear(gidOf)
+	s.groups, s.counts = groups, counts
 }
 
 // mergeCursor is one run's head position inside the k-way merge heap.
@@ -331,14 +376,17 @@ func (p *pairCollector) Emit(key string, value Value) error {
 }
 
 // RunCombiner applies the job's combiner to a sorted partition of map
-// output, returning the (sorted) combined pairs and updating the combine
-// counters. With no combiner configured it returns the input unchanged.
+// output, returning the (sorted) combined pairs — always a fresh slice —
+// and updating the combine counters. With no combiner configured it
+// returns the input unchanged.
 func RunCombiner(ctx *TaskContext, job *Job, sorted []Pair) ([]Pair, error) {
 	if job.NewCombiner == nil {
 		return sorted, nil
 	}
 	combiner := job.NewCombiner()
-	col := &pairCollector{}
+	// One pair per group is what every combiner in internal/jobs emits;
+	// one that emits more just grows the slice.
+	col := &pairCollector{pairs: make([]Pair, 0, countGroups(sorted))}
 	var inRecords int64
 	err := GroupIterate(sorted, job.DecodeValue, func(key string, values *Values) error {
 		inRecords += int64(values.Len())
@@ -349,6 +397,21 @@ func RunCombiner(ctx *TaskContext, job *Job, sorted []Pair) ([]Pair, error) {
 		return nil, err
 	}
 	ctx.Counters.Inc(CtrCombineOutputRecords, int64(len(col.pairs)))
-	SortPairs(col.pairs)
+	// A combiner that emits its group's key, once per group, leaves the
+	// output sorted already; only one that rewrites keys needs the sort.
+	if !slices.IsSortedFunc(col.pairs, func(a, b Pair) int { return strings.Compare(a.Key, b.Key) }) {
+		SortPairs(col.pairs)
+	}
 	return col.pairs, nil
+}
+
+// countGroups returns the number of distinct keys in a sorted run.
+func countGroups(sorted []Pair) int {
+	n := 0
+	for i := range sorted {
+		if i == 0 || sorted[i].Key != sorted[i-1].Key {
+			n++
+		}
+	}
+	return n
 }

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // MapOutput is one map task's output: a sorted (and, if configured,
@@ -32,13 +33,31 @@ func (m *MapOutput) Records() int64 {
 	return n
 }
 
+// MapScratch is a map task's collect-and-sort buffer — Hadoop's io.sort.mb,
+// allocated once and reused across spills and tasks rather than regrown by
+// each. The zero value is ready. A scratch serves one task at a time: each
+// runtime that runs tasks concurrently owns one per worker. Nothing a task
+// returns points into it, and a task leaves it cleared, so outputs of
+// earlier, speculative and re-run attempts stay independent of whatever
+// runs on the scratch next.
+type MapScratch struct {
+	collect [][]Pair // per partition: pairs emitted and not yet spilled
+	run     []Pair   // the sorted run a combiner consumes
+	sort    sortScratch
+}
+
+// ExecuteMap runs one map task on a scratch of its own.
+func ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*MapOutput, error) {
+	return new(MapScratch).ExecuteMap(ctx, job, records)
+}
+
 // ExecuteMap runs one map task over its records: Setup, Map per record,
 // Close, then partition, sort and combine — spilling the sort buffer
 // whenever it exceeds the job's SpillRecords bound, exactly as a full
 // io.sort buffer forces a Hadoop map task to spill mid-run. Both runtimes
 // call this; they differ only in how they fetch the records and where the
 // output lives.
-func ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*MapOutput, error) {
+func (s *MapScratch) ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*MapOutput, error) {
 	mapper := job.NewMapper()
 	nParts := job.Reducers()
 	part := job.Partitioner()
@@ -46,22 +65,43 @@ func ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*MapOutput, error
 	// spills[p] holds the sorted+combined runs already flushed for
 	// partition p; buffer holds unsorted pairs not yet spilled.
 	spills := make([][][]Pair, nParts)
-	buffer := make([][]Pair, nParts)
+	for len(s.collect) < nParts {
+		s.collect = append(s.collect, nil)
+	}
+	buffer := s.collect[:nParts]
 	buffered := 0
+	defer func() { // a task that failed mid-collect still leaves the scratch clear
+		for p, pairs := range buffer {
+			clear(pairs)
+			buffer[p] = pairs[:0]
+		}
+	}()
 
 	spill := func() error {
 		for p, pairs := range buffer {
 			if len(pairs) == 0 {
 				continue
 			}
-			SortPairs(pairs)
-			combined, err := RunCombiner(ctx, job, pairs)
-			if err != nil {
-				return fmt.Errorf("combiner: %w", err)
+			var run []Pair
+			if job.NewCombiner == nil {
+				// The sorted run is the task's output: sort straight into
+				// the slice that will be kept.
+				run = make([]Pair, len(pairs))
+				sortPairsInto(run, pairs, &s.sort)
+			} else {
+				s.run = resized(s.run, len(pairs))
+				sortPairsInto(s.run, pairs, &s.sort)
+				combined, err := RunCombiner(ctx, job, s.run)
+				clear(s.run)
+				if err != nil {
+					return fmt.Errorf("combiner: %w", err)
+				}
+				run = combined
 			}
-			spills[p] = append(spills[p], combined)
-			ctx.Counters.Inc(CtrSpilledRecords, int64(len(combined)))
-			buffer[p] = nil
+			spills[p] = append(spills[p], run)
+			ctx.Counters.Inc(CtrSpilledRecords, int64(len(run)))
+			clear(pairs)
+			buffer[p] = pairs[:0]
 		}
 		buffered = 0
 		return nil
@@ -77,7 +117,13 @@ func ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*MapOutput, error
 			return fmt.Errorf("mapreduce: partitioner returned %d for %d reducers", p, nParts)
 		}
 		pair := Pair{Key: key, Val: value.EncodeValue()}
-		buffer[p] = append(buffer[p], pair)
+		buf := buffer[p]
+		if len(buf) == cap(buf) {
+			// Double: append's 1.25x steps for large slices would put a
+			// cold scratch through ~5x its final size on the way up.
+			buf = slices.Grow(buf, max(len(buf), 64))
+		}
+		buffer[p] = append(buf, pair)
 		buffered++
 		outRecords++
 		outBytes += pair.Bytes()

@@ -142,6 +142,11 @@ type jobRun struct {
 
 	durations [2][]time.Duration // completed attempts' run times, by kind
 
+	// scratch is the map-side collect/sort buffer every map attempt of the
+	// job runs on, one after another (the engine is single-threaded). It
+	// is allocated by the first attempt and dropped when the job ends.
+	scratch *mapreduce.MapScratch
+
 	// hist is the job's history file in the making: every lifecycle event
 	// from submit to finish, persisted into HDFS when the job completes.
 	hist *history.Log
@@ -540,7 +545,7 @@ type cacheFS struct {
 
 func (c *cacheFS) Open(path string) (io.ReadCloser, error) {
 	if data, ok := c.cache[vfs.Clean(path)]; ok {
-		return io.NopCloser(bytes.NewReader(data)), nil
+		return vfs.BytesFile(data), nil
 	}
 	return c.FileSystem.Open(path)
 }
@@ -928,7 +933,10 @@ func (jt *JobTracker) runMapAttempt(t *task, tt *TaskTracker, speculative bool, 
 	if err == nil {
 		ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, rstats.BytesDecoded)
 		jt.m.inputDecodedBytes.Add(rstats.BytesDecoded)
-		out, err = mapreduce.ExecuteMap(ctx, jr.job, records)
+		if jr.scratch == nil {
+			jr.scratch = new(mapreduce.MapScratch)
+		}
+		out, err = jr.scratch.ExecuteMap(ctx, jr.job, records)
 	}
 
 	bytesRead := client.Meter.BytesRead()
@@ -1248,6 +1256,7 @@ func (jt *JobTracker) endJob(jr *jobRun, cause error) {
 		jr.state, jr.err = jobFailed, cause
 	}
 	jr.finishedAt = jt.mc.Engine.Now()
+	jr.scratch = nil
 	ended.Inc()
 	jt.mc.Obs.SpanCtx(jr.ctx, SpanJob, time.Duration(jr.submittedAt), time.Duration(jr.finishedAt), map[string]string{
 		"job":     jr.id,

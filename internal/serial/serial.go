@@ -97,26 +97,35 @@ func (r *Runner) Run(job *mapreduce.Job) (*Report, error) {
 			readers[split.Path] = mapreduce.FSRangeReader(r.FS, split.Path)
 		}
 	}
+	// par long-lived workers drain the splits in order. Each owns one
+	// map-side scratch for its whole run; results land in results[i], so
+	// output and counter merge order do not depend on which worker ran what.
+	splitCh := make(chan int)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
-	for i, split := range splits {
+	for w := 0; w < min(par, len(splits)); w++ {
 		wg.Add(1)
-		go func(i int, split mapreduce.FileSplit) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ctx := mapreduce.NewTaskContext(job.Name, fmt.Sprintf("attempt_m_%06d_0", i), r.FS, job)
-			recs, rstats, err := mapreduce.ReadSplit(readers[split.Path], split)
-			if err != nil {
-				results[i] = mapResult{err: fmt.Errorf("split %v: %w", split, err)}
-				return
+			var scratch mapreduce.MapScratch
+			for i := range splitCh {
+				split := splits[i]
+				ctx := mapreduce.NewTaskContext(job.Name, fmt.Sprintf("attempt_m_%06d_0", i), r.FS, job)
+				recs, rstats, err := mapreduce.ReadSplit(readers[split.Path], split)
+				if err != nil {
+					results[i] = mapResult{err: fmt.Errorf("split %v: %w", split, err)}
+					continue
+				}
+				ctx.Counters.Inc(mapreduce.CtrFileBytesRead, rstats.BytesRead)
+				ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, rstats.BytesDecoded)
+				out, err := scratch.ExecuteMap(ctx, job, recs)
+				results[i] = mapResult{out: out, ctx: ctx, err: err}
 			}
-			ctx.Counters.Inc(mapreduce.CtrFileBytesRead, rstats.BytesRead)
-			ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, rstats.BytesDecoded)
-			out, err := mapreduce.ExecuteMap(ctx, job, recs)
-			results[i] = mapResult{out: out, ctx: ctx, err: err}
-		}(i, split)
+		}()
 	}
+	for i := range splits {
+		splitCh <- i
+	}
+	close(splitCh)
 	wg.Wait()
 	runsByPartition := make([][][]mapreduce.Pair, nReduce)
 	for _, res := range results {

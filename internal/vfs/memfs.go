@@ -79,7 +79,7 @@ func (m *MemFS) Open(path string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, &PathError{Op: "open", Path: p, Err: ErrNotExist}
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return BytesFile(data), nil
 }
 
 func (m *MemFS) Stat(path string) (FileInfo, error) {

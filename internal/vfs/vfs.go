@@ -8,6 +8,7 @@
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -117,8 +118,24 @@ func ReadFile(fs FileSystem, path string) ([]byte, error) {
 		return nil, err
 	}
 	defer r.Close()
+	// A handle that knows how much is left (BytesFile) gets one exact-size
+	// buffer; io.ReadAll would grow its way there through ~5x the bytes.
+	if l, ok := r.(interface{ Len() int }); ok {
+		data := make([]byte, l.Len())
+		_, err := io.ReadFull(r, data)
+		return data, err
+	}
 	return io.ReadAll(r)
 }
+
+// BytesFile returns a read handle over data, which the caller must not
+// modify afterwards. Its Len method reports the unread length, which
+// lets ReadFile allocate once.
+func BytesFile(data []byte) io.ReadCloser { return bytesFile{bytes.NewReader(data)} }
+
+type bytesFile struct{ *bytes.Reader }
+
+func (bytesFile) Close() error { return nil }
 
 // WriteFile creates path with the given contents, creating parents.
 func WriteFile(fs FileSystem, path string, data []byte) error {

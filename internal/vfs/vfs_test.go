@@ -108,3 +108,24 @@ func TestWriterAfterCloseFails(t *testing.T) {
 		t.Fatalf("write after close: %v", err)
 	}
 }
+
+// A MemFS handle knows its length, so ReadFile allocates the file's size
+// once rather than growing a buffer to it.
+func TestReadFileAllocatesExactSize(t *testing.T) {
+	fs := NewMemFS()
+	for _, n := range []int{0, 1, 511, 512, 100_000} {
+		if err := WriteFile(fs, "/f", make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(fs, "/f")
+		if err != nil || len(got) != n {
+			t.Fatalf("n=%d: got %d bytes, err=%v", n, len(got), err)
+		}
+		if cap(got) != n {
+			t.Errorf("n=%d: %d-byte buffer", n, cap(got))
+		}
+		if err := fs.Remove("/f", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
