@@ -1,9 +1,5 @@
 GO ?= go
 
-# Where `make bench` writes the committed headline-metrics artifact.
-# Each PR that re-baselines benchmarks bumps the default.
-BENCH_OUT ?= BENCH_pr10.json
-
 .PHONY: build test short check race chaos bench bench-smoke bench-selftest ci lint
 
 build:
@@ -49,11 +45,12 @@ race:
 
 chaos: race
 
-# Full benchmark pass, then regenerate the committed headline-metrics
-# artifact the tier-2 regression test (TestBenchRegression) diffs against.
+# Full benchmark pass, then regenerate the one committed headline-metrics
+# artifact (experiments.HeadlineArtifact, benchreport's default -out) the
+# tier-2 regression test (TestBenchRegression) diffs against.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-	$(GO) run ./cmd/benchreport -out $(BENCH_OUT)
+	$(GO) run ./cmd/benchreport
 
 # One-iteration benchmark smoke pass — proves every experiment still runs
 # without paying for steady-state timing.
@@ -67,21 +64,22 @@ bench-smoke:
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The gate a PR must pass end to end: vet, lint, build, tier-1 tests,
-# the race-checked subset (`make race`), a benchmark smoke run,
-# and the nested bench module's self-test. Static gates (vet, lint) come
-# before tests so a determinism violation fails the build even when no
-# test happens to exercise it.
+# The gate a PR must pass end to end: vet, lint, build, tier-1 tests
+# (which include the goldens, replay digests and E12/E13 smokes), the
+# race-checked subset (`make race`), five seconds of each fuzz target, a
+# benchmark smoke run, and — last, so that an exported-API deletion the
+# frozen bench/ module depends on still fails the gate — the nested bench
+# module's self-test. Static gates (vet, lint) come before tests so a
+# determinism violation fails the build even when no test happens to
+# exercise it.
 ci: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/minilint ./internal/... ./cmd/...
 	$(GO) test ./...
 	$(MAKE) race
-	$(GO) test -run 'TestGoldenJobHistory|TestGoldenTrace' ./internal/jobs/
-	$(GO) run ./cmd/benchreport -trend
-	$(GO) test -run 'TestE12Smoke|TestE13Smoke' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz FuzzSeqSplit -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzSeqReadCorrupt -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/iofmt/
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) test -run '^$$' -fuzz FuzzTraceAnalyze -fuzztime 5s ./internal/trace/
+	$(MAKE) bench-smoke
 	$(MAKE) bench-selftest

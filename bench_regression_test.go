@@ -3,9 +3,9 @@
 //
 //  1. Shape invariants — the paper's qualitative claims (who wins, which
 //     direction) hold regardless of cost-model retuning.
-//  2. Equality with the newest committed BENCH_pr<N>.json — sim metrics
-//     are deterministic, so a PR can't move one without regenerating the
-//     artifact (make bench) and committing it. Allocs per run, the one
+//  2. Equality with the committed artifact (experiments.HeadlineArtifact)
+//     — sim metrics are deterministic, so a PR can't move one without
+//     regenerating the artifact (make bench) and committing it. Allocs per run, the one
 //     host-dependent number in the artifact, keep a band.
 //
 // Guarded by testing.Short: `go test -short` skips it, tier-1 runs it.
@@ -13,16 +13,14 @@ package repro_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-// allocsBand bounds allocs-per-run drift against the newest artifact.
+// allocsBand bounds allocs-per-run drift against the artifact.
 // Allocation counts are near-deterministic (map growth contributes small
 // wobble): a regression that doubles allocations on a hot path must
 // regenerate the artifact deliberately.
@@ -127,29 +125,8 @@ func TestBenchRegression(t *testing.T) {
 		}
 	}
 
-	// 2. Equality with the newest committed artifact.
-	diffArtifact(t, newestArtifact(t), rep)
-}
-
-// newestArtifact returns the committed BENCH_pr<N>.json with the largest
-// N — the last one in the natural order `benchreport -trend` lists them in.
-func newestArtifact(t *testing.T) string {
-	t.Helper()
-	arts, err := filepath.Glob("BENCH_pr*.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	newest, newestN := "", -1
-	for _, path := range arts {
-		var n int
-		if _, err := fmt.Sscanf(path, "BENCH_pr%d.json", &n); err == nil && n > newestN {
-			newest, newestN = path, n
-		}
-	}
-	if newest == "" {
-		t.Fatal("no committed BENCH_pr<N>.json artifact (run make bench)")
-	}
-	return newest
+	// 2. Equality with the committed artifact.
+	diffArtifact(t, experiments.HeadlineArtifact, rep)
 }
 
 func diffArtifact(t *testing.T, path string, cur *experiments.HeadlineReport) {

@@ -10,8 +10,8 @@
 // what factor, where saturation sets in — are the reproduction targets.
 //
 // The reported metrics are extracted by experiments.HeadlineMetrics, the
-// same code path cmd/benchreport uses to write the BENCH_<pr>.json
-// regression artifact (diffed by TestBenchRegression).
+// same code path cmd/benchreport uses to write the regression artifact
+// (experiments.HeadlineArtifact, diffed by TestBenchRegression).
 package repro_test
 
 import (

@@ -3,6 +3,7 @@
 package repro_test
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -135,6 +136,40 @@ func TestCLIMrhistory(t *testing.T) {
 	}
 	if out != string(want) {
 		t.Fatalf("-analyze drifted from the pinned report:\ngot:\n%s\nwant:\n%s", out, want)
+	}
+}
+
+// TestCLIMrtrace reads the committed golden trace export, then a trace
+// whose two spans name each other as parent: no span is a root, and the
+// tool must say so and exit 1 rather than index an empty root list.
+func TestCLIMrtrace(t *testing.T) {
+	golden := filepath.Join("internal", "jobs", "testdata", "golden_wordcount_trace.jsonl")
+	for args, wants := range map[string][]string{
+		"-list":          {"t000002-3000000000", "mr.job"},
+		"":               {"trace t000002-3000000000", "  mr.task", "hdfs.write_pipeline"},
+		"-critical-path": {"Critical path", "1. mr.job"},
+		"-blame":         {"Blame", "mr.reduce_attempt        node000"},
+	} {
+		out := runCmd(t, "", "mrtrace", append([]string{"-file", golden}, strings.Fields(args)...)...)
+		for _, want := range wants {
+			if !strings.Contains(out, want) {
+				t.Fatalf("mrtrace %s missing %q:\n%s", args, want, out)
+			}
+		}
+	}
+
+	cyclic := filepath.Join(t.TempDir(), "cyclic.jsonl")
+	if err := os.WriteFile(cyclic, []byte(
+		`{"name":"a","start_ns":0,"end_ns":5,"trace":"t1","span":1,"parent":2}`+"\n"+
+			`{"name":"b","start_ns":0,"end_ns":5,"trace":"t1","span":2,"parent":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", "run", "./cmd/mrtrace", "-file", cyclic, "-critical-path")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || !strings.Contains(string(out), "exit status 1") ||
+		!strings.Contains(string(out), "is a root") || strings.Contains(string(out), "panic") {
+		t.Fatalf("mrtrace on a parent cycle: err %v, output:\n%s", err, out)
 	}
 }
 

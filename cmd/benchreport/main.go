@@ -1,44 +1,26 @@
 // Command benchreport runs the headline experiments (Figure 1 plus
-// E1–E9) at a fixed seed and writes the machine-readable benchmark
-// artifact (BENCH_<pr>.json) that the tier-2 regression test diffs
-// against. Commit the artifact alongside the PR that changed the
-// numbers; see docs/OBSERVABILITY.md for the workflow.
-//
-// With -trend it instead reads every committed BENCH_*.json and rewrites
-// docs/BENCH_TRENDS.md: one column per artifact, so metric and
-// allocation drift across PRs is visible in the repo itself.
+// E1–E13) at a fixed seed and writes the machine-readable benchmark
+// artifact (experiments.HeadlineArtifact) that the tier-2 regression
+// test diffs against. Commit the artifact alongside the PR that changed
+// the numbers; see docs/OBSERVABILITY.md for the workflow.
 //
 // Usage:
 //
-//	benchreport [-seed 1234] [-out BENCH_pr2.json]
-//	benchreport -trend [-trend-out docs/BENCH_TRENDS.md]
+//	benchreport [-seed 1234] [-out BENCH_pr10.json]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"repro/internal/experiments"
 )
 
 func main() {
 	seed := flag.Int64("seed", 1234, "deterministic seed (matches the bench suite's benchSeed)")
-	out := flag.String("out", "BENCH_pr2.json", "output path for the headline-metrics artifact")
-	trend := flag.Bool("trend", false, "aggregate committed BENCH_*.json artifacts instead of running")
-	trendOut := flag.String("trend-out", "docs/BENCH_TRENDS.md", "output path for the -trend markdown table")
+	out := flag.String("out", experiments.HeadlineArtifact, "output path for the headline-metrics artifact")
 	flag.Parse()
-
-	if *trend {
-		if err := writeTrends(*trendOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	rep, err := experiments.Headlines(*seed)
 	if err != nil {
@@ -52,141 +34,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s (%d experiments, seed %d)\n", *out, len(rep.Experiments), rep.Seed)
-}
-
-// writeTrends reads every committed BENCH_*.json (in name order, which is
-// PR order) and renders the per-metric history as markdown.
-func writeTrends(path string) error {
-	paths, err := filepath.Glob("BENCH_*.json")
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no BENCH_*.json artifacts in the current directory (run make bench first)")
-	}
-	// Natural order, so BENCH_pr10 sorts after BENCH_pr9.
-	sort.Slice(paths, func(i, j int) bool { return naturalLess(paths[i], paths[j]) })
-
-	type artifact struct {
-		name string
-		rep  experiments.HeadlineReport
-	}
-	arts := make([]artifact, 0, len(paths))
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		a := artifact{name: strings.TrimSuffix(filepath.Base(p), ".json")}
-		if err := json.Unmarshal(data, &a.rep); err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		arts = append(arts, a)
-	}
-
-	var b strings.Builder
-	b.WriteString("# Benchmark trends\n\n")
-	b.WriteString("Generated by `go run ./cmd/benchreport -trend` from the committed\n")
-	b.WriteString("`BENCH_*.json` artifacts — do not edit by hand. One column per\n")
-	b.WriteString("artifact (PR order); `-` means the metric did not exist yet.\n")
-
-	header := func() {
-		b.WriteString("| metric |")
-		for _, a := range arts {
-			fmt.Fprintf(&b, " %s |", a.name)
-		}
-		b.WriteString("\n|---|")
-		b.WriteString(strings.Repeat("---|", len(arts)))
-		b.WriteByte('\n')
-	}
-	cell := func(v float64, ok bool) string {
-		if !ok {
-			return "-"
-		}
-		return fmt.Sprintf("%.4g", v)
-	}
-
-	for _, id := range experiments.HeadlineIDs {
-		// Metric-name union across artifacts, sorted for stable output.
-		names := map[string]bool{}
-		for _, a := range arts {
-			for name := range a.rep.Experiments[id] {
-				names[name] = true
-			}
-		}
-		if len(names) == 0 {
-			continue
-		}
-		sorted := make([]string, 0, len(names))
-		for name := range names {
-			sorted = append(sorted, name)
-		}
-		sort.Strings(sorted)
-
-		fmt.Fprintf(&b, "\n## %s\n\n", id)
-		header()
-		for _, name := range sorted {
-			fmt.Fprintf(&b, "| %s |", name)
-			for _, a := range arts {
-				v, ok := a.rep.Experiments[id][name]
-				fmt.Fprintf(&b, " %s |", cell(v, ok))
-			}
-			b.WriteByte('\n')
-		}
-	}
-
-	b.WriteString("\n## Allocations per run\n\n")
-	header()
-	for _, id := range experiments.HeadlineIDs {
-		fmt.Fprintf(&b, "| %s |", id)
-		for _, a := range arts {
-			v, ok := a.rep.AllocsPerOp[id]
-			fmt.Fprintf(&b, " %s |", cell(v, ok))
-		}
-		b.WriteByte('\n')
-	}
-
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d artifacts)\n", path, len(arts))
-	return nil
-}
-
-// naturalLess compares strings with embedded digit runs numerically, so
-// "pr10" sorts after "pr9" rather than between "pr1" and "pr2".
-func naturalLess(a, b string) bool {
-	for a != "" && b != "" {
-		da, db := digits(a), digits(b)
-		switch {
-		case da > 0 && db > 0:
-			na, nb := a[:da], b[:db]
-			// Compare digit runs numerically: longer (trimmed) run wins,
-			// equal lengths compare lexically.
-			ta, tb := strings.TrimLeft(na, "0"), strings.TrimLeft(nb, "0")
-			if len(ta) != len(tb) {
-				return len(ta) < len(tb)
-			}
-			if ta != tb {
-				return ta < tb
-			}
-			a, b = a[da:], b[db:]
-		case a[0] != b[0]:
-			return a[0] < b[0]
-		default:
-			a, b = a[1:], b[1:]
-		}
-	}
-	return a == "" && b != ""
-}
-
-// digits returns the length of the leading digit run of s.
-func digits(s string) int {
-	i := 0
-	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-		i++
-	}
-	return i
 }
 
 func fatal(err error) {

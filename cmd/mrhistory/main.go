@@ -67,7 +67,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	events, err := history.Parse(data)
+	events, err := history.Parse[history.Event](data)
 	if err != nil {
 		fatal(err)
 	}

@@ -21,8 +21,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
+	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -43,11 +43,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	spans, err := trace.Parse(data)
+	spans, err := history.Parse[obs.Span](data)
 	if err != nil {
 		fatal(err)
 	}
-	sums := trace.Slowest(trace.Summaries(spans), 0)
+	sums := trace.Summaries(spans)
 	if len(sums) == 0 {
 		fmt.Println("no traced spans in", *file)
 		return
@@ -55,12 +55,7 @@ func main() {
 
 	if *list {
 		for _, s := range sums {
-			name := s.Root.Name
-			if name == "" {
-				name = "(root span not recorded)"
-			}
-			fmt.Printf("%-22s %-20s %10v  %3d span(s)\n",
-				s.ID, name, s.Duration.Round(time.Microsecond), s.Spans)
+			fmt.Println(trace.RenderSummary(s))
 		}
 		return
 	}
@@ -69,35 +64,22 @@ func main() {
 	if id == "" {
 		id = sums[0].ID // the slowest
 	}
-	var picked []obs.Span
-	for _, s := range spans {
-		if s.Trace == id {
-			picked = append(picked, s)
-		}
-	}
-	if len(picked) == 0 {
-		fatal(fmt.Errorf("no trace %q in %s (try -list)", id, *file))
-	}
-	roots := trace.Build(picked)
-	best := roots[0]
-	for _, r := range roots {
-		if r.Span.Duration() > best.Span.Duration() {
-			best = r
-		}
+	a, err := trace.Analyze(spans, id)
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w (try -list)", *file, err))
 	}
 	if !*critPath && !*blame {
-		fmt.Printf("trace %s — %d span(s)\n", id, len(picked))
-		for _, r := range roots {
+		fmt.Printf("trace %s — %d span(s)\n", a.ID, len(a.Spans))
+		for _, r := range a.Roots {
 			fmt.Print(trace.RenderTree(r))
 		}
 		return
 	}
-	steps := trace.CriticalPath(best)
 	if *critPath {
-		fmt.Print(trace.RenderCriticalPath(steps))
+		fmt.Print(trace.RenderCriticalPath(a.Path))
 	}
 	if *blame {
-		fmt.Print(trace.RenderBlame(trace.BlameTable(steps)))
+		fmt.Print(trace.RenderBlame(a.Blame))
 	}
 }
 

@@ -62,7 +62,7 @@ func E11History(seed int64) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E11: reading persisted history: %w", err)
 	}
-	events, err := history.Parse(data)
+	events, err := history.Parse[history.Event](data)
 	if err != nil {
 		return nil, err
 	}

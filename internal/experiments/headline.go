@@ -9,8 +9,15 @@ import (
 // Headline extraction: the small set of "who wins, by what factor"
 // numbers each experiment's claim turns on. One extraction feeds both
 // `go test -bench` (via b.ReportMetric in bench_test.go) and the
-// BENCH_<pr>.json regression artifact written by cmd/benchreport, so the
-// two views can never drift apart.
+// regression artifact written by cmd/benchreport, so the two views can
+// never drift apart.
+
+// HeadlineArtifact is the committed headline-metrics artifact, relative
+// to the repo root: cmd/benchreport (`make bench`) writes it and
+// TestBenchRegression compares against it. There is one; a PR that moves
+// a metric on purpose overwrites it and says why in CHANGES.md. Wall-
+// clock numbers and their history live in bench/ (BENCHMARK.json).
+const HeadlineArtifact = "BENCH_pr10.json"
 
 // HeadlineIDs lists the experiments that contribute headline metrics, in
 // presentation order.

@@ -20,7 +20,7 @@ import (
 // e1DeadlineSnapshot replays E1's cluster, workload and fault schedule
 // (e1_meltdown.go: 8 nodes, 35 students, 1-in-8 trace sampling, daemon-
 // crashing map faults) through the deadline window and returns the obs
-// snapshot: 4 or 5 sampled jobs and ~30 whose job, task, attempt and
+// snapshot: 4 sampled jobs and 31 whose job, task, attempt and
 // write-pipeline spans record flat. E1Meltdown keeps its cluster to
 // itself, so the set-up is repeated here.
 func e1DeadlineSnapshot(t *testing.T) []byte {

@@ -49,10 +49,9 @@ type Client struct {
 	net  *cluster.Network
 	from cluster.NodeID
 
-	// obs and m feed the cluster-wide observability registry (m is the
-	// shared client metric bundle; both may be nil for detached clients).
-	obs *obs.Registry
-	m   *clientMetrics
+	// m is the shared client metric bundle feeding the cluster-wide
+	// observability registry (nil for detached clients).
+	m *clientMetrics
 
 	// User is the principal recorded in the NameNode audit log for this
 	// client's operations; empty defaults to DefaultUser.
@@ -60,10 +59,11 @@ type Client struct {
 
 	// Meter records modelled I/O cost and locality for this client.
 	Meter Meter
-	// Trace, when valid, parents the client's HDFS spans (write pipelines,
-	// block reads) under the caller's trace — how a reduce attempt's
-	// critical path reaches into the DataNode layer. Zero value: spans
-	// record flat, exactly as before tracing existed.
+	// Trace is where the client's HDFS spans go. A task attempt sets its
+	// own context, which parents write pipelines and block reads under the
+	// attempt — how a reduce attempt's critical path reaches into the
+	// DataNode layer. The default is the registry's untraced context:
+	// write pipelines record flat, block reads not at all.
 	Trace obs.Ctx
 	// AutoAdvance, when set, advances the sim clock by each operation's
 	// modelled cost — right for interactive flows (shell sessions, data
@@ -237,7 +237,7 @@ func (c *Client) writeBlock(f *inode, path string, data []byte) error {
 		c.m.pipelineShrunk.Inc()
 	}
 	start := c.eng.Now()
-	c.obs.ChildSpan(c.Trace, SpanWritePipeline, time.Duration(start), time.Duration(start)+bottleneck, map[string]string{
+	c.Trace.ChildSpan(SpanWritePipeline, time.Duration(start), time.Duration(start)+bottleneck, map[string]string{
 		"block":    fmt.Sprint(id),
 		"bytes":    fmt.Sprint(len(data)),
 		"replicas": fmt.Sprint(len(written)),
@@ -306,7 +306,7 @@ func (c *Client) readBlock(id BlockID) ([]byte, error) {
 		// far too hot to record unconditionally.
 		if c.Trace.Valid() {
 			start := time.Duration(c.eng.Now())
-			c.obs.ChildSpan(c.Trace, SpanReadBlock, start, start+total, map[string]string{
+			c.Trace.ChildSpan(SpanReadBlock, start, start+total, map[string]string{
 				"block": fmt.Sprint(id),
 				"bytes": fmt.Sprint(len(data)),
 				"node":  dn.Hostname(),

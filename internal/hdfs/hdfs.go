@@ -108,8 +108,9 @@ func (d *MiniDFS) Client(from cluster.NodeID) *Client {
 		cost: d.Cost,
 		net:  d.Net,
 		from: from,
-		obs:  d.Obs,
 		m:    d.cm,
+
+		Trace: d.Obs.Untraced(),
 	}
 }
 

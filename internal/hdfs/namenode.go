@@ -332,7 +332,7 @@ func (nn *NameNode) exitSafeMode() {
 	nn.m.safeMode.Set(0)
 	nn.m.safeModeExits.Inc()
 	nn.m.safeModeExitedAt.Set(int64(now))
-	nn.obs.SpanCtx(nn.obs.NewTrace(time.Duration(now)), SpanSafeMode, time.Duration(nn.safeModeEnteredAt), time.Duration(now), nil)
+	nn.obs.NewTrace(time.Duration(now)).End(SpanSafeMode, time.Duration(nn.safeModeEnteredAt), time.Duration(now), nil)
 	nn.auditEv(history.EvAuditSafemodeExit, map[string]string{"blocks": fmt.Sprint(len(nn.blocks))})
 }
 
@@ -769,7 +769,7 @@ func (nn *NameNode) scheduleReplication(bm *blockMeta) bool {
 	start := nn.eng.Now()
 	// Re-replication is NameNode-initiated — no client request above it —
 	// so each transfer roots its own trace; "node" blames the source disk.
-	nn.obs.SpanCtx(nn.obs.NewTrace(time.Duration(start)), SpanRereplicate, time.Duration(start), time.Duration(start)+readCost+xfer, map[string]string{
+	nn.obs.NewTrace(time.Duration(start)).End(SpanRereplicate, time.Duration(start), time.Duration(start)+readCost+xfer, map[string]string{
 		"block": fmt.Sprint(blockID),
 		"src":   fmt.Sprint(src),
 		"dst":   fmt.Sprint(dst),

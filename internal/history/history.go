@@ -138,11 +138,13 @@ func (l *Log) Bytes() ([]byte, error) {
 	return Marshal(l.Events())
 }
 
-// Marshal renders events as JSONL: one compact JSON object per line.
-func Marshal(events []Event) ([]byte, error) {
+// Marshal renders records — Events, or the obs.Spans of a trace export —
+// as JSONL: one compact JSON object per line. Byte-stable, since attr
+// maps marshal with sorted keys and record order is deterministic.
+func Marshal[T any](recs []T) ([]byte, error) {
 	var buf bytes.Buffer
-	for _, e := range events {
-		b, err := json.Marshal(e)
+	for _, rec := range recs {
+		b, err := json.Marshal(rec)
 		if err != nil {
 			return nil, err
 		}
@@ -152,19 +154,20 @@ func Marshal(events []Event) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Parse decodes a JSONL event log (the inverse of Marshal; blank lines
-// are skipped, so a trailing newline is fine).
-func Parse(data []byte) ([]Event, error) {
-	var out []Event
+// Parse decodes a JSONL log of T records (the inverse of Marshal; blank
+// lines are skipped, so a trailing newline is fine). A torn or corrupt
+// line is an error naming the line, never a partial result.
+func Parse[T any](data []byte) ([]T, error) {
+	var out []T
 	for i, line := range bytes.Split(data, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("history: line %d: %w", i+1, err)
+		var rec T
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return nil, fmt.Errorf("jsonl: line %d: %w", i+1, err)
 		}
-		out = append(out, e)
+		out = append(out, rec)
 	}
 	return out, nil
 }

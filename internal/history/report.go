@@ -73,8 +73,7 @@ func (r *JobReport) Makespan() time.Duration { return r.Finished - r.Submitted }
 // BuildJobReport reconstructs a report from one job's parsed events.
 func BuildJobReport(events []Event) (*JobReport, error) {
 	r := &JobReport{Counters: map[string]int64{}}
-	attempts := map[string]*AttemptInfo{}
-	var order []string
+	idx := map[string]int{} // attempt id -> index in r.Attempts
 	for _, e := range events {
 		switch e.Type {
 		case EvJobSubmit:
@@ -97,9 +96,8 @@ func BuildJobReport(events []Event) (*JobReport, error) {
 				}
 			}
 		case EvAttemptStart:
-			id := e.Attrs["attempt"]
-			a := &AttemptInfo{
-				ID:          id,
+			a := AttemptInfo{
+				ID:          e.Attrs["attempt"],
 				Task:        e.Attrs["task"],
 				Kind:        e.Attrs["kind"],
 				Node:        e.Attrs["node"],
@@ -115,13 +113,14 @@ func BuildJobReport(events []Event) (*JobReport, error) {
 				ns, _ := strconv.ParseInt(s, 10, 64)
 				a.Shuffle = time.Duration(ns)
 			}
-			attempts[id] = a
-			order = append(order, id)
+			idx[a.ID] = len(r.Attempts)
+			r.Attempts = append(r.Attempts, a)
 		case EvAttemptFinish, EvAttemptFail, EvAttemptKill:
-			a := attempts[e.Attrs["attempt"]]
-			if a == nil {
+			i, ok := idx[e.Attrs["attempt"]]
+			if !ok {
 				return nil, fmt.Errorf("history: %s for unknown attempt %q", e.Type, e.Attrs["attempt"])
 			}
+			a := &r.Attempts[i]
 			a.End = e.TS
 			switch e.Type {
 			case EvAttemptFinish:
@@ -138,16 +137,18 @@ func BuildJobReport(events []Event) (*JobReport, error) {
 	if r.JobID == "" {
 		return nil, fmt.Errorf("history: no %s event in log", EvJobSubmit)
 	}
-	for _, id := range order {
-		r.Attempts = append(r.Attempts, *attempts[id])
-	}
-	sort.SliceStable(r.Attempts, func(i, j int) bool {
-		if r.Attempts[i].Start != r.Attempts[j].Start {
-			return r.Attempts[i].Start < r.Attempts[j].Start
-		}
-		return r.Attempts[i].ID < r.Attempts[j].ID
-	})
+	sortAttempts(r.Attempts)
 	return r, nil
+}
+
+// sortAttempts puts attempts in the report's (start, id) order.
+func sortAttempts(attempts []AttemptInfo) {
+	sort.SliceStable(attempts, func(i, j int) bool {
+		if attempts[i].Start != attempts[j].Start {
+			return attempts[i].Start < attempts[j].Start
+		}
+		return attempts[i].ID < attempts[j].ID
+	})
 }
 
 // lastSucceeded returns the successful attempt of the given kind with
@@ -185,18 +186,13 @@ func priorAttemptsOf(attempts []AttemptInfo, task, winner string, before time.Du
 // attempt of the last reduce task to finish. Map-only jobs end at the
 // gating map.
 func (r *JobReport) CriticalPath() []AttemptInfo {
-	term := lastSucceeded(r.Attempts, "reduce")
 	var path []AttemptInfo
-	if term != nil {
-		if gate := lastSucceeded(r.Attempts, "map"); gate != nil {
-			path = append(path, priorAttemptsOf(r.Attempts, gate.Task, gate.ID, gate.Start)...)
-			path = append(path, *gate)
+	for _, kind := range []string{"map", "reduce"} {
+		if win := lastSucceeded(r.Attempts, kind); win != nil {
+			path = append(path, priorAttemptsOf(r.Attempts, win.Task, win.ID, win.Start)...)
+			path = append(path, *win)
 		}
-	} else if term = lastSucceeded(r.Attempts, "map"); term == nil {
-		return nil
 	}
-	path = append(path, priorAttemptsOf(r.Attempts, term.Task, term.ID, term.Start)...)
-	path = append(path, *term)
 	return path
 }
 
@@ -224,28 +220,22 @@ func (r *JobReport) SlowestAttempts(n int) []AttemptInfo {
 // NodeStats aggregates successful attempts per host, sorted by host —
 // a node whose mean sits far above the rest is the straggler.
 func (r *JobReport) NodeStats() []NodeStat {
-	byNode := map[string]*NodeStat{}
+	idx := map[string]int{}
+	var out []NodeStat
 	for _, a := range r.Attempts {
 		if a.Outcome != "succeeded" {
 			continue
 		}
-		s := byNode[a.Node]
-		if s == nil {
-			s = &NodeStat{Node: a.Node}
-			byNode[a.Node] = s
+		i, ok := idx[a.Node]
+		if !ok {
+			i = len(out)
+			idx[a.Node] = i
+			out = append(out, NodeStat{Node: a.Node})
 		}
-		s.Attempts++
-		s.Total += a.Duration()
+		out[i].Attempts++
+		out[i].Total += a.Duration()
 	}
-	nodes := make([]string, 0, len(byNode))
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	out := make([]NodeStat, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, *byNode[n])
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }
 
@@ -271,8 +261,9 @@ func pct(part, whole time.Duration) float64 {
 
 func fmtD(d time.Duration) string { return d.Round(time.Millisecond).String() }
 
-// attemptLine renders one attempt row for the analysis report.
-func attemptLine(b *strings.Builder, a AttemptInfo, makespan time.Duration) {
+// Tags renders the attempt's outcome and scheduling flags the way every
+// report and status page shows them: "succeeded,speculative,locality=0".
+func (a AttemptInfo) Tags() string {
 	tags := a.Outcome
 	if a.Speculative {
 		tags += ",speculative"
@@ -280,8 +271,13 @@ func attemptLine(b *strings.Builder, a AttemptInfo, makespan time.Duration) {
 	if a.Locality >= 0 {
 		tags += fmt.Sprintf(",locality=%d", a.Locality)
 	}
+	return tags
+}
+
+// attemptLine renders one attempt row for the analysis report.
+func attemptLine(b *strings.Builder, a AttemptInfo, makespan time.Duration) {
 	fmt.Fprintf(b, "  %-6s %-34s %-8s start=%-12s dur=%-12s %4.1f%%  %s\n",
-		a.Kind, a.ID, a.Node, fmtD(a.Start), fmtD(a.Duration()), pct(a.Duration(), makespan), tags)
+		a.Kind, a.ID, a.Node, fmtD(a.Start), fmtD(a.Duration()), pct(a.Duration(), makespan), a.Tags())
 }
 
 // AnalysisString renders the critical-path report `mrhistory -analyze`
@@ -355,58 +351,62 @@ func (r *JobReport) SummaryString() string {
 	return b.String()
 }
 
-// EventsFromSpans bridges the live obs span tracer into history events:
-// mr.job and mr.*_attempt spans become the same job.*/attempt.* records
-// the JobTracker's history producer persists. The bridge lets a registry
-// snapshot be analyzed with the same JobReport tooling when no history
-// file was written (e.g. a run that died before job completion), and the
-// golden-history test uses it to prove the two pipelines agree.
-func EventsFromSpans(spans []obs.Span) []Event {
-	var out []Event
+// JobReportsFromSpans builds one report per finished job straight from
+// the live span store, in the order the jobs finished: every mr.job span
+// is a job, and the mr.*_attempt spans carrying its id are its attempts.
+// Spans know less than a history file — no user, task counts, counters,
+// shuffle times or failure text — but the attempt timeline, and with it
+// CriticalPath, comes out the same (TestHistoryMatchesSpans). It is what
+// /timeline draws, and what is left to analyze when a run died before
+// its history file was written.
+func JobReportsFromSpans(spans []obs.Span) []*JobReport {
+	byJob := map[string]*JobReport{}
+	var out []*JobReport
 	for _, s := range spans {
-		switch s.Name {
-		case "mr.job":
-			out = append(out,
-				Event{TS: s.Start, Type: EvJobSubmit, Attrs: map[string]string{
-					"job": s.Attrs["job"], "name": s.Attrs["name"],
-				}},
-				Event{TS: s.End, Type: EvJobFinish, Attrs: map[string]string{
-					"job": s.Attrs["job"], "outcome": s.Attrs["outcome"],
-				}})
-		case "mr.map_attempt", "mr.reduce_attempt":
-			kind := "reduce"
-			if s.Name == "mr.map_attempt" {
-				kind = "map"
+		if s.Name == "mr.job" {
+			r := &JobReport{
+				JobID: s.Attrs["job"], Name: s.Attrs["name"], Outcome: s.Attrs["outcome"],
+				Submitted: s.Start, Finished: s.End,
 			}
-			start := map[string]string{
-				"attempt": s.Attrs["attempt"],
-				"job":     s.Attrs["job"],
-				"task":    taskOfAttempt(s.Attrs["attempt"]),
-				"kind":    kind,
-				"node":    s.Attrs["node"],
-			}
-			if l, ok := s.Attrs["locality"]; ok {
-				start["locality"] = l
-			}
-			if s.Attrs["speculative"] == "true" {
-				start["speculative"] = "true"
-			}
-			out = append(out, Event{TS: s.Start, Type: EvAttemptStart, Attrs: start})
-			end := map[string]string{"attempt": s.Attrs["attempt"], "job": s.Attrs["job"]}
-			typ := EvAttemptFinish
-			switch outcome := s.Attrs["outcome"]; {
-			case outcome == "failed":
-				typ = EvAttemptFail
-			case strings.HasPrefix(outcome, "killed"):
-				typ = EvAttemptKill
-				if _, reason, ok := strings.Cut(outcome, ":"); ok {
-					end["reason"] = reason
-				}
-			}
-			out = append(out, Event{TS: s.End, Type: typ, Attrs: end})
+			byJob[r.JobID] = r
+			out = append(out, r)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
+	// Attempt spans record before the span of the job they belong to.
+	for _, s := range spans {
+		var kind string
+		switch s.Name {
+		case "mr.map_attempt":
+			kind = "map"
+		case "mr.reduce_attempt":
+			kind = "reduce"
+		default:
+			continue
+		}
+		r := byJob[s.Attrs["job"]]
+		if r == nil {
+			continue
+		}
+		a := AttemptInfo{
+			ID:          s.Attrs["attempt"],
+			Task:        taskOfAttempt(s.Attrs["attempt"]),
+			Kind:        kind,
+			Node:        s.Attrs["node"],
+			Locality:    -1,
+			Speculative: s.Attrs["speculative"] == "true",
+			Start:       s.Start,
+			End:         s.End,
+		}
+		// The span outcome is "succeeded", "failed" or "killed:<reason>".
+		a.Outcome, a.Reason, _ = strings.Cut(s.Attrs["outcome"], ":")
+		if l, ok := s.Attrs["locality"]; ok {
+			a.Locality, _ = strconv.Atoi(l)
+		}
+		r.Attempts = append(r.Attempts, a)
+	}
+	for _, r := range out {
+		sortAttempts(r.Attempts)
+	}
 	return out
 }
 

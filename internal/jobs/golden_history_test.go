@@ -44,7 +44,7 @@ func historyRun(t *testing.T) (audit, events []byte, report string, c *core.Mini
 	if err != nil {
 		t.Fatalf("job history not persisted to HDFS: %v", err)
 	}
-	parsed, err := history.Parse(events)
+	parsed, err := history.Parse[history.Event](events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestGoldenJobHistory(t *testing.T) {
 // from each must give the same answer.
 func TestHistoryMatchesSpans(t *testing.T) {
 	_, events, _, c := historyRun(t)
-	parsed, err := history.Parse(events)
+	parsed, err := history.Parse[history.Event](events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,16 +111,22 @@ func TestHistoryMatchesSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSpans, err := history.BuildJobReport(history.EventsFromSpans(c.Obs.Spans()))
-	if err != nil {
-		t.Fatal(err)
+	reports := history.JobReportsFromSpans(c.Obs.Spans())
+	if len(reports) != 1 {
+		t.Fatalf("span store holds %d finished jobs, want 1", len(reports))
+	}
+	fromSpans := reports[0]
+	if fromSpans.JobID != fromFile.JobID || fromSpans.Outcome != fromFile.Outcome ||
+		fromSpans.Submitted != fromFile.Submitted || fromSpans.Finished != fromFile.Finished {
+		t.Fatalf("job disagrees:\n  file: %+v\n  span: %+v", fromFile, fromSpans)
 	}
 	if len(fromSpans.Attempts) != len(fromFile.Attempts) {
-		t.Fatalf("span bridge saw %d attempts, history file %d", len(fromSpans.Attempts), len(fromFile.Attempts))
+		t.Fatalf("span store saw %d attempts, history file %d", len(fromSpans.Attempts), len(fromFile.Attempts))
 	}
 	for i := range fromFile.Attempts {
 		hf, sp := fromFile.Attempts[i], fromSpans.Attempts[i]
-		if hf.ID != sp.ID || hf.Node != sp.Node || hf.Start != sp.Start || hf.End != sp.End || hf.Outcome != sp.Outcome {
+		if hf.ID != sp.ID || hf.Task != sp.Task || hf.Kind != sp.Kind || hf.Node != sp.Node ||
+			hf.Start != sp.Start || hf.End != sp.End || hf.Outcome != sp.Outcome || hf.Tags() != sp.Tags() {
 			t.Fatalf("attempt %d disagrees:\n  file: %+v\n  span: %+v", i, hf, sp)
 		}
 	}

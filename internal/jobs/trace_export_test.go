@@ -8,7 +8,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/hdfs"
+	"repro/internal/history"
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/vfs"
 )
@@ -48,7 +50,7 @@ func TestGoldenTraceExport(t *testing.T) {
 // span in the same trace, attempts under tasks, HDFS spans under
 // attempts, and a shuffle span under each reduce attempt.
 func TestTraceExportStructure(t *testing.T) {
-	spans, err := trace.Parse(wordcountTraceExport(t))
+	spans, err := history.Parse[obs.Span](wordcountTraceExport(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func slowNodeAnalysis(t *testing.T) []byte {
 	if _, err := c.Run(jobs.WordCount("/in", "/out", true)); err != nil {
 		t.Fatal(err)
 	}
-	spans, err := trace.Parse(mustRead(t, c, trace.Path("job_wordcount_combiner_0001")))
+	spans, err := history.Parse[obs.Span](mustRead(t, c, trace.Path("job_wordcount_combiner_0001")))
 	if err != nil {
 		t.Fatal(err)
 	}

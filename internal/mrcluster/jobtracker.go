@@ -423,7 +423,7 @@ func (jt *JobTracker) persistHistory(jr *jobRun) {
 	// The job's trace export lands beside the history file — same dir,
 	// same lifecycle, same byte-stability contract.
 	if spans := jt.mc.Obs.SpansTraced(jr.ctx.Trace()); len(spans) > 0 {
-		tdata, err := trace.Marshal(spans)
+		tdata, err := history.Marshal(spans)
 		if err != nil {
 			return
 		}
@@ -448,7 +448,7 @@ func (jt *JobTracker) attemptSpan(a *attempt, outcome string) {
 	if a.speculative {
 		attrs["speculative"] = "true"
 	}
-	jt.mc.Obs.SpanCtx(a.ctx, a.t.kind.span, time.Duration(a.startedAt), time.Duration(jt.mc.Engine.Now()), attrs)
+	a.ctx.End(a.t.kind.span, time.Duration(a.startedAt), time.Duration(jt.mc.Engine.Now()), attrs)
 }
 
 func (t *task) removeAttempt(a *attempt) {
@@ -846,7 +846,7 @@ func (jt *JobTracker) completeAttempt(a *attempt, p attemptPlan) {
 	jt.attemptSpan(a, "succeeded")
 	// The task's span runs from its first launch to now — the parent of
 	// its attempt spans in the trace tree.
-	jt.mc.Obs.SpanCtx(t.ctx, SpanTask, time.Duration(t.firstStart), time.Duration(jt.mc.Engine.Now()), map[string]string{
+	t.ctx.End(SpanTask, time.Duration(t.firstStart), time.Duration(jt.mc.Engine.Now()), map[string]string{
 		"task": t.id(),
 		"job":  jr.id,
 		"kind": k.name,
@@ -1071,7 +1071,7 @@ func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative boo
 	jt.m.shuffleBytes.Add(shuffleBytes)
 	jt.m.shuffleTime.Observe(shuffleTime)
 	if a.ctx.Valid() {
-		jt.mc.Obs.ChildSpan(a.ctx, SpanShuffle, time.Duration(a.startedAt), time.Duration(a.startedAt)+shuffleTime, map[string]string{
+		a.ctx.ChildSpan(SpanShuffle, time.Duration(a.startedAt), time.Duration(a.startedAt)+shuffleTime, map[string]string{
 			"attempt": a.id(),
 			"bytes":   fmt.Sprint(shuffleBytes),
 			"node":    tt.node.Hostname,
@@ -1258,7 +1258,7 @@ func (jt *JobTracker) endJob(jr *jobRun, cause error) {
 	jr.finishedAt = jt.mc.Engine.Now()
 	jr.scratch = nil
 	ended.Inc()
-	jt.mc.Obs.SpanCtx(jr.ctx, SpanJob, time.Duration(jr.submittedAt), time.Duration(jr.finishedAt), map[string]string{
+	jr.ctx.End(SpanJob, time.Duration(jr.submittedAt), time.Duration(jr.finishedAt), map[string]string{
 		"job":     jr.id,
 		"name":    jr.job.Name,
 		"outcome": outcome,

@@ -193,7 +193,7 @@ func TestReduceCommitFailureFailsTheAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := history.Parse(data)
+	events, err := history.Parse[history.Event](data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // whole run condenses into a single Snapshot.
 //
 // Because the simulation is deterministic, a snapshot is a replayable
-// artifact: the same seed produces a byte-identical WriteJSON export,
+// artifact: the same seed produces a byte-identical SnapshotJSON export,
 // which is what makes golden-trace testing possible (see
 // internal/jobs/golden_trace_test.go).
 //
@@ -19,7 +19,6 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -131,9 +130,9 @@ func (h *Histogram) Sum() time.Duration {
 
 // Span is one completed operation on the virtual clock. Start and End
 // are instants on the sim engine's clock (durations since engine start).
-// Trace/ID/Parent carry the causal identity of spans recorded through an
-// obs.Ctx (see trace.go); spans recorded without a context leave all
-// three zero and serialize exactly as they always did (omitempty).
+// Trace/ID/Parent carry the causal identity of spans recorded through a
+// sampled obs.Ctx (see trace.go); spans of unsampled traces leave all
+// three zero, which omitempty drops from the export.
 type Span struct {
 	Name   string            `json:"name"`
 	Start  time.Duration     `json:"start_ns"`
@@ -173,20 +172,26 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter interns and returns the named counter. Call once at
-// construction and keep the handle; Add on the handle is the hot path.
+// intern returns the metric registered under name in m (one of r's three
+// metric maps), creating it on first use. Call once at construction and
+// keep the handle: Add / Set / Observe on the handle is the hot path.
+func intern[T any](r *Registry, m map[string]*T, name string) *T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[name]
+	if !ok {
+		v = new(T)
+		m[name] = v
+	}
+	return v
+}
+
+// Counter interns and returns the named counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return intern(r, r.counters, name)
 }
 
 // Gauge interns and returns the named gauge.
@@ -194,14 +199,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return intern(r, r.gauges, name)
 }
 
 // Histogram interns and returns the named histogram.
@@ -209,26 +207,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Span records a completed span. Callers pass explicit virtual-clock
-// instants — the natural fit for a discrete-event simulation, where the
-// modelled end time of an operation is known when it is scheduled.
-func (r *Registry) Span(name string, start, end time.Duration, attrs map[string]string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.spans = append(r.spans, Span{Name: name, Start: start, End: end, Attrs: attrs})
-	r.mu.Unlock()
+	return intern(r, r.hists, name)
 }
 
 // Spans returns a copy of all recorded spans in record order.
@@ -250,17 +229,6 @@ func (r *Registry) CounterValue(name string) int64 {
 	c := r.counters[name]
 	r.mu.Unlock()
 	return c.Value()
-}
-
-// GaugeValue returns the named gauge's value (0 if never interned).
-func (r *Registry) GaugeValue(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	g := r.gauges[name]
-	r.mu.Unlock()
-	return g.Value()
 }
 
 // --- snapshot / export ---
@@ -338,22 +306,10 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// MarshalJSON is not customised; Snapshot's field order plus sorted
-// metric slices make the default encoding stable.
-
-// WriteJSON writes the snapshot as indented JSON. The output is
-// byte-identical across replays of the same seed.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	data, err := r.SnapshotJSON()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
 // SnapshotJSON returns the indented JSON export of the snapshot, with a
-// trailing newline.
+// trailing newline. Snapshot's field order plus sorted metric slices make
+// the encoding stable: the output is byte-identical across replays of
+// the same seed.
 func (r *Registry) SnapshotJSON() ([]byte, error) {
 	data, err := json.MarshalIndent(r.Snapshot(), "", "  ")
 	if err != nil {

@@ -1,12 +1,12 @@
-// Causal tracing: deterministic trace/span identity over the existing
-// span recorder, in the shape of Dapper/X-Trace scaled to the teaching
-// cluster. A subsystem starts a trace at a causal root (job submission,
-// serving request, re-replication decision), threads the returned Ctx
-// down its call chain, and derives one child Ctx per logical operation.
-// Recording stays where it always was — explicit virtual-clock instants
-// — so a parent (the job) can record *after* its children (the attempts)
-// and still sit above them in the tree: identity is allocated when the
-// Ctx is created, not when the span is recorded.
+// Causal tracing: span recording with deterministic trace/span identity,
+// in the shape of Dapper/X-Trace scaled to the teaching cluster. A
+// subsystem starts a trace at a causal root (job submission, serving
+// request, re-replication decision), threads the returned Ctx down its
+// call chain, and derives one child Ctx per logical operation. Recording
+// takes explicit virtual-clock instants, so a parent (the job) can record
+// *after* its children (the attempts) and still sit above them in the
+// tree: identity is allocated when the Ctx is created, not when the span
+// is recorded.
 //
 // Determinism contract: trace IDs derive from the per-registry trace
 // sequence counter plus the sim-clock instant the trace started; span
@@ -29,10 +29,13 @@ type TraceID string
 // untraced span, or a root's parent).
 type SpanID uint64
 
-// Ctx is the trace context threaded through a call chain: which trace
-// the caller belongs to, the caller's own span identity, and its
-// parent's. The zero Ctx is invalid and every operation on it is a
-// no-op, so unsampled traces cost nothing downstream.
+// Ctx is the trace context threaded through a call chain, and the one
+// handle spans are recorded through: the registry it records into, which
+// trace the caller belongs to, the caller's own span identity, and its
+// parent's. A context of an unsampled trace knows its registry and
+// nothing else: End still records, as a flat span without identity, so
+// the lifecycle spans /timeline reads exist whatever the sampling rate.
+// The zero Ctx has no registry and every operation on it is a no-op.
 type Ctx struct {
 	r      *Registry
 	trace  TraceID
@@ -40,14 +43,19 @@ type Ctx struct {
 	parent SpanID
 }
 
-// Valid reports whether the context carries a sampled trace.
-func (c Ctx) Valid() bool { return c.r != nil && c.trace != "" }
+// Valid reports whether the context carries a sampled trace. Detail
+// spans too hot to record unconditionally (requests, block reads,
+// shuffles) are guarded by it, so sampling bounds span volume.
+func (c Ctx) Valid() bool { return c.trace != "" }
 
-// Trace returns the context's trace ID ("" when invalid).
+// Trace returns the context's trace ID ("" when unsampled).
 func (c Ctx) Trace() TraceID { return c.trace }
 
-// Span returns the span ID allocated to this context (0 when invalid).
-func (c Ctx) Span() SpanID { return c.span }
+// Untraced returns a context that records flat spans into r and belongs
+// to no trace — the default of a component whose caller may or may not
+// hand it a context later (an HDFS client before a task attempt owns it).
+// Unlike NewTrace it does not spend a slot of the sampling window.
+func (r *Registry) Untraced() Ctx { return Ctx{r: r} }
 
 // SetTraceSampling sets head-based sampling: keep 1 trace in every n
 // (the first of each window, deterministically). n <= 1 keeps all — the
@@ -68,9 +76,9 @@ func (r *Registry) SetTraceSampling(n int) {
 
 // NewTrace starts a trace at the given virtual-clock instant and returns
 // its root context. The head-sampling decision happens here: an
-// unsampled trace returns the invalid Ctx (every downstream NewChild /
-// End is then a no-op). The trace ID embeds the registry's trace
-// sequence number and the start instant — both replay-deterministic.
+// unsampled trace returns r's untraced context, and so does every
+// NewChild below it. The trace ID embeds the registry's trace sequence
+// number and the start instant — both replay-deterministic.
 func (r *Registry) NewTrace(now time.Duration) Ctx {
 	if r == nil {
 		return Ctx{}
@@ -79,7 +87,7 @@ func (r *Registry) NewTrace(now time.Duration) Ctx {
 	defer r.mu.Unlock()
 	r.traceSeq++
 	if r.sampleEvery > 1 && (r.traceSeq-1)%r.sampleEvery != 0 {
-		return Ctx{}
+		return Ctx{r: r}
 	}
 	r.spanSeq++
 	return Ctx{
@@ -90,10 +98,10 @@ func (r *Registry) NewTrace(now time.Duration) Ctx {
 }
 
 // NewChild allocates a child context under c: same trace, fresh span ID,
-// parented on c's span. Invalid in, invalid out.
+// parented on c's span. An unsampled context is its own child.
 func (c Ctx) NewChild() Ctx {
 	if !c.Valid() {
-		return Ctx{}
+		return c
 	}
 	c.r.mu.Lock()
 	c.r.spanSeq++
@@ -102,10 +110,13 @@ func (c Ctx) NewChild() Ctx {
 	return child
 }
 
-// End records the span this context identifies. No-op when invalid —
-// callers that must record regardless of sampling use Registry.SpanCtx.
+// End records the span this context identifies — the only way a span
+// enters a registry. Callers pass explicit virtual-clock instants: in a
+// discrete-event simulation the modelled end of an operation is known
+// when it is scheduled. A sampled context stamps its trace, span and
+// parent IDs on the span; an unsampled one leaves all three zero.
 func (c Ctx) End(name string, start, end time.Duration, attrs map[string]string) {
-	if !c.Valid() {
+	if c.r == nil {
 		return
 	}
 	c.r.mu.Lock()
@@ -117,30 +128,10 @@ func (c Ctx) End(name string, start, end time.Duration, attrs map[string]string)
 	c.r.mu.Unlock()
 }
 
-// SpanCtx records a span that must exist either way: with c's identity
-// when c is a sampled context of this registry, as a plain orphan span
-// otherwise. This is how the pre-tracing span sites (attempt spans,
-// pipeline writes, splits) keep their flat /timeline behaviour while
-// gaining causal identity whenever a context reaches them.
-func (r *Registry) SpanCtx(c Ctx, name string, start, end time.Duration, attrs map[string]string) {
-	if r == nil {
-		return
-	}
-	if c.Valid() && c.r == r {
-		c.End(name, start, end, attrs)
-		return
-	}
-	r.Span(name, start, end, attrs)
-}
-
-// ChildSpan allocates a child of parent, records it over [start, end],
-// and returns the child context for deeper nesting. When parent is
-// invalid the span is recorded as a plain orphan (via SpanCtx semantics)
-// and the returned context is invalid.
-func (r *Registry) ChildSpan(parent Ctx, name string, start, end time.Duration, attrs map[string]string) Ctx {
-	child := parent.NewChild()
-	r.SpanCtx(child, name, start, end, attrs)
-	return child
+// ChildSpan records [start, end] as a child of c: NewChild then End, for
+// a leaf operation nothing nests under.
+func (c Ctx) ChildSpan(name string, start, end time.Duration, attrs map[string]string) {
+	c.NewChild().End(name, start, end, attrs)
 }
 
 // SpansTraced returns every span of one trace, in record order.

@@ -52,11 +52,13 @@ func TestTraceInvalidCtxNoops(t *testing.T) {
 	if c := zero.NewChild(); c.Valid() {
 		t.Fatal("child of invalid ctx reports valid")
 	}
+	zero.ChildSpan("nope", 0, 1, nil)
 	var nilReg *obs.Registry
 	if c := nilReg.NewTrace(0); c.Valid() {
 		t.Fatal("nil registry produced a valid ctx")
 	}
-	nilReg.SpanCtx(obs.Ctx{}, "nope", 0, 1, nil) // nil-safe
+	nilReg.NewTrace(0).End("nope", 0, 1, nil) // nil-safe
+	nilReg.Untraced().End("nope", 0, 1, nil)
 }
 
 func TestTraceHeadSampling(t *testing.T) {
@@ -78,22 +80,50 @@ func TestTraceHeadSampling(t *testing.T) {
 	}
 }
 
+// TestSpanCtxFallsBackToOrphan: a context of an unsampled trace — and
+// every context derived from it — still records, as a flat span without
+// identity that spends no span ID.
 func TestSpanCtxFallsBackToOrphan(t *testing.T) {
 	r := obs.NewRegistry()
-	r.SpanCtx(obs.Ctx{}, "flat.op", 1, 2, nil)
-	spans := spansNamed(r, "flat.op")
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans, want 1", len(spans))
+	r.SetTraceSampling(2)
+	kept, dropped := r.NewTrace(0), r.NewTrace(0)
+	if !kept.Valid() || dropped.Valid() {
+		t.Fatalf("1-in-2 sampling: first valid=%v second valid=%v", kept.Valid(), dropped.Valid())
 	}
-	if spans[0].Trace != "" || spans[0].ID != 0 || spans[0].Parent != 0 {
-		t.Fatalf("orphan span carries identity: %+v", spans[0])
+	for name, ctx := range map[string]obs.Ctx{
+		"flat.op":       dropped,
+		"flat.child":    dropped.NewChild().NewChild(),
+		"flat.untraced": r.Untraced(),
+	} {
+		if ctx.Valid() || ctx.Trace() != "" {
+			t.Fatalf("%s: unsampled ctx reports valid / trace %q", name, ctx.Trace())
+		}
+		ctx.End(name, 1, 2, nil)
+		spans := spansNamed(r, name)
+		if len(spans) != 1 {
+			t.Fatalf("%s: got %d spans, want 1", name, len(spans))
+		}
+		if spans[0].Trace != "" || spans[0].ID != 0 || spans[0].Parent != 0 {
+			t.Fatalf("orphan span carries identity: %+v", spans[0])
+		}
 	}
-	// ChildSpan under an invalid parent also degrades to an orphan.
-	if c := r.ChildSpan(obs.Ctx{}, "flat.child", 2, 3, nil); c.Valid() {
-		t.Fatal("ChildSpan of invalid parent returned valid ctx")
+	// ChildSpan under an unsampled parent also degrades to an orphan.
+	dropped.ChildSpan("flat.leaf", 2, 3, nil)
+	if got := spansNamed(r, "flat.leaf"); len(got) != 1 || got[0].ID != 0 {
+		t.Fatalf("orphan child spans = %+v, want 1 without identity", got)
 	}
-	if got := len(spansNamed(r, "flat.child")); got != 1 {
-		t.Fatalf("orphan child spans = %d, want 1", got)
+	// None of the above allocated a span ID: the next sampled child
+	// follows the kept root directly.
+	kept.ChildSpan("kept.leaf", 2, 3, nil)
+	kept.End("kept.root", 0, 3, nil)
+	leaf, root := spansNamed(r, "kept.leaf")[0], spansNamed(r, "kept.root")[0]
+	if leaf.Parent != root.ID || leaf.ID != root.ID+1 || leaf.Trace != root.Trace {
+		t.Fatalf("sampled child %+v does not follow root %+v", leaf, root)
+	}
+	// Untraced spends no slot of the sampling window either: trace 3 is
+	// the next kept one.
+	if next := r.NewTrace(0); !next.Valid() {
+		t.Fatal("Untraced or a flat End consumed a sampling slot")
 	}
 }
 

@@ -166,7 +166,7 @@ func (cl *Client) regionCallSpan(ctx obs.Ctx, info RegionInfo, attempt int, star
 	case err != nil && !errors.Is(err, kvstore.ErrNotFound):
 		result = "error"
 	}
-	cl.m.reg.ChildSpan(ctx, SpanRegionCall, start, end, map[string]string{
+	ctx.ChildSpan(SpanRegionCall, start, end, map[string]string{
 		"region":  info.ID,
 		"server":  info.Srv,
 		"attempt": fmt.Sprint(attempt),
@@ -193,7 +193,7 @@ func (cl *Client) get(ctx obs.Ctx, at sim.Time, table, key string) ([]byte, sim.
 			if ok {
 				result = "hit"
 			}
-			cl.m.reg.ChildSpan(ctx, SpanCacheLookup, now, done, map[string]string{
+			ctx.ChildSpan(SpanCacheLookup, now, done, map[string]string{
 				"table": table, "result": result,
 			})
 		}

@@ -348,7 +348,7 @@ func (ma *Master) splitRegion(info RegionInfo, srv *Server, hr *hostedRegion) er
 		target.occupy(now, cost/2)
 	}
 	ma.m.splits.Inc()
-	ma.m.reg.SpanCtx(ma.m.reg.NewTrace(now), SpanSplit, now, done, map[string]string{
+	ma.m.reg.NewTrace(now).End(SpanSplit, now, done, map[string]string{
 		"region": info.ID, "mid": mid, "low": low.ID, "high": high.ID,
 	})
 	ma.logEvent(EvRegionSplit, map[string]string{
@@ -535,7 +535,7 @@ func (ma *Master) declareDead(s *Server) {
 			ma.updateMeta(table, []string{info.ID}, []RegionInfo{next})
 			ma.recovered++
 			ma.m.reassigns.Inc()
-			ma.m.reg.SpanCtx(ma.m.reg.NewTrace(now), SpanRecover, now, done, map[string]string{
+			ma.m.reg.NewTrace(now).End(SpanRecover, now, done, map[string]string{
 				"region": info.ID, "from": s.name, "to": target.name,
 				"replayed": fmt.Sprint(replayed),
 			})

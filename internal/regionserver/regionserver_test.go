@@ -282,7 +282,7 @@ func mustEvents(t *testing.T, c *Cluster) []history.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := history.Parse(data)
+	evs, err := history.Parse[history.Event](data)
 	if err != nil {
 		t.Fatal(err)
 	}

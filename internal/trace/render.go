@@ -6,6 +6,18 @@ import (
 	"time"
 )
 
+// RenderSummary renders one line of a trace index: id, root span name,
+// duration and population. cmd/mrtrace -list and /traces both list
+// traces with it.
+func RenderSummary(s Summary) string {
+	name := s.Root.Name
+	if name == "" {
+		name = "(root span not recorded)"
+	}
+	return fmt.Sprintf("%-22s %-20s %10v  %3d span(s)",
+		s.ID, name, s.Root.Duration().Round(time.Microsecond), s.Spans)
+}
+
 // RenderTree renders one trace tree as an indented span listing —
 // cmd/mrtrace's offline view of the webui waterfall.
 func RenderTree(root *Node) string {
@@ -29,9 +41,6 @@ func RenderTree(root *Node) string {
 var renderAttrKeys = []string{"job", "task", "attempt", "node", "block", "op", "table", "region", "server", "app", "container", "outcome", "result", "reason"}
 
 func attrSuffix(attrs map[string]string) string {
-	if len(attrs) == 0 {
-		return ""
-	}
 	var parts []string
 	for _, k := range renderAttrKeys {
 		if v, ok := attrs[k]; ok {
@@ -50,12 +59,8 @@ func RenderCriticalPath(steps []Step) string {
 	var b strings.Builder
 	b.WriteString("Critical path (root -> leaf, self = time not explained by the critical child):\n")
 	for i, st := range steps {
-		node := st.Span.Attrs["node"]
-		if node == "" {
-			node = "-"
-		}
 		fmt.Fprintf(&b, "  %d. %-24s %-10s span %10v  self %10v%s\n",
-			i+1, st.Span.Name, node,
+			i+1, st.Span.Name, orDash(st.Span.Attrs["node"]),
 			st.Span.Duration().Round(time.Microsecond), st.Self.Round(time.Microsecond),
 			attrSuffix(st.Span.Attrs))
 	}
@@ -67,12 +72,16 @@ func RenderBlame(blames []Blame) string {
 	var b strings.Builder
 	b.WriteString("Blame (critical-path self time by layer/kind/node):\n")
 	for _, bl := range blames {
-		node := bl.Node
-		if node == "" {
-			node = "-"
-		}
 		fmt.Fprintf(&b, "  %-8s %-24s %-10s %10v  (%d step(s))\n",
-			bl.Layer, bl.Kind, node, bl.Self.Round(time.Microsecond), bl.Steps)
+			bl.Layer, bl.Kind, orDash(bl.Node), bl.Self.Round(time.Microsecond), bl.Steps)
 	}
 	return b.String()
+}
+
+// orDash is the node column of a span that ran on no particular node.
+func orDash(node string) string {
+	if node == "" {
+		return "-"
+	}
+	return node
 }

@@ -1,20 +1,23 @@
 // Package trace is the read side of the causal-tracing subsystem
-// (internal/obs trace.go): byte-stable JSONL export/import of traced
-// spans, per-trace tree reconstruction, the cross-layer critical path,
-// and blame attribution. Where internal/history's report answers "where
-// did this *job's* time go" from lifecycle events alone, this package
-// answers it causally and across layers: a reduce attempt's critical
-// path can bottom out in the HDFS write pipeline of one slow DataNode,
-// and the blame table says so — node, layer and span kind.
+// (internal/obs trace.go): per-trace tree reconstruction, the cross-layer
+// critical path, and blame attribution. internal/history's report and
+// this package answer different questions about the same run.
+// JobReport.CriticalPath is a predecessor chain over attempts — the
+// gating map and its retries, then the last reduce and its retries —
+// that needs nothing but the durable history file. CriticalPath here is
+// a containment descent through one trace's span tree, so it crosses
+// layers: a reduce attempt's path can bottom out in the HDFS write
+// pipeline of one slow DataNode, and the blame table says so — node,
+// layer and span kind. Neither is derived from the other.
 //
-// Exports are JSONL (one compact span object per line), persisted into
-// HDFS next to the job-history file, and byte-identical across replays
-// of the same seed — pinned by the golden-trace tests in internal/jobs.
+// Exports are JSONL (history.Marshal over the trace's spans), persisted
+// into HDFS next to the job-history file, and byte-identical across
+// replays of the same seed — pinned by the golden-trace tests in
+// internal/jobs.
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -27,39 +30,6 @@ import (
 // Path returns the HDFS path a job's trace export persists at, beside
 // the job's history file.
 func Path(jobID string) string { return history.Dir(jobID) + "/trace.jsonl" }
-
-// Marshal renders spans as JSONL: one compact JSON object per line.
-// Byte-stable: attr maps marshal with sorted keys and span order is the
-// deterministic record order.
-func Marshal(spans []obs.Span) ([]byte, error) {
-	var buf bytes.Buffer
-	for _, s := range spans {
-		b, err := json.Marshal(s)
-		if err != nil {
-			return nil, err
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes(), nil
-}
-
-// Parse decodes a JSONL trace export (the inverse of Marshal; blank
-// lines are skipped).
-func Parse(data []byte) ([]obs.Span, error) {
-	var out []obs.Span
-	for i, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var s obs.Span
-		if err := json.Unmarshal(line, &s); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", i+1, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
 
 // Node is one span in a reconstructed trace tree, children in record
 // order.
@@ -104,8 +74,7 @@ type Step struct {
 // CriticalPath walks root to leaf, at each node descending into the
 // child whose End is latest (ties break on record order, which is
 // deterministic), and attributes to each step the time its critical
-// child does not explain. This unifies internal/history's job-only
-// critical path with the HDFS and serving spans hanging below attempts.
+// child does not explain.
 func CriticalPath(root *Node) []Step {
 	var path []Step
 	for n := root; n != nil; {
@@ -151,22 +120,18 @@ type Blame struct {
 // self time first (ties by layer, kind, node for determinism).
 func BlameTable(steps []Step) []Blame {
 	type key struct{ layer, kind, node string }
-	agg := map[key]*Blame{}
-	var order []key
+	idx := map[key]int{}
+	var out []Blame
 	for _, st := range steps {
 		k := key{Layer(st.Span.Name), st.Span.Name, st.Span.Attrs["node"]}
-		b := agg[k]
-		if b == nil {
-			b = &Blame{Layer: k.layer, Kind: k.kind, Node: k.node}
-			agg[k] = b
-			order = append(order, k)
+		i, ok := idx[k]
+		if !ok {
+			i = len(out)
+			idx[k] = i
+			out = append(out, Blame{Layer: k.layer, Kind: k.kind, Node: k.node})
 		}
-		b.Self += st.Self
-		b.Steps++
-	}
-	out := make([]Blame, 0, len(order))
-	for _, k := range order {
-		out = append(out, *agg[k])
+		out[i].Self += st.Self
+		out[i].Steps++
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Self != out[j].Self {
@@ -183,17 +148,17 @@ func BlameTable(steps []Step) []Blame {
 	return out
 }
 
-// Summary describes one trace: its root span, extent and population.
+// Summary describes one trace: its root span, whose extent is the
+// trace's duration, and its population.
 type Summary struct {
-	ID       obs.TraceID
-	Root     obs.Span
-	Spans    int
-	Duration time.Duration
+	ID    obs.TraceID
+	Root  obs.Span
+	Spans int
 }
 
-// Summaries groups a flat span list by trace and summarizes each: the
-// root is the first recorded parentless span of the trace (its extent is
-// the trace's duration). Order is first-recorded order.
+// Summaries groups a flat span list by trace and summarizes each, the
+// slowest trace first (ties keep first-recorded order). A trace's root is
+// its first recorded parentless span; untraced spans are skipped.
 func Summaries(spans []obs.Span) []Summary {
 	idx := map[obs.TraceID]int{}
 	var out []Summary
@@ -210,31 +175,52 @@ func Summaries(spans []obs.Span) []Summary {
 		out[i].Spans++
 		if s.Parent == 0 && out[i].Root.ID == 0 {
 			out[i].Root = s
-			out[i].Duration = s.Duration()
 		}
 	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Root.Duration() > out[j].Root.Duration() })
 	return out
 }
 
-// Slowest returns the n slowest traces, longest first (ties keep
-// first-recorded order). n <= 0 returns all.
-func Slowest(sums []Summary, n int) []Summary {
-	out := append([]Summary(nil), sums...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Duration > out[j].Duration })
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
+// Analysis is one trace taken apart: its spans, the trees they form,
+// the critical path through the longest tree, and that path's blame.
+type Analysis struct {
+	ID    obs.TraceID
+	Spans []obs.Span // the trace's spans, in record order
+	Roots []*Node
+	Path  []Step
+	Blame []Blame
 }
 
-// Collect returns every traced span in the registry, in record order —
-// the whole-run export the webui trace pages read.
-func Collect(reg *obs.Registry) []obs.Span {
-	var out []obs.Span
-	for _, s := range reg.Spans() {
-		if s.Trace != "" {
-			out = append(out, s)
+// ErrNoTrace is Analyze's error for a trace id no span carries.
+var ErrNoTrace = errors.New("trace: no such trace")
+
+// Analyze picks trace id out of a flat span list and takes it apart. The
+// critical path descends from the longest root: a trace whose parent
+// spans never recorded can have several. Span lists come off disk as well
+// as out of a live registry, so one without that trace, or whose parent
+// links leave no span a root, is an error.
+func Analyze(spans []obs.Span, id obs.TraceID) (*Analysis, error) {
+	a := &Analysis{ID: id}
+	for _, s := range spans {
+		if s.Trace == id {
+			a.Spans = append(a.Spans, s)
 		}
 	}
-	return out
+	// The empty id is what untraced spans carry; it names no trace.
+	if id == "" || len(a.Spans) == 0 {
+		return nil, fmt.Errorf("%w %q", ErrNoTrace, id)
+	}
+	a.Roots = Build(a.Spans)
+	if len(a.Roots) == 0 {
+		return nil, fmt.Errorf("trace: none of the %d span(s) of %q is a root: parent links form a cycle, or span ids are missing", len(a.Spans), id)
+	}
+	best := a.Roots[0]
+	for _, r := range a.Roots {
+		if r.Span.Duration() > best.Span.Duration() {
+			best = r
+		}
+	}
+	a.Path = CriticalPath(best)
+	a.Blame = BlameTable(a.Path)
+	return a, nil
 }

@@ -5,14 +5,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// fixture builds a two-trace registry: a fast trace, and a slow trace
-// whose critical path runs job -> attempt -> pipeline (the slow leaf).
-func fixture() *obs.Registry {
+// fixture records two traces — a fast one, and a slow one whose critical
+// path runs job -> attempt -> pipeline (the slow leaf) — and one flat
+// span of no trace, which every reader here must skip.
+func fixture() []obs.Span {
 	r := obs.NewRegistry()
+	r.Untraced().End("hdfs.write_pipeline", 0, 500, map[string]string{"node": "node9"})
 
 	slow := r.NewTrace(0)
 	att := slow.NewChild()
@@ -25,18 +28,13 @@ func fixture() *obs.Registry {
 
 	fast := r.NewTrace(time.Second)
 	fast.End("serving.request", 0, 5, map[string]string{"op": "get"})
-	return r
+	return r.Spans()
 }
 
 func TestBuildAndCriticalPath(t *testing.T) {
-	r := fixture()
-	spans := trace.Collect(r)
-	if len(spans) != 5 {
-		t.Fatalf("Collect = %d spans, want 5", len(spans))
-	}
-	roots := trace.Build(spans)
+	roots := trace.Build(fixture())
 	if len(roots) != 2 {
-		t.Fatalf("Build = %d roots, want 2", len(roots))
+		t.Fatalf("Build = %d roots, want 2 (the flat span is no root)", len(roots))
 	}
 	if roots[0].Span.Name != "mr.job" {
 		t.Fatalf("first root = %s, want mr.job (record order)", roots[0].Span.Name)
@@ -63,8 +61,7 @@ func TestBuildAndCriticalPath(t *testing.T) {
 }
 
 func TestBlameTable(t *testing.T) {
-	r := fixture()
-	roots := trace.Build(trace.Collect(r))
+	roots := trace.Build(fixture())
 	blames := trace.BlameTable(trace.CriticalPath(roots[0]))
 	if len(blames) != 3 {
 		t.Fatalf("blame rows = %d, want 3", len(blames))
@@ -76,28 +73,33 @@ func TestBlameTable(t *testing.T) {
 }
 
 func TestSummariesAndSlowest(t *testing.T) {
-	r := fixture()
-	sums := trace.Summaries(trace.Collect(r))
+	// The fast trace records first here; the slow one must still lead.
+	spans := fixture()
+	sums := trace.Summaries(append(spans[5:], spans[:5]...))
 	if len(sums) != 2 {
 		t.Fatalf("summaries = %d, want 2", len(sums))
 	}
-	slowest := trace.Slowest(sums, 1)
-	if len(slowest) != 1 || slowest[0].Root.Name != "mr.job" {
-		t.Fatalf("slowest = %+v, want the mr.job trace", slowest)
+	if sums[0].Root.Name != "mr.job" || sums[0].Spans != 4 || sums[0].Root.Duration() != 120 {
+		t.Fatalf("slowest = %+v, want the 4-span mr.job trace", sums[0])
 	}
-	if slowest[0].Spans != 4 {
-		t.Fatalf("slow trace spans = %d, want 4", slowest[0].Spans)
+	if sums[1].Root.Name != "serving.request" || sums[1].Spans != 1 {
+		t.Fatalf("second = %+v, want the serving.request trace", sums[1])
+	}
+	if line := trace.RenderSummary(sums[0]); !strings.Contains(line, "mr.job") || !strings.Contains(line, "4 span(s)") {
+		t.Fatalf("summary line: %q", line)
+	}
+	if line := trace.RenderSummary(trace.Summaries(spans[1:4])[0]); !strings.Contains(line, "(root span not recorded)") {
+		t.Fatalf("rootless summary line: %q", line)
 	}
 }
 
 func TestMarshalParseRoundTrip(t *testing.T) {
-	r := fixture()
-	spans := trace.Collect(r)
-	data, err := trace.Marshal(spans)
+	spans := fixture()
+	data, err := history.Marshal(spans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := trace.Parse(data)
+	back, err := history.Parse[obs.Span](data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 			t.Fatalf("span %d changed across round trip: %+v vs %+v", i, back[i], spans[i])
 		}
 	}
-	data2, err := trace.Marshal(back)
+	data2, err := history.Marshal(back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +122,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	r := fixture()
-	roots := trace.Build(trace.Collect(r))
+	roots := trace.Build(fixture())
 	steps := trace.CriticalPath(roots[0])
 	tree := trace.RenderTree(roots[0])
 	for _, want := range []string{"mr.job", "  mr.reduce_attempt", "    hdfs.write_pipeline", "node=node3"} {
@@ -136,5 +137,46 @@ func TestRenderers(t *testing.T) {
 	bl := trace.RenderBlame(trace.BlameTable(steps))
 	if !strings.Contains(bl, "node3") {
 		t.Fatalf("blame render:\n%s", bl)
+	}
+}
+
+// TestAnalyze drives the one select → build → longest root → critical
+// path → blame sequence cmd/mrtrace and /trace/<id> share, including the
+// span lists it must refuse instead of indexing an empty root slice.
+func TestAnalyze(t *testing.T) {
+	spans := fixture()
+	slow, fast := spans[1].Trace, spans[len(spans)-1].Trace
+	a, err := trace.Analyze(spans, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ID != slow || len(a.Spans) != 4 || len(a.Roots) != 1 {
+		t.Fatalf("picked %s with %d spans, %d roots; want the slow trace %s, 4, 1", a.ID, len(a.Spans), len(a.Roots), slow)
+	}
+	if len(a.Path) != 3 || a.Path[2].Span.Name != "hdfs.write_pipeline" || a.Blame[0].Node != "node3" {
+		t.Fatalf("path %+v\nblame %+v", a.Path, a.Blame)
+	}
+	if a, err = trace.Analyze(spans, fast); err != nil || len(a.Spans) != 1 || a.Path[0].Span.Name != "serving.request" {
+		t.Fatalf("named pick: %+v, %v", a, err)
+	}
+	// Two roots (the attempt's parent never recorded): the path descends
+	// from the longer one.
+	orphaned := append([]obs.Span{{Name: "mr.setup", Start: 0, End: 3, Trace: slow, ID: 90}}, spans[1:4]...)
+	if a, err = trace.Analyze(orphaned, slow); err != nil || len(a.Roots) != 2 || a.Path[0].Span.Name != "mr.reduce_attempt" {
+		t.Fatalf("orphaned: %+v, %v", a, err)
+	}
+	for name, bad := range map[string]struct {
+		spans []obs.Span
+		id    obs.TraceID
+	}{
+		"unknown id":  {spans, "t999999-0"},
+		"no id":       {spans, ""}, // must not pick the flat span
+		"empty":       {nil, slow},
+		"cycle":       {[]obs.Span{{Name: "a", Trace: "t1", ID: 1, Parent: 2}, {Name: "b", Trace: "t1", ID: 2, Parent: 1}}, "t1"},
+		"missing ids": {[]obs.Span{{Name: "a", Trace: "t1"}}, "t1"},
+	} {
+		if a, err := trace.Analyze(bad.spans, bad.id); err == nil {
+			t.Errorf("%s: Analyze = %+v, want an error", name, a)
+		}
 	}
 }

@@ -9,23 +9,17 @@ import (
 	"repro/internal/trace"
 )
 
-// TracesPage lists every recorded trace, slowest first — the index the
+// tracesPage lists every recorded trace, slowest first — the index the
 // "trace the straggler" lab starts from.
-func TracesPage(reg *obs.Registry) string {
-	sums := trace.Slowest(trace.Summaries(trace.Collect(reg)), 0)
+func tracesPage(reg *obs.Registry) string {
+	sums := trace.Summaries(reg.Spans())
 	if len(sums) == 0 {
 		return "no traces recorded yet\n"
 	}
 	var b strings.Builder
 	b.WriteString("traces, slowest first (open /trace/<id>):\n")
 	for _, s := range sums {
-		name := s.Root.Name
-		if name == "" {
-			name = "(root span not recorded)"
-		}
-		fmt.Fprintf(&b, "  %-22s %-20s %10v  %3d span(s)%s\n",
-			s.ID, name, s.Duration.Round(time.Millisecond), s.Spans,
-			attrSummary(s.Root.Attrs))
+		fmt.Fprintf(&b, "  %s%s\n", trace.RenderSummary(s), attrSummary(s.Root.Attrs))
 	}
 	return b.String()
 }
@@ -40,15 +34,15 @@ func attrSummary(attrs map[string]string) string {
 	return ""
 }
 
-// TraceWaterfallPage renders one trace: a gantt waterfall of its span
-// tree (same bar renderer as /timeline and /history), then the
-// cross-layer critical path and blame table. Unknown IDs error — the
-// handler turns that into a 404.
-func TraceWaterfallPage(reg *obs.Registry, id string) (string, error) {
-	spans := reg.SpansTraced(obs.TraceID(id))
-	if len(spans) == 0 {
-		return "", fmt.Errorf("webui: unknown trace %q", id)
+// traceWaterfallPage renders one trace: a gantt waterfall of its span
+// tree (same bar renderer as the attempt gantt), then the cross-layer
+// critical path and blame table.
+func traceWaterfallPage(reg *obs.Registry, id string) (string, error) {
+	a, err := trace.Analyze(reg.SpansTraced(obs.TraceID(id)), obs.TraceID(id))
+	if err != nil {
+		return "", err
 	}
+	spans := a.Spans
 	origin, last := spans[0].Start, spans[0].End
 	for _, s := range spans {
 		if s.Start < origin {
@@ -59,13 +53,9 @@ func TraceWaterfallPage(reg *obs.Registry, id string) (string, error) {
 		}
 	}
 	width := last - origin
-	if width <= 0 {
-		width = 1
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace %s — %d span(s), %v\n\n", id, len(spans),
 		width.Round(time.Millisecond))
-	roots := trace.Build(spans)
 	var walk func(n *trace.Node, depth int)
 	walk = func(n *trace.Node, depth int) {
 		s := n.Span
@@ -78,21 +68,12 @@ func TraceWaterfallPage(reg *obs.Registry, id string) (string, error) {
 			walk(c, depth+1)
 		}
 	}
-	for _, r := range roots {
+	for _, r := range a.Roots {
 		walk(r, 0)
 	}
-	// The critical path descends from the longest root (a trace whose
-	// parent spans never recorded can have several).
-	best := roots[0]
-	for _, r := range roots {
-		if r.Span.Duration() > best.Span.Duration() {
-			best = r
-		}
-	}
-	steps := trace.CriticalPath(best)
 	b.WriteByte('\n')
-	b.WriteString(trace.RenderCriticalPath(steps))
+	b.WriteString(trace.RenderCriticalPath(a.Path))
 	b.WriteByte('\n')
-	b.WriteString(trace.RenderBlame(trace.BlameTable(steps)))
+	b.WriteString(trace.RenderBlame(a.Blame))
 	return b.String(), nil
 }

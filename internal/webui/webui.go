@@ -1,35 +1,22 @@
 // Package webui serves the cluster's status pages over HTTP — the
 // NameNode and JobTracker "web interfaces" the paper's students tunneled
 // SSH connections to reach in Fall 2012. Pages are plain text renders of
-// live cluster state:
-//
-//	/            index
-//	/dfshealth   NameNode status (live/dead nodes, blocks, safe mode)
-//	/jobtracker  JobTracker status (slots, jobs, per-tracker state)
-//	/fsck        filesystem audit
-//	/topology    the Figure-2 component diagram
-//	/scheduler   YARN ResourceManager status (queues, apps, node pool)
-//	/serving     region-server tier status (regions, heat, cache, recovery)
-//	/counters    counters of the most recently completed job
-//	/metrics     the full obs snapshot as JSON (counters, gauges, spans)
-//	/timeline    per-job task-attempt timeline from the recorded spans
-//	/history     persisted job histories (the history server)
-//	/traces      recorded traces, slowest first
-//	/trace/<id>  one trace's waterfall, critical path and blame
+// live cluster state (/metrics is the obs snapshot as JSON); the table in
+// Handler is the one list of them, and / serves it as the index.
 package webui
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"path"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/history"
-	"repro/internal/mrcluster"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/vfs"
 )
 
@@ -39,118 +26,114 @@ import (
 // same goroutine that drives the engine (or a quiesced cluster, as the
 // teaching flows do — run the job, then browse the aftermath).
 func Handler(c *core.MiniCluster) http.Handler {
-	mux := http.NewServeMux()
-	text := func(fn func() (string, error)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			body, err := fn()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, body)
+	// A page that names something absent — a job with no history file, an
+	// unknown trace id — is a 404; any other failure (a corrupt history
+	// file, an I/O error) is a 500 carrying the error, so the two cannot
+	// be mistaken for each other.
+	serve := func(w http.ResponseWriter, r *http.Request, contentType string, fn func() (string, error)) {
+		body, err := fn()
+		switch {
+		case errors.Is(err, vfs.ErrNotExist) || errors.Is(err, trace.ErrNoTrace):
+			http.NotFound(w, r)
+			return
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
+		w.Header().Set("Content-Type", contentType)
+		fmt.Fprint(w, body)
+	}
+	text := func(fn func() (string, error)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) { serve(w, r, "text/plain; charset=utf-8", fn) }
+	}
+	// under serves <prefix><id> as the page of one item, and the bare
+	// prefix as the index page.
+	under := func(prefix string, index func() (string, error), item func(id string) (string, error)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			fn := index
+			if id := strings.TrimPrefix(r.URL.Path, prefix); id != "" {
+				fn = func() (string, error) { return item(id) }
+			}
+			text(fn)(w, r)
+		}
+	}
+	traces := func() (string, error) { return tracesPage(c.Obs), nil }
+	histories := func() (string, error) { return historyIndexPage(c.FS()) }
+	// A path ending in <id> is served for everything under its prefix.
+	pages := []struct {
+		path, blurb string
+		h           http.HandlerFunc
+	}{
+		{"/dfshealth", "NameNode status (live/dead nodes, blocks, safe mode)", text(func() (string, error) { return c.DFS.StatusPage(), nil })},
+		{"/jobtracker", "JobTracker status (slots, jobs, per-tracker state)", text(func() (string, error) { return c.MR.StatusPage(), nil })},
+		{"/fsck", "filesystem audit", text(func() (string, error) {
+			rep, err := c.Fsck()
+			if err != nil {
+				return "", err
+			}
+			return rep.String(), nil
+		})},
+		{"/topology", "component diagram (Figure 2)", text(func() (string, error) { return c.RenderTopology(), nil })},
+		{"/scheduler", "YARN ResourceManager status (queues, apps, node pool)", text(func() (string, error) {
+			if c.RM == nil {
+				return "YARN is not enabled on this cluster (set Options.YARN)\n", nil
+			}
+			return c.RM.StatusPage(), nil
+		})},
+		{"/serving", "region-server tier status (regions, heat, cache, recovery)", text(func() (string, error) {
+			if c.Serving == nil {
+				return "the serving tier is not enabled on this cluster (set Options.Serving)\n", nil
+			}
+			return c.Serving.StatusPage(), nil
+		})},
+		{"/counters", "last completed job's counters", text(func() (string, error) {
+			ctrs := c.MR.JT.CompletedJobCounters()
+			if ctrs == nil {
+				return "no completed jobs yet\n", nil
+			}
+			return ctrs.String(), nil
+		})},
+		{"/metrics", "cluster metrics + spans (JSON snapshot)", func(w http.ResponseWriter, r *http.Request) {
+			serve(w, r, "application/json; charset=utf-8", func() (string, error) {
+				data, err := c.Obs.SnapshotJSON()
+				return string(data), err
+			})
+		}},
+		{"/timeline", "per-job task-attempt timeline from the recorded spans", text(func() (string, error) { return timelinePage(c.Obs), nil })},
+		{"/history", "persisted job histories (the history server)", text(histories)},
+		{"/history/<id>", "one job's critical-path analysis and attempt timeline", under("/history/", histories,
+			func(jobID string) (string, error) { return historyJobPage(c.FS(), jobID) })},
+		{"/traces", "recorded traces, slowest first", text(traces)},
+		{"/trace/<id>", "one trace's waterfall, critical path and blame", under("/trace/", traces,
+			func(id string) (string, error) { return traceWaterfallPage(c.Obs, id) })},
+	}
+	mux := http.NewServeMux()
+	var index strings.Builder
+	index.WriteString("minihadoop cluster\n")
+	for _, p := range pages {
+		mux.Handle(strings.TrimSuffix(p.path, "<id>"), p.h)
+		fmt.Fprintf(&index, "  %-13s %s\n", p.path, p.blurb)
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, `minihadoop cluster
-  /dfshealth   NameNode status
-  /jobtracker  JobTracker status
-  /fsck        filesystem audit
-  /topology    component diagram (Figure 2)
-  /scheduler   YARN ResourceManager status (queues, apps, node pool)
-  /serving     region-server tier status (regions, heat, cache, recovery)
-  /counters    last completed job's counters
-  /metrics     cluster metrics + spans (JSON snapshot)
-  /timeline    per-job task-attempt timeline
-  /history     persisted job histories (history server)
-  /traces      recorded traces, slowest first
-  /trace/<id>  one trace's waterfall, critical path and blame
-`)
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := c.Obs.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.Handle("/timeline", text(func() (string, error) { return TimelinePage(c.Obs), nil }))
-	mux.Handle("/dfshealth", text(func() (string, error) { return c.DFS.StatusPage(), nil }))
-	mux.Handle("/jobtracker", text(func() (string, error) { return c.MR.StatusPage(), nil }))
-	mux.Handle("/topology", text(func() (string, error) { return c.RenderTopology(), nil }))
-	mux.Handle("/scheduler", text(func() (string, error) {
-		if c.RM == nil {
-			return "YARN is not enabled on this cluster (set Options.YARN)\n", nil
-		}
-		return c.RM.StatusPage(), nil
-	}))
-	mux.Handle("/serving", text(func() (string, error) {
-		if c.Serving == nil {
-			return "the serving tier is not enabled on this cluster (set Options.Serving)\n", nil
-		}
-		return c.Serving.StatusPage(), nil
-	}))
-	mux.Handle("/fsck", text(func() (string, error) {
-		rep, err := c.Fsck()
-		if err != nil {
-			return "", err
-		}
-		return rep.String(), nil
-	}))
-	mux.Handle("/counters", text(func() (string, error) {
-		ctrs := c.MR.JT.CompletedJobCounters()
-		if ctrs == nil {
-			return "no completed jobs yet\n", nil
-		}
-		return ctrs.String(), nil
-	}))
-	mux.Handle("/traces", text(func() (string, error) { return TracesPage(c.Obs), nil }))
-	mux.HandleFunc("/trace/", func(w http.ResponseWriter, r *http.Request) {
-		id := strings.TrimPrefix(r.URL.Path, "/trace/")
-		if id == "" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, TracesPage(c.Obs))
-			return
-		}
-		body, err := TraceWaterfallPage(c.Obs, id)
-		if err != nil {
-			// No trace with that id — mirror the history server's 404.
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, body)
-	})
-	mux.Handle("/history", text(func() (string, error) { return HistoryIndexPage(c.FS()), nil }))
-	mux.HandleFunc("/history/", func(w http.ResponseWriter, r *http.Request) {
-		jobID := strings.TrimPrefix(r.URL.Path, "/history/")
-		if jobID == "" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, HistoryIndexPage(c.FS()))
-			return
-		}
-		body, err := HistoryJobPage(c.FS(), jobID)
-		if err != nil {
-			// No history file for that id — the history-server 404.
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, body)
+		text(func() (string, error) { return index.String(), nil })(w, r)
 	})
 	return mux
 }
 
-// HistoryIndexPage lists the job histories persisted under /history in
-// HDFS — the history server's front page.
-func HistoryIndexPage(fs vfs.FileSystem) string {
+// historyIndexPage lists the job histories persisted under /history in
+// HDFS — the history server's front page. The directory not existing yet
+// is the empty index; any other listing failure is an error.
+func historyIndexPage(fs vfs.FileSystem) (string, error) {
 	infos, err := fs.List(history.Root)
-	if err != nil || len(infos) == 0 {
-		return "no job history yet\n"
+	if err != nil && !errors.Is(err, vfs.ErrNotExist) {
+		return "", err
+	}
+	if len(infos) == 0 {
+		return "no job history yet\n", nil
 	}
 	var b strings.Builder
 	b.WriteString("job history (open /history/<jobid>):\n")
@@ -159,63 +142,80 @@ func HistoryIndexPage(fs vfs.FileSystem) string {
 			fmt.Fprintf(&b, "  %s\n", path.Base(fi.Path))
 		}
 	}
-	return b.String()
+	return b.String(), nil
 }
 
-// HistoryJobPage renders one persisted job history: the critical-path
-// analysis followed by a per-attempt gantt on the job's own time axis
-// (the same renderer as /timeline, but rebuilt from the durable file
-// rather than live spans).
-func HistoryJobPage(fs vfs.FileSystem, jobID string) (string, error) {
+// historyJobPage renders one persisted job history: the critical-path
+// analysis followed by the attempt gantt /timeline draws, here rebuilt
+// from the durable file rather than live spans.
+func historyJobPage(fs vfs.FileSystem, jobID string) (string, error) {
 	data, err := vfs.ReadFile(fs, history.EventsPath(jobID))
 	if err != nil {
 		return "", err
 	}
-	evs, err := history.Parse(data)
-	if err != nil {
-		return "", err
+	var rep *history.JobReport
+	evs, err := history.Parse[history.Event](data)
+	if err == nil {
+		rep, err = history.BuildJobReport(evs)
 	}
-	rep, err := history.BuildJobReport(evs)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("%s: %w", history.EventsPath(jobID), err)
 	}
 	var b strings.Builder
 	b.WriteString(rep.AnalysisString())
 	b.WriteString("\nTimeline (rebuilt from the history file):\n")
-	span := rep.Makespan()
-	if span <= 0 {
-		span = 1
-	}
-	for _, a := range rep.Attempts {
-		end := a.End
-		if end < a.Start {
-			end = a.Start
-		}
-		kind := a.Kind
-		if kind == "map" {
-			kind = "map   "
-		}
-		tags := a.Outcome
-		if a.Speculative {
-			tags += ",speculative"
-		}
-		if a.Locality >= 0 {
-			tags += fmt.Sprintf(",locality=%d", a.Locality)
-		}
-		fmt.Fprintf(&b, "%s |%s| %-34s %-8s %v %s\n",
-			kind, ganttBar(a.Start, end, rep.Submitted, span), a.ID, a.Node,
-			a.Duration().Round(time.Millisecond), tags)
-	}
+	attemptGantt(&b, rep)
 	return b.String(), nil
+}
+
+// timelinePage renders a per-job gantt view of the recorded task-attempt
+// spans: one section per finished job, one bar per attempt, positioned on
+// the job's own time axis. This is the page lab exercises read to see
+// where a job's time went (see docs/OBSERVABILITY.md).
+func timelinePage(reg *obs.Registry) string {
+	reports := history.JobReportsFromSpans(reg.Spans())
+	if len(reports) == 0 {
+		return "no completed jobs yet\n"
+	}
+	var b strings.Builder
+	for _, rep := range reports {
+		fmt.Fprintf(&b, "=== %s (%s) %s — start %v, ran %v ===\n",
+			rep.JobID, rep.Name, rep.Outcome,
+			rep.Submitted.Round(time.Millisecond), rep.Makespan().Round(time.Millisecond))
+		attemptGantt(&b, rep)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// attemptGantt renders one row per attempt of rep — kind, a bar on the
+// job's own time axis, id, node, duration, tags and, for an attempt that
+// was killed or failed, why. Both /timeline and /history/<jobid> draw
+// their attempts with it, whichever record the report was built from.
+func attemptGantt(b *strings.Builder, rep *history.JobReport) {
+	for _, a := range rep.Attempts {
+		reason := ""
+		if a.Reason != "" {
+			reason = " (" + a.Reason + ")"
+		}
+		fmt.Fprintf(b, "%-6s |%s| %-34s %-8s %v %s%s\n",
+			a.Kind, ganttBar(a.Start, a.End, rep.Submitted, rep.Makespan()), a.ID, a.Node,
+			a.Duration().Round(time.Millisecond), a.Tags(), reason)
+	}
 }
 
 // timelineWidth is the character width of the rendered span bars.
 const timelineWidth = 60
 
 // ganttBar renders one timelineWidth-character bar for [start, end] on a
-// time axis beginning at origin and spanning span. Shared by /timeline
-// (live spans) and /history/<jobid> (rebuilt from the history file).
+// time axis beginning at origin and spanning span — the bar of every
+// attempt row and of every span of the /trace/<id> waterfall. An extent
+// that is empty or runs backwards (an attempt still running has no end)
+// draws one cell; so does everything on an axis of no length.
 func ganttBar(start, end, origin, span time.Duration) string {
+	if span <= 0 {
+		span = 1
+	}
 	lo := int(timelineWidth * (start - origin) / span)
 	hi := int(timelineWidth * (end - origin) / span)
 	if lo < 0 {
@@ -232,63 +232,4 @@ func ganttBar(start, end, origin, span time.Duration) string {
 	}
 	return strings.Repeat(" ", lo) + strings.Repeat("#", hi-lo) +
 		strings.Repeat(" ", timelineWidth-hi)
-}
-
-// TimelinePage renders a per-job gantt view of the recorded task-attempt
-// spans: one section per finished job, one bar per attempt, positioned on
-// the job's own time axis. This is the page lab exercises read to see
-// where a job's time went (see docs/OBSERVABILITY.md).
-func TimelinePage(reg *obs.Registry) string {
-	// One pass: the job spans, and the attempt spans indexed by the job id
-	// they carry in their attrs.
-	var jobs []obs.Span
-	attempts := map[string][]obs.Span{}
-	for _, s := range reg.Spans() {
-		switch s.Name {
-		case mrcluster.SpanJob:
-			jobs = append(jobs, s)
-		case mrcluster.SpanMapAttempt, mrcluster.SpanReduceAttempt:
-			attempts[s.Attrs["job"]] = append(attempts[s.Attrs["job"]], s)
-		}
-	}
-	if len(jobs) == 0 {
-		return "no completed jobs yet\n"
-	}
-	var b strings.Builder
-	for _, job := range jobs {
-		id := job.Attrs["job"]
-		fmt.Fprintf(&b, "=== %s (%s) %s — start %v, ran %v ===\n",
-			id, job.Attrs["name"], job.Attrs["outcome"],
-			job.Start.Round(time.Millisecond), job.Duration().Round(time.Millisecond))
-		spans := append([]obs.Span(nil), attempts[id]...)
-		sort.SliceStable(spans, func(i, j int) bool {
-			if spans[i].Start != spans[j].Start {
-				return spans[i].Start < spans[j].Start
-			}
-			return spans[i].Attrs["attempt"] < spans[j].Attrs["attempt"]
-		})
-		span := job.Duration()
-		if span <= 0 {
-			span = 1
-		}
-		for _, s := range spans {
-			bar := ganttBar(s.Start, s.End, job.Start, span)
-			kind := "reduce"
-			if s.Name == mrcluster.SpanMapAttempt {
-				kind = "map   "
-			}
-			tags := s.Attrs["outcome"]
-			if s.Attrs["speculative"] == "true" {
-				tags += ",speculative"
-			}
-			if l, ok := s.Attrs["locality"]; ok {
-				tags += ",locality=" + l
-			}
-			fmt.Fprintf(&b, "%s |%s| %-28s %-8s %v %s\n",
-				kind, bar, s.Attrs["attempt"], s.Attrs["node"],
-				s.Duration().Round(time.Millisecond), tags)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

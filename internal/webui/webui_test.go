@@ -1,6 +1,7 @@
 package webui_test
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,13 +11,23 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/hdfs"
+	"repro/internal/history"
 	"repro/internal/jobs"
 	"repro/internal/regionserver"
+	"repro/internal/vfs"
 	"repro/internal/webui"
 	"repro/internal/yarn"
 )
 
 func setup(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv, _ := setupCluster(t)
+	return srv
+}
+
+// setupCluster runs the canonical wordcount on a 4-node cluster and
+// serves the aftermath.
+func setupCluster(t *testing.T) (*httptest.Server, *core.MiniCluster) {
 	t.Helper()
 	c, err := core.New(core.Options{Nodes: 4, Seed: 6, HDFS: hdfs.Config{BlockSize: 64 << 10}})
 	if err != nil {
@@ -30,7 +41,7 @@ func setup(t *testing.T) *httptest.Server {
 	}
 	srv := httptest.NewServer(webui.Handler(c))
 	t.Cleanup(srv.Close)
-	return srv
+	return srv, c
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (code int, contentType, body string) {
@@ -189,5 +200,105 @@ func TestPagesBeforeAnyJob(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("%s: %s", path, body)
 		}
+	}
+}
+
+// attemptRows returns the gantt rows of a page: the lines drawn as
+// "<kind> |<bar>| <attempt> ...".
+func attemptRows(page string) []string {
+	var rows []string
+	for _, line := range strings.Split(page, "\n") {
+		if strings.HasPrefix(line, "map    |") || strings.HasPrefix(line, "reduce |") {
+			rows = append(rows, line)
+		}
+	}
+	return rows
+}
+
+// TestTimelineMatchesHistoryPage: /timeline draws a job's attempts from
+// the live spans, /history/<job> from the durable file; both go through
+// one gantt renderer, so for the same job the rows are the same lines —
+// with two jobs on the cluster, each job's attempts under its own.
+func TestTimelineMatchesHistoryPage(t *testing.T) {
+	srv, c := setupCluster(t)
+	second := jobs.WordCount("/in", "/out2", true)
+	second.Name = "wc"
+	if _, err := c.Run(second); err != nil {
+		t.Fatal(err)
+	}
+	_, _, timeline := get(t, srv, "/timeline")
+	live := attemptRows(timeline)
+	var durable []string
+	for _, jobID := range []string{"job_wordcount_combiner_0001", "job_wc_0002"} {
+		code, _, hist := get(t, srv, "/history/"+jobID)
+		if code != http.StatusOK {
+			t.Fatalf("/history/%s -> %d", jobID, code)
+		}
+		durable = append(durable, attemptRows(hist)...)
+	}
+	if len(live) < 4 {
+		t.Fatalf("/timeline drew %d attempt rows:\n%s", len(live), timeline)
+	}
+	if strings.Join(live, "\n") != strings.Join(durable, "\n") {
+		t.Fatalf("attempt rows differ:\n/timeline:\n%s\n/history:\n%s", strings.Join(live, "\n"), strings.Join(durable, "\n"))
+	}
+}
+
+// TestHistoryErrorsAreNotNotFound: only a job with no history file is a
+// 404. A history file that is there but torn, or parses but makes no
+// sense, is a 500 that says what is wrong with it; a listing failure is
+// not "no job history yet".
+func TestHistoryErrorsAreNotNotFound(t *testing.T) {
+	srv, c := setupCluster(t)
+	const jobID = "job_wordcount_combiner_0001"
+	good, err := vfs.ReadFile(c.FS(), history.EventsPath(jobID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(good, []byte("\n"))
+	for _, tc := range []struct {
+		name   string
+		path   string
+		file   []byte // nil leaves the history file alone
+		status int
+		want   string
+	}{
+		{"intact", "/history/" + jobID, nil, http.StatusOK, "Critical path"},
+		{"missing job", "/history/job_missing_9999", nil, http.StatusNotFound, "not found"},
+		{"truncated mid-record", "/history/" + jobID, good[:len(good)-20], http.StatusInternalServerError, "events.jsonl: jsonl: line"},
+		{"garbage line", "/history/" + jobID, append(append([]byte{}, lines[0]...), "\x00not json\n"...), http.StatusInternalServerError, "jsonl: line 2"},
+		{"terminal event of an unknown attempt", "/history/" + jobID,
+			append(append([]byte{}, lines[0]...), `{"ts_ns":9,"type":"attempt.finish","attrs":{"attempt":"ghost"}}`+"\n"...),
+			http.StatusInternalServerError, `unknown attempt "ghost"`},
+		{"no job.submit", "/history/" + jobID, []byte("\n"), http.StatusInternalServerError, "no job.submit event"},
+		{"index still lists the job", "/history", nil, http.StatusOK, jobID},
+	} {
+		if tc.file != nil {
+			if err := c.FS().Remove(history.EventsPath(jobID), false); err != nil {
+				t.Fatal(err)
+			}
+			if err := vfs.WriteFile(c.FS(), history.EventsPath(jobID), tc.file); err != nil {
+				t.Fatal(err)
+			}
+		}
+		code, _, body := get(t, srv, tc.path)
+		if code != tc.status || !strings.Contains(body, tc.want) {
+			t.Errorf("%s: %s -> %d, want %d with %q; body:\n%s", tc.name, tc.path, code, tc.status, tc.want, body)
+		}
+	}
+
+	// A /history that cannot be listed is an error, not an empty history
+	// server.
+	c2, err := core.New(core.Options{Nodes: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.WriteFile(c2.FS(), history.Root, []byte("not a directory")); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := httptest.NewServer(webui.Handler(c2))
+	defer srv2.Close()
+	if code, _, body := get(t, srv2, "/history"); code != http.StatusInternalServerError || strings.Contains(body, "no job history yet") {
+		t.Errorf("/history over a plain file -> %d:\n%s", code, body)
 	}
 }

@@ -497,7 +497,7 @@ func (rm *ResourceManager) endContainer(c *Container, state containerState, coun
 	if c.AM {
 		span["am"] = "1"
 	}
-	rm.m.reg.SpanCtx(c.ctx, SpanContainer, time.Duration(c.StartedAt), time.Duration(rm.eng.Now()), span)
+	c.ctx.End(SpanContainer, time.Duration(c.StartedAt), time.Duration(rm.eng.Now()), span)
 	counter.Inc()
 	attrs := map[string]string{
 		"container": c.idStr(),
@@ -545,7 +545,7 @@ func (rm *ResourceManager) FinishApp(app *Application) {
 	app.queue.removeApp(app)
 	rm.appsFinished++
 	rm.m.appsFinished.Inc()
-	rm.m.reg.SpanCtx(app.ctx, SpanApp, time.Duration(app.SubmittedAt), time.Duration(app.FinishedAt), map[string]string{
+	app.ctx.End(SpanApp, time.Duration(app.SubmittedAt), time.Duration(app.FinishedAt), map[string]string{
 		"app":   appID(app),
 		"queue": app.Queue,
 		"user":  app.User,
