@@ -66,12 +66,14 @@ bench-selftest:
 
 # The gate a PR must pass end to end: vet, lint, build, tier-1 tests
 # (which include the goldens, replay digests and E12/E13 smokes), the
-# race-checked subset (`make race`), five seconds of each fuzz target, a
-# benchmark smoke run, and — last, so that an exported-API deletion the
-# frozen bench/ module depends on still fails the gate — the nested bench
-# module's self-test. Static gates (vet, lint) come before tests so a
-# determinism violation fails the build even when no test happens to
-# exercise it.
+# race-checked subset (`make race`), five seconds of each fuzz target
+# (the event-queue one without corpus minimisation: each input runs two
+# engines through a script, and minimising the first interesting one
+# would otherwise eat the five seconds), a benchmark smoke run, and —
+# last, so that an exported-API deletion the frozen bench/ module depends
+# on still fails the gate — the nested bench module's self-test. Static
+# gates (vet, lint) come before tests so a determinism violation fails
+# the build even when no test happens to exercise it.
 ci: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/minilint ./internal/... ./cmd/...
@@ -81,5 +83,6 @@ ci: build
 	$(GO) test -run '^$$' -fuzz FuzzSeqReadCorrupt -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzTraceAnalyze -fuzztime 5s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzEventQueueMatchesOracle -fuzztime 5s -fuzzminimizetime 1x ./internal/sim/
 	$(MAKE) bench-smoke
 	$(MAKE) bench-selftest

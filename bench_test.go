@@ -17,8 +17,12 @@ package repro_test
 import (
 	"sort"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/experiments"
+	"repro/internal/jobs"
 )
 
 const benchSeed = 1234
@@ -130,3 +134,29 @@ func BenchmarkE12Multitenant(b *testing.B) { runExperiment(b, "E12", headlines("
 // crash-recovery scenario, and reports ops/sec, tail latency, cache
 // speedup, and recovery headline metrics.
 func BenchmarkE13Serving(b *testing.B) { runExperiment(b, "E13", headlines("E13")) }
+
+// BenchmarkIdleControlPlane is what a cluster costs while it waits: 64
+// nodes that have run one small job, then nothing but heartbeats, block
+// reports and the NameNode's and JobTracker's monitors. One op is one
+// simulated hour (about 158 000 events); internal/sim's
+// BenchmarkHeartbeatFleet is the same fleet with empty handlers.
+func BenchmarkIdleControlPlane(b *testing.B) {
+	c, err := core.New(core.Options{Nodes: 64, Racks: 4, Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := datagen.Text(c.FS(), "/in/corpus.txt", datagen.TextOpts{Lines: 2000, Seed: benchSeed}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.Run(jobs.WordCount("/in", "/out", true)); err != nil {
+		b.Fatal(err)
+	}
+	c.Engine.Advance(time.Hour)
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := c.Engine.Processed
+	for i := 0; i < b.N; i++ {
+		c.Engine.Advance(time.Hour)
+	}
+	b.ReportMetric(float64(c.Engine.Processed-before)/b.Elapsed().Seconds(), "events/s")
+}

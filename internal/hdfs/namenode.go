@@ -126,6 +126,9 @@ type NameNode struct {
 
 	// safeModeEnteredAt anchors the hdfs.safemode span emitted on exit.
 	safeModeEnteredAt sim.Time
+
+	// monitors are the liveness and replication tickers (see start).
+	monitors [2]*sim.Ticker
 }
 
 // EditLogRecords reports how many edit-log records have been journalled.
@@ -173,9 +176,20 @@ func newNameNode(eng *sim.Engine, topo *cluster.Topology, cost cluster.CostModel
 // start arms the liveness and replication monitors and the safe-mode exit
 // check for an empty namespace.
 func (nn *NameNode) start() {
-	nn.eng.Every(nn.cfg.HeartbeatInterval, nn.checkLiveness)
-	nn.eng.Every(nn.cfg.ReplMonitorInterval, nn.replicationMonitor)
+	nn.monitors = [2]*sim.Ticker{
+		nn.eng.Every(nn.cfg.HeartbeatInterval, nn.checkLiveness),
+		nn.eng.Every(nn.cfg.ReplMonitorInterval, nn.replicationMonitor),
+	}
 	nn.maybeLeaveSafeMode()
+}
+
+// Shutdown stops the NameNode daemon: DataNode liveness is no longer
+// checked and nothing is re-replicated again. Final — Restart models a
+// restart that keeps the process's place on the clock, not a stop.
+func (nn *NameNode) Shutdown() {
+	for _, t := range nn.monitors {
+		t.Stop()
+	}
 }
 
 // InSafeMode reports whether mutations are currently refused.

@@ -196,13 +196,22 @@ type JobTracker struct {
 
 	// hostToNode is lookup-only (never ranged): map iteration order must
 	// not reach scheduling, so every decision loop below walks the
-	// node-ordered mc.trackers slice or the submission-ordered jobs
+	// node-ordered mc.trackers slice or the submission-ordered live
 	// slice instead of a map.
 	hostToNode map[string]cluster.NodeID
 
+	// jobs is every job ever submitted, for the status pages. live is its
+	// sub-list of jobs still running, in submission order: submit appends,
+	// endJob removes, both where jobRun.state changes, so a scheduling loop
+	// over live sees exactly the jobs whose state is jobRunning — and an
+	// idle cluster's heartbeats find nothing to walk.
 	jobs   []*jobRun
+	live   []*jobRun
 	jobSeq int
 	faults []TaskFault
+	// walks counts the schedule() calls that found a live job and went on
+	// to walk the cluster; mr.jt.schedule_passes counts every call.
+	walks int
 
 	// containerAttempts maps a live container's ID to the attempt running
 	// inside it (YARN mode; lookup-only, never ranged).
@@ -211,6 +220,9 @@ type JobTracker struct {
 	// m holds the JobTracker's interned metric handles (see metrics.go);
 	// spans land on the cluster's shared registry.
 	m jtMetrics
+
+	// ticker drives the tracker-expiry check (see start).
+	ticker *sim.Ticker
 
 	mapKind, reduceKind *attemptKind
 	// mapLocality counts completed maps by locality rank (0 data-local, 1
@@ -263,11 +275,16 @@ func newJobTracker(mc *MRCluster, rng *sim.Rand) *JobTracker {
 }
 
 func (jt *JobTracker) start() {
-	jt.mc.Engine.Every(jt.mc.cfg.HeartbeatInterval, func() {
+	jt.ticker = jt.mc.Engine.Every(jt.mc.cfg.HeartbeatInterval, func() {
 		jt.checkTrackerLiveness()
 		jt.schedule()
 	})
 }
+
+// Shutdown stops the JobTracker daemon: tracker liveness is no longer
+// checked and nothing is scheduled on its own clock again. Final — a
+// JobTracker does not restart.
+func (jt *JobTracker) Shutdown() { jt.ticker.Stop() }
 
 func (jt *JobTracker) heartbeat(tt *TaskTracker) {
 	tt.lastHeartbeat = jt.mc.Engine.Now()
@@ -300,10 +317,7 @@ func (jt *JobTracker) handleTrackerLoss(tt *TaskTracker) {
 		// OnPreempted) and nothing new lands on the dead node.
 		jt.mc.cfg.YARN.SetNodeActive(tt.id, false)
 	}
-	for _, jr := range jt.jobs {
-		if jr.state != jobRunning {
-			continue
-		}
+	for _, jr := range jt.live {
 		lostOutputs := false
 		for _, t := range jr.maps {
 			// Kill running attempts on the lost tracker.
@@ -506,6 +520,7 @@ func (jt *JobTracker) submit(job *mapreduce.Job) (*JobHandle, error) {
 		}
 	}
 	jt.jobs = append(jt.jobs, jr)
+	jt.live = append(jt.live, jr)
 	jt.m.jobsSubmitted.Inc()
 	jt.histEv(jr, history.EvJobSubmit, map[string]string{
 		"job": jr.id, "name": job.Name, "user": hdfs.DefaultUser,
@@ -636,6 +651,10 @@ func (jt *JobTracker) localityRank(t *task, tt *TaskTracker) int {
 
 func (jt *JobTracker) schedule() {
 	jt.m.schedulePasses.Inc()
+	if len(jt.live) == 0 {
+		return // every loop below is over live jobs, in slot and YARN mode alike
+	}
+	jt.walks++
 	if jt.yarnMode() {
 		// YARN mode: no slot loops — reconcile container demand with the
 		// RM; allocations arrive via jtAppMaster.OnAllocated.
@@ -668,8 +687,8 @@ func (jt *JobTracker) schedule() {
 		}
 		for tt.slotsUsed[kindReduce] < jt.reduceKind.slotCap {
 			var pick *task
-			for _, jr := range jt.jobs {
-				if jr.state != jobRunning || jr.mapsDone < len(jr.maps) {
+			for _, jr := range jt.live {
+				if jr.mapsDone < len(jr.maps) {
 					continue
 				}
 				if pick = firstPending(jr.reduces); pick != nil {
@@ -697,10 +716,7 @@ func firstPending(tasks []*task) *task {
 }
 
 func (jt *JobTracker) pickMapTaskAtRank(tt *TaskTracker, rank int) *task {
-	for _, jr := range jt.jobs {
-		if jr.state != jobRunning {
-			continue
-		}
+	for _, jr := range jt.live {
 		for _, t := range jr.maps {
 			if t.state != taskPending {
 				continue
@@ -1191,10 +1207,7 @@ func median(ds []time.Duration) time.Duration {
 
 func (jt *JobTracker) speculate() {
 	now := jt.mc.Engine.Now()
-	for _, jr := range jt.jobs {
-		if jr.state != jobRunning {
-			continue
-		}
+	for _, jr := range jt.live {
 		launch := func(tasks []*task, k *attemptKind) {
 			completed := jr.durations[k.idx]
 			if len(completed) < 3 {
@@ -1256,7 +1269,22 @@ func (jt *JobTracker) endJob(jr *jobRun, cause error) {
 		jr.state, jr.err = jobFailed, cause
 	}
 	jr.finishedAt = jt.mc.Engine.Now()
+	for i, x := range jt.live {
+		if x == jr {
+			// [:i:i] makes append copy, so the removal never shifts a
+			// list some caller up the stack is still ranging over.
+			jt.live = append(jt.live[:i:i], jt.live[i+1:]...)
+			break
+		}
+	}
+	// Nothing reads a job's map outputs or scratch once it is not running
+	// (completeAttempt, failAttempt and onContainerAllocated all check the
+	// state first); dropping them here is what lets a long-lived cluster's
+	// heap forget the datasets of the jobs it has run.
 	jr.scratch = nil
+	for _, t := range jr.maps {
+		t.output = nil
+	}
 	ended.Inc()
 	jr.ctx.End(SpanJob, time.Duration(jr.submittedAt), time.Duration(jr.finishedAt), map[string]string{
 		"job":     jr.id,

@@ -29,8 +29,14 @@ type lcRig struct {
 // queues with preemption on.
 func newLCRig(t *testing.T, cfg Config, yarnMode bool) *lcRig {
 	t.Helper()
+	return newLCRigOn(t, 6, 1, cfg, yarnMode)
+}
+
+// newLCRigOn is newLCRig on a topology of the given size.
+func newLCRigOn(t *testing.T, nodes, racks int, cfg Config, yarnMode bool) *lcRig {
+	t.Helper()
 	eng := sim.NewEngine()
-	topo := cluster.NewTopology(cluster.PaperNodeConfig(6, 1))
+	topo := cluster.NewTopology(cluster.PaperNodeConfig(nodes, racks))
 	dfs, err := hdfs.NewMiniDFS(eng, topo, hdfs.Options{Config: hdfs.Config{BlockSize: 8 << 10}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -74,8 +74,8 @@ func (jt *JobTracker) submitApp(jr *jobRun) error {
 // schedule() pass, so demand converges within a heartbeat.
 func (jt *JobTracker) syncRequests() {
 	rm := jt.mc.cfg.YARN
-	for _, jr := range jt.jobs {
-		if jr.state != jobRunning || jr.app == nil || jr.app.State != yarn.AppRunning {
+	for _, jr := range jt.live {
+		if jr.app == nil || jr.app.State != yarn.AppRunning {
 			continue
 		}
 		tasks := [2][]*task{kindMap: jr.maps}

@@ -246,3 +246,70 @@ func TestPreemptionOrphansDaemons(t *testing.T) {
 		t.Fatal("preempted daemons never cleaned up")
 	}
 }
+
+// TestStoppedDaemonsStopTicking: removing a daemon's port binding ends the
+// process behind it. An 8-node session runs 27 tickers on the shared PBS
+// engine (per node a DataNode heartbeat, a block report and a TaskTracker
+// heartbeat; the NameNode's two monitors; the JobTracker's expiry check);
+// after stop-all.sh, after the clean-up cycle reaps a ghost, and after a
+// student kills their own ghosts, none of that session's is left — the
+// engine is back to the scheduler's own clean-up cycle.
+func TestStoppedDaemonsStopTicking(t *testing.T) {
+	const session = 8*3 + 2 + 1
+	eng, pbs := newPBS(t, 8, 15*time.Minute)
+	idle := eng.Stats().Tickers
+	if idle != 1 {
+		t.Fatalf("a bare PBS runs %d tickers, want its clean-up cycle only", idle)
+	}
+	provision := func(user string) (*myhadoop.Reservation, *myhadoop.HadoopRun) {
+		t.Helper()
+		res, err := pbs.Submit(user, 8, 2*time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := myhadoop.Provision(pbs, res, myhadoop.ProvisionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Advance(time.Minute) // DataNodes register once their start-up scan is over
+		return res, run
+	}
+	expect := func(when string, want int) {
+		t.Helper()
+		if got := eng.Stats().Tickers; got != want {
+			t.Fatalf("%s: %d live tickers, want %d", when, got, want)
+		}
+	}
+
+	res, run := provision("alice")
+	expect("session running", idle+session)
+	run.StopDaemons()
+	pbs.Release(res)
+	expect("after StopDaemons", idle)
+
+	// A ghost goes on ticking — that is what makes it one — until the
+	// clean-up cycle kills it.
+	res, run = provision("bob")
+	run.ExitWithoutStopping()
+	pbs.Release(res)
+	eng.Advance(time.Minute)
+	expect("ghost before the clean-up cycle", idle+session)
+	eng.Advance(15 * time.Minute)
+	if pbs.OrphansKilled != 8*2+2 {
+		t.Fatalf("clean-up killed %d daemons, want %d", pbs.OrphansKilled, 8*2+2)
+	}
+	expect("after the clean-up cycle", idle)
+
+	// A student's own ghosts die as the new session binds over them.
+	res, run = provision("carol")
+	run.ExitWithoutStopping()
+	pbs.Release(res)
+	res, run = provision("carol")
+	expect("own ghosts killed by the new session", idle+session)
+	run.StopDaemons()
+	pbs.Release(res)
+	expect("at the end", idle)
+	if eng.Pending() != idle {
+		t.Fatalf("%d events pending on the engine, want the clean-up cycle's one", eng.Pending())
+	}
+}

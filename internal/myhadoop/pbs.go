@@ -31,12 +31,27 @@ type Daemon struct {
 	Kind  string // "namenode", "jobtracker", "datanode", "tasktracker"
 	Port  int
 	Owner string
+
+	// kill stops the process behind the binding — its heartbeats and
+	// monitors on the shared engine. Provision sets it once the private
+	// cluster is up; nil until then.
+	kill func()
 }
 
 type nodeState struct {
 	id         cluster.NodeID
 	reservedBy *Reservation
 	ports      map[int]*Daemon
+}
+
+// killDaemon ends the daemon bound to port: the binding goes, and so does
+// the process that held it.
+func (ns *nodeState) killDaemon(port int) {
+	d := ns.ports[port]
+	delete(ns.ports, port)
+	if d.kill != nil {
+		d.kill()
+	}
 }
 
 // ResState tracks a reservation through its lifecycle.
@@ -197,14 +212,15 @@ func (p *PBS) Preempt(n int) []*Reservation {
 // free nodes, and daemons owned by anyone other than a node's current
 // reservation holder, are killed — the 15-minute wait of §II-B.
 func (p *PBS) cleanupOrphans() {
-	for _, ns := range p.nodes {
+	for _, n := range p.Topo.Nodes() {
+		ns := p.nodes[n.ID]
 		owner := ""
 		if ns.reservedBy != nil {
 			owner = ns.reservedBy.User
 		}
-		for port, d := range ns.ports {
+		for _, d := range p.Daemons(n.ID) {
 			if owner == "" || d.Owner != owner {
-				delete(ns.ports, port)
+				ns.killDaemon(d.Port)
 				p.OrphansKilled++
 			}
 		}
@@ -237,18 +253,18 @@ func (p *PBS) bindDaemon(r *Reservation, node cluster.NodeID, kind string, port 
 		if d.Owner != r.User {
 			return nil, &GhostDaemonError{Node: node, Port: port, Owner: d.Owner}
 		}
-		delete(ns.ports, port) // kill own ghost
+		ns.killDaemon(port) // kill own ghost
 	}
 	d := &Daemon{Kind: kind, Port: port, Owner: r.User}
 	ns.ports[port] = d
 	return d, nil
 }
 
-// unbindDaemon releases a port if the daemon still owns it.
+// unbindDaemon stops a daemon and releases its port, if it still owns it.
 func (p *PBS) unbindDaemon(node cluster.NodeID, d *Daemon) {
 	ns := p.nodes[node]
 	if ns != nil && ns.ports[d.Port] == d {
-		delete(ns.ports, d.Port)
+		ns.killDaemon(d.Port)
 	}
 }
 

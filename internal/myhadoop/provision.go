@@ -2,6 +2,7 @@ package myhadoop
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -84,11 +85,33 @@ func Provision(p *PBS, r *Reservation, opts ProvisionOptions) (*HadoopRun, error
 	}
 	run.DFS = dfs
 	run.MR = mrcluster.NewMRCluster(dfs, opts.MR, opts.Seed+1)
+	// Each binding now has a process behind it. Whoever removes the
+	// binding — stop-all.sh, the clean-up script, the owner killing their
+	// own ghost — ends that process's heartbeats on the shared engine too.
+	for i, node := range r.Allocated {
+		id := cluster.NodeID(i) // the private topology numbers its nodes from 0
+		for _, d := range run.daemons[node] {
+			switch d.Kind {
+			case "namenode":
+				d.kill = dfs.NN.Shutdown
+			case "jobtracker":
+				d.kill = run.MR.JT.Shutdown
+			case "datanode":
+				d.kill = dfs.DataNode(id).Kill
+			case "tasktracker":
+				d.kill = func() { run.MR.KillTaskTracker(id) }
+			}
+		}
+	}
 	return run, nil
 }
 
+// unbindAll stops the run's daemons and releases their ports, in node and
+// then port order.
 func (h *HadoopRun) unbindAll() {
-	for node, ds := range h.daemons {
+	for _, node := range h.Res.Allocated {
+		ds := h.daemons[node]
+		sort.Slice(ds, func(i, j int) bool { return ds[i].Port < ds[j].Port })
 		for _, d := range ds {
 			h.pbs.unbindDaemon(node, d)
 		}
@@ -96,8 +119,8 @@ func (h *HadoopRun) unbindAll() {
 	h.daemons = map[cluster.NodeID][]*Daemon{}
 }
 
-// StopDaemons shuts the Hadoop daemons down cleanly, releasing their
-// ports — what a student *should* do before exiting.
+// StopDaemons shuts the Hadoop daemons down cleanly, stopping them and
+// releasing their ports — what a student *should* do before exiting.
 func (h *HadoopRun) StopDaemons() {
 	if h.stopped {
 		return

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vfs"
 )
@@ -99,6 +100,7 @@ func Handler(c *core.MiniCluster) http.Handler {
 				return string(data), err
 			})
 		}},
+		{"/engine", "sim engine counters (events by queue, high-water, tickers, free list)", text(func() (string, error) { return enginePage(c.Engine), nil })},
 		{"/timeline", "per-job task-attempt timeline from the recorded spans", text(func() (string, error) { return timelinePage(c.Obs), nil })},
 		{"/history", "persisted job histories (the history server)", text(histories)},
 		{"/history/<id>", "one job's critical-path analysis and attempt timeline", under("/history/", histories,
@@ -122,6 +124,22 @@ func Handler(c *core.MiniCluster) http.Handler {
 		text(func() (string, error) { return index.String(), nil })(w, r)
 	})
 	return mux
+}
+
+// enginePage renders the sim engine's own counters: where the events that
+// carried the cluster this far fired from, and what they cost in queue
+// depth and allocations (docs/OBSERVABILITY.md reads the fields).
+func enginePage(e *sim.Engine) string {
+	s := e.Stats()
+	var b strings.Builder
+	fmt.Fprintf(&b, "=== sim engine (virtual time %v) ===\n", e.Now())
+	fmt.Fprintf(&b, "events fired:    %d (%d from the heap, %d from ticker lanes)\n", e.Processed, s.HeapFired, s.LaneFired)
+	fmt.Fprintf(&b, "events pending:  %d\n", e.Pending())
+	fmt.Fprintf(&b, "cancelled swept: %d\n", s.Swept)
+	fmt.Fprintf(&b, "high-water:      heap %d, longest lane %d\n", s.HeapHigh, s.LaneHigh)
+	fmt.Fprintf(&b, "live tickers:    %d on %d lane(s)\n", s.Tickers, s.Lanes)
+	fmt.Fprintf(&b, "event structs:   %d reused, %d allocated\n", s.FreeHits, s.FreeMisses)
+	return b.String()
 }
 
 // historyIndexPage lists the job histories persisted under /history in

@@ -71,7 +71,7 @@ func TestEndpoints(t *testing.T) {
 		contentType string
 		wants       []string
 	}{
-		{"/", http.StatusOK, textPlain, []string{"/dfshealth", "/jobtracker", "/history"}},
+		{"/", http.StatusOK, textPlain, []string{"/dfshealth", "/jobtracker", "/engine", "/history"}},
 		{"/dfshealth", http.StatusOK, textPlain, []string{"Live nodes: 4", "Blocks:"}},
 		{"/jobtracker", http.StatusOK, textPlain, []string{"SUCCEEDED", "TaskTrackers: 4/4 alive"}},
 		{"/fsck", http.StatusOK, textPlain, []string{"is HEALTHY"}},
@@ -80,6 +80,12 @@ func TestEndpoints(t *testing.T) {
 		{"/metrics", http.StatusOK, appJSON, []string{
 			`"hdfs.nn.blocks_allocated"`, `"mr.jt.jobs_succeeded"`, `"mr.job"`,
 			`"history.audit_events"`, `"history.job_events"`, `"history.files_persisted"`,
+		}},
+		// A 4-node cluster: per node two heartbeats and a block report, plus
+		// the NameNode's two monitors and the JobTracker's expiry check, on
+		// the two periods of the default configuration.
+		{"/engine", http.StatusOK, textPlain, []string{
+			"events fired:", "from ticker lanes", "live tickers:    15 on 2 lane(s)",
 		}},
 		{"/timeline", http.StatusOK, textPlain, []string{"job_wordcount", "succeeded", "map    |", "locality="}},
 		{"/history", http.StatusOK, textPlain, []string{"job_wordcount_combiner_0001"}},
