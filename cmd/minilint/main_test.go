@@ -34,6 +34,7 @@ func TestSelfCheckDirty(t *testing.T) {
 		"commiterr.go:16 commiterr",
 		"commiterr.go:17 commiterr",
 		"commiterr.go:18 commiterr",
+		"commiterr.go:19 commiterr",
 		"dettaint.go:13 wallclock",
 		"dettaint.go:17 dettaint",
 		"dettaint.go:21 dettaint",

@@ -142,15 +142,30 @@ func (c *Client) CreateRepl(path string, repl int) (io.WriteCloser, error) {
 	return &hdfsWriter{c: c, f: f, path: vfs.Clean(path)}, nil
 }
 
+// Append opens a file for writing at its end (hadoop fs -appendToFile),
+// creating it when absent. The appended bytes travel the ordinary
+// replicated pipeline as new block(s) of the existing inode: blocks stay
+// immutable once written, so replicas, checksums and block reports need
+// no generation stamps. It is audited as a create with mode=append.
+func (c *Client) Append(path string) (io.WriteCloser, error) {
+	f, err := c.nn.appendFileEntry(path)
+	c.auditEv(history.EvAuditCreate, map[string]string{"src": vfs.Clean(path), "mode": "append"}, err)
+	if err != nil {
+		return nil, err
+	}
+	return &hdfsWriter{c: c, f: f, path: vfs.Clean(path), appending: true}, nil
+}
+
 // hdfsWriter buffers file contents and writes the block pipeline on Close.
 // (Real HDFS streams per-block; buffering whole files is fine at teaching
 // scale and keeps the pipeline logic in one place.)
 type hdfsWriter struct {
-	c      *Client
-	f      *inode
-	path   string
-	buf    bytes.Buffer
-	closed bool
+	c         *Client
+	f         *inode
+	path      string
+	buf       bytes.Buffer
+	appending bool
+	closed    bool
 }
 
 func (w *hdfsWriter) Write(p []byte) (int, error) {
@@ -167,14 +182,20 @@ func (w *hdfsWriter) Close() error {
 	w.closed = true
 	data := w.buf.Bytes()
 	bs := w.c.nn.cfg.BlockSize
+	had := len(w.f.blocks)
 	for off := int64(0); off < int64(len(data)); off += bs {
 		end := off + bs
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
 		if err := w.c.writeBlock(w.f, w.path, data[off:end]); err != nil {
-			// Clean up the partial file so retries see a consistent tree.
-			_ = w.c.nn.Delete(w.path, false)
+			// Clean up so retries see a consistent tree: a failed create
+			// leaves no file, a failed append the file it found.
+			if w.appending {
+				w.c.nn.dropBlocksFrom(w.f, had)
+			} else {
+				_ = w.c.nn.Delete(w.path, false)
+			}
 			return &vfs.PathError{Op: "write", Path: w.path, Err: err}
 		}
 	}

@@ -55,19 +55,7 @@ func (nn *NameNode) journal(rec editRecord) error {
 	if err != nil {
 		return err
 	}
-	var existing []byte
-	if vfs.Exists(nn.metaFS, editsPath) {
-		// A failed read here must abort the append: rewriting the log
-		// from a nil buffer would truncate every prior edit.
-		existing, err = vfs.ReadFile(nn.metaFS, editsPath)
-		if err != nil {
-			return err
-		}
-		if err := nn.metaFS.Remove(editsPath, false); err != nil {
-			return err
-		}
-	}
-	if err := vfs.WriteFile(nn.metaFS, editsPath, append(existing, append(line, '\n')...)); err != nil {
+	if err := vfs.AppendFile(nn.metaFS, editsPath, append(line, '\n')); err != nil {
 		return err
 	}
 	nn.m.editLogRecords.Inc()

@@ -1,7 +1,9 @@
 package hdfs_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -158,5 +160,166 @@ func TestCheckpointWithoutMetaFSFails(t *testing.T) {
 	}
 	if err := d.NN.RestartFromDisk(); err == nil {
 		t.Fatal("recovery without metadata filesystem succeeded")
+	}
+}
+
+// TestAppendedFileSurvivesFailures is the HDFS half of the vfs Append
+// contract: a file grown by appends — part of it checkpointed into the
+// fsimage, the rest only in the edit log — keeps its full length through
+// the loss of a DataNode and through a NameNode cold start.
+func TestAppendedFileSurvivesFailures(t *testing.T) {
+	meta := vfs.NewMemFS()
+	eng := sim.NewEngine()
+	topo := cluster.NewTopology(cluster.PaperNodeConfig(5, 1))
+	d, err := hdfs.NewMiniDFS(eng, topo, hdfs.Options{
+		Seed: 3,
+		Config: hdfs.Config{BlockSize: 1 << 10, Replication: 2,
+			HeartbeatInterval: time.Second, HeartbeatExpiry: 5 * time.Second, ReplMonitorInterval: time.Second},
+		MetadataFS: meta,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := d.Client(0)
+	var want []byte
+	grow := func(n int) {
+		t.Helper()
+		rec := bytes.Repeat([]byte{byte('a' + len(want)%26)}, n)
+		if err := vfs.AppendFile(c, "/hbase/wal/000000", rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec...)
+	}
+	grow(1500) // created by the append: two blocks
+	grow(40)
+	if _, err := d.NN.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	grow(2500) // three more blocks, journalled after the checkpoint
+	grow(7)
+	check := func(when string) {
+		t.Helper()
+		got, err := vfs.ReadFile(c, "/hbase/wal/000000")
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: read %d bytes err=%v, want %d", when, len(got), err, len(want))
+		}
+		if fi, err := c.Stat("/hbase/wal/000000"); err != nil || fi.Size != int64(len(want)) {
+			t.Fatalf("%s: stat %+v err=%v, want size %d", when, fi, err, len(want))
+		}
+	}
+	check("after the appends")
+	locs, err := c.BlockLocations("/hbase/wal/000000")
+	if err != nil || len(locs) != 7 {
+		t.Fatalf("block layout: %d blocks err=%v, want 7 (2+1+3+1: an append never reopens a block)", len(locs), err)
+	}
+
+	d.DataNode(locs[len(locs)-1].Nodes[0]).Kill()
+	d.Engine.Advance(60 * time.Second)
+	rep, err := d.Fsck()
+	if err != nil || !rep.Healthy() || rep.UnderReplicated != 0 {
+		t.Fatalf("fsck after losing a DataNode: err=%v\n%s", err, rep)
+	}
+	check("after re-replication")
+
+	if err := d.NN.RestartFromDisk(); err != nil {
+		t.Fatal(err)
+	}
+	d.Engine.Advance(5 * time.Second)
+	if d.NN.InSafeMode() {
+		t.Fatal("safe mode never exited after the cold start")
+	}
+	check("after fsimage + edits recovery")
+	grow(100)
+	check("after appending to the recovered file")
+}
+
+// TestFailedAppendKeepsTheFile: an append whose pipeline fails part-way
+// gives back the blocks it had already committed and leaves the file as
+// it found it — unlike a failed create, which removes the file.
+func TestFailedAppendKeepsTheFile(t *testing.T) {
+	cfg := cluster.PaperNodeConfig(1, 1)
+	cfg.DiskPerNode = 3000
+	d, err := hdfs.NewMiniDFS(sim.NewEngine(), cluster.NewTopology(cfg), hdfs.Options{
+		Seed: 3, Config: hdfs.Config{BlockSize: 1 << 10, Replication: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := d.Client(0)
+	if err := vfs.WriteFile(c, "/f", bytes.Repeat([]byte("k"), 1024)); err != nil {
+		t.Fatal(err)
+	}
+	// Three more blocks do not fit: the first lands, the second is refused.
+	if err := vfs.AppendFile(c, "/f", make([]byte, 3<<10)); err == nil {
+		t.Fatal("append past the disk's capacity succeeded")
+	}
+	got, err := vfs.ReadFile(c, "/f")
+	if err != nil || len(got) != 1024 {
+		t.Fatalf("after the failed append: read %d bytes err=%v, want the original 1024", len(got), err)
+	}
+	if fi, _ := c.Stat("/f"); fi.Size != 1024 {
+		t.Fatalf("after the failed append: size %d, want 1024", fi.Size)
+	}
+	if used := d.DataNode(0).UsedBytes(); used != 1024 {
+		t.Fatalf("DataNode holds %d bytes, want 1024: the append's committed block was not given back", used)
+	}
+	if err := vfs.AppendFile(c, "/f", []byte("fits")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countingFS counts the bytes written through Create and Append.
+type countingFS struct {
+	vfs.FileSystem
+	written int64
+}
+
+type countingWriter struct {
+	io.WriteCloser
+	fs *countingFS
+}
+
+func (c *countingFS) Create(path string) (io.WriteCloser, error) {
+	w, err := c.FileSystem.Create(path)
+	return &countingWriter{w, c}, err
+}
+
+func (c *countingFS) Append(path string) (io.WriteCloser, error) {
+	w, err := c.FileSystem.Append(path)
+	return &countingWriter{w, c}, err
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.fs.written += int64(len(p))
+	return w.WriteCloser.Write(p)
+}
+
+// TestEditLogAppendIsLinear: journalling n edits writes the n records and
+// nothing else. (When the log was rewritten per edit this was quadratic:
+// 2 000 mkdirs wrote 62 MB to keep a 62 KB log.)
+func TestEditLogAppendIsLinear(t *testing.T) {
+	meta := &countingFS{FileSystem: vfs.NewMemFS()}
+	d, err := hdfs.NewMiniDFS(sim.NewEngine(), cluster.NewTopology(cluster.PaperNodeConfig(2, 1)), hdfs.Options{
+		Seed: 3, MetadataFS: meta,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := d.Client(0)
+	const edits = 2000
+	for i := 0; i < edits; i++ {
+		if err := c.Mkdir(fmt.Sprintf("/d%04d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.NN.EditLogRecords(); got != edits {
+		t.Fatalf("journalled %d edits, want %d", got, edits)
+	}
+	fi, err := meta.Stat("/dfs/name/current/edits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.written != fi.Size {
+		t.Fatalf("wrote %d bytes to keep a %d-byte edit log of %d records", meta.written, fi.Size, edits)
 	}
 }

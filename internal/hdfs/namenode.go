@@ -486,6 +486,22 @@ func (nn *NameNode) createFileEntry(path string, repl int) (*inode, error) {
 	return nn.ns.createFile(path, repl)
 }
 
+// appendFileEntry returns the inode an append extends, allocating it when
+// the file does not exist yet.
+func (nn *NameNode) appendFileEntry(path string) (*inode, error) {
+	if nn.safeMode {
+		return nil, &vfs.PathError{Op: "append", Path: path, Err: ErrSafeMode}
+	}
+	f := nn.ns.lookup(path)
+	if f == nil {
+		return nn.ns.createFile(path, nn.cfg.Replication)
+	}
+	if f.dir {
+		return nil, &vfs.PathError{Op: "append", Path: path, Err: vfs.ErrIsDir}
+	}
+	return f, nil
+}
+
 // allocateBlock assigns a new block ID and its replica targets. path is
 // the file being written, carried along for the audit log.
 func (nn *NameNode) allocateBlock(f *inode, path string, writer cluster.NodeID) (BlockID, []cluster.NodeID, error) {
@@ -538,7 +554,24 @@ func (nn *NameNode) Delete(path string, recursive bool) error {
 	if err != nil {
 		return err
 	}
-	for _, bid := range freed {
+	nn.invalidateBlocks(freed)
+	return nn.journal(editRecord{Op: "delete", Path: vfs.Clean(path)})
+}
+
+// dropBlocksFrom takes back the blocks a failed append committed: the
+// file keeps its first keep blocks and the rest are invalidated.
+func (nn *NameNode) dropBlocksFrom(f *inode, keep int) {
+	for _, bid := range f.blocks[keep:] {
+		f.size -= nn.blocks[bid].len
+	}
+	nn.invalidateBlocks(f.blocks[keep:])
+	f.blocks = f.blocks[:keep]
+}
+
+// invalidateBlocks forgets blocks and deletes their replicas on every
+// live DataNode holding one.
+func (nn *NameNode) invalidateBlocks(ids []BlockID) {
+	for _, bid := range ids {
 		if bm, ok := nn.blocks[bid]; ok {
 			for nodeID := range bm.replicas {
 				if dn := nn.datanodes[nodeID]; dn != nil && dn.alive {
@@ -548,7 +581,6 @@ func (nn *NameNode) Delete(path string, recursive bool) error {
 			delete(nn.blocks, bid)
 		}
 	}
-	return nn.journal(editRecord{Op: "delete", Path: vfs.Clean(path)})
 }
 
 // Rename moves a file or directory.

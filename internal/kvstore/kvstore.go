@@ -13,11 +13,10 @@
 // (internal/regionserver): a region is one Table hosting a contiguous
 // row-key range. Serving-scale demands shape two mechanisms here:
 //
-//   - The WAL is a directory of capped segment files (vfs has no append
-//     mode, so an append rewrites a file — capping the segment bounds
-//     the rewrite at WALSegmentBytes instead of the whole log).
-//     Recovery replays segments in order and tolerates a torn final
-//     record, the crash-mid-append case.
+//   - The WAL is a directory of capped segment files, each record one
+//     vfs append. Recovery replays segments in order and tolerates a
+//     torn final record, the crash-mid-append case; the cap bounds what
+//     one replay reads and what one torn tail can touch.
 //   - Store files parse once into an in-memory file cache (the block
 //     cache at teaching scale), so point reads cost a binary search,
 //     not a re-read of every HFile.
@@ -105,10 +104,8 @@ type Config struct {
 	// CompactTrigger is the store-file count that triggers a minor
 	// compaction (default 4).
 	CompactTrigger int
-	// WALSegmentBytes caps one WAL segment file (default 8 KiB). vfs has
-	// no append mode, so appending a record rewrites the current segment;
-	// the cap bounds that rewrite, making per-mutation I/O O(segment)
-	// instead of O(whole log).
+	// WALSegmentBytes caps one WAL segment file (default 8 KiB): the unit
+	// replay reads and the most a torn tail can sit in.
 	WALSegmentBytes int64
 	// Obs, when set, receives the table's kv.* metric stream.
 	Obs *obs.Registry
@@ -152,16 +149,22 @@ type Table struct {
 
 	// files is the in-memory list of store-file paths, oldest first,
 	// kept in sync with the hfiles directory; fileCache holds their
-	// parsed, sorted entries (invalidated when a file is removed).
+	// parsed, sorted entries (invalidated when a file is removed) and
+	// fileSize their lengths, which sum to diskBytes.
 	files     []string
 	fileCache map[string][]entry
+	fileSize  map[string]int64
 	diskBytes int64
 
-	// walSeg is the current WAL segment number; walBuf mirrors the
-	// current segment's content so an append rewrites it without a
-	// read-back.
-	walSeg int
-	walBuf []byte
+	// walSeg is the current WAL segment number, walPath its path and
+	// walLen the bytes appended to it so far.
+	walSeg  int
+	walPath string
+	walLen  int64
+
+	// enc encodes every record this table writes, WAL and store file
+	// alike, into one buffer reused across calls.
+	enc recordEncoder
 
 	// Flushes and Compactions count maintenance operations for tests and
 	// the lecture demo.
@@ -180,6 +183,7 @@ func Open(fs vfs.FileSystem, root string, cfg Config) (*Table, error) {
 		m:         newKVMetrics(cfg.Obs),
 		mem:       map[string]cell{},
 		fileCache: map[string][]entry{},
+		fileSize:  map[string]int64{},
 	}
 	if err := fs.Mkdir(t.hfileDir()); err != nil {
 		return nil, err
@@ -200,6 +204,7 @@ func Open(fs vfs.FileSystem, root string, cfg Config) (*Table, error) {
 		if n >= t.nextFile {
 			t.nextFile = n + 1
 		}
+		t.fileSize[f] = sizes[i]
 		t.diskBytes += sizes[i]
 		// Track the highest sequence number present in store files.
 		entries, err := t.readStoreFile(f)
@@ -212,8 +217,21 @@ func Open(fs vfs.FileSystem, root string, cfg Config) (*Table, error) {
 			}
 		}
 	}
-	if err := t.replayWAL(); err != nil {
+	torn, err := t.replayWAL()
+	if err != nil {
 		return nil, err
+	}
+	if torn {
+		// Replay forgives a torn record only at the end of the last
+		// segment, and the next append opens a new one. So before any
+		// write is accepted the replayed records move into a store file
+		// and every segment, the torn bytes with it, is deleted.
+		if err := t.Flush(); err != nil {
+			return nil, err
+		}
+		if err := t.truncateWAL(); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
@@ -251,27 +269,55 @@ func (t *Table) listStoreFiles() ([]string, []int64, error) {
 
 // --- WAL ---
 
-// walRecord is one logged mutation, encoded as a single text line:
+// A record is one logged mutation, encoded as a single text line:
 // seq <TAB> P|D <TAB> b64(key) <TAB> b64(value) <TAB> crc32
 // The trailing checksum is what makes a torn record (a crash mid-append)
 // reliably detectable: a truncated base64 field can still decode, but it
-// cannot still match the CRC.
-func walLine(seq uint64, key string, c cell) string {
+// cannot still match the CRC. Store files hold the same lines, sorted.
+
+// recordEncoder appends encoded records to buf. Both slices are scratch
+// kept between calls, so a warmed encoder allocates nothing.
+type recordEncoder struct {
+	buf []byte // the encoded records
+	sum []byte // the current record's checksummed prefix
+}
+
+func (e *recordEncoder) reset() { e.buf = e.buf[:0] }
+
+func (e *recordEncoder) add(key string, c cell) {
 	op := "P"
 	if c.tombstone {
 		op = "D"
 	}
-	return fmt.Sprintf("%d\t%s\t%s\t%s\t%d\n", seq, op,
-		base64.StdEncoding.EncodeToString([]byte(key)),
-		base64.StdEncoding.EncodeToString(c.value),
-		walCRC(seq, op, key, c.value))
+	e.sum = sumPrefix(e.sum[:0], c.seq, op, key)
+	crc := crc32.Update(crc32.ChecksumIEEE(e.sum), crc32.IEEETable, c.value)
+	// The prefix ends "key|": the key as the bytes base64 wants.
+	keyBytes := e.sum[len(e.sum)-1-len(key) : len(e.sum)-1]
+	b := strconv.AppendUint(e.buf, c.seq, 10)
+	b = append(b, '\t')
+	b = append(b, op...)
+	b = append(b, '\t')
+	b = base64.StdEncoding.AppendEncode(b, keyBytes)
+	b = append(b, '\t')
+	b = base64.StdEncoding.AppendEncode(b, c.value)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(crc), 10)
+	e.buf = append(b, '\n')
+}
+
+// sumPrefix appends "seq|op|key|", the part of a record's checksum input
+// that precedes the value.
+func sumPrefix(dst []byte, seq uint64, op, key string) []byte {
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, '|')
+	dst = append(dst, op...)
+	dst = append(dst, '|')
+	dst = append(dst, key...)
+	return append(dst, '|')
 }
 
 func walCRC(seq uint64, op, key string, value []byte) uint32 {
-	h := crc32.NewIEEE()
-	fmt.Fprintf(h, "%d|%s|%s|", seq, op, key)
-	h.Write(value)
-	return h.Sum32()
+	return crc32.Update(crc32.ChecksumIEEE(sumPrefix(nil, seq, op, key)), crc32.IEEETable, value)
 }
 
 func parseWALLine(line string) (key string, c cell, err error) {
@@ -301,27 +347,37 @@ func parseWALLine(line string) (key string, c cell, err error) {
 	return string(kb), cell{seq: seq, value: vb, tombstone: f[1] == "D"}, nil
 }
 
-// appendWAL appends one record to the current segment, rewriting only
-// that segment (bounded by WALSegmentBytes), and rolls to a fresh
-// segment once the cap is reached.
-func (t *Table) appendWAL(line string) error {
-	t.walBuf = append(t.walBuf, line...)
-	path := t.walSegPath(t.walSeg)
-	if vfs.Exists(t.fs, path) {
-		if err := t.fs.Remove(path, false); err != nil {
-			return err
-		}
+// appendWAL appends the record of one mutation to the current WAL
+// segment and rolls to a fresh segment once the cap is reached.
+func (t *Table) appendWAL(key string, c cell) error {
+	t.enc.reset()
+	t.enc.add(key, c)
+	rec := t.enc.buf
+	w, err := t.fs.Append(t.walPath)
+	if err != nil {
+		return err
 	}
-	if err := vfs.WriteFile(t.fs, path, t.walBuf); err != nil {
+	if _, err := w.Write(rec); err != nil {
+		w.Close()
+		return err
+	}
+	if err := w.Close(); err != nil {
 		return err
 	}
 	t.m.walAppends.Inc()
-	t.m.walBytes.Add(int64(len(line)))
-	if int64(len(t.walBuf)) >= t.cfg.WALSegmentBytes {
-		t.walSeg++
-		t.walBuf = nil
+	t.m.walBytes.Add(int64(len(rec)))
+	t.walLen += int64(len(rec))
+	if t.walLen >= t.cfg.WALSegmentBytes {
+		t.openSegment(t.walSeg + 1)
 	}
 	return nil
+}
+
+// openSegment points the WAL at segment n, which the next append creates.
+func (t *Table) openSegment(n int) {
+	t.walSeg = n
+	t.walPath = t.walSegPath(n)
+	t.walLen = 0
 }
 
 // walSegments lists WAL segment paths in replay order.
@@ -344,22 +400,23 @@ func (t *Table) walSegments() ([]string, error) {
 // trailing newline is a record's commit point: a final record left
 // unterminated or failing its CRC — the torn tail a crash mid-append
 // leaves behind — is dropped and counted. Anywhere else, a bad record is
-// fatal (corruption, not truncation).
-func (t *Table) replayWAL() error {
+// fatal (corruption, not truncation). Appends resume in a new segment
+// after the last one found; torn reports whether a tail was dropped.
+func (t *Table) replayWAL() (torn bool, err error) {
 	var sources [][]byte
 	segs, err := t.walSegments()
 	if err != nil {
-		return err
+		return false, err
 	}
 	for _, seg := range segs {
 		data, err := vfs.ReadFile(t.fs, seg)
 		if err != nil {
-			return err
+			return false, err
 		}
 		sources = append(sources, data)
 		n, err := fileNumber(seg)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if n >= t.walSeg {
 			t.walSeg = n + 1
@@ -371,6 +428,7 @@ func (t *Table) replayWAL() error {
 			// Unterminated tail record: never committed, drop it.
 			data = data[:bytes.LastIndexByte(data, '\n')+1]
 			t.m.walTornDrops.Inc()
+			torn = true
 		}
 		sc := bufio.NewScanner(bytes.NewReader(data))
 		var lines []string
@@ -380,16 +438,17 @@ func (t *Table) replayWAL() error {
 			}
 		}
 		if err := sc.Err(); err != nil {
-			return err
+			return false, err
 		}
 		for li, line := range lines {
 			key, c, err := parseWALLine(line)
 			if err != nil {
 				if last && li == len(lines)-1 {
 					t.m.walTornDrops.Inc()
+					torn = true
 					continue
 				}
-				return err
+				return false, err
 			}
 			t.applyToMem(key, c)
 			t.m.walReplayed.Inc()
@@ -398,7 +457,8 @@ func (t *Table) replayWAL() error {
 			}
 		}
 	}
-	return nil
+	t.openSegment(t.walSeg)
+	return torn, nil
 }
 
 // truncateWAL removes every WAL segment after a flush has made their
@@ -413,8 +473,7 @@ func (t *Table) truncateWAL() error {
 			return err
 		}
 	}
-	t.walSeg = 0
-	t.walBuf = nil
+	t.openSegment(0)
 	return nil
 }
 
@@ -435,7 +494,7 @@ func (t *Table) Put(key string, value []byte) error {
 	}
 	t.seq++
 	c := cell{seq: t.seq, value: append([]byte(nil), value...)}
-	if err := t.appendWAL(walLine(t.seq, key, c)); err != nil {
+	if err := t.appendWAL(key, c); err != nil {
 		return err
 	}
 	t.applyToMem(key, c)
@@ -447,7 +506,7 @@ func (t *Table) Put(key string, value []byte) error {
 func (t *Table) Delete(key string) error {
 	t.seq++
 	c := cell{seq: t.seq, tombstone: true}
-	if err := t.appendWAL(walLine(t.seq, key, c)); err != nil {
+	if err := t.appendWAL(key, c); err != nil {
 		return err
 	}
 	t.applyToMem(key, c)
@@ -503,17 +562,19 @@ func (t *Table) Flush() error {
 // writeStoreFile persists sorted entries as a new store file, updating
 // the file list, file cache and disk accounting.
 func (t *Table) writeStoreFile(path string, entries []entry) (int64, error) {
-	var buf bytes.Buffer
+	t.enc.reset()
 	for _, e := range entries {
-		buf.WriteString(walLine(e.cell.seq, e.key, e.cell))
+		t.enc.add(e.key, e.cell)
 	}
-	if err := vfs.WriteFile(t.fs, path, buf.Bytes()); err != nil {
+	if err := vfs.WriteFile(t.fs, path, t.enc.buf); err != nil {
 		return 0, err
 	}
+	size := int64(len(t.enc.buf))
 	t.files = append(t.files, path)
 	t.fileCache[path] = entries
-	t.diskBytes += int64(buf.Len())
-	return int64(buf.Len()), nil
+	t.fileSize[path] = size
+	t.diskBytes += size
+	return size, nil
 }
 
 // readStoreFile returns a store file's sorted entries, parsing it at
@@ -554,9 +615,8 @@ func (t *Table) removeStoreFiles(paths []string) error {
 		if err := t.fs.Remove(f, false); err != nil {
 			return err
 		}
-		for _, e := range t.fileCache[f] {
-			t.diskBytes -= int64(len(walLine(e.cell.seq, e.key, e.cell)))
-		}
+		t.diskBytes -= t.fileSize[f]
+		delete(t.fileSize, f)
 		delete(t.fileCache, f)
 		drop[f] = true
 	}

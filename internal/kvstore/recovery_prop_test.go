@@ -50,6 +50,29 @@ func diffModels(t *testing.T, got, want map[string]string, label string) {
 	}
 }
 
+// mutation is one Put or Delete of a test workload.
+type mutation struct {
+	key, val string
+	del      bool
+}
+
+// do performs the mutation on tbl.
+func (m mutation) do(tbl *kvstore.Table) error {
+	if m.del {
+		return tbl.Delete(m.key)
+	}
+	return tbl.Put(m.key, []byte(m.val))
+}
+
+// record applies the mutation to the model a recovered table must match.
+func (m mutation) record(model map[string]string) {
+	if m.del {
+		delete(model, m.key)
+	} else {
+		model[m.key] = m.val
+	}
+}
+
 // TestCrashRecoveryAcrossSeeds is the WAL-replay property test: a random
 // put/delete/flush workload is "killed" (the handle dropped, no flush) at
 // arbitrary points and reopened from the shared filesystem; the
@@ -113,21 +136,18 @@ func TestCrashRecoveryAcrossSeeds(t *testing.T) {
 // the write-ahead log: the final WAL segment is truncated mid-record, as
 // a crash in the middle of an append would leave it. Recovery must apply
 // exactly the records that survived whole (the CRC rejects a torn tail,
-// even one whose base64 still decodes) and drop nothing else.
+// even one whose base64 still decodes) and drop nothing else — and the
+// recovered table must take writes and survive the next crash too.
 func TestTornWALTailRecovery(t *testing.T) {
 	for _, seed := range []int64{3, 21, 77} {
 		seed := seed
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			rng := sim.NewRand(seed).Derive("kv-torn")
-			type op struct {
-				key, val string
-				del      bool
-			}
-			buildOps := func() []op {
+			buildOps := func() []mutation {
 				n := 50 + rng.Intn(100)
-				out := make([]op, n)
+				out := make([]mutation, n)
 				for i := range out {
-					o := op{key: fmt.Sprintf("k%02d", rng.Intn(25))}
+					o := mutation{key: fmt.Sprintf("k%02d", rng.Intn(25))}
 					if rng.Bernoulli(0.2) {
 						o.del = true
 					} else {
@@ -207,8 +227,22 @@ func TestTornWALTailRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d: reopen after cut at %d/%d: %v", round, cut, len(data), err)
 				}
-				diffModels(t, scanMap(t, re), model,
-					fmt.Sprintf("round %d cut %d/%d (%d/%d records survive)", round, cut, len(data), survived, len(ops)))
+				label := fmt.Sprintf("round %d cut %d/%d (%d/%d records survive)", round, cut, len(data), survived, len(ops))
+				diffModels(t, scanMap(t, re), model, label)
+				// Life goes on after the recovery: more writes, another
+				// crash. The torn bytes must not be waiting in a segment
+				// that is no longer the last one.
+				for _, o := range buildOps() {
+					if err := o.do(re); err != nil {
+						t.Fatal(err)
+					}
+					o.record(model)
+				}
+				re, err = kvstore.Open(fs, "/t", cfg)
+				if err != nil {
+					t.Fatalf("%s: second reopen, after writing to the recovered table: %v", label, err)
+				}
+				diffModels(t, scanMap(t, re), model, label+", second reopen")
 			}
 		})
 	}

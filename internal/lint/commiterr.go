@@ -15,12 +15,12 @@ import (
 //
 // A callee is commit-critical if it is one of the durability sinks
 // (kvstore WAL append/truncate, iofmt sequence-writer flush/close, the
-// vfs whole-file writer every journal and history persist path funnels
-// through) or if it returns an error and transitively calls one through
+// vfs whole-file writer and record appender every journal and history
+// persist path funnels through) or if it returns an error and transitively calls one through
 // static calls. Dropping the error of a commit-critical call — calling
 // it as a bare statement, blanking the error with _, or deferring it —
 // is reported with the chain that makes it critical
-// (journal → vfs.WriteFile).
+// (journal → vfs.AppendFile).
 //
 // One idiom is exempt: a drop inside an if-block whose condition tests
 // an error against nil (the cleanup-after-failure shape, where the
@@ -41,6 +41,7 @@ var commitSinks = []struct {
 	name       string
 }{
 	{"internal/vfs", "", "WriteFile"},
+	{"internal/vfs", "", "AppendFile"},
 	{"internal/kvstore", "*Table", "appendWAL"},
 	{"internal/kvstore", "*Table", "truncateWAL"},
 	{"internal/iofmt", "*SeqWriter", "flushBlock"},

@@ -12,10 +12,11 @@ func saveMeta(fs vfs.FileSystem, data []byte) error {
 }
 
 func commitDropped(fs vfs.FileSystem, data []byte) {
-	vfs.WriteFile(fs, "/wal", data) // want: commiterr
-	_ = saveMeta(fs, data)          // want: commiterr
-	defer saveMeta(fs, data)        // want: commiterr
-	go saveMeta(fs, data)           // want: commiterr
+	vfs.WriteFile(fs, "/wal", data)  // want: commiterr
+	_ = saveMeta(fs, data)           // want: commiterr
+	defer saveMeta(fs, data)         // want: commiterr
+	go saveMeta(fs, data)            // want: commiterr
+	vfs.AppendFile(fs, "/wal", data) // want: commiterr
 }
 
 // cleanupOnError drops a secondary commit error inside a branch guarded

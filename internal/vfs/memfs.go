@@ -43,11 +43,29 @@ func (m *MemFS) Create(path string) (io.WriteCloser, error) {
 	return &memWriter{fs: m, path: p}, nil
 }
 
+// Append buffers like Create; Close then extends the stored slice in
+// place, so an append costs its own bytes, not the file's.
+func (m *MemFS) Append(path string) (io.WriteCloser, error) {
+	p := Clean(path)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.dirs[p] {
+		return nil, &PathError{Op: "append", Path: p, Err: ErrIsDir}
+	}
+	if _, ok := m.files[p]; !ok {
+		if dir, _ := Split(p); !m.dirs[dir] {
+			return nil, &PathError{Op: "append", Path: p, Err: ErrNotExist}
+		}
+	}
+	return &memWriter{fs: m, path: p, appending: true}, nil
+}
+
 type memWriter struct {
-	fs     *MemFS
-	path   string
-	buf    bytes.Buffer
-	closed bool
+	fs        *MemFS
+	path      string
+	buf       bytes.Buffer
+	appending bool
+	closed    bool
 }
 
 func (w *memWriter) Write(p []byte) (int, error) {
@@ -64,6 +82,12 @@ func (w *memWriter) Close() error {
 	w.closed = true
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
+	if w.appending {
+		// Readers hold slices of the old length; bytes written past it,
+		// in place or in a regrown array, are invisible to them.
+		w.fs.files[w.path] = append(w.fs.files[w.path], w.buf.Bytes()...)
+		return nil
+	}
 	w.fs.files[w.path] = append([]byte(nil), w.buf.Bytes()...)
 	return nil
 }

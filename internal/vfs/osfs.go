@@ -74,6 +74,49 @@ func (o *OsFS) Create(path string) (io.WriteCloser, error) {
 	return f, nil
 }
 
+// Append opens the host file O_APPEND and holds the bytes back until
+// Close, which issues them as one write: the commit point of the contract.
+func (o *OsFS) Append(path string) (io.WriteCloser, error) {
+	hp, err := o.hostPath(path)
+	if err != nil {
+		return nil, err
+	}
+	if fi, err := os.Stat(hp); err == nil && fi.IsDir() {
+		return nil, &PathError{Op: "append", Path: path, Err: ErrIsDir}
+	}
+	f, err := os.OpenFile(hp, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, mapOsErr("append", path, err)
+	}
+	return &osAppender{f: f}, nil
+}
+
+type osAppender struct {
+	f   *os.File
+	buf []byte
+}
+
+func (a *osAppender) Write(p []byte) (int, error) {
+	if a.f == nil {
+		return 0, io.ErrClosedPipe
+	}
+	a.buf = append(a.buf, p...)
+	return len(p), nil
+}
+
+func (a *osAppender) Close() error {
+	if a.f == nil {
+		return nil
+	}
+	f := a.f
+	a.f = nil
+	_, err := f.Write(a.buf)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func (o *OsFS) Open(path string) (io.ReadCloser, error) {
 	hp, err := o.hostPath(path)
 	if err != nil {
@@ -90,8 +133,17 @@ func (o *OsFS) Open(path string) (io.ReadCloser, error) {
 	if err != nil {
 		return nil, mapOsErr("open", path, err)
 	}
-	return f, nil
+	// Bounded at the length it was opened with: a later Append must not
+	// show through a handle that is already open.
+	return &osReader{Reader: io.LimitReader(f, fi.Size()), f: f}, nil
 }
+
+type osReader struct {
+	io.Reader
+	f *os.File
+}
+
+func (r *osReader) Close() error { return r.f.Close() }
 
 func (o *OsFS) Stat(path string) (FileInfo, error) {
 	hp, err := o.hostPath(path)

@@ -53,6 +53,11 @@ type FileSystem interface {
 	// Create opens a new file for writing. It fails if the file exists or
 	// the parent directory is missing.
 	Create(path string) (io.WriteCloser, error)
+	// Append opens a file for writing at its end, creating it when absent;
+	// the parent directory must exist. The appended bytes become visible
+	// to Open, Stat and List when Close returns — the commit point Create
+	// has — and a reader opened earlier keeps the length it opened with.
+	Append(path string) (io.WriteCloser, error)
 	// Open opens an existing file for reading.
 	Open(path string) (io.ReadCloser, error)
 	// Stat describes a file or directory.
@@ -147,11 +152,29 @@ func WriteFile(fs FileSystem, path string, data []byte) error {
 	if err != nil {
 		return err
 	}
+	return writeAndClose(w, data)
+}
+
+func writeAndClose(w io.WriteCloser, data []byte) error {
 	if _, err := w.Write(data); err != nil {
 		w.Close()
 		return err
 	}
 	return w.Close()
+}
+
+// AppendFile appends data to the file at path, creating the file and its
+// parents when absent: one log record, durable when it returns.
+func AppendFile(fs FileSystem, path string, data []byte) error {
+	dir, _ := Split(path)
+	if err := fs.Mkdir(dir); err != nil {
+		return err
+	}
+	w, err := fs.Append(path)
+	if err != nil {
+		return err
+	}
+	return writeAndClose(w, data)
 }
 
 // Exists reports whether path names a file or directory.

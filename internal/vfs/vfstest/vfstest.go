@@ -6,6 +6,7 @@ package vfstest
 
 import (
 	"errors"
+	"io"
 	"testing"
 
 	"repro/internal/vfs"
@@ -212,6 +213,98 @@ func Run(t *testing.T, name string, mk func(t *testing.T) vfs.FileSystem) {
 		got, err := vfs.ReadFile(dst, "/out/deep/b.txt")
 		if err != nil || string(got) != "bbb" {
 			t.Fatalf("copied contents = %q err=%v", got, err)
+		}
+	})
+	t.Run(name+"/AppendCreatesThenExtends", func(t *testing.T) {
+		fs := mk(t)
+		if err := fs.Mkdir("/log"); err != nil {
+			t.Fatal(err)
+		}
+		want := ""
+		for _, rec := range []string{"one\n", "", "two\n", "three\n"} {
+			w, err := fs.Append("/log/edits")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.WriteString(w, rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want += rec
+			got, err := vfs.ReadFile(fs, "/log/edits")
+			if err != nil || string(got) != want {
+				t.Fatalf("after appending %q: read %q err=%v, want %q", rec, got, err, want)
+			}
+			fi, err := fs.Stat("/log/edits")
+			if err != nil || fi.IsDir || fi.Size != int64(len(want)) {
+				t.Fatalf("stat after appending %q: %+v err=%v", rec, fi, err)
+			}
+		}
+		infos, err := fs.List("/log")
+		if err != nil || len(infos) != 1 || infos[0].Path != "/log/edits" || infos[0].Size != int64(len(want)) {
+			t.Fatalf("list: %+v err=%v", infos, err)
+		}
+		if _, err := fs.Create("/log/edits"); !errors.Is(err, vfs.ErrExist) {
+			t.Fatalf("create over an appended file: want ErrExist, got %v", err)
+		}
+	})
+	t.Run(name+"/AppendCommitsAtClose", func(t *testing.T) {
+		fs := mk(t)
+		if err := vfs.WriteFile(fs, "/f", []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+		before, err := fs.Open("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer before.Close()
+		w, err := fs.Append("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write([]byte("+new")); err != nil {
+			t.Fatal(err)
+		}
+		// Written but not closed: nobody sees it yet.
+		if got, err := vfs.ReadFile(fs, "/f"); err != nil || string(got) != "old" {
+			t.Fatalf("before close: read %q err=%v, want %q", got, err, "old")
+		}
+		if fi, err := fs.Stat("/f"); err != nil || fi.Size != 3 {
+			t.Fatalf("before close: stat %+v err=%v", fi, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := vfs.ReadFile(fs, "/f"); err != nil || string(got) != "old+new" {
+			t.Fatalf("after close: read %q err=%v", got, err)
+		}
+		// The handle opened before the append keeps the length it had.
+		if got, err := io.ReadAll(before); err != nil || string(got) != "old" {
+			t.Fatalf("reader opened before the append read %q err=%v, want %q", got, err, "old")
+		}
+	})
+	t.Run(name+"/AppendBadPaths", func(t *testing.T) {
+		fs := mk(t)
+		if err := fs.Mkdir("/d"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Append("/d"); !errors.Is(err, vfs.ErrIsDir) {
+			t.Fatalf("append to a directory: want ErrIsDir, got %v", err)
+		}
+		if _, err := fs.Append("/no/parent.log"); !errors.Is(err, vfs.ErrNotExist) {
+			t.Fatalf("append without parent: want ErrNotExist, got %v", err)
+		}
+		// AppendFile, like WriteFile, makes the parents.
+		if err := vfs.AppendFile(fs, "/made/by/append", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := vfs.AppendFile(fs, "/made/by/append", []byte("y")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := vfs.ReadFile(fs, "/made/by/append"); err != nil || string(got) != "xy" {
+			t.Fatalf("AppendFile twice: read %q err=%v", got, err)
 		}
 	})
 	t.Run(name+"/EmptyFile", func(t *testing.T) {
