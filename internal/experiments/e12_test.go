@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
-	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/digesttest"
 )
 
 // TestE12Smoke is the CI gate on the multi-tenant replay: a
@@ -73,7 +71,7 @@ func TestE12Smoke(t *testing.T) {
 // at the commit before internal/yarn became single-generation): a
 // scheduler refactor must not reorder or re-word a single event or metric.
 func TestE12TraceReplayDeterministic(t *testing.T) {
-	pinned := readDigests(t, "testdata/e12_replay.sha256")
+	pinned := digesttest.Read(t, "testdata/e12_replay.sha256")
 	cases := []struct {
 		seed int64
 		opts E12Opts
@@ -105,32 +103,8 @@ func TestE12TraceReplayDeterministic(t *testing.T) {
 			if !bytes.Equal(snap1, snap2) {
 				t.Fatalf("obs snapshots differ between identical replays (%d vs %d bytes)", len(snap1), len(snap2))
 			}
-			for name, data := range map[string][]byte{
-				fmt.Sprintf("e12-seed%d.events.jsonl", tc.seed): log1,
-				fmt.Sprintf("e12-seed%d.obs.json", tc.seed):     snap1,
-			} {
-				if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != pinned[name] {
-					t.Errorf("%s: sha256 %s, pinned %s", name, got, pinned[name])
-				}
-			}
+			digesttest.Assert(t, pinned, fmt.Sprintf("e12-seed%d.events.jsonl", tc.seed), log1)
+			digesttest.Assert(t, pinned, fmt.Sprintf("e12-seed%d.obs.json", tc.seed), snap1)
 		})
 	}
-}
-
-// readDigests parses a sha256sum-format file into name -> hex digest.
-func readDigests(t *testing.T, path string) map[string]string {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			t.Fatalf("%s: malformed line %q", path, line)
-		}
-		out[f[1]] = f[0]
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/digesttest"
 	"repro/internal/hdfs"
 	"repro/internal/jobs"
 	"repro/internal/mrcluster"
@@ -103,7 +103,7 @@ func snapshotJSON(t *testing.T, c *core.MiniCluster) []byte {
 // 4a5f1c0, the commit before obs's four recording calls became one; the
 // keep-everything mode is pinned by the goldens under internal/jobs.
 func TestSampledModeReplay(t *testing.T) {
-	pinned := readDigests(t, "testdata/sampled_replay.sha256")
+	pinned := digesttest.Read(t, "testdata/sampled_replay.sha256")
 	for _, tc := range []struct {
 		name         string
 		build        func(*testing.T) []byte
@@ -131,9 +131,7 @@ func TestSampledModeReplay(t *testing.T) {
 			if traced != tc.traced || flat != tc.flat {
 				t.Errorf("job spans: %d traced, %d flat; want %d and %d", traced, flat, tc.traced, tc.flat)
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != pinned[tc.name] {
-				t.Errorf("%s: sha256 %s, pinned %q", tc.name, got, pinned[tc.name])
-			}
+			digesttest.Assert(t, pinned, tc.name, data)
 		})
 	}
 }

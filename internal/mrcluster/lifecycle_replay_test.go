@@ -1,15 +1,14 @@
 package mrcluster_test
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/digesttest"
 	"repro/internal/hdfs"
 	"repro/internal/history"
 	"repro/internal/mapreduce"
@@ -37,32 +36,8 @@ func assertLifecycleDigest(t *testing.T, name string, rig *testRig, jobID, fault
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	h.Write(events)
-	h.Write(snap)
-	h.Write([]byte(faultLog))
-	pinned := readDigests(t, "testdata/lifecycle_replay.sha256")
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != pinned[name] {
-		t.Errorf("lifecycle replay digest moved:\n%s  %s\npinned %q", got, name, pinned[name])
-	}
-}
-
-// readDigests parses a sha256sum-format file into name -> hex digest.
-func readDigests(t *testing.T, path string) map[string]string {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			t.Fatalf("%s: malformed line %q", path, line)
-		}
-		out[f[1]] = f[0]
-	}
-	return out
+	pinned := digesttest.Read(t, "testdata/lifecycle_replay.sha256")
+	digesttest.Assert(t, pinned, name, events, snap, []byte(faultLog))
 }
 
 // newYARNRig is the rig of internal/jobs/yarn_mode_test.go (6 nodes, seed

@@ -107,8 +107,9 @@ type ckState struct {
 //   - queue ceilings: no allocation takes a queue past its max capacity
 //     (computed against the live cluster, exactly as the scheduler does);
 //   - justified preemption: a capacity preemption names a for_queue that
-//     is under its guarantee while the victim's queue is over its own —
-//     and the victim is never an AM container;
+//     is under its guarantee, never cuts the victim's queue below its own
+//     (the scheduler's rule, so a 0-vcore victim may leave a queue that
+//     sits exactly at its guarantee), and never kills an AM container;
 //   - safe scale-down: a node only leaves the pool with zero live
 //     containers;
 //   - clean finish: an app finishes with no containers left behind.
@@ -223,9 +224,9 @@ func (st *ckState) apply(ev history.Event) error {
 				if target == nil {
 					return fmt.Errorf("preempt for unknown queue %q", forQ)
 				}
-				if victimGuar := int(float64(st.clusterVC) * victim.guarFrac); victim.usedVC <= victimGuar {
-					return fmt.Errorf("preempt victim queue %s not over guarantee (%dvc <= %dvc)",
-						c.queue, victim.usedVC, victimGuar)
+				if victimGuar := int(float64(st.clusterVC) * victim.guarFrac); victim.usedVC-c.vc < victimGuar {
+					return fmt.Errorf("preempt cuts victim queue %s below its guarantee (%dvc - %dvc < %dvc)",
+						c.queue, victim.usedVC, c.vc, victimGuar)
 				}
 				if targetGuar := int(float64(st.clusterVC) * target.guarFrac); target.usedVC >= targetGuar {
 					return fmt.Errorf("preempt target queue %s not under guarantee (%dvc >= %dvc)",
