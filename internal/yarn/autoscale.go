@@ -1,9 +1,6 @@
 package yarn
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // AutoscaleConfig tunes the elastic node pool. The topology handed to
 // NewCapacityResourceManager is the pool's *maximum*; with autoscaling
@@ -75,12 +72,7 @@ func (rm *ResourceManager) runAutoscale() {
 			nm.active = true
 			added++
 			shortfall -= nm.capacity.VCores
-			rm.event(EvNodeUp, map[string]string{
-				"node":   fmt.Sprint(int(nm.id)),
-				"vc":     fmt.Sprint(nm.capacity.VCores),
-				"mb":     fmt.Sprint(nm.capacity.MemoryMB),
-				"reason": "scale_up",
-			})
+			rm.logNodeUp(nm, "scale_up")
 		}
 		if added > 0 {
 			rm.lastScaleUp = now
@@ -109,9 +101,7 @@ func (rm *ResourceManager) runAutoscale() {
 		rm.lastScaleDown = now
 		rm.m.scaleDowns.Inc()
 		rm.m.activeNodes.Set(int64(rm.ActiveNodes()))
-		rm.event(EvNodeDown, map[string]string{
-			"node": fmt.Sprint(int(nm.id)), "reason": "scale_down",
-		})
+		rm.logNodeDown(nm, "scale_down")
 		return // at most one node per tick
 	}
 }

@@ -2,7 +2,6 @@ package yarn
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -30,37 +29,34 @@ func (rm *ResourceManager) kick() {
 		}
 	}
 	rm.inPass = false
-	rm.m.pendingApps.Set(int64(rm.pendingApps()))
-}
-
-func (rm *ResourceManager) pendingApps() int {
-	n := 0
-	for _, a := range rm.apps {
-		if a.State == AppPending {
-			n++
-		}
-	}
-	return n
+	rm.m.pendingApps.Set(int64(rm.pending))
 }
 
 // allocateOne places exactly one container: walk leaves from most
 // underserved (lowest used/guaranteed vcore ratio, ties by path), and
 // within a leaf walk apps in submission order. A pending app's head
 // request is its AM container; a running app's is the front of its
-// request queue. Blocked apps (queue ceiling, user limit, no node with
-// room) are skipped so the pass stays work-conserving. Returns false
+// request queue. Blocked apps (no node with room, queue ceiling, user
+// limit) are skipped so the pass stays work-conserving. Returns false
 // when nothing anywhere can be placed.
 func (rm *ResourceManager) allocateOne() bool {
-	capNow := rm.ClusterCapacity()
-	leaves := append([]*leafQueue(nil), rm.leaves...)
-	sort.SliceStable(leaves, func(i, j int) bool {
-		ri, rj := leaves[i].usedRatio(capNow), leaves[j].usedRatio(capNow)
-		if ri != rj {
-			return ri < rj
+	// room is the component-wise largest free Resource of any active node:
+	// a request that does not fit it fits no node, whatever its locality
+	// hints. On a full cluster a blocked app costs two compares, and a pass
+	// with less room than anything ever asked for walks no app at all.
+	var capNow, room Resource
+	for _, nm := range rm.nodes {
+		if nm.active {
+			capNow = capNow.plus(nm.capacity)
+			room = room.upper(nm.free())
 		}
-		return leaves[i].path < leaves[j].path
-	})
-	for _, q := range leaves {
+	}
+	if !rm.minAsk.Fits(room) {
+		return false
+	}
+	rm.order = append(rm.order[:0], rm.leaves...)
+	byNeed(rm.order, capNow)
+	for _, q := range rm.order {
 		maxAll := q.maxAllowed(capNow)
 		uCap := q.userCap(capNow)
 		for _, app := range q.apps {
@@ -72,6 +68,9 @@ func (rm *ResourceManager) allocateOne() bool {
 			case app.State == AppRunning && len(app.requests) > 0:
 				res = app.requests[0].Resource
 			default:
+				continue
+			}
+			if !res.Fits(room) {
 				continue
 			}
 			if !q.used.plus(res).Fits(maxAll) {
@@ -120,10 +119,8 @@ func (rm *ResourceManager) allocate(r Resource) *nodeManager {
 // order first, then the emptiest node (allocate's spreading policy).
 func (rm *ResourceManager) placeFor(req ContainerRequest) *nodeManager {
 	for _, h := range req.Hosts {
-		for _, nm := range rm.nodes {
-			if nm.active && nm.hostname == h && req.Resource.Fits(nm.free()) {
-				return nm
-			}
+		if nm := rm.byHost[h]; nm != nil && nm.active && req.Resource.Fits(nm.free()) {
+			return nm
 		}
 	}
 	return rm.allocate(req.Resource)
@@ -141,10 +138,12 @@ func (rm *ResourceManager) grantContainer(app *Application, q *leafQueue, nm *no
 		AM:        isAM,
 		StartedAt: rm.eng.Now(),
 		ctx:       app.ctx.NewChild(),
+		idStr:     fmt.Sprintf("c%06d", rm.containerSeq),
 	}
 	if isAM {
 		app.amContainer = c
 		app.State = AppRunning
+		rm.pending--
 		// A node drain re-admits the app through a second AM grant; the
 		// wait for the first container is measured once.
 		if !app.amStarted {
@@ -162,13 +161,13 @@ func (rm *ResourceManager) grantContainer(app *Application, q *leafQueue, nm *no
 	rm.ContainersLaunched++
 	rm.m.containersAllocated.Inc()
 	attrs := map[string]string{
-		"container": c.idStr(),
-		"app":       appID(app),
+		"container": c.idStr,
+		"app":       app.idStr,
 		"queue":     q.path,
 		"user":      app.User,
-		"node":      fmt.Sprint(int(nm.id)),
-		"vc":        fmt.Sprint(res.VCores),
-		"mb":        fmt.Sprint(res.MemoryMB),
+		"node":      nm.idStr,
+		"vc":        strconv.Itoa(res.VCores),
+		"mb":        strconv.FormatInt(res.MemoryMB, 10),
 	}
 	if isAM {
 		attrs["am"] = "1"
@@ -178,7 +177,7 @@ func (rm *ResourceManager) grantContainer(app *Application, q *leafQueue, nm *no
 	rm.event(EvAlloc, attrs)
 	if isAM {
 		rm.event(EvAMStart, map[string]string{
-			"app": appID(app), "container": c.idStr(), "node": fmt.Sprint(int(nm.id)),
+			"app": app.idStr, "container": c.idStr, "node": nm.idStr,
 		})
 		return
 	}
@@ -198,10 +197,15 @@ type taskMaster struct {
 	done int
 }
 
+// start enqueues every task's request, then schedules once: from the
+// fix-point Submit's own pass left, new requests of one app can place
+// only that app's requests, in their FIFO order — a pass only consumes
+// room, so whatever else was blocked stays blocked.
 func (tm *taskMaster) start() {
 	for i, t := range tm.app.Spec.Tasks {
-		tm.rm.Request(tm.app, ContainerRequest{Resource: t.Resource, Tag: strconv.Itoa(i)})
+		tm.rm.enqueue(tm.app, ContainerRequest{Resource: t.Resource, Tag: strconv.Itoa(i)})
 	}
+	tm.rm.kick()
 }
 
 func (tm *taskMaster) OnAllocated(c *Container) {

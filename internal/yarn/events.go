@@ -54,14 +54,23 @@ func (rm *ResourceManager) logInit() {
 	}
 	for _, nm := range rm.nodes {
 		if nm.active {
-			rm.event(EvNodeUp, map[string]string{
-				"node":   fmt.Sprint(int(nm.id)),
-				"vc":     fmt.Sprint(nm.capacity.VCores),
-				"mb":     fmt.Sprint(nm.capacity.MemoryMB),
-				"reason": "init",
-			})
+			rm.logNodeUp(nm, "init")
 		}
 	}
+}
+
+// logNodeUp and logNodeDown record a pool transition.
+func (rm *ResourceManager) logNodeUp(nm *nodeManager, reason string) {
+	rm.event(EvNodeUp, map[string]string{
+		"node":   nm.idStr,
+		"vc":     strconv.Itoa(nm.capacity.VCores),
+		"mb":     strconv.FormatInt(nm.capacity.MemoryMB, 10),
+		"reason": reason,
+	})
+}
+
+func (rm *ResourceManager) logNodeDown(nm *nodeManager, reason string) {
+	rm.event(EvNodeDown, map[string]string{"node": nm.idStr, "reason": reason})
 }
 
 // --- event-sourced invariant checker ---

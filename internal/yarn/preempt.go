@@ -50,13 +50,7 @@ func (rm *ResourceManager) runPreemption() {
 	if len(starved) == 0 {
 		return
 	}
-	sort.SliceStable(starved, func(i, j int) bool {
-		ri, rj := starved[i].usedRatio(capNow), starved[j].usedRatio(capNow)
-		if ri != rj {
-			return ri < rj
-		}
-		return starved[i].path < starved[j].path
-	})
+	byNeed(starved, capNow)
 	budget := rm.preemptCfg.MaxPerRound
 	// Latch the pass: victims' masters re-request from inside
 	// OnPreempted, and those allocations must wait until the round is

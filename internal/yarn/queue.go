@@ -109,6 +109,17 @@ func (q *leafQueue) usedRatio(c Resource) float64 {
 	return float64(q.used.VCores) / g
 }
 
+// byNeed orders leaves most underserved first: lowest usedRatio, ties by
+// path. leaves must arrive path-sorted (rm.leaves order); the insertion
+// sort is stable, allocates nothing, and there are a handful of leaves.
+func byNeed(leaves []*leafQueue, c Resource) {
+	for i := 1; i < len(leaves); i++ {
+		for j := i; j > 0 && leaves[j].usedRatio(c) < leaves[j-1].usedRatio(c); j-- {
+			leaves[j], leaves[j-1] = leaves[j-1], leaves[j]
+		}
+	}
+}
+
 // charge / uncharge maintain queue and per-user accounting.
 func (q *leafQueue) charge(user string, r Resource) {
 	q.used = q.used.plus(r)

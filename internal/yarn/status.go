@@ -27,12 +27,7 @@ func (rm *ResourceManager) StatusPage() string {
 			q.path, g.VCores, m.VCores, q.used.VCores, len(q.apps))
 	}
 
-	live := 0
-	for _, app := range rm.apps {
-		if app.State != AppFinished {
-			live++
-		}
-	}
+	live := len(rm.apps) - rm.appsFinished
 	fmt.Fprintf(&b, "\nApplications: %d submitted, %d finished, %d live\n", len(rm.apps), rm.appsFinished, live)
 	if live > 0 {
 		fmt.Fprintf(&b, "  %-8s %-24s %-16s %-10s %10s %8s %9s\n",

@@ -27,7 +27,9 @@ package yarn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -53,6 +55,15 @@ func (r Resource) plus(o Resource) Resource {
 
 func (r Resource) minus(o Resource) Resource {
 	return Resource{VCores: r.VCores - o.VCores, MemoryMB: r.MemoryMB - o.MemoryMB}
+}
+
+// upper and lower are the component-wise maximum and minimum.
+func (r Resource) upper(o Resource) Resource {
+	return Resource{VCores: max(r.VCores, o.VCores), MemoryMB: max(r.MemoryMB, o.MemoryMB)}
+}
+
+func (r Resource) lower(o Resource) Resource {
+	return Resource{VCores: min(r.VCores, o.VCores), MemoryMB: min(r.MemoryMB, o.MemoryMB)}
 }
 
 // String renders "4vc/8192MB".
@@ -128,6 +139,7 @@ type Container struct {
 	// the terminal transition (release or preemption).
 	ctx obs.Ctx
 
+	idStr string // "c000042", as events and spans name the container
 	state containerState
 }
 
@@ -137,8 +149,6 @@ func (c *Container) Preempted() bool { return c.state == containerPreempted }
 
 // Released reports whether the container has ended (release or preempt).
 func (c *Container) Released() bool { return c.state != containerLive }
-
-func (c *Container) idStr() string { return fmt.Sprintf("c%06d", c.ID) }
 
 // ContainerRequest asks the capacity scheduler for one container.
 type ContainerRequest struct {
@@ -181,6 +191,7 @@ type Application struct {
 	// ctx roots the app's trace (invalid when unsampled).
 	ctx obs.Ctx
 
+	idStr       string // "app00042", as events and spans name the app
 	master      AppMaster
 	queue       *leafQueue
 	amContainer *Container
@@ -206,6 +217,7 @@ func (a *Application) PendingRequests() int { return len(a.requests) }
 // nodeManager tracks one node's container capacity.
 type nodeManager struct {
 	id       cluster.NodeID
+	idStr    string // the id as events and spans print it
 	hostname string
 	capacity Resource
 	used     Resource
@@ -247,10 +259,18 @@ type ResourceManager struct {
 	apps  []*Application
 	next  int
 
+	// Constants of the topology. byHost resolves a locality hint to the
+	// lowest-numbered node of that hostname; poolCap sums the whole pool,
+	// active or not (admission control is against what the cluster *could*
+	// grow to); largest is the component-wise largest node.
+	byHost           map[string]*nodeManager
+	poolCap, largest Resource
+
 	// ContainersLaunched counts all container starts (AM + tasks).
 	ContainersLaunched int
 
-	leaves       []*leafQueue
+	leaves       []*leafQueue // path-sorted
+	order        []*leafQueue // allocateOne's scratch: leaves, most underserved first
 	preemptCfg   PreemptionConfig
 	autoscaleCfg AutoscaleConfig
 	log          *history.Log
@@ -260,6 +280,14 @@ type ResourceManager struct {
 	passDirty    bool
 	preemptions  int
 	appsFinished int
+	// minAsk is the component-wise smallest container size ever asked for
+	// (AM or task): a lower bound on every head request, so when it does
+	// not fit the cluster's free room a pass has nothing to place.
+	minAsk Resource
+	// pending counts apps in AppPending: up at submit and when a node
+	// drain takes an AM, down at an AM grant and when a pending app
+	// finishes.
+	pending int
 
 	// autoscaler accounting
 	lastScaleUp     sim.Time
@@ -287,6 +315,8 @@ func NewCapacityResourceManager(eng *sim.Engine, topo *cluster.Topology, opts Ca
 		preemptCfg:   opts.Preemption.withDefaults(),
 		autoscaleCfg: opts.Autoscale.withDefaults(topo.Len()),
 		m:            newRMMetrics(opts.Obs),
+		byHost:       map[string]*nodeManager{},
+		minAsk:       Resource{VCores: math.MaxInt, MemoryMB: math.MaxInt64},
 	}
 	rm.log = history.NewLog(rm.m.events)
 	initial := topo.Len()
@@ -294,12 +324,19 @@ func NewCapacityResourceManager(eng *sim.Engine, topo *cluster.Topology, opts Ca
 		initial = rm.autoscaleCfg.MinNodes
 	}
 	for i, n := range topo.Nodes() {
-		rm.nodes = append(rm.nodes, &nodeManager{
+		nm := &nodeManager{
 			id:       n.ID,
+			idStr:    strconv.Itoa(int(n.ID)),
 			hostname: n.Hostname,
 			capacity: Resource{VCores: n.Cores, MemoryMB: n.RAMBytes >> 20},
 			active:   i < initial,
-		})
+		}
+		rm.nodes = append(rm.nodes, nm)
+		if rm.byHost[nm.hostname] == nil {
+			rm.byHost[nm.hostname] = nm
+		}
+		rm.poolCap = rm.poolCap.plus(nm.capacity)
+		rm.largest = rm.largest.upper(nm.capacity)
 	}
 	rm.m.activeNodes.Set(int64(initial))
 	rm.logInit()
@@ -393,16 +430,19 @@ func (rm *ResourceManager) SubmitManaged(spec AppSpec, master AppMaster) (*Appli
 		Queue:       q.path,
 		User:        spec.User,
 		SubmittedAt: rm.eng.Now(),
+		idStr:       fmt.Sprintf("app%05d", rm.next),
 		master:      master,
 		queue:       q,
 	}
 	app.ctx = rm.m.reg.NewTrace(time.Duration(app.SubmittedAt))
 	rm.apps = append(rm.apps, app)
+	rm.pending++
+	rm.minAsk = rm.minAsk.lower(spec.AMResource)
 	q.apps = append(q.apps, app)
 	rm.m.appsSubmitted.Inc()
 	rm.event(EvAppSubmit, map[string]string{
-		"app": appID(app), "name": spec.Name, "queue": q.path, "user": spec.User,
-		"tasks": fmt.Sprint(len(spec.Tasks)),
+		"app": app.idStr, "name": spec.Name, "queue": q.path, "user": spec.User,
+		"tasks": strconv.Itoa(len(spec.Tasks)),
 	})
 	rm.kick()
 	return app, nil
@@ -412,39 +452,15 @@ func (rm *ResourceManager) validateSpec(spec *AppSpec) error {
 	if spec.AMResource == (Resource{}) {
 		spec.AMResource = Resource{VCores: 1, MemoryMB: 512}
 	}
-	capTotal := rm.poolCapacity()
-	if !spec.AMResource.Fits(capTotal) {
-		return fmt.Errorf("yarn: AM container %v exceeds cluster capacity %v", spec.AMResource, capTotal)
+	if !spec.AMResource.Fits(rm.poolCap) {
+		return fmt.Errorf("yarn: AM container %v exceeds cluster capacity %v", spec.AMResource, rm.poolCap)
 	}
 	for i, tk := range spec.Tasks {
-		if !tk.Resource.Fits(rm.largestNode()) {
+		if !tk.Resource.Fits(rm.largest) {
 			return fmt.Errorf("yarn: task %d container %v exceeds largest node", i, tk.Resource)
 		}
 	}
 	return nil
-}
-
-// poolCapacity sums the whole pool (active or not): admission control is
-// against what the cluster *could* grow to.
-func (rm *ResourceManager) poolCapacity() Resource {
-	var total Resource
-	for _, nm := range rm.nodes {
-		total = total.plus(nm.capacity)
-	}
-	return total
-}
-
-func (rm *ResourceManager) largestNode() Resource {
-	var max Resource
-	for _, nm := range rm.nodes {
-		if nm.capacity.VCores > max.VCores {
-			max.VCores = nm.capacity.VCores
-		}
-		if nm.capacity.MemoryMB > max.MemoryMB {
-			max.MemoryMB = nm.capacity.MemoryMB
-		}
-	}
-	return max
 }
 
 // Request asks for one more container for app. The request queues FIFO
@@ -454,11 +470,17 @@ func (rm *ResourceManager) Request(app *Application, req ContainerRequest) {
 	if app.State == AppFinished {
 		return
 	}
+	rm.enqueue(app, req)
+	rm.kick()
+}
+
+// enqueue appends req to app's FIFO request queue; the caller kicks.
+func (rm *ResourceManager) enqueue(app *Application, req ContainerRequest) {
 	if req.Resource == (Resource{}) {
 		req.Resource = Resource{VCores: 1, MemoryMB: 1024}
 	}
+	rm.minAsk = rm.minAsk.lower(req.Resource)
 	app.requests = append(app.requests, req)
-	rm.kick()
 }
 
 // CancelRequests removes up to n outstanding requests with the given tag
@@ -487,11 +509,10 @@ func (rm *ResourceManager) endContainer(c *Container, state containerState, coun
 	nm.containers = without(nm.containers, c)
 	c.App.containers = without(c.App.containers, c) // no-op for an AM
 	c.App.queue.uncharge(c.App.User, c.Resource)
-	node := fmt.Sprint(int(c.Node))
 	span := map[string]string{
-		"container": c.idStr(),
-		"app":       appID(c.App),
-		"node":      node,
+		"container": c.idStr,
+		"app":       c.App.idStr,
+		"node":      nm.idStr,
 		"reason":    reason,
 	}
 	if c.AM {
@@ -500,10 +521,10 @@ func (rm *ResourceManager) endContainer(c *Container, state containerState, coun
 	c.ctx.End(SpanContainer, time.Duration(c.StartedAt), time.Duration(rm.eng.Now()), span)
 	counter.Inc()
 	attrs := map[string]string{
-		"container": c.idStr(),
-		"app":       appID(c.App),
+		"container": c.idStr,
+		"app":       c.App.idStr,
 		"queue":     c.App.Queue,
-		"node":      node,
+		"node":      nm.idStr,
 	}
 	if forQueue != "" {
 		attrs["for_queue"] = forQueue
@@ -540,20 +561,23 @@ func (rm *ResourceManager) FinishApp(app *Application) {
 		rm.release(am, "app_finish")
 	}
 	app.requests = nil
+	if app.State == AppPending {
+		rm.pending--
+	}
 	app.State = AppFinished
 	app.FinishedAt = rm.eng.Now()
 	app.queue.removeApp(app)
 	rm.appsFinished++
 	rm.m.appsFinished.Inc()
 	app.ctx.End(SpanApp, time.Duration(app.SubmittedAt), time.Duration(app.FinishedAt), map[string]string{
-		"app":   appID(app),
+		"app":   app.idStr,
 		"queue": app.Queue,
 		"user":  app.User,
 	})
 	rm.event(EvAppFinish, map[string]string{
-		"app": appID(app), "queue": app.Queue,
-		"wait_ns":     fmt.Sprint(int64(app.WaitTime())),
-		"makespan_ns": fmt.Sprint(int64(app.Makespan())),
+		"app": app.idStr, "queue": app.Queue,
+		"wait_ns":     strconv.FormatInt(int64(app.WaitTime()), 10),
+		"makespan_ns": strconv.FormatInt(int64(app.Makespan()), 10),
 	})
 	rm.kick()
 }
@@ -573,11 +597,7 @@ func (rm *ResourceManager) SetNodeActive(id cluster.NodeID, active bool) {
 	rm.accrueNodeTime()
 	nm.active = active
 	if active {
-		rm.event(EvNodeUp, map[string]string{
-			"node": fmt.Sprint(int(id)),
-			"vc":   fmt.Sprint(nm.capacity.VCores), "mb": fmt.Sprint(nm.capacity.MemoryMB),
-			"reason": "admin",
-		})
+		rm.logNodeUp(nm, "admin")
 	} else {
 		// Drain: every container on the node dies and its work re-attempts
 		// elsewhere. AM containers finish the app's admission over again.
@@ -589,13 +609,12 @@ func (rm *ResourceManager) SetNodeActive(id cluster.NodeID, active bool) {
 				rm.endContainer(c, containerPreempted, nil, EvRelease, "node_drain", "")
 				c.App.amContainer = nil
 				c.App.State = AppPending
+				rm.pending++
 				continue
 			}
 			rm.preemptContainer(c, "")
 		}
-		rm.event(EvNodeDown, map[string]string{
-			"node": fmt.Sprint(int(id)), "reason": "admin",
-		})
+		rm.logNodeDown(nm, "admin")
 	}
 	rm.m.activeNodes.Set(int64(rm.ActiveNodes()))
 	rm.kick()
@@ -609,13 +628,4 @@ func (rm *ResourceManager) Apps() []*Application {
 }
 
 // AllFinished reports whether every submitted app reached AppFinished.
-func (rm *ResourceManager) AllFinished() bool {
-	for _, a := range rm.apps {
-		if a.State != AppFinished {
-			return false
-		}
-	}
-	return true
-}
-
-func appID(a *Application) string { return fmt.Sprintf("app%05d", a.ID) }
+func (rm *ResourceManager) AllFinished() bool { return rm.appsFinished == len(rm.apps) }
