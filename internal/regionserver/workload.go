@@ -250,6 +250,13 @@ const BenchTable = "usertable"
 // faultinject — and verifies every acknowledged write against the final
 // table state.
 func BenchRun(o BenchOpts) (*BenchResult, error) {
+	res, _, err := benchRun(o)
+	return res, err
+}
+
+// benchRun is BenchRun, also handing back the stopped cluster so a test
+// can read the table the run left behind.
+func benchRun(o BenchOpts) (*BenchResult, *Cluster, error) {
 	o.defaults()
 	eng := sim.NewEngine()
 	fs := vfs.NewMemFS()
@@ -266,7 +273,7 @@ func BenchRun(o BenchOpts) (*BenchResult, error) {
 		},
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer c.Stop()
 
@@ -275,7 +282,7 @@ func BenchRun(o BenchOpts) (*BenchResult, error) {
 		splitKeys = append(splitKeys, datagen.YCSBKey(i*o.Records/o.PreSplit))
 	}
 	if err := c.Master.CreateTable(BenchTable, splitKeys); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	load := datagen.YCSBLoad(o.Records, o.ValueSize)
 	kvs := make([]kvstore.KV, len(load))
@@ -283,14 +290,14 @@ func BenchRun(o BenchOpts) (*BenchResult, error) {
 		kvs[i] = kvstore.KV{Key: op.Key, Value: op.Value}
 	}
 	if err := c.Master.BulkLoadTable(BenchTable, kvs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	ops, err := datagen.YCSB(datagen.YCSBOpts{
 		Mix: o.Mix, Records: o.Records, Ops: o.Ops, ValueSize: o.ValueSize, Seed: o.Seed,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cl := c.NewClient()
 	if o.Cache {
@@ -363,13 +370,13 @@ func BenchRun(o BenchOpts) (*BenchResult, error) {
 		res.RecoverySeconds = time.Duration(end - crashAt).Seconds()
 	}
 	if res.MetaLog, err = c.Master.MetaLogBytes(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if res.Snap, err = reg.SnapshotJSON(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := c.Master.CheckMeta(); err != nil {
-		return nil, fmt.Errorf("regionserver: META broken after run: %w", err)
+		return nil, nil, fmt.Errorf("regionserver: META broken after run: %w", err)
 	}
-	return res, nil
+	return res, c, nil
 }
