@@ -17,9 +17,10 @@
 //     vfs append. Recovery replays segments in order and tolerates a
 //     torn final record, the crash-mid-append case; the cap bounds what
 //     one replay reads and what one torn tail can touch.
-//   - Store files parse once into an in-memory file cache (the block
-//     cache at teaching scale), so point reads cost a binary search,
-//     not a re-read of every HFile.
+//   - Store files are parsed once, when they are written or when Open
+//     finds them, and their sorted entries stay in the table's file list
+//     (the block cache at teaching scale), so a point read is a binary
+//     search per file and never touches the filesystem.
 package kvstore
 
 import (
@@ -147,13 +148,9 @@ type Table struct {
 	seq      uint64
 	nextFile int
 
-	// files is the in-memory list of store-file paths, oldest first,
-	// kept in sync with the hfiles directory; fileCache holds their
-	// parsed, sorted entries (invalidated when a file is removed) and
-	// fileSize their lengths, which sum to diskBytes.
-	files     []string
-	fileCache map[string][]entry
-	fileSize  map[string]int64
+	// files is the in-memory list of store files, oldest first, kept in
+	// sync with the hfiles directory; their sizes sum to diskBytes.
+	files     []storeFile
 	diskBytes int64
 
 	// walSeg is the current WAL segment number, walPath its path and
@@ -177,13 +174,11 @@ type Table struct {
 func Open(fs vfs.FileSystem, root string, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
-		fs:        fs,
-		root:      vfs.Clean(root),
-		cfg:       cfg,
-		m:         newKVMetrics(cfg.Obs),
-		mem:       map[string]cell{},
-		fileCache: map[string][]entry{},
-		fileSize:  map[string]int64{},
+		fs:   fs,
+		root: vfs.Clean(root),
+		cfg:  cfg,
+		m:    newKVMetrics(cfg.Obs),
+		mem:  map[string]cell{},
 	}
 	if err := fs.Mkdir(t.hfileDir()); err != nil {
 		return nil, err
@@ -191,26 +186,27 @@ func Open(fs vfs.FileSystem, root string, cfg Config) (*Table, error) {
 	if err := fs.Mkdir(t.walDir()); err != nil {
 		return nil, err
 	}
-	files, sizes, err := t.listStoreFiles()
+	infos, err := fs.List(t.hfileDir())
 	if err != nil {
 		return nil, err
 	}
-	t.files = files
-	for i, f := range files {
-		n, err := fileNumber(f)
+	for _, fi := range infos { // sorted by path: oldest first
+		if fi.IsDir {
+			continue
+		}
+		n, err := fileNumber(fi.Path)
 		if err != nil {
 			return nil, err
 		}
 		if n >= t.nextFile {
 			t.nextFile = n + 1
 		}
-		t.fileSize[f] = sizes[i]
-		t.diskBytes += sizes[i]
-		// Track the highest sequence number present in store files.
-		entries, err := t.readStoreFile(f)
+		entries, err := t.readStoreFile(fi.Path)
 		if err != nil {
 			return nil, err
 		}
+		t.addStoreFile(storeFile{path: fi.Path, size: fi.Size, entries: entries})
+		// Track the highest sequence number present in store files.
 		for _, e := range entries {
 			if e.cell.seq > t.seq {
 				t.seq = e.cell.seq
@@ -246,25 +242,6 @@ func (t *Table) walSegPath(n int) string {
 func fileNumber(path string) (int, error) {
 	_, name := vfs.Split(path)
 	return strconv.Atoi(name)
-}
-
-// listStoreFiles lists store file paths and sizes from the filesystem,
-// oldest first. Only Open uses it; afterwards t.files is authoritative.
-func (t *Table) listStoreFiles() ([]string, []int64, error) {
-	infos, err := t.fs.List(t.hfileDir())
-	if err != nil {
-		return nil, nil, err
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Path < infos[j].Path })
-	var paths []string
-	var sizes []int64
-	for _, fi := range infos {
-		if !fi.IsDir {
-			paths = append(paths, fi.Path)
-			sizes = append(sizes, fi.Size)
-		}
-	}
-	return paths, sizes, nil
 }
 
 // --- WAL ---
@@ -528,6 +505,33 @@ type entry struct {
 	cell cell
 }
 
+// storeFile is one immutable store file as the table holds it: where it
+// is, how many bytes it is, and its parsed entries in key order.
+type storeFile struct {
+	path    string
+	size    int64
+	entries []entry
+}
+
+// find returns the file's cell for key.
+func (f *storeFile) find(key string) (cell, bool) {
+	// Hand-written binary search: the closure sort.Search takes costs a
+	// call per probe on the hottest loop of a get.
+	lo, hi := 0, len(f.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if f.entries[mid].key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(f.entries) && f.entries[lo].key == key {
+		return f.entries[lo].cell, true
+	}
+	return cell{}, false
+}
+
 // Flush writes the MemStore as a new sorted store file and truncates the
 // WAL. A no-op on an empty MemStore.
 func (t *Table) Flush() error {
@@ -559,8 +563,8 @@ func (t *Table) Flush() error {
 	return nil
 }
 
-// writeStoreFile persists sorted entries as a new store file, updating
-// the file list, file cache and disk accounting.
+// writeStoreFile persists sorted entries as a new store file and adds it
+// to the file list.
 func (t *Table) writeStoreFile(path string, entries []entry) (int64, error) {
 	t.enc.reset()
 	for _, e := range entries {
@@ -570,19 +574,19 @@ func (t *Table) writeStoreFile(path string, entries []entry) (int64, error) {
 		return 0, err
 	}
 	size := int64(len(t.enc.buf))
-	t.files = append(t.files, path)
-	t.fileCache[path] = entries
-	t.fileSize[path] = size
-	t.diskBytes += size
+	t.addStoreFile(storeFile{path: path, size: size, entries: entries})
 	return size, nil
 }
 
-// readStoreFile returns a store file's sorted entries, parsing it at
-// most once (the file cache).
+func (t *Table) addStoreFile(f storeFile) {
+	t.files = append(t.files, f)
+	t.diskBytes += f.size
+}
+
+// readStoreFile reads and parses a store file. Only Open calls it: every
+// file written later enters the file list with the entries it was
+// written from.
 func (t *Table) readStoreFile(path string) ([]entry, error) {
-	if entries, ok := t.fileCache[path]; ok {
-		return entries, nil
-	}
 	data, err := vfs.ReadFile(t.fs, path)
 	if err != nil {
 		return nil, err
@@ -595,55 +599,41 @@ func (t *Table) readStoreFile(path string) ([]entry, error) {
 		}
 		key, c, err := parseWALLine(sc.Text())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("kvstore: store file %s: %w", path, err)
 		}
 		out = append(out, entry{key, c})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("kvstore: store file %s: %w", path, err)
 	}
-	t.fileCache[path] = out
 	t.m.storeFileReads.Inc()
 	return out, nil
 }
 
-// removeStoreFiles deletes the named store files and their cache and
-// accounting entries.
-func (t *Table) removeStoreFiles(paths []string) error {
-	drop := map[string]bool{}
-	for _, f := range paths {
-		if err := t.fs.Remove(f, false); err != nil {
+// removeStoreFiles deletes the first n store files.
+func (t *Table) removeStoreFiles(n int) error {
+	for _, f := range t.files[:n] {
+		if err := t.fs.Remove(f.path, false); err != nil {
 			return err
 		}
-		t.diskBytes -= t.fileSize[f]
-		delete(t.fileSize, f)
-		delete(t.fileCache, f)
-		drop[f] = true
 	}
-	keep := t.files[:0]
-	for _, f := range t.files {
-		if !drop[f] {
-			keep = append(keep, f)
-		}
+	for _, f := range t.files[:n] {
+		t.diskBytes -= f.size
 	}
-	t.files = keep
+	t.files = append(t.files[:0], t.files[n:]...)
 	return nil
 }
 
 // Compact merges all store files into one, dropping overwritten versions
 // and tombstoned keys (a major compaction at teaching scale).
 func (t *Table) Compact() error {
-	files := append([]string(nil), t.files...)
-	if len(files) <= 1 {
+	n := len(t.files)
+	if n <= 1 {
 		return nil
 	}
 	latest := map[string]cell{}
-	for _, f := range files {
-		entries, err := t.readStoreFile(f)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
+	for _, f := range t.files {
+		for _, e := range f.entries {
 			if cur, ok := latest[e.key]; !ok || e.cell.seq > cur.seq {
 				latest[e.key] = e.cell
 			}
@@ -657,18 +647,18 @@ func (t *Table) Compact() error {
 		merged = append(merged, entry{k, c})
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].key < merged[j].key })
-	if err := t.removeStoreFiles(files); err != nil {
+	if err := t.removeStoreFiles(n); err != nil {
 		return err
 	}
 	path := vfs.Join(t.hfileDir(), fmt.Sprintf("%06d", t.nextFile))
-	n, err := t.writeStoreFile(path, merged)
+	size, err := t.writeStoreFile(path, merged)
 	if err != nil {
 		return err
 	}
 	t.nextFile++
 	t.Compactions++
 	t.m.compactions.Inc()
-	t.m.compactBytes.Add(n)
+	t.m.compactBytes.Add(size)
 	return nil
 }
 
@@ -701,35 +691,26 @@ func (t *Table) BulkLoad(kvs []KV) error {
 
 // --- reads ---
 
-// Get returns the newest value for key, or ErrNotFound.
+// Get returns a fresh copy of the newest value for key, or ErrNotFound.
 func (t *Table) Get(key string) ([]byte, error) {
-	t.m.gets.Inc()
-	best, ok := t.lookup(key)
-	if !ok || best.tombstone {
-		return nil, ErrNotFound
-	}
-	return append([]byte(nil), best.value...), nil
+	return t.GetInto(nil, key)
 }
 
-func (t *Table) lookup(key string) (cell, bool) {
-	var best cell
-	found := false
-	if c, ok := t.mem[key]; ok {
-		best, found = c, true
-	}
-	for _, f := range t.files {
-		entries, err := t.readStoreFile(f)
-		if err != nil {
-			continue
-		}
-		i := sort.Search(len(entries), func(i int) bool { return entries[i].key >= key })
-		if i < len(entries) && entries[i].key == key {
-			if !found || entries[i].cell.seq > best.seq {
-				best, found = entries[i].cell, true
-			}
+// GetInto is Get into a buffer the caller owns: the value is appended to
+// buf[:0] and the result returned, so a caller that keeps the result as
+// its next buf reads any number of rows without allocating.
+func (t *Table) GetInto(buf []byte, key string) ([]byte, error) {
+	t.m.gets.Inc()
+	best, found := t.mem[key]
+	for i := range t.files {
+		if c, ok := t.files[i].find(key); ok && (!found || c.seq > best.seq) {
+			best, found = c, true
 		}
 	}
-	return best, found
+	if !found || best.tombstone {
+		return nil, ErrNotFound
+	}
+	return append(buf[:0], best.value...), nil
 }
 
 // KV is one scan result.
@@ -767,10 +748,7 @@ func (t *Table) ScanRange(startKey, endKey string, limit int) ([]KV, string, err
 		}
 	}
 	for _, f := range t.files {
-		entries, err := t.readStoreFile(f)
-		if err != nil {
-			return nil, "", err
-		}
+		entries := f.entries
 		i := sort.Search(len(entries), func(i int) bool { return entries[i].key >= startKey })
 		if i < len(entries) && inRange(entries[i].key) {
 			sources = append(sources, entries[i:])

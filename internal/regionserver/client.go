@@ -22,10 +22,19 @@ type Client struct {
 	m      *metrics
 	cache  *CacheTier // nil = no cache tier
 
-	locs        map[string][]RegionInfo // per-table location cache
+	locs        map[string]*tableLocs // per-table location cache
 	maxAttempts int
 
-	reqSeq uint64 // requests issued, for the trace stride
+	reqSeq  uint64 // requests issued, for the trace stride
+	scratch []byte // where ReadModifyWrite reads the row it overwrites
+}
+
+// tableLocs is one table's cached region list with each region's server
+// resolved when the list was fetched, so routing an op is one binary
+// search and no lookup by name.
+type tableLocs struct {
+	regions []RegionInfo
+	servers []*Server // servers[i] hosts regions[i]; nil if META named none
 }
 
 // traceEvery is the client-side trace stride: every traceEvery-th request
@@ -41,7 +50,7 @@ func newClient(ma *Master, cache *CacheTier) *Client {
 		cost:        ma.cost,
 		m:           ma.m,
 		cache:       cache,
-		locs:        map[string][]RegionInfo{},
+		locs:        map[string]*tableLocs{},
 		maxAttempts: 4,
 	}
 }
@@ -56,11 +65,9 @@ func (cl *Client) reqCtx(at sim.Time) obs.Ctx {
 	return cl.m.reg.NewTrace(at)
 }
 
-// requestSpan closes a sampled request's root span.
+// requestSpan closes a sampled request's root span; callers skip it when
+// ctx is not a sampled trace.
 func (cl *Client) requestSpan(ctx obs.Ctx, op, table string, at, done sim.Time, err error) {
-	if !ctx.Valid() {
-		return
-	}
 	result := "ok"
 	if err != nil && !errors.Is(err, kvstore.ErrNotFound) {
 		result = "error"
@@ -80,32 +87,36 @@ func (cl *Client) refresh(at sim.Time, table string) (sim.Time, error) {
 	if err != nil {
 		return at, err
 	}
-	cl.locs[table] = regions
+	locs := &tableLocs{regions: regions, servers: make([]*Server, len(regions))}
+	for i := range regions {
+		locs.servers[i] = cl.master.Server(regions[i].Srv)
+	}
+	cl.locs[table] = locs
 	cl.m.metaRefresh.Inc()
 	return at + cl.cost.MetaLookup + cl.cost.RTT, nil
 }
 
 // route resolves key → (region, server) from the location cache,
-// refreshing when stale is set or nothing is cached.
-func (cl *Client) route(at sim.Time, table, key string, stale bool) (RegionInfo, *Server, sim.Time, error) {
+// refreshing when stale is set or nothing is cached. The region it
+// returns points into the cache and is good until the next refresh.
+func (cl *Client) route(at sim.Time, table, key string, stale bool) (*RegionInfo, *Server, sim.Time, error) {
 	now := at
-	regions, ok := cl.locs[table]
+	locs, ok := cl.locs[table]
 	if stale || !ok {
 		var err error
 		if now, err = cl.refresh(now, table); err != nil {
-			return RegionInfo{}, nil, now, err
+			return nil, nil, now, err
 		}
-		regions = cl.locs[table]
+		locs = cl.locs[table]
 	}
-	info, ok := locate(regions, key)
-	if !ok {
-		return RegionInfo{}, nil, now, ErrNoTable
+	i := locateIndex(locs.regions, key)
+	if i < 0 {
+		return nil, nil, now, ErrNoTable
 	}
-	srv := cl.master.Server(info.Srv)
-	if srv == nil {
-		return RegionInfo{}, nil, now, ErrNoLiveServer
+	if locs.servers[i] == nil {
+		return nil, nil, now, ErrNoLiveServer
 	}
-	return info, srv, now, nil
+	return &locs.regions[i], locs.servers[i], now, nil
 }
 
 // retryable reports whether the op should re-route and try again.
@@ -119,7 +130,7 @@ func retryable(err error) bool {
 // is a sampled trace, every attempt — including the retries that used to
 // be a bare counter — records a serving.region_call span under it.
 func (cl *Client) do(ctx obs.Ctx, at sim.Time, table, key string,
-	op func(info RegionInfo, srv *Server, at sim.Time) (sim.Time, error)) (sim.Time, error) {
+	op func(info *RegionInfo, srv *Server, at sim.Time) (sim.Time, error)) (sim.Time, error) {
 	now := at
 	stale := false
 	var lastErr error
@@ -131,18 +142,24 @@ func (cl *Client) do(ctx obs.Ctx, at sim.Time, table, key string,
 		info, srv, t, err := cl.route(now, table, key, stale)
 		now = t
 		if err != nil {
-			cl.regionCallSpan(ctx, RegionInfo{}, attempt, callStart, now, err)
+			if ctx.Valid() {
+				regionCallSpan(ctx, "", "", attempt, callStart, now, err)
+			}
 			return now, err
 		}
 		done, err := op(info, srv, now)
 		if err == nil || !retryable(err) {
-			cl.regionCallSpan(ctx, info, attempt, callStart, done+cl.cost.RTT, err)
+			if ctx.Valid() {
+				regionCallSpan(ctx, info.ID, info.Srv, attempt, callStart, done+cl.cost.RTT, err)
+			}
 			return done + cl.cost.RTT, err
 		}
 		lastErr = err
 		now = done
 		stale = true
-		cl.regionCallSpan(ctx, info, attempt, callStart, now, err)
+		if ctx.Valid() {
+			regionCallSpan(ctx, info.ID, info.Srv, attempt, callStart, now, err)
+		}
 		if errors.Is(err, ErrServerDown) && attempt > 0 {
 			// Refreshed and still down: META hasn't moved the region yet.
 			// Recovery takes virtual time; hand the backoff to the caller.
@@ -152,11 +169,9 @@ func (cl *Client) do(ctx obs.Ctx, at sim.Time, table, key string,
 	return now, lastErr
 }
 
-// regionCallSpan records one routed attempt under a sampled request.
-func (cl *Client) regionCallSpan(ctx obs.Ctx, info RegionInfo, attempt int, start, end sim.Time, err error) {
-	if !ctx.Valid() {
-		return
-	}
+// regionCallSpan records one routed attempt under a sampled request;
+// callers skip it when ctx is not a sampled trace.
+func regionCallSpan(ctx obs.Ctx, region, server string, attempt int, start, end sim.Time, err error) {
 	result := "ok"
 	switch {
 	case errors.Is(err, ErrNotServing):
@@ -167,24 +182,33 @@ func (cl *Client) regionCallSpan(ctx obs.Ctx, info RegionInfo, attempt int, star
 		result = "error"
 	}
 	ctx.ChildSpan(SpanRegionCall, start, end, map[string]string{
-		"region":  info.ID,
-		"server":  info.Srv,
+		"region":  region,
+		"server":  server,
 		"attempt": fmt.Sprint(attempt),
 		"result":  result,
 	})
 }
 
 // Get reads one row, through the cache tier when present (hit: served
-// from the shard; miss: read through and fill). kvstore.ErrNotFound is
-// the absent-row result, not a failure.
+// from the shard; miss: read through and fill), and returns a copy the
+// caller owns. kvstore.ErrNotFound is the absent-row result, not a
+// failure.
 func (cl *Client) Get(at sim.Time, table, key string) ([]byte, sim.Time, error) {
+	return cl.getInto(nil, at, table, key)
+}
+
+// getInto is Get with the value appended to buf[:0], so a caller that
+// reads many rows and keeps none reuses one buffer.
+func (cl *Client) getInto(buf []byte, at sim.Time, table, key string) ([]byte, sim.Time, error) {
 	ctx := cl.reqCtx(at)
-	v, done, err := cl.get(ctx, at, table, key)
-	cl.requestSpan(ctx, "get", table, at, done, err)
+	v, done, err := cl.get(ctx, buf, at, table, key)
+	if ctx.Valid() {
+		cl.requestSpan(ctx, "get", table, at, done, err)
+	}
 	return v, done, err
 }
 
-func (cl *Client) get(ctx obs.Ctx, at sim.Time, table, key string) ([]byte, sim.Time, error) {
+func (cl *Client) get(ctx obs.Ctx, buf []byte, at sim.Time, table, key string) ([]byte, sim.Time, error) {
 	now := at
 	if cl.cache != nil {
 		v, ok, done := cl.cache.Get(now, table, key)
@@ -198,20 +222,26 @@ func (cl *Client) get(ctx obs.Ctx, at sim.Time, table, key string) ([]byte, sim.
 			})
 		}
 		if ok {
-			return v, done, nil
+			return append(buf[:0], v...), done, nil
 		}
 		now = done
 	}
-	var val []byte
-	done, err := cl.do(ctx, now, table, key, func(info RegionInfo, srv *Server, at sim.Time) (sim.Time, error) {
-		v, d, err := srv.Get(at, info.ID, info.Epoch, key)
-		val = v
+	val := buf
+	done, err := cl.do(ctx, now, table, key, func(info *RegionInfo, srv *Server, at sim.Time) (sim.Time, error) {
+		v, d, err := srv.getInto(val, at, info.ID, info.Epoch, key)
+		if err == nil {
+			val = v
+		}
 		return d, err
 	})
-	if err == nil && cl.cache != nil {
-		done = cl.cache.Fill(done, table, key, val)
+	if err != nil {
+		return nil, done, err
 	}
-	return val, done, err
+	if cl.cache != nil {
+		// The shard keeps its own copy: val is the caller's buffer.
+		done = cl.cache.Fill(done, table, key, append([]byte(nil), val...))
+	}
+	return val, done, nil
 }
 
 // Put writes one row and invalidates its cache entry after the ack
@@ -219,12 +249,14 @@ func (cl *Client) get(ctx obs.Ctx, at sim.Time, table, key string) ([]byte, sim.
 func (cl *Client) Put(at sim.Time, table, key string, value []byte) (sim.Time, error) {
 	ctx := cl.reqCtx(at)
 	done, err := cl.put(ctx, at, table, key, value)
-	cl.requestSpan(ctx, "put", table, at, done, err)
+	if ctx.Valid() {
+		cl.requestSpan(ctx, "put", table, at, done, err)
+	}
 	return done, err
 }
 
 func (cl *Client) put(ctx obs.Ctx, at sim.Time, table, key string, value []byte) (sim.Time, error) {
-	done, err := cl.do(ctx, at, table, key, func(info RegionInfo, srv *Server, at sim.Time) (sim.Time, error) {
+	done, err := cl.do(ctx, at, table, key, func(info *RegionInfo, srv *Server, at sim.Time) (sim.Time, error) {
 		return srv.Put(at, info.ID, info.Epoch, key, value)
 	})
 	if err == nil && cl.cache != nil {
@@ -236,13 +268,15 @@ func (cl *Client) put(ctx obs.Ctx, at sim.Time, table, key string, value []byte)
 // Delete removes one row (tombstone) and invalidates its cache entry.
 func (cl *Client) Delete(at sim.Time, table, key string) (sim.Time, error) {
 	ctx := cl.reqCtx(at)
-	done, err := cl.do(ctx, at, table, key, func(info RegionInfo, srv *Server, at sim.Time) (sim.Time, error) {
+	done, err := cl.do(ctx, at, table, key, func(info *RegionInfo, srv *Server, at sim.Time) (sim.Time, error) {
 		return srv.Delete(at, info.ID, info.Epoch, key)
 	})
 	if err == nil && cl.cache != nil {
 		done = cl.cache.Invalidate(done, table, key)
 	}
-	cl.requestSpan(ctx, "delete", table, at, done, err)
+	if ctx.Valid() {
+		cl.requestSpan(ctx, "delete", table, at, done, err)
+	}
 	return done, err
 }
 
@@ -251,13 +285,16 @@ func (cl *Client) Delete(at sim.Time, table, key string) (sim.Time, error) {
 // halves nest under one serving.request span.
 func (cl *Client) ReadModifyWrite(at sim.Time, table, key string, value []byte) (sim.Time, error) {
 	ctx := cl.reqCtx(at)
-	_, done, err := cl.get(ctx, at, table, key)
-	if err != nil && !errors.Is(err, kvstore.ErrNotFound) {
-		cl.requestSpan(ctx, "rmw", table, at, done, err)
-		return done, err
+	old, done, err := cl.get(ctx, cl.scratch, at, table, key)
+	if err == nil {
+		cl.scratch = old
 	}
-	done, err = cl.put(ctx, done, table, key, value)
-	cl.requestSpan(ctx, "rmw", table, at, done, err)
+	if err == nil || errors.Is(err, kvstore.ErrNotFound) {
+		done, err = cl.put(ctx, done, table, key, value)
+	}
+	if ctx.Valid() {
+		cl.requestSpan(ctx, "rmw", table, at, done, err)
+	}
 	return done, err
 }
 
@@ -283,7 +320,7 @@ func (cl *Client) Scan(at sim.Time, table, start, end string, limit int) ([]kvst
 			regEnd   string
 			moreTail bool
 		)
-		done, err := cl.do(ctx, now, table, cursor, func(info RegionInfo, srv *Server, at sim.Time) (sim.Time, error) {
+		done, err := cl.do(ctx, now, table, cursor, func(info *RegionInfo, srv *Server, at sim.Time) (sim.Time, error) {
 			k, n, d, err := srv.Scan(at, info.ID, info.Epoch, cursor, end, rem)
 			kvs, next = k, n
 			regEnd = info.End
@@ -292,7 +329,9 @@ func (cl *Client) Scan(at sim.Time, table, start, end string, limit int) ([]kvst
 		})
 		now = done
 		if err != nil {
-			cl.requestSpan(ctx, "scan", table, at, now, err)
+			if ctx.Valid() {
+				cl.requestSpan(ctx, "scan", table, at, now, err)
+			}
 			return out, now, err
 		}
 		out = append(out, kvs...)
@@ -305,6 +344,8 @@ func (cl *Client) Scan(at sim.Time, table, start, end string, limit int) ([]kvst
 		}
 		cursor = regEnd
 	}
-	cl.requestSpan(ctx, "scan", table, at, now, nil)
+	if ctx.Valid() {
+		cl.requestSpan(ctx, "scan", table, at, now, nil)
+	}
 	return out, now, nil
 }

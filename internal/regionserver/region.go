@@ -42,16 +42,30 @@ func regionPath(table, regionID string) string {
 
 // locate finds the region covering key in a Start-sorted region list.
 func locate(regions []RegionInfo, key string) (RegionInfo, bool) {
+	i := locateIndex(regions, key)
+	if i < 0 {
+		return RegionInfo{}, false
+	}
+	return regions[i], true
+}
+
+// locateIndex is locate returning the region's index, -1 when no region
+// covers key.
+func locateIndex(regions []RegionInfo, key string) int {
 	// First region with Start > key, minus one.
-	i := sort.Search(len(regions), func(i int) bool { return regions[i].Start > key })
-	if i == 0 {
-		return RegionInfo{}, false
+	lo, hi := 0, len(regions)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if regions[mid].Start > key {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	r := regions[i-1]
-	if !r.Contains(key) {
-		return RegionInfo{}, false
+	if lo == 0 || !regions[lo-1].Contains(key) {
+		return -1
 	}
-	return r, true
+	return lo - 1
 }
 
 // sortRegions orders a region list by range start (the META invariant).

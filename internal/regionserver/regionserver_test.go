@@ -18,18 +18,24 @@ import (
 func newTestCluster(t *testing.T, servers int, opts Options) (*Cluster, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
-	fs := vfs.NewMemFS()
+	return newClusterOn(t, eng, servers, opts), eng
+}
+
+// newClusterOn builds a cluster of `servers` region servers on an
+// in-memory filesystem, stopped when the test or benchmark ends.
+func newClusterOn(tb testing.TB, eng *sim.Engine, servers int, opts Options) *Cluster {
+	tb.Helper()
 	topo := cluster.NewTopology(cluster.PaperNodeConfig(servers+1, 1))
 	opts.Servers = servers
 	if opts.Obs == nil {
 		opts.Obs = obs.NewRegistry()
 	}
-	c, err := New(eng, fs, topo, opts)
+	c, err := New(eng, vfs.NewMemFS(), topo, opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(c.Stop)
-	return c, eng
+	tb.Cleanup(c.Stop)
+	return c
 }
 
 func TestServeBasicOps(t *testing.T) {

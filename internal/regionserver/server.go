@@ -150,9 +150,14 @@ func (s *Server) noteOp(hr *hostedRegion) {
 	}
 }
 
-// Get serves a point read arriving at `at`; returns the value and the
-// virtual completion time.
+// Get serves a point read arriving at `at`; returns a copy of the value
+// and the virtual completion time.
 func (s *Server) Get(at sim.Time, regionID string, epoch int, key string) ([]byte, sim.Time, error) {
+	return s.getInto(nil, at, regionID, epoch, key)
+}
+
+// getInto is Get with the value appended to buf[:0].
+func (s *Server) getInto(buf []byte, at sim.Time, regionID string, epoch int, key string) ([]byte, sim.Time, error) {
 	hr, err := s.lookupRegion(regionID, epoch)
 	if err != nil {
 		return nil, at, err
@@ -160,7 +165,7 @@ func (s *Server) Get(at sim.Time, regionID string, epoch int, key string) ([]byt
 	done := s.occupy(at, s.cost.ServerRead)
 	s.m.gets.Inc()
 	s.noteOp(hr)
-	v, err := hr.tbl.Get(key)
+	v, err := hr.tbl.GetInto(buf, key)
 	return v, done, err
 }
 

@@ -42,100 +42,38 @@ const (
 
 // RunWorkload drives the op stream against the table from `clients`
 // closed-loop virtual clients sharing one Client (and so one location
-// cache and one cache tier): each schedules its next op at the previous
-// op's completion, so server queueing shapes throughput. Ops that fail
-// with a retryable error back off in virtual time and retry — surviving
-// a crash-recovery window — and count as Errors only when the budget is
-// exhausted.
+// cache and one cache tier): client c issues ops c, c+clients, ... of the
+// stream, each at the previous one's completion, so server queueing
+// shapes throughput. Ops that fail with a retryable error back off in
+// virtual time and retry — surviving a crash-recovery window — and count
+// as Errors only when the budget is exhausted.
 func RunWorkload(eng *sim.Engine, cl *Client, table string, ops []datagen.YCSBOp, clients int) *WorkloadResult {
 	if clients <= 0 {
 		clients = 32
 	}
-	if clients > len(ops) && len(ops) > 0 {
+	if clients > len(ops) {
 		clients = len(ops)
 	}
-	res := &WorkloadResult{Acked: map[string]string{}}
+	run := &workloadRun{
+		eng: eng, cl: cl, table: table, ops: ops, stride: clients,
+		res:  &WorkloadResult{Acked: map[string]string{}},
+		lats: make([]time.Duration, 0, len(ops)),
+		last: eng.Now(),
+	}
 	start := eng.Now()
-	var lats []time.Duration
-	last := start
-	remaining := 0
-
-	runOne := func(ci int, mine []datagen.YCSBOp) {
-		var step func(i int)
-		step = func(i int) {
-			if i == len(mine) {
-				remaining--
-				if eng.Now() > last {
-					last = eng.Now()
-				}
-				return
-			}
-			op := mine[i]
-			opStart := eng.Now()
-			attempt := 0
-			var exec func()
-			exec = func() {
-				now := eng.Now()
-				var done sim.Time
-				var err error
-				switch op.Type {
-				case datagen.YCSBRead:
-					_, done, err = cl.Get(now, table, op.Key)
-					if errors.Is(err, kvstore.ErrNotFound) {
-						err = nil // absent row is a valid read result
-					}
-				case datagen.YCSBUpdate, datagen.YCSBInsert:
-					done, err = cl.Put(now, table, op.Key, op.Value)
-				case datagen.YCSBRMW:
-					done, err = cl.ReadModifyWrite(now, table, op.Key, op.Value)
-				case datagen.YCSBScan:
-					_, done, err = cl.Scan(now, table, op.Key, "", op.ScanLen)
-				default:
-					done, err = now, fmt.Errorf("regionserver: unknown op %q", op.Type)
-				}
-				if err != nil && retryable(err) && attempt < workloadRetries {
-					if attempt == 0 {
-						res.Retried++
-					}
-					attempt++
-					eng.Schedule(now+workloadBackoff, exec)
-					return
-				}
-				if err != nil {
-					res.Errors++
-					done = now
-				} else {
-					res.Ops++
-					lats = append(lats, time.Duration(done-opStart))
-					cl.m.opLatency.Observe(time.Duration(done - opStart))
-					switch op.Type {
-					case datagen.YCSBUpdate, datagen.YCSBInsert, datagen.YCSBRMW:
-						res.Acked[op.Key] = string(op.Value)
-					}
-				}
-				eng.Schedule(done, func() { step(i + 1) })
-			}
-			exec()
-		}
-		remaining++
-		eng.Schedule(start, func() { step(0) })
-	}
-
 	for ci := 0; ci < clients; ci++ {
-		var mine []datagen.YCSBOp
-		for i := ci; i < len(ops); i += clients {
-			mine = append(mine, ops[i])
-		}
-		if len(mine) > 0 {
-			runOne(ci, mine)
-		}
+		vc := &virtualClient{run: run, next: ci}
+		vc.step, vc.exec = vc.doStep, vc.doExec
+		run.remaining++
+		eng.Schedule(start, vc.step)
 	}
-	for remaining > 0 {
+	for run.remaining > 0 {
 		if !eng.Step() {
 			break
 		}
 	}
-	res.Makespan = time.Duration(last - start)
+	res, lats := run.res, run.lats
+	res.Makespan = time.Duration(run.last - start)
 	if res.Makespan > 0 {
 		res.OpsPerSec = float64(res.Ops) / res.Makespan.Seconds()
 	}
@@ -144,6 +82,98 @@ func RunWorkload(eng *sim.Engine, cl *Client, table string, ops []datagen.YCSBOp
 	res.P99 = percentile(lats, 0.99)
 	res.P999 = percentile(lats, 0.999)
 	return res
+}
+
+// workloadRun is what the virtual clients of one RunWorkload share.
+type workloadRun struct {
+	eng    *sim.Engine
+	cl     *Client
+	table  string
+	ops    []datagen.YCSBOp
+	stride int // the number of clients: each takes every stride-th op
+
+	res       *WorkloadResult
+	lats      []time.Duration
+	last      sim.Time // when the last client finished
+	remaining int      // clients still running
+	val       []byte   // every read lands here; the driver keeps no value
+}
+
+// virtualClient is one closed-loop client: a cursor into the shared op
+// stream and the two callbacks it hands the engine, bound once so that
+// an op schedules no new closure.
+type virtualClient struct {
+	run     *workloadRun
+	next    int      // index of the op the next step starts
+	op      int      // index of the op in flight
+	opStart sim.Time // its first attempt
+	attempt int      // retries so far
+	step    func()   // start the next op (or finish)
+	exec    func()   // attempt the op in flight
+}
+
+func (vc *virtualClient) doStep() {
+	r := vc.run
+	if vc.next >= len(r.ops) {
+		r.remaining--
+		if r.eng.Now() > r.last {
+			r.last = r.eng.Now()
+		}
+		return
+	}
+	vc.op, vc.next = vc.next, vc.next+r.stride
+	vc.opStart = r.eng.Now()
+	vc.attempt = 0
+	vc.doExec()
+}
+
+func (vc *virtualClient) doExec() {
+	r := vc.run
+	cl, res := r.cl, r.res
+	op := &r.ops[vc.op]
+	now := r.eng.Now()
+	var done sim.Time
+	var err error
+	switch op.Type {
+	case datagen.YCSBRead:
+		var v []byte
+		v, done, err = cl.getInto(r.val, now, r.table, op.Key)
+		if err == nil {
+			r.val = v
+		} else if errors.Is(err, kvstore.ErrNotFound) {
+			err = nil // absent row is a valid read result
+		}
+	case datagen.YCSBUpdate, datagen.YCSBInsert:
+		done, err = cl.Put(now, r.table, op.Key, op.Value)
+	case datagen.YCSBRMW:
+		done, err = cl.ReadModifyWrite(now, r.table, op.Key, op.Value)
+	case datagen.YCSBScan:
+		_, done, err = cl.Scan(now, r.table, op.Key, "", op.ScanLen)
+	default:
+		done, err = now, fmt.Errorf("regionserver: unknown op %q", op.Type)
+	}
+	if err != nil && retryable(err) && vc.attempt < workloadRetries {
+		if vc.attempt == 0 {
+			res.Retried++
+		}
+		vc.attempt++
+		r.eng.Schedule(now+workloadBackoff, vc.exec)
+		return
+	}
+	if err != nil {
+		res.Errors++
+		done = now
+	} else {
+		res.Ops++
+		lat := time.Duration(done - vc.opStart)
+		r.lats = append(r.lats, lat)
+		cl.m.opLatency.Observe(lat)
+		switch op.Type {
+		case datagen.YCSBUpdate, datagen.YCSBInsert, datagen.YCSBRMW:
+			res.Acked[op.Key] = string(op.Value)
+		}
+	}
+	r.eng.Schedule(done, vc.step)
 }
 
 // percentile is nearest-rank over an ascending slice.

@@ -129,17 +129,24 @@ func (m *MemFS) List(path string) ([]FileInfo, error) {
 	if !m.dirs[p] {
 		return nil, &PathError{Op: "list", Path: p, Err: ErrNotExist}
 	}
+	// Stored keys are clean, so a direct child is the prefix plus one
+	// slash-free segment: no key is split or cleaned again.
+	prefix := p + "/"
+	if p == "/" {
+		prefix = "/"
+	}
+	child := func(path string) bool {
+		return len(path) > len(prefix) && strings.HasPrefix(path, prefix) &&
+			strings.IndexByte(path[len(prefix):], '/') < 0
+	}
 	var out []FileInfo
 	for fp, data := range m.files {
-		if dir, _ := Split(fp); dir == p {
+		if child(fp) {
 			out = append(out, FileInfo{Path: fp, Size: int64(len(data))})
 		}
 	}
 	for dp := range m.dirs {
-		if dp == "/" {
-			continue
-		}
-		if dir, _ := Split(dp); dir == p {
+		if child(dp) {
 			out = append(out, FileInfo{Path: dp, IsDir: true})
 		}
 	}

@@ -73,8 +73,18 @@ type FileSystem interface {
 }
 
 // Clean normalises a path to absolute slash form with no trailing slash
-// (except root itself) and no empty or dot segments.
+// (except root itself) and no empty or dot segments. A path already in
+// that form — every path a filesystem hands back — is returned as it is,
+// without allocating.
 func Clean(path string) string {
+	if isClean(path) {
+		return path
+	}
+	return cleanSlow(path)
+}
+
+// cleanSlow normalises any path, segment by segment.
+func cleanSlow(path string) string {
 	segs := strings.Split(path, "/")
 	out := make([]string, 0, len(segs))
 	for _, s := range segs {
@@ -89,6 +99,29 @@ func Clean(path string) string {
 		}
 	}
 	return "/" + strings.Join(out, "/")
+}
+
+// isClean reports whether Clean would return path unchanged: "/", or a
+// leading slash followed by slash-separated segments none of which is
+// empty, "." or "..".
+func isClean(path string) bool {
+	if path == "" || path[0] != '/' {
+		return false
+	}
+	if path == "/" {
+		return true
+	}
+	start := 1
+	for i := 1; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
+		}
+		if seg := path[start:i]; seg == "" || seg == "." || seg == ".." {
+			return false
+		}
+		start = i + 1
+	}
+	return true
 }
 
 // Join joins path elements with slashes and cleans the result.

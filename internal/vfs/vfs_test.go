@@ -129,3 +129,34 @@ func TestReadFileAllocatesExactSize(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCleanMatchesSlow is the differential test of Clean's fast path: for
+// any path, returning the argument untouched is allowed only where the
+// segment-by-segment normaliser would have rebuilt the same string.
+func FuzzCleanMatchesSlow(f *testing.F) {
+	for _, p := range []string{
+		"", "/", "//", "/a", "/a/", "a", "a/b", "/a/b", "/a//b", "/a/./b", "/a/../b", "/.", "/..", "/...",
+		"/a/.", "/a/..", "/.a", "/a./b", "/..a/b..", "/a/b/c/../../", "./a", "../a", "/a\x00b", "/ü/é", "/ /", ".",
+		"/serving/usertable/r0003/hfiles/000000", "/t/wal.d/000012",
+	} {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p string) {
+		if got, want := Clean(p), cleanSlow(p); got != want {
+			t.Fatalf("Clean(%q) = %q, cleanSlow gives %q", p, got, want)
+		}
+	})
+}
+
+// TestCleanOfCleanPathDoesNotAllocate: every MemFS method cleans its
+// argument, and callers pass paths that already are.
+func TestCleanOfCleanPathDoesNotAllocate(t *testing.T) {
+	for _, p := range []string{"/", "/a", "/serving/usertable/r0003/hfiles/000000"} {
+		p := p
+		if n := testing.AllocsPerRun(100, func() { sinkPath = Clean(p) }); n != 0 {
+			t.Errorf("Clean(%q) made %v allocations", p, n)
+		}
+	}
+}
+
+var sinkPath string
