@@ -84,5 +84,6 @@ ci: build
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzTraceAnalyze -fuzztime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzEventQueueMatchesOracle -fuzztime 5s -fuzzminimizetime 1x ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzRecord -fuzztime 5s ./internal/kvstore/
 	$(MAKE) bench-smoke
 	$(MAKE) bench-selftest

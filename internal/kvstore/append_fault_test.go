@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -13,76 +14,8 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/sim"
 	"repro/internal/vfs"
+	"repro/internal/vfs/vfstest"
 )
-
-var errInjected = errors.New("injected storage fault")
-
-// failFS fails the failAt-th mutating call made through it — Append,
-// Create, Remove, and every Write and Close of the writers it hands out —
-// without passing that call on, and remembers which call it was. Every
-// other call goes through. (A counter, not the seeded fault-injecting
-// filesystem of ROADMAP item 1: enough to stand inside one operation.)
-type failFS struct {
-	vfs.FileSystem
-	failAt int
-	calls  int
-	failed string // "op path" of the call that failed, "" until it fires
-}
-
-func (f *failFS) step(op, path string) error {
-	f.calls++
-	if f.calls == f.failAt {
-		f.failed = op + " " + path
-		return errInjected
-	}
-	return nil
-}
-
-func (f *failFS) open(op, path string, open func(string) (io.WriteCloser, error)) (io.WriteCloser, error) {
-	if err := f.step(op, path); err != nil {
-		return nil, err
-	}
-	w, err := open(path)
-	if err != nil {
-		return nil, err
-	}
-	return &failWriter{w: w, fs: f, path: path}, nil
-}
-
-func (f *failFS) Append(path string) (io.WriteCloser, error) {
-	return f.open("append", path, f.FileSystem.Append)
-}
-
-func (f *failFS) Create(path string) (io.WriteCloser, error) {
-	return f.open("create", path, f.FileSystem.Create)
-}
-
-func (f *failFS) Remove(path string, recursive bool) error {
-	if err := f.step("remove", path); err != nil {
-		return err
-	}
-	return f.FileSystem.Remove(path, recursive)
-}
-
-type failWriter struct {
-	w    io.WriteCloser
-	fs   *failFS
-	path string
-}
-
-func (w *failWriter) Write(p []byte) (int, error) {
-	if err := w.fs.step("write", w.path); err != nil {
-		return 0, err
-	}
-	return w.w.Write(p)
-}
-
-func (w *failWriter) Close() error {
-	if err := w.fs.step("close", w.path); err != nil {
-		return err
-	}
-	return w.w.Close()
-}
 
 // TestFailedAppendLosesAtMostItsRecord stands a storage fault on every
 // mutating filesystem call of a 200-op run in turn. The mutation in
@@ -102,55 +35,62 @@ func TestFailedAppendLosesAtMostItsRecord(t *testing.T) {
 	for i := range ops {
 		ops[i] = mutation{key: fmt.Sprintf("row%03d", rng.Intn(120)), val: fmt.Sprintf("value-%03d", i), del: rng.Bernoulli(0.15)}
 	}
-	// run drives the ops through a table on ffs until one fails; it
-	// returns the model of the acknowledged ones and the op in flight.
-	run := func(ffs *failFS) (map[string]string, *mutation) {
+	// run opens a table on ffs, arms the k-th mutating call from there on
+	// (0: none) and drives the ops until one fails; it returns the model
+	// of the acknowledged ones and the op in flight.
+	openCalls := 0 // the mutating calls of Open on an empty filesystem
+	run := func(ffs *vfstest.FailFS, k int) (map[string]string, *mutation) {
 		tbl, err := kvstore.Open(ffs, "/t", cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		openCalls = ffs.Calls
+		if k > 0 {
+			ffs.FailAt = openCalls + k
 		}
 		model := map[string]string{}
 		for i := range ops {
 			o := ops[i]
 			if err := o.do(tbl); err != nil {
-				if !errors.Is(err, errInjected) {
-					t.Fatalf("fault %d (%s): op %d returned %v, want the injected error", ffs.failAt, ffs.failed, i, err)
+				if !errors.Is(err, vfstest.ErrInjected) {
+					t.Fatalf("fault %d (%s): op %d returned %v, want the injected error", k, ffs.Failed, i, err)
 				}
 				return model, &o
 			}
-			if ffs.failed != "" {
-				t.Fatalf("fault %d (%s) fired inside op %d, which returned nil", ffs.failAt, ffs.failed, i)
+			if ffs.Failed != "" {
+				t.Fatalf("fault %d (%s) fired inside op %d, which returned nil", ffs.FailAt, ffs.Failed, i)
 			}
 			o.record(model)
 		}
 		return model, nil
 	}
 
-	dry := &failFS{FileSystem: vfs.NewMemFS()}
-	run(dry)
-	if dry.calls < 3*len(ops) {
-		t.Fatalf("dry run made %d mutating calls for %d ops", dry.calls, len(ops))
+	dry := &vfstest.FailFS{FileSystem: vfs.NewMemFS()}
+	run(dry, 0)
+	calls := dry.Calls - openCalls
+	if calls < 3*len(ops) {
+		t.Fatalf("dry run made %d mutating calls for %d ops", calls, len(ops))
 	}
 	sawFlushFault := false
-	for k := 1; k <= dry.calls; k++ {
+	for k := 1; k <= calls; k++ {
 		mem := vfs.NewMemFS()
-		ffs := &failFS{FileSystem: mem, failAt: k}
-		model, inFlight := run(ffs)
+		ffs := &vfstest.FailFS{FileSystem: mem}
+		model, inFlight := run(ffs, k)
 		if inFlight == nil {
-			t.Fatalf("fault %d of %d never fired", k, dry.calls)
+			t.Fatalf("fault %d of %d never fired", k, calls)
 		}
 		// A fault outside the WAL append (writing the store file, removing
 		// the flushed segments) finds the record already logged.
-		inAppend := strings.Contains(ffs.failed, "/wal.d/") && !strings.HasPrefix(ffs.failed, "remove ")
+		inAppend := strings.Contains(ffs.Failed, "/wal.d/") && !strings.HasPrefix(ffs.Failed, "remove ")
 		if !inAppend {
 			inFlight.record(model)
 			sawFlushFault = true
 		}
 		re, err := kvstore.Open(mem, "/t", cfg)
 		if err != nil {
-			t.Fatalf("fault %d (%s): reopen: %v", k, ffs.failed, err)
+			t.Fatalf("fault %d (%s): reopen: %v", k, ffs.Failed, err)
 		}
-		diffModels(t, scanMap(t, re), model, fmt.Sprintf("fault %d (%s)", k, ffs.failed))
+		diffModels(t, scanMap(t, re), model, fmt.Sprintf("fault %d (%s)", k, ffs.Failed))
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -177,9 +117,7 @@ func TestFailedEditAppendReachesTheClient(t *testing.T) {
 		func(c *hdfs.Client) error { return c.Remove("/a/two", false) },
 		func(c *hdfs.Client) error { return writeVia(c.Append, "/a/log", "created by append") },
 	}
-	const callsPerEdit = 3 // AppendFile: Append, Write, Close
-	for k := 1; k <= callsPerEdit*len(steps); k++ {
-		meta := &failFS{FileSystem: vfs.NewMemFS(), failAt: k}
+	newDFS := func(meta vfs.FileSystem) (*hdfs.MiniDFS, *sim.Engine) {
 		eng := sim.NewEngine()
 		d, err := hdfs.NewMiniDFS(eng, cluster.NewTopology(cluster.PaperNodeConfig(3, 1)), hdfs.Options{
 			Seed: 9, Config: hdfs.Config{Replication: 3, HeartbeatInterval: time.Second}, MetadataFS: meta,
@@ -187,30 +125,46 @@ func TestFailedEditAppendReachesTheClient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return d, eng
+	}
+	// A dry run tells which calls belong to which step: AppendFile is
+	// Append, Write, Close, and the first one also makes the directory.
+	dry := &vfstest.FailFS{FileSystem: vfs.NewMemFS()}
+	dryDFS, _ := newDFS(dry)
+	var lastCall []int // of each step
+	for i, step := range steps {
+		if err := step(dryDFS.Client(0)); err != nil {
+			t.Fatalf("dry run, step %d: %v", i, err)
+		}
+		lastCall = append(lastCall, dry.Calls)
+	}
+	for k := 1; k <= dry.Calls; k++ {
+		meta := &vfstest.FailFS{FileSystem: vfs.NewMemFS(), FailAt: k}
+		d, eng := newDFS(meta)
 		c := d.Client(0)
 		before, failedStep := "", -1
 		for i, step := range steps {
 			before = tree(t, c)
 			if err := step(c); err != nil {
-				if !errors.Is(err, errInjected) {
-					t.Fatalf("fault %d (%s): step %d returned %v, want the injected error", k, meta.failed, i, err)
+				if !errors.Is(err, vfstest.ErrInjected) {
+					t.Fatalf("fault %d (%s): step %d returned %v, want the injected error", k, meta.Failed, i, err)
 				}
 				failedStep = i
 				break
 			}
-			if meta.failed != "" {
-				t.Fatalf("fault %d (%s) fired inside step %d, which returned nil", k, meta.failed, i)
+			if meta.Failed != "" {
+				t.Fatalf("fault %d (%s) fired inside step %d, which returned nil", k, meta.Failed, i)
 			}
 		}
-		if want := (k - 1) / callsPerEdit; failedStep != want {
-			t.Fatalf("fault %d (%s): step %d failed, want step %d", k, meta.failed, failedStep, want)
+		if want := sort.SearchInts(lastCall, k); failedStep != want {
+			t.Fatalf("fault %d (%s): step %d failed, want step %d", k, meta.Failed, failedStep, want)
 		}
 		if err := d.NN.RestartFromDisk(); err != nil {
-			t.Fatalf("fault %d (%s): cold start: %v", k, meta.failed, err)
+			t.Fatalf("fault %d (%s): cold start: %v", k, meta.Failed, err)
 		}
 		eng.Advance(5 * time.Second)
 		if after := tree(t, c); after != before {
-			t.Fatalf("fault %d (%s) in step %d: cold start loaded\n%swant the tree before that step\n%s", k, meta.failed, failedStep, after, before)
+			t.Fatalf("fault %d (%s) in step %d: cold start loaded\n%swant the tree before that step\n%s", k, meta.Failed, failedStep, after, before)
 		}
 	}
 }

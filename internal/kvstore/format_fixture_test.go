@@ -2,6 +2,7 @@ package kvstore_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -90,4 +91,66 @@ func TestParentFormatFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffModels(t, scanMap(t, fromStore), model, "the parent's store file")
+}
+
+// TestReferenceMarkerFixture pins the third use of the record line: the
+// marker a daughter table keeps per parent store file. The marker under
+// testdata/ was written by the commit that introduced references, for the
+// rows ["empty-value", "row-b") of the parent's store file: a change to
+// the record codec or to the marker's value layout that an existing
+// daughter directory could not be reopened after shows up here.
+func TestReferenceMarkerFixture(t *testing.T) {
+	wantStore, err := os.ReadFile("testdata/parent_store_file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMarker, err := os.ReadFile("testdata/reference_marker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[string]string{}
+	for _, o := range fixtureOps() {
+		o.record(model)
+	}
+	for k := range model {
+		if k < "empty-value" || k >= "row-b" {
+			delete(model, k)
+		}
+	}
+
+	// Forward: a reference onto the parent's store file writes the marker.
+	fs := vfs.NewMemFS()
+	if err := vfs.WriteFile(fs, "/p/hfiles/000000", wantStore); err != nil {
+		t.Fatal(err)
+	}
+	parent, err := kvstore.Open(fs, "/p", fixtureCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daughter, err := kvstore.Reference("/d", "empty-value", "row-b", parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffModels(t, scanMap(t, daughter), model, "the daughter")
+	if got, err := vfs.ReadFile(fs, "/d/hfiles/000000.ref"); err != nil || !bytes.Equal(got, wantMarker) {
+		t.Fatalf("marker differs from the pinned one (err=%v):\n got %q\nwant %q", err, got, wantMarker)
+	}
+
+	// Back: the pinned marker beside the parent's file opens as that table.
+	cold := vfs.NewMemFS()
+	if err := vfs.WriteFile(cold, "/p/hfiles/000000", wantStore); err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.WriteFile(cold, "/d/hfiles/000000.ref", wantMarker); err != nil {
+		t.Fatal(err)
+	}
+	re, err := kvstore.Open(cold, "/d", fixtureCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffModels(t, scanMap(t, re), model, "the pinned marker")
+	if re.SizeBytes() != daughter.SizeBytes() || fmt.Sprint(re.References()) != "[/p]" {
+		t.Fatalf("reopened with %d bytes and references %v, want %d and [/p]",
+			re.SizeBytes(), re.References(), daughter.SizeBytes())
+	}
 }

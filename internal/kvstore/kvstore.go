@@ -21,15 +21,21 @@
 //     finds them, and their sorted entries stay in the table's file list
 //     (the block cache at teaching scale), so a point read is a binary
 //     search per file and never touches the filesystem.
+//   - A region split or merge moves no rows: Reference opens a new table
+//     over a key range of other tables' store files, each named by a
+//     one-record marker, and the new table's first compaction writes
+//     the rows into a file of its own (DESIGN.md §12).
 package kvstore
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,8 +141,9 @@ type cell struct {
 // Table is one HBase-style table rooted at a directory of the backing
 // filesystem:
 //
-//	<root>/wal.d/NNNNNN   capped write-ahead-log segments
-//	<root>/hfiles/NNNNNN  sorted immutable store files
+//	<root>/wal.d/NNNNNN       capped write-ahead-log segments
+//	<root>/hfiles/NNNNNN      sorted immutable store files
+//	<root>/hfiles/NNNNNN.ref  reference markers onto other tables' files
 type Table struct {
 	fs   vfs.FileSystem
 	root string
@@ -201,13 +208,17 @@ func Open(fs vfs.FileSystem, root string, cfg Config) (*Table, error) {
 		if n >= t.nextFile {
 			t.nextFile = n + 1
 		}
-		entries, err := t.readStoreFile(fi.Path)
-		if err != nil {
-			return nil, err
+		f := storeFile{path: fi.Path, size: fi.Size}
+		if strings.HasSuffix(fi.Path, refSuffix) {
+			if f, err = t.readMarker(fi.Path); err != nil {
+				return nil, fmt.Errorf("kvstore: reference marker %s: %w", fi.Path, err)
+			}
+		} else if f.entries, err = t.readRecords(fi.Path); err != nil {
+			return nil, fmt.Errorf("kvstore: store file %w", err)
 		}
-		t.addStoreFile(storeFile{path: fi.Path, size: fi.Size, entries: entries})
+		t.addStoreFile(f)
 		// Track the highest sequence number present in store files.
-		for _, e := range entries {
+		for _, e := range f.entries {
 			if e.cell.seq > t.seq {
 				t.seq = e.cell.seq
 			}
@@ -239,9 +250,19 @@ func (t *Table) walSegPath(n int) string {
 	return vfs.Join(t.walDir(), fmt.Sprintf("%06d", n))
 }
 
+// refSuffix marks a reference marker among the store files.
+const refSuffix = ".ref"
+
 func fileNumber(path string) (int, error) {
 	_, name := vfs.Split(path)
-	return strconv.Atoi(name)
+	return strconv.Atoi(strings.TrimSuffix(name, refSuffix))
+}
+
+// nextFilePath numbers the next file of the hfiles directory.
+func (t *Table) nextFilePath(suffix string) string {
+	path := vfs.Join(t.hfileDir(), fmt.Sprintf("%06d", t.nextFile)+suffix)
+	t.nextFile++
+	return path
 }
 
 // --- WAL ---
@@ -250,7 +271,8 @@ func fileNumber(path string) (int, error) {
 // seq <TAB> P|D <TAB> b64(key) <TAB> b64(value) <TAB> crc32
 // The trailing checksum is what makes a torn record (a crash mid-append)
 // reliably detectable: a truncated base64 field can still decode, but it
-// cannot still match the CRC. Store files hold the same lines, sorted.
+// cannot still match the CRC. Store files hold the same lines, sorted,
+// and a reference marker is one such line (see storeFile).
 
 // recordEncoder appends encoded records to buf. Both slices are scratch
 // kept between calls, so a warmed encoder allocates nothing.
@@ -305,6 +327,9 @@ func parseWALLine(line string) (key string, c cell, err error) {
 	seq, err := strconv.ParseUint(f[0], 10, 64)
 	if err != nil {
 		return "", cell{}, err
+	}
+	if f[1] != "P" && f[1] != "D" {
+		return "", cell{}, fmt.Errorf("kvstore: bad wal op %q", f[1])
 	}
 	kb, err := base64.StdEncoding.DecodeString(f[2])
 	if err != nil {
@@ -506,11 +531,57 @@ type entry struct {
 }
 
 // storeFile is one immutable store file as the table holds it: where it
-// is, how many bytes it is, and its parsed entries in key order.
+// is, how many bytes of it count as the table's, and its parsed entries
+// in key order.
+//
+// A file the table wrote has no marker. A reference is a key range
+// [lo, hi) of a file under another table's root, which that table's
+// directory keeps for as long as the marker exists: entries is the
+// in-range sub-slice of the owner's parsed entries and size the share of
+// the file's bytes in proportion. The marker, <root>/hfiles/NNNNNN.ref,
+// holds one record — key: the file's path; value: size, lo and hi — so it
+// is written and parsed, CRC and all, by the code every other record is.
 type storeFile struct {
 	path    string
+	marker  string // "" for a file of the table's own
+	lo, hi  string // a reference's range; hi "" is unbounded
 	size    int64
 	entries []entry
+}
+
+// markerValue encodes a reference's size and range as a record value.
+func (f *storeFile) markerValue() []byte {
+	v := binary.AppendUvarint(nil, uint64(f.size))
+	v = binary.AppendUvarint(v, uint64(len(f.lo)))
+	v = append(v, f.lo...)
+	return append(v, f.hi...)
+}
+
+// parseMarker is the inverse of markerValue on a marker's one record.
+func parseMarker(e entry) (storeFile, error) {
+	v := e.cell.value
+	size, n := binary.Uvarint(v)
+	if n <= 0 {
+		return storeFile{}, errors.New("bad size")
+	}
+	v = v[n:]
+	loLen, n := binary.Uvarint(v)
+	if n <= 0 || loLen > uint64(len(v)-n) {
+		return storeFile{}, errors.New("bad range")
+	}
+	v = v[n:]
+	return storeFile{path: e.key, size: int64(size), lo: string(v[:loLen]), hi: string(v[loLen:])}, nil
+}
+
+// clip returns the entries with lo <= key < hi (hi "" = unbounded).
+func clip(entries []entry, lo, hi string) []entry {
+	if lo != "" {
+		entries = entries[sort.Search(len(entries), func(i int) bool { return entries[i].key >= lo }):]
+	}
+	if hi != "" {
+		entries = entries[:sort.Search(len(entries), func(i int) bool { return entries[i].key >= hi })]
+	}
+	return entries
 }
 
 // find returns the file's cell for key.
@@ -543,12 +614,10 @@ func (t *Table) Flush() error {
 		entries = append(entries, entry{k, c})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	path := vfs.Join(t.hfileDir(), fmt.Sprintf("%06d", t.nextFile))
-	n, err := t.writeStoreFile(path, entries)
+	n, err := t.writeStoreFile(entries)
 	if err != nil {
 		return err
 	}
-	t.nextFile++
 	t.mem = map[string]cell{}
 	t.memBytes = 0
 	if err := t.truncateWAL(); err != nil {
@@ -565,11 +634,12 @@ func (t *Table) Flush() error {
 
 // writeStoreFile persists sorted entries as a new store file and adds it
 // to the file list.
-func (t *Table) writeStoreFile(path string, entries []entry) (int64, error) {
+func (t *Table) writeStoreFile(entries []entry) (int64, error) {
 	t.enc.reset()
 	for _, e := range entries {
 		t.enc.add(e.key, e.cell)
 	}
+	path := t.nextFilePath("")
 	if err := vfs.WriteFile(t.fs, path, t.enc.buf); err != nil {
 		return 0, err
 	}
@@ -583,10 +653,11 @@ func (t *Table) addStoreFile(f storeFile) {
 	t.diskBytes += f.size
 }
 
-// readStoreFile reads and parses a store file. Only Open calls it: every
-// file written later enters the file list with the entries it was
+// readRecords reads and parses a file of records; its errors name the
+// file. Only Open calls it, for the store files and markers it finds:
+// every file written later enters the file list with the entries it was
 // written from.
-func (t *Table) readStoreFile(path string) ([]entry, error) {
+func (t *Table) readRecords(path string) ([]entry, error) {
 	data, err := vfs.ReadFile(t.fs, path)
 	if err != nil {
 		return nil, err
@@ -599,36 +670,46 @@ func (t *Table) readStoreFile(path string) ([]entry, error) {
 		}
 		key, c, err := parseWALLine(sc.Text())
 		if err != nil {
-			return nil, fmt.Errorf("kvstore: store file %s: %w", path, err)
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		out = append(out, entry{key, c})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("kvstore: store file %s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	t.m.storeFileReads.Inc()
 	return out, nil
 }
 
-// removeStoreFiles deletes the first n store files.
-func (t *Table) removeStoreFiles(n int) error {
-	for _, f := range t.files[:n] {
-		if err := t.fs.Remove(f.path, false); err != nil {
-			return err
-		}
+// readMarker resolves a reference marker: the file it names is read and
+// clipped to the marker's range.
+func (t *Table) readMarker(marker string) (storeFile, error) {
+	recs, err := t.readRecords(marker)
+	if err != nil {
+		return storeFile{}, err
 	}
-	for _, f := range t.files[:n] {
-		t.diskBytes -= f.size
+	if len(recs) != 1 {
+		return storeFile{}, fmt.Errorf("%d records, want 1", len(recs))
 	}
-	t.files = append(t.files[:0], t.files[n:]...)
-	return nil
+	f, err := parseMarker(recs[0])
+	if err != nil {
+		return storeFile{}, err
+	}
+	all, err := t.readRecords(f.path)
+	if err != nil {
+		return storeFile{}, err
+	}
+	f.marker = marker
+	f.entries = clip(all, f.lo, f.hi)
+	return f, nil
 }
 
 // Compact merges all store files into one, dropping overwritten versions
-// and tombstoned keys (a major compaction at teaching scale).
+// and tombstoned keys (a major compaction at teaching scale). References
+// are rewritten with the rest: once Compactions has counted it, the table
+// owns every byte it serves and no marker of its is left on disk.
 func (t *Table) Compact() error {
-	n := len(t.files)
-	if n <= 1 {
+	if n := len(t.files); n == 0 || (n == 1 && t.files[0].marker == "") {
 		return nil
 	}
 	latest := map[string]cell{}
@@ -647,15 +728,25 @@ func (t *Table) Compact() error {
 		merged = append(merged, entry{k, c})
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].key < merged[j].key })
-	if err := t.removeStoreFiles(n); err != nil {
-		return err
-	}
-	path := vfs.Join(t.hfileDir(), fmt.Sprintf("%06d", t.nextFile))
-	size, err := t.writeStoreFile(path, merged)
+	// The merge is written before its inputs go, and they go oldest
+	// first: whatever a failure leaves on disk still holds every row, and
+	// never a put without the tombstone written after it.
+	size, err := t.writeStoreFile(merged)
 	if err != nil {
 		return err
 	}
-	t.nextFile++
+	last := len(t.files) - 1
+	old := t.files[:last]
+	t.files, t.diskBytes = t.files[last:], size
+	for _, f := range old {
+		path := f.path
+		if f.marker != "" {
+			path = f.marker // the file itself belongs to another table
+		}
+		if err := t.fs.Remove(path, false); err != nil {
+			return err
+		}
+	}
 	t.Compactions++
 	t.m.compactions.Inc()
 	t.m.compactBytes.Add(size)
@@ -663,9 +754,9 @@ func (t *Table) Compact() error {
 }
 
 // BulkLoad writes kvs directly as one sorted store file, bypassing the
-// WAL and MemStore — the bulk-import path dataset loads and region
-// splits/merges use. Keys within kvs must be unique; later sequence
-// numbers are assigned in slice order after sorting by key.
+// WAL and MemStore — the bulk-import path dataset loads use. Keys within
+// kvs must be unique; later sequence numbers are assigned in slice order
+// after sorting by key.
 func (t *Table) BulkLoad(kvs []KV) error {
 	if len(kvs) == 0 {
 		return nil
@@ -677,16 +768,86 @@ func (t *Table) BulkLoad(kvs []KV) error {
 		t.seq++
 		entries[i] = entry{kv.Key, cell{seq: t.seq, value: append([]byte(nil), kv.Value...)}}
 	}
-	path := vfs.Join(t.hfileDir(), fmt.Sprintf("%06d", t.nextFile))
-	if _, err := t.writeStoreFile(path, entries); err != nil {
+	if _, err := t.writeStoreFile(entries); err != nil {
 		return err
 	}
-	t.nextFile++
 	t.m.bulkLoads.Inc()
 	if len(t.files) >= t.cfg.CompactTrigger {
 		return t.Compact()
 	}
 	return nil
+}
+
+// Reference opens a new table at root that serves the rows of the source
+// tables with start <= key < end (end "" = unbounded) without moving
+// one: for each store file of a source that has rows in the range it
+// writes a marker and takes the in-range sub-slice of the entries the
+// source already holds. A source's own reference is passed on narrowed,
+// so a marker always names a real store file, never another marker. The
+// sources must be flushed, must not share keys in the range (versions
+// compare within one table only), and their directories must outlive the
+// new table's markers — its first compaction removes them. The new table
+// takes the first source's filesystem and configuration. On an error the
+// caller removes whatever root holds.
+func Reference(root, start, end string, sources ...*Table) (*Table, error) {
+	src0 := sources[0]
+	t, err := Open(src0.fs, root, src0.cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, src := range sources {
+		if len(src.mem) > 0 {
+			return nil, fmt.Errorf("kvstore: reference to %s: MemStore not flushed", src.root)
+		}
+		if src.seq > t.seq {
+			t.seq = src.seq
+		}
+		for _, f := range src.files {
+			sub := clip(f.entries, start, end)
+			if len(sub) == 0 {
+				continue
+			}
+			ref := storeFile{
+				path:    f.path,
+				marker:  t.nextFilePath(refSuffix),
+				lo:      max(f.lo, start),
+				hi:      minBound(f.hi, end),
+				size:    f.size * int64(len(sub)) / int64(len(f.entries)),
+				entries: sub,
+			}
+			t.enc.reset()
+			t.enc.add(ref.path, cell{value: ref.markerValue()})
+			if err := vfs.WriteFile(t.fs, ref.marker, t.enc.buf); err != nil {
+				return nil, err
+			}
+			t.addStoreFile(ref)
+		}
+	}
+	return t, nil
+}
+
+// minBound is the smaller of two exclusive upper bounds, "" being +inf.
+func minBound(a, b string) string {
+	if a == "" || (b != "" && b < a) {
+		return b
+	}
+	return a
+}
+
+// References returns the roots of the tables whose store files this one
+// still reads through markers, sorted and distinct; nil for a table that
+// owns every file it serves.
+func (t *Table) References() []string {
+	var roots []string
+	for _, f := range t.files {
+		if f.marker != "" {
+			dir, _ := vfs.Split(f.path) // <root>/hfiles/NNNNNN
+			root, _ := vfs.Split(dir)
+			roots = append(roots, root)
+		}
+	}
+	slices.Sort(roots)
+	return slices.Compact(roots)
 }
 
 // --- reads ---
@@ -719,6 +880,53 @@ type KV struct {
 	Value []byte
 }
 
+// merger walks key-sorted entry slices as one: every distinct key once, in
+// ascending order, with its newest cell.
+type merger [][]entry
+
+// merger returns the table's sources clipped to [startKey, endKey): the
+// MemStore's in-range keys, sorted, and each store file's sub-slice.
+func (t *Table) merger(startKey, endKey string) merger {
+	m := make(merger, 0, len(t.files)+1)
+	if len(t.mem) > 0 {
+		var memEntries []entry
+		for k, c := range t.mem {
+			if k >= startKey && (endKey == "" || k < endKey) {
+				memEntries = append(memEntries, entry{k, c})
+			}
+		}
+		sort.Slice(memEntries, func(i, j int) bool { return memEntries[i].key < memEntries[j].key })
+		m = append(m, memEntries)
+	}
+	for i := range t.files {
+		m = append(m, clip(t.files[i].entries, startKey, endKey))
+	}
+	return m
+}
+
+// next pops the smallest key across the sources with its newest cell
+// (tombstones included); ok is false once every source is exhausted.
+func (m merger) next() (key string, newest cell, ok bool) {
+	for _, src := range m {
+		if len(src) > 0 && (!ok || src[0].key < key) {
+			key, ok = src[0].key, true
+		}
+	}
+	if !ok {
+		return "", cell{}, false
+	}
+	first := true
+	for i, src := range m {
+		if len(src) > 0 && src[0].key == key {
+			if first || src[0].cell.seq > newest.seq {
+				newest, first = src[0].cell, false
+			}
+			m[i] = src[1:]
+		}
+	}
+	return key, newest, true
+}
+
 // ScanRange returns up to limit live key-value pairs with
 // startKey <= key < endKey (endKey "" = unbounded), in key order,
 // merging MemStore and store files with newest-version-wins semantics —
@@ -726,66 +934,21 @@ type KV struct {
 //
 // The second result is the resume cursor: pass it as the next call's
 // startKey to continue the scan; "" means the range is exhausted. This
-// is the bounded iterator region scans and splits run on.
+// is the bounded iterator region scans run on.
 func (t *Table) ScanRange(startKey, endKey string, limit int) ([]KV, string, error) {
 	t.m.scans.Inc()
-	// Sources: the MemStore's in-range keys (collected then sorted) and
-	// each store file positioned at startKey by binary search.
-	inRange := func(k string) bool {
-		return k >= startKey && (endKey == "" || k < endKey)
-	}
-	var sources [][]entry
-	if len(t.mem) > 0 {
-		var memEntries []entry
-		for k, c := range t.mem {
-			if inRange(k) {
-				memEntries = append(memEntries, entry{k, c})
-			}
-		}
-		sort.Slice(memEntries, func(i, j int) bool { return memEntries[i].key < memEntries[j].key })
-		if len(memEntries) > 0 {
-			sources = append(sources, memEntries)
-		}
-	}
-	for _, f := range t.files {
-		entries := f.entries
-		i := sort.Search(len(entries), func(i int) bool { return entries[i].key >= startKey })
-		if i < len(entries) && inRange(entries[i].key) {
-			sources = append(sources, entries[i:])
-		}
-	}
-	heads := make([]int, len(sources))
 	var out []KV
-	for {
-		// Find the smallest key across source heads.
-		minKey := ""
-		for s, src := range sources {
-			if heads[s] >= len(src) || !inRange(src[heads[s]].key) {
-				continue
-			}
-			if k := src[heads[s]].key; minKey == "" || k < minKey {
-				minKey = k
-			}
+	for m := t.merger(startKey, endKey); ; {
+		key, c, ok := m.next()
+		if !ok {
+			return out, "", nil
 		}
-		if minKey == "" {
-			return out, "", nil // every source exhausted within the range
+		if c.tombstone {
+			continue
 		}
-		// Resolve the newest cell for minKey, advancing every source
-		// positioned on it.
-		var best cell
-		for s, src := range sources {
-			if heads[s] < len(src) && src[heads[s]].key == minKey {
-				if c := src[heads[s]].cell; c.seq > best.seq {
-					best = c
-				}
-				heads[s]++
-			}
-		}
-		if !best.tombstone {
-			out = append(out, KV{Key: minKey, Value: append([]byte(nil), best.value...)})
-			if limit > 0 && len(out) >= limit {
-				return out, minKey + "\x00", nil
-			}
+		out = append(out, KV{Key: key, Value: append([]byte(nil), c.value...)})
+		if limit > 0 && len(out) >= limit {
+			return out, key + "\x00", nil
 		}
 	}
 }
@@ -811,27 +974,32 @@ func (t *Table) Scan(startKey, endKey string) ([]KV, error) {
 
 // MidKey returns the median live key — the natural split point for a
 // region hosting this table — or "" when the table has fewer than two
-// live keys.
+// live keys. It walks the parsed entries twice, to count and to pick,
+// and copies no value.
 func (t *Table) MidKey() (string, error) {
-	var keys []string
-	cur := ""
-	for {
-		kvs, next, err := t.ScanRange(cur, "", 1024)
-		if err != nil {
-			return "", err
-		}
-		for _, kv := range kvs {
-			keys = append(keys, kv.Key)
-		}
-		if next == "" {
+	live := 0
+	for m := t.merger("", ""); ; {
+		_, c, ok := m.next()
+		if !ok {
 			break
 		}
-		cur = next
+		if !c.tombstone {
+			live++
+		}
 	}
-	if len(keys) < 2 {
+	if live < 2 {
 		return "", nil
 	}
-	return keys[len(keys)/2], nil
+	for m, i := t.merger("", ""), 0; ; {
+		key, c, _ := m.next()
+		if c.tombstone {
+			continue
+		}
+		if i == live/2 {
+			return key, nil
+		}
+		i++
+	}
 }
 
 // Len returns the number of live keys.

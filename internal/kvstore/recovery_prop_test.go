@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/kvstore"
@@ -415,5 +416,250 @@ func TestKVMetricsWired(t *testing.T) {
 	}
 	if int64(tbl.Compactions) != reg.CounterValue(kvstore.MetricCompactions) {
 		t.Errorf("Compactions field %d != obs counter %d", tbl.Compactions, reg.CounterValue(kvstore.MetricCompactions))
+	}
+}
+
+// modelTable is one live table of TestLifecycleAgainstModel: the rows
+// [lo, hi) of a 200-row key space, by row number.
+type modelTable struct {
+	root   string
+	lo, hi int
+	tbl    *kvstore.Table
+	// daughter is set for a table opened by Reference; compacted once a
+	// compaction has rewritten its references.
+	daughter, compacted bool
+}
+
+const modelRows = 200
+
+func modelKey(i int) string { return fmt.Sprintf("row%03d", i) }
+
+// bound renders a row number as a range bound: both ends of the key space
+// are the open bound "".
+func bound(i int) string {
+	if i == 0 || i == modelRows {
+		return ""
+	}
+	return modelKey(i)
+}
+
+// TestLifecycleAgainstModel is the model-based test of everything a
+// region's table goes through: a random run of put / delete / flush /
+// compact / split / merge / reopen over a growing and shrinking set of
+// tables that tile one key space, checked after every structural step
+// against a plain map. Splits and merges go through Reference, so
+// daughters serve their parents' store files; a retired parent's
+// directory is removed — as the region master does — as soon as no live
+// table's References names it, so a reference the table forgot to report
+// shows up as a reopen that cannot find its file. Reopen is the crash: it
+// happens to daughters while they still hold markers and after their
+// first compaction dropped them.
+func TestLifecycleAgainstModel(t *testing.T) {
+	reopenedHolding, reopenedAfterDrop, splits, merges := 0, 0, 0, 0
+	for _, seed := range []int64{1, 7, 42, 99, 1234} {
+		seed := seed
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rng := sim.NewRand(seed).Derive("kv-lifecycle")
+			fs := vfs.NewMemFS()
+			cfg := kvstore.Config{FlushThresholdBytes: 768, CompactTrigger: 4, WALSegmentBytes: 256}
+			model := map[string]string{}
+			nextRoot := 0
+			newRoot := func() string { nextRoot++; return fmt.Sprintf("/tables/t%04d", nextRoot) }
+			first, err := kvstore.Open(fs, newRoot(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables := []*modelTable{{root: "/tables/t0001", lo: 0, hi: modelRows, tbl: first}} // sorted by lo
+			var retired []string
+
+			check := func(tb *modelTable, label string) {
+				t.Helper()
+				want := map[string]string{}
+				for i := tb.lo; i < tb.hi; i++ {
+					if v, ok := model[modelKey(i)]; ok {
+						want[modelKey(i)] = v
+					}
+				}
+				diffModels(t, scanMap(t, tb.tbl), want, fmt.Sprintf("%s, %s [%d,%d)", label, tb.root, tb.lo, tb.hi))
+				k := modelKey(tb.lo + rng.Intn(tb.hi-tb.lo))
+				got, err := tb.tbl.Get(k)
+				if v, ok := model[k]; ok && (err != nil || string(got) != v) {
+					t.Errorf("%s: Get(%s) = %q, %v; want %q", label, k, got, err, v)
+				} else if !ok && !errors.Is(err, kvstore.ErrNotFound) {
+					t.Errorf("%s: Get(%s) = %q, %v; want ErrNotFound", label, k, got, err)
+				}
+				if t.Failed() {
+					t.FailNow()
+				}
+			}
+			// sweep removes every retired directory no live table reads.
+			sweep := func() {
+				inUse := map[string]bool{}
+				for _, tb := range tables {
+					refs := tb.tbl.References()
+					if tb.compacted && len(refs) > 0 {
+						t.Fatalf("%s compacted and still references %v", tb.root, refs)
+					}
+					for _, root := range refs {
+						inUse[root] = true
+					}
+				}
+				keep := retired[:0]
+				for _, root := range retired {
+					if inUse[root] {
+						keep = append(keep, root)
+					} else if err := fs.Remove(root, true); err != nil {
+						t.Fatal(err)
+					}
+				}
+				retired = keep
+			}
+			reference := func(lo, hi int, sources ...*modelTable) *modelTable {
+				tb := &modelTable{root: newRoot(), lo: lo, hi: hi, daughter: true}
+				var srcs []*kvstore.Table
+				for _, s := range sources {
+					if err := s.tbl.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					srcs = append(srcs, s.tbl)
+					retired = append(retired, s.root)
+				}
+				var err error
+				if tb.tbl, err = kvstore.Reference(tb.root, bound(lo), bound(hi), srcs...); err != nil {
+					t.Fatal(err)
+				}
+				return tb
+			}
+
+			for op := 0; op < 2500; op++ {
+				at := rng.Intn(len(tables))
+				tb := tables[at]
+				before := tb.tbl.Compactions
+				k := modelKey(tb.lo + rng.Intn(tb.hi-tb.lo))
+				switch p := rng.Float64(); {
+				case p < 0.62:
+					v := fmt.Sprintf("v%d-%d-%s", seed, op, k)
+					if err := tb.tbl.Put(k, []byte(v)); err != nil {
+						t.Fatal(err)
+					}
+					model[k] = v
+				case p < 0.78:
+					if err := tb.tbl.Delete(k); err != nil {
+						t.Fatal(err)
+					}
+					delete(model, k)
+				case p < 0.82:
+					if err := tb.tbl.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				case p < 0.84:
+					if err := tb.tbl.Compact(); err != nil {
+						t.Fatal(err)
+					}
+					check(tb, fmt.Sprintf("op %d, after compaction", op))
+				case p < 0.89: // split at the median live key
+					if err := tb.tbl.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					mid, err := tb.tbl.MidKey()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if mid == "" {
+						continue
+					}
+					var m int
+					fmt.Sscanf(mid, "row%d", &m)
+					if m <= tb.lo || m >= tb.hi {
+						t.Fatalf("MidKey %q outside (%d, %d)", mid, tb.lo, tb.hi)
+					}
+					low, high := reference(tb.lo, m, tb), reference(m, tb.hi, tb)
+					retired = retired[:len(retired)-1] // the parent was listed twice
+					// The daughters' sizes are the parent's, shared out by
+					// rows and rounded down once per file and daughter.
+					size, slack := tb.tbl.SizeBytes(), int64(2*tb.tbl.StoreFileCount())
+					if got := low.tbl.SizeBytes() + high.tbl.SizeBytes(); got > size || got < size-slack {
+						t.Fatalf("op %d: daughters of %s hold %d bytes, the parent %d", op, tb.root, got, size)
+					}
+					tables = append(tables[:at], append([]*modelTable{low, high}, tables[at+1:]...)...)
+					check(low, fmt.Sprintf("op %d, low daughter of %s", op, tb.root))
+					check(high, fmt.Sprintf("op %d, high daughter of %s", op, tb.root))
+					splits++
+				case p < 0.93: // merge with the right-hand neighbour
+					if at+1 == len(tables) {
+						continue
+					}
+					right := tables[at+1]
+					merged := reference(tb.lo, right.hi, tb, right)
+					tables = append(tables[:at], append([]*modelTable{merged}, tables[at+2:]...)...)
+					check(merged, fmt.Sprintf("op %d, merge of %s and %s", op, tb.root, right.root))
+					merges++
+				default: // crash: drop the handle, reopen from the filesystem
+					size, refs := tb.tbl.SizeBytes(), tb.tbl.References()
+					re, err := kvstore.Open(fs, tb.root, cfg)
+					if err != nil {
+						t.Fatalf("op %d: reopen %s (references %v): %v", op, tb.root, refs, err)
+					}
+					tb.tbl = re
+					check(tb, fmt.Sprintf("op %d, after reopen", op))
+					if re.SizeBytes() != size || fmt.Sprint(re.References()) != fmt.Sprint(refs) {
+						t.Fatalf("op %d: %s reopened with %d bytes and references %v, had %d and %v",
+							op, tb.root, re.SizeBytes(), re.References(), size, refs)
+					}
+					switch {
+					case len(refs) > 0:
+						reopenedHolding++
+					case tb.daughter && tb.compacted:
+						reopenedAfterDrop++
+					}
+					before = 0
+				}
+				if tb.tbl.Compactions > before {
+					tb.compacted = true
+				}
+				sweep()
+			}
+
+			// Every table still reads what the model holds, from a cold
+			// start; and once all of them have compacted, the filesystem
+			// holds their directories and nothing else.
+			for _, tb := range tables {
+				re, err := kvstore.Open(fs, tb.root, cfg)
+				if err != nil {
+					t.Fatalf("final reopen of %s: %v", tb.root, err)
+				}
+				tb.tbl = re
+				check(tb, "final reopen")
+				if err := re.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := re.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				tb.compacted = true
+				check(tb, "final compaction")
+			}
+			sweep()
+			infos, err := fs.List("/tables")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(retired) != 0 || len(infos) != len(tables) {
+				t.Fatalf("%d live tables, %d directories, still retired: %v", len(tables), len(infos), retired)
+			}
+			for _, tb := range tables {
+				files, err := fs.List(tb.root + "/hfiles")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(files) > 1 || (len(files) == 1 && strings.HasSuffix(files[0].Path, ".ref")) {
+					t.Fatalf("%s holds %v after its final compaction", tb.root, files)
+				}
+			}
+		})
+	}
+	if reopenedHolding < 5 || reopenedAfterDrop < 5 || splits < 20 || merges < 20 {
+		t.Errorf("the runs reopened %d daughters holding references and %d after they dropped them, over %d splits and %d merges",
+			reopenedHolding, reopenedAfterDrop, splits, merges)
 	}
 }

@@ -1,6 +1,7 @@
 package regionserver
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -44,6 +45,15 @@ type Master struct {
 	nextRegion int
 	nextEpoch  int
 
+	// A split or merge retires its parents, whose directories stay while
+	// other regions' tables read their store files through reference
+	// markers. refs maps a region ID to the retired directories its table
+	// reads, holders a retired directory to the regions reading it, and
+	// garbage holds directories nobody reads whose removal failed.
+	refs    map[string][]string
+	holders map[string]int
+	garbage []string
+
 	lastBeat map[string]sim.Time
 	dead     map[string]bool
 	ticker   *sim.Ticker
@@ -64,6 +74,8 @@ func newMaster(eng *sim.Engine, fs vfs.FileSystem, servers []*Server, opts Optio
 		byName:   map[string]*Server{},
 		meta:     map[string][]RegionInfo{},
 		metaLog:  history.NewLog(m.reg.Counter(MetricMetaEvents)),
+		refs:     map[string][]string{},
+		holders:  map[string]int{},
 		lastBeat: map[string]sim.Time{},
 		dead:     map[string]bool{},
 	}
@@ -71,6 +83,7 @@ func newMaster(eng *sim.Engine, fs vfs.FileSystem, servers []*Server, opts Optio
 		ma.byName[s.name] = s
 		ma.lastBeat[s.name] = eng.Now()
 		s.askSplit = ma.requestSplit
+		s.refsDropped = ma.releaseRefs
 		s.splitMaxBytes = opts.SplitMaxBytes
 		s.splitMaxOps = opts.SplitMaxOps
 	}
@@ -302,12 +315,17 @@ func (ma *Master) requestSplit(regionID string) {
 	}
 }
 
-// splitRegion divides a region at its data midpoint: flush the parent,
-// bulk-copy each half into a fresh daughter region, keep the low
-// daughter local, hand the high daughter to the least-loaded server, and
-// drop the parent. Clients holding the parent's location get
-// ErrNotServing and refresh.
+// splitRegion divides a region at its data midpoint without moving a
+// row: flush the parent, open two daughters over references to its store
+// files (kvstore.Reference), keep the low daughter local and hand the
+// high one to the least-loaded server, then swap the META rows. Until
+// the daughters are open nothing but their two directories has changed,
+// and a failure removes those; after it nothing can fail. Clients
+// holding the parent's location get ErrNotServing and refresh.
 func (ma *Master) splitRegion(info RegionInfo, srv *Server, hr *hostedRegion) error {
+	if err := hr.tbl.Flush(); err != nil {
+		return err
+	}
 	mid, err := hr.tbl.MidKey()
 	if err != nil {
 		return err
@@ -315,29 +333,31 @@ func (ma *Master) splitRegion(info RegionInfo, srv *Server, hr *hostedRegion) er
 	if mid == "" || mid <= info.Start || (info.End != "" && mid >= info.End) {
 		return fmt.Errorf("regionserver: %s has no usable midkey", info.ID)
 	}
-	if err := hr.tbl.Flush(); err != nil {
-		return err
-	}
-	parentBytes := hr.tbl.SizeBytes()
-	low := ma.newRegionInfo(info.Table, info.Start, mid)
-	high := ma.newRegionInfo(info.Table, mid, info.End)
 	target := ma.leastLoaded(nil)
 	if target == nil {
 		return ErrNoLiveServer
 	}
+	parentBytes := hr.tbl.SizeBytes()
+	low := ma.newRegionInfo(info.Table, info.Start, mid)
+	high := ma.newRegionInfo(info.Table, mid, info.End)
 	low.Srv = srv.name
 	high.Srv = target.name
-	if err := ma.copyRange(hr.tbl, low, srv); err != nil {
-		return err
+	lowTbl, err := kvstore.Reference(low.Path, "", mid, hr.tbl)
+	var highTbl *kvstore.Table
+	if err == nil {
+		highTbl, err = kvstore.Reference(high.Path, mid, "", hr.tbl)
 	}
-	if err := ma.copyRange(hr.tbl, high, target); err != nil {
+	if err != nil {
+		ma.discard(low.Path, high.Path)
 		return err
 	}
 	srv.closeRegion(info.ID)
-	if err := ma.fs.Remove(info.Path, true); err != nil {
-		return err
-	}
+	srv.host(low, lowTbl)
+	target.host(high, highTbl)
 	ma.updateMeta(info.Table, []string{info.ID}, []RegionInfo{low, high})
+	ma.holdRefs(low.ID, lowTbl)
+	ma.holdRefs(high.ID, highTbl)
+	ma.retire(info)
 
 	// Virtual-time cost: the parent server does the full split, the
 	// daughter target absorbs its half.
@@ -363,32 +383,54 @@ func (ma *Master) splitRegion(info RegionInfo, srv *Server, hr *hostedRegion) er
 	return nil
 }
 
-// copyRange streams the daughter's half of the parent table into a
-// fresh region on dst, in bounded chunks (the resumable-scan satellite
-// at work: no whole-range materialization).
-func (ma *Master) copyRange(parent *kvstore.Table, daughter RegionInfo, dst *Server) error {
-	tbl, err := kvstore.Open(ma.fs, daughter.Path, dst.kv)
-	if err != nil {
-		return err
+// holdRefs records which retired directories the region's table reads.
+func (ma *Master) holdRefs(regionID string, tbl *kvstore.Table) {
+	roots := tbl.References()
+	if len(roots) == 0 {
+		return
 	}
-	cursor := daughter.Start
-	for {
-		kvs, next, err := parent.ScanRange(cursor, daughter.End, 256)
-		if err != nil {
-			return err
-		}
-		if len(kvs) > 0 {
-			if err := tbl.BulkLoad(kvs); err != nil {
-				return err
-			}
-		}
-		if next == "" {
-			break
-		}
-		cursor = next
+	ma.refs[regionID] = roots
+	for _, root := range roots {
+		ma.holders[root]++
 	}
-	dst.regions[daughter.ID] = &hostedRegion{info: daughter, tbl: tbl}
-	return nil
+}
+
+// releaseRefs is called when the region's table reads no other region's
+// files any more — a compaction rewrote them, or the region was retired
+// itself — and removes every directory that leaves without a reader.
+func (ma *Master) releaseRefs(regionID string) {
+	for _, root := range ma.refs[regionID] {
+		if ma.holders[root]--; ma.holders[root] == 0 {
+			delete(ma.holders, root)
+			ma.discard(root)
+		}
+	}
+	delete(ma.refs, regionID)
+}
+
+// retire drops a region that was split or merged away: what it held is
+// released, and its directory goes now if no daughter reads it, else with
+// the last reference to it.
+func (ma *Master) retire(info RegionInfo) {
+	ma.releaseRefs(info.ID)
+	if ma.holders[info.Path] == 0 {
+		ma.garbage = append(ma.garbage, info.Path)
+	}
+	ma.discard()
+}
+
+// discard removes the given directories, which no region reads, and any
+// whose removal failed before (absent counts as removed). Nothing waits
+// on a removal, so one that fails is simply tried again by the next
+// discard — every split and merge ends in one — and needs no timer.
+func (ma *Master) discard(paths ...string) {
+	pending := append(ma.garbage, paths...)
+	ma.garbage = nil
+	for _, p := range pending {
+		if err := ma.fs.Remove(p, true); err != nil && !errors.Is(err, vfs.ErrNotExist) {
+			ma.garbage = append(ma.garbage, p)
+		}
+	}
 }
 
 // MergeAdjacent merges the first adjacent cold pair of the table —
@@ -421,48 +463,30 @@ func (ma *Master) MergeAdjacent(table string, maxBytes int64) (bool, error) {
 	return false, nil
 }
 
+// mergeRegions folds two adjacent regions into one on the low side's
+// server the way a split divides one: flush both, open the merged region
+// over references to their store files, swap the META rows.
 func (ma *Master) mergeRegions(a, b RegionInfo, sa, sb *Server, ha, hb *hostedRegion) error {
-	merged := ma.newRegionInfo(a.Table, a.Start, b.End)
-	merged.Srv = sa.name
 	if err := ha.tbl.Flush(); err != nil {
 		return err
 	}
 	if err := hb.tbl.Flush(); err != nil {
 		return err
 	}
-	if err := ma.copyRange(ha.tbl, mergedHalf(merged, a.Start, a.End), sa); err != nil {
+	merged := ma.newRegionInfo(a.Table, a.Start, b.End)
+	merged.Srv = sa.name
+	tbl, err := kvstore.Reference(merged.Path, "", "", ha.tbl, hb.tbl)
+	if err != nil {
+		ma.discard(merged.Path)
 		return err
 	}
-	// copyRange installed the region; stream the second half into the
-	// same table.
-	tbl := sa.regions[merged.ID].tbl
-	cursor := b.Start
-	for {
-		kvs, next, err := hb.tbl.ScanRange(cursor, b.End, 256)
-		if err != nil {
-			return err
-		}
-		if len(kvs) > 0 {
-			if err := tbl.BulkLoad(kvs); err != nil {
-				return err
-			}
-		}
-		if next == "" {
-			break
-		}
-		cursor = next
-	}
-	// copyRange installed the clamped low half; restore the full range.
-	sa.regions[merged.ID].info = merged
 	sa.closeRegion(a.ID)
 	sb.closeRegion(b.ID)
-	if err := ma.fs.Remove(a.Path, true); err != nil {
-		return err
-	}
-	if err := ma.fs.Remove(b.Path, true); err != nil {
-		return err
-	}
+	sa.host(merged, tbl)
 	ma.updateMeta(a.Table, []string{a.ID, b.ID}, []RegionInfo{merged})
+	ma.holdRefs(merged.ID, tbl)
+	ma.retire(a)
+	ma.retire(b)
 	ma.m.merges.Inc()
 	ma.logEvent(EvRegionMerge, map[string]string{
 		"low": a.ID, "high": b.ID, "merged": merged.ID,
@@ -471,14 +495,6 @@ func (ma *Master) mergeRegions(a, b RegionInfo, sa, sb *Server, ha, hb *hostedRe
 		"region": merged.ID, "server": merged.Srv, "epoch": fmt.Sprint(merged.Epoch),
 	})
 	return nil
-}
-
-// mergedHalf clamps the merged region info to the low parent's range so
-// copyRange streams only that half (the second half is streamed after).
-func mergedHalf(merged RegionInfo, start, end string) RegionInfo {
-	merged.Start = start
-	merged.End = end
-	return merged
 }
 
 // tick is the master's heartbeat pass: live servers refresh their beat,

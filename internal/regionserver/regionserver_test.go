@@ -18,19 +18,19 @@ import (
 func newTestCluster(t *testing.T, servers int, opts Options) (*Cluster, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
-	return newClusterOn(t, eng, servers, opts), eng
+	return newClusterOn(t, eng, vfs.NewMemFS(), servers, opts), eng
 }
 
-// newClusterOn builds a cluster of `servers` region servers on an
-// in-memory filesystem, stopped when the test or benchmark ends.
-func newClusterOn(tb testing.TB, eng *sim.Engine, servers int, opts Options) *Cluster {
+// newClusterOn builds a cluster of `servers` region servers persisting
+// through fs, stopped when the test or benchmark ends.
+func newClusterOn(tb testing.TB, eng *sim.Engine, fs vfs.FileSystem, servers int, opts Options) *Cluster {
 	tb.Helper()
 	topo := cluster.NewTopology(cluster.PaperNodeConfig(servers+1, 1))
 	opts.Servers = servers
 	if opts.Obs == nil {
 		opts.Obs = obs.NewRegistry()
 	}
-	c, err := New(eng, vfs.NewMemFS(), topo, opts)
+	c, err := New(eng, fs, topo, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}

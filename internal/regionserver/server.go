@@ -54,6 +54,9 @@ type hostedRegion struct {
 	total int // ops since the region opened here
 	// splitAsked dedups the split request until the master acts.
 	splitAsked bool
+	// refs is set while the table reads other regions' store files
+	// through reference markers (a daughter before its first compaction).
+	refs bool
 }
 
 // Server is one region server: it hosts kvstore-backed regions and
@@ -79,6 +82,9 @@ type Server struct {
 	askSplit      func(regionID string)
 	splitMaxBytes int64
 	splitMaxOps   int
+	// refsDropped tells the master that a region's table stopped reading
+	// other regions' files, so it can remove the ones nobody reads now.
+	refsDropped func(regionID string)
 }
 
 // Name returns the server's name ("rs1", ...).
@@ -183,6 +189,7 @@ func (s *Server) Put(at sim.Time, regionID string, epoch int, key string, value 
 	if err := hr.tbl.Put(key, value); err != nil {
 		return done, err
 	}
+	s.noteRefs(hr)
 	return done, nil
 }
 
@@ -199,7 +206,17 @@ func (s *Server) Delete(at sim.Time, regionID string, epoch int, key string) (si
 	if err := hr.tbl.Delete(key); err != nil {
 		return done, err
 	}
+	s.noteRefs(hr)
 	return done, nil
+}
+
+// noteRefs runs after a write, the one thing that can flush and so
+// compact: a compaction leaves the table no reference.
+func (s *Server) noteRefs(hr *hostedRegion) {
+	if hr.refs && hr.tbl.Compactions > 0 {
+		hr.refs = false
+		s.refsDropped(hr.info.ID)
+	}
 }
 
 // Scan serves a bounded range read within one region: up to limit rows
@@ -240,8 +257,13 @@ func (s *Server) openRegion(info RegionInfo) (int, error) {
 	if s.m.reg != nil {
 		replayed = int(s.m.reg.CounterValue(kvstore.MetricWALReplayed) - before)
 	}
-	s.regions[info.ID] = &hostedRegion{info: info, tbl: tbl}
+	s.host(info, tbl)
 	return replayed, nil
+}
+
+// host starts serving the region from an open table.
+func (s *Server) host(info RegionInfo, tbl *kvstore.Table) {
+	s.regions[info.ID] = &hostedRegion{info: info, tbl: tbl, refs: len(tbl.References()) > 0}
 }
 
 // closeRegion stops serving the region (its durable state stays on the

@@ -28,6 +28,12 @@ import (
 // The small scenarios split at 300 ops, so that the op trigger fires at
 // that scale, and two larger ones split by size alone. The file was
 // recorded at 3718d53, before the read path and the split were rewritten.
+// The read-path commit moved no line. The commit that made splits and
+// merges take references re-recorded the 14 schedule lines of the write
+// mixes (a, f, the size splits, the crash scenarios, the merge cycle) —
+// a daughter's size is its share of the parent's files, so the next
+// flush, compaction and split cost land elsewhere on the sim clock — and
+// no state line. Every scenario also ends in checkStorage.
 func TestServingReplay(t *testing.T) {
 	pinned := digesttest.Read(t, "testdata/serving_replay.sha256")
 	ran, splits, sizeSplitRuns, reassigns := 0, 0, 0, 0
@@ -40,6 +46,7 @@ func TestServingReplay(t *testing.T) {
 			if res.Errors > 0 || res.LostAckedWrites > 0 {
 				t.Fatalf("%d ops failed, %d acked writes lost", res.Errors, res.LostAckedWrites)
 			}
+			checkStorage(t, c, BenchTable)
 			ran++
 			splits += res.Splits
 			reassigns += res.Reassigns
@@ -86,6 +93,7 @@ func TestServingReplay(t *testing.T) {
 	}
 	t.Run("split-merge", func(t *testing.T) {
 		c, metaLog := splitMergeCycle(t)
+		checkStorage(t, c, "t")
 		digesttest.Assert(t, pinned, "split-merge/state", tableState(t, c, "t"))
 		digesttest.Assert(t, pinned, "split-merge/schedule", metaLog)
 	})
