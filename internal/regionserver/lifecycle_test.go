@@ -307,10 +307,11 @@ func TestRetiredParentOutlivesItsReferences(t *testing.T) {
 	region := func(key string) (RegionInfo, *hostedRegion) {
 		t.Helper()
 		regions, _ := ma.Regions("t")
-		info, ok := locate(regions, key)
-		if !ok {
+		i := locateIndex(regions, key)
+		if i < 0 {
 			t.Fatalf("no region for %s", key)
 		}
+		info := regions[i]
 		return info, ma.byName[info.Srv].regions[info.ID]
 	}
 	splitAt := func(key string) {

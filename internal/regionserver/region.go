@@ -40,17 +40,8 @@ func regionPath(table, regionID string) string {
 	return "/serving/" + table + "/" + regionID
 }
 
-// locate finds the region covering key in a Start-sorted region list.
-func locate(regions []RegionInfo, key string) (RegionInfo, bool) {
-	i := locateIndex(regions, key)
-	if i < 0 {
-		return RegionInfo{}, false
-	}
-	return regions[i], true
-}
-
-// locateIndex is locate returning the region's index, -1 when no region
-// covers key.
+// locateIndex finds the region covering key in a Start-sorted region
+// list and returns its index, -1 when no region covers key.
 func locateIndex(regions []RegionInfo, key string) int {
 	// First region with Start > key, minus one.
 	lo, hi := 0, len(regions)

@@ -226,10 +226,11 @@ func TestCrashRecoveryReassignsWithWALReplay(t *testing.T) {
 	// Kill the server hosting the written keys' region: its MemStores
 	// die with it; the WALs survive on the shared filesystem.
 	regions, _ := c.Master.Regions("t")
-	hot, ok := locate(regions, "key00")
-	if !ok {
+	i := locateIndex(regions, "key00")
+	if i < 0 {
 		t.Fatal("no region for key00")
 	}
+	hot := regions[i]
 	victim := c.Master.Server(hot.Srv)
 	if !c.CrashServerOn(victim.Node()) {
 		t.Fatal("crash did not land")
