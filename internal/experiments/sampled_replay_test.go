@@ -100,7 +100,9 @@ func snapshotJSON(t *testing.T, c *core.MiniCluster) []byte {
 // golden covers: a run where most jobs are unsampled and record flat
 // spans, and the canonical wordcount with sampling switched as far off as
 // it goes. The digests in testdata/sampled_replay.sha256 were recorded at
-// 4a5f1c0, the commit before obs's four recording calls became one; the
+// 4a5f1c0, the commit before obs's four recording calls became one. The
+// E1 line was re-recorded once since, when an unsampled retried task's
+// mr.task span began to start at its first launch (one span moved). The
 // keep-everything mode is pinned by the goldens under internal/jobs.
 func TestSampledModeReplay(t *testing.T) {
 	pinned := digesttest.Read(t, "testdata/sampled_replay.sha256")

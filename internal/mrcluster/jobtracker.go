@@ -808,9 +808,11 @@ func (jt *JobTracker) newAttempt(t *task, tt *TaskTracker, speculative bool, c *
 		jr.counters.Inc(mapreduce.CtrSpeculativeLaunch, 1)
 		jt.m.speculativeLaunch.Inc()
 	}
+	if t.attemptSeq == 1 {
+		t.firstStart = a.startedAt
+	}
 	if !t.ctx.Valid() {
 		t.ctx = jr.ctx.NewChild()
-		t.firstStart = a.startedAt
 	}
 	a.ctx = t.ctx.NewChild()
 	return a

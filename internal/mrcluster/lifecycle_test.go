@@ -365,3 +365,61 @@ func checkLifecycle(t *testing.T, rig *lcRig, jr *jobRun, k *attemptKind, outcom
 		eq(mapreduce.CtrTaskRetries, jr.counters.Get(mapreduce.CtrTaskRetries), n)
 	}
 }
+
+// TestUnsampledTaskSpanStartsAtFirstLaunch: a task's mr.task span runs
+// from its first launch whether or not the job's trace is sampled. The
+// job here is unsampled, and its first map attempt fails and is retried.
+func TestUnsampledTaskSpanStartsAtFirstLaunch(t *testing.T) {
+	rig := newLCRig(t, Config{}, false)
+	rig.mc.Obs.SetTraceSampling(1 << 30)
+	rig.mc.Obs.NewTrace(0) // spend the window's one sampled trace
+	job := lcJob(2, nil)
+	newMapper, failed := job.NewMapper, false
+	job.NewMapper = func() mapreduce.Mapper {
+		m := newMapper()
+		return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, off int64, line string, emit mapreduce.Emitter) error {
+			if !failed {
+				failed = true
+				return errors.New("first attempt fails")
+			}
+			return m.Map(ctx, off, line, emit)
+		})
+	}
+	h := rig.submit(t, job)
+	rig.stepUntil(t, "the job finished", h.Done)
+	if h.Err() != nil {
+		t.Fatal(h.Err())
+	}
+
+	// The retried task, and the first launch of each task, from the
+	// attempt spans ("attempt_<task>_<seq>").
+	retried, first := "", map[string]time.Duration{}
+	for _, s := range rig.mc.Obs.Spans() {
+		if s.Name != SpanMapAttempt {
+			continue
+		}
+		if s.Trace != "" {
+			t.Fatalf("attempt span %s is traced; want the job unsampled", s.Attrs["attempt"])
+		}
+		id := s.Attrs["attempt"]
+		task := id[len("attempt_"):strings.LastIndex(id, "_")]
+		if st, ok := first[task]; !ok || s.Start < st {
+			first[task] = s.Start
+		}
+		if s.Attrs["outcome"] == "failed" {
+			retried = task
+		}
+	}
+	if retried == "" {
+		t.Fatal("no map attempt failed")
+	}
+	for _, s := range rig.mc.Obs.Spans() {
+		if s.Name == SpanTask && s.Attrs["task"] == retried {
+			if s.Start != first[retried] {
+				t.Errorf("%s span starts at %v, want its first launch at %v", retried, s.Start, first[retried])
+			}
+			return
+		}
+	}
+	t.Errorf("no %s span for %s", SpanTask, retried)
+}
