@@ -14,13 +14,13 @@ test: build
 short:
 	$(GO) test -short ./...
 
-# Determinism & concurrency lint (see docs/LINT.md): wall-clock reads,
-# shared rand, order-dependent map iteration, lock misuse, library
-# hygiene — plus the interprocedural call-graph rules (dettaint,
-# lockorder, commiterr). Runs after vet — vet catches what the compiler
-# misses, lint catches what vet can't know (the repo's own
-# sim-clock/seeded-rand contracts). -trace prints the call chain behind
-# each interprocedural finding.
+# Determinism & concurrency lint (see docs/LINT.md): five rules over one
+# static call graph — order-dependent map iteration, library hygiene,
+# wall-clock and shared-rand taint (dettaint), lock misuse (lockorder)
+# and dropped commit errors (commiterr). Runs after vet — vet catches
+# what the compiler misses, lint catches what vet can't know (the repo's
+# own sim-clock/seeded-rand contracts). -trace prints the call chain
+# behind each finding that has one.
 lint:
 	$(GO) run ./cmd/minilint -trace ./internal/... ./cmd/...
 

@@ -11,8 +11,8 @@
 //
 //	go run ./cmd/minilint ./internal/... ./cmd/...
 //
-// -trace prints the call chain behind each finding of the
-// interprocedural rules (dettaint, lockorder, commiterr), one frame per
+// -list prints the five rules. -trace prints the call chain behind each
+// finding that has one (dettaint, lockorder, commiterr), one frame per
 // indented line, under the diagnostic.
 //
 // Findings print as "file:line: [rule] message". A finding is either a

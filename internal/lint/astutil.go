@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strconv"
 	"strings"
@@ -82,26 +81,4 @@ func inspectAll(pkg *Package, fn func(ast.Node) bool) {
 	for _, f := range pkg.Files {
 		ast.Inspect(f, fn)
 	}
-}
-
-// callSite is one resolved package-level function call.
-type callSite struct {
-	call *ast.CallExpr
-	fn   string
-	pos  token.Pos
-}
-
-// forEachPkgCall invokes fn for every call to a package-level function
-// of the package with the given import path.
-func forEachPkgCall(pass *Pass, pkgPath string, fn func(callSite)) {
-	inspectAll(pass.Pkg, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if path, name, ok := pkgFuncCall(pass.Pkg, call); ok && path == pkgPath {
-			fn(callSite{call: call, fn: name, pos: call.Pos()})
-		}
-		return true
-	})
 }

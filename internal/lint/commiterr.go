@@ -27,9 +27,9 @@ import (
 // original error is already being returned and a secondary close error
 // has nowhere better to go).
 var Commiterr = &Analyzer{
-	Name:       "commiterr",
-	Doc:        "forbid dropping errors from durability-critical calls (WAL append, flush, persist paths)",
-	RunProgram: runCommiterr,
+	Name: "commiterr",
+	Doc:  "forbid dropping errors from durability-critical calls (WAL append, flush, persist paths)",
+	Run:  runCommiterr,
 }
 
 // commitSinks are the durability primitives, matched by package-path
@@ -61,7 +61,7 @@ func isCommitSink(id FuncID) bool {
 	return false
 }
 
-func runCommiterr(pass *ProgramPass) {
+func runCommiterr(pass *Pass) {
 	g := pass.Graph
 
 	// critical maps each commit-critical function to the call chain that
@@ -140,7 +140,7 @@ func isErrorType(t types.Type) bool {
 
 // reportDrops scans one function body for dropped errors of
 // commit-critical calls.
-func reportDrops(pass *ProgramPass, node *FuncNode, critical func(FuncID) []FuncID) {
+func reportDrops(pass *Pass, node *FuncNode, critical func(FuncID) []FuncID) {
 	pkg := node.Pkg
 
 	report := func(call *ast.CallExpr, how string) {

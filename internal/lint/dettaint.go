@@ -8,31 +8,37 @@ import (
 	"strings"
 )
 
-// Dettaint is the interprocedural extension of wallclock, globalrand and
-// maporder: it propagates determinism taint across the static call
-// graph, so a sim-visible function that reaches time.Now, the shared
-// math/rand source, or a map-order-dependent helper through any depth of
-// calls is flagged at its own call site with the full chain in the
-// diagnostic (a → b → time.Now). Direct calls to wall-clock or global
-// rand functions are left to the per-package rules (one finding per
-// site, not one per chain level is still one per site — each function on
-// the chain gets exactly one diagnostic naming its route).
+// Dettaint propagates determinism taint across the static call graph.
+// Every timed behavior (heartbeats, timeouts, task durations) must run on
+// the sim engine's virtual clock, and every random draw must come from a
+// seeded sim.Rand, or identical seeds stop producing identical golden
+// traces. Three sources taint a function:
 //
-// A third taint source has no per-package counterpart: a function that
-// returns from inside a range over a map, with the returned value
-// mentioning the iteration variables, picks an arbitrary element —
-// Go randomizes map order per run, so both the helper and every caller
-// are nondeterministic. Dettaint reports the helper at the return and
-// each (transitive) caller at its call site.
+//   - the wall clock: time.Now, Since, Sleep, After, ... (wallclockFuncs).
+//     Duration arithmetic and constants stay legal: the sim engine's
+//     virtual instants are themselves durations.
+//   - math/rand's package-level source: any call order change anywhere in
+//     the process perturbs every later draw. Constructors of seeded
+//     sources stay legal, and rand.New is checked at each call for an
+//     inline rand.NewSource(seed), since any other argument hides where
+//     the seed comes from.
+//   - a map-order return: a function that returns from inside a range
+//     over a map, with the returned value mentioning the iteration
+//     variables, picks an arbitrary element. It is reported at the return.
 //
-// Exemptions mirror the per-package rules: cmd/ packages may read the
-// wall clock (reports of wallclock taint are suppressed there), and
-// internal/sim is the sanctioned randomness wrapper (globalrand taint
-// neither propagates out of sim nor is reported inside it).
+// A direct call of a source is reported at every call site. A function
+// that reaches one through helpers is reported once, at its first call
+// down the shortest chain, with the chain in the diagnostic
+// (a → b → time.Now).
+//
+// Exemptions: binaries under cmd/ may read the wall clock (a CLI may
+// measure real elapsed time for its user), and internal/sim is the
+// sanctioned randomness wrapper. Taint of those kinds neither propagates
+// out of such a package nor is reported inside it.
 var Dettaint = &Analyzer{
-	Name:       "dettaint",
-	Doc:        "flag call chains that transitively reach the wall clock, global rand, or map-order-dependent helpers",
-	RunProgram: runDettaint,
+	Name: "dettaint",
+	Doc:  "flag calls and call chains that reach the wall clock, global rand, or map-order-dependent helpers",
+	Run:  runDettaint,
 }
 
 // Taint kinds, in reporting order.
@@ -44,15 +50,23 @@ const (
 
 var taintKinds = []string{taintWallclock, taintGlobalrand, taintMaporder}
 
+// wallclockFuncs are the time functions that read or wait on the real
+// clock.
+var wallclockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true, "After": true,
+	"AfterFunc": true, "Tick": true, "NewTimer": true, "NewTicker": true,
+}
+
 // randConstructors are the math/rand functions that build seeded
-// sources — exactly what deterministic code should call. rand.New is
-// excluded here too: the per-package globalrand rule performs the
-// seeded-argument check dettaint cannot do at graph level.
+// sources — exactly what deterministic code should call. rand.New gets
+// its own per-call check of its argument.
 var randConstructors = map[string]bool{
 	"NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true, "New": true,
 }
 
-func runDettaint(pass *ProgramPass) {
+func isRandPkg(path string) bool { return path == "math/rand" || path == "math/rand/v2" }
+
+func runDettaint(pass *Pass) {
 	g := pass.Graph
 	ids := g.SortedIDs()
 
@@ -77,7 +91,7 @@ func runDettaint(pass *ProgramPass) {
 			if pkgPath == "time" && wallclockFuncs[name] {
 				addSource(id, taintWallclock)
 			}
-			if (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && !randConstructors[name] {
+			if isRandPkg(pkgPath) && !randConstructors[name] {
 				addSource(id, taintGlobalrand)
 			}
 			continue
@@ -137,46 +151,63 @@ func runDettaint(pass *ProgramPass) {
 		if node.Decl == nil {
 			continue
 		}
+		if !taintBarrier(node, taintGlobalrand) {
+			for _, e := range node.Calls {
+				pkgPath, recv, name := splitFuncID(e.Callee)
+				if isRandPkg(pkgPath) && recv == "" && name == "New" &&
+					!(len(e.Call.Args) == 1 && isSeededSource(node.Pkg, e.Call.Args[0])) {
+					pass.Report(e.Pos(), nil, "rand.New without an inline rand.NewSource(seed) hides the seed; use sim.NewRand or rand.New(rand.NewSource(seed))")
+				}
+			}
+		}
 		for _, kind := range taintKinds {
 			d, tainted := dist[kind][id]
-			if !tainted || skipTaintReport(node.Pkg, kind) {
+			if !tainted || taintBarrier(node, kind) {
 				continue
 			}
-			if d == 0 {
+			switch d {
+			case 0:
 				// A maporder source reports itself; wallclock/globalrand
 				// sources are external and never reach this loop.
 				pass.Report(maporderPos[id], []string{shortFuncID(id)},
 					"returned value is chosen by map iteration order; collect and sort keys before choosing")
-				continue
-			}
-			if d == 1 && kind != taintMaporder {
-				continue // a direct time.Now / rand.Intn call: the per-package rule's finding
-			}
-			edge, chain := taintChain(g, dist[kind], id)
-			short := make([]string, len(chain))
-			for i, c := range chain {
-				short[i] = shortFuncID(c)
-			}
-			switch kind {
-			case taintWallclock:
-				pass.Report(edge.Pos, short,
-					"call chain reaches the wall clock: %s; thread the sim engine's virtual clock instead",
-					strings.Join(short, " → "))
-			case taintGlobalrand:
-				pass.Report(edge.Pos, short,
-					"call chain reaches the shared math/rand source: %s; draw from a seeded sim.Rand",
-					strings.Join(short, " → "))
-			case taintMaporder:
-				pass.Report(edge.Pos, short,
-					"call chain reaches a map-order-dependent value: %s; make the helper deterministic first",
-					strings.Join(short, " → "))
+			case 1:
+				for _, e := range node.Calls {
+					if sources[e.Callee][kind] {
+						reportTaint(pass, kind, e, []FuncID{id, e.Callee})
+					}
+				}
+			default:
+				edge, chain := taintChain(g, dist[kind], id)
+				reportTaint(pass, kind, edge, chain)
 			}
 		}
 	}
 }
 
-// taintBarrier reports whether taint of the given kind stops at node:
-// its own use is sanctioned, so callers do not inherit it.
+// reportTaint reports a tainted call at edge, naming the chain from the
+// caller down to the source.
+func reportTaint(pass *Pass, kind string, edge CallEdge, chain []FuncID) {
+	short := make([]string, len(chain))
+	for i, c := range chain {
+		short[i] = shortFuncID(c)
+	}
+	route := strings.Join(short, " → ")
+	switch kind {
+	case taintWallclock:
+		pass.Report(edge.Pos(), short,
+			"call chain reaches the wall clock: %s; thread the sim engine's virtual clock instead", route)
+	case taintGlobalrand:
+		pass.Report(edge.Pos(), short,
+			"call chain reaches the shared math/rand source: %s; draw from a seeded sim.Rand", route)
+	case taintMaporder:
+		pass.Report(edge.Pos(), short,
+			"call chain reaches a map-order-dependent value: %s; make the helper deterministic first", route)
+	}
+}
+
+// taintBarrier reports whether node's package sanctions taint of the
+// given kind: it is neither reported there nor inherited by callers.
 func taintBarrier(node *FuncNode, kind string) bool {
 	if node.Pkg == nil {
 		return false
@@ -190,15 +221,15 @@ func taintBarrier(node *FuncNode, kind string) bool {
 	return false
 }
 
-// skipTaintReport mirrors the per-package Skip exemptions.
-func skipTaintReport(pkg *Package, kind string) bool {
-	switch kind {
-	case taintWallclock:
-		return isCmdPackage(pkg)
-	case taintGlobalrand:
-		return hasPathSegment(pkg.ImportPath, "sim")
+// isSeededSource reports whether the expression is a direct
+// rand.NewSource(...) / rand.NewPCG(...) call.
+func isSeededSource(pkg *Package, expr ast.Expr) bool {
+	call, ok := expr.(*ast.CallExpr)
+	if !ok {
+		return false
 	}
-	return false
+	path, fn, ok := pkgFuncCall(pkg, call)
+	return ok && isRandPkg(path) && (fn == "NewSource" || fn == "NewPCG")
 }
 
 // taintChain reconstructs the shortest tainted call chain from id down

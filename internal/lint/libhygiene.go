@@ -9,31 +9,32 @@ package lint
 var Libhygiene = &Analyzer{
 	Name: "libhygiene",
 	Doc:  "forbid fmt.Print*/os.Exit/log.Fatal* in internal/ libraries; return errors instead",
-	Skip: func(pkg *Package) bool { return !isInternalPackage(pkg) },
 	Run:  runLibhygiene,
 }
 
-var libhygieneFmt = map[string]bool{"Print": true, "Printf": true, "Println": true}
+const (
+	toStdout = "writes to stdout from a library; return the string or take an io.Writer"
+	aborts   = "aborts the process from a library; return an error instead"
+)
 
-var libhygieneLog = map[string]bool{
-	"Fatal": true, "Fatalf": true, "Fatalln": true,
-	"Panic": true, "Panicf": true, "Panicln": true,
+// libhygieneCalls maps each forbidden callee to what is wrong with it.
+var libhygieneCalls = map[FuncID]string{
+	"fmt.Print": toStdout, "fmt.Printf": toStdout, "fmt.Println": toStdout,
+	"os.Exit":   "kills the process from a library; return an error and let cmd/ decide",
+	"log.Fatal": aborts, "log.Fatalf": aborts, "log.Fatalln": aborts,
+	"log.Panic": aborts, "log.Panicf": aborts, "log.Panicln": aborts,
 }
 
 func runLibhygiene(pass *Pass) {
-	forEachPkgCall(pass, "fmt", func(call callSite) {
-		if libhygieneFmt[call.fn] {
-			pass.Report(call.pos, "fmt.%s writes to stdout from a library; return the string or take an io.Writer", call.fn)
+	for _, id := range pass.Graph.SortedIDs() {
+		node := pass.Graph.Funcs[id]
+		if node.Pkg == nil || !isInternalPackage(node.Pkg) {
+			continue
 		}
-	})
-	forEachPkgCall(pass, "os", func(call callSite) {
-		if call.fn == "Exit" {
-			pass.Report(call.pos, "os.Exit kills the process from a library; return an error and let cmd/ decide")
+		for _, e := range node.Calls {
+			if msg, bad := libhygieneCalls[e.Callee]; bad {
+				pass.Report(e.Pos(), nil, "%s %s", e.Callee, msg)
+			}
 		}
-	})
-	forEachPkgCall(pass, "log", func(call callSite) {
-		if libhygieneLog[call.fn] {
-			pass.Report(call.pos, "log.%s aborts the process from a library; return an error instead", call.fn)
-		}
-	})
+	}
 }

@@ -2,22 +2,22 @@
 // analyzers enforcing the repo's determinism and hygiene invariants:
 // no wall-clock time or global randomness in sim-facing packages, no
 // order-dependent iteration over maps, no printing or exiting from
-// library code, and no self-deadlocking lock usage. Every subsystem's
-// testability (golden traces, seed sweeps, fault-injection replays)
-// rests on bit-for-bit reproducibility; these rules make that a
-// machine-checked property of the build instead of a convention.
+// library code, no self-deadlocking or leaked locks, and no dropped
+// errors on commit paths. Every subsystem's testability (golden traces,
+// seed sweeps, fault-injection replays) rests on bit-for-bit
+// reproducibility; these rules make that a machine-checked property of
+// the build instead of a convention.
 //
 // The framework loads packages with go/parser and type-checks them with
-// go/types (see load.go), runs each Analyzer over each package, applies
-// "//lint:ignore RULE reason" suppression directives, and reports stale
-// directives as unused-ignore findings. cmd/minilint is the CLI driver.
-//
-// On top of the per-package analyzers sits a whole-program layer: a
-// module-aware static call graph (callgraph.go) shared by the
-// interprocedural analyzers — dettaint (transitive determinism taint
-// with per-edge traces), lockorder (cross-function lock-order cycles)
-// and commiterr (dropped errors on durability-critical commit paths).
-// These see through helper functions the single-function rules cannot.
+// go/types (see load.go), builds one module-aware static call graph over
+// all of them (callgraph.go), and runs each Analyzer once over the
+// packages and the graph. The interprocedural rules see through helper
+// functions and report the call chain behind a finding: dettaint
+// (determinism taint, from a direct call to any depth), lockorder
+// (re-acquired and leaked locks, lock-order cycles) and commiterr
+// (dropped errors on durability-critical commit paths). Run then applies
+// "//lint:ignore RULE reason" suppression directives and reports stale
+// ones as unused-ignore findings. cmd/minilint is the CLI driver.
 package lint
 
 import (
@@ -43,42 +43,19 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Rule, d.Message)
 }
 
-// An Analyzer checks one property over one package at a time.
+// An Analyzer checks one property over the whole program.
 type Analyzer struct {
 	// Name is the rule name used in diagnostics and ignore directives.
 	Name string
-	// Doc is a one-line description for -help output and docs.
+	// Doc is a one-line description for -list output and docs.
 	Doc string
-	// Skip, when set, exempts whole packages (e.g. cmd/ binaries may use
-	// wall-clock time). Test files are never analyzed; see load.go.
-	Skip func(pkg *Package) bool
-	// Run reports findings through pass.Report. Per-package analyzers
-	// set Run; whole-program analyzers set RunProgram instead.
+	// Run reports findings through pass.Report.
 	Run func(pass *Pass)
-	// RunProgram, when set, runs once over all loaded packages with the
-	// shared call graph. Exactly one of Run and RunProgram is set.
-	RunProgram func(pass *ProgramPass)
 }
 
-// A Pass is one (analyzer, package) execution.
+// A Pass is one analyzer execution: every loaded package plus the shared
+// call graph. Test files are never loaded; see load.go.
 type Pass struct {
-	Analyzer *Analyzer
-	Pkg      *Package
-	diags    []Diagnostic
-}
-
-// Report records a finding at pos.
-func (p *Pass) Report(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:     p.Pkg.Fset.Position(pos),
-		Rule:    p.Analyzer.Name,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// A ProgramPass is one whole-program analyzer execution: every loaded
-// package plus the shared call graph.
-type ProgramPass struct {
 	Analyzer *Analyzer
 	Pkgs     []*Package
 	Graph    *CallGraph
@@ -88,7 +65,7 @@ type ProgramPass struct {
 
 // Report records a finding at pos with an optional call-chain trace
 // (outermost caller first; nil for trace-less findings).
-func (p *ProgramPass) Report(pos token.Pos, trace []string, format string, args ...any) {
+func (p *Pass) Report(pos token.Pos, trace []string, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		Pos:     p.Fset.Position(pos),
 		Rule:    p.Analyzer.Name,
@@ -97,16 +74,11 @@ func (p *ProgramPass) Report(pos token.Pos, trace []string, format string, args 
 	})
 }
 
-// Analyzers returns the full suite in stable order: the five
-// per-package analyzers first, then the three interprocedural ones that
-// need the whole-program call graph.
+// Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Wallclock,
-		Globalrand,
 		Maporder,
 		Libhygiene,
-		Lockguard,
 		Dettaint,
 		Lockorder,
 		Commiterr,
@@ -162,41 +134,22 @@ func (d *ignoreDirective) matches(diag Diagnostic) bool {
 	return diag.Pos.Line == d.pos.Line || diag.Pos.Line == d.pos.Line+1
 }
 
-// Run executes every analyzer over every package (per-package analyzers
-// per package, whole-program analyzers once over the shared call graph),
-// applies suppression directives, reports stale ones, and returns the
-// findings sorted by position then rule. The call graph is built only
-// when an interprocedural analyzer is selected.
+// Run builds the call graph, executes every analyzer over it, applies
+// suppression directives, reports stale ones, and returns the findings
+// sorted by position then rule.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var raw []Diagnostic
-	var programAnalyzers []*Analyzer
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			programAnalyzers = append(programAnalyzers, a)
-		}
-	}
-	for _, pkg := range pkgs {
+	if len(analyzers) > 0 && len(pkgs) > 0 {
+		graph := BuildCallGraph(pkgs)
 		for _, a := range analyzers {
-			if a.Run == nil || (a.Skip != nil && a.Skip(pkg)) {
-				continue
-			}
-			pass := &Pass{Analyzer: a, Pkg: pkg}
+			pass := &Pass{Analyzer: a, Pkgs: pkgs, Graph: graph, Fset: pkgs[0].Fset}
 			a.Run(pass)
 			raw = append(raw, pass.diags...)
 		}
 	}
-	if len(programAnalyzers) > 0 && len(pkgs) > 0 {
-		graph := BuildCallGraph(pkgs)
-		for _, a := range programAnalyzers {
-			pass := &ProgramPass{Analyzer: a, Pkgs: pkgs, Graph: graph, Fset: pkgs[0].Fset}
-			a.RunProgram(pass)
-			raw = append(raw, pass.diags...)
-		}
-	}
 	// Suppression directives match diagnostics by filename and line, so
-	// they are gathered from every package and applied globally —
-	// interprocedural findings land in whichever package the position
-	// falls in, not necessarily the package that triggered the analyzer.
+	// they are gathered from every package and applied globally: a
+	// finding lands in whichever package its position falls in.
 	var all []Diagnostic
 	var ignores []*ignoreDirective
 	for _, pkg := range pkgs {

@@ -153,14 +153,14 @@ func TestCleanFixture(t *testing.T) {
 func TestIgnoreDirectives(t *testing.T) {
 	pkg := loadFixture(t, filepath.Join("testdata", "dirty"))
 	diags := Run([]*Package{pkg}, Analyzers())
-	var wallclockLines, unusedLines []int
+	var taintLines, unusedLines []int
 	for _, d := range diags {
 		if filepath.Base(d.Pos.Filename) != "ignore.go" {
 			continue
 		}
 		switch d.Rule {
-		case "wallclock":
-			wallclockLines = append(wallclockLines, d.Pos.Line)
+		case "dettaint":
+			taintLines = append(taintLines, d.Pos.Line)
 		case RuleUnusedIgnore:
 			unusedLines = append(unusedLines, d.Pos.Line)
 		default:
@@ -169,9 +169,9 @@ func TestIgnoreDirectives(t *testing.T) {
 	}
 	// ignore.go holds four time.Now calls; the two suppressed ones must
 	// not appear, the other two must.
-	if len(wallclockLines) != 2 {
-		t.Errorf("want exactly 2 unsuppressed wallclock findings in ignore.go, got %d at lines %v",
-			len(wallclockLines), wallclockLines)
+	if len(taintLines) != 2 {
+		t.Errorf("want exactly 2 unsuppressed dettaint findings in ignore.go, got %d at lines %v",
+			len(taintLines), taintLines)
 	}
 	// Two directives match nothing: the wrong-rule one and the stale one.
 	if len(unusedLines) != 2 {
@@ -186,7 +186,7 @@ func TestMalformedIgnore(t *testing.T) {
 	src := `package p
 
 func f() {
-	//lint:ignore wallclock
+	//lint:ignore dettaint
 	_ = 1
 	//lint:ignore
 	_ = 2
@@ -214,10 +214,10 @@ func f() {
 func TestDiagnosticFormat(t *testing.T) {
 	d := Diagnostic{
 		Pos:     token.Position{Filename: "internal/serial/serial.go", Line: 61},
-		Rule:    "wallclock",
+		Rule:    "dettaint",
 		Message: "time.Now reads the wall clock",
 	}
-	want := "internal/serial/serial.go:61: [wallclock] time.Now reads the wall clock"
+	want := "internal/serial/serial.go:61: [dettaint] time.Now reads the wall clock"
 	if d.String() != want {
 		t.Errorf("got %q, want %q", d.String(), want)
 	}

@@ -43,29 +43,31 @@ var maporderFmtFuncs = map[string]bool{
 }
 
 func runMaporder(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(node ast.Node) bool {
-			rs, ok := node.(*ast.RangeStmt)
-			if !ok {
+	for _, pkg := range pass.Pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(node ast.Node) bool {
+				rs, ok := node.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				tv, ok := pkg.Info.Types[rs.X]
+				if !ok || tv.Type == nil {
+					return true // type unknown: stay silent rather than guess
+				}
+				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+					return true
+				}
+				effect, slice := orderDependentEffect(pkg, rs.Body)
+				if effect == "" {
+					return true
+				}
+				if slice != "" && sortedAfter(pkg, file, slice, rs.End()) {
+					return true // collect-then-sort: the canonical deterministic pattern
+				}
+				pass.Report(rs.Pos(), nil, "range over map has order-dependent effect (%s); iterate over sorted keys", effect)
 				return true
-			}
-			tv, ok := pass.Pkg.Info.Types[rs.X]
-			if !ok || tv.Type == nil {
-				return true // type unknown: stay silent rather than guess
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			effect, slice := orderDependentEffect(pass.Pkg, rs.Body)
-			if effect == "" {
-				return true
-			}
-			if slice != "" && sortedAfter(pass.Pkg, file, slice, rs.End()) {
-				return true // collect-then-sort: the canonical deterministic pattern
-			}
-			pass.Report(rs.Pos(), "range over map has order-dependent effect (%s); iterate over sorted keys", effect)
-			return true
-		})
+			})
+		}
 	}
 }
 

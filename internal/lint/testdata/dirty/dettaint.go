@@ -5,12 +5,12 @@ import (
 	"time"
 )
 
-// Direct wall-clock and global-rand calls are the per-package rules'
-// findings; dettaint stays silent at depth 1 and picks up every caller
-// from depth 2 on, naming the chain.
+// A direct wall-clock or global-rand call is flagged at every call site.
+// Every caller further up is flagged once, at its first call down the
+// chain, and the diagnostic names the chain.
 
 func readClock() time.Time {
-	return time.Now() // want: wallclock
+	return time.Now() // want: dettaint
 }
 
 func viaHelper() time.Time {
@@ -22,7 +22,7 @@ func viaTwoHops() int64 {
 }
 
 func drawGlobal() int {
-	return rand.Intn(6) // want: globalrand
+	return rand.Intn(6) // want: dettaint
 }
 
 func viaDraw() int {
@@ -31,7 +31,7 @@ func viaDraw() int {
 
 // anyKey returns from inside a range over a map: the returned element is
 // chosen by Go's randomized iteration order. The helper itself is the
-// taint source (no per-package rule covers this shape), and callers are
+// taint source, flagged at the return, and callers are
 // flagged at their call sites.
 func anyKey(m map[string]int) string {
 	for k := range m {
@@ -50,7 +50,7 @@ func pickVictim(m map[string]int) string {
 // break the byte-stable trace-export goldens.
 
 func wallClockTraceID() int64 {
-	return time.Now().UnixNano() // want: wallclock
+	return time.Now().UnixNano() // want: dettaint
 }
 
 func traceIDFromClock() int64 {
@@ -58,7 +58,7 @@ func traceIDFromClock() int64 {
 }
 
 func randSpanID() int64 {
-	return rand.Int63() // want: globalrand
+	return rand.Int63() // want: dettaint
 }
 
 func spanIDFromRand() int64 {

@@ -7,15 +7,15 @@ import (
 )
 
 func globalDraws() int {
-	x := rand.Intn(10)  // want: globalrand
-	f := rand.Float64() // want: globalrand
-	rand.Shuffle(3, func(i, j int) {}) // want: globalrand
-	y := mrand.Int63() // want: globalrand
+	x := rand.Intn(10)  // want: dettaint
+	f := rand.Float64() // want: dettaint
+	rand.Shuffle(3, func(i, j int) {}) // want: dettaint
+	y := mrand.Int63() // want: dettaint
 	return x + int(f) + int(y)
 }
 
 func opaqueSource(src rand.Source) *rand.Rand {
-	return rand.New(src) // want: globalrand
+	return rand.New(src) // want: dettaint
 }
 
 func seededAllowed(seed int64) int {

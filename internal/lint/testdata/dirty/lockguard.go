@@ -24,7 +24,7 @@ func (c *counter) get() int {
 
 func (c *counter) doubleLock() int {
 	c.mu.Lock()
-	v := c.get() // want: lockguard
+	v := c.get() // want: lockorder
 	c.mu.Unlock()
 	return v
 }
@@ -32,7 +32,7 @@ func (c *counter) doubleLock() int {
 func (c *counter) leakyReturn(fail bool) error {
 	c.mu.Lock()
 	if fail {
-		return errors.New("left holding the lock") // want: lockguard
+		return errors.New("left holding the lock") // want: lockorder
 	}
 	c.mu.Unlock()
 	return nil
@@ -63,7 +63,7 @@ func (s *shared) set(k string, v int) {
 
 func (s *shared) writeThenRead(k string) int {
 	s.Lock()
-	v := s.lookup(k) // want: lockguard
+	v := s.lookup(k) // want: lockorder
 	s.Unlock()
 	return v
 }
@@ -73,4 +73,24 @@ func (s *shared) readChainAllowed(k string) int {
 	v := s.lookup(k) // RLock while RLocked: shared locks nest
 	s.RUnlock()
 	return v
+}
+
+// Leaked locks are tracked per field: releasing b does not release a, so
+// the early return still holds a.
+
+type twoLocks struct {
+	a, b sync.Mutex
+	n    int
+}
+
+func (t *twoLocks) leakOuter(fail bool) error {
+	t.a.Lock()
+	t.b.Lock()
+	t.n++
+	t.b.Unlock()
+	if fail {
+		return errors.New("still holding a") // want: lockorder
+	}
+	t.a.Unlock()
+	return nil
 }

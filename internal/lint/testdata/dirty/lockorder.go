@@ -3,8 +3,8 @@ package dirty
 import "sync"
 
 // Deep self-deadlock: outer holds mu and calls middle, which calls
-// inner, which re-acquires mu — two calls down, past lockguard's
-// single-method horizon.
+// inner, which re-acquires mu. The same check flags a re-acquisition
+// one call down (lockguard.go) and any number of calls down.
 
 type deepLocker struct {
 	mu sync.Mutex
@@ -68,7 +68,7 @@ func (b *nodeB) touch() {
 }
 
 // Read-read chains on one RWMutex nest safely and must stay silent,
-// matching lockguard's exemption.
+// unless a callee write-locks.
 
 type rwPair struct {
 	mu sync.RWMutex
@@ -90,4 +90,30 @@ func (p *rwPair) readInner() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.v
+}
+
+// A read lock does not let a callee take the write lock: readThenUpgrade
+// holds mu for reading while upgrade, two calls down, releases its own
+// read lock and then write-locks mu. The check looks at every
+// acquisition of the callee, not only its first.
+
+func (p *rwPair) readThenUpgrade() int {
+	p.mu.RLock()
+	v := p.viaUpgrade() // want: lockorder
+	p.mu.RUnlock()
+	return v
+}
+
+func (p *rwPair) viaUpgrade() int {
+	return p.upgrade()
+}
+
+func (p *rwPair) upgrade() int {
+	p.mu.RLock()
+	v := p.v
+	p.mu.RUnlock()
+	p.mu.Lock()
+	p.v++
+	p.mu.Unlock()
+	return v
 }

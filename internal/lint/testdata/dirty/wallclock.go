@@ -7,12 +7,12 @@ package dirty
 import "time"
 
 func wallNow() time.Duration {
-	start := time.Now()          // want: wallclock
-	time.Sleep(time.Millisecond) // want: wallclock
-	<-time.After(time.Second)    // want: wallclock
-	t := time.NewTimer(0)        // want: wallclock
+	start := time.Now()          // want: dettaint
+	time.Sleep(time.Millisecond) // want: dettaint
+	<-time.After(time.Second)    // want: dettaint
+	t := time.NewTimer(0)        // want: dettaint
 	t.Stop()
-	return time.Since(start) // want: wallclock
+	return time.Since(start) // want: dettaint
 }
 
 func durationsAllowed() time.Duration {

@@ -36,7 +36,7 @@ type Runner struct {
 // standalone runner has no virtual clock and does no performance
 // modelling, and a wall-clock measurement here was the one
 // nondeterministic value in an otherwise bit-reproducible run (the
-// wallclock lint rule now keeps it out).
+// dettaint lint rule now keeps it out).
 type Report struct {
 	JobName     string
 	MapTasks    int
