@@ -5,8 +5,10 @@
 //     direction) hold regardless of cost-model retuning.
 //  2. Equality with the committed artifact (experiments.HeadlineArtifact)
 //     — sim metrics are deterministic, so a PR can't move one without
-//     regenerating the artifact (make bench) and committing it. Allocs per run, the one
-//     host-dependent number in the artifact, keep a band.
+//     regenerating the artifact (make bench) and committing it.
+//
+// Allocation is owned elsewhere: the wall-clock benchmark's allocs_k
+// (bench/) and the per-package AllocsPerRun budgets.
 //
 // Guarded by testing.Short: `go test -short` skips it, tier-1 runs it.
 package repro_test
@@ -19,12 +21,6 @@ import (
 
 	"repro/internal/experiments"
 )
-
-// allocsBand bounds allocs-per-run drift against the artifact.
-// Allocation counts are near-deterministic (map growth contributes small
-// wobble): a regression that doubles allocations on a hot path must
-// regenerate the artifact deliberately.
-const allocsBand = 1.5
 
 // shapeChecks encodes the qualitative claim behind each headline metric
 // as a closed interval [lo, hi] the value must fall in (math.Inf(1) for
@@ -138,25 +134,6 @@ func diffArtifact(t *testing.T, path string, cur *experiments.HeadlineReport) {
 	var prev experiments.HeadlineReport
 	if err := json.Unmarshal(data, &prev); err != nil {
 		t.Fatalf("%s: %v", path, err)
-	}
-	// Allocation gate: allocs per experiment run must stay within
-	// allocsBand of the artifact. A speed PR that reintroduces per-record
-	// allocations fails here before it shows up as wall-clock drift. The
-	// race detector's instrumentation allocates too (E8 reads 2.3x), so
-	// the gate only means something without it.
-	for id, pa := range prev.AllocsPerOp {
-		ca, ok := cur.AllocsPerOp[id]
-		if !ok {
-			t.Errorf("%s: %s allocs/op disappeared from the headline report", path, id)
-			continue
-		}
-		if pa > 0 && ca > 0 && !raceEnabled {
-			ratio := ca / pa
-			if ratio > allocsBand || ratio < 1/allocsBand {
-				t.Errorf("%s: %s allocs/op drifted %.2fx (artifact %.0f, current %.0f): regenerate with `make bench` if intended",
-					path, id, ratio, pa, ca)
-			}
-		}
 	}
 	// Sim metrics are deterministic: any difference is a behaviour change,
 	// to be regenerated deliberately and explained in CHANGES.md.

@@ -77,11 +77,13 @@ var textVocabulary = []string{
 	"sword", "battle", "soldier", "prince", "queen", "duke", "heaven", "soul", "grace", "fortune",
 }
 
+// wordsPerLine is the length of every corpus line.
+const wordsPerLine = 10
+
 // TextOpts sizes the corpus generator.
 type TextOpts struct {
-	Lines        int
-	WordsPerLine int
-	Seed         int64
+	Lines int
+	Seed  int64
 	// SeqBlockBytes caps raw bytes per SequenceFile block for the seq
 	// formats (default 8 KiB — small blocks mean many sync points, so
 	// even lab-sized corpora split several ways).
@@ -103,9 +105,6 @@ func textStream(opts TextOpts) ([]string, *TextTruth) {
 	if opts.Lines <= 0 {
 		opts.Lines = 1000
 	}
-	if opts.WordsPerLine <= 0 {
-		opts.WordsPerLine = 10
-	}
 	rng := sim.NewRand(opts.Seed).Derive("text")
 	zipf := rng.Zipf(1.1, uint64(len(textVocabulary)))
 	truth := &TextTruth{Counts: map[string]int64{}}
@@ -113,7 +112,7 @@ func textStream(opts TextOpts) ([]string, *TextTruth) {
 	var b strings.Builder
 	for i := 0; i < opts.Lines; i++ {
 		b.Reset()
-		for j := 0; j < opts.WordsPerLine; j++ {
+		for j := 0; j < wordsPerLine; j++ {
 			word := textVocabulary[zipf.Uint64()]
 			truth.Counts[word]++
 			truth.TotalWords++

@@ -26,10 +26,11 @@ type TraceOpts struct {
 	Jobs      int
 	MeanTasks int
 	Seed      int64
-	// FlakyJobBias boosts one job's failure probability so "the job with
-	// the most task resubmissions" has an unambiguous answer.
-	FlakyJobBias float64
 }
+
+// flakyJobBias boosts one job's failure probability so "the job with the
+// most task resubmissions" has an unambiguous answer.
+const flakyJobBias = 6
 
 // TraceTruth is the ground truth for the Fall 2012 second assignment:
 // the job with the largest number of task resubmissions. A resubmission
@@ -50,9 +51,6 @@ func Trace(fs vfs.FileSystem, path string, opts TraceOpts) (*TraceTruth, int64, 
 	if opts.MeanTasks <= 0 {
 		opts.MeanTasks = 20
 	}
-	if opts.FlakyJobBias <= 0 {
-		opts.FlakyJobBias = 6
-	}
 	rng := sim.NewRand(opts.Seed).Derive("trace")
 	truth := &TraceTruth{Resubmissions: map[int64]int64{}}
 
@@ -70,7 +68,7 @@ func Trace(fs vfs.FileSystem, path string, opts TraceOpts) (*TraceTruth, int64, 
 		tasks := 1 + rng.Intn(2*opts.MeanTasks)
 		failP := 0.05 + rng.Float64()*0.1
 		if j == flaky {
-			failP *= opts.FlakyJobBias
+			failP *= flakyJobBias
 			if failP > 0.9 {
 				failP = 0.9
 			}

@@ -41,14 +41,17 @@ type YCSBOp struct {
 
 // YCSBOpts sizes a workload.
 type YCSBOpts struct {
-	Mix        string // "a", "b", "c", "e", or "f"
-	Records    int    // initial loaded keyspace (default 1000)
-	Ops        int    // operations to generate (default 10000)
-	ValueSize  int    // value bytes (default 100)
-	ZipfS      float64
-	MaxScanLen int // default 100
-	Seed       int64
+	Mix       string // "a", "b", "c", "e", or "f"
+	Records   int    // initial loaded keyspace (default 1000)
+	Ops       int    // operations to generate (default 10000)
+	ValueSize int    // value bytes (default 100)
+	Seed      int64
 }
+
+const (
+	ycsbZipfS      = 1.1 // key popularity skew
+	ycsbMaxScanLen = 100 // a scan reads 1..ycsbMaxScanLen rows
+)
 
 func (o *YCSBOpts) defaults() {
 	if o.Records <= 0 {
@@ -59,12 +62,6 @@ func (o *YCSBOpts) defaults() {
 	}
 	if o.ValueSize <= 0 {
 		o.ValueSize = 100
-	}
-	if o.ZipfS <= 0 {
-		o.ZipfS = 1.1
-	}
-	if o.MaxScanLen <= 0 {
-		o.MaxScanLen = 100
 	}
 }
 
@@ -116,7 +113,7 @@ func YCSB(opts YCSBOpts) ([]YCSBOp, error) {
 		return nil, fmt.Errorf("datagen: unknown YCSB mix %q (want a, b, c, e, or f)", opts.Mix)
 	}
 	rng := sim.NewRand(opts.Seed).Derive("ycsb-" + opts.Mix)
-	zipf := rng.Zipf(opts.ZipfS, uint64(opts.Records))
+	zipf := rng.Zipf(ycsbZipfS, uint64(opts.Records))
 	nextInsert := opts.Records
 	ops := make([]YCSBOp, 0, opts.Ops)
 	for i := 0; i < opts.Ops; i++ {
@@ -135,7 +132,7 @@ func YCSB(opts YCSBOpts) ([]YCSBOp, error) {
 			nextInsert++
 		case p < mix.read+mix.update+mix.insert+mix.scan:
 			op.Type = YCSBScan
-			op.ScanLen = 1 + rng.Intn(opts.MaxScanLen)
+			op.ScanLen = 1 + rng.Intn(ycsbMaxScanLen)
 		default:
 			op.Type = YCSBRMW
 			op.Value = YCSBValue(op.Key, opts.ValueSize)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 )
 
 // Headline extraction: the small set of "who wins, by what factor"
@@ -144,40 +143,28 @@ func HeadlineMetrics(id string, r *Result) map[string]float64 {
 }
 
 // HeadlineReport is the machine-readable benchmark artifact
-// (BENCH_<pr>.json): every headline metric at a fixed seed, plus the heap
-// allocation count of one run of each experiment. AllocsPerOp is additive
-// — artifacts committed before it existed unmarshal with a nil map and
-// the regression diff skips them.
+// (BENCH_<pr>.json): every headline metric at a fixed seed.
 type HeadlineReport struct {
 	Seed        int64                         `json:"seed"`
 	Experiments map[string]map[string]float64 `json:"experiments"`
-	AllocsPerOp map[string]float64            `json:"allocs_per_op,omitempty"`
 }
 
 // Headlines runs every headline experiment at seed and collects the
-// extracted metrics. Deterministic: the same seed yields the same report
-// (allocation counts can wobble slightly with map growth, which is why
-// the regression test holds them to a band rather than equality).
+// extracted metrics. Deterministic: the same seed yields the same report.
 func Headlines(seed int64) (*HeadlineReport, error) {
 	rep := &HeadlineReport{
 		Seed:        seed,
 		Experiments: map[string]map[string]float64{},
-		AllocsPerOp: map[string]float64{},
 	}
-	var ms runtime.MemStats
 	for _, id := range HeadlineIDs {
 		spec, ok := Lookup(id)
 		if !ok {
 			return nil, fmt.Errorf("unknown experiment %s", id)
 		}
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
 		r, err := spec.Run(seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", id, err)
 		}
-		runtime.ReadMemStats(&ms)
-		rep.AllocsPerOp[id] = float64(ms.Mallocs - before)
 		rep.Experiments[id] = HeadlineMetrics(id, r)
 	}
 	return rep, nil

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -199,7 +201,7 @@ func (w *hdfsWriter) Close() error {
 			return &vfs.PathError{Op: "write", Path: w.path, Err: err}
 		}
 	}
-	return w.c.nn.journalFileComplete(w.path, w.f)
+	return w.c.nn.journal(w.c.nn.closeRecord(w.path, w.f))
 }
 
 // writeBlock runs one replicated pipeline write: client → DN1 → DN2 → DN3.
@@ -270,27 +272,14 @@ func (c *Client) writeBlock(f *inode, path string, data []byte) error {
 
 // --- reads ---
 
-// readBlock fetches one block choosing the closest live, healthy replica,
-// retrying other replicas when a checksum fails (and reporting the corrupt
-// copy to the NameNode, as DFSClient does).
-func (c *Client) readBlock(id BlockID) ([]byte, error) {
-	bm, ok := c.nn.blocks[id]
-	if !ok {
-		return nil, fmt.Errorf("hdfs: unknown block %v", id)
-	}
+// readBlock fetches one block choosing the closest reachable usable
+// replica, retrying other replicas when a checksum fails (and reporting
+// the corrupt copy to the NameNode, as DFSClient does).
+func (c *Client) readBlock(bm *blockMeta) ([]byte, error) {
+	id := bm.id
 	// Order candidate replicas by distance, then node ID for determinism.
-	var cands []cluster.NodeID
-	for nodeID := range bm.replicas {
-		if info := c.nn.dns[nodeID]; info != nil && info.alive && !bm.corrupt[nodeID] && c.reachable(nodeID) {
-			cands = append(cands, nodeID)
-		}
-	}
-	sortNodeIDs(cands)
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && c.distanceTo(cands[j]) < c.distanceTo(cands[j-1]); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
+	cands := slices.DeleteFunc(c.nn.usableReplicas(bm), func(n cluster.NodeID) bool { return !c.reachable(n) })
+	slices.SortStableFunc(cands, func(a, b cluster.NodeID) int { return c.distanceTo(a) - c.distanceTo(b) })
 	for _, nodeID := range cands {
 		dn := c.nn.datanodes[nodeID]
 		if dn == nil {
@@ -341,37 +330,29 @@ func (c *Client) readBlock(id BlockID) ([]byte, error) {
 
 // Open reads a whole file (all blocks, nearest replicas).
 func (c *Client) Open(path string) (io.ReadCloser, error) {
-	f := c.nn.ns.lookup(path)
-	if f == nil {
-		c.auditEv(history.EvAuditOpen, map[string]string{"src": vfs.Clean(path)}, vfs.ErrNotExist)
-		return nil, &vfs.PathError{Op: "open", Path: path, Err: vfs.ErrNotExist}
+	data, err := c.read("open", path, 0, math.MaxInt64)
+	if err != nil {
+		return nil, err
 	}
-	c.auditEv(history.EvAuditOpen, map[string]string{"src": vfs.Clean(path)}, nil)
-	if f.dir {
-		return nil, &vfs.PathError{Op: "open", Path: path, Err: vfs.ErrIsDir}
-	}
-	buf := make([]byte, 0, f.size)
-	for _, bid := range f.blocks {
-		data, err := c.readBlock(bid)
-		if err != nil {
-			return nil, &vfs.PathError{Op: "open", Path: path, Err: err}
-		}
-		buf = append(buf, data...)
-	}
-	return vfs.BytesFile(buf), nil
+	return vfs.BytesFile(data), nil
 }
 
 // ReadRange reads [off, off+length) of a file, touching only the blocks
 // that overlap the range — what a map task does with its split.
 func (c *Client) ReadRange(path string, off, length int64) ([]byte, error) {
+	return c.read("read", path, off, length)
+}
+
+// read is the body of Open and ReadRange; its errors carry op.
+func (c *Client) read(op, path string, off, length int64) ([]byte, error) {
 	f := c.nn.ns.lookup(path)
 	if f == nil {
 		c.auditEv(history.EvAuditOpen, map[string]string{"src": vfs.Clean(path)}, vfs.ErrNotExist)
-		return nil, &vfs.PathError{Op: "read", Path: path, Err: vfs.ErrNotExist}
+		return nil, &vfs.PathError{Op: op, Path: path, Err: vfs.ErrNotExist}
 	}
 	c.auditEv(history.EvAuditOpen, map[string]string{"src": vfs.Clean(path)}, nil)
 	if f.dir {
-		return nil, &vfs.PathError{Op: "read", Path: path, Err: vfs.ErrIsDir}
+		return nil, &vfs.PathError{Op: op, Path: path, Err: vfs.ErrIsDir}
 	}
 	end := off + length
 	if end > f.size {
@@ -383,12 +364,15 @@ func (c *Client) ReadRange(path string, off, length int64) ([]byte, error) {
 	out := make([]byte, 0, end-off)
 	blockStart := int64(0)
 	for _, bid := range f.blocks {
-		bm := c.nn.blocks[bid]
+		bm, ok := c.nn.blocks[bid]
+		if !ok {
+			return nil, &vfs.PathError{Op: op, Path: path, Err: fmt.Errorf("hdfs: unknown block %v", bid)}
+		}
 		blockEnd := blockStart + bm.len
 		if blockEnd > off && blockStart < end {
-			data, err := c.readBlock(bid)
+			data, err := c.readBlock(bm)
 			if err != nil {
-				return nil, &vfs.PathError{Op: "read", Path: path, Err: err}
+				return nil, &vfs.PathError{Op: op, Path: path, Err: err}
 			}
 			lo, hi := int64(0), int64(len(data))
 			if off > blockStart {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/vfs"
 )
 
@@ -20,8 +19,8 @@ type FsckOpts struct {
 type BlockDetail struct {
 	Block  BlockID
 	Length int64
-	// Hosts are the live replica holders' hostnames, sorted; filled only
-	// with FsckOpts.Locations.
+	// Hosts are the usable replica holders' hostnames, sorted by node ID;
+	// filled only with FsckOpts.Locations.
 	Hosts []string
 }
 
@@ -159,14 +158,7 @@ func (nn *NameNode) FsckWith(path string, opts FsckOpts) (*FsckReport, error) {
 			if opts.Blocks {
 				bd := BlockDetail{Block: bid, Length: bm.len}
 				if opts.Locations {
-					var holders []cluster.NodeID
-					for id := range bm.replicas {
-						if info := nn.dns[id]; info != nil && info.alive && !bm.corrupt[id] {
-							holders = append(holders, id)
-						}
-					}
-					sortNodeIDs(holders)
-					for _, id := range holders {
+					for _, id := range nn.usableReplicas(bm) {
 						bd.Hosts = append(bd.Hosts, nn.hostname(id))
 					}
 				}

@@ -363,6 +363,20 @@ func (nn *NameNode) liveReplicas(bm *blockMeta) int {
 	return n
 }
 
+// usableReplicas returns the holders of bm a reader can use — live and
+// not corrupt — sorted by node ID. Unlike liveReplicas it keeps the
+// replicas on draining nodes: reads may still use a node while it drains.
+func (nn *NameNode) usableReplicas(bm *blockMeta) []cluster.NodeID {
+	var out []cluster.NodeID
+	for id := range bm.replicas {
+		if info := nn.dns[id]; info != nil && info.alive && !bm.corrupt[id] {
+			out = append(out, id)
+		}
+	}
+	sortNodeIDs(out)
+	return out
+}
+
 // LiveDataNodes returns the IDs of registered, live DataNodes, sorted.
 func (nn *NameNode) LiveDataNodes() []cluster.NodeID {
 	var out []cluster.NodeID
@@ -610,13 +624,18 @@ func (nn *NameNode) SetReplication(path string, repl int) error {
 	if f.dir {
 		return &vfs.PathError{Op: "setrep", Path: path, Err: vfs.ErrIsDir}
 	}
+	nn.setRepl(f, repl)
+	return nn.journal(editRecord{Op: "setrep", Path: vfs.Clean(path), Repl: repl})
+}
+
+// setRepl sets a file's target replication and its blocks' with it.
+func (nn *NameNode) setRepl(f *inode, repl int) {
 	f.repl = repl
 	for _, bid := range f.blocks {
 		if bm, ok := nn.blocks[bid]; ok {
 			bm.expected = repl
 		}
 	}
-	return nn.journal(editRecord{Op: "setrep", Path: vfs.Clean(path), Repl: repl})
 }
 
 // Stat describes a file or directory.
@@ -680,15 +699,9 @@ func (nn *NameNode) BlockLocations(path string) ([]BlockLocation, error) {
 	off := int64(0)
 	for _, bid := range f.blocks {
 		bm := nn.blocks[bid]
-		loc := BlockLocation{Block: bid, Offset: off, Length: bm.len}
-		for id := range bm.replicas {
-			if info := nn.dns[id]; info != nil && info.alive && !bm.corrupt[id] {
-				loc.Nodes = append(loc.Nodes, id)
-			}
-		}
-		sortNodeIDs(loc.Nodes)
+		loc := BlockLocation{Block: bid, Offset: off, Length: bm.len, Nodes: nn.usableReplicas(bm)}
 		for _, id := range loc.Nodes {
-			loc.Hosts = append(loc.Hosts, nn.topo.Node(id).Hostname)
+			loc.Hosts = append(loc.Hosts, nn.hostname(id))
 		}
 		out = append(out, loc)
 		off += bm.len
@@ -755,24 +768,14 @@ func (nn *NameNode) replicationMonitor() {
 // reports whether a copy was scheduled; false sends the block into the
 // monitor's retry backoff.
 func (nn *NameNode) scheduleReplication(bm *blockMeta) bool {
-	// Source: the lowest-id live, non-corrupt replica holder. The sorted
-	// scan keeps the pick independent of map iteration order, so replays
-	// of the same seed re-replicate from (and hence to) the same nodes.
-	var src cluster.NodeID = -1
-	holders := make([]cluster.NodeID, 0, len(bm.replicas))
-	for id := range bm.replicas {
-		holders = append(holders, id)
-	}
-	sortNodeIDs(holders)
-	for _, id := range holders {
-		if info := nn.dns[id]; info != nil && info.alive && !bm.corrupt[id] {
-			src = id
-			break
-		}
-	}
-	if src < 0 {
+	// Source: the lowest-id usable replica holder. The sorted list keeps
+	// the pick independent of map iteration order, so replays of the same
+	// seed re-replicate from (and hence to) the same nodes.
+	holders := nn.usableReplicas(bm)
+	if len(holders) == 0 {
 		return false
 	}
+	src := holders[0]
 	exclude := map[cluster.NodeID]bool{}
 	for id := range bm.replicas {
 		exclude[id] = true

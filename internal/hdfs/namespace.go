@@ -50,42 +50,11 @@ func splitPath(path string) []string {
 	return strings.Split(p[1:], "/")
 }
 
-// isCleanPath reports whether path is already in vfs.Clean form:
-// absolute, no empty, "." or ".." segments, no trailing slash. Every path
-// the cluster generates internally already is, which lets the namespace
-// walk it in place instead of allocating Clean+Split slices per lookup —
-// these run once per block allocation, heartbeat-driven read and client
-// open, so they sit on the NameNode's hottest path.
-func isCleanPath(p string) bool {
-	if len(p) == 0 || p[0] != '/' {
-		return false
-	}
-	if p == "/" {
-		return true
-	}
-	rest := p[1:]
-	for {
-		i := strings.IndexByte(rest, '/')
-		seg := rest
-		if i >= 0 {
-			seg = rest[:i]
-		}
-		if seg == "" || seg == "." || seg == ".." {
-			return false
-		}
-		if i < 0 {
-			return true
-		}
-		rest = rest[i+1:]
-	}
-}
-
-// lookup returns the inode at path, or nil.
+// lookup returns the inode at path, or nil. It walks the path in place:
+// vfs.Clean returns an already-clean path as it is, so the lookups on
+// the NameNode's hot path (block allocation, opens) allocate nothing.
 func (ns *namespace) lookup(path string) *inode {
-	p := path
-	if !isCleanPath(p) {
-		p = vfs.Clean(path)
-	}
+	p := vfs.Clean(path)
 	cur := ns.root
 	if p == "/" {
 		return cur
@@ -114,10 +83,7 @@ func (ns *namespace) lookup(path string) *inode {
 
 // lookupParent returns the parent directory inode and final segment name.
 func (ns *namespace) lookupParent(path string) (*inode, string) {
-	p := path
-	if !isCleanPath(p) {
-		p = vfs.Clean(path)
-	}
+	p := vfs.Clean(path)
 	if p == "/" {
 		return nil, ""
 	}

@@ -29,16 +29,9 @@ func (d *MiniDFS) StatusPage() string {
 		capacity, used, pct(used, capacity))
 	fmt.Fprintf(&b, "Live nodes: %d   Dead nodes: %d   Blocks: %d\n",
 		live, dead, len(d.NN.blocks))
-	under, missing := 0, 0
-	for _, bm := range d.NN.blocks {
-		switch lr := d.NN.liveReplicas(bm); {
-		case lr == 0:
-			missing++
-		case lr < bm.expected:
-			under++
-		}
+	if rep, err := d.Fsck(); err == nil {
+		fmt.Fprintf(&b, "Under-replicated blocks: %d   Missing blocks: %d\n", rep.UnderReplicated, rep.MissingBlocks)
 	}
-	fmt.Fprintf(&b, "Under-replicated blocks: %d   Missing blocks: %d\n", under, missing)
 	fmt.Fprintf(&b, "\n%-10s %-6s %10s %10s %8s\n", "Node", "State", "Blocks", "Used (B)", "Rack")
 	for _, dn := range d.datanodes {
 		state := "dead"

@@ -28,7 +28,6 @@
 package kvstore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/binary"
@@ -432,16 +431,7 @@ func (t *Table) replayWAL() (torn bool, err error) {
 			t.m.walTornDrops.Inc()
 			torn = true
 		}
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		var lines []string
-		for sc.Scan() {
-			if sc.Text() != "" {
-				lines = append(lines, sc.Text())
-			}
-		}
-		if err := sc.Err(); err != nil {
-			return false, err
-		}
+		lines := recordLines(data)
 		for li, line := range lines {
 			key, c, err := parseWALLine(line)
 			if err != nil {
@@ -653,6 +643,20 @@ func (t *Table) addStoreFile(f storeFile) {
 	t.diskBytes += f.size
 }
 
+// recordLines splits a file of records into its non-empty lines. It has
+// no line limit: a bufio.Scanner stops at 64 KiB, which base64 takes a
+// value of 48 KiB past.
+func recordLines(data []byte) []string {
+	lines := strings.Split(string(data), "\n")
+	out := lines[:0]
+	for _, l := range lines {
+		if l != "" {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 // readRecords reads and parses a file of records; its errors name the
 // file. Only Open calls it, for the store files and markers it finds:
 // every file written later enters the file list with the entries it was
@@ -663,19 +667,12 @@ func (t *Table) readRecords(path string) ([]entry, error) {
 		return nil, err
 	}
 	var out []entry
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		if sc.Text() == "" {
-			continue
-		}
-		key, c, err := parseWALLine(sc.Text())
+	for _, line := range recordLines(data) {
+		key, c, err := parseWALLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		out = append(out, entry{key, c})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	t.m.storeFileReads.Inc()
 	return out, nil

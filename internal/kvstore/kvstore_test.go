@@ -1,6 +1,7 @@
 package kvstore_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -236,6 +237,36 @@ func TestReopenAfterFlushAndMore(t *testing.T) {
 	if string(got) != "1b" {
 		t.Fatalf("seq regression: a = %q", got)
 	}
+}
+
+// TestReopenWithLargeValue: a value of 48 KiB or more encodes to a record
+// line over 64 KiB. A table holding one reopens with the row in the WAL
+// and again with it in a store file.
+func TestReopenWithLargeValue(t *testing.T) {
+	big := bytes.Repeat([]byte("v"), 70<<10)
+	fs := vfs.NewMemFS()
+	tbl, err := kvstore.Open(fs, "/t", kvstore.Config{FlushThresholdBytes: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Put("big", big); err != nil {
+		t.Fatal(err)
+	}
+	reopen := func(where string) *kvstore.Table {
+		t.Helper()
+		tbl, err := kvstore.Open(fs, "/t", kvstore.Config{FlushThresholdBytes: 1 << 40})
+		if err != nil {
+			t.Fatalf("reopen with the row %s: %v", where, err)
+		}
+		if got, err := tbl.Get("big"); err != nil || !bytes.Equal(got, big) {
+			t.Fatalf("reopen with the row %s: got %d bytes err=%v, want %d", where, len(got), err, len(big))
+		}
+		return tbl
+	}
+	if err := reopen("in the WAL").Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reopen("in a store file")
 }
 
 func TestModelCheck(t *testing.T) {

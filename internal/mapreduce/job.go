@@ -63,7 +63,7 @@ type Job struct {
 	Config map[string]string
 	// Queue names the YARN capacity queue the job is submitted to. Only
 	// the YARN-backed distributed runtime reads it; empty means the
-	// cluster's default queue.
+	// ResourceManager's default queue (yarn.DefaultQueue).
 	Queue string
 	// User is the submitting principal, used for capacity-queue user
 	// limits in YARN mode (default: the HDFS default user).

@@ -160,9 +160,8 @@ type mergeCursor struct {
 
 // MergeSortedRuns merges pre-sorted runs of pairs (one per map task) into
 // a single sorted slice — the reduce-side merge phase. Ties across runs
-// resolve in run order, keeping the merge deterministic. Small merges use
-// a linear scan over run heads; larger fan-ins switch to a binary heap of
-// cursors so the per-record cost is O(log k) comparisons instead of O(k).
+// resolve in run order, keeping the merge deterministic. Run heads sit in
+// a binary heap of cursors, so each record costs O(log k) comparisons.
 func MergeSortedRuns(runs [][]Pair) []Pair {
 	total := 0
 	nonEmpty := 0
@@ -173,10 +172,7 @@ func MergeSortedRuns(runs [][]Pair) []Pair {
 		}
 	}
 	out := make([]Pair, 0, total)
-	switch nonEmpty {
-	case 0:
-		return out
-	case 1:
+	if nonEmpty == 1 {
 		for _, r := range runs {
 			if len(r) > 0 {
 				return append(out, r...)
@@ -184,33 +180,8 @@ func MergeSortedRuns(runs [][]Pair) []Pair {
 		}
 	}
 
-	if nonEmpty <= 4 {
-		// Cursor-based linear scan: cheap for the common 2–4 run case.
-		cur := make([]mergeCursor, 0, nonEmpty)
-		for i, r := range runs {
-			if len(r) > 0 {
-				cur = append(cur, mergeCursor{run: i})
-			}
-		}
-		for len(cur) > 0 {
-			best := 0
-			for i := 1; i < len(cur); i++ {
-				if runs[cur[i].run][cur[i].pos].Key < runs[cur[best].run][cur[best].pos].Key {
-					best = i
-				}
-			}
-			c := &cur[best]
-			out = append(out, runs[c.run][c.pos])
-			c.pos++
-			if c.pos == len(runs[c.run]) {
-				cur = append(cur[:best], cur[best+1:]...)
-			}
-		}
-		return out
-	}
-
-	// Heap merge. less orders by (head key, run index); the run index keeps
-	// ties in run order, matching the linear scan exactly.
+	// less orders by (head key, run index); the run index keeps ties in
+	// run order.
 	h := make([]mergeCursor, 0, nonEmpty)
 	less := func(a, b mergeCursor) bool {
 		ka, kb := runs[a.run][a.pos].Key, runs[b.run][b.pos].Key

@@ -64,7 +64,6 @@ func newYARNRig(t *testing.T, mcfg mrcluster.Config) (*testRig, *yarn.ResourceMa
 		t.Fatal(err)
 	}
 	mcfg.YARN = rm
-	mcfg.DefaultQueue = "a"
 	return &testRig{eng: eng, dfs: dfs, mc: mrcluster.NewMRCluster(dfs, mcfg, 6)}, rm
 }
 
@@ -116,6 +115,7 @@ func TestYARNModePreemptionReplay(t *testing.T) {
 	})
 	job := wordCountJob("/in", "/out")
 	job.NumReducers = 60
+	job.Queue = "a"
 	rep, err := rig.mc.Run(job)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ func newLCRigOn(t *testing.T, nodes, racks int, cfg Config, yarnMode bool) *lcRi
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.YARN, cfg.DefaultQueue = rig.rm, "a"
+		cfg.YARN = rig.rm
 	}
 	rig.mc = NewMRCluster(dfs, cfg, 6)
 	var in strings.Builder
@@ -252,6 +252,9 @@ func TestAttemptLifecycleParity(t *testing.T) {
 
 func (r *lcRig) submit(t *testing.T, job *mapreduce.Job) *JobHandle {
 	t.Helper()
+	if r.rm != nil {
+		job.Queue = "a"
+	}
 	h, err := r.mc.Submit(job)
 	if err != nil {
 		t.Fatal(err)

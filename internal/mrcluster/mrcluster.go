@@ -59,9 +59,6 @@ type Config struct {
 	// yarnbridge.go for the semantic differences (speculation disabled,
 	// slot caps replaced by the fixed mapContainer / reduceContainer sizes).
 	YARN *yarn.ResourceManager
-	// DefaultQueue is the capacity queue jobs land in when Job.Queue is
-	// empty (YARN mode only).
-	DefaultQueue string
 }
 
 const (

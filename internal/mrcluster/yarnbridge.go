@@ -46,10 +46,6 @@ func (am *jtAppMaster) OnPreempted(c *yarn.Container) { am.jt.onContainerPreempt
 
 // submitApp registers a job as a managed YARN application in its queue.
 func (jt *JobTracker) submitApp(jr *jobRun) error {
-	queue := jr.job.Queue
-	if queue == "" {
-		queue = jt.mc.cfg.DefaultQueue
-	}
 	user := jr.job.User
 	if user == "" {
 		user = "hdfs"
@@ -57,7 +53,7 @@ func (jt *JobTracker) submitApp(jr *jobRun) error {
 	app, err := jt.mc.cfg.YARN.SubmitManaged(yarn.AppSpec{
 		Name:  jr.id,
 		User:  user,
-		Queue: queue,
+		Queue: jr.job.Queue,
 	}, &jtAppMaster{jt: jt, jr: jr})
 	if err != nil {
 		return err
