@@ -136,6 +136,11 @@ func (c *MiniCluster) Output(outputPath string) (string, error) {
 		return "", err
 	}
 	var b strings.Builder
+	size := int64(0)
+	for _, fi := range infos {
+		size += fi.Size // directories and _SUCCESS are empty
+	}
+	b.Grow(int(size))
 	for _, fi := range infos {
 		if fi.IsDir || fi.Name() == "_SUCCESS" {
 			continue

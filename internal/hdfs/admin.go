@@ -124,15 +124,15 @@ func (d *MiniDFS) moveOneBlock(src, dst *DataNode) bool {
 		if !ok || bm.replicas[dst.id] || bm.corrupt[src.id] {
 			continue
 		}
-		data, readCost, err := src.readBlock(id)
+		sb, readCost, err := src.readBlock(id)
 		if err != nil {
 			continue
 		}
-		if _, err := dst.writeBlock(id, data); err != nil {
+		if _, err := dst.writeBlock(id, sb); err != nil {
 			continue
 		}
 		// Charge the move to the virtual clock.
-		d.Engine.Advance(readCost + d.Cost.Transfer(d.Topology.Distance(src.id, dst.id), int64(len(data))))
+		d.Engine.Advance(readCost + d.Cost.Transfer(d.Topology.Distance(src.id, dst.id), int64(len(sb.data))))
 		bm.replicas[dst.id] = true
 		delete(bm.replicas, src.id)
 		src.deleteBlock(id)

@@ -160,7 +160,9 @@ func (c *Client) Append(path string) (io.WriteCloser, error) {
 
 // hdfsWriter buffers file contents and writes the block pipeline on Close.
 // (Real HDFS streams per-block; buffering whole files is fine at teaching
-// scale and keeps the pipeline logic in one place.)
+// scale and keeps the pipeline logic in one place.) The buffer is the
+// only copy: Close hands its block-sized pieces to the DataNodes as they
+// are, and nothing writes to it after Close.
 type hdfsWriter struct {
 	c         *Client
 	f         *inode
@@ -190,7 +192,8 @@ func (w *hdfsWriter) Close() error {
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
-		if err := w.c.writeBlock(w.f, w.path, data[off:end]); err != nil {
+		// Clipped, so no block's slice can reach into its neighbour's bytes.
+		if err := w.c.writeBlock(w.f, w.path, data[off:end:end]); err != nil {
 			// Clean up so retries see a consistent tree: a failed create
 			// leaves no file, a failed append the file it found.
 			if w.appending {
@@ -206,12 +209,14 @@ func (w *hdfsWriter) Close() error {
 
 // writeBlock runs one replicated pipeline write: client → DN1 → DN2 → DN3.
 // The modelled cost is the pipeline bottleneck (slowest hop or disk),
-// because hops stream concurrently.
+// because hops stream concurrently. The checksum is made here, once, and
+// every target stores the same block.
 func (c *Client) writeBlock(f *inode, path string, data []byte) error {
 	id, targets, err := c.nn.allocateBlock(f, path, c.from)
 	if err != nil {
 		return err
 	}
+	sb := &storedBlock{data: data, sum: checksum(data)}
 	var written []cluster.NodeID
 	var bottleneck time.Duration
 	var bottleneckNode string
@@ -226,7 +231,7 @@ func (c *Client) writeBlock(f *inode, path string, data []byte) error {
 		if !c.net.Reachable(prev, t) {
 			continue
 		}
-		diskCost, err := dn.writeBlock(id, data)
+		diskCost, err := dn.writeBlock(id, sb)
 		if err != nil {
 			// Hadoop shrinks the pipeline past a failed node.
 			continue
@@ -274,7 +279,8 @@ func (c *Client) writeBlock(f *inode, path string, data []byte) error {
 
 // readBlock fetches one block choosing the closest reachable usable
 // replica, retrying other replicas when a checksum fails (and reporting
-// the corrupt copy to the NameNode, as DFSClient does).
+// the corrupt copy to the NameNode, as DFSClient does). The bytes are the
+// stored block's own: callers copy out of them and never write to them.
 func (c *Client) readBlock(bm *blockMeta) ([]byte, error) {
 	id := bm.id
 	// Order candidate replicas by distance, then node ID for determinism.
@@ -285,7 +291,7 @@ func (c *Client) readBlock(bm *blockMeta) ([]byte, error) {
 		if dn == nil {
 			continue
 		}
-		data, diskCost, err := dn.readBlock(id)
+		sb, diskCost, err := dn.readBlock(id)
 		if err != nil {
 			var ce *ChecksumError
 			if errors.As(err, &ce) {
@@ -294,6 +300,7 @@ func (c *Client) readBlock(bm *blockMeta) ([]byte, error) {
 			c.m.readRetries.Inc()
 			continue
 		}
+		data := sb.data
 		dist := c.distanceTo(nodeID)
 		total := diskCost + c.cost.Transfer(dist, int64(len(data)))
 		switch {
@@ -335,6 +342,17 @@ func (c *Client) Open(path string) (io.ReadCloser, error) {
 		return nil, err
 	}
 	return vfs.BytesFile(data), nil
+}
+
+// ReadFile reads a whole file as Open does — the same audit event, the
+// same errors — and returns the one buffer the read fills, which the
+// caller owns. vfs.ReadFile uses it, as io/fs.ReadFile uses ReadFileFS.
+func (c *Client) ReadFile(path string) ([]byte, error) {
+	data, err := c.read("open", path, 0, math.MaxInt64)
+	if err == nil && data == nil {
+		data = []byte{} // an empty file, not a missing one
+	}
+	return data, err
 }
 
 // ReadRange reads [off, off+length) of a file, touching only the blocks

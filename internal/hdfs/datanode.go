@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -49,6 +50,10 @@ type DataNode struct {
 	muteUntil sim.Time
 }
 
+// storedBlock is a block's bytes and the checksum the writer made over
+// them. A written block never changes, so every replica of it — pipeline
+// targets, re-replication copies, balancer moves — holds the same
+// *storedBlock; CorruptBlock gives its own replica a private copy first.
 type storedBlock struct {
 	data []byte
 	sum  uint32
@@ -191,8 +196,9 @@ func (dn *DataNode) sendBlockReport() {
 	dn.nn.blockReport(dn.id, dn.BlockIDs())
 }
 
-// writeBlock stores a replica locally. Returns the modelled disk cost.
-func (dn *DataNode) writeBlock(id BlockID, data []byte) (time.Duration, error) {
+// writeBlock stores a replica locally: the block itself, not a copy (see
+// storedBlock). Returns the modelled disk cost.
+func (dn *DataNode) writeBlock(id BlockID, sb *storedBlock) (time.Duration, error) {
 	if !dn.alive {
 		return 0, fmt.Errorf("hdfs: datanode %s is down", dn.node.Hostname)
 	}
@@ -200,25 +206,26 @@ func (dn *DataNode) writeBlock(id BlockID, data []byte) (time.Duration, error) {
 		dn.FailNextWrites--
 		return 0, fmt.Errorf("hdfs: injected write failure on %s", dn.node.Hostname)
 	}
-	if dn.node.DiskBytes > 0 && dn.used+int64(len(data)) > dn.node.DiskBytes {
+	n := int64(len(sb.data))
+	if dn.node.DiskBytes > 0 && dn.used+n > dn.node.DiskBytes {
 		return 0, fmt.Errorf("hdfs: datanode %s out of space", dn.node.Hostname)
 	}
 	if old, ok := dn.blocks[id]; ok {
 		dn.used -= int64(len(old.data))
 	}
-	cp := append([]byte(nil), data...)
-	dn.blocks[id] = &storedBlock{data: cp, sum: checksum(cp)}
-	dn.used += int64(len(cp))
-	cost := dn.diskCost(dn.cost.DiskWrite(int64(len(cp))))
+	dn.blocks[id] = sb
+	dn.used += n
+	cost := dn.diskCost(dn.cost.DiskWrite(n))
 	dn.m.blocksWritten.Inc()
-	dn.m.bytesWritten.Add(int64(len(cp)))
+	dn.m.bytesWritten.Add(n)
 	dn.m.diskWriteTime.Observe(cost)
 	return cost, nil
 }
 
-// readBlock returns a replica's bytes after verifying its checksum, plus
-// the modelled disk cost. A corrupted replica returns ErrChecksum.
-func (dn *DataNode) readBlock(id BlockID) ([]byte, time.Duration, error) {
+// readBlock returns a replica after verifying its checksum, plus the
+// modelled disk cost. A corrupted replica returns a *ChecksumError. The
+// caller must not modify the returned block's bytes.
+func (dn *DataNode) readBlock(id BlockID) (*storedBlock, time.Duration, error) {
 	if !dn.alive {
 		return nil, 0, fmt.Errorf("hdfs: datanode %s is down", dn.node.Hostname)
 	}
@@ -234,7 +241,7 @@ func (dn *DataNode) readBlock(id BlockID) ([]byte, time.Duration, error) {
 	dn.m.blocksRead.Inc()
 	dn.m.bytesRead.Add(int64(len(sb.data)))
 	dn.m.diskReadTime.Observe(cost)
-	return sb.data, cost, nil
+	return sb, cost, nil
 }
 
 // deleteBlock removes a replica (invalidation from the NameNode).
@@ -247,14 +254,18 @@ func (dn *DataNode) deleteBlock(id BlockID) {
 }
 
 // CorruptBlock flips a byte of the stored replica without updating the
-// stored checksum, simulating silent disk corruption. Reports whether the
-// replica existed.
+// stored checksum, simulating silent disk corruption. The flip lands in a
+// private copy, so the other replicas of the block — and any copy in
+// flight from this one — keep the bytes that were written. Reports
+// whether the replica existed.
 func (dn *DataNode) CorruptBlock(id BlockID) bool {
 	sb, ok := dn.blocks[id]
 	if !ok || len(sb.data) == 0 {
 		return false
 	}
-	sb.data[len(sb.data)/2] ^= 0xFF
+	data := bytes.Clone(sb.data)
+	data[len(data)/2] ^= 0xFF
+	dn.blocks[id] = &storedBlock{data: data, sum: sb.sum}
 	return true
 }
 

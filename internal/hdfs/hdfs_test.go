@@ -218,6 +218,35 @@ func TestAllReplicasCorruptFailsRead(t *testing.T) {
 	}
 }
 
+// A re-replication copy carries the bytes its source verified when the
+// copy began. Corruption of the source after that must not travel with
+// it — least of all under a checksum made over the corrupt bytes, which
+// would make the bad copy verify.
+func TestInFlightCopyIgnoresLaterCorruption(t *testing.T) {
+	d := newDFS(t, 4, 1, hdfs.Config{Replication: 2, ReplMonitorInterval: time.Second})
+	c := d.Client(hdfs.GatewayNode)
+	data := bytes.Repeat([]byte("replica "), 512)
+	if err := vfs.WriteFile(c, "/f", data); err != nil {
+		t.Fatal(err)
+	}
+	locs, _ := c.BlockLocations("/f")
+	if err := c.SetReplication("/f", 3); err != nil {
+		t.Fatal(err)
+	}
+	d.Engine.Advance(time.Second) // the monitor schedules the copy
+	for _, n := range locs[0].Nodes {
+		if !d.DataNode(n).CorruptBlock(locs[0].Block) {
+			t.Fatalf("corrupt on %d failed", n)
+		}
+	}
+	d.Engine.Advance(time.Minute)
+	got, err := vfs.ReadFile(c, "/f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after corrupting both sources of an in-flight copy: %d bytes, equal=%t, err=%v",
+			len(got), bytes.Equal(got, data), err)
+	}
+}
+
 func TestDataNodeDeathTriggersReReplication(t *testing.T) {
 	cfg := hdfs.Config{
 		Replication:         3,

@@ -798,7 +798,9 @@ func (nn *NameNode) scheduleReplication(bm *blockMeta) bool {
 	if !nn.net.Reachable(src, dst) {
 		return false
 	}
-	data, readCost, err := srcDN.readBlock(bm.id)
+	// The copy carries the verified block and its writer's checksum: a
+	// later CorruptBlock on the source flips a private copy, not this one.
+	sb, readCost, err := srcDN.readBlock(bm.id)
 	if err != nil {
 		var ce *ChecksumError
 		if errors.As(err, &ce) {
@@ -813,7 +815,7 @@ func (nn *NameNode) scheduleReplication(bm *blockMeta) bool {
 		"src":   nn.hostname(src),
 		"dst":   nn.hostname(dst),
 	})
-	xfer := nn.cost.Transfer(nn.topo.Distance(src, dst), int64(len(data)))
+	xfer := nn.cost.Transfer(nn.topo.Distance(src, dst), int64(len(sb.data)))
 	blockID := bm.id
 	start := nn.eng.Now()
 	// Re-replication is NameNode-initiated — no client request above it —
@@ -833,7 +835,7 @@ func (nn *NameNode) scheduleReplication(bm *blockMeta) bool {
 		if !dstDN.alive {
 			return
 		}
-		if _, err := dstDN.writeBlock(blockID, data); err != nil {
+		if _, err := dstDN.writeBlock(blockID, sb); err != nil {
 			return
 		}
 		meta.replicas[dst] = true

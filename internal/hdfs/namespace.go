@@ -156,7 +156,8 @@ func (ns *namespace) remove(path string, recursive bool) ([]BlockID, error) {
 	return freed, nil
 }
 
-// rename moves a file or directory.
+// rename moves a file or directory. A directory cannot move into its own
+// subtree: that would detach it into a cycle no path reaches.
 func (ns *namespace) rename(oldPath, newPath string) error {
 	op, oname := ns.lookupParent(oldPath)
 	if op == nil {
@@ -165,6 +166,9 @@ func (ns *namespace) rename(oldPath, newPath string) error {
 	node, ok := op.children[oname]
 	if !ok {
 		return &vfs.PathError{Op: "rename", Path: oldPath, Err: vfs.ErrNotExist}
+	}
+	if node.dir && strings.HasPrefix(vfs.Clean(newPath), vfs.Clean(oldPath)+"/") {
+		return &vfs.PathError{Op: "rename", Path: newPath, Err: vfs.ErrInvalid}
 	}
 	np, nname := ns.lookupParent(newPath)
 	if np == nil || nname == "" {

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -50,16 +51,21 @@ func SampleSplitPoints(fs vfs.FileSystem, input string, reducers, maxSamples int
 		if len(keys) >= maxSamples {
 			return nil
 		}
+		// The whole file is read even when few keys are wanted from it:
+		// the read is what the sim meters and audits.
 		data, err := vfs.ReadFile(fs, fi.Path)
 		if err != nil {
 			return err
 		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if len(keys) >= maxSamples {
-				break
+		for len(data) > 0 && len(keys) < maxSamples {
+			line := data
+			if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
+				line, data = data[:nl], data[nl+1:]
+			} else {
+				data = nil
 			}
-			if key, _, ok := strings.Cut(line, "\t"); ok {
-				keys = append(keys, key)
+			if key, _, ok := bytes.Cut(line, []byte{'\t'}); ok {
+				keys = append(keys, string(key))
 			}
 		}
 		return nil

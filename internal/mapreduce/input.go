@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/iofmt"
 	"repro/internal/vfs"
@@ -115,31 +116,23 @@ func RecordsInRange(data []byte, dataStart, off, end int64) []Record {
 	if lo >= hi {
 		return nil
 	}
+	// The split's records end at the first newline from its last byte on.
+	// They become one string, and each Line is a substring of it: two
+	// allocations per split, not one per record, and none for the
+	// look-ahead past the last record.
+	stop := int64(len(data))
+	if nl := bytes.IndexByte(data[hi-1:], '\n'); nl >= 0 {
+		stop = hi + int64(nl)
+	}
+	text := string(data[lo:stop])
 	out := make([]Record, 0, bytes.Count(data[lo:hi], []byte{'\n'})+1)
-	for pos < end {
-		i := pos - dataStart
-		if i >= int64(len(data)) {
-			break
+	for i := 0; i < len(text); {
+		line, next := text[i:], len(text)
+		if nl := strings.IndexByte(line, '\n'); nl >= 0 {
+			line, next = line[:nl], i+nl+1
 		}
-		nl := bytes.IndexByte(data[i:], '\n')
-		var line []byte
-		var next int64
-		if nl < 0 {
-			line = data[i:]
-			next = dataStart + int64(len(data))
-			if len(line) == 0 {
-				break
-			}
-		} else {
-			line = data[i : i+int64(nl)]
-			next = pos + int64(nl) + 1
-		}
-		line = bytes.TrimSuffix(line, []byte{'\r'})
-		out = append(out, Record{Offset: pos, Line: string(line)})
-		pos = next
-		if nl < 0 {
-			break
-		}
+		out = append(out, Record{Offset: pos + int64(i), Line: strings.TrimSuffix(line, "\r")})
+		i = next
 	}
 	return out
 }

@@ -140,6 +140,30 @@ func TestRecordsInRangeWithDataWindow(t *testing.T) {
 	}
 }
 
+// A split's records share one string: reading a 1 000-line split costs
+// that string and the record slice, whatever the look-ahead holds.
+func TestRecordsInRangeAllocations(t *testing.T) {
+	var buf bytes.Buffer
+	for i := 0; i < 1200; i++ {
+		fmt.Fprintf(&buf, "row-%04d\tpayload\n", i)
+	}
+	data := buf.Bytes()
+	lineLen := int64(len("row-0000\tpayload\n"))
+	off, end := 100*lineLen+3, 1100*lineLen+3 // mid-record at both ends
+	window := data[off-1:]
+	var recs []Record
+	allocs := testing.AllocsPerRun(20, func() { recs = RecordsInRange(window, off-1, off, end) })
+	if len(recs) != 1000 {
+		t.Fatalf("%d records, want 1000", len(recs))
+	}
+	if recs[0].Offset != 101*lineLen || recs[999].Line != "row-1100\tpayload" {
+		t.Fatalf("first record at %d, last %q", recs[0].Offset, recs[999].Line)
+	}
+	if allocs > 3 {
+		t.Fatalf("RecordsInRange over 1 000 lines made %.0f allocations, want ≤ 3", allocs)
+	}
+}
+
 func TestComputeSplitsCoverage(t *testing.T) {
 	fs := vfs.NewMemFS()
 	if err := vfs.WriteFile(fs, "/in/a.txt", make([]byte, 100)); err != nil {

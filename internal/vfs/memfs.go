@@ -240,10 +240,13 @@ func (m *MemFS) Rename(oldPath, newPath string) error {
 		return nil
 	}
 	if m.dirs[op] {
+		prefix := op + "/"
+		if strings.HasPrefix(np, prefix) {
+			return &PathError{Op: "rename", Path: np, Err: ErrInvalid} // into its own subtree
+		}
 		if _, exists := m.files[np]; exists || m.dirs[np] {
 			return &PathError{Op: "rename", Path: np, Err: ErrExist}
 		}
-		prefix := op + "/"
 		moved := map[string][]byte{}
 		for fp, data := range m.files {
 			if strings.HasPrefix(fp, prefix) {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"syscall"
 )
 
 // OsFS is a FileSystem rooted at a directory on the host filesystem. It is
@@ -51,6 +52,8 @@ func mapOsErr(op, path string, err error) error {
 		return &PathError{Op: op, Path: path, Err: ErrNotExist}
 	case errors.Is(err, fs.ErrExist):
 		return &PathError{Op: op, Path: path, Err: ErrExist}
+	case errors.Is(err, syscall.EINVAL): // e.g. renaming a directory into its own subtree
+		return &PathError{Op: op, Path: path, Err: ErrInvalid}
 	default:
 		return &PathError{Op: op, Path: path, Err: err}
 	}

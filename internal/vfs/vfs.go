@@ -149,8 +149,17 @@ func Valid(path string) bool {
 	return !strings.ContainsRune(path, 0) && Clean(path) != ""
 }
 
-// ReadFile reads the whole file at path.
+// ReadFile reads the whole file at path. A filesystem with its own
+// ReadFile method (the HDFS client) hands over the buffer its read
+// filled, as an io/fs.ReadFileFS does. The method is not part of
+// FileSystem, so a wrapper that embeds one never gains a promoted
+// ReadFile that goes around its own Open.
 func ReadFile(fs FileSystem, path string) ([]byte, error) {
+	if rf, ok := fs.(interface {
+		ReadFile(path string) ([]byte, error)
+	}); ok {
+		return rf.ReadFile(path)
+	}
 	r, err := fs.Open(path)
 	if err != nil {
 		return nil, err

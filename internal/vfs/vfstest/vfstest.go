@@ -174,6 +174,41 @@ func Run(t *testing.T, name string, mk func(t *testing.T) vfs.FileSystem) {
 			t.Fatalf("want ErrExist, got %v", err)
 		}
 	})
+	t.Run(name+"/RenameIntoOwnSubtreeFails", func(t *testing.T) {
+		fs := mk(t)
+		if err := vfs.WriteFile(fs, "/a/f", []byte("data")); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Rename("/a", "/a/b"); !errors.Is(err, vfs.ErrInvalid) {
+			t.Fatalf("want ErrInvalid, got %v", err)
+		}
+		if vfs.Exists(fs, "/a/b") {
+			t.Fatal("/a/b exists after the refused rename")
+		}
+		infos, err := fs.List("/a")
+		if err != nil || len(infos) != 1 || infos[0].Path != "/a/f" {
+			t.Fatalf("list /a after the refused rename: %+v err=%v", infos, err)
+		}
+		if got, err := vfs.ReadFile(fs, "/a/f"); err != nil || string(got) != "data" {
+			t.Fatalf("read /a/f after the refused rename: %q err=%v", got, err)
+		}
+	})
+	t.Run(name+"/CallerOwnsItsSlices", func(t *testing.T) {
+		fs := mk(t)
+		in := []byte("stored")
+		if err := vfs.WriteFile(fs, "/f", in); err != nil {
+			t.Fatal(err)
+		}
+		in[0] = 'X'
+		out, err := vfs.ReadFile(fs, "/f")
+		if err != nil || string(out) != "stored" {
+			t.Fatalf("after changing the written slice: read %q err=%v", out, err)
+		}
+		out[0] = 'Y'
+		if got, err := vfs.ReadFile(fs, "/f"); err != nil || string(got) != "stored" {
+			t.Fatalf("after changing the read slice: read %q err=%v", got, err)
+		}
+	})
 	t.Run(name+"/WalkAndDiskUsage", func(t *testing.T) {
 		fs := mk(t)
 		if err := vfs.WriteFile(fs, "/data/one", make([]byte, 10)); err != nil {
@@ -317,8 +352,8 @@ func Run(t *testing.T, name string, mk func(t *testing.T) vfs.FileSystem) {
 			t.Fatalf("stat empty: %+v err=%v", fi, err)
 		}
 		data, err := vfs.ReadFile(fs, "/empty")
-		if err != nil || len(data) != 0 {
-			t.Fatalf("read empty: %d bytes err=%v", len(data), err)
+		if err != nil || data == nil || len(data) != 0 {
+			t.Fatalf("read empty: %d bytes (nil: %t) err=%v", len(data), data == nil, err)
 		}
 	})
 }
