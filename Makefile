@@ -22,7 +22,7 @@ short:
 # own sim-clock/seeded-rand contracts). -trace prints the call chain
 # behind each finding that has one.
 lint:
-	$(GO) run ./cmd/minilint -trace ./internal/... ./cmd/...
+	$(GO) run ./cmd/minilint -trace ./internal/... ./cmd/... ./examples/...
 
 # Full verification: vet, then the repo lint suite, then the entire test
 # suite under the race detector (includes the obs registry, whose
@@ -31,7 +31,7 @@ lint:
 # -race takes minutes.
 check:
 	$(GO) vet ./...
-	$(GO) run ./cmd/minilint ./internal/... ./cmd/...
+	$(GO) run ./cmd/minilint ./internal/... ./cmd/... ./examples/...
 	$(GO) test -race ./...
 
 # Just the concurrency-sensitive surface, race-checked. internal/sim is
@@ -76,7 +76,7 @@ bench-selftest:
 # the build even when no test happens to exercise it.
 ci: build
 	$(GO) vet ./...
-	$(GO) run ./cmd/minilint ./internal/... ./cmd/...
+	$(GO) run ./cmd/minilint ./internal/... ./cmd/... ./examples/...
 	$(GO) test ./...
 	$(MAKE) race
 	$(GO) test -run '^$$' -fuzz FuzzSeqSplit -fuzztime 5s ./internal/iofmt/

@@ -7,9 +7,12 @@
 //
 // Patterns are directories, with "dir/..." walking recursively (testdata
 // and vendor trees are skipped, like the go tool). With no patterns it
-// checks ./internal/... and ./cmd/... — the CI gate:
+// checks ./internal/..., ./cmd/... and ./examples/... — the CI gate:
 //
-//	go run ./cmd/minilint ./internal/... ./cmd/...
+//	go run ./cmd/minilint ./internal/... ./cmd/... ./examples/...
+//
+// Exit codes: 0 clean, 1 findings, 2 a package that does not load or
+// type-check.
 //
 // -list prints the five rules. -trace prints the call chain behind each
 // finding that has one (dettaint, lockorder, commiterr), one frame per
@@ -52,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
-		patterns = []string{"./internal/...", "./cmd/..."}
+		patterns = []string{"./internal/...", "./cmd/...", "./examples/..."}
 	}
 	dirs, err := lint.ExpandPatterns(patterns)
 	if err != nil {

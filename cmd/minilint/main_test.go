@@ -8,8 +8,9 @@ import (
 )
 
 const (
-	cleanDir = "../../internal/lint/testdata/clean"
-	dirtyDir = "../../internal/lint/testdata/dirty"
+	cleanDir  = "../../internal/lint/testdata/clean"
+	dirtyDir  = "../../internal/lint/testdata/dirty"
+	brokenDir = "../../internal/lint/testdata/broken"
 )
 
 // TestSelfCheckClean: the driver run against the clean fixture package
@@ -21,6 +22,18 @@ func TestSelfCheckClean(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("want empty stdout, got:\n%s", stdout.String())
+	}
+}
+
+// TestSelfCheckBroken: a package that does not type-check is a load
+// error, exit 2, with the type error's file:line on stderr.
+func TestSelfCheckBroken(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{brokenDir}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "broken.go:7:") {
+		t.Errorf("stderr does not name broken.go:7:\n%s", stderr.String())
 	}
 }
 
@@ -152,7 +165,7 @@ func TestTraceOutput(t *testing.T) {
 func BenchmarkLintRepo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"../../internal/...", "../../cmd/..."}, &stdout, &stderr); code != 0 {
+		if code := run([]string{"../../internal/...", "../../cmd/...", "../../examples/..."}, &stdout, &stderr); code != 0 {
 			b.Fatalf("exit %d\n%s\n%s", code, stdout.String(), stderr.String())
 		}
 	}

@@ -71,8 +71,12 @@ func main() {
 	}
 
 	// Update + delete, then crash-recover from the WAL.
-	tbl.Put("cpsc3620:tool", []byte("minihadoop v2"))
-	tbl.Delete("cpsc4240:title")
+	if err := tbl.Put("cpsc3620:tool", []byte("minihadoop v2")); err != nil {
+		log.Fatal(err)
+	}
+	if err := tbl.Delete("cpsc4240:title"); err != nil {
+		log.Fatal(err)
+	}
 	tbl2, err := kvstore.Open(client, "/hbase/courses", kvstore.Config{})
 	if err != nil {
 		log.Fatal(err)

@@ -227,7 +227,6 @@ func E5SerialVsCluster(seed int64) (*Result, error) {
 	build := func(nodes, mapSlots int) (*core.MiniCluster, error) {
 		cfg := expMRConfig()
 		cfg.MapSlotsPerNode = mapSlots
-		cfg.ReduceSlotsPerNode = 1
 		return core.New(core.Options{
 			Nodes: nodes,
 			Seed:  seed,

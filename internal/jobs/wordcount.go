@@ -69,34 +69,6 @@ func WordCount(input, output string, withCombiner bool) *mapreduce.Job {
 	return j
 }
 
-// topWordReducer sums counts per word and remembers the maximum; the
-// answer is emitted once, from Close. It requires a single reducer.
-type topWordReducer struct {
-	bestWord  string
-	bestCount int64
-}
-
-func (r *topWordReducer) Reduce(ctx *mapreduce.TaskContext, key string, values *mapreduce.Values, out mapreduce.Emitter) error {
-	var sum int64
-	if err := values.Each(func(v mapreduce.Value) error {
-		sum += int64(v.(mapreduce.Int64))
-		return nil
-	}); err != nil {
-		return err
-	}
-	if sum > r.bestCount || (sum == r.bestCount && key < r.bestWord) {
-		r.bestWord, r.bestCount = key, sum
-	}
-	return nil
-}
-
-func (r *topWordReducer) Close(ctx *mapreduce.TaskContext, out mapreduce.Emitter) error {
-	if r.bestCount == 0 {
-		return nil
-	}
-	return out.Emit(r.bestWord, mapreduce.Int64(r.bestCount))
-}
-
 // TopWord builds the Fall 2012 assignment-1 job: "find the word with the
 // highest count in the complete Shakespeare collection". A single reducer
 // scans all word totals and emits only the winner.
@@ -104,7 +76,7 @@ func TopWord(input, output string) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name:        "topword",
 		NewMapper:   func() mapreduce.Mapper { return tokenMapper{} },
-		NewReducer:  func() mapreduce.Reducer { return &topWordReducer{} },
+		NewReducer:  func() mapreduce.Reducer { return &maxValueReducer{} },
 		NewCombiner: func() mapreduce.Reducer { return sumReducer{} },
 		DecodeValue: mapreduce.DecodeInt64,
 		NumReducers: 1,

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -24,21 +23,9 @@ func isCmdPackage(pkg *Package) bool { return hasPathSegment(pkg.ImportPath, "cm
 // isInternalPackage reports whether the package is a library under internal/.
 func isInternalPackage(pkg *Package) bool { return hasPathSegment(pkg.ImportPath, "internal") }
 
-// fileOf returns the file containing the node, for import-table fallbacks.
-func fileOf(pkg *Package, node ast.Node) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= node.Pos() && node.Pos() <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // pkgFuncCall resolves a call of the form pkgname.Func(...) to the
-// imported package's path and the function name. It prefers type
-// information (which sees through import renames and shadowing) and
-// falls back to the file's import table when the checker could not
-// resolve the identifier.
+// imported package's path and the function name. The checker's answer
+// sees through import renames and shadowing.
 func pkgFuncCall(pkg *Package, call *ast.CallExpr) (path, fn string, ok bool) {
 	sel, okSel := call.Fun.(*ast.SelectorExpr)
 	if !okSel {
@@ -48,32 +35,11 @@ func pkgFuncCall(pkg *Package, call *ast.CallExpr) (path, fn string, ok bool) {
 	if !okX {
 		return "", "", false
 	}
-	if obj, okU := pkg.Info.Uses[x]; okU {
-		pn, okP := obj.(*types.PkgName)
-		if !okP {
-			return "", "", false // a variable or field, not a package qualifier
-		}
-		return pn.Imported().Path(), sel.Sel.Name, true
+	pn, okP := pkg.Info.Uses[x].(*types.PkgName)
+	if !okP {
+		return "", "", false // a variable or field, not a package qualifier
 	}
-	// Fallback: match x against the file's imports by local or base name.
-	f := fileOf(pkg, call)
-	if f == nil {
-		return "", "", false
-	}
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		local := p[strings.LastIndex(p, "/")+1:]
-		if imp.Name != nil {
-			local = imp.Name.Name
-		}
-		if local == x.Name {
-			return p, sel.Sel.Name, true
-		}
-	}
-	return "", "", false
+	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
 // inspectAll walks every file of the package.

@@ -35,6 +35,7 @@ type CallEdge struct {
 	// lockorder does not (the closure does not run under the caller's
 	// held set).
 	InFuncLit bool
+	fn        *types.Func // the callee, for its external node
 }
 
 // Pos is the position of the call expression.
@@ -44,6 +45,7 @@ func (e CallEdge) Pos() token.Pos { return e.Call.Pos() }
 // external: imported functions whose bodies were not loaded.
 type FuncNode struct {
 	ID   FuncID
+	Func *types.Func   // nil only for a package's var-initialiser node
 	Pkg  *Package      // package the body lives in; nil for external
 	Decl *ast.FuncDecl // nil for external
 	// Calls lists the static call sites of the body in source order.
@@ -80,8 +82,8 @@ func (g *CallGraph) SortedIDs() []FuncID {
 // synthesized body assigns them in source order.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{Funcs: map[FuncID]*FuncNode{}}
-	add := func(pkg *Package, id FuncID, fd *ast.FuncDecl) {
-		g.Funcs[id] = &FuncNode{ID: id, Pkg: pkg, Decl: fd, Calls: collectCalls(pkg, fd.Body)}
+	add := func(pkg *Package, id FuncID, fn *types.Func, fd *ast.FuncDecl) {
+		g.Funcs[id] = &FuncNode{ID: id, Func: fn, Pkg: pkg, Decl: fd, Calls: collectCalls(pkg, fd.Body)}
 	}
 	for _, pkg := range pkgs {
 		var varInits []ast.Stmt
@@ -89,8 +91,8 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
-					if id := declID(pkg, d); id != "" && d.Body != nil {
-						add(pkg, id, d)
+					if d.Body != nil {
+						add(pkg, declID(pkg, d), pkg.Info.Defs[d.Name].(*types.Func), d)
 					}
 				case *ast.GenDecl:
 					varInits = append(varInits, varInitStmts(d)...)
@@ -98,7 +100,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			}
 		}
 		if len(varInits) > 0 {
-			add(pkg, FuncID(pkg.ImportPath+".init"), &ast.FuncDecl{
+			add(pkg, FuncID(pkg.ImportPath+".init"), nil, &ast.FuncDecl{
 				Name: ast.NewIdent("init"),
 				Type: &ast.FuncType{},
 				Body: &ast.BlockStmt{List: varInits},
@@ -109,16 +111,15 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	for _, node := range g.Funcs {
 		for _, e := range node.Calls {
 			if g.Funcs[e.Callee] == nil {
-				g.Funcs[e.Callee] = &FuncNode{ID: e.Callee}
+				g.Funcs[e.Callee] = &FuncNode{ID: e.Callee, Func: e.fn}
 			}
 		}
 	}
 	return g
 }
 
-// declID computes the FuncID of a declaration, preferring the checker's
-// object (whose FullName handles receivers) and falling back to a
-// syntactic rendering when type information is missing.
+// declID computes the FuncID of a declaration from the checker's object,
+// whose FullName handles receivers.
 func declID(pkg *Package, fd *ast.FuncDecl) FuncID {
 	if fd.Recv == nil && fd.Name.Name == "init" {
 		// A package may declare any number of init functions, all named
@@ -126,20 +127,7 @@ func declID(pkg *Package, fd *ast.FuncDecl) FuncID {
 		pos := pkg.Fset.Position(fd.Pos())
 		return FuncID(fmt.Sprintf("%s.init@%s:%d", pkg.ImportPath, filepath.Base(pos.Filename), pos.Line))
 	}
-	if obj, ok := pkg.Info.Defs[fd.Name]; ok {
-		if fn, ok := obj.(*types.Func); ok {
-			return FuncID(fn.FullName())
-		}
-	}
-	// Fallback: "<pkg>.name" or "(<pkg>.T).name"; good enough to keep the
-	// node addressable when the tolerant check failed.
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		if t := recvTypeName(fd.Recv.List[0].Type); t != "" {
-			return FuncID("(" + pkg.ImportPath + "." + t + ")." + fd.Name.Name)
-		}
-		return ""
-	}
-	return FuncID(pkg.ImportPath + "." + fd.Name.Name)
+	return FuncID(pkg.Info.Defs[fd.Name].(*types.Func).FullName())
 }
 
 // varInitStmts renders the initialised specs of a package-level var
@@ -175,8 +163,8 @@ func collectCalls(pkg *Package, body *ast.BlockStmt) []CallEdge {
 				walk(e.Body, true)
 				return false
 			case *ast.CallExpr:
-				if callee, ok := resolveCallee(pkg, e); ok {
-					edges = append(edges, CallEdge{Callee: callee, Call: e, InFuncLit: inLit})
+				if fn := resolveCallee(pkg, e); fn != nil {
+					edges = append(edges, CallEdge{Callee: FuncID(fn.FullName()), Call: e, InFuncLit: inLit, fn: fn})
 				}
 			}
 			return true
@@ -193,24 +181,19 @@ func collectCalls(pkg *Package, body *ast.BlockStmt) []CallEdge {
 // whose receiver type is concrete. Interface method calls resolve to a
 // *types.Func whose receiver is the interface — those are kept as
 // external nodes (no body, so nothing propagates through them), which is
-// the conservative choice.
-func resolveCallee(pkg *Package, call *ast.CallExpr) (FuncID, bool) {
+// the conservative choice. It returns nil for any other call.
+func resolveCallee(pkg *Package, call *ast.CallExpr) *types.Func {
+	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return FuncID(fn.FullName()), true
-		}
+		obj = pkg.Info.Uses[fun]
 	case *ast.SelectorExpr:
 		if sel, ok := pkg.Info.Selections[fun]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return FuncID(fn.FullName()), true
-			}
-			return "", false
-		}
-		// Not a selection: a qualified identifier (pkg.Fn).
-		if fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return FuncID(fn.FullName()), true
+			obj = sel.Obj()
+		} else { // a qualified identifier (pkg.Fn)
+			obj = pkg.Info.Uses[fun.Sel]
 		}
 	}
-	return "", false
+	fn, _ := obj.(*types.Func)
+	return fn
 }

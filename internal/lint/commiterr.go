@@ -48,8 +48,8 @@ var commitSinks = []struct {
 	{"internal/iofmt", "*SeqWriter", "Close"},
 }
 
-func isCommitSink(id FuncID) bool {
-	pkgPath, recv, name := splitFuncID(id)
+func isCommitSink(fn *types.Func) bool {
+	pkgPath, recv, name := funcParts(fn)
 	for _, s := range commitSinks {
 		if s.recv != recv || s.name != name {
 			continue
@@ -76,15 +76,16 @@ func runCommiterr(pass *Pass) {
 		if c, ok := memo[id]; ok {
 			return c
 		}
-		if isCommitSink(id) {
+		// id is always a callee, so its node exists and has a Func.
+		node := g.Funcs[id]
+		if isCommitSink(node.Func) {
 			memo[id] = []FuncID{id}
 			return memo[id]
 		}
-		node := g.Funcs[id]
-		if node == nil || node.Decl == nil || inProgress[id] {
+		if node.Decl == nil || inProgress[id] {
 			return nil
 		}
-		if !returnsError(node) {
+		if !returnsError(node.Func) {
 			memo[id] = nil
 			return nil
 		}
@@ -114,23 +115,9 @@ func runCommiterr(pass *Pass) {
 }
 
 // returnsError reports whether the function's last result is an error.
-func returnsError(node *FuncNode) bool {
-	obj, ok := node.Pkg.Info.Defs[node.Decl.Name].(*types.Func)
-	if ok {
-		sig, ok := obj.Type().(*types.Signature)
-		if ok && sig.Results().Len() > 0 {
-			last := sig.Results().At(sig.Results().Len() - 1).Type()
-			return isErrorType(last)
-		}
-		return false
-	}
-	// Syntactic fallback when the tolerant check resolved nothing.
-	res := node.Decl.Type.Results
-	if res == nil || len(res.List) == 0 {
-		return false
-	}
-	last, ok := res.List[len(res.List)-1].Type.(*ast.Ident)
-	return ok && last.Name == "error"
+func returnsError(fn *types.Func) bool {
+	res := fn.Type().(*types.Signature).Results()
+	return res.Len() > 0 && isErrorType(res.At(res.Len()-1).Type())
 }
 
 func isErrorType(t types.Type) bool {
@@ -144,11 +131,11 @@ func reportDrops(pass *Pass, node *FuncNode, critical func(FuncID) []FuncID) {
 	pkg := node.Pkg
 
 	report := func(call *ast.CallExpr, how string) {
-		callee, ok := resolveCallee(pkg, call)
-		if !ok {
+		fn := resolveCallee(pkg, call)
+		if fn == nil {
 			return
 		}
-		chain := critical(callee)
+		chain := critical(FuncID(fn.FullName()))
 		if chain == nil || !calleeReturnsError(pkg, call) {
 			return
 		}
@@ -223,11 +210,7 @@ func lastLHSBlank(lhs []ast.Expr) bool {
 // calleeReturnsError reports whether the call produces an error as its
 // last result (single error or trailing error of a tuple).
 func calleeReturnsError(pkg *Package, call *ast.CallExpr) bool {
-	tv, ok := pkg.Info.Types[call]
-	if !ok || tv.Type == nil {
-		return true // unknown: trust the critical-chain resolution
-	}
-	switch t := tv.Type.(type) {
+	switch t := pkg.Info.TypeOf(call).(type) {
 	case *types.Tuple:
 		return t.Len() > 0 && isErrorType(t.At(t.Len()-1).Type())
 	default:
@@ -253,19 +236,7 @@ func condTestsError(pkg *Package, cond ast.Expr) bool {
 		} else {
 			return true
 		}
-		if tv, ok := pkg.Info.Types[other]; ok && tv.Type != nil {
-			if isErrorType(tv.Type) {
-				found = true
-			}
-			return !found
-		}
-		// Fallback without type info: identifiers that look like errors.
-		if id, ok := other.(*ast.Ident); ok {
-			low := strings.ToLower(id.Name)
-			if low == "err" || strings.HasSuffix(low, "err") {
-				found = true
-			}
-		}
+		found = isErrorType(pkg.Info.TypeOf(other))
 		return !found
 	})
 	return found

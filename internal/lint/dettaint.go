@@ -84,7 +84,7 @@ func runDettaint(pass *Pass) {
 	for _, id := range ids {
 		node := g.Funcs[id]
 		if node.Decl == nil {
-			pkgPath, recv, name := splitFuncID(id)
+			pkgPath, recv, name := funcParts(node.Func)
 			if recv != "" {
 				continue // methods (e.g. (*rand.Rand).Intn on a seeded instance) are fine
 			}
@@ -153,7 +153,7 @@ func runDettaint(pass *Pass) {
 		}
 		if !taintBarrier(node, taintGlobalrand) {
 			for _, e := range node.Calls {
-				pkgPath, recv, name := splitFuncID(e.Callee)
+				pkgPath, recv, name := funcParts(e.fn)
 				if isRandPkg(pkgPath) && recv == "" && name == "New" &&
 					!(len(e.Call.Args) == 1 && isSeededSource(node.Pkg, e.Call.Args[0])) {
 					pass.Report(e.Pos(), nil, "rand.New without an inline rand.NewSource(seed) hides the seed; use sim.NewRand or rand.New(rand.NewSource(seed))")
@@ -279,11 +279,7 @@ func mapOrderReturnPos(pkg *Package, fd *ast.FuncDecl) token.Pos {
 			case *ast.FuncLit:
 				return false
 			case *ast.RangeStmt:
-				tv, ok := pkg.Info.Types[s.X]
-				if !ok || tv.Type == nil {
-					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+				if _, isMap := pkg.Info.TypeOf(s.X).Underlying().(*types.Map); !isMap {
 					return true
 				}
 				vars := map[string]bool{}
@@ -336,30 +332,15 @@ func shortFuncID(id FuncID) string {
 	return prefix + s[slash+1:]
 }
 
-// splitFuncID decomposes a FuncID into package path, receiver ("" for
-// package functions, "T" or "*T" for methods) and name, inverting the
-// types.Func.FullName rendering.
-func splitFuncID(id FuncID) (pkgPath, recv, name string) {
-	s := string(id)
-	if strings.HasPrefix(s, "(") {
-		inner, after, ok := strings.Cut(s[1:], ").")
-		if !ok {
-			return "", "", s
-		}
-		star := ""
-		if strings.HasPrefix(inner, "*") {
-			star, inner = "*", inner[1:]
-		}
-		dot := strings.LastIndex(inner, ".")
-		if dot < 0 {
-			return "", star + inner, after
-		}
-		return inner[:dot], star + inner[dot+1:], after
+// funcParts returns a function's package path ("" for the universe's
+// error.Error), receiver ("" for package functions, "T" or "*T" for
+// methods) and name.
+func funcParts(fn *types.Func) (pkgPath, recv, name string) {
+	if fn.Pkg() != nil {
+		pkgPath = fn.Pkg().Path()
 	}
-	slash := strings.LastIndex(s, "/")
-	dot := strings.Index(s[slash+1:], ".")
-	if dot < 0 {
-		return "", "", s
+	if r := fn.Type().(*types.Signature).Recv(); r != nil {
+		recv = types.TypeString(r.Type(), func(*types.Package) string { return "" })
 	}
-	return s[:slash+1+dot], "", s[slash+1+dot+1:]
+	return pkgPath, recv, fn.Name()
 }

@@ -12,8 +12,8 @@ import (
 	"testing"
 )
 
-// loadFixture loads one testdata package through the real loader.
-func loadFixture(t *testing.T, dir string) *Package {
+// repoLoader returns a loader for the repository's own module.
+func repoLoader(t *testing.T) *Loader {
 	t.Helper()
 	modRoot, err := FindModRoot(".")
 	if err != nil {
@@ -23,11 +23,30 @@ func loadFixture(t *testing.T, dir string) *Package {
 	if err != nil {
 		t.Fatalf("creating loader: %v", err)
 	}
-	pkg, err := loader.Load(dir)
+	return loader
+}
+
+// loadFixture loads one testdata package through the real loader.
+func loadFixture(t *testing.T, dir string) *Package {
+	t.Helper()
+	pkg, err := repoLoader(t).Load(dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
 	return pkg
+}
+
+// TestLoadRejectsTypeErrors: the loader is strict. A package that does
+// not type-check is an error naming the offending file and line, never
+// a package with partial type information.
+func TestLoadRejectsTypeErrors(t *testing.T) {
+	pkg, err := repoLoader(t).Load(filepath.Join("testdata", "broken"))
+	if err == nil {
+		t.Fatalf("loaded a package that does not type-check: %s", pkg.ImportPath)
+	}
+	if !strings.Contains(err.Error(), "broken.go:7:") {
+		t.Errorf("error %q does not name broken.go:7", err)
+	}
 }
 
 // wantRules parses the "want: rule [rule...]" annotations of a fixture

@@ -24,11 +24,8 @@ type Package struct {
 	ImportPath string
 	Fset       *token.FileSet
 	Files      []*ast.File
-	// Types and Info come from a tolerant go/types pass: check errors are
-	// swallowed so analyzers see best-effort type information. Analyzers
-	// must treat missing entries in Info as "unknown", never as proof.
-	Types *types.Package
-	Info  *types.Info
+	Types      *types.Package
+	Info       *types.Info
 }
 
 // Loader parses and type-checks package directories inside one module.
@@ -101,7 +98,8 @@ func FindModRoot(dir string) (string, error) {
 	}
 }
 
-// Load parses and type-checks the package in dir.
+// Load parses and type-checks the package in dir. A package that does
+// not type-check is an error naming the first offending file:line.
 func (l *Loader) Load(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -130,10 +128,11 @@ func (l *Loader) Load(dir string) (*Package, error) {
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	// Tolerant check: analyzers work from whatever resolved; a missing
-	// dependency must not make the whole lint run fall over.
-	conf := types.Config{Importer: l, Error: func(error) {}}
-	tpkg, _ := conf.Check(importPath, l.Fset, files, info)
+	conf := types.Config{Importer: l}
+	tpkg, err := conf.Check(importPath, l.Fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: %w", err)
+	}
 	pkg := &Package{
 		Dir:        abs,
 		ImportPath: importPath,
@@ -143,9 +142,7 @@ func (l *Loader) Load(dir string) (*Package, error) {
 		Info:       info,
 	}
 	l.pkgs[abs] = pkg
-	if tpkg != nil {
-		l.tpkgs[importPath] = tpkg
-	}
+	l.tpkgs[importPath] = tpkg
 	return pkg, nil
 }
 
@@ -202,9 +199,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		pkg, err := l.Load(dir)
 		if err != nil {
 			return nil, err
-		}
-		if pkg.Types == nil {
-			return nil, fmt.Errorf("lint: no type information for %s", path)
 		}
 		return pkg.Types, nil
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -482,34 +483,10 @@ func printableField(field string) string {
 	return field
 }
 
-// isSyncMutexType reports whether a field type is sync.Mutex/RWMutex,
-// by import resolution (handles renamed imports via the file fallback).
+// isSyncMutexType reports whether a field type is sync.Mutex/RWMutex.
 func isSyncMutexType(pkg *Package, expr ast.Expr) bool {
-	sel, ok := expr.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if sel.Sel.Name != "Mutex" && sel.Sel.Name != "RWMutex" {
-		return false
-	}
-	x, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if x.Name == "sync" {
-		return true
-	}
-	f := fileOf(pkg, expr)
-	if f == nil {
-		return false
-	}
-	for _, imp := range f.Imports {
-		if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == "sync" &&
-			imp.Name != nil && imp.Name.Name == x.Name {
-			return true
-		}
-	}
-	return false
+	t := types.TypeString(pkg.Info.TypeOf(expr), nil)
+	return t == "sync.Mutex" || t == "sync.RWMutex"
 }
 
 // recvTypeName returns the named type of a method receiver ("T" for

@@ -50,11 +50,7 @@ func runMaporder(pass *Pass) {
 				if !ok {
 					return true
 				}
-				tv, ok := pkg.Info.Types[rs.X]
-				if !ok || tv.Type == nil {
-					return true // type unknown: stay silent rather than guess
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+				if _, isMap := pkg.Info.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
 					return true
 				}
 				effect, slice := orderDependentEffect(pkg, rs.Body)
@@ -88,31 +84,24 @@ func orderDependentEffect(pkg *Package, body *ast.BlockStmt) (effect, slice stri
 		case *ast.SendStmt:
 			effect = "sends on a channel per element"
 		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" {
-				// The builtin (or an unresolved ident, which in practice
-				// is the builtin under a failed check): slice order now
-				// mirrors map order.
-				obj := pkg.Info.Uses[id]
-				if _, shadowed := obj.(*types.Func); obj == nil || !shadowed {
-					target, base := "", ""
-					if len(n.Args) > 0 {
-						switch t := n.Args[0].(type) {
-						case *ast.Ident:
-							target, base = t.Name, t.Name
-						case *ast.SelectorExpr:
-							target = t.Sel.Name
-							if x, ok := t.X.(*ast.Ident); ok {
-								base = x.Name
-							}
-						}
+			if id, ok := n.Fun.(*ast.Ident); ok && pkg.Info.Uses[id] == types.Universe.Lookup("append") {
+				// The builtin: slice order now mirrors map order.
+				target, base := "", ""
+				switch t := n.Args[0].(type) {
+				case *ast.Ident:
+					target, base = t.Name, t.Name
+				case *ast.SelectorExpr:
+					target = t.Sel.Name
+					if x, ok := t.X.(*ast.Ident); ok {
+						base = x.Name
 					}
-					if local[base] {
-						return true // loop-local slice: per-element, order-free
-					}
-					effect = "appends to a slice"
-					slice = target
-					return false
 				}
+				if local[base] {
+					return true // loop-local slice: per-element, order-free
+				}
+				effect = "appends to a slice"
+				slice = target
+				return false
 			}
 			if path, fn, ok := pkgFuncCall(pkg, n); ok {
 				if path == "fmt" && maporderFmtFuncs[fn] {

@@ -260,7 +260,7 @@ func newJobTracker(mc *MRCluster, rng *sim.Rand) *JobTracker {
 	}
 	jt.reduceKind = &attemptKind{
 		idx: kindReduce, name: tagReduce, span: SpanReduceAttempt,
-		slotCap: mc.cfg.ReduceSlotsPerNode, container: reduceContainer,
+		slotCap: reduceSlotsPerNode, container: reduceContainer,
 		ctrLaunched: mapreduce.CtrLaunchedReduces, ctrFailed: mapreduce.CtrFailedReduces,
 		launched: mc.Obs.Counter(MetricJTReducesLaunched), failed: mc.Obs.Counter(MetricJTReducesFailed),
 		attemptTime: mc.Obs.Histogram(MetricReduceAttemptTime),

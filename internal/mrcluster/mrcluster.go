@@ -22,9 +22,8 @@ import (
 
 // Config tunes the runtime. Zero values take Hadoop-1.x-flavoured defaults.
 type Config struct {
-	MapSlotsPerNode    int
-	ReduceSlotsPerNode int
-	MaxAttempts        int
+	MapSlotsPerNode int
+	MaxAttempts     int
 	// Speculative enables speculative execution of straggling tasks.
 	Speculative bool
 	// MapWork / ReduceWork model per-task CPU cost. CombineWork is the
@@ -65,6 +64,8 @@ const (
 	// speculativeThreshold is the slowdown versus the median completed
 	// task duration beyond which a backup attempt launches.
 	speculativeThreshold = 1.5
+	// reduceSlotsPerNode is every TaskTracker's reduce slot count.
+	reduceSlotsPerNode = 1
 	// shuffleCodec names the iofmt codec the compressed shuffle uses.
 	shuffleCodec = "gzip"
 	// shuffleParallelism is the number of concurrent fetch streams per
@@ -85,9 +86,6 @@ var (
 func (c Config) withDefaults() Config {
 	if c.MapSlotsPerNode <= 0 {
 		c.MapSlotsPerNode = 2
-	}
-	if c.ReduceSlotsPerNode <= 0 {
-		c.ReduceSlotsPerNode = 1
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4

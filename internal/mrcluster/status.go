@@ -58,7 +58,7 @@ func (mc *MRCluster) StatusPage() string {
 		if tt.alive {
 			live++
 			mapSlots += mc.cfg.MapSlotsPerNode
-			redSlots += mc.cfg.ReduceSlotsPerNode
+			redSlots += reduceSlotsPerNode
 			mapUsed += tt.slotsUsed[kindMap]
 			redUsed += tt.slotsUsed[kindReduce]
 		}
