@@ -194,49 +194,3 @@ func TestBuildJobReportErrors(t *testing.T) {
 		t.Fatal("want error for finish without start")
 	}
 }
-
-// TestJobReportsFromSpans builds reports straight from spans: one per
-// mr.job span, attempts routed by their job attr and put in (start, id)
-// order, the task id recovered from the attempt id, and the span's
-// "killed:<reason>" outcome split into Outcome and Reason.
-func TestJobReportsFromSpans(t *testing.T) {
-	spans := []obs.Span{
-		{Name: "mr.reduce_attempt", Start: ms(90), End: ms(200), Attrs: map[string]string{"attempt": "attempt_task_job_wc_0001_r_000000_0", "job": "job_wc_0001", "node": "node0", "outcome": "killed:speculative loser", "speculative": "true"}},
-		{Name: "mr.map_attempt", Start: ms(10), End: ms(80), Attrs: map[string]string{"attempt": "attempt_task_job_wc_0001_m_000001_0", "job": "job_wc_0001", "node": "node1", "locality": "2", "outcome": "failed"}},
-		{Name: "mr.map_attempt", Start: ms(10), End: ms(60), Attrs: map[string]string{"attempt": "attempt_task_job_wc_0001_m_000000_0", "job": "job_wc_0001", "node": "node0", "locality": "0", "outcome": "succeeded"}},
-		{Name: "mr.task", Start: ms(10), End: ms(60), Attrs: map[string]string{"job": "job_wc_0001"}},
-		{Name: "mr.job", Start: ms(5), End: ms(300), Attrs: map[string]string{"job": "job_wc_0001", "name": "wc", "outcome": "succeeded"}},
-		{Name: "mr.map_attempt", Start: ms(310), End: ms(320), Attrs: map[string]string{"attempt": "attempt_task_job_wc_0002_m_000000_0", "job": "job_wc_0002", "node": "node2", "locality": "1", "outcome": "succeeded"}},
-		{Name: "mr.job", Start: ms(305), End: ms(330), Attrs: map[string]string{"job": "job_wc_0002", "name": "wc", "outcome": "failed"}},
-		{Name: "mr.map_attempt", Start: ms(400), End: ms(410), Attrs: map[string]string{"attempt": "attempt_task_job_wc_0003_m_000000_0", "job": "job_wc_0003", "outcome": "succeeded"}},
-	}
-	reps := JobReportsFromSpans(spans)
-	if len(reps) != 2 || reps[0].JobID != "job_wc_0001" || reps[1].JobID != "job_wc_0002" {
-		t.Fatalf("reports = %+v, want job_wc_0001 then job_wc_0002 (job_wc_0003 never finished)", reps)
-	}
-	r := reps[0]
-	if r.Name != "wc" || r.Outcome != "succeeded" || r.Submitted != ms(5) || r.Makespan() != ms(295) {
-		t.Fatalf("job header: %+v", r)
-	}
-	var got []string
-	for _, a := range r.Attempts {
-		got = append(got, a.Kind+" "+a.Task+" "+a.Tags()+" "+a.Reason)
-	}
-	want := []string{
-		"map task_job_wc_0001_m_000000 succeeded,locality=0 ",
-		"map task_job_wc_0001_m_000001 failed,locality=2 ",
-		"reduce task_job_wc_0001_r_000000 killed,speculative speculative loser",
-	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("attempts:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-	if a := r.Attempts[2]; a.Start != ms(90) || a.End != ms(200) || a.Node != "node0" || a.Locality != -1 {
-		t.Fatalf("reduce attempt: %+v", a)
-	}
-	if len(reps[1].Attempts) != 1 || reps[1].Attempts[0].Node != "node2" || reps[1].Outcome != "failed" {
-		t.Fatalf("second job: %+v", reps[1])
-	}
-	if JobReportsFromSpans(spans[:4]) != nil {
-		t.Fatal("attempt spans without a job span produced a report")
-	}
-}

@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // AttemptInfo is one task attempt reconstructed from a job-history file.
@@ -137,18 +135,13 @@ func BuildJobReport(events []Event) (*JobReport, error) {
 	if r.JobID == "" {
 		return nil, fmt.Errorf("history: no %s event in log", EvJobSubmit)
 	}
-	sortAttempts(r.Attempts)
-	return r, nil
-}
-
-// sortAttempts puts attempts in the report's (start, id) order.
-func sortAttempts(attempts []AttemptInfo) {
-	sort.SliceStable(attempts, func(i, j int) bool {
-		if attempts[i].Start != attempts[j].Start {
-			return attempts[i].Start < attempts[j].Start
+	sort.SliceStable(r.Attempts, func(i, j int) bool {
+		if r.Attempts[i].Start != r.Attempts[j].Start {
+			return r.Attempts[i].Start < r.Attempts[j].Start
 		}
-		return attempts[i].ID < attempts[j].ID
+		return r.Attempts[i].ID < r.Attempts[j].ID
 	})
+	return r, nil
 }
 
 // lastSucceeded returns the successful attempt of the given kind with
@@ -349,73 +342,4 @@ func (r *JobReport) SummaryString() string {
 		}
 	}
 	return b.String()
-}
-
-// JobReportsFromSpans builds one report per finished job straight from
-// the live span store, in the order the jobs finished: every mr.job span
-// is a job, and the mr.*_attempt spans carrying its id are its attempts.
-// Spans know less than a history file — no user, task counts, counters,
-// shuffle times or failure text — but the attempt timeline, and with it
-// CriticalPath, comes out the same (TestHistoryMatchesSpans). It is what
-// /timeline draws, and what is left to analyze when a run died before
-// its history file was written.
-func JobReportsFromSpans(spans []obs.Span) []*JobReport {
-	byJob := map[string]*JobReport{}
-	var out []*JobReport
-	for _, s := range spans {
-		if s.Name == "mr.job" {
-			r := &JobReport{
-				JobID: s.Attrs["job"], Name: s.Attrs["name"], Outcome: s.Attrs["outcome"],
-				Submitted: s.Start, Finished: s.End,
-			}
-			byJob[r.JobID] = r
-			out = append(out, r)
-		}
-	}
-	// Attempt spans record before the span of the job they belong to.
-	for _, s := range spans {
-		var kind string
-		switch s.Name {
-		case "mr.map_attempt":
-			kind = "map"
-		case "mr.reduce_attempt":
-			kind = "reduce"
-		default:
-			continue
-		}
-		r := byJob[s.Attrs["job"]]
-		if r == nil {
-			continue
-		}
-		a := AttemptInfo{
-			ID:          s.Attrs["attempt"],
-			Task:        taskOfAttempt(s.Attrs["attempt"]),
-			Kind:        kind,
-			Node:        s.Attrs["node"],
-			Locality:    -1,
-			Speculative: s.Attrs["speculative"] == "true",
-			Start:       s.Start,
-			End:         s.End,
-		}
-		// The span outcome is "succeeded", "failed" or "killed:<reason>".
-		a.Outcome, a.Reason, _ = strings.Cut(s.Attrs["outcome"], ":")
-		if l, ok := s.Attrs["locality"]; ok {
-			a.Locality, _ = strconv.Atoi(l)
-		}
-		r.Attempts = append(r.Attempts, a)
-	}
-	for _, r := range out {
-		sortAttempts(r.Attempts)
-	}
-	return out
-}
-
-// taskOfAttempt strips the "attempt_" prefix and "_<seq>" suffix from an
-// attempt ID, recovering its task ID.
-func taskOfAttempt(id string) string {
-	s, _ := strings.CutPrefix(id, "attempt_")
-	if i := strings.LastIndex(s, "_"); i > 0 {
-		s = s[:i]
-	}
-	return s
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -22,9 +21,8 @@ const historyJobID = "job_wordcount_combiner_0001"
 // historyRun replays the canonical fixed-seed wordcount and returns the
 // three artifacts the history subsystem produces for it: the NameNode
 // audit log, the job-history event file persisted into HDFS, and the
-// critical-path analysis rebuilt from that file. A fourth return carries
-// the live cluster so callers can cross-check against the span store.
-func historyRun(t *testing.T) (audit, events []byte, report string, c *core.MiniCluster) {
+// critical-path analysis rebuilt from that file.
+func historyRun(t *testing.T) (audit, events []byte, report string) {
 	t.Helper()
 	c, err := core.New(core.Options{Nodes: 6, Seed: 42, HDFS: hdfs.Config{BlockSize: 32 << 10}})
 	if err != nil {
@@ -52,7 +50,7 @@ func historyRun(t *testing.T) (audit, events []byte, report string, c *core.Mini
 	if err != nil {
 		t.Fatal(err)
 	}
-	return audit, events, rep.AnalysisString(), c
+	return audit, events, rep.AnalysisString()
 }
 
 // checkGoldenBytes compares got against testdata/name, rewriting the
@@ -81,8 +79,8 @@ func checkGoldenBytes(t *testing.T, name string, got []byte) {
 // events.jsonl in HDFS, and the identical mrhistory -analyze report on
 // every replay — and those bytes are committed as goldens.
 func TestGoldenJobHistory(t *testing.T) {
-	audit1, events1, report1, _ := historyRun(t)
-	audit2, events2, report2, _ := historyRun(t)
+	audit1, events1, report1 := historyRun(t)
+	audit2, events2, report2 := historyRun(t)
 	if !bytes.Equal(audit1, audit2) {
 		t.Fatalf("same-seed replays produced different audit logs (%d vs %d bytes)", len(audit1), len(audit2))
 	}
@@ -95,51 +93,4 @@ func TestGoldenJobHistory(t *testing.T) {
 	checkGoldenBytes(t, "golden_audit.jsonl", audit1)
 	checkGoldenBytes(t, "golden_history_events.jsonl", events1)
 	checkGoldenBytes(t, "golden_history_report.txt", []byte(report1))
-}
-
-// TestHistoryMatchesSpans cross-validates the two independent records of
-// the same run: the job-history file the JobTracker wrote into HDFS and
-// the span store the obs layer collected. Rebuilding attempt timelines
-// from each must give the same answer.
-func TestHistoryMatchesSpans(t *testing.T) {
-	_, events, _, c := historyRun(t)
-	parsed, err := history.Parse[history.Event](events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := history.BuildJobReport(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := history.JobReportsFromSpans(c.Obs.Spans())
-	if len(reports) != 1 {
-		t.Fatalf("span store holds %d finished jobs, want 1", len(reports))
-	}
-	fromSpans := reports[0]
-	if fromSpans.JobID != fromFile.JobID || fromSpans.Outcome != fromFile.Outcome ||
-		fromSpans.Submitted != fromFile.Submitted || fromSpans.Finished != fromFile.Finished {
-		t.Fatalf("job disagrees:\n  file: %+v\n  span: %+v", fromFile, fromSpans)
-	}
-	if len(fromSpans.Attempts) != len(fromFile.Attempts) {
-		t.Fatalf("span store saw %d attempts, history file %d", len(fromSpans.Attempts), len(fromFile.Attempts))
-	}
-	for i := range fromFile.Attempts {
-		hf, sp := fromFile.Attempts[i], fromSpans.Attempts[i]
-		if hf.ID != sp.ID || hf.Task != sp.Task || hf.Kind != sp.Kind || hf.Node != sp.Node ||
-			hf.Start != sp.Start || hf.End != sp.End || hf.Outcome != sp.Outcome || hf.Tags() != sp.Tags() {
-			t.Fatalf("attempt %d disagrees:\n  file: %+v\n  span: %+v", i, hf, sp)
-		}
-	}
-	// The critical path — the chain of attempts bounding job completion —
-	// must be identical however the timeline was reconstructed.
-	pathIDs := func(r *history.JobReport) []string {
-		var ids []string
-		for _, a := range r.CriticalPath() {
-			ids = append(ids, a.ID)
-		}
-		return ids
-	}
-	if !reflect.DeepEqual(pathIDs(fromFile), pathIDs(fromSpans)) {
-		t.Fatalf("critical paths disagree:\n  file: %v\n  span: %v", pathIDs(fromFile), pathIDs(fromSpans))
-	}
 }

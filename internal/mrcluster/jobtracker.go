@@ -352,17 +352,21 @@ func (jt *JobTracker) killAttempt(a *attempt, reason string) {
 	}
 	a.t.jr.counters.Inc(mapreduce.CtrKilledTaskAttempts, 1)
 	jt.m.attemptsKilled.Inc()
-	jt.abandon(a, "killed", "killed:"+reason, history.EvAttemptKill, map[string]string{"reason": reason})
+	jt.abandon(a, history.EvAttemptKill, reason)
 }
 
-// abandon ends an attempt that will not complete — killed or failed: its
-// outcome event is cancelled, its slot and container go back, any reduce
-// output it staged is discarded, its span and terminal history event are
-// recorded, and its task is pending again unless a sibling still runs.
-func (jt *JobTracker) abandon(a *attempt, release, outcome, evType string, evAttrs map[string]string) {
+// abandon ends an attempt that will not complete — killed or failed, as
+// evType says, for reason why: its outcome event is cancelled, its slot
+// and container go back, any reduce output it staged is discarded, its end
+// is recorded, and its task is pending again unless a sibling still runs.
+func (jt *JobTracker) abandon(a *attempt, evType, why string) {
 	a.dead = true
 	a.timer.Cancel()
 	jt.releaseSlot(a)
+	release := "failed"
+	if evType == history.EvAttemptKill {
+		release = "killed"
+	}
 	jt.releaseContainer(a, release)
 	a.t.removeAttempt(a)
 	if a.tempPath != "" {
@@ -372,49 +376,57 @@ func (jt *JobTracker) abandon(a *attempt, release, outcome, evType string, evAtt
 		_ = jt.mc.DFS.Client(a.tt.id).Remove(a.tempPath, false)
 		a.tempPath = ""
 	}
-	jt.attemptSpan(a, outcome)
-	jt.histAttemptEnd(a, evType, evAttrs)
+	jt.attemptEnded(a, evType, why)
 	if a.t.state == taskRunning && len(a.t.attempts) == 0 {
 		a.t.state = taskPending
 	}
 }
 
-// --- job history (internal/history) ---
+// --- the attempt record: job history (internal/history) and spans ---
 
 // histEv appends one event to a job's history log at the current sim time.
 func (jt *JobTracker) histEv(jr *jobRun, typ string, attrs map[string]string) {
 	jr.hist.Append(time.Duration(jt.mc.Engine.Now()), typ, attrs)
 }
 
-// histAttemptStart records an attempt launch. shuffle is the modelled
-// shuffle time (reduces only; pass <0 for maps).
-func (jt *JobTracker) histAttemptStart(a *attempt, shuffle time.Duration) {
-	attrs := map[string]string{
-		"attempt": a.id(),
-		"job":     a.t.jr.id,
-		"task":    a.t.id(),
-		"node":    a.tt.node.Hostname,
-		"kind":    a.t.kind.name,
-	}
+// attemptAttrs is what an attempt's start event and its span both say.
+func attemptAttrs(a *attempt) map[string]string {
+	attrs := map[string]string{"attempt": a.id(), "job": a.t.jr.id, "node": a.tt.node.Hostname}
 	if a.t.kind.hasLocality {
 		attrs["locality"] = fmt.Sprint(a.locality)
-	}
-	if shuffle >= 0 {
-		attrs["shuffle_ns"] = fmt.Sprint(int64(shuffle))
 	}
 	if a.speculative {
 		attrs["speculative"] = "true"
 	}
+	return attrs
+}
+
+// attemptStarted records an attempt launch in the job's history. shuffle
+// is the modelled shuffle time (reduces only; pass <0 for maps).
+func (jt *JobTracker) attemptStarted(a *attempt, shuffle time.Duration) {
+	attrs := attemptAttrs(a)
+	attrs["task"], attrs["kind"] = a.t.id(), a.t.kind.name
+	if shuffle >= 0 {
+		attrs["shuffle_ns"] = fmt.Sprint(int64(shuffle))
+	}
 	jt.histEv(a.t.jr, history.EvAttemptStart, attrs)
 }
 
-// histAttemptEnd records an attempt's terminal event (finish/fail/kill).
-func (jt *JobTracker) histAttemptEnd(a *attempt, typ string, extra map[string]string) {
-	attrs := map[string]string{"attempt": a.id(), "job": a.t.jr.id}
-	for k, v := range extra {
-		attrs[k] = v
+// attemptEnded records an attempt's end — finished, failed or killed, as
+// evType says, for reason why — once: the terminal history event every
+// attempt timeline is built from, and the attempt's span for its trace.
+func (jt *JobTracker) attemptEnded(a *attempt, evType, why string) {
+	outcome, ev := "succeeded", map[string]string{"attempt": a.id(), "job": a.t.jr.id}
+	switch evType {
+	case history.EvAttemptFail:
+		outcome, ev["error"] = "failed", why
+	case history.EvAttemptKill:
+		outcome, ev["reason"] = "killed:"+why, why
 	}
-	jt.histEv(a.t.jr, typ, attrs)
+	attrs := attemptAttrs(a)
+	attrs["outcome"] = outcome
+	a.ctx.End(a.t.kind.span, time.Duration(a.startedAt), time.Duration(jt.mc.Engine.Now()), attrs)
+	jt.histEv(a.t.jr, evType, ev)
 }
 
 // persistHistory writes the finished job's history file into HDFS under
@@ -446,23 +458,6 @@ func (jt *JobTracker) persistHistory(jr *jobRun) {
 		}
 		jt.m.tracesPersisted.Inc()
 	}
-}
-
-// attemptSpan records a task attempt's lifetime span with its outcome.
-func (jt *JobTracker) attemptSpan(a *attempt, outcome string) {
-	attrs := map[string]string{
-		"attempt": a.id(),
-		"job":     a.t.jr.id,
-		"node":    a.tt.node.Hostname,
-		"outcome": outcome,
-	}
-	if a.t.kind.hasLocality {
-		attrs["locality"] = fmt.Sprint(a.locality)
-	}
-	if a.speculative {
-		attrs["speculative"] = "true"
-	}
-	a.ctx.End(a.t.kind.span, time.Duration(a.startedAt), time.Duration(jt.mc.Engine.Now()), attrs)
 }
 
 func (t *task) removeAttempt(a *attempt) {
@@ -861,7 +856,7 @@ func (jt *JobTracker) completeAttempt(a *attempt, p attemptPlan) {
 	jr.durations[k.idx] = append(jr.durations[k.idx], p.duration)
 	jr.counters.Merge(p.counters)
 	k.attemptTime.Observe(p.duration)
-	jt.attemptSpan(a, "succeeded")
+	jt.attemptEnded(a, history.EvAttemptFinish, "")
 	// The task's span runs from its first launch to now — the parent of
 	// its attempt spans in the trace tree.
 	t.ctx.End(SpanTask, time.Duration(t.firstStart), time.Duration(jt.mc.Engine.Now()), map[string]string{
@@ -869,7 +864,6 @@ func (jt *JobTracker) completeAttempt(a *attempt, p attemptPlan) {
 		"job":  jr.id,
 		"kind": k.name,
 	})
-	jt.histAttemptEnd(a, history.EvAttemptFinish, nil)
 	if a.speculative {
 		jr.counters.Inc(mapreduce.CtrSpeculativeWon, 1)
 	}
@@ -892,7 +886,7 @@ func (jt *JobTracker) failAttempt(a *attempt, cause error, crashDaemons, fatal b
 	jr.counters.Inc(k.ctrFailed, 1)
 	jr.counters.Inc(mapreduce.CtrTaskRetries, 1)
 	k.failed.Inc()
-	jt.abandon(a, "failed", "failed", history.EvAttemptFail, map[string]string{"error": cause.Error()})
+	jt.abandon(a, history.EvAttemptFail, cause.Error())
 	t.failures++
 	if crashDaemons {
 		// The leaky attempt takes the daemons with it: the TaskTracker
@@ -919,7 +913,7 @@ func (jt *JobTracker) failAttempt(a *attempt, cause error, crashDaemons, fatal b
 func (jt *JobTracker) runMapAttempt(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) bool {
 	jr := t.jr
 	a := jt.newAttempt(t, tt, speculative, c)
-	jt.histAttemptStart(a, -1)
+	jt.attemptStarted(a, -1)
 
 	// Execute the user code now (real data, exact results); the modelled
 	// duration decides when the completion event lands.
@@ -1095,7 +1089,7 @@ func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative boo
 			"node":    tt.node.Hostname,
 		})
 	}
-	jt.histAttemptStart(a, shuffleTime)
+	jt.attemptStarted(a, shuffleTime)
 
 	client := jt.mc.DFS.Client(tt.id)
 	client.Trace = a.ctx

@@ -216,6 +216,16 @@ func TestTaskTrackerCrashMidJobRecovers(t *testing.T) {
 		rep.Counters.Get(mapreduce.CtrLaunchedMaps) <= int64(rep.MapTasks) {
 		t.Fatalf("crash left no trace in counters:\n%s", rep)
 	}
+	// Maps re-run after the crash: the summary's locality line must still
+	// agree with itself, its percentage being its own two numbers' ratio.
+	var local, runs, pct int
+	_, locLine, _ := strings.Cut(rep.String(), "Data-local maps=")
+	if _, err := fmt.Sscanf(locLine, "%d/%d (%d%%)", &local, &runs, &pct); err != nil || runs == 0 {
+		t.Fatalf("no locality line in the summary (%v):\n%s", err, rep)
+	}
+	if want := int(100*float64(local)/float64(runs) + 0.5); pct != want {
+		t.Fatalf("summary says Data-local maps=%d/%d (%d%%); %d/%d is %d%%", local, runs, pct, local, runs, want)
+	}
 	// Results still exact.
 	out, err := serial.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
 	if err != nil {

@@ -53,14 +53,21 @@ func (r *Report) ReducePhase() time.Duration {
 // ShuffleBytes returns the bytes moved in the shuffle.
 func (r *Report) ShuffleBytes() int64 { return r.Counters.Get(mapreduce.CtrShuffleBytes) }
 
-// LocalityFraction returns the fraction of map tasks that ran data-local.
+// localMaps returns the completed map runs that ran data-local, and all
+// completed map runs: a map re-run after its output was lost counts again.
+func (r *Report) localMaps() (local, runs int64) {
+	local = r.Counters.Get(mapreduce.CtrDataLocalMaps)
+	return local, local + r.Counters.Get(mapreduce.CtrRackLocalMaps) + r.Counters.Get(mapreduce.CtrRemoteMaps)
+}
+
+// LocalityFraction returns the fraction of completed map runs that ran
+// data-local.
 func (r *Report) LocalityFraction() float64 {
-	local := r.Counters.Get(mapreduce.CtrDataLocalMaps)
-	total := local + r.Counters.Get(mapreduce.CtrRackLocalMaps) + r.Counters.Get(mapreduce.CtrRemoteMaps)
-	if total == 0 {
+	local, runs := r.localMaps()
+	if runs == 0 {
 		return 0
 	}
-	return float64(local) / float64(total)
+	return float64(local) / float64(runs)
 }
 
 // String renders the report in the style of a Hadoop job summary.
@@ -76,8 +83,8 @@ func (r *Report) String() string {
 		r.MapPhase().Round(time.Millisecond),
 		r.ReducePhase().Round(time.Millisecond),
 		r.Makespan().Round(time.Millisecond))
-	fmt.Fprintf(&b, "  Data-local maps=%d/%d (%.0f%%)\n",
-		r.Counters.Get(mapreduce.CtrDataLocalMaps), int64(r.MapTasks), 100*r.LocalityFraction())
+	local, runs := r.localMaps()
+	fmt.Fprintf(&b, "  Data-local maps=%d/%d (%.0f%%)\n", local, runs, 100*r.LocalityFraction())
 	fmt.Fprintf(&b, "  Counters:\n%s", r.Counters)
 	return b.String()
 }

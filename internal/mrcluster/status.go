@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/history"
 	"repro/internal/mapreduce"
 )
 
@@ -82,8 +83,26 @@ func (mc *MRCluster) StatusPage() string {
 	return b.String()
 }
 
-// CompletedJobCounters returns the counters of the most recently finished
-// job, if any (convenience for UIs).
+// Reports returns the attempt timeline of every finished job, in
+// submission order, built from the job's history log — the same events,
+// through the same builder, as the history file persisted into HDFS.
+func (jt *JobTracker) Reports() ([]*history.JobReport, error) {
+	var out []*history.JobReport
+	for _, jr := range jt.jobs {
+		if jr.state == jobRunning {
+			continue
+		}
+		rep, err := history.BuildJobReport(jr.hist.Events())
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", jr.id, err)
+		}
+		out = append(out, rep)
+	}
+	return out, nil
+}
+
+// CompletedJobCounters returns the counters of the most recently
+// successful job, if any (convenience for UIs).
 func (jt *JobTracker) CompletedJobCounters() *mapreduce.Counters {
 	for i := len(jt.jobs) - 1; i >= 0; i-- {
 		if jt.jobs[i].state == jobSucceeded {

@@ -34,7 +34,7 @@ type SpanID uint64
 // trace the caller belongs to, the caller's own span identity, and its
 // parent's. A context of an unsampled trace knows its registry and
 // nothing else: End still records, as a flat span without identity, so
-// the lifecycle spans /timeline reads exist whatever the sampling rate.
+// lifecycle spans exist whatever the sampling rate.
 // The zero Ctx has no registry and every operation on it is a no-op.
 type Ctx struct {
 	r      *Registry

@@ -102,8 +102,5 @@ func FuzzTraceAnalyze(f *testing.F) {
 			rep.AnalysisString()
 			rep.SummaryString()
 		}
-		for _, rep := range history.JobReportsFromSpans(spans) {
-			rep.AnalysisString()
-		}
 	})
 }

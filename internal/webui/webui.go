@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/history"
-	"repro/internal/obs"
+	"repro/internal/mrcluster"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vfs"
@@ -87,7 +87,7 @@ func Handler(c *core.MiniCluster) http.Handler {
 			}
 			return c.Serving.StatusPage(), nil
 		})},
-		{"/counters", "last completed job's counters", text(func() (string, error) {
+		{"/counters", "last successful job's counters", text(func() (string, error) {
 			ctrs := c.MR.JT.CompletedJobCounters()
 			if ctrs == nil {
 				return "no completed jobs yet\n", nil
@@ -101,7 +101,7 @@ func Handler(c *core.MiniCluster) http.Handler {
 			})
 		}},
 		{"/engine", "sim engine counters (events by queue, high-water, tickers, free list)", text(func() (string, error) { return enginePage(c.Engine), nil })},
-		{"/timeline", "per-job task-attempt timeline from the recorded spans", text(func() (string, error) { return timelinePage(c.Obs), nil })},
+		{"/timeline", "per-job task-attempt timeline from the live job histories", text(func() (string, error) { return timelinePage(c.MR.JT) })},
 		{"/history", "persisted job histories (the history server)", text(histories)},
 		{"/history/<id>", "one job's critical-path analysis and attempt timeline", under("/history/", histories,
 			func(jobID string) (string, error) { return historyJobPage(c.FS(), jobID) })},
@@ -165,7 +165,7 @@ func historyIndexPage(fs vfs.FileSystem) (string, error) {
 
 // historyJobPage renders one persisted job history: the critical-path
 // analysis followed by the attempt gantt /timeline draws, here rebuilt
-// from the durable file rather than live spans.
+// from the durable file rather than the JobTracker's live log.
 func historyJobPage(fs vfs.FileSystem, jobID string) (string, error) {
 	data, err := vfs.ReadFile(fs, history.EventsPath(jobID))
 	if err != nil {
@@ -186,14 +186,14 @@ func historyJobPage(fs vfs.FileSystem, jobID string) (string, error) {
 	return b.String(), nil
 }
 
-// timelinePage renders a per-job gantt view of the recorded task-attempt
-// spans: one section per finished job, one bar per attempt, positioned on
+// timelinePage renders a per-job gantt view of the JobTracker's history
+// logs: one section per finished job, one bar per attempt, positioned on
 // the job's own time axis. This is the page lab exercises read to see
 // where a job's time went (see docs/OBSERVABILITY.md).
-func timelinePage(reg *obs.Registry) string {
-	reports := history.JobReportsFromSpans(reg.Spans())
-	if len(reports) == 0 {
-		return "no completed jobs yet\n"
+func timelinePage(jt *mrcluster.JobTracker) (string, error) {
+	reports, err := jt.Reports()
+	if err != nil || len(reports) == 0 {
+		return "no completed jobs yet\n", err
 	}
 	var b strings.Builder
 	for _, rep := range reports {
@@ -203,13 +203,13 @@ func timelinePage(reg *obs.Registry) string {
 		attemptGantt(&b, rep)
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // attemptGantt renders one row per attempt of rep — kind, a bar on the
 // job's own time axis, id, node, duration, tags and, for an attempt that
 // was killed or failed, why. Both /timeline and /history/<jobid> draw
-// their attempts with it, whichever record the report was built from.
+// their attempts with it.
 func attemptGantt(b *strings.Builder, rep *history.JobReport) {
 	for _, a := range rep.Attempts {
 		reason := ""

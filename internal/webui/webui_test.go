@@ -13,6 +13,7 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/history"
 	"repro/internal/jobs"
+	"repro/internal/mrcluster"
 	"repro/internal/regionserver"
 	"repro/internal/vfs"
 	"repro/internal/webui"
@@ -21,17 +22,21 @@ import (
 
 func setup(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, _ := setupCluster(t)
+	srv, _ := setupCluster(t, nil)
 	return srv
 }
 
 // setupCluster runs the canonical wordcount on a 4-node cluster and
-// serves the aftermath.
-func setupCluster(t *testing.T) (*httptest.Server, *core.MiniCluster) {
+// serves the aftermath. arm, when non-nil, configures the cluster before
+// the job runs.
+func setupCluster(t *testing.T, arm func(*core.MiniCluster)) (*httptest.Server, *core.MiniCluster) {
 	t.Helper()
 	c, err := core.New(core.Options{Nodes: 4, Seed: 6, HDFS: hdfs.Config{BlockSize: 64 << 10}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if arm != nil {
+		arm(c)
 	}
 	if _, _, err := datagen.Text(c.FS(), "/in/corpus.txt", datagen.TextOpts{Lines: 500, Seed: 6}); err != nil {
 		t.Fatal(err)
@@ -222,11 +227,12 @@ func attemptRows(page string) []string {
 }
 
 // TestTimelineMatchesHistoryPage: /timeline draws a job's attempts from
-// the live spans, /history/<job> from the durable file; both go through
-// one gantt renderer, so for the same job the rows are the same lines —
-// with two jobs on the cluster, each job's attempts under its own.
+// the JobTracker's live history log, /history/<job> from the durable file
+// written from it; both go through one report builder and one gantt
+// renderer, so for the same job the rows are the same lines — with two
+// jobs on the cluster, each job's attempts under its own.
 func TestTimelineMatchesHistoryPage(t *testing.T) {
-	srv, c := setupCluster(t)
+	srv, c := setupCluster(t, nil)
 	second := jobs.WordCount("/in", "/out2", true)
 	second.Name = "wc"
 	if _, err := c.Run(second); err != nil {
@@ -250,12 +256,49 @@ func TestTimelineMatchesHistoryPage(t *testing.T) {
 	}
 }
 
+// TestTimelineSaysWhyAttemptsFailed: a failed attempt's error is in the
+// job's history, not in its span, so /timeline shows it whatever the
+// trace sampling rate — in the same rows /history/<jobid> draws.
+func TestTimelineSaysWhyAttemptsFailed(t *testing.T) {
+	srv, _ := setupCluster(t, func(c *core.MiniCluster) {
+		c.Obs.SetTraceSampling(1 << 30)
+		c.MR.InjectTaskFault(mrcluster.TaskFault{JobName: "wordcount-combiner", Probability: 0.3})
+	})
+	_, _, timeline := get(t, srv, "/timeline")
+	_, _, hist := get(t, srv, "/history/job_wordcount_combiner_0001")
+	live := strings.Join(attemptRows(timeline), "\n")
+	if !strings.Contains(live, "(injected task error") {
+		t.Fatalf("/timeline does not say why an attempt failed:\n%s", timeline)
+	}
+	if durable := strings.Join(attemptRows(hist), "\n"); live != durable {
+		t.Fatalf("attempt rows differ:\n/timeline:\n%s\n/history:\n%s", live, durable)
+	}
+}
+
+// TestTimelineOutlivesTheHistoryFile: /timeline reads the JobTracker, not
+// the file it persisted, so a job whose history file is gone is still
+// drawn there while /history/<jobid> is a 404.
+func TestTimelineOutlivesTheHistoryFile(t *testing.T) {
+	srv, c := setupCluster(t, nil)
+	const jobID = "job_wordcount_combiner_0001"
+	if err := c.FS().Remove(history.Dir(jobID), true); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := get(t, srv, "/history/"+jobID); code != http.StatusNotFound {
+		t.Fatalf("/history/%s -> %d after its file was removed, want 404", jobID, code)
+	}
+	code, _, timeline := get(t, srv, "/timeline")
+	if code != http.StatusOK || !strings.Contains(timeline, "=== "+jobID) || len(attemptRows(timeline)) == 0 {
+		t.Fatalf("/timeline -> %d without the job:\n%s", code, timeline)
+	}
+}
+
 // TestHistoryErrorsAreNotNotFound: only a job with no history file is a
 // 404. A history file that is there but torn, or parses but makes no
 // sense, is a 500 that says what is wrong with it; a listing failure is
 // not "no job history yet".
 func TestHistoryErrorsAreNotNotFound(t *testing.T) {
-	srv, c := setupCluster(t)
+	srv, c := setupCluster(t, nil)
 	const jobID = "job_wordcount_combiner_0001"
 	good, err := vfs.ReadFile(c.FS(), history.EventsPath(jobID))
 	if err != nil {
