@@ -3,6 +3,7 @@ package regionserver
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/kvstore"
 	"repro/internal/obs"
@@ -72,13 +73,17 @@ func BenchmarkRoutedGet(b *testing.B) {
 
 // splitter builds a cluster whose table has `regions` regions of `rows`
 // bulk-loaded rows each, in three store files per region, and returns a
-// function that splits the next region not split yet.
-func splitter(tb testing.TB, regions, rows int) func() {
-	eng := sim.NewEngine()
-	c := newClusterOn(tb, eng, vfs.NewMemFS(), 4, Options{
-		SplitMaxOps: 1 << 30, SplitMaxBytes: 1 << 40,
+// function that splits the next region not split yet and one that stops
+// the cluster. Nothing else holds the cluster, so a benchmark that builds
+// one per chunk keeps one alive at a time.
+func splitter(tb testing.TB, regions, rows int) (split, stop func()) {
+	c, err := New(sim.NewEngine(), vfs.NewMemFS(), cluster.NewTopology(cluster.PaperNodeConfig(5, 1)), Options{
+		Servers: 4, Obs: obs.NewRegistry(), SplitMaxOps: 1 << 30, SplitMaxBytes: 1 << 40,
 		KV: kvstore.Config{CompactTrigger: 100},
 	})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	var splitKeys []string
 	for i := 1; i < regions; i++ {
 		splitKeys = append(splitKeys, datagen.YCSBKey(i*rows))
@@ -111,7 +116,7 @@ func splitter(tb testing.TB, regions, rows int) func() {
 		if err := c.Master.splitRegion(info, srv, srv.regions[info.ID]); err != nil {
 			tb.Fatal(err)
 		}
-	}
+	}, c.Stop
 }
 
 // TestSplitAllocationsFollowFilesNotRows: a split writes a marker per
@@ -119,7 +124,8 @@ func splitter(tb testing.TB, regions, rows int) func() {
 // the same three files cost the same allocations.
 func TestSplitAllocationsFollowFilesNotRows(t *testing.T) {
 	perSplit := func(rows int) float64 {
-		split := splitter(t, 10, rows)
+		split, stop := splitter(t, 10, rows)
+		defer stop()
 		return testing.AllocsPerRun(8, split) // 1 warm-up + 8 measured, of 10
 	}
 	small, large := perSplit(300), perSplit(6000)
@@ -135,12 +141,13 @@ func BenchmarkSplit(b *testing.B) {
 	b.StopTimer()
 	for done := 0; done < b.N; {
 		n := min(b.N-done, 64)
-		split := splitter(b, n, rows)
+		split, stop := splitter(b, n, rows)
 		b.StartTimer()
 		for i := 0; i < n; i++ {
 			split()
 		}
 		b.StopTimer()
+		stop()
 		done += n
 	}
 }

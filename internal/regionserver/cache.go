@@ -17,7 +17,6 @@ import (
 // (no negative caching).
 type CacheTier struct {
 	shards []*cacheShard
-	cost   CostModel
 	m      *metrics
 }
 
@@ -27,32 +26,32 @@ type cacheEntry struct {
 }
 
 type cacheShard struct {
-	busyUntil sim.Time
-	capacity  int
-	items     map[string]*list.Element
-	lru       *list.List // front = most recently used
-	hits      *obs.Counter
-	misses    *obs.Counter
+	queue
+	capacity int
+	items    map[string]*list.Element
+	lru      *list.List // front = most recently used
+	hits     *obs.Counter
+	misses   *obs.Counter
 }
 
-// NewCacheTier builds a tier of `shards` LRU shards holding up to
+// newCacheTier builds a tier of `shards` LRU shards holding up to
 // `capacity` entries each. Per-shard hit/miss counters are published as
 // serving.cache.sNN.{hits,misses} alongside the aggregate counters.
-func NewCacheTier(reg *obs.Registry, cost CostModel, shards, capacity int, m *metrics) *CacheTier {
+func newCacheTier(shards, capacity int, m *metrics) *CacheTier {
 	if shards <= 0 {
 		shards = 16
 	}
 	if capacity <= 0 {
 		capacity = 128
 	}
-	ct := &CacheTier{cost: cost, m: m}
+	ct := &CacheTier{m: m}
 	for i := 0; i < shards; i++ {
 		ct.shards = append(ct.shards, &cacheShard{
 			capacity: capacity,
 			items:    map[string]*list.Element{},
 			lru:      list.New(),
-			hits:     reg.Counter(fmt.Sprintf("serving.cache.s%02d.hits", i)),
-			misses:   reg.Counter(fmt.Sprintf("serving.cache.s%02d.misses", i)),
+			hits:     m.reg.Counter(fmt.Sprintf("serving.cache.s%02d.hits", i)),
+			misses:   m.reg.Counter(fmt.Sprintf("serving.cache.s%02d.misses", i)),
 		})
 	}
 	return ct
@@ -70,21 +69,11 @@ func (ct *CacheTier) shardOf(table, key string) *cacheShard {
 	return ct.shards[int(h.Sum32())%len(ct.shards)]
 }
 
-func (sh *cacheShard) occupy(at, service sim.Time) sim.Time {
-	start := at
-	if sh.busyUntil > start {
-		start = sh.busyUntil
-	}
-	done := start + service
-	sh.busyUntil = done
-	return done
-}
-
 // Get probes the key's shard. On a hit the value and completion time
 // come back with ok=true; a miss only charges the probe.
 func (ct *CacheTier) Get(at sim.Time, table, key string) ([]byte, bool, sim.Time) {
 	sh := ct.shardOf(table, key)
-	done := sh.occupy(at, ct.cost.CacheOp)
+	done := sh.occupy(at, cost.CacheOp)
 	el, ok := sh.items[cacheKey(table, key)]
 	if !ok {
 		sh.misses.Inc()
@@ -101,7 +90,7 @@ func (ct *CacheTier) Get(at sim.Time, table, key string) ([]byte, bool, sim.Time
 // LRU tail when full.
 func (ct *CacheTier) Fill(at sim.Time, table, key string, val []byte) sim.Time {
 	sh := ct.shardOf(table, key)
-	done := sh.occupy(at, ct.cost.CacheOp)
+	done := sh.occupy(at, cost.CacheOp)
 	ck := cacheKey(table, key)
 	if el, ok := sh.items[ck]; ok {
 		el.Value.(*cacheEntry).val = val
@@ -122,7 +111,7 @@ func (ct *CacheTier) Fill(at sim.Time, table, key string, val []byte) sim.Time {
 // the next read re-fills from the region server).
 func (ct *CacheTier) Invalidate(at sim.Time, table, key string) sim.Time {
 	sh := ct.shardOf(table, key)
-	done := sh.occupy(at, ct.cost.CacheOp)
+	done := sh.occupy(at, cost.CacheOp)
 	ck := cacheKey(table, key)
 	if el, ok := sh.items[ck]; ok {
 		sh.lru.Remove(el)

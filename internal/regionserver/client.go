@@ -18,7 +18,6 @@ import (
 type Client struct {
 	eng    *sim.Engine
 	master *Master
-	cost   CostModel
 	m      *metrics
 	cache  *CacheTier // nil = no cache tier
 
@@ -47,7 +46,6 @@ func newClient(ma *Master, cache *CacheTier) *Client {
 	return &Client{
 		eng:         ma.eng,
 		master:      ma,
-		cost:        ma.cost,
 		m:           ma.m,
 		cache:       cache,
 		locs:        map[string]*tableLocs{},
@@ -93,7 +91,7 @@ func (cl *Client) refresh(at sim.Time, table string) (sim.Time, error) {
 	}
 	cl.locs[table] = locs
 	cl.m.metaRefresh.Inc()
-	return at + cl.cost.MetaLookup + cl.cost.RTT, nil
+	return at + cost.MetaLookup + cost.RTT, nil
 }
 
 // route resolves key → (region, server) from the location cache,
@@ -150,9 +148,9 @@ func (cl *Client) do(ctx obs.Ctx, at sim.Time, table, key string,
 		done, err := op(info, srv, now)
 		if err == nil || !retryable(err) {
 			if ctx.Valid() {
-				regionCallSpan(ctx, info.ID, info.Srv, attempt, callStart, done+cl.cost.RTT, err)
+				regionCallSpan(ctx, info.ID, info.Srv, attempt, callStart, done+cost.RTT, err)
 			}
-			return done + cl.cost.RTT, err
+			return done + cost.RTT, err
 		}
 		lastErr = err
 		now = done

@@ -22,8 +22,7 @@ type Cluster struct {
 	Master *Master
 	Obs    *obs.Registry
 
-	cost CostModel
-	m    *metrics
+	m *metrics
 }
 
 // New builds a serving cluster: opts.Servers region servers named
@@ -31,10 +30,6 @@ type Cluster struct {
 // persisting regions through fs.
 func New(eng *sim.Engine, fs vfs.FileSystem, topo *cluster.Topology, opts Options) (*Cluster, error) {
 	opts.defaults()
-	if opts.Cost == nil {
-		c := DefaultCosts()
-		opts.Cost = &c
-	}
 	if topo == nil {
 		return nil, fmt.Errorf("regionserver: nil topology")
 	}
@@ -53,7 +48,6 @@ func New(eng *sim.Engine, fs vfs.FileSystem, topo *cluster.Topology, opts Option
 			node:    nodes[i+1].ID,
 			eng:     eng,
 			fs:      fs,
-			cost:    *opts.Cost,
 			kv:      kv,
 			m:       m,
 			alive:   true,
@@ -67,7 +61,6 @@ func New(eng *sim.Engine, fs vfs.FileSystem, topo *cluster.Topology, opts Option
 		Topo:   topo,
 		Master: ma,
 		Obs:    opts.Obs,
-		cost:   *opts.Cost,
 		m:      m,
 	}, nil
 }
@@ -81,13 +74,7 @@ func (c *Cluster) NewClient() *Client { return newClient(c.Master, nil) }
 // NewCachedClient returns a client reading through a fresh cache tier of
 // `shards` LRU shards × `capacity` entries.
 func (c *Cluster) NewCachedClient(shards, capacity int) *Client {
-	return newClient(c.Master, NewCacheTier(c.Obs, c.cost, shards, capacity, c.m))
-}
-
-// NewClientWithCache returns a client sharing an existing cache tier
-// (multiple front-ends behind one coherent cache).
-func (c *Cluster) NewClientWithCache(ct *CacheTier) *Client {
-	return newClient(c.Master, ct)
+	return newClient(c.Master, newCacheTier(shards, capacity, c.m))
 }
 
 // serverOn finds the region server placed on the node (nil if none).

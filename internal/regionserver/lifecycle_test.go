@@ -3,6 +3,7 @@ package regionserver
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,13 +15,15 @@ import (
 )
 
 // checkStorage holds the cluster to what must be true between any two
-// region lifecycle operations: the servers host exactly the regions META
-// lists; the master's reference counts are what a recount over the hosted
-// tables gives; and the table's directory holds the live regions, the
-// retired ones some table still reads, and nothing else.
+// region lifecycle operations once the janitor has run, as the next
+// heartbeat would run it: the servers host exactly the regions META
+// lists; every retired directory the janitor keeps is read by some hosted
+// table; and the table's directory holds the live regions, the retired
+// ones some table still reads, and nothing else.
 func checkStorage(t *testing.T, c *Cluster, table string) {
 	t.Helper()
 	ma := c.Master
+	ma.janitor()
 	if err := ma.CheckMeta(); err != nil {
 		t.Errorf("META: %v", err)
 	}
@@ -29,32 +32,30 @@ func checkStorage(t *testing.T, c *Cluster, table string) {
 		t.Fatal(err)
 	}
 	want := map[string]bool{} // directories that should exist
-	holders := map[string]int{}
+	read := map[string]bool{}
 	hosted := 0
 	for _, s := range ma.servers {
 		hosted += len(s.regions)
 	}
 	for _, r := range regions {
 		want[r.Path] = true
-		srv := ma.byName[r.Srv]
-		hr := srv.regions[r.ID]
-		if hr == nil || hr.info.Epoch != r.Epoch {
+		hr := ma.open(r)
+		if hr == nil {
 			t.Errorf("%s is in META on %s at epoch %d but not hosted so", r.ID, r.Srv, r.Epoch)
 			continue
 		}
 		for _, root := range hr.tbl.References() {
-			holders[root]++
+			read[root] = true
 			want[root] = true
 		}
 	}
 	if hosted != len(regions) {
 		t.Errorf("servers host %d regions, META lists %d", hosted, len(regions))
 	}
-	if fmt.Sprint(holders) != fmt.Sprint(ma.holders) {
-		t.Errorf("master counts readers %v, the hosted tables' references are %v", ma.holders, holders)
-	}
-	if len(ma.garbage) != 0 {
-		t.Errorf("directories waiting to be removed: %v", ma.garbage)
+	for _, dir := range ma.retired {
+		if !read[dir] {
+			t.Errorf("retired directory %s is kept, but no hosted table reads it", dir)
+		}
 	}
 	infos, err := c.FS.List("/serving/" + table)
 	if err != nil {
@@ -280,9 +281,11 @@ func markersUnder(t *testing.T, fs vfs.FileSystem, root string) string {
 // from its split to its removal: it stays while either daughter reads it
 // — through the other daughter's compaction, a crash and reassignment of
 // the one still holding markers, and that daughter's own split, whose
-// granddaughters point straight at the parent's files — and it is gone
-// with the last reference. A daughter that was never written to holds
-// markers only, so its own directory goes the moment it is split.
+// granddaughters point straight at the parent's files — and the first
+// heartbeat after the last reference is gone removes it. Readers are
+// recounted from the hosted tables at each step, as the janitor recounts
+// them. A daughter that was never written to holds markers only, so its
+// own directory goes the moment it is split.
 func TestRetiredParentOutlivesItsReferences(t *testing.T) {
 	c, eng := lifecycleCluster(t, vfs.NewMemFS())
 	ma := c.Master
@@ -312,7 +315,23 @@ func TestRetiredParentOutlivesItsReferences(t *testing.T) {
 			t.Fatalf("no region for %s", key)
 		}
 		info := regions[i]
-		return info, ma.byName[info.Srv].regions[info.ID]
+		hr := ma.open(info)
+		if hr == nil {
+			t.Fatalf("%s, which holds %s, is not open on %s at epoch %d", info.ID, key, info.Srv, info.Epoch)
+		}
+		return info, hr
+	}
+	// readers recounts the hosted tables that read dir.
+	readers := func(dir string) int {
+		n := 0
+		for _, s := range ma.servers {
+			for _, hr := range s.regions {
+				if slices.Contains(hr.tbl.References(), dir) {
+					n++
+				}
+			}
+		}
+		return n
 	}
 	splitAt := func(key string) {
 		t.Helper()
@@ -340,7 +359,7 @@ func TestRetiredParentOutlivesItsReferences(t *testing.T) {
 				tags[i] = tag
 			}
 		}
-		if hr.refs || len(hr.tbl.References()) != 0 {
+		if len(hr.tbl.References()) != 0 {
 			t.Fatalf("%s compacted and still holds references %v", info.ID, hr.tbl.References())
 		}
 	}
@@ -351,14 +370,14 @@ func TestRetiredParentOutlivesItsReferences(t *testing.T) {
 	low, _ := region("row000")
 	high, _ := region("row099")
 	verify("after the split")
-	if !exists(parent.Path) || ma.holders[parent.Path] != 2 {
-		t.Fatalf("parent %s: exists %v, %d readers; want it kept for 2", parent.Path, exists(parent.Path), ma.holders[parent.Path])
+	if !exists(parent.Path) || readers(parent.Path) != 2 {
+		t.Fatalf("parent %s: exists %v, %d readers; want it kept for 2", parent.Path, exists(parent.Path), readers(parent.Path))
 	}
 
 	rewriteUntilCompacted("row000", "w")
 	verify("after the low daughter compacted")
-	if !exists(parent.Path) || ma.holders[parent.Path] != 1 {
-		t.Fatalf("parent %s: exists %v, %d readers; want it kept for the high daughter", parent.Path, exists(parent.Path), ma.holders[parent.Path])
+	if !exists(parent.Path) || readers(parent.Path) != 1 {
+		t.Fatalf("parent %s: exists %v, %d readers; want it kept for the high daughter", parent.Path, exists(parent.Path), readers(parent.Path))
 	}
 
 	// The high daughter's server dies; its new owner opens it from the
@@ -368,7 +387,7 @@ func TestRetiredParentOutlivesItsReferences(t *testing.T) {
 		t.Fatal("crash did not land")
 	}
 	eng.Advance(5 * time.Second)
-	if moved, hr := region("row099"); moved.ID != high.ID || moved.Srv == high.Srv || !hr.refs {
+	if moved, hr := region("row099"); moved.ID != high.ID || moved.Srv == high.Srv || len(hr.refs) == 0 {
 		t.Fatalf("high daughter after the crash: %+v, holds references: %v", moved, hr.refs)
 	}
 	c.RestartServerOn(victim.Node())
@@ -383,8 +402,8 @@ func TestRetiredParentOutlivesItsReferences(t *testing.T) {
 	if exists(high.Path) {
 		t.Fatalf("%s held markers only and outlived its split", high.Path)
 	}
-	if !exists(parent.Path) || ma.holders[parent.Path] != 2 {
-		t.Fatalf("parent %s: exists %v, %d readers; want it kept for 2 granddaughters", parent.Path, exists(parent.Path), ma.holders[parent.Path])
+	if !exists(parent.Path) || readers(parent.Path) != 2 {
+		t.Fatalf("parent %s: exists %v, %d readers; want it kept for 2 granddaughters", parent.Path, exists(parent.Path), readers(parent.Path))
 	}
 
 	g1, _ := region("row050")
@@ -398,8 +417,10 @@ func TestRetiredParentOutlivesItsReferences(t *testing.T) {
 		t.Fatalf("parent %s removed while %s still reads it", parent.Path, g1.ID)
 	}
 	rewriteUntilCompacted("row050", "y")
-	verify("after both granddaughters compacted")
-	if exists(parent.Path) || len(ma.holders) != 0 || len(ma.refs) != 0 {
-		t.Fatalf("parent %s: exists %v; readers %v, references %v; want all gone", parent.Path, exists(parent.Path), ma.holders, ma.refs)
+	// The next heartbeat's janitor finds no reader left.
+	eng.Advance(heartbeatInterval)
+	if exists(parent.Path) || readers(parent.Path) != 0 || len(ma.retired) != 0 {
+		t.Fatalf("parent %s: exists %v, %d readers; retired %v; want all gone", parent.Path, exists(parent.Path), readers(parent.Path), ma.retired)
 	}
+	verify("after both granddaughters compacted")
 }

@@ -31,11 +31,9 @@ const mergeMaxOps = 16
 // map — and the region lifecycle: create, assign, split hot regions,
 // merge cold ones, and reassign everything a dead server was hosting.
 type Master struct {
-	eng  *sim.Engine
-	fs   vfs.FileSystem
-	cost CostModel
-	opts Options
-	m    *metrics
+	eng *sim.Engine
+	fs  vfs.FileSystem
+	m   *metrics
 
 	servers []*Server // stable name order
 	byName  map[string]*Server
@@ -45,14 +43,12 @@ type Master struct {
 	nextRegion int
 	nextEpoch  int
 
-	// A split or merge retires its parents, whose directories stay while
-	// other regions' tables read their store files through reference
-	// markers. refs maps a region ID to the retired directories its table
-	// reads, holders a retired directory to the regions reading it, and
-	// garbage holds directories nobody reads whose removal failed.
-	refs    map[string][]string
-	holders map[string]int
-	garbage []string
+	// retired holds the directories of regions split or merged away (or
+	// of daughters a failed split or merge left behind) until the janitor
+	// removes them; read is its scratch set of the directories open
+	// regions read.
+	retired []string
+	read    map[string]bool
 
 	lastBeat map[string]sim.Time
 	dead     map[string]bool
@@ -67,15 +63,12 @@ func newMaster(eng *sim.Engine, fs vfs.FileSystem, servers []*Server, opts Optio
 	ma := &Master{
 		eng:      eng,
 		fs:       fs,
-		cost:     *opts.Cost,
-		opts:     opts,
 		m:        m,
 		servers:  servers,
 		byName:   map[string]*Server{},
 		meta:     map[string][]RegionInfo{},
 		metaLog:  history.NewLog(m.reg.Counter(MetricMetaEvents)),
-		refs:     map[string][]string{},
-		holders:  map[string]int{},
+		read:     map[string]bool{},
 		lastBeat: map[string]sim.Time{},
 		dead:     map[string]bool{},
 	}
@@ -83,11 +76,10 @@ func newMaster(eng *sim.Engine, fs vfs.FileSystem, servers []*Server, opts Optio
 		ma.byName[s.name] = s
 		ma.lastBeat[s.name] = eng.Now()
 		s.askSplit = ma.requestSplit
-		s.refsDropped = ma.releaseRefs
 		s.splitMaxBytes = opts.SplitMaxBytes
 		s.splitMaxOps = opts.SplitMaxOps
 	}
-	ma.ticker = eng.Every(opts.HeartbeatInterval, ma.tick)
+	ma.ticker = eng.Every(heartbeatInterval, ma.tick)
 	return ma
 }
 
@@ -246,8 +238,7 @@ func (ma *Master) BulkLoadTable(table string, kvs []kvstore.KV) error {
 		if lo >= hi {
 			continue
 		}
-		srv := ma.byName[info.Srv]
-		hr := srv.regions[info.ID]
+		hr := ma.open(info)
 		if hr == nil {
 			return fmt.Errorf("regionserver: %s not open on %s", info.ID, info.Srv)
 		}
@@ -296,18 +287,11 @@ func (ma *Master) findRegion(regionID string) (RegionInfo, bool) {
 // engine) when a region crosses the size/ops thresholds.
 func (ma *Master) requestSplit(regionID string) {
 	info, ok := ma.findRegion(regionID)
-	if !ok {
-		return // already split or merged away
+	hr := ma.open(info)
+	if !ok || hr == nil {
+		return // split or merged away, or crash recovery owns it now
 	}
-	srv := ma.byName[info.Srv]
-	if srv == nil || !srv.alive {
-		return // crash recovery owns this region now
-	}
-	hr := srv.regions[info.ID]
-	if hr == nil || hr.info.Epoch != info.Epoch {
-		return
-	}
-	if err := ma.splitRegion(info, srv, hr); err != nil {
+	if err := ma.splitRegion(info, ma.byName[info.Srv], hr); err != nil {
 		// Unsplittable (single hot key, midkey at a bound): re-arm the
 		// trigger so growth can ask again later.
 		hr.ops = 0
@@ -348,24 +332,22 @@ func (ma *Master) splitRegion(info RegionInfo, srv *Server, hr *hostedRegion) er
 		highTbl, err = kvstore.Reference(high.Path, mid, "", hr.tbl)
 	}
 	if err != nil {
-		ma.discard(low.Path, high.Path)
+		ma.janitor(low.Path, high.Path)
 		return err
 	}
 	srv.closeRegion(info.ID)
 	srv.host(low, lowTbl)
 	target.host(high, highTbl)
 	ma.updateMeta(info.Table, []string{info.ID}, []RegionInfo{low, high})
-	ma.holdRefs(low.ID, lowTbl)
-	ma.holdRefs(high.ID, highTbl)
-	ma.retire(info)
+	ma.janitor(info.Path)
 
 	// Virtual-time cost: the parent server does the full split, the
 	// daughter target absorbs its half.
 	now := ma.eng.Now()
-	cost := ma.cost.SplitBase + sim.Time(parentBytes/1024)*ma.cost.SplitPerKB
-	done := srv.occupy(now, cost)
+	work := cost.SplitBase + sim.Time(parentBytes/1024)*cost.SplitPerKB
+	done := srv.occupy(now, work)
 	if target != srv {
-		target.occupy(now, cost/2)
+		target.occupy(now, work/2)
 	}
 	ma.m.splits.Inc()
 	ma.m.reg.NewTrace(now).End(SpanSplit, now, done, map[string]string{
@@ -383,54 +365,53 @@ func (ma *Master) splitRegion(info RegionInfo, srv *Server, hr *hostedRegion) er
 	return nil
 }
 
-// holdRefs records which retired directories the region's table reads.
-func (ma *Master) holdRefs(regionID string, tbl *kvstore.Table) {
-	roots := tbl.References()
-	if len(roots) == 0 {
+// janitor adds retire to the retired directories, then removes every
+// retired directory no open region reads, as HBase's CatalogJanitor does:
+// readers are recounted on each pass, never kept. A region reads the
+// directories its markers name until its first compaction rewrites them.
+// While a META row is not open at its epoch nothing is removed — its
+// server died and it has not been reopened, so what it reads is unknown.
+// A removal that fails (absent counts as removed) stays retired for the
+// next pass: every split, merge and heartbeat ends in one.
+func (ma *Master) janitor(retire ...string) {
+	ma.retired = append(ma.retired, retire...)
+	if len(ma.retired) == 0 {
 		return
 	}
-	ma.refs[regionID] = roots
-	for _, root := range roots {
-		ma.holders[root]++
-	}
-}
-
-// releaseRefs is called when the region's table reads no other region's
-// files any more — a compaction rewrote them, or the region was retired
-// itself — and removes every directory that leaves without a reader.
-func (ma *Master) releaseRefs(regionID string) {
-	for _, root := range ma.refs[regionID] {
-		if ma.holders[root]--; ma.holders[root] == 0 {
-			delete(ma.holders, root)
-			ma.discard(root)
+	clear(ma.read)
+	for _, regions := range ma.meta {
+		for _, info := range regions {
+			hr := ma.open(info)
+			if hr == nil {
+				return
+			}
+			if hr.tbl.Compactions == 0 {
+				for _, dir := range hr.refs {
+					ma.read[dir] = true
+				}
+			}
 		}
 	}
-	delete(ma.refs, regionID)
-}
-
-// retire drops a region that was split or merged away: what it held is
-// released, and its directory goes now if no daughter reads it, else with
-// the last reference to it.
-func (ma *Master) retire(info RegionInfo) {
-	ma.releaseRefs(info.ID)
-	if ma.holders[info.Path] == 0 {
-		ma.garbage = append(ma.garbage, info.Path)
-	}
-	ma.discard()
-}
-
-// discard removes the given directories, which no region reads, and any
-// whose removal failed before (absent counts as removed). Nothing waits
-// on a removal, so one that fails is simply tried again by the next
-// discard — every split and merge ends in one — and needs no timer.
-func (ma *Master) discard(paths ...string) {
-	pending := append(ma.garbage, paths...)
-	ma.garbage = nil
-	for _, p := range pending {
-		if err := ma.fs.Remove(p, true); err != nil && !errors.Is(err, vfs.ErrNotExist) {
-			ma.garbage = append(ma.garbage, p)
+	kept := ma.retired[:0]
+	for _, dir := range ma.retired {
+		if ma.read[dir] {
+			kept = append(kept, dir)
+		} else if err := ma.fs.Remove(dir, true); err != nil && !errors.Is(err, vfs.ErrNotExist) {
+			kept = append(kept, dir)
 		}
 	}
+	ma.retired = kept
+}
+
+// open returns the region as its META row names it — hosted by its
+// server at its epoch — or nil when it is not open.
+func (ma *Master) open(info RegionInfo) *hostedRegion {
+	if srv := ma.byName[info.Srv]; srv != nil {
+		if hr := srv.regions[info.ID]; hr != nil && hr.info.Epoch == info.Epoch {
+			return hr
+		}
+	}
+	return nil
 }
 
 // MergeAdjacent merges the first adjacent cold pair of the table —
@@ -444,21 +425,14 @@ func (ma *Master) MergeAdjacent(table string, maxBytes int64) (bool, error) {
 	}
 	for i := 0; i+1 < len(regions); i++ {
 		a, b := regions[i], regions[i+1]
-		sa, sb := ma.byName[a.Srv], ma.byName[b.Srv]
-		if sa == nil || sb == nil || !sa.alive || !sb.alive {
-			continue
-		}
-		ha, hb := sa.regions[a.ID], sb.regions[b.ID]
-		if ha == nil || hb == nil {
-			continue
-		}
-		if ha.ops >= mergeMaxOps || hb.ops >= mergeMaxOps {
+		ha, hb := ma.open(a), ma.open(b)
+		if ha == nil || hb == nil || ha.ops >= mergeMaxOps || hb.ops >= mergeMaxOps {
 			continue
 		}
 		if ha.tbl.SizeBytes()+hb.tbl.SizeBytes() > maxBytes {
 			continue
 		}
-		return true, ma.mergeRegions(a, b, sa, sb, ha, hb)
+		return true, ma.mergeRegions(a, b, ha, hb)
 	}
 	return false, nil
 }
@@ -466,7 +440,8 @@ func (ma *Master) MergeAdjacent(table string, maxBytes int64) (bool, error) {
 // mergeRegions folds two adjacent regions into one on the low side's
 // server the way a split divides one: flush both, open the merged region
 // over references to their store files, swap the META rows.
-func (ma *Master) mergeRegions(a, b RegionInfo, sa, sb *Server, ha, hb *hostedRegion) error {
+func (ma *Master) mergeRegions(a, b RegionInfo, ha, hb *hostedRegion) error {
+	sa, sb := ma.byName[a.Srv], ma.byName[b.Srv]
 	if err := ha.tbl.Flush(); err != nil {
 		return err
 	}
@@ -477,16 +452,14 @@ func (ma *Master) mergeRegions(a, b RegionInfo, sa, sb *Server, ha, hb *hostedRe
 	merged.Srv = sa.name
 	tbl, err := kvstore.Reference(merged.Path, "", "", ha.tbl, hb.tbl)
 	if err != nil {
-		ma.discard(merged.Path)
+		ma.janitor(merged.Path)
 		return err
 	}
 	sa.closeRegion(a.ID)
 	sb.closeRegion(b.ID)
 	sa.host(merged, tbl)
 	ma.updateMeta(a.Table, []string{a.ID, b.ID}, []RegionInfo{merged})
-	ma.holdRefs(merged.ID, tbl)
-	ma.retire(a)
-	ma.retire(b)
+	ma.janitor(a.Path, b.Path)
 	ma.m.merges.Inc()
 	ma.logEvent(EvRegionMerge, map[string]string{
 		"low": a.ID, "high": b.ID, "merged": merged.ID,
@@ -498,8 +471,9 @@ func (ma *Master) mergeRegions(a, b RegionInfo, sa, sb *Server, ha, hb *hostedRe
 }
 
 // tick is the master's heartbeat pass: live servers refresh their beat,
-// silent servers past the expiry are declared dead and their regions
-// reassigned, and restarted servers rejoin.
+// silent servers past the expiry are declared dead, restarted servers
+// rejoin, regions left without a serving server are reassigned, and the
+// janitor runs.
 func (ma *Master) tick() {
 	now := ma.eng.Now()
 	for _, s := range ma.servers {
@@ -510,31 +484,43 @@ func (ma *Master) tick() {
 			ma.logEvent(EvServerJoin, map[string]string{"server": s.name})
 		case s.alive:
 			ma.lastBeat[s.name] = now
-		case !ma.dead[s.name] && now-ma.lastBeat[s.name] >= ma.opts.HeartbeatExpiry:
+		case !ma.dead[s.name] && now-ma.lastBeat[s.name] >= heartbeatExpiry:
 			ma.declareDead(s)
 		}
 	}
+	ma.reassign()
+	ma.janitor()
 }
 
-// declareDead reassigns every region the dead server was hosting to the
-// least-loaded survivors. Each new owner reopens the region's kvstore —
-// a real WAL replay off the shared filesystem — and is charged
-// replay-proportional virtual time.
+// declareDead opens a recovery window and reassigns the dead server's
+// regions at once.
 func (ma *Master) declareDead(s *Server) {
 	now := ma.eng.Now()
 	ma.dead[s.name] = true
 	ma.recoverStart = now
 	ma.recoverEnd = now
 	ma.logEvent(EvServerDead, map[string]string{"server": s.name})
+	ma.reassign()
+}
+
+// reassign moves every META row whose server is declared dead, or is up
+// but does not host the row at its epoch (it restarted, or a reopen
+// failed), to the least-loaded live server. The new owner reopens the
+// region's kvstore — a real WAL replay off the shared filesystem — and is
+// charged replay-proportional virtual time. A row whose server is silent
+// but not yet declared dead waits for the expiry; with no live server a
+// row stays dark, and the next heartbeat tries again.
+func (ma *Master) reassign() {
+	now := ma.eng.Now()
 	for _, table := range ma.Tables() {
-		regions := append([]RegionInfo(nil), ma.meta[table]...)
-		for _, info := range regions {
-			if info.Srv != s.name {
+		// updateMeta replaces the slice and never edits it.
+		for _, info := range ma.meta[table] {
+			if srv := ma.byName[info.Srv]; (!srv.alive && !ma.dead[srv.name]) || ma.open(info) != nil {
 				continue
 			}
 			target := ma.leastLoaded(nil)
 			if target == nil {
-				continue // nobody left; regions stay dark until a restart
+				return
 			}
 			ma.nextEpoch++
 			next := info
@@ -544,19 +530,17 @@ func (ma *Master) declareDead(s *Server) {
 			if err != nil {
 				continue
 			}
-			done := target.occupy(now, ma.cost.ReplayBase+sim.Time(replayed)*ma.cost.ReplayPerOp)
-			if done > ma.recoverEnd {
-				ma.recoverEnd = done
-			}
+			done := target.occupy(now, cost.ReplayBase+sim.Time(replayed)*cost.ReplayPerOp)
+			ma.recoverEnd = max(ma.recoverEnd, done)
 			ma.updateMeta(table, []string{info.ID}, []RegionInfo{next})
 			ma.recovered++
 			ma.m.reassigns.Inc()
 			ma.m.reg.NewTrace(now).End(SpanRecover, now, done, map[string]string{
-				"region": info.ID, "from": s.name, "to": target.name,
+				"region": info.ID, "from": info.Srv, "to": target.name,
 				"replayed": fmt.Sprint(replayed),
 			})
 			ma.logEvent(EvRegionReassign, map[string]string{
-				"region": info.ID, "from": s.name, "to": target.name,
+				"region": info.ID, "from": info.Srv, "to": target.name,
 				"epoch": fmt.Sprint(next.Epoch), "replayed": fmt.Sprint(replayed),
 			})
 		}

@@ -69,12 +69,12 @@ const (
 	SpanRegionCall  = "serving.region_call"
 )
 
-// CostModel holds the virtual-time charges for the serving data path.
-// The absolute values are teaching-cluster scale (sub-millisecond RPCs,
+// cost holds the virtual-time charges for the serving data path. The
+// absolute values are teaching-cluster scale (sub-millisecond RPCs,
 // millisecond writes); what matters is their ratios — cache ops an order
 // of magnitude cheaper than server reads, writes costlier than reads,
 // splits and WAL replay visibly expensive.
-type CostModel struct {
+var cost = struct {
 	RTT         time.Duration // client <-> server network round trip
 	MetaLookup  time.Duration // master META lookup service time
 	CacheOp     time.Duration // cache shard hit / fill / invalidate
@@ -86,33 +86,32 @@ type CostModel struct {
 	SplitPerKB  time.Duration // per KiB moved into daughters
 	ReplayBase  time.Duration // WAL replay fixed cost on reassignment
 	ReplayPerOp time.Duration // per replayed WAL record
+}{
+	RTT:         200 * time.Microsecond,
+	MetaLookup:  300 * time.Microsecond,
+	CacheOp:     60 * time.Microsecond,
+	ServerRead:  600 * time.Microsecond,
+	ServerWrite: 1 * time.Millisecond,
+	ScanBase:    1 * time.Millisecond,
+	ScanPerRow:  20 * time.Microsecond,
+	SplitBase:   40 * time.Millisecond,
+	SplitPerKB:  100 * time.Microsecond,
+	ReplayBase:  20 * time.Millisecond,
+	ReplayPerOp: 30 * time.Microsecond,
 }
 
-// DefaultCosts returns the standard teaching-cluster cost model.
-func DefaultCosts() CostModel {
-	return CostModel{
-		RTT:         200 * time.Microsecond,
-		MetaLookup:  300 * time.Microsecond,
-		CacheOp:     60 * time.Microsecond,
-		ServerRead:  600 * time.Microsecond,
-		ServerWrite: 1 * time.Millisecond,
-		ScanBase:    1 * time.Millisecond,
-		ScanPerRow:  20 * time.Microsecond,
-		SplitBase:   40 * time.Millisecond,
-		SplitPerKB:  100 * time.Microsecond,
-		ReplayBase:  20 * time.Millisecond,
-		ReplayPerOp: 30 * time.Microsecond,
-	}
-}
+// The master's heartbeat period, and the silence after which it declares
+// a server dead and reassigns its regions.
+const (
+	heartbeatInterval = 500 * time.Millisecond
+	heartbeatExpiry   = 2 * time.Second
+)
 
 // Options configures a serving cluster.
 type Options struct {
 	// Servers is the number of region servers (default 4). Server i runs
-	// on cluster node i+1 (node 0 is the master/gateway) unless Nodes
-	// overrides the placement.
+	// on cluster node i+1 (node 0 is the master/gateway).
 	Servers int
-	// Cost overrides the virtual-time cost model.
-	Cost *CostModel
 	// Obs receives metrics and spans; nil disables (handles are nil-safe).
 	Obs *obs.Registry
 	// KV tunes each region's kvstore (flush threshold, WAL segments, ...).
@@ -125,11 +124,6 @@ type Options struct {
 	// since its last split check window (default 4000) — the hot-region
 	// trigger even when data fits.
 	SplitMaxOps int
-	// HeartbeatInterval is the server heartbeat period (default 500ms);
-	// HeartbeatExpiry the silence after which the master declares a
-	// server dead and reassigns its regions (default 2s).
-	HeartbeatInterval time.Duration
-	HeartbeatExpiry   time.Duration
 }
 
 func (o *Options) defaults() {
@@ -141,11 +135,5 @@ func (o *Options) defaults() {
 	}
 	if o.SplitMaxOps <= 0 {
 		o.SplitMaxOps = 4000
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if o.HeartbeatExpiry <= 0 {
-		o.HeartbeatExpiry = 2 * time.Second
 	}
 }

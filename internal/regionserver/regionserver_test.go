@@ -283,6 +283,51 @@ func TestCrashRecoveryReassignsWithWALReplay(t *testing.T) {
 	}
 }
 
+// TestDarkRegionsAreReassignedLater: a region whose server stops serving
+// it is reassigned on a later heartbeat, not only in the one pass that
+// declares the server dead — when that pass found no live server (the
+// only one crashed, then restarted), and when the server was never
+// declared dead (it restarted inside the expiry, empty).
+func TestDarkRegionsAreReassignedLater(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		servers     int
+		down, after time.Duration
+	}{
+		{"only server restarted after it was declared dead", 1, 5 * time.Second, time.Second},
+		{"server restarted inside the expiry", 2, time.Second, 5 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, eng := newTestCluster(t, tc.servers, Options{})
+			if err := c.Master.CreateTable("t", []string{"m"}); err != nil {
+				t.Fatal(err)
+			}
+			cl := c.NewClient()
+			keys := []string{"a", "z"}
+			for _, k := range keys {
+				if _, err := cl.Put(eng.Now(), "t", k, []byte("v-"+k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			victim := c.Master.Servers()[0]
+			if !c.CrashServerOn(victim.Node()) {
+				t.Fatal("crash did not land")
+			}
+			eng.Advance(tc.down)
+			if !c.RestartServerOn(victim.Node()) {
+				t.Fatal("restart did not land")
+			}
+			eng.Advance(tc.after)
+			for _, k := range keys {
+				if v, _, err := cl.Get(eng.Now(), "t", k); err != nil || string(v) != "v-"+k {
+					t.Fatalf("get %s = %q, %v; want %q", k, v, err, "v-"+k)
+				}
+			}
+			checkStorage(t, c, "t")
+		})
+	}
+}
+
 func mustEvents(t *testing.T, c *Cluster) []history.Event {
 	t.Helper()
 	data, err := c.Master.MetaLogBytes()
@@ -317,7 +362,7 @@ func TestCacheTierHitsAndCoherence(t *testing.T) {
 	if err != nil || string(v) != "v1" {
 		t.Fatalf("cached read: %q %v", v, err)
 	}
-	if hitDone-done >= c.cost.ServerRead {
+	if hitDone-done >= cost.ServerRead {
 		t.Fatalf("cache hit took a server read: %v", hitDone-done)
 	}
 	if reg.CounterValue(MetricCacheHits) != 1 || reg.CounterValue(MetricCacheMisses) != 1 {

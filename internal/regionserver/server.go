@@ -54,37 +54,43 @@ type hostedRegion struct {
 	total int // ops since the region opened here
 	// splitAsked dedups the split request until the master acts.
 	splitAsked bool
-	// refs is set while the table reads other regions' store files
-	// through reference markers (a daughter before its first compaction).
-	refs bool
+	// refs are the retired directories whose store files the table read
+	// through reference markers when it was opened; it reads them until
+	// its first compaction rewrites them.
+	refs []string
+}
+
+// queue is a service queue: each op occupies it from max(arrival,
+// busyUntil) for its service time, so concurrent closed-loop clients
+// contend for it like they would for a real RPC handler thread.
+type queue struct{ busyUntil sim.Time }
+
+// occupy models one op of the given service time and returns its
+// completion instant.
+func (q *queue) occupy(at, service sim.Time) sim.Time {
+	q.busyUntil = max(at, q.busyUntil) + service
+	return q.busyUntil
 }
 
 // Server is one region server: it hosts kvstore-backed regions and
-// serves point ops and scans with queueing — each op occupies the server
-// from max(arrival, busyUntil) for its service time, so concurrent
-// closed-loop clients contend for the server like they would for a real
-// RPC handler thread.
+// serves point ops and scans through its service queue.
 type Server struct {
+	queue
 	name string
 	node cluster.NodeID
 	eng  *sim.Engine
 	fs   vfs.FileSystem
-	cost CostModel
 	kv   kvstore.Config
 	m    *metrics
 
-	alive     bool
-	busyUntil sim.Time
-	regions   map[string]*hostedRegion // by region ID
+	alive   bool
+	regions map[string]*hostedRegion // by region ID
 
 	// askSplit is the master's hot-region hook; called (deferred via the
 	// engine, never reentrantly) when a region crosses the thresholds.
 	askSplit      func(regionID string)
 	splitMaxBytes int64
 	splitMaxOps   int
-	// refsDropped tells the master that a region's table stopped reading
-	// other regions' files, so it can remove the ones nobody reads now.
-	refsDropped func(regionID string)
 }
 
 // Name returns the server's name ("rs1", ...).
@@ -108,18 +114,6 @@ func (s *Server) regionIDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// occupy models one op of the given service time: the server is busy
-// from max(at, busyUntil); returns the completion instant.
-func (s *Server) occupy(at sim.Time, service sim.Time) sim.Time {
-	start := at
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	done := start + service
-	s.busyUntil = done
-	return done
 }
 
 // lookup resolves (regionID, epoch) to the hosted region or fails with
@@ -168,7 +162,7 @@ func (s *Server) getInto(buf []byte, at sim.Time, regionID string, epoch int, ke
 	if err != nil {
 		return nil, at, err
 	}
-	done := s.occupy(at, s.cost.ServerRead)
+	done := s.occupy(at, cost.ServerRead)
 	s.m.gets.Inc()
 	s.noteOp(hr)
 	v, err := hr.tbl.GetInto(buf, key)
@@ -183,14 +177,10 @@ func (s *Server) Put(at sim.Time, regionID string, epoch int, key string, value 
 	if err != nil {
 		return at, err
 	}
-	done := s.occupy(at, s.cost.ServerWrite)
+	done := s.occupy(at, cost.ServerWrite)
 	s.m.puts.Inc()
 	s.noteOp(hr)
-	if err := hr.tbl.Put(key, value); err != nil {
-		return done, err
-	}
-	s.noteRefs(hr)
-	return done, nil
+	return done, hr.tbl.Put(key, value)
 }
 
 // Delete serves a delete arriving at `at` (a WAL-logged tombstone, like
@@ -200,23 +190,10 @@ func (s *Server) Delete(at sim.Time, regionID string, epoch int, key string) (si
 	if err != nil {
 		return at, err
 	}
-	done := s.occupy(at, s.cost.ServerWrite)
+	done := s.occupy(at, cost.ServerWrite)
 	s.m.deletes.Inc()
 	s.noteOp(hr)
-	if err := hr.tbl.Delete(key); err != nil {
-		return done, err
-	}
-	s.noteRefs(hr)
-	return done, nil
-}
-
-// noteRefs runs after a write, the one thing that can flush and so
-// compact: a compaction leaves the table no reference.
-func (s *Server) noteRefs(hr *hostedRegion) {
-	if hr.refs && hr.tbl.Compactions > 0 {
-		hr.refs = false
-		s.refsDropped(hr.info.ID)
-	}
+	return done, hr.tbl.Delete(key)
 }
 
 // Scan serves a bounded range read within one region: up to limit rows
@@ -235,7 +212,7 @@ func (s *Server) Scan(at sim.Time, regionID string, epoch int, start, end string
 	if err != nil {
 		return nil, "", at, err
 	}
-	done := s.occupy(at, s.cost.ScanBase+sim.Time(len(kvs))*s.cost.ScanPerRow)
+	done := s.occupy(at, cost.ScanBase+sim.Time(len(kvs))*cost.ScanPerRow)
 	s.m.scans.Inc()
 	s.noteOp(hr)
 	return kvs, cursor, done, nil
@@ -263,7 +240,7 @@ func (s *Server) openRegion(info RegionInfo) (int, error) {
 
 // host starts serving the region from an open table.
 func (s *Server) host(info RegionInfo, tbl *kvstore.Table) {
-	s.regions[info.ID] = &hostedRegion{info: info, tbl: tbl, refs: len(tbl.References()) > 0}
+	s.regions[info.ID] = &hostedRegion{info: info, tbl: tbl, refs: tbl.References()}
 }
 
 // closeRegion stops serving the region (its durable state stays on the
