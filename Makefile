@@ -24,12 +24,16 @@ short:
 lint:
 	$(GO) run ./cmd/minilint -trace ./internal/... ./cmd/... ./examples/...
 
-# Full verification: vet, then the repo lint suite, then the entire test
+# Full verification: gofmt (every tracked Go file outside testdata/, whose
+# lint fixtures pin their own line numbers), vet, then the repo lint
+# suite, then the entire test
 # suite under the race detector (includes the obs registry, whose
 # counters are read concurrently by the web UI while hot paths write
 # them). Gate order is cheapest-first: vet and lint fail in seconds,
 # -race takes minutes.
 check:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/)); \
+		test -z "$$unformatted" || { echo "gofmt -l (run gofmt -w):"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) run ./cmd/minilint ./internal/... ./cmd/... ./examples/...
 	$(GO) test -race ./...
@@ -39,9 +43,10 @@ check:
 # engine's free-list never leaks events across goroutines in tests.
 # internal/serial is the one place map tasks run on real goroutines (each
 # worker on its own mapreduce.MapScratch), and the internal/jobs tests
-# drive it at Parallelism 3 and 4.
+# drive it at Parallelism 3 and 4. internal/webui's handlers run on
+# httptest server goroutines.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/... ./internal/mapreduce/... ./internal/serial/... ./internal/jobs/...
+	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/... ./internal/mapreduce/... ./internal/serial/... ./internal/jobs/... ./internal/webui/...
 
 chaos: race
 
@@ -64,7 +69,7 @@ bench-smoke:
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The gate a PR must pass end to end: vet, lint, build, tier-1 tests
+# The gate a PR must pass end to end: gofmt, vet, lint, build, tier-1 tests
 # (which include the goldens, replay digests and E12/E13 smokes), the
 # race-checked subset (`make race`), five seconds of each fuzz target
 # (the event-queue one without corpus minimisation: each input runs two
@@ -75,6 +80,8 @@ bench-selftest:
 # gates (vet, lint) come before tests so a determinism violation fails
 # the build even when no test happens to exercise it.
 ci: build
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/)); \
+		test -z "$$unformatted" || { echo "gofmt -l (run gofmt -w):"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) run ./cmd/minilint ./internal/... ./cmd/... ./examples/...
 	$(GO) test ./...

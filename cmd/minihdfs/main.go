@@ -121,7 +121,7 @@ func main() {
 		fmt.Printf("metrics snapshot written to %s\n", *metrics)
 	}
 	if *serve != "" {
-		fmt.Printf("serving web UI on http://%s (dfshealth, jobtracker, fsck, topology)\n", *serve)
+		fmt.Printf("serving web UI on http://%s (/ lists every page)\n", *serve)
 		if err := http.ListenAndServe(*serve, webui.Handler(c)); err != nil {
 			fatal(err)
 		}

@@ -8,7 +8,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"text/tabwriter"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/cluster"
 	"repro/internal/mrcluster"
@@ -40,37 +42,15 @@ func (r *Result) String() string {
 		}
 	}
 	if len(r.Header) > 0 {
-		widths := make([]int, len(r.Header))
+		tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+		rule := make([]string, len(r.Header))
 		for i, h := range r.Header {
-			widths[i] = len(h)
+			rule[i] = strings.Repeat("-", utf8.RuneCountInString(h))
 		}
-		for _, row := range r.Rows {
-			for i, cell := range row {
-				if i < len(widths) && len(cell) > widths[i] {
-					widths[i] = len(cell)
-				}
-			}
+		for _, row := range append([][]string{r.Header, rule}, r.Rows...) {
+			fmt.Fprintln(tw, strings.Join(row, "\t"))
 		}
-		line := func(cells []string) {
-			for i, c := range cells {
-				if i > 0 {
-					b.WriteString("  ")
-				}
-				fmt.Fprintf(&b, "%-*s", widths[i], c)
-			}
-			b.WriteByte('\n')
-		}
-		line(r.Header)
-		for i, w := range widths {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(strings.Repeat("-", w))
-		}
-		b.WriteByte('\n')
-		for _, row := range r.Rows {
-			line(row)
-		}
+		tw.Flush()
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)

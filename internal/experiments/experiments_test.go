@@ -82,6 +82,31 @@ func TestTablesRender(t *testing.T) {
 	}
 }
 
+// TestRenderTables: the survey tables render their published rows, their
+// scales and the cohort sizes.
+func TestRenderTables(t *testing.T) {
+	for _, tc := range []struct {
+		table func(int64) (*Result, error)
+		wants []string
+	}{
+		{Table1, []string{"Hadoop MapReduce", "0.03", "4.53", "Level of Proficiency"}},
+		{Table2, []string{"Set up Hadoop cluster", "2.50"}},
+		{Table3, []string{"In-class lab"}},
+		{Table4, []string{"Junior", "14", "of 39 enrolled"}},
+	} {
+		r, err := tc.table(testSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.String()
+		for _, want := range tc.wants {
+			if !strings.Contains(s, want) {
+				t.Fatalf("%s missing %q:\n%s", r.ID, want, s)
+			}
+		}
+	}
+}
+
 func TestE1MeltdownShape(t *testing.T) {
 	r, err := E1Meltdown(testSeed)
 	if err != nil {

@@ -3,16 +3,20 @@ package hdfs
 import (
 	"fmt"
 	"strings"
+	"text/tabwriter"
 )
 
 // StatusPage renders the NameNode web interface (dfshealth.jsp) as text:
 // cluster capacity, live/dead DataNodes and block health — the view
-// students tunneled to over SSH in the paper's first semester.
+// students tunneled to over SSH in the paper's first semester. The page
+// is written through a tabwriter: tab-separated lines form a table, and a
+// plain line ends it.
 func (d *MiniDFS) StatusPage() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "=== NameNode 'dfshealth' (virtual time %v) ===\n", d.Engine.Now())
+	tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	fmt.Fprintf(tw, "=== NameNode 'dfshealth' (virtual time %v) ===\n", d.Engine.Now())
 	if d.NN.InSafeMode() {
-		fmt.Fprintf(&b, "*** Safe mode is ON: waiting for block reports ***\n")
+		fmt.Fprintf(tw, "*** Safe mode is ON: waiting for block reports ***\n")
 	}
 	var capacity, used int64
 	live, dead := 0, 0
@@ -25,28 +29,25 @@ func (d *MiniDFS) StatusPage() string {
 			dead++
 		}
 	}
-	fmt.Fprintf(&b, "Configured capacity: %d B   DFS used: %d B (%.4f%%)\n",
-		capacity, used, pct(used, capacity))
-	fmt.Fprintf(&b, "Live nodes: %d   Dead nodes: %d   Blocks: %d\n",
+	pct := 0.0
+	if capacity > 0 {
+		pct = 100 * float64(used) / float64(capacity)
+	}
+	fmt.Fprintf(tw, "Configured capacity: %d B   DFS used: %d B (%.4f%%)\n", capacity, used, pct)
+	fmt.Fprintf(tw, "Live nodes: %d   Dead nodes: %d   Blocks: %d\n",
 		live, dead, len(d.NN.blocks))
 	if rep, err := d.Fsck(); err == nil {
-		fmt.Fprintf(&b, "Under-replicated blocks: %d   Missing blocks: %d\n", rep.UnderReplicated, rep.MissingBlocks)
+		fmt.Fprintf(tw, "Under-replicated blocks: %d   Missing blocks: %d\n", rep.UnderReplicated, rep.MissingBlocks)
 	}
-	fmt.Fprintf(&b, "\n%-10s %-6s %10s %10s %8s\n", "Node", "State", "Blocks", "Used (B)", "Rack")
+	fmt.Fprintf(tw, "\nNode\tState\tBlocks\tUsed (B)\tRack\n")
 	for _, dn := range d.datanodes {
 		state := "dead"
 		if dn.Alive() {
 			state = "live"
 		}
-		fmt.Fprintf(&b, "%-10s %-6s %10d %10d %8d\n",
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\n",
 			dn.node.Hostname, state, dn.NumBlocks(), dn.UsedBytes(), dn.node.Rack)
 	}
+	tw.Flush()
 	return b.String()
-}
-
-func pct(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(a) / float64(b)
 }

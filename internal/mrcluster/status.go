@@ -3,57 +3,19 @@ package mrcluster
 import (
 	"fmt"
 	"strings"
-	"time"
+	"text/tabwriter"
 
 	"repro/internal/history"
 	"repro/internal/mapreduce"
 )
-
-// JobStatus is one row of the JobTracker status page.
-type JobStatus struct {
-	JobID       string
-	Name        string
-	State       string
-	MapProgress float64
-	RedProgress float64
-	Submitted   time.Duration
-}
-
-// Jobs returns the status of every job ever submitted, in order.
-func (jt *JobTracker) Jobs() []JobStatus {
-	var out []JobStatus
-	for _, jr := range jt.jobs {
-		st := "RUNNING"
-		switch jr.state {
-		case jobSucceeded:
-			st = "SUCCEEDED"
-		case jobFailed:
-			st = "FAILED"
-		}
-		js := JobStatus{
-			JobID:     jr.id,
-			Name:      jr.job.Name,
-			State:     st,
-			Submitted: jr.submittedAt,
-		}
-		if len(jr.maps) > 0 {
-			js.MapProgress = float64(jr.mapsDone) / float64(len(jr.maps))
-		}
-		if len(jr.reduces) > 0 {
-			js.RedProgress = float64(jr.reducesDone) / float64(len(jr.reduces))
-		}
-		out = append(out, js)
-	}
-	return out
-}
 
 // StatusPage renders the JobTracker web interface as text: the cluster
 // summary and job table students watched to observe map task run times
 // ("observed through Hadoop's JobTracker's web interface").
 func (mc *MRCluster) StatusPage() string {
 	var b strings.Builder
-	now := mc.Engine.Now()
-	fmt.Fprintf(&b, "=== JobTracker 'web interface' (virtual time %v) ===\n", now)
+	tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	fmt.Fprintf(tw, "=== JobTracker 'web interface' (virtual time %v) ===\n", mc.Engine.Now())
 	live, mapSlots, mapUsed, redSlots, redUsed := 0, 0, 0, 0, 0
 	for _, tt := range mc.trackers {
 		if tt.alive {
@@ -64,22 +26,24 @@ func (mc *MRCluster) StatusPage() string {
 			redUsed += tt.slotsUsed[kindReduce]
 		}
 	}
-	fmt.Fprintf(&b, "TaskTrackers: %d/%d alive   Map slots: %d/%d busy   Reduce slots: %d/%d busy\n",
+	fmt.Fprintf(tw, "TaskTrackers: %d/%d alive   Map slots: %d/%d busy   Reduce slots: %d/%d busy\n",
 		live, len(mc.trackers), mapUsed, mapSlots, redUsed, redSlots)
-	fmt.Fprintf(&b, "\n%-24s %-26s %-10s %8s %8s\n", "Job ID", "Name", "State", "Maps", "Reduces")
-	for _, js := range mc.JT.Jobs() {
-		fmt.Fprintf(&b, "%-24s %-26s %-10s %7.0f%% %7.0f%%\n",
-			js.JobID, js.Name, js.State, 100*js.MapProgress, 100*js.RedProgress)
+	fmt.Fprintf(tw, "\nJob ID\tName\tState\tMaps\tReduces\n")
+	for _, jr := range mc.JT.jobs {
+		state := [...]string{jobRunning: "RUNNING", jobSucceeded: "SUCCEEDED", jobFailed: "FAILED"}[jr.state]
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d%%\t%d%%\n", jr.id, jr.job.Name, state,
+			100*jr.mapsDone/max(len(jr.maps), 1), 100*jr.reducesDone/max(len(jr.reduces), 1))
 	}
-	fmt.Fprintf(&b, "\nPer-tracker state:\n")
+	fmt.Fprintf(tw, "\nPer-tracker state:\n")
 	for _, tt := range mc.trackers {
 		state := "dead"
 		if tt.alive {
 			state = fmt.Sprintf("alive, %d map + %d reduce task(s) running",
 				tt.slotsUsed[kindMap], tt.slotsUsed[kindReduce])
 		}
-		fmt.Fprintf(&b, "  %-10s %s\n", tt.node.Hostname, state)
+		fmt.Fprintf(tw, "  %s\t%s\n", tt.node.Hostname, state)
 	}
+	tw.Flush()
 	return b.String()
 }
 

@@ -59,10 +59,43 @@ func TestJobsListStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	states := map[string]string{}
-	for _, js := range rig.mc.JT.Jobs() {
-		states[js.Name] = js.State
+	for _, line := range strings.Split(rig.mc.StatusPage(), "\n") {
+		if f := strings.Fields(line); len(f) == 5 && strings.HasPrefix(f[0], "job_") {
+			states[f[1]] = f[2]
+		}
 	}
 	if states["wordcount"] != "FAILED" || states["wordcount-ok"] != "SUCCEEDED" {
 		t.Fatalf("states = %v", states)
+	}
+}
+
+// column is the byte offset of cell in the first line of page that holds
+// both row and cell, or -1 if no line does.
+func column(page, row, cell string) int {
+	for _, line := range strings.Split(page, "\n") {
+		if strings.Contains(line, row) {
+			if i := strings.Index(line, cell); i >= 0 {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// TestJobTableAlignsLongIDs: the job table's columns are as wide as their
+// widest cell, so a job whose ID is longer than any fixed width would
+// have been still has its state under the State header.
+func TestJobTableAlignsLongIDs(t *testing.T) {
+	rig := newRig(t, 4, 1, hdfs.Config{BlockSize: 64 << 10}, mrcluster.Config{})
+	rig.stage(t, "/in/data.txt", corpus(50))
+	job := wordCountJob("/in", "/out")
+	job.Name = "wordcount-combiner"
+	if _, err := rig.mc.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	page := rig.mc.StatusPage()
+	header, cell := column(page, "Job ID", "State"), column(page, "job_wordcount_combiner_0001", "SUCCEEDED")
+	if header < 0 || header != cell {
+		t.Fatalf("State header at column %d, SUCCEEDED at %d:\n%s", header, cell, page)
 	}
 }

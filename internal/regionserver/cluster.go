@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"repro/internal/cluster"
@@ -110,11 +111,14 @@ func (c *Cluster) RestartServerOn(node cluster.NodeID) bool {
 }
 
 // StatusPage renders the serving tier for webui /serving: servers,
-// per-table region maps, and the META consistency check.
+// per-table region maps, and the META consistency check. A region row
+// ends with its open region's load or why nothing serves it (the labels
+// are listed under "Observability and determinism" in docs/SERVING.md).
 func (c *Cluster) StatusPage() string {
 	var b strings.Builder
+	tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
 	ma := c.Master
-	fmt.Fprintf(&b, "Region servers (%d):\n", len(ma.servers))
+	fmt.Fprintf(tw, "Region servers (%d):\n  server\tnode\tstate\tregions\tops\tbytes\n", len(ma.servers))
 	for _, s := range ma.servers {
 		state := "live"
 		if !s.alive {
@@ -127,36 +131,34 @@ func (c *Cluster) StatusPage() string {
 			ops += hr.total
 			bytes += hr.tbl.SizeBytes()
 		}
-		fmt.Fprintf(&b, "  %-4s node=%-2d %-4s regions=%-3d ops=%-8d bytes=%d\n",
-			s.name, s.node, state, s.RegionCount(), ops, bytes)
+		fmt.Fprintf(tw, "  %s\t%d\t%s\t%d\t%d\t%d\n", s.name, s.node, state, s.RegionCount(), ops, bytes)
 	}
 	for _, table := range ma.Tables() {
 		regions := ma.meta[table]
-		fmt.Fprintf(&b, "\nTable %s (%d regions):\n", table, len(regions))
+		fmt.Fprintf(tw, "\nTable %s (%d regions):\n  region\trange\tepoch\tserver\tstate\n", table, len(regions))
 		for _, r := range regions {
-			srv := ma.byName[r.Srv]
-			detail := "unassigned"
-			if srv != nil {
-				if hr := srv.regions[r.ID]; hr != nil {
-					detail = fmt.Sprintf("ops=%d bytes=%d files=%d",
-						hr.total, hr.tbl.SizeBytes(), hr.tbl.StoreFileCount())
-				} else if !srv.alive {
-					detail = "server dead, awaiting reassignment"
-				}
+			detail, srv := "unassigned", ma.byName[r.Srv]
+			switch hr := ma.open(r); {
+			case hr != nil:
+				detail = fmt.Sprintf("ops=%d bytes=%d files=%d",
+					hr.total, hr.tbl.SizeBytes(), hr.tbl.StoreFileCount())
+			case srv != nil && !srv.alive:
+				detail = "server dead, awaiting reassignment"
+			case srv != nil:
+				detail = "not open"
 			}
-			fmt.Fprintf(&b, "  %-6s %-28s epoch=%-4d %-4s %s\n",
-				r.ID, r.RangeString(), r.Epoch, r.Srv, detail)
+			fmt.Fprintf(tw, "  %s\t%s\t%d\t%s\t%s\n", r.ID, r.RangeString(), r.Epoch, r.Srv, detail)
 		}
 	}
 	if err := ma.CheckMeta(); err != nil {
-		fmt.Fprintf(&b, "\nMETA check: BROKEN: %v\n", err)
+		fmt.Fprintf(tw, "\nMETA check: BROKEN: %v\n", err)
 	} else if len(ma.meta) > 0 {
-		fmt.Fprintf(&b, "\nMETA check: ok (every table tiles the key space)\n")
+		fmt.Fprintf(tw, "\nMETA check: ok (every table tiles the key space)\n")
 	}
 	if hot := c.HottestRegions(3); len(hot) > 0 {
-		b.WriteString("\nHottest regions (by ops):\n")
+		fmt.Fprintf(tw, "\nHottest regions (by ops):\n")
 		for _, h := range hot {
-			fmt.Fprintf(&b, "  %-6s %-28s %-4s ops=%d\n", h.Info.ID, h.Info.RangeString(), h.Info.Srv, h.Ops)
+			fmt.Fprintf(tw, "  %s\t%s\t%s\tops=%d\n", h.Info.ID, h.Info.RangeString(), h.Info.Srv, h.Ops)
 		}
 	}
 	splits, merges, reassigns := int64(0), int64(0), int64(0)
@@ -165,12 +167,13 @@ func (c *Cluster) StatusPage() string {
 		merges = c.Obs.CounterValue(MetricMerges)
 		reassigns = c.Obs.CounterValue(MetricReassigns)
 	}
-	fmt.Fprintf(&b, "\nLifecycle: %d splits, %d merges, %d reassignments, %d META events\n",
-		splits, merges, reassigns, ma.MetaLogLen())
+	fmt.Fprintf(tw, "\nLifecycle: %d splits, %d merges, %d reassignments, %d META events\n",
+		splits, merges, reassigns, ma.metaLog.Len())
 	if start, end, n := ma.LastRecovery(); n > 0 {
-		fmt.Fprintf(&b, "Last recovery: %d regions in %v (at %v)\n",
+		fmt.Fprintf(tw, "Last recovery: %d regions in %v (at %v)\n",
 			n, (end - start).Round(time.Millisecond), start.Round(time.Millisecond))
 	}
+	tw.Flush()
 	return b.String()
 }
 

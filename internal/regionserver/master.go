@@ -95,9 +95,6 @@ func (ma *Master) logEvent(typ string, attrs map[string]string) {
 // artifact.
 func (ma *Master) MetaLogBytes() ([]byte, error) { return ma.metaLog.Bytes() }
 
-// MetaLogLen returns the number of META events so far.
-func (ma *Master) MetaLogLen() int { return ma.metaLog.Len() }
-
 // Tables returns the sorted table names.
 func (ma *Master) Tables() []string {
 	names := make([]string, 0, len(ma.meta))

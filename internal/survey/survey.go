@@ -4,14 +4,12 @@
 // so this package takes the published summary statistics as ground truth
 // and (a) records them, (b) synthesises integer response cohorts whose
 // sample mean and standard deviation match the published moments, and
-// (c) recomputes the tables from the synthetic cohorts — verifying that
-// the published statistics are attainable with the stated scales and n.
+// (c) recomputes the statistics from the cohorts, tabulated by experiments
+// T1–T4, which shows the published moments fit the stated scales and n.
 package survey
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -173,57 +171,4 @@ type Synthesized struct {
 func Synthesize(mean, sd float64, lo, hi int, seed int64) Synthesized {
 	xs := FitIntegerResponses(Respondents, mean, sd, lo, hi, seed)
 	return Synthesized{Responses: xs, Mean: Mean(xs), SD: SampleSD(xs)}
-}
-
-// RenderTableI prints Table I with published and recomputed statistics.
-func RenderTableI() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table I: Level of Proficiency (0 to 10), n=%d\n", Respondents)
-	fmt.Fprintf(&b, "%-18s %-22s %-22s\n", "Topic", "Before (paper|synth)", "After (paper|synth)")
-	for i, r := range TableI {
-		before := Synthesize(r.BeforeMean, r.BeforeSD, 0, 10, int64(100+i))
-		after := Synthesize(r.AfterMean, r.AfterSD, 0, 10, int64(200+i))
-		fmt.Fprintf(&b, "%-18s %5.2f±%-4.2f|%5.2f±%-4.2f %5.2f±%-4.2f|%5.2f±%-4.2f\n",
-			r.Topic, r.BeforeMean, r.BeforeSD, before.Mean, before.SD,
-			r.AfterMean, r.AfterSD, after.Mean, after.SD)
-	}
-	return b.String()
-}
-
-// renderRated prints Tables II/III.
-func renderRated(title string, scaleNote string, rows []RatedRow, seedBase int64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (%s), n=%d\n", title, scaleNote, Respondents)
-	fmt.Fprintf(&b, "%-26s %-14s %-14s\n", "Item", "Paper", "Synthesized")
-	for i, r := range rows {
-		s := Synthesize(r.Mean, r.SD, 1, 4, seedBase+int64(i))
-		fmt.Fprintf(&b, "%-26s %5.2f±%-6.2f %5.2f±%-6.2f\n", r.Label, r.Mean, r.SD, s.Mean, s.SD)
-	}
-	return b.String()
-}
-
-// RenderTableII prints Table II with published and recomputed statistics.
-func RenderTableII() string {
-	return renderRated("Table II: Time to Complete",
-		"1: <30m, 2: 30m-2h, 3: 2h-4h, 4: >4h", TableII, 300)
-}
-
-// RenderTableIII prints Table III with published and recomputed statistics.
-func RenderTableIII() string {
-	return renderRated("Table III: Helpfulness of Lectures and Tutorials",
-		"1: not useful ... 4: very useful", TableIII, 400)
-}
-
-// RenderTableIV prints Table IV.
-func RenderTableIV() string {
-	var b strings.Builder
-	total := 0
-	fmt.Fprintf(&b, "Table IV: Lowest level to teach Hadoop/MapReduce\n")
-	fmt.Fprintf(&b, "%-12s %s\n", "Year", "Survey Counts")
-	for _, r := range TableIV {
-		fmt.Fprintf(&b, "%-12s %d\n", r.Level, r.Count)
-		total += r.Count
-	}
-	fmt.Fprintf(&b, "%-12s %d (of %d enrolled)\n", "Total", total, ClassSize)
-	return b.String()
 }

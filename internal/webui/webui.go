@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"path"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"repro/internal/core"
@@ -111,11 +112,13 @@ func Handler(c *core.MiniCluster) http.Handler {
 	}
 	mux := http.NewServeMux()
 	var index strings.Builder
-	index.WriteString("minihadoop cluster\n")
+	tw := tabwriter.NewWriter(&index, 0, 0, 2, ' ', 0)
+	fmt.Fprintf(tw, "minihadoop cluster\n")
 	for _, p := range pages {
 		mux.Handle(strings.TrimSuffix(p.path, "<id>"), p.h)
-		fmt.Fprintf(&index, "  %-13s %s\n", p.path, p.blurb)
+		fmt.Fprintf(tw, "  %s\t%s\n", p.path, p.blurb)
 	}
+	tw.Flush()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)

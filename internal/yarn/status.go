@@ -3,6 +3,7 @@ package yarn
 import (
 	"fmt"
 	"strings"
+	"text/tabwriter"
 	"time"
 )
 
@@ -12,26 +13,25 @@ import (
 // live usage / admitted apps), then the unfinished applications.
 func (rm *ResourceManager) StatusPage() string {
 	var b strings.Builder
+	tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
 	cap := rm.ClusterCapacity()
-	fmt.Fprintf(&b, "Resource Manager (as of %v)\n\n", time.Duration(rm.eng.Now()).Round(time.Millisecond))
-	fmt.Fprintf(&b, "Node pool: %d/%d nodes active, %d vcores / %d MB live capacity\n",
+	fmt.Fprintf(tw, "Resource Manager (as of %v)\n\n", time.Duration(rm.eng.Now()).Round(time.Millisecond))
+	fmt.Fprintf(tw, "Node pool: %d/%d nodes active, %d vcores / %d MB live capacity\n",
 		rm.ActiveNodes(), len(rm.nodes), cap.VCores, cap.MemoryMB)
-	fmt.Fprintf(&b, "Utilization: %.1f%%   Preemptions: %d   Node-hours: %.2f   Containers launched: %d\n",
+	fmt.Fprintf(tw, "Utilization: %.1f%%   Preemptions: %d   Node-hours: %.2f   Containers launched: %d\n",
 		100*rm.Utilization(), rm.Preemptions(), rm.NodeHours(), rm.ContainersLaunched)
 
-	b.WriteString("\nQueues:\n")
-	fmt.Fprintf(&b, "  %-20s %10s %10s %10s %6s\n", "queue", "guarantee", "ceiling", "used", "apps")
+	fmt.Fprintf(tw, "\nQueues:\n  queue\tguarantee\tceiling\tused\tapps\n")
 	for _, q := range rm.leaves {
 		g, m := q.guaranteed(cap), q.maxAllowed(cap)
-		fmt.Fprintf(&b, "  %-20s %7d vc %7d vc %7d vc %6d\n",
+		fmt.Fprintf(tw, "  %s\t%d vc\t%d vc\t%d vc\t%d\n",
 			q.path, g.VCores, m.VCores, q.used.VCores, len(q.apps))
 	}
 
 	live := len(rm.apps) - rm.appsFinished
-	fmt.Fprintf(&b, "\nApplications: %d submitted, %d finished, %d live\n", len(rm.apps), rm.appsFinished, live)
+	fmt.Fprintf(tw, "\nApplications: %d submitted, %d finished, %d live\n", len(rm.apps), rm.appsFinished, live)
 	if live > 0 {
-		fmt.Fprintf(&b, "  %-8s %-24s %-16s %-10s %10s %8s %9s\n",
-			"id", "name", "queue", "user", "containers", "pending", "preempted")
+		fmt.Fprintf(tw, "  id\tname\tqueue\tuser\tcontainers\tpending\tpreempted\n")
 		for _, app := range rm.apps {
 			if app.State == AppFinished {
 				continue
@@ -45,10 +45,11 @@ func (rm *ResourceManager) StatusPage() string {
 			if app.amContainer != nil && !app.amContainer.Released() {
 				running++ // the AM's own container
 			}
-			fmt.Fprintf(&b, "  app%05d %-24s %-16s %-10s %10d %8d %9d\n",
+			fmt.Fprintf(tw, "  app%05d\t%s\t%s\t%s\t%d\t%d\t%d\n",
 				app.ID, app.Spec.Name, app.Queue, app.User,
 				running, len(app.requests), app.Preemptions)
 		}
 	}
+	tw.Flush()
 	return b.String()
 }
