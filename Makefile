@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short check race chaos bench bench-smoke bench-selftest ci lint
+.PHONY: build test short static check race chaos bench bench-smoke bench-selftest ci lint
 
 build:
 	$(GO) build ./...
@@ -24,18 +24,20 @@ short:
 lint:
 	$(GO) run ./cmd/minilint -trace ./internal/... ./cmd/... ./examples/...
 
-# Full verification: gofmt (every tracked Go file outside testdata/, whose
-# lint fixtures pin their own line numbers), vet, then the repo lint
-# suite, then the entire test
-# suite under the race detector (includes the obs registry, whose
-# counters are read concurrently by the web UI while hot paths write
-# them). Gate order is cheapest-first: vet and lint fail in seconds,
-# -race takes minutes.
-check:
+# The static gate `check` and `ci` share: gofmt (every tracked Go file
+# outside testdata/, whose lint fixtures pin their own line numbers), vet,
+# then the repo lint suite. All three fail in seconds.
+static:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/)); \
 		test -z "$$unformatted" || { echo "gofmt -l (run gofmt -w):"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) run ./cmd/minilint ./internal/... ./cmd/... ./examples/...
+
+# Full verification: the static gate, then the entire test suite under the
+# race detector (includes the obs registry, whose counters are read
+# concurrently by the web UI while hot paths write them). Gate order is
+# cheapest-first: the static gate fails in seconds, -race takes minutes.
+check: static
 	$(GO) test -race ./...
 
 # Just the concurrency-sensitive surface, race-checked. internal/sim is
@@ -69,21 +71,17 @@ bench-smoke:
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The gate a PR must pass end to end: gofmt, vet, lint, build, tier-1 tests
+# The gate a PR must pass end to end: build, the static gate, tier-1 tests
 # (which include the goldens, replay digests and E12/E13 smokes), the
 # race-checked subset (`make race`), five seconds of each fuzz target
 # (the event-queue one without corpus minimisation: each input runs two
 # engines through a script, and minimising the first interesting one
 # would otherwise eat the five seconds), a benchmark smoke run, and —
 # last, so that an exported-API deletion the frozen bench/ module depends
-# on still fails the gate — the nested bench module's self-test. Static
-# gates (vet, lint) come before tests so a determinism violation fails
-# the build even when no test happens to exercise it.
-ci: build
-	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/)); \
-		test -z "$$unformatted" || { echo "gofmt -l (run gofmt -w):"; echo "$$unformatted"; exit 1; }
-	$(GO) vet ./...
-	$(GO) run ./cmd/minilint ./internal/... ./cmd/... ./examples/...
+# on still fails the gate — the nested bench module's self-test. The
+# static gate comes before tests so a determinism violation fails the
+# build even when no test happens to exercise it.
+ci: build static
 	$(GO) test ./...
 	$(MAKE) race
 	$(GO) test -run '^$$' -fuzz FuzzSeqSplit -fuzztime 5s ./internal/iofmt/

@@ -53,8 +53,10 @@ func TestCLIDatagenAndMrrun(t *testing.T) {
 	}
 	outDir := filepath.Join(dir, "wc-out")
 	out = runCmd(t, "", "mrrun", "-job", "wordcount", "-in", filepath.Join(dir, "corpus"), "-out", outDir)
-	if !strings.Contains(out, "completed successfully") {
-		t.Fatalf("mrrun output:\n%s", out)
+	for _, want := range []string{"Job wordcount completed successfully (standalone)", "MAP_INPUT_RECORDS", "TOTAL_LAUNCHED_MAPS"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("mrrun output missing %q:\n%s", want, out)
+		}
 	}
 	data, err := os.ReadFile(filepath.Join(outDir, "part-r-00000"))
 	if err != nil {

@@ -85,11 +85,11 @@ func main() {
 			fatal(err)
 		}
 		reg := obs.NewRegistry()
-		rep, err := (&serial.Runner{FS: host, Parallelism: 4, Obs: reg}).Run(job)
+		ctrs, err := (&serial.Runner{FS: host, Parallelism: 4, Obs: reg}).Run(job)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(rep)
+		fmt.Printf("Job %s completed successfully (standalone)\n  Counters:\n%s", job.Name, ctrs)
 		fmt.Printf("Output written to %s\n", outAbs)
 		writeMetrics(reg, *metrics)
 	case "cluster":

@@ -29,11 +29,11 @@ func main() {
 	runner := &serial.Runner{FS: fs, Parallelism: 4}
 
 	// Part 1: per-genre statistics, efficient side-data pattern.
-	rep, err := runner.Run(jobs.MovieGenreStats("/ml/ratings.dat", "/ml/movies.dat", "/out-genres", true))
+	ctrs, err := runner.Run(jobs.MovieGenreStats("/ml/ratings.dat", "/ml/movies.dat", "/out-genres", true))
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := serial.ReadOutput(fs, "/out-genres")
+	out, err := mapreduce.ReadOutput(fs, "/out-genres")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,22 +42,22 @@ func main() {
 		fmt.Println("  " + line)
 	}
 	fmt.Printf("side file opened %d time(s) across %d map tasks\n\n",
-		rep.Counters.Get(mapreduce.CtrSideFileOpens), rep.MapTasks)
+		ctrs.Get(mapreduce.CtrSideFileOpens), ctrs.Get(mapreduce.CtrLaunchedMaps))
 
 	// The anti-pattern, for contrast: re-read movies.dat per record.
-	repNaive, err := runner.Run(jobs.MovieGenreStats("/ml/ratings.dat", "/ml/movies.dat", "/out-naive", false))
+	naive, err := runner.Run(jobs.MovieGenreStats("/ml/ratings.dat", "/ml/movies.dat", "/out-naive", false))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("naive variant: side file opened %d times, %d bytes re-read (the assignment's 'order of magnitude' lesson)\n\n",
-		repNaive.Counters.Get(mapreduce.CtrSideFileOpens),
-		repNaive.Counters.Get(mapreduce.CtrSideFileBytesRead))
+		naive.Get(mapreduce.CtrSideFileOpens),
+		naive.Get(mapreduce.CtrSideFileBytesRead))
 
 	// Part 2: most active user + favourite genre (custom output value).
 	if _, err := runner.Run(jobs.MostActiveUser("/ml/ratings.dat", "/ml/movies.dat", "/out-user")); err != nil {
 		log.Fatal(err)
 	}
-	userOut, err := serial.ReadOutput(fs, "/out-user")
+	userOut, err := mapreduce.ReadOutput(fs, "/out-user")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -129,29 +129,10 @@ func (c *MiniCluster) Shell(local vfs.FileSystem, out io.Writer) *shell.Shell {
 // Fsck audits the whole filesystem.
 func (c *MiniCluster) Fsck() (*hdfs.FsckReport, error) { return c.DFS.Fsck() }
 
-// Output reads back a completed job's concatenated part files.
+// Output reads back a completed job's part files as text (see
+// mapreduce.ReadOutput).
 func (c *MiniCluster) Output(outputPath string) (string, error) {
-	infos, err := c.FS().List(outputPath)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	size := int64(0)
-	for _, fi := range infos {
-		size += fi.Size // directories and _SUCCESS are empty
-	}
-	b.Grow(int(size))
-	for _, fi := range infos {
-		if fi.IsDir || fi.Name() == "_SUCCESS" {
-			continue
-		}
-		data, err := vfs.ReadFile(c.FS(), fi.Path)
-		if err != nil {
-			return "", err
-		}
-		b.Write(data)
-	}
-	return b.String(), nil
+	return mapreduce.ReadOutput(c.FS(), outputPath)
 }
 
 // RenderTopology regenerates the paper's Figure 2 from live cluster

@@ -8,7 +8,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/hdfs"
+	"repro/internal/iofmt"
 	"repro/internal/jobs"
+	"repro/internal/mapreduce"
 	"repro/internal/vfs"
 )
 
@@ -36,6 +38,49 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Fatalf("output missing 'the':\n%.300s", out)
 	}
 	_ = truth
+}
+
+// TestOutputReadsBackAsText runs one wordcount per output codec, and once
+// as a SequenceFile, and checks that c.Output hands back exactly the text
+// the plain-text job wrote: a student compares outputs, not containers.
+func TestOutputReadsBackAsText(t *testing.T) {
+	run := func(codec, format string) string {
+		t.Helper()
+		c, err := core.New(core.Options{Nodes: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := datagen.Text(c.FS(), "/in/corpus.txt", datagen.TextOpts{Lines: 200, Seed: 2}); err != nil {
+			t.Fatal(err)
+		}
+		job := jobs.WordCount("/in", "/out", true)
+		job.NumReducers = 2
+		job.OutputCodec, job.OutputFormat = codec, format
+		if _, err := c.Run(job); err != nil {
+			t.Fatal(err)
+		}
+		part := vfs.Join("/out", job.OutputPartName(0))
+		if !vfs.Exists(c.FS(), part) {
+			t.Fatalf("codec %q format %q: no part %s", codec, format, part)
+		}
+		out, err := c.Output("/out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := run("", mapreduce.OutputFormatText)
+	if !strings.Contains(want, "the\t") {
+		t.Fatalf("text output missing 'the':\n%.300s", want)
+	}
+	for _, codec := range iofmt.CodecNames() {
+		if got := run(codec, mapreduce.OutputFormatText); got != want {
+			t.Errorf("codec %s: Output gave %d bytes, text job %d", codec, len(got), len(want))
+		}
+	}
+	if got := run("", mapreduce.OutputFormatSeq); got != want {
+		t.Errorf("seq: Output gave %d bytes, text job %d", len(got), len(want))
+	}
 }
 
 func TestShellIntegration(t *testing.T) {

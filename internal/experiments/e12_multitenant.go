@@ -164,27 +164,11 @@ func e12Replay(workload []datagen.TraceApp, multiTenant bool) (*E12RunStats, *ya
 		stats.Queues = append(stats.Queues, E12QueueStats{
 			Queue: q,
 			Apps:  len(ls),
-			P50:   percentileDur(ls, 0.50),
-			P99:   percentileDur(ls, 0.99),
+			P50:   obs.Percentile(ls, 0.50),
+			P99:   obs.Percentile(ls, 0.99),
 		})
 	}
 	return stats, rm, reg, nil
-}
-
-// percentileDur returns the q-th percentile of sorted durations
-// (nearest-rank, deterministic).
-func percentileDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // E12Scaled runs the replay at a chosen scale (the CI smoke uses

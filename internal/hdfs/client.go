@@ -459,12 +459,8 @@ func (c *Client) SetReplication(path string, repl int) error {
 	return err
 }
 
-// Fsck audits the subtree at path (hadoop fsck).
-func (c *Client) Fsck(path string) (*FsckReport, error) {
-	return c.nn.Fsck(path)
-}
-
-// FsckWith audits the subtree at path with -blocks/-locations detail.
+// FsckWith audits the subtree at path (hadoop fsck); opts adds the
+// -blocks/-locations detail sections.
 func (c *Client) FsckWith(path string, opts FsckOpts) (*FsckReport, error) {
 	return c.nn.FsckWith(path, opts)
 }

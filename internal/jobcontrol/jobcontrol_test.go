@@ -31,7 +31,7 @@ func TestTwoStageTracePipelineSerial(t *testing.T) {
 	}, fs); err != nil {
 		t.Fatal(err)
 	}
-	out, err := serial.ReadOutput(fs, "/out")
+	out, err := mapreduce.ReadOutput(fs, "/out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func TestPipelineMatchesSingleStage(t *testing.T) {
 	}, fs); err != nil {
 		t.Fatal(err)
 	}
-	single, _ := serial.ReadOutput(fs, "/out-single")
-	multi, _ := serial.ReadOutput(fs, "/out-multi")
+	single, _ := mapreduce.ReadOutput(fs, "/out-single")
+	multi, _ := mapreduce.ReadOutput(fs, "/out-multi")
 	if strings.TrimSpace(single) != strings.TrimSpace(multi) {
 		t.Fatalf("answers differ: single=%q multi=%q", single, multi)
 	}

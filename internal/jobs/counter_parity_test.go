@@ -73,7 +73,7 @@ func TestCounterParitySerialVsCluster(t *testing.T) {
 	}
 
 	serialNames := map[string]bool{}
-	for _, n := range srep.Counters.Names() {
+	for _, n := range srep.Names() {
 		serialNames[n] = true
 	}
 	clusterNames := map[string]bool{}
@@ -121,7 +121,7 @@ func TestCounterParitySerialVsCluster(t *testing.T) {
 		mapreduce.CtrReduceInputGroups, mapreduce.CtrReduceOutputRecords,
 		mapreduce.CtrShuffleBytes,
 	} {
-		if s, cv := srep.Counters.Get(n), crep.Counters.Get(n); s != cv {
+		if s, cv := srep.Get(n), crep.Counters.Get(n); s != cv {
 			t.Errorf("%s: serial=%d cluster=%d", n, s, cv)
 		}
 	}

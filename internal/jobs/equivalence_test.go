@@ -7,6 +7,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/hdfs"
 	"repro/internal/jobs"
+	"repro/internal/mapreduce"
 	"repro/internal/serial"
 	"repro/internal/vfs"
 )
@@ -62,7 +63,7 @@ func TestEveryRegistryJobSerialEqualsDistributed(t *testing.T) {
 			if _, err := (&serial.Runner{FS: local, Parallelism: 3}).Run(sj); err != nil {
 				t.Fatal(err)
 			}
-			serialOut, err := serial.ReadOutput(local, "/out")
+			serialOut, err := mapreduce.ReadOutput(local, "/out")
 			if err != nil {
 				t.Fatal(err)
 			}

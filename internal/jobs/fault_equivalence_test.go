@@ -79,7 +79,7 @@ func runFaultEquivalence(t *testing.T, stage func(fs vfs.FileSystem) error,
 	if _, err := (&serial.Runner{FS: local, Parallelism: 3}).Run(sj); err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.ReadOutput(local, "/out")
+	want, err := mapreduce.ReadOutput(local, "/out")
 	if err != nil {
 		t.Fatal(err)
 	}

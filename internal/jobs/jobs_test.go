@@ -18,13 +18,13 @@ import (
 	"repro/internal/vfs"
 )
 
-func runSerial(t *testing.T, fs vfs.FileSystem, job *mapreduce.Job) (*serial.Report, string) {
+func runSerial(t *testing.T, fs vfs.FileSystem, job *mapreduce.Job) (*mapreduce.Counters, string) {
 	t.Helper()
 	rep, err := (&serial.Runner{FS: fs, Parallelism: 4}).Run(job)
 	if err != nil {
 		t.Fatalf("job %s: %v", job.Name, err)
 	}
-	out, err := serial.ReadOutput(fs, job.OutputPath)
+	out, err := mapreduce.ReadOutput(fs, job.OutputPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestWordCountCombinerSameAnswer(t *testing.T) {
 	if outPlain != outComb {
 		t.Fatal("combiner changed word counts")
 	}
-	if repComb.Counters.Get(mapreduce.CtrCombineInputRecords) == 0 {
+	if repComb.Get(mapreduce.CtrCombineInputRecords) == 0 {
 		t.Fatal("combiner never ran")
 	}
 	// Map-side output volume must shrink.
-	if repComb.Counters.Get(mapreduce.CtrSpilledRecords) >= repPlain.Counters.Get(mapreduce.CtrSpilledRecords) {
+	if repComb.Get(mapreduce.CtrSpilledRecords) >= repPlain.Get(mapreduce.CtrSpilledRecords) {
 		t.Fatal("combiner did not reduce spilled records")
 	}
 }
@@ -147,17 +147,17 @@ func TestAirlineVariantTradeoffs(t *testing.T) {
 	repComb, _ := runSerial(t, fs, jobs.AirlineAvgDelayCombiner("/in", "/o2"))
 	repIMC, _ := runSerial(t, fs, jobs.AirlineAvgDelayInMapper("/in", "/o3"))
 
-	spill := func(r *serial.Report) int64 { return r.Counters.Get(mapreduce.CtrSpilledRecords) }
+	spill := func(r *mapreduce.Counters) int64 { return r.Get(mapreduce.CtrSpilledRecords) }
 	// Network volume: plain >> combiner >= in-mapper (per-split key cardinality bound).
 	if spill(repComb) >= spill(repPlain) || spill(repIMC) >= spill(repPlain) {
 		t.Fatalf("combining did not shrink map output: plain=%d comb=%d imc=%d",
 			spill(repPlain), spill(repComb), spill(repIMC))
 	}
 	// Memory: in-mapper combining holds per-key state; plain holds none.
-	if repIMC.Counters.Get(mapreduce.CtrMapperMemoryPeak) == 0 {
+	if repIMC.Get(mapreduce.CtrMapperMemoryPeak) == 0 {
 		t.Fatal("in-mapper combining reported no memory use")
 	}
-	if repPlain.Counters.Get(mapreduce.CtrMapperMemoryPeak) != 0 {
+	if repPlain.Get(mapreduce.CtrMapperMemoryPeak) != 0 {
 		t.Fatal("plain variant should report no task-held memory")
 	}
 }
@@ -205,11 +205,11 @@ func TestMovieGenreStatsMatchesTruth(t *testing.T) {
 				}
 			}
 			// The access-pattern counters must expose the difference.
-			opens := rep.Counters.Get(mapreduce.CtrSideFileOpens)
-			if cached && opens != int64(rep.MapTasks) {
-				t.Fatalf("cached variant opened side file %d times for %d tasks", opens, rep.MapTasks)
+			opens, maps := rep.Get(mapreduce.CtrSideFileOpens), rep.Get(mapreduce.CtrLaunchedMaps)
+			if cached && opens != maps {
+				t.Fatalf("cached variant opened side file %d times for %d tasks", opens, maps)
 			}
-			if !cached && opens <= int64(rep.MapTasks) {
+			if !cached && opens <= maps {
 				t.Fatalf("naive variant opened side file only %d times", opens)
 			}
 		})
@@ -220,8 +220,8 @@ func TestNaiveSideDataReadsFarMoreBytes(t *testing.T) {
 	fs, _ := moviesFixture(t)
 	repC, _ := runSerial(t, fs, jobs.MovieGenreStats("/ml/ratings.dat", "/ml/movies.dat", "/oc", true))
 	repN, _ := runSerial(t, fs, jobs.MovieGenreStats("/ml/ratings.dat", "/ml/movies.dat", "/on", false))
-	cb := repC.Counters.Get(mapreduce.CtrSideFileBytesRead)
-	nb := repN.Counters.Get(mapreduce.CtrSideFileBytesRead)
+	cb := repC.Get(mapreduce.CtrSideFileBytesRead)
+	nb := repN.Get(mapreduce.CtrSideFileBytesRead)
 	if nb < 100*cb {
 		t.Fatalf("naive side reads (%d B) should dwarf cached (%d B)", nb, cb)
 	}
@@ -353,7 +353,7 @@ func TestJobsRunOnCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := serial.ReadOutput(client, "/out/air")
+	out, err := mapreduce.ReadOutput(client, "/out/air")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestJobsRunOnCluster(t *testing.T) {
 	if _, err := mc.Run(jobs.TopAlbum("/data/ym/ratings.tsv", "/data/ym/songs.tsv", "/out/album")); err != nil {
 		t.Fatal(err)
 	}
-	aout, err := serial.ReadOutput(client, "/out/album")
+	aout, err := mapreduce.ReadOutput(client, "/out/album")
 	if err != nil {
 		t.Fatal(err)
 	}

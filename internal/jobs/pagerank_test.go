@@ -27,7 +27,7 @@ func runPageRankSerial(t *testing.T, fs vfs.FileSystem, nodes, iters int) map[in
 	}, fs); err != nil {
 		t.Fatal(err)
 	}
-	out, err := serial.ReadOutput(fs, "/out")
+	out, err := mapreduce.ReadOutput(fs, "/out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPageRankSeqIntermediatesMatchText(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	out, err := serial.ReadOutput(sfs, "/out")
+	out, err := mapreduce.ReadOutput(sfs, "/out")
 	if err != nil {
 		t.Fatal(err)
 	}

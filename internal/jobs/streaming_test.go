@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/jobs"
+	"repro/internal/mapreduce"
 	"repro/internal/serial"
 	"repro/internal/vfs"
 )
@@ -33,7 +34,7 @@ func TestStreamingWordCount(t *testing.T) {
 	if _, err := (&serial.Runner{FS: fs}).Run(job); err != nil {
 		t.Fatal(err)
 	}
-	out, err := serial.ReadOutput(fs, "/out")
+	out, err := mapreduce.ReadOutput(fs, "/out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestStreamingIdentityPreservesRecords(t *testing.T) {
 	if _, err := (&serial.Runner{FS: fs}).Run(job); err != nil {
 		t.Fatal(err)
 	}
-	out, err := serial.ReadOutput(fs, "/out")
+	out, err := mapreduce.ReadOutput(fs, "/out")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestTeraSortGlobalOrderSerial(t *testing.T) {
 	}
 	// ReadOutput concatenates parts in name order; with the range
 	// partitioner the result must be globally sorted.
-	out, err := serial.ReadOutput(fs, "/out")
+	out, err := mapreduce.ReadOutput(fs, "/out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSecondarySortGrouping(t *testing.T) {
 	if _, err := (&serial.Runner{FS: fs}).Run(job); err != nil {
 		t.Fatal(err)
 	}
-	out, err := serial.ReadOutput(fs, "/out")
+	out, err := mapreduce.ReadOutput(fs, "/out")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hdfs"
 	"repro/internal/jobs"
+	"repro/internal/mapreduce"
 	"repro/internal/serial"
 	"repro/internal/vfs"
 	"repro/internal/yarn"
@@ -32,7 +33,7 @@ func TestYARNModeEqualsSerial(t *testing.T) {
 			if _, err := (&serial.Runner{FS: local, Parallelism: 3}).Run(sj); err != nil {
 				t.Fatal(err)
 			}
-			serialOut, err := serial.ReadOutput(local, "/out")
+			serialOut, err := mapreduce.ReadOutput(local, "/out")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,10 +10,6 @@ import (
 	"repro/internal/vfs"
 )
 
-// DefaultMaxLineBytes bounds how far past a split's end a reader must
-// fetch to complete the split's final record.
-const DefaultMaxLineBytes = 1 << 20
-
 // Record is one text input record: the line and its byte offset in the
 // file, exactly the (key, value) pair Hadoop's TextInputFormat delivers.
 type Record struct {

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -46,18 +47,36 @@ func ReadSplit(read iofmt.RangeReaderFunc, split FileSplit) ([]Record, ReadStats
 	}
 }
 
+// lineLookahead is how far past a split's end a text split's first fetch
+// reaches to complete the split's last record. A record that runs further
+// costs more fetches; it is never cut short.
+const lineLookahead = 1 << 20
+
 func readTextSplit(read iofmt.RangeReaderFunc, split FileSplit) ([]Record, ReadStats, error) {
 	fetchStart := split.Offset
 	if fetchStart > 0 {
 		fetchStart-- // look-back byte: detect a record starting exactly at Offset
 	}
-	fetchEnd := split.End() + DefaultMaxLineBytes
-	if fetchEnd > split.FileSize {
-		fetchEnd = split.FileSize
-	}
+	fetchEnd := min(split.End()+lineLookahead, split.FileSize)
 	window, err := read(fetchStart, fetchEnd-fetchStart)
 	if err != nil {
 		return nil, ReadStats{}, err
+	}
+	// Fetch on, doubling the window, until a newline at or after the
+	// split's last byte ends its last record, or the file does.
+	last := split.End() - 1 - fetchStart
+	for fetchEnd < split.FileSize && int64(len(window)) > last && bytes.IndexByte(window[last:], '\n') < 0 {
+		more, err := read(fetchEnd, min(fetchEnd-fetchStart, split.FileSize-fetchEnd))
+		if err != nil {
+			return nil, ReadStats{}, err
+		}
+		if len(more) == 0 {
+			break
+		}
+		// The full slice expression copies: window may alias the reader's
+		// own buffer.
+		window = append(window[:len(window):len(window)], more...)
+		fetchEnd += int64(len(more))
 	}
 	recs := RecordsInRange(window, fetchStart, split.Offset, split.End())
 	n := int64(len(window))

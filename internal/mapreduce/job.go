@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/iofmt"
 	"repro/internal/vfs"
@@ -125,6 +126,38 @@ func (j *Job) OutputPartName(r int) string {
 		return name + c.Extension()
 	}
 	return name
+}
+
+// ReadOutput reads back a completed job's part files under outputPath,
+// concatenated in name order and each rendered to canonical text whatever
+// its format and codec — so one job's output compares byte-identical
+// across text, compressed and SequenceFile parts, and across runtimes.
+func ReadOutput(fs vfs.FileSystem, outputPath string) (string, error) {
+	infos, err := fs.List(outputPath)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	size := int64(0)
+	for _, fi := range infos {
+		size += fi.Size // directories and _SUCCESS are empty
+	}
+	b.Grow(int(size))
+	for _, fi := range infos {
+		if fi.IsDir || fi.Name() == "_SUCCESS" {
+			continue
+		}
+		data, err := vfs.ReadFile(fs, fi.Path)
+		if err != nil {
+			return "", err
+		}
+		text, err := iofmt.DecodeToText(fi.Path, data)
+		if err != nil {
+			return "", fmt.Errorf("decoding %s: %w", fi.Path, err)
+		}
+		b.Write(text)
+	}
+	return b.String(), nil
 }
 
 // Reducers returns the effective reducer count.

@@ -221,6 +221,40 @@ func TestReadSplitRecords(t *testing.T) {
 	}
 }
 
+// TestReadSplitLongRecord reads a record that starts in one split and runs
+// more than the first look-ahead past its end: it comes back whole, once,
+// and the splits sharing the file's reader still see the file's bytes.
+func TestReadSplitLongRecord(t *testing.T) {
+	const splitSize = 1 << 20
+	long := strings.Repeat("x", 3*splitSize)
+	fs := vfs.NewMemFS()
+	if err := vfs.WriteFile(fs, "/f.txt", []byte("head\n"+long+"\ntail\n")); err != nil {
+		t.Fatal(err)
+	}
+	splits, err := ComputeSplits(fs, []string{"/f.txt"}, splitSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := FSRangeReader(fs, "/f.txt")
+	var all []string
+	for _, s := range splits {
+		recs, _, err := ReadSplit(read, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			all = append(all, r.Line)
+		}
+	}
+	if len(all) != 3 || all[0] != "head" || all[1] != long || all[2] != "tail" {
+		lens := make([]int, len(all))
+		for i, l := range all {
+			lens[i] = len(l)
+		}
+		t.Fatalf("record lengths across %d splits = %v, want [4 %d 4]", len(splits), lens, len(long))
+	}
+}
+
 // --- sorting, merging, grouping ---
 
 func TestSortPairsStable(t *testing.T) {
@@ -287,7 +321,7 @@ func TestGroupIterate(t *testing.T) {
 }
 
 func TestValuesLenAndExhaustion(t *testing.T) {
-	v := NewValues(DecodeInt64, [][]byte{Int64(5).EncodeValue()})
+	v := &Values{decode: DecodeInt64, pairs: []Pair{{Key: "k", Val: Int64(5).EncodeValue()}}}
 	if v.Len() != 1 {
 		t.Fatalf("len = %d", v.Len())
 	}
@@ -398,6 +432,24 @@ func TestJobValidate(t *testing.T) {
 	}
 }
 
+// reduceText runs one reduce task into a fresh OutputWriter and returns
+// the finished part's bytes.
+func reduceText(t *testing.T, ctx *TaskContext, job *Job, runs [][]Pair) string {
+	t.Helper()
+	w, err := NewOutputWriter(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExecuteReduce(ctx, job, runs, w); err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
 func TestExecuteMapAndReduceEndToEnd(t *testing.T) {
 	job := wordCountJob()
 	fs := vfs.NewMemFS()
@@ -413,12 +465,8 @@ func TestExecuteMapAndReduceEndToEnd(t *testing.T) {
 	if got := ctx.Counters.Get(CtrMapOutputRecords); got != 5 {
 		t.Fatalf("map output records = %d", got)
 	}
-	var buf bytes.Buffer
 	rctx := NewTaskContext("wc", "r0", fs, job)
-	if _, err := ExecuteReduce(rctx, job, out.Partitions, &buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
+	got := reduceText(t, rctx, job, out.Partitions)
 	for _, want := range []string{"the\t2", "quick\t2", "fox\t1"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("reduce output missing %q:\n%s", want, got)
@@ -456,15 +504,10 @@ func TestCombinerPreservesTotals(t *testing.T) {
 		t.Fatalf("combiner did not reduce bytes: %d vs %d", outC.Bytes(), outP.Bytes())
 	}
 	// ...without changing the final answer.
-	var bufC, bufP bytes.Buffer
-	if _, err := ExecuteReduce(NewTaskContext("wc", "r0", fs, job), job, outC.Partitions, &bufC); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExecuteReduce(NewTaskContext("wc", "r0", fs, plain), plain, outP.Partitions, &bufP); err != nil {
-		t.Fatal(err)
-	}
-	if bufC.String() != bufP.String() {
-		t.Fatalf("combiner changed results:\n%s\nvs\n%s", bufC.String(), bufP.String())
+	gotC := reduceText(t, NewTaskContext("wc", "r0", fs, job), job, outC.Partitions)
+	gotP := reduceText(t, NewTaskContext("wc", "r0", fs, plain), plain, outP.Partitions)
+	if gotC != gotP {
+		t.Fatalf("combiner changed results:\n%s\nvs\n%s", gotC, gotP)
 	}
 }
 
@@ -567,12 +610,8 @@ func TestSpillBoundedBufferSameAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
 		rctx := NewTaskContext("wc", "r0", fs, job)
-		if _, err := ExecuteReduce(rctx, job, out.Partitions, &buf); err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, buf.String())
+		outputs = append(outputs, reduceText(t, rctx, job, out.Partitions))
 		spilled = append(spilled, ctx.Counters.Get(CtrSpilledRecords))
 	}
 	for i := 1; i < len(outputs); i++ {

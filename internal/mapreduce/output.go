@@ -17,13 +17,6 @@ const (
 	OutputFormatSeq = "seq"
 )
 
-// RecordWriter receives reduce output as structured records. When the
-// writer handed to ExecuteReduce implements it, output flows through
-// WriteRecord instead of being rendered to text lines.
-type RecordWriter interface {
-	WriteRecord(key, val string) error
-}
-
 // OutputStats meters one finished output part.
 type OutputStats struct {
 	// RawBytes is the logical output volume before compression.
@@ -71,10 +64,6 @@ func (w *OutputWriter) WriteRecord(key, val string) error {
 	w.text.WriteByte('\n')
 	return nil
 }
-
-// Write satisfies io.Writer call sites; bytes land in the text buffer
-// verbatim. ExecuteReduce prefers WriteRecord.
-func (w *OutputWriter) Write(p []byte) (int, error) { return w.text.Write(p) }
 
 // Finish closes the container and returns the encoded part file bytes.
 func (w *OutputWriter) Finish() ([]byte, OutputStats, error) {

@@ -242,37 +242,20 @@ func MergeSortedRuns(runs [][]Pair) []Pair {
 
 // Values iterates the decoded values of one reduce group. It decodes
 // lazily so the raw (metered) bytes are what travelled through the
-// shuffle. The backing store is either an explicit [][]byte (NewValues)
-// or a window of the sorted pair slice (GroupIterate), the latter so the
-// group loop allocates nothing per group.
+// shuffle. Its store is a window of the sorted pair slice, so the group
+// loop allocates nothing per group.
 type Values struct {
 	decode ValueDecoder
-	raw    [][]byte
 	pairs  []Pair
 	i      int
 }
 
-// NewValues builds an iterator over encoded values.
-func NewValues(decode ValueDecoder, raw [][]byte) *Values {
-	return &Values{decode: decode, raw: raw}
-}
-
 // Next returns the next value, or ok=false when exhausted.
 func (v *Values) Next() (Value, bool, error) {
-	var enc []byte
-	switch {
-	case v.pairs != nil:
-		if v.i >= len(v.pairs) {
-			return nil, false, nil
-		}
-		enc = v.pairs[v.i].Val
-	default:
-		if v.i >= len(v.raw) {
-			return nil, false, nil
-		}
-		enc = v.raw[v.i]
+	if v.i >= len(v.pairs) {
+		return nil, false, nil
 	}
-	val, err := v.decode(enc)
+	val, err := v.decode(v.pairs[v.i].Val)
 	if err != nil {
 		return nil, false, err
 	}
@@ -297,12 +280,7 @@ func (v *Values) Each(fn func(Value) error) error {
 }
 
 // Len returns the total number of values in the group.
-func (v *Values) Len() int {
-	if v.pairs != nil {
-		return len(v.pairs)
-	}
-	return len(v.raw)
-}
+func (v *Values) Len() int { return len(v.pairs) }
 
 // GroupIterate walks a sorted pair slice group by group, invoking fn once
 // per distinct key with an iterator over that key's values.

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"io"
 	"slices"
 )
 
@@ -182,29 +181,18 @@ func (s *MapScratch) ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*
 
 // ExecuteReduce runs one reduce task: merge the sorted runs fetched from
 // each map task, group by key, apply the reducer (with lifecycle hooks),
-// and write the output to w. When w implements RecordWriter (as the
-// format-aware OutputWriter does), records flow through WriteRecord;
-// otherwise text lines ("key<TAB>value\n") are written. Returns the
-// logical (pre-compression) bytes emitted.
-func ExecuteReduce(ctx *TaskContext, job *Job, runs [][]Pair, w io.Writer) (int64, error) {
+// and write each output record to w. Returns the text bytes emitted
+// ("key<TAB>value\n" per record). Both runtimes discard that count; it
+// stays because the benchmark module under bench/, which is frozen,
+// assigns both results.
+func ExecuteReduce(ctx *TaskContext, job *Job, runs [][]Pair, w *OutputWriter) (int64, error) {
 	reducer := job.NewReducer()
-	rw, structured := w.(RecordWriter)
-	var written int64
-	var line []byte // reused text-line scratch for the unstructured path
-	var outRecords int64
+	var written, outRecords int64
 	emit := EmitterFunc(func(key string, value Value) error {
 		outRecords++
 		s := value.String()
 		written += int64(len(key) + len(s) + 2) // tab + newline
-		if structured {
-			return rw.WriteRecord(key, s)
-		}
-		line = append(line[:0], key...)
-		line = append(line, '\t')
-		line = append(line, s...)
-		line = append(line, '\n')
-		_, err := w.Write(line)
-		return err
+		return w.WriteRecord(key, s)
 	})
 
 	if s, ok := reducer.(Setupper); ok {

@@ -26,7 +26,7 @@ func serialWordCount(t *testing.T, data []byte, reducers int) string {
 	if _, err := (&serial.Runner{FS: local}).Run(j); err != nil {
 		t.Fatal(err)
 	}
-	out, err := serial.ReadOutput(local, "/out")
+	out, err := mapreduce.ReadOutput(local, "/out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestChaosJobSurvivesNodeFailures(t *testing.T) {
 		if err := invariant.CountersConsistent(rep); err != nil {
 			t.Fatalf("seed %d: %v\nlog:\n%s", seed, err, in.LogString())
 		}
-		got, err := serial.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
+		got, err := mapreduce.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestChaosSpeculationFiresUnderSlowNode(t *testing.T) {
 	if err := invariant.CountersConsistent(rep); err != nil {
 		t.Fatal(err)
 	}
-	got, err := serial.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
+	got, err := mapreduce.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestChaosTaskErrorsAllScopes(t *testing.T) {
 	if err := invariant.CountersConsistent(rep); err != nil {
 		t.Fatal(err)
 	}
-	got, err := serial.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
+	got, err := mapreduce.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
 	if err != nil {
 		t.Fatal(err)
 	}

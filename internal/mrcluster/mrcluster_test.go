@@ -102,7 +102,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialOut, err := serial.ReadOutput(local, "/out")
+	serialOut, err := mapreduce.ReadOutput(local, "/out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusterOut, err := serial.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
+	clusterOut, err := mapreduce.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,8 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	}
 	// Same logical record counts through both runtimes.
 	for _, ctr := range []string{mapreduce.CtrMapInputRecords, mapreduce.CtrMapOutputRecords, mapreduce.CtrReduceOutputRecords} {
-		if srep.Counters.Get(ctr) != drep.Counters.Get(ctr) {
-			t.Fatalf("%s: serial=%d cluster=%d", ctr, srep.Counters.Get(ctr), drep.Counters.Get(ctr))
+		if srep.Get(ctr) != drep.Counters.Get(ctr) {
+			t.Fatalf("%s: serial=%d cluster=%d", ctr, srep.Get(ctr), drep.Counters.Get(ctr))
 		}
 	}
 	if drep.MapTasks < 2 {
@@ -227,7 +227,7 @@ func TestTaskTrackerCrashMidJobRecovers(t *testing.T) {
 		t.Fatalf("summary says Data-local maps=%d/%d (%d%%); %d/%d is %d%%", local, runs, pct, local, runs, want)
 	}
 	// Results still exact.
-	out, err := serial.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
+	out, err := mapreduce.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestDistributedCacheSameAnswerFewerReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := serial.ReadOutput(client, "/out")
+		out, err := mapreduce.ReadOutput(client, "/out")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,7 +543,7 @@ func TestConcurrentJobsShareCluster(t *testing.T) {
 		if handles[i].Err() != nil {
 			t.Fatalf("job %d failed: %v", i, handles[i].Err())
 		}
-		out, err := serial.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), fmt.Sprintf("/out%d", i))
+		out, err := mapreduce.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), fmt.Sprintf("/out%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -588,7 +588,7 @@ func TestChaosTrackerKillsNeverCorruptResults(t *testing.T) {
 		if h.Err() != nil {
 			t.Fatalf("trial %d failed: %v", trial, h.Err())
 		}
-		out, err := serial.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
+		out, err := mapreduce.ReadOutput(rig.dfs.Client(hdfs.GatewayNode), "/out")
 		if err != nil {
 			t.Fatal(err)
 		}

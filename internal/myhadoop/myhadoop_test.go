@@ -9,8 +9,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/hdfs"
 	"repro/internal/jobs"
+	"repro/internal/mapreduce"
 	"repro/internal/myhadoop"
-	"repro/internal/serial"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -49,7 +49,7 @@ func TestReserveProvisionRunRelease(t *testing.T) {
 	if rep.Failed {
 		t.Fatal("job failed")
 	}
-	out, err := serial.ReadOutput(client, "/out")
+	out, err := mapreduce.ReadOutput(client, "/out")
 	if err != nil || !strings.Contains(out, "alpha\t2") {
 		t.Fatalf("output %q err=%v", out, err)
 	}

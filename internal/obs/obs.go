@@ -128,6 +128,18 @@ func (h *Histogram) Sum() time.Duration {
 	return h.sum
 }
 
+// Percentile returns the nearest-rank q-th percentile (0 < q <= 1) of an
+// ascending slice of durations, or 0 for an empty one. Exact where the
+// histogram's buckets are not: for latency tables that a test or golden
+// pins to the nanosecond.
+func Percentile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q*float64(len(sorted))+0.5) - 1
+	return sorted[max(0, min(i, len(sorted)-1))]
+}
+
 // Span is one completed operation on the virtual clock. Start and End
 // are instants on the sim engine's clock (durations since engine start).
 // Trace/ID/Parent carry the causal identity of spans recorded through a

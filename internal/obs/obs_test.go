@@ -115,6 +115,21 @@ func TestHistogramBucketing(t *testing.T) {
 // TestSnapshotJSONDeterministic builds the same registry twice through
 // different interleavings and expects byte-identical exports — the
 // property the golden-trace harness rests on.
+func TestPercentileNearestRank(t *testing.T) {
+	sorted := []time.Duration{10, 20, 30, 40}
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{0.01, 10}, {0.25, 10}, {0.5, 20}, {0.99, 40}, {1, 40}} {
+		if got := obs.Percentile(sorted, c.q); got != c.want {
+			t.Errorf("Percentile(q=%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if got := obs.Percentile(nil, 0.5); got != 0 {
+		t.Errorf("Percentile(empty) = %v, want 0", got)
+	}
+}
+
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func(reverse bool) []byte {
 		r := obs.NewRegistry()

@@ -78,9 +78,9 @@ func RunWorkload(eng *sim.Engine, cl *Client, table string, ops []datagen.YCSBOp
 		res.OpsPerSec = float64(res.Ops) / res.Makespan.Seconds()
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	res.P50 = percentile(lats, 0.50)
-	res.P99 = percentile(lats, 0.99)
-	res.P999 = percentile(lats, 0.999)
+	res.P50 = obs.Percentile(lats, 0.50)
+	res.P99 = obs.Percentile(lats, 0.99)
+	res.P999 = obs.Percentile(lats, 0.999)
 	return res
 }
 
@@ -174,21 +174,6 @@ func (vc *virtualClient) doExec() {
 		}
 	}
 	r.eng.Schedule(done, vc.step)
-}
-
-// percentile is nearest-rank over an ascending slice.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // BenchOpts sizes one BenchRun: a fresh cluster, a bulk-loaded table,

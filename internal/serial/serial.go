@@ -8,7 +8,6 @@
 package serial
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
@@ -32,31 +31,13 @@ type Runner struct {
 	Obs *obs.Registry
 }
 
-// Report summarises one standalone run. It carries no elapsed time: the
-// standalone runner has no virtual clock and does no performance
-// modelling, and a wall-clock measurement here was the one
-// nondeterministic value in an otherwise bit-reproducible run (the
-// dettaint lint rule now keeps it out).
-type Report struct {
-	JobName     string
-	MapTasks    int
-	ReduceTasks int
-	Counters    *mapreduce.Counters
-}
-
-// String renders the report in the style of a Hadoop job summary.
-func (r *Report) String() string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "Job %s completed successfully (standalone)\n", r.JobName)
-	fmt.Fprintf(&b, "  Launched map tasks=%d\n", r.MapTasks)
-	fmt.Fprintf(&b, "  Launched reduce tasks=%d\n", r.ReduceTasks)
-	fmt.Fprintf(&b, "  Counters:\n%s", r.Counters)
-	return b.String()
-}
-
 // Run executes the job to completion, writing part-r-NNNNN files and a
-// _SUCCESS marker under job.OutputPath.
-func (r *Runner) Run(job *mapreduce.Job) (*Report, error) {
+// _SUCCESS marker under job.OutputPath, and returns the job's counters.
+// It measures no elapsed time: the standalone runner has no virtual clock
+// and does no performance modelling, and a wall-clock measurement here
+// would be the one nondeterministic value in an otherwise
+// bit-reproducible run (the dettaint lint rule keeps it out).
+func (r *Runner) Run(job *mapreduce.Job) (*mapreduce.Counters, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
@@ -187,37 +168,5 @@ func (r *Runner) Run(job *mapreduce.Job) (*Report, error) {
 	r.Obs.Counter("serial.bytes_written").Add(total.Get(mapreduce.CtrFileBytesWritten))
 	r.Obs.Counter("serial.bytes_decoded").Add(total.Get(mapreduce.CtrInputDecodedBytes))
 
-	return &Report{
-		JobName:     job.Name,
-		MapTasks:    len(splits),
-		ReduceTasks: nReduce,
-		Counters:    total,
-	}, nil
-}
-
-// ReadOutput concatenates the part files of a completed job in order,
-// rendering each back to canonical text whatever its container format —
-// so outputs compare byte-identical across text, compressed and
-// SequenceFile jobs. A convenience for tests and examples.
-func ReadOutput(fs vfs.FileSystem, outputPath string) (string, error) {
-	infos, err := fs.List(outputPath)
-	if err != nil {
-		return "", err
-	}
-	var b bytes.Buffer
-	for _, fi := range infos {
-		if fi.IsDir || fi.Name() == "_SUCCESS" {
-			continue
-		}
-		data, err := vfs.ReadFile(fs, fi.Path)
-		if err != nil {
-			return "", err
-		}
-		text, err := iofmt.DecodeToText(fi.Path, data)
-		if err != nil {
-			return "", fmt.Errorf("decoding %s: %w", fi.Path, err)
-		}
-		b.Write(text)
-	}
-	return b.String(), nil
+	return total, nil
 }

@@ -45,7 +45,7 @@ func wordCountJob(in, out string) *mapreduce.Job {
 
 func outputCounts(t *testing.T, fs vfs.FileSystem, out string) map[string]int {
 	t.Helper()
-	text, err := ReadOutput(fs, out)
+	text, err := mapreduce.ReadOutput(fs, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestWordCountEndToEnd(t *testing.T) {
 	}
 	r := &Runner{FS: fs}
 	job := wordCountJob("/in", "/out")
-	rep, err := r.Run(job)
+	ctrs, err := r.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestWordCountEndToEnd(t *testing.T) {
 	if !vfs.Exists(fs, "/out/_SUCCESS") {
 		t.Fatal("_SUCCESS marker missing")
 	}
-	if rep.Counters.Get(mapreduce.CtrMapInputRecords) != 2 {
-		t.Fatalf("map input records = %d", rep.Counters.Get(mapreduce.CtrMapInputRecords))
+	if ctrs.Get(mapreduce.CtrMapInputRecords) != 2 {
+		t.Fatalf("map input records = %d", ctrs.Get(mapreduce.CtrMapInputRecords))
 	}
 }
 
@@ -151,7 +151,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if _, err := r.Run(job); err != nil {
 			t.Fatal(err)
 		}
-		text, err := ReadOutput(fs, "/out")
+		text, err := mapreduce.ReadOutput(fs, "/out")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,16 +189,17 @@ func TestEachInputFileReadOncePerJob(t *testing.T) {
 		}
 		job := wordCountJob("/in", "/out")
 		job.SplitSize = 256
-		rep, err := (&Runner{FS: fs, Parallelism: par}).Run(job)
+		ctrs, err := (&Runner{FS: fs, Parallelism: par}).Run(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.MapTasks < 20 {
-			t.Fatalf("only %d splits; the test needs many per file", rep.MapTasks)
+		maps := ctrs.Get(mapreduce.CtrLaunchedMaps)
+		if maps < 20 {
+			t.Fatalf("only %d splits; the test needs many per file", maps)
 		}
 		for _, name := range []string{"/in/a.txt", "/in/b.txt"} {
 			if got := fs.opens[name]; got != 1 {
-				t.Errorf("parallelism %d: %s opened %d times for %d splits, want once", par, name, got, rep.MapTasks)
+				t.Errorf("parallelism %d: %s opened %d times for %d splits, want once", par, name, got, maps)
 			}
 		}
 	}
@@ -212,12 +213,12 @@ func TestMultipleReducersPartitionDisjointly(t *testing.T) {
 	job := wordCountJob("/in", "/out")
 	job.NumReducers = 4
 	r := &Runner{FS: fs}
-	rep, err := r.Run(job)
+	ctrs, err := r.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ReduceTasks != 4 {
-		t.Fatalf("reduce tasks = %d", rep.ReduceTasks)
+	if got := ctrs.Get(mapreduce.CtrLaunchedReduces); got != 4 {
+		t.Fatalf("reduce tasks = %d", got)
 	}
 	infos, err := fs.List("/out")
 	if err != nil {
@@ -258,15 +259,15 @@ func TestCombinerCountersVisible(t *testing.T) {
 	job := wordCountJob("/in", "/out")
 	job.NewCombiner = job.NewReducer
 	r := &Runner{FS: fs}
-	rep, err := r.Run(job)
+	ctrs, err := r.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Counters.Get(mapreduce.CtrCombineInputRecords) != 6 {
-		t.Fatalf("combine in = %d", rep.Counters.Get(mapreduce.CtrCombineInputRecords))
+	if ctrs.Get(mapreduce.CtrCombineInputRecords) != 6 {
+		t.Fatalf("combine in = %d", ctrs.Get(mapreduce.CtrCombineInputRecords))
 	}
-	if rep.Counters.Get(mapreduce.CtrCombineOutputRecords) != 2 {
-		t.Fatalf("combine out = %d", rep.Counters.Get(mapreduce.CtrCombineOutputRecords))
+	if ctrs.Get(mapreduce.CtrCombineOutputRecords) != 2 {
+		t.Fatalf("combine out = %d", ctrs.Get(mapreduce.CtrCombineOutputRecords))
 	}
 	counts := outputCounts(t, fs, "/out")
 	if counts["x"] != 4 || counts["y"] != 2 {
@@ -292,18 +293,24 @@ func TestRunOnOsFS(t *testing.T) {
 	}
 }
 
+// TestReportString checks the summary a standalone run reports: the
+// counters Run returns render the input records and the launched task
+// counts. The job-name header is printed by mrrun and checked in
+// cli_test.go.
 func TestReportString(t *testing.T) {
 	fs := vfs.NewMemFS()
 	if err := vfs.WriteFile(fs, "/in/f.txt", []byte("a\n")); err != nil {
 		t.Fatal(err)
 	}
 	r := &Runner{FS: fs}
-	rep, err := r.Run(wordCountJob("/in", "/out"))
+	ctrs, err := r.Run(wordCountJob("/in", "/out"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := rep.String()
-	if !strings.Contains(s, "wordcount") || !strings.Contains(s, "MAP_INPUT_RECORDS") {
-		t.Fatalf("report missing fields:\n%s", s)
+	s := ctrs.String()
+	for _, want := range []string{"MAP_INPUT_RECORDS=1\n", "TOTAL_LAUNCHED_MAPS=1\n", "TOTAL_LAUNCHED_REDUCES=1\n"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("report missing %q:\n%s", want, s)
+		}
 	}
 }

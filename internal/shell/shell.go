@@ -38,14 +38,9 @@ type replicator interface {
 	SetReplication(path string, repl int) error
 }
 
-// auditor is implemented by filesystems supporting fsck.
+// auditor is implemented by filesystems supporting fsck, with or without
+// the -blocks/-locations detail flags.
 type auditor interface {
-	Fsck(path string) (*hdfs.FsckReport, error)
-}
-
-// detailAuditor is implemented by filesystems whose fsck supports the
-// -blocks/-locations detail flags.
-type detailAuditor interface {
 	FsckWith(path string, opts hdfs.FsckOpts) (*hdfs.FsckReport, error)
 }
 
@@ -399,13 +394,7 @@ func (s *Shell) fsck(args []string) error {
 			p = arg
 		}
 	}
-	var rep *hdfs.FsckReport
-	var err error
-	if da, can := s.FS.(detailAuditor); can && (opts.Blocks || opts.Locations) {
-		rep, err = da.FsckWith(p, opts)
-	} else {
-		rep, err = a.Fsck(p)
-	}
+	rep, err := a.FsckWith(p, opts)
 	if err != nil {
 		return err
 	}
