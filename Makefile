@@ -74,9 +74,10 @@ bench-selftest:
 # The gate a PR must pass end to end: build, the static gate, tier-1 tests
 # (which include the goldens, replay digests and E12/E13 smokes), the
 # race-checked subset (`make race`), five seconds of each fuzz target
-# (the event-queue one without corpus minimisation: each input runs two
-# engines through a script, and minimising the first interesting one
-# would otherwise eat the five seconds), a benchmark smoke run, and —
+# (the event-queue and ranged-read ones without corpus minimisation: each
+# input runs two engines through a script, or builds a cluster and reads
+# it range by range, and minimising the first interesting one would
+# otherwise eat the five seconds), a benchmark smoke run, and —
 # last, so that an exported-API deletion the frozen bench/ module depends
 # on still fails the gate — the nested bench module's self-test. The
 # static gate comes before tests so a determinism violation fails the
@@ -91,6 +92,7 @@ ci: build static
 	$(GO) test -run '^$$' -fuzz FuzzEventQueueMatchesOracle -fuzztime 5s -fuzzminimizetime 1x ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzRecord -fuzztime 5s ./internal/kvstore/
 	$(GO) test -run '^$$' -fuzz FuzzEditLog -fuzztime 5s ./internal/hdfs/
+	$(GO) test -run '^$$' -fuzz FuzzReadRange -fuzztime 5s -fuzzminimizetime 1x ./internal/hdfs/
 	$(GO) test -run '^$$' -fuzz FuzzRecordsInRange -fuzztime 5s ./internal/mapreduce/
 	$(GO) test -run '^$$' -fuzz FuzzCleanMatchesSlow -fuzztime 5s ./internal/vfs/
 	$(MAKE) bench-smoke

@@ -185,15 +185,11 @@ func (w *hdfsWriter) Close() error {
 	}
 	w.closed = true
 	data := w.buf.Bytes()
-	bs := w.c.nn.cfg.BlockSize
+	bs := int(w.c.nn.cfg.BlockSize)
 	had := len(w.f.blocks)
-	for off := int64(0); off < int64(len(data)); off += bs {
-		end := off + bs
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
-		// Clipped, so no block's slice can reach into its neighbour's bytes.
-		if err := w.c.writeBlock(w.f, w.path, data[off:end:end]); err != nil {
+	for off := 0; off < len(data); off += bs {
+		end := min(off+bs, len(data))
+		if err := w.c.writeBlock(w.f, w.path, data, off, end); err != nil {
 			// Clean up so retries see a consistent tree: a failed create
 			// leaves no file, a failed append the file it found.
 			if w.appending {
@@ -210,13 +206,15 @@ func (w *hdfsWriter) Close() error {
 // writeBlock runs one replicated pipeline write: client → DN1 → DN2 → DN3.
 // The modelled cost is the pipeline bottleneck (slowest hop or disk),
 // because hops stream concurrently. The checksum is made here, once, and
-// every target stores the same block.
-func (c *Client) writeBlock(f *inode, path string, data []byte) error {
+// every target stores the same block: buf[off:end], clipped so that no
+// block's slice can reach into its neighbour's bytes.
+func (c *Client) writeBlock(f *inode, path string, buf []byte, off, end int) error {
 	id, targets, err := c.nn.allocateBlock(f, path, c.from)
 	if err != nil {
 		return err
 	}
-	sb := &storedBlock{data: data, sum: checksum(data)}
+	data := buf[off:end:end]
+	sb := &storedBlock{data: data, sum: checksum(data), buf: buf, off: off}
 	var written []cluster.NodeID
 	var bottleneck time.Duration
 	var bottleneckNode string
@@ -279,9 +277,10 @@ func (c *Client) writeBlock(f *inode, path string, data []byte) error {
 
 // readBlock fetches one block choosing the closest reachable usable
 // replica, retrying other replicas when a checksum fails (and reporting
-// the corrupt copy to the NameNode, as DFSClient does). The bytes are the
-// stored block's own: callers copy out of them and never write to them.
-func (c *Client) readBlock(bm *blockMeta) ([]byte, error) {
+// the corrupt copy to the NameNode, as DFSClient does). The block is the
+// stored one, shared by every replica: callers copy out of its bytes or
+// hand out read-only views of them, and never write to them.
+func (c *Client) readBlock(bm *blockMeta) (*storedBlock, error) {
 	id := bm.id
 	// Order candidate replicas by distance, then node ID for determinism.
 	cands := slices.DeleteFunc(c.nn.usableReplicas(bm), func(n cluster.NodeID) bool { return !c.reachable(n) })
@@ -330,14 +329,14 @@ func (c *Client) readBlock(bm *blockMeta) ([]byte, error) {
 			})
 		}
 		c.charge(true, total)
-		return data, nil
+		return sb, nil
 	}
 	return nil, &vfs.PathError{Op: "read", Path: id.String(), Err: vfs.ErrCorrupt}
 }
 
 // Open reads a whole file (all blocks, nearest replicas).
 func (c *Client) Open(path string) (io.ReadCloser, error) {
-	data, err := c.read("open", path, 0, math.MaxInt64)
+	data, err := c.read("open", path, 0, math.MaxInt64, false)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +347,7 @@ func (c *Client) Open(path string) (io.ReadCloser, error) {
 // same errors — and returns the one buffer the read fills, which the
 // caller owns. vfs.ReadFile uses it, as io/fs.ReadFile uses ReadFileFS.
 func (c *Client) ReadFile(path string) ([]byte, error) {
-	data, err := c.read("open", path, 0, math.MaxInt64)
+	data, err := c.read("open", path, 0, math.MaxInt64, false)
 	if err == nil && data == nil {
 		data = []byte{} // an empty file, not a missing one
 	}
@@ -356,13 +355,25 @@ func (c *Client) ReadFile(path string) ([]byte, error) {
 }
 
 // ReadRange reads [off, off+length) of a file, touching only the blocks
-// that overlap the range — what a map task does with its split.
+// that overlap the range — what a map task does with its split. Every
+// overlapping block is read, verified and metered in full, but when the
+// range lies in blocks written by one Create or Append the result is a
+// view of the stored bytes, not a copy (Hadoop's zero-copy read): the
+// caller must not modify it. Its capacity is its length, so an append
+// copies. A negative off or length is an error.
 func (c *Client) ReadRange(path string, off, length int64) ([]byte, error) {
-	return c.read("read", path, off, length)
+	return c.read("read", path, off, length, true)
 }
 
-// read is the body of Open and ReadRange; its errors carry op.
-func (c *Client) read(op, path string, off, length int64) ([]byte, error) {
+// read is the body of Open, ReadFile and ReadRange; its errors carry op.
+// With view set, a range whose pieces are consecutive windows of one
+// write buffer comes back as that buffer's [a:b:b]; otherwise (pieces
+// from different writes, or view unset) the pieces are copied into one
+// buffer the caller owns.
+func (c *Client) read(op, path string, off, length int64, view bool) ([]byte, error) {
+	if off < 0 || length < 0 {
+		return nil, &vfs.PathError{Op: op, Path: path, Err: fmt.Errorf("hdfs: negative range: offset %d, length %d", off, length)}
+	}
 	f := c.nn.ns.lookup(path)
 	if f == nil {
 		c.auditEv(history.EvAuditOpen, map[string]string{"src": vfs.Clean(path)}, vfs.ErrNotExist)
@@ -372,14 +383,18 @@ func (c *Client) read(op, path string, off, length int64) ([]byte, error) {
 	if f.dir {
 		return nil, &vfs.PathError{Op: op, Path: path, Err: vfs.ErrIsDir}
 	}
-	end := off + length
-	if end > f.size {
-		end = f.size
+	end := f.size
+	if length < end-off {
+		end = off + length
 	}
-	if off < 0 || off >= end {
+	if off >= end {
 		return nil, nil
 	}
-	out := make([]byte, 0, end-off)
+	var (
+		out      []byte // the copy, once the range is not one window
+		win      []byte // else the write buffer the range is a window of,
+		wlo, whi int    // as win[wlo:whi]
+	)
 	blockStart := int64(0)
 	for _, bid := range f.blocks {
 		bm, ok := c.nn.blocks[bid]
@@ -388,23 +403,37 @@ func (c *Client) read(op, path string, off, length int64) ([]byte, error) {
 		}
 		blockEnd := blockStart + bm.len
 		if blockEnd > off && blockStart < end {
-			data, err := c.readBlock(bm)
+			sb, err := c.readBlock(bm)
 			if err != nil {
 				return nil, &vfs.PathError{Op: op, Path: path, Err: err}
 			}
-			lo, hi := int64(0), int64(len(data))
+			lo, hi := 0, len(sb.data)
 			if off > blockStart {
-				lo = off - blockStart
+				lo = int(off - blockStart)
 			}
 			if end < blockEnd {
-				hi = end - blockStart
+				hi = int(end - blockStart)
 			}
-			out = append(out, data[lo:hi]...)
+			switch {
+			case view && win == nil && out == nil: // the first piece
+				win, wlo, whi = sb.buf, sb.off+lo, sb.off+hi
+			case win != nil && &sb.buf[0] == &win[0] && sb.off+lo == whi: // the next window
+				whi = sb.off + hi
+			default:
+				if out == nil {
+					out = append(make([]byte, 0, end-off), win[wlo:whi]...)
+					win = nil
+				}
+				out = append(out, sb.data[lo:hi]...)
+			}
 		}
 		blockStart = blockEnd
 		if blockStart >= end {
 			break
 		}
+	}
+	if win != nil {
+		return win[wlo:whi:whi], nil
 	}
 	return out, nil
 }

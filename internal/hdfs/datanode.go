@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -57,6 +58,24 @@ type DataNode struct {
 type storedBlock struct {
 	data []byte
 	sum  uint32
+
+	// buf is the write buffer data was cut from, at off: data is
+	// buf[off:off+len(data)]. Client.ReadRange serves a range that lies in
+	// consecutive windows of one buffer as a view of it. A private copy
+	// (CorruptBlock) is its own buffer.
+	buf []byte
+	off int
+
+	check sync.Once
+	ok    bool
+}
+
+// verified reports whether data matches sum. The bytes never change, so
+// the block is checked once and the verdict holds for every later read
+// of every replica.
+func (sb *storedBlock) verified() bool {
+	sb.check.Do(func() { sb.ok = checksum(sb.data) == sb.sum })
+	return sb.ok
 }
 
 func checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
@@ -223,8 +242,10 @@ func (dn *DataNode) writeBlock(id BlockID, sb *storedBlock) (time.Duration, erro
 }
 
 // readBlock returns a replica after verifying its checksum, plus the
-// modelled disk cost. A corrupted replica returns a *ChecksumError. The
-// caller must not modify the returned block's bytes.
+// modelled disk cost. A corrupted replica returns a *ChecksumError on
+// every read. The returned block's bytes are the stored ones, shared by
+// every replica and possibly by views handed to readers: the caller must
+// not modify them.
 func (dn *DataNode) readBlock(id BlockID) (*storedBlock, time.Duration, error) {
 	if !dn.alive {
 		return nil, 0, fmt.Errorf("hdfs: datanode %s is down", dn.node.Hostname)
@@ -234,7 +255,7 @@ func (dn *DataNode) readBlock(id BlockID) (*storedBlock, time.Duration, error) {
 		return nil, 0, fmt.Errorf("hdfs: %v not on %s", id, dn.node.Hostname)
 	}
 	cost := dn.diskCost(dn.cost.DiskRead(int64(len(sb.data))))
-	if checksum(sb.data) != sb.sum {
+	if !sb.verified() {
 		dn.m.checksumFailures.Inc()
 		return nil, cost, &ChecksumError{Block: id, Node: dn.node.Hostname}
 	}
@@ -265,7 +286,7 @@ func (dn *DataNode) CorruptBlock(id BlockID) bool {
 	}
 	data := bytes.Clone(sb.data)
 	data[len(data)/2] ^= 0xFF
-	dn.blocks[id] = &storedBlock{data: data, sum: sb.sum}
+	dn.blocks[id] = &storedBlock{data: data, sum: sb.sum, buf: data}
 	return true
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -317,6 +318,26 @@ func TestCompressedSize(t *testing.T) {
 	n, err = CompressedSize(g, data)
 	if err != nil || n <= 0 || n >= int64(len(data)) {
 		t.Fatalf("gzip size: %d, %v", n, err)
+	}
+}
+
+// A negative offset or length is an error, as from the HDFS client's
+// ranged read; everything else is a window of the file, short at its end.
+func TestBytesRangeReaderRanges(t *testing.T) {
+	read := BytesRangeReader([]byte("0123456789"))
+	for _, r := range []struct{ off, length int64 }{{-1, 3}, {2, -1}, {-5, -5}} {
+		if got, err := read(r.off, r.length); err == nil {
+			t.Errorf("read(%d, %d) = %q, nil; want an error", r.off, r.length, got)
+		}
+	}
+	for _, r := range []struct {
+		off, length int64
+		want        string
+	}{{0, 3, "012"}, {8, 5, "89"}, {10, 1, ""}, {12, 1, ""}, {4, 0, ""}, {3, math.MaxInt64, "3456789"}} {
+		got, err := read(r.off, r.length)
+		if err != nil || string(got) != r.want {
+			t.Errorf("read(%d, %d) = %q, %v; want %q", r.off, r.length, got, err, r.want)
+		}
 	}
 }
 

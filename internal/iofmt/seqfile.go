@@ -218,9 +218,12 @@ type SeqStats struct {
 }
 
 // RangeReaderFunc fetches [off, off+length) of a file; short results at
-// end-of-file are allowed. It is the seam through which both the plain
-// filesystems and the HDFS client (with its metered ranged block reads)
-// back the split reader.
+// end-of-file are allowed, and a negative off or length is an error. It
+// is the seam through which both the plain filesystems and the HDFS
+// client (with its metered ranged block reads) back the split reader.
+// The returned bytes may alias the file's storage — the in-memory file,
+// the HDFS blocks — and must not be modified; append to them only after
+// a full slice expression or a copy.
 type RangeReaderFunc func(off, length int64) ([]byte, error)
 
 // seqFetcher grows a forward-only window over the file via chunked
@@ -413,15 +416,19 @@ func ReadSeqBytes(data []byte) ([]SeqRecord, SeqStats, error) {
 	return ReadSeqFile(BytesRangeReader(data), int64(len(data)))
 }
 
-// BytesRangeReader adapts an in-memory file to a RangeReaderFunc.
+// BytesRangeReader adapts an in-memory file to a RangeReaderFunc whose
+// results are windows of data.
 func BytesRangeReader(data []byte) RangeReaderFunc {
 	return func(off, length int64) ([]byte, error) {
-		if off >= int64(len(data)) {
-			return nil, nil
+		if off < 0 || length < 0 {
+			return nil, fmt.Errorf("iofmt: negative range: offset %d, length %d", off, length)
 		}
-		end := off + length
-		if end > int64(len(data)) {
-			end = int64(len(data))
+		end := int64(len(data))
+		if length < end-off {
+			end = off + length
+		}
+		if off >= end {
+			return nil, nil
 		}
 		return data[off:end], nil
 	}

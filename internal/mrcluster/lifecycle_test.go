@@ -371,18 +371,20 @@ func checkLifecycle(t *testing.T, rig *lcRig, jr *jobRun, k *attemptKind, outcom
 
 // TestUnsampledTaskSpanStartsAtFirstLaunch: a task's mr.task span runs
 // from its first launch whether or not the job's trace is sampled. The
-// job here is unsampled, and its first map attempt fails and is retried.
+// job here is unsampled, and the first attempt of map task 0 fails and is
+// retried. The failure is keyed on the attempt's own id, so the mapper
+// shares no mutable state across attempts and the test stays race-free
+// however attempts are run.
 func TestUnsampledTaskSpanStartsAtFirstLaunch(t *testing.T) {
 	rig := newLCRig(t, Config{}, false)
 	rig.mc.Obs.SetTraceSampling(1 << 30)
 	rig.mc.Obs.NewTrace(0) // spend the window's one sampled trace
 	job := lcJob(2, nil)
-	newMapper, failed := job.NewMapper, false
+	newMapper := job.NewMapper
 	job.NewMapper = func() mapreduce.Mapper {
 		m := newMapper()
 		return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, off int64, line string, emit mapreduce.Emitter) error {
-			if !failed {
-				failed = true
+			if strings.HasSuffix(ctx.TaskID, "_m_000000_1") { // map task 0, attempt 1
 				return errors.New("first attempt fails")
 			}
 			return m.Map(ctx, off, line, emit)
@@ -413,8 +415,8 @@ func TestUnsampledTaskSpanStartsAtFirstLaunch(t *testing.T) {
 			retried = task
 		}
 	}
-	if retried == "" {
-		t.Fatal("no map attempt failed")
+	if !strings.HasSuffix(retried, "_m_000000") {
+		t.Fatalf("retried task %q, want map task 0", retried)
 	}
 	for _, s := range rig.mc.Obs.Spans() {
 		if s.Name == SpanTask && s.Attrs["task"] == retried {
