@@ -44,7 +44,8 @@ check: static
 # single-threaded by contract but included so the detector verifies the
 # engine's free-list never leaks events across goroutines in tests.
 # internal/serial is the one place map tasks run on real goroutines (each
-# worker on its own mapreduce.MapScratch), and the internal/jobs tests
+# worker on its own mapreduce.MapScratch; its reduce loop is sequential,
+# on one mapreduce.ReduceScratch), and the internal/jobs tests
 # drive it at Parallelism 3 and 4. internal/webui's handlers run on
 # httptest server goroutines.
 race:
@@ -94,6 +95,7 @@ ci: build static
 	$(GO) test -run '^$$' -fuzz FuzzEditLog -fuzztime 5s ./internal/hdfs/
 	$(GO) test -run '^$$' -fuzz FuzzReadRange -fuzztime 5s -fuzzminimizetime 1x ./internal/hdfs/
 	$(GO) test -run '^$$' -fuzz FuzzRecordsInRange -fuzztime 5s ./internal/mapreduce/
+	$(GO) test -run '^$$' -fuzz FuzzReduceGroups -fuzztime 5s ./internal/mapreduce/
 	$(GO) test -run '^$$' -fuzz FuzzCleanMatchesSlow -fuzztime 5s ./internal/vfs/
 	$(MAKE) bench-smoke
 	$(MAKE) bench-selftest

@@ -119,3 +119,26 @@ func BenchmarkHashPartition(b *testing.B) {
 		HashPartition(keys[i%len(keys)], 16)
 	}
 }
+
+// BenchmarkExecuteReduce is one TeraSort-shaped reduce task (8 runs, 100 k
+// pairs, identity reducer, text part) on a warm scratch, as every reduce
+// attempt of a job after the first runs.
+func BenchmarkExecuteReduce(b *testing.B) {
+	runs := teraRuns(rand.New(rand.NewSource(1)), 8, 100_000)
+	job := identityJob()
+	fs := vfs.NewMemFS()
+	var bytes int64
+	for _, run := range runs {
+		for _, p := range run {
+			bytes += p.Bytes()
+		}
+	}
+	var s ReduceScratch
+	reducePart(b, &s, NewTaskContext(job.Name, "r", fs, job), job, runs)
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reducePart(b, &s, NewTaskContext(job.Name, "r", fs, job), job, runs)
+	}
+}

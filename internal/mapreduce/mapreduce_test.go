@@ -432,22 +432,27 @@ func TestJobValidate(t *testing.T) {
 	}
 }
 
-// reduceText runs one reduce task into a fresh OutputWriter and returns
-// the finished part's bytes.
-func reduceText(t *testing.T, ctx *TaskContext, job *Job, runs [][]Pair) string {
+// reducePart runs one reduce task on s (through the package-level
+// NewOutputWriter and ExecuteReduce when s is nil) and returns the
+// finished part's bytes, which may be s's buffer.
+func reducePart(t testing.TB, s *ReduceScratch, ctx *TaskContext, job *Job, runs [][]Pair) []byte {
 	t.Helper()
-	w, err := NewOutputWriter(job)
+	newWriter, execute := NewOutputWriter, ExecuteReduce
+	if s != nil {
+		newWriter, execute = s.NewOutputWriter, s.ExecuteReduce
+	}
+	w, err := newWriter(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecuteReduce(ctx, job, runs, w); err != nil {
+	if _, err := execute(ctx, job, runs, w); err != nil {
 		t.Fatal(err)
 	}
 	data, _, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(data)
+	return data
 }
 
 func TestExecuteMapAndReduceEndToEnd(t *testing.T) {
@@ -466,7 +471,7 @@ func TestExecuteMapAndReduceEndToEnd(t *testing.T) {
 		t.Fatalf("map output records = %d", got)
 	}
 	rctx := NewTaskContext("wc", "r0", fs, job)
-	got := reduceText(t, rctx, job, out.Partitions)
+	got := string(reducePart(t, nil, rctx, job, out.Partitions))
 	for _, want := range []string{"the\t2", "quick\t2", "fox\t1"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("reduce output missing %q:\n%s", want, got)
@@ -504,8 +509,8 @@ func TestCombinerPreservesTotals(t *testing.T) {
 		t.Fatalf("combiner did not reduce bytes: %d vs %d", outC.Bytes(), outP.Bytes())
 	}
 	// ...without changing the final answer.
-	gotC := reduceText(t, NewTaskContext("wc", "r0", fs, job), job, outC.Partitions)
-	gotP := reduceText(t, NewTaskContext("wc", "r0", fs, plain), plain, outP.Partitions)
+	gotC := string(reducePart(t, nil, NewTaskContext("wc", "r0", fs, job), job, outC.Partitions))
+	gotP := string(reducePart(t, nil, NewTaskContext("wc", "r0", fs, plain), plain, outP.Partitions))
 	if gotC != gotP {
 		t.Fatalf("combiner changed results:\n%s\nvs\n%s", gotC, gotP)
 	}
@@ -611,7 +616,7 @@ func TestSpillBoundedBufferSameAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 		rctx := NewTaskContext("wc", "r0", fs, job)
-		outputs = append(outputs, reduceText(t, rctx, job, out.Partitions))
+		outputs = append(outputs, string(reducePart(t, nil, rctx, job, out.Partitions)))
 		spilled = append(spilled, ctx.Counters.Get(CtrSpilledRecords))
 	}
 	for i := 1; i < len(outputs); i++ {

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/hdfs"
+	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
@@ -310,5 +314,176 @@ func TestWarmScratchAllocationBudget(t *testing.T) {
 		if got > budget {
 			t.Errorf("combiner=%v: warm task allocated %d bytes, budget %d", combiner, got, budget)
 		}
+	}
+}
+
+// identityJob is TeraSort's reduce side: Text values, each written out
+// under its key.
+func identityJob() *Job {
+	return &Job{
+		Name: "identity",
+		NewReducer: func() Reducer {
+			return ReducerFunc(func(ctx *TaskContext, key string, values *Values, out Emitter) error {
+				for {
+					v, ok, err := values.Next()
+					if !ok || err != nil {
+						return err
+					}
+					if err := out.Emit(key, v); err != nil {
+						return err
+					}
+				}
+			})
+		},
+		DecodeValue: DecodeText,
+		OutputPath:  "/out",
+	}
+}
+
+// teraRuns deals n TeraSort-shaped pairs (10-byte key, 88-byte value)
+// round-robin into k runs and sorts each, as k map tasks would.
+func teraRuns(rng *rand.Rand, k, n int) [][]Pair {
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+	runs := make([][]Pair, k)
+	buf := make([]byte, 98)
+	for i := 0; i < n; i++ {
+		for j := range buf {
+			buf[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		runs[i%k] = append(runs[i%k], Pair{Key: string(buf[:10]), Val: append([]byte(nil), buf[10:]...)})
+	}
+	for _, run := range runs {
+		SortPairs(run)
+	}
+	return runs
+}
+
+// The bytes Finish returns on a scratch's writer are the scratch's part
+// buffer, which the next task overwrites. That is safe only because every
+// filesystem copies what WriteFile is given: after a second task on the
+// same scratch, the first part must still read back as it was written,
+// and as a fresh scratch writes it, for every container and filesystem.
+func TestReduceScratchPartsOutliveTheScratch(t *testing.T) {
+	filesystems := []struct {
+		name string
+		mk   func() vfs.FileSystem
+	}{
+		{"memfs", func() vfs.FileSystem { return vfs.NewMemFS() }},
+		{"hdfs", func() vfs.FileSystem {
+			d, err := hdfs.NewMiniDFS(sim.NewEngine(), cluster.NewTopology(cluster.PaperNodeConfig(3, 1)), hdfs.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d.Client(0)
+		}},
+	}
+	formats := []struct{ name, format, codec string }{
+		{"text", "", ""},
+		{"gzip", "", "gzip"},
+		{"seq", OutputFormatSeq, ""},
+	}
+	rng := rand.New(rand.NewSource(37))
+	parts := [][][]Pair{teraRuns(rng, 3, 400), teraRuns(rng, 2, 300)}
+	for _, fsys := range filesystems {
+		for _, f := range formats {
+			job := identityJob()
+			job.OutputFormat, job.OutputCodec = f.format, f.codec
+			name := fsys.name + "/" + f.name
+
+			// written runs both parts on s (fresh scratches when nil) and
+			// returns the filesystem and part 0's bytes as first stored.
+			written := func(s *ReduceScratch) (vfs.FileSystem, []byte) {
+				fs := fsys.mk()
+				if err := fs.Mkdir(job.OutputPath); err != nil {
+					t.Fatal(err)
+				}
+				var first []byte
+				for p, runs := range parts {
+					path := vfs.Join(job.OutputPath, job.OutputPartName(p))
+					if err := vfs.WriteFile(fs, path, reducePart(t, s, NewTaskContext(job.Name, fmt.Sprintf("r%d", p), fs, job), job, runs)); err != nil {
+						t.Fatal(err)
+					}
+					if p == 0 {
+						stored, err := vfs.ReadFile(fs, path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						first = stored
+					}
+				}
+				return fs, first
+			}
+			sharedFS, firstShared := written(new(ReduceScratch))
+			freshFS, firstFresh := written(nil)
+
+			path := vfs.Join(job.OutputPath, job.OutputPartName(0))
+			after, err := vfs.ReadFile(sharedFS, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, firstShared) || !bytes.Equal(after, firstFresh) {
+				t.Fatalf("%s: part 0 changed after the next task ran on its scratch", name)
+			}
+			got, err := ReadOutput(sharedFS, job.OutputPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ReadOutput(freshFS, job.OutputPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || strings.Count(got, "\n") != 700 {
+				t.Fatalf("%s: output on a shared scratch (%d lines) differs from fresh scratches (%d lines)", name, strings.Count(got, "\n"), strings.Count(want, "\n"))
+			}
+		}
+	}
+}
+
+// valueSink keeps decoded values alive so measuring the decoder measures
+// what a reducer pays for them.
+var valueSink Value
+
+// On a warm scratch an identity reduce allocates what its decoder does
+// (DecodeText: the value's string and its interface box) and a fixed
+// amount per task. The parent runtime also spent, per task, the merged
+// slice (100 k × 40 B = 4 MB here), one Values per group (48 B each,
+// 4.8 MB) and a part buffer regrown by doubling (~2 × 10 MB): any one of
+// them coming back breaks the 1 KiB slack many times over.
+func TestWarmReduceScratchAllocationBudget(t *testing.T) {
+	const nPairs = 100_000
+	runs := teraRuns(rand.New(rand.NewSource(1)), 8, nPairs)
+	job := identityJob()
+	fs := vfs.NewMemFS()
+	var s ReduceScratch
+	var ctx *TaskContext
+	task := func() {
+		w, err := s.NewOutputWriter(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ExecuteReduce(ctx, job, runs, w); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx = NewTaskContext("j", "r0", fs, job)
+	task() // warm up
+	ctx = NewTaskContext("j", "r1", fs, job)
+	got := allocatedBy(task)
+	decoded := allocatedBy(func() {
+		for _, run := range runs {
+			for _, p := range run {
+				valueSink, _ = job.DecodeValue(p.Val)
+			}
+		}
+	})
+	if n := ctx.Counters.Get(CtrReduceOutputRecords); n != nPairs {
+		t.Fatalf("task wrote %d records, want %d", n, nPairs)
+	}
+	t.Logf("warm reduce task: %d bytes allocated, its decoder %d", got, decoded)
+	if budget := decoded + 1<<10; got > budget {
+		t.Errorf("warm reduce task allocated %d bytes; its decoder %d, budget %d", got, decoded, budget)
 	}
 }

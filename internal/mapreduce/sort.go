@@ -152,98 +152,98 @@ func (s *sortScratch) groupSortInto(dst, src []Pair) {
 	s.groups, s.counts = groups, counts
 }
 
-// mergeCursor is one run's head position inside the k-way merge heap.
+// mergeCursor is one run's position inside the k-way merge heap, with
+// the key at that position kept beside it so comparisons stay in the heap.
 type mergeCursor struct {
-	run int // index into runs, the deterministic tie-breaker
+	key string // runs[run][pos].Key
+	run int    // index into runs, the deterministic tie-breaker
 	pos int
 }
 
-// MergeSortedRuns merges pre-sorted runs of pairs (one per map task) into
-// a single sorted slice — the reduce-side merge phase. Ties across runs
-// resolve in run order, keeping the merge deterministic. Run heads sit in
-// a binary heap of cursors, so each record costs O(log k) comparisons.
-func MergeSortedRuns(runs [][]Pair) []Pair {
+// mergeHeap is the reduce-side merge: the heads of pre-sorted runs (one
+// per map task) in a binary heap ordered by (key, run index), so each pair
+// costs O(log k) comparisons and ties across runs resolve in run order.
+// The zero value is empty; a ReduceScratch keeps one across tasks.
+type mergeHeap struct {
+	runs [][]Pair
+	h    []mergeCursor
+}
+
+// reset loads runs and returns their total length.
+func (m *mergeHeap) reset(runs [][]Pair) int {
+	m.runs, m.h = runs, slices.Grow(m.h[:0], len(runs))
 	total := 0
-	nonEmpty := 0
-	for _, r := range runs {
+	for i, r := range runs {
 		if len(r) > 0 {
-			nonEmpty++
+			m.h = append(m.h, mergeCursor{key: r[0].Key, run: i})
 			total += len(r)
 		}
 	}
-	out := make([]Pair, 0, total)
-	if nonEmpty == 1 {
-		for _, r := range runs {
-			if len(r) > 0 {
-				return append(out, r...)
-			}
-		}
+	for i := len(m.h)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
 	}
+	return total
+}
 
-	// less orders by (head key, run index); the run index keeps ties in
-	// run order.
-	h := make([]mergeCursor, 0, nonEmpty)
-	less := func(a, b mergeCursor) bool {
-		ka, kb := runs[a.run][a.pos].Key, runs[b.run][b.pos].Key
-		if ka != kb {
-			return ka < kb
-		}
-		return a.run < b.run
+func (a mergeCursor) less(b mergeCursor) bool {
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	push := func(c mergeCursor) {
-		h = append(h, c)
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !less(h[i], h[p]) {
-				break
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
+	return a.run < b.run
+}
+
+func (m *mergeHeap) siftDown(i int) {
+	h := m.h
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
 		}
+		c := l
+		if r := l + 1; r < len(h) && h[r].less(h[l]) {
+			c = r
+		}
+		if !h[c].less(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	siftDown := func() {
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= len(h) {
-				break
-			}
-			m := l
-			if r := l + 1; r < len(h) && less(h[r], h[l]) {
-				m = r
-			}
-			if !less(h[m], h[i]) {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
+}
+
+// pop removes and returns the smallest pair; the heap must not be empty.
+func (m *mergeHeap) pop() Pair {
+	c := &m.h[0]
+	run := m.runs[c.run]
+	p := run[c.pos]
+	if c.pos++; c.pos < len(run) {
+		c.key = run[c.pos].Key
+	} else {
+		last := len(m.h) - 1
+		m.h[0] = m.h[last]
+		m.h = m.h[:last]
 	}
-	for i, r := range runs {
-		if len(r) > 0 {
-			push(mergeCursor{run: i})
-		}
-	}
-	for len(h) > 0 {
-		c := h[0]
-		out = append(out, runs[c.run][c.pos])
-		c.pos++
-		if c.pos < len(runs[c.run]) {
-			h[0] = c
-			siftDown()
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-			siftDown()
-		}
+	m.siftDown(0)
+	return p
+}
+
+// MergeSortedRuns merges pre-sorted runs of pairs into a single sorted
+// slice, ties in run order: a drain of the heap a ReduceScratch streams
+// its groups from.
+func MergeSortedRuns(runs [][]Pair) []Pair {
+	var m mergeHeap
+	out := make([]Pair, 0, m.reset(runs))
+	for len(m.h) > 0 {
+		out = append(out, m.pop())
 	}
 	return out
 }
 
 // Values iterates the decoded values of one reduce group. It decodes
 // lazily so the raw (metered) bytes are what travelled through the
-// shuffle. Its store is a window of the sorted pair slice, so the group
-// loop allocates nothing per group.
+// shuffle. A *Values is valid only during the Reduce call it is handed
+// to: as Hadoop reuses its value iterator, the runtime hands every group
+// the same one, over a window it refills for the next group.
 type Values struct {
 	decode ValueDecoder
 	pairs  []Pair
@@ -283,30 +283,17 @@ func (v *Values) Each(fn func(Value) error) error {
 func (v *Values) Len() int { return len(v.pairs) }
 
 // GroupIterate walks a sorted pair slice group by group, invoking fn once
-// per distinct key with an iterator over that key's values.
+// per distinct key with an iterator over that key's values. Every group
+// is handed the same *Values.
 func GroupIterate(sorted []Pair, decode ValueDecoder, fn func(key string, values *Values) error) error {
-	return GroupIterateBy(sorted, decode, nil, fn)
-}
-
-// GroupIterateBy groups by groupKey(key) (identity when nil): adjacent
-// pairs whose group keys match form one reduce group, with values in
-// full-key sorted order — the grouping-comparator semantics behind
-// secondary sort. fn receives the group's first full key.
-func GroupIterateBy(sorted []Pair, decode ValueDecoder, groupKey func(string) string, fn func(key string, values *Values) error) error {
-	i := 0
-	for i < len(sorted) {
+	v := new(Values)
+	for i := 0; i < len(sorted); {
 		j := i + 1
-		if groupKey == nil {
-			for j < len(sorted) && sorted[j].Key == sorted[i].Key {
-				j++
-			}
-		} else {
-			g := groupKey(sorted[i].Key)
-			for j < len(sorted) && groupKey(sorted[j].Key) == g {
-				j++
-			}
+		for j < len(sorted) && sorted[j].Key == sorted[i].Key {
+			j++
 		}
-		if err := fn(sorted[i].Key, &Values{decode: decode, pairs: sorted[i:j]}); err != nil {
+		*v = Values{decode: decode, pairs: sorted[i:j]}
+		if err := fn(sorted[i].Key, v); err != nil {
 			return err
 		}
 		i = j

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 )
@@ -179,34 +180,64 @@ func (s *MapScratch) ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*
 	return out, nil
 }
 
-// ExecuteReduce runs one reduce task: merge the sorted runs fetched from
-// each map task, group by key, apply the reducer (with lifecycle hooks),
-// and write each output record to w. Returns the text bytes emitted
-// ("key<TAB>value\n" per record). Both runtimes discard that count; it
-// stays because the benchmark module under bench/, which is frozen,
-// assigns both results.
+// ReduceScratch is a reduce task's working memory, the reduce-side twin
+// of MapScratch: the k-way merge over the runs fetched from each map
+// task, the window holding one group's pairs, the one Values every group
+// is handed, and the buffer the task's part file is encoded into. The
+// zero value is ready. A scratch serves one task at a time. The part
+// bytes that Finish returns on its writer belong to the scratch until its
+// next task starts, so write them out first (vfs.WriteFile copies them).
+type ReduceScratch struct {
+	merge  mergeHeap
+	window []Pair
+	values Values
+	part   bytes.Buffer
+}
+
+// ExecuteReduce runs one reduce task on a scratch of its own.
 func ExecuteReduce(ctx *TaskContext, job *Job, runs [][]Pair, w *OutputWriter) (int64, error) {
+	return new(ReduceScratch).ExecuteReduce(ctx, job, runs, w)
+}
+
+// ExecuteReduce runs one reduce task: merge the sorted runs fetched from
+// each map task, group by key (or GroupKey(key)), apply the reducer (with
+// lifecycle hooks), and write each output record to w. The merge streams:
+// each group is popped into the window and reduced before the next is
+// read, so the merged partition never exists as one slice. Returns the
+// text bytes emitted ("key<TAB>value\n" per record); both runtimes discard
+// that count, which stays because the frozen bench/ module assigns it.
+func (s *ReduceScratch) ExecuteReduce(ctx *TaskContext, job *Job, runs [][]Pair, w *OutputWriter) (int64, error) {
 	reducer := job.NewReducer()
 	var written, outRecords int64
 	emit := EmitterFunc(func(key string, value Value) error {
 		outRecords++
-		s := value.String()
-		written += int64(len(key) + len(s) + 2) // tab + newline
-		return w.WriteRecord(key, s)
+		v := value.String()
+		written += int64(len(key) + len(v) + 2) // tab + newline
+		return w.WriteRecord(key, v)
 	})
 
-	if s, ok := reducer.(Setupper); ok {
-		if err := s.Setup(ctx); err != nil {
+	if su, ok := reducer.(Setupper); ok {
+		if err := su.Setup(ctx); err != nil {
 			return written, fmt.Errorf("reduce setup: %w", err)
 		}
 	}
-	merged := MergeSortedRuns(runs)
+	s.merge.reset(runs)
+	defer func() { // an idle scratch pins no shuffle data; the part holds bytes only
+		clear(s.window[:cap(s.window)])
+		clear(s.merge.h[:cap(s.merge.h)])
+		s.merge.reset(nil)
+	}()
 	var inGroups, inRecords int64
-	err := GroupIterateBy(merged, job.DecodeValue, job.GroupKey, func(key string, values *Values) error {
+	var err error
+	for len(s.merge.h) > 0 {
+		group := s.nextGroup(job.GroupKey)
 		inGroups++
-		inRecords += int64(values.Len())
-		return reducer.Reduce(ctx, key, values, emit)
-	})
+		inRecords += int64(len(group))
+		s.values = Values{decode: job.DecodeValue, pairs: group}
+		if err = reducer.Reduce(ctx, group[0].Key, &s.values, emit); err != nil {
+			break
+		}
+	}
 	ctx.Counters.Inc(CtrReduceInputGroups, inGroups)
 	ctx.Counters.Inc(CtrReduceInputRecords, inRecords)
 	if err != nil {
@@ -219,6 +250,26 @@ func ExecuteReduce(ctx *TaskContext, job *Job, runs [][]Pair, w *OutputWriter) (
 	}
 	ctx.Counters.Inc(CtrReduceOutputRecords, outRecords)
 	return written, nil
+}
+
+// nextGroup pops the next reduce group off the merge into the window: the
+// pairs whose key — or groupKey(key), when set — equals that of the
+// group's first pair, in merge order. The merge must not be empty.
+func (s *ReduceScratch) nextGroup(groupKey func(string) string) []Pair {
+	m := &s.merge
+	group := append(s.window[:0], m.pop())
+	if groupKey == nil {
+		for len(m.h) > 0 && m.h[0].key == group[0].Key {
+			group = append(group, m.pop())
+		}
+	} else {
+		g := groupKey(group[0].Key)
+		for len(m.h) > 0 && groupKey(m.h[0].key) == g {
+			group = append(group, m.pop())
+		}
+	}
+	s.window = group
+	return group
 }
 
 // PartitionName returns the conventional output file name for reducer r.

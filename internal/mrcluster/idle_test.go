@@ -44,8 +44,8 @@ func TestFinishedJobReleasesMapOutputs(t *testing.T) {
 					t.Fatalf("after job %d ended, %s of %s still holds its output", i, m.id(), jr.id)
 				}
 			}
-			if jr.scratch != nil {
-				t.Fatalf("after job %d ended, %s still holds its map scratch", i, jr.id)
+			if jr.scratch != nil || jr.reduceScratch != nil {
+				t.Fatalf("after job %d ended, %s still holds a task scratch", i, jr.id)
 			}
 		}
 	}

@@ -143,9 +143,12 @@ type jobRun struct {
 	durations [2][]time.Duration // completed attempts' run times, by kind
 
 	// scratch is the map-side collect/sort buffer every map attempt of the
-	// job runs on, one after another (the engine is single-threaded). It
-	// is allocated by the first attempt and dropped when the job ends.
-	scratch *mapreduce.MapScratch
+	// job runs on, one after another (the engine is single-threaded), and
+	// reduceScratch the reduce attempts' merge and part buffer. Each is
+	// allocated by the first attempt of its kind and dropped when the job
+	// ends.
+	scratch       *mapreduce.MapScratch
+	reduceScratch *mapreduce.ReduceScratch
 
 	// hist is the job's history file in the making: every lifecycle event
 	// from submit to finish, persisted into HDFS when the job completes.
@@ -1095,9 +1098,14 @@ func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative boo
 	client.Trace = a.ctx
 	ctx := mapreduce.NewTaskContext(jr.id, a.id(), client, jr.job)
 	ctx.Counters.Inc(mapreduce.CtrShuffleBytes, shuffleBytes)
-	ow, err := mapreduce.NewOutputWriter(jr.job)
+	if jr.reduceScratch == nil {
+		jr.reduceScratch = new(mapreduce.ReduceScratch)
+	}
+	// data is the scratch's part buffer: WriteFile below copies it before
+	// the next reduce attempt of the job reuses it.
+	ow, err := jr.reduceScratch.NewOutputWriter(jr.job)
 	if err == nil {
-		_, err = mapreduce.ExecuteReduce(ctx, jr.job, runs, ow)
+		_, err = jr.reduceScratch.ExecuteReduce(ctx, jr.job, runs, ow)
 	}
 	var data []byte
 	var ostats mapreduce.OutputStats
@@ -1273,11 +1281,11 @@ func (jt *JobTracker) endJob(jr *jobRun, cause error) {
 			break
 		}
 	}
-	// Nothing reads a job's map outputs or scratch once it is not running
+	// Nothing reads a job's map outputs or scratches once it is not running
 	// (completeAttempt, failAttempt and onContainerAllocated all check the
 	// state first); dropping them here is what lets a long-lived cluster's
 	// heap forget the datasets of the jobs it has run.
-	jr.scratch = nil
+	jr.scratch, jr.reduceScratch = nil, nil
 	for _, t := range jr.maps {
 		t.output = nil
 	}

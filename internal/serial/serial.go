@@ -123,6 +123,9 @@ func (r *Runner) Run(job *mapreduce.Job) (*mapreduce.Counters, error) {
 	if err := r.FS.Mkdir(job.OutputPath); err != nil {
 		return nil, err
 	}
+	// One reduce scratch for the sequential loop: each part is written out
+	// (vfs.WriteFile copies it) before the next task reuses the buffer.
+	var reduceScratch mapreduce.ReduceScratch
 	for p := 0; p < nReduce; p++ {
 		ctx := mapreduce.NewTaskContext(job.Name, fmt.Sprintf("attempt_r_%06d_0", p), r.FS, job)
 		// Even with no network, account the map->reduce handoff volume the
@@ -135,11 +138,11 @@ func (r *Runner) Run(job *mapreduce.Job) (*mapreduce.Counters, error) {
 			}
 		}
 		ctx.Counters.Inc(mapreduce.CtrShuffleBytes, shuffled)
-		ow, err := mapreduce.NewOutputWriter(job)
+		ow, err := reduceScratch.NewOutputWriter(job)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := mapreduce.ExecuteReduce(ctx, job, runsByPartition[p], ow); err != nil {
+		if _, err := reduceScratch.ExecuteReduce(ctx, job, runsByPartition[p], ow); err != nil {
 			return nil, err
 		}
 		data, ostats, err := ow.Finish()
