@@ -478,6 +478,20 @@ func (c *Client) BlockLocations(path string) ([]BlockLocation, error) {
 	return c.nn.BlockLocations(path)
 }
 
+// Extents lists a file's blocks as vfs extents, the layout
+// mapreduce.ComputeSplits cuts splits at (vfs.Extents calls it).
+func (c *Client) Extents(path string) ([]vfs.Extent, error) {
+	locs, err := c.nn.BlockLocations(path)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]vfs.Extent, len(locs))
+	for i, l := range locs {
+		out[i] = vfs.Extent{Offset: l.Offset, Length: l.Length, Hosts: l.Hosts}
+	}
+	return out, nil
+}
+
 // SetReplication changes a file's replication factor (hadoop fs -setrep).
 func (c *Client) SetReplication(path string, repl int) error {
 	err := c.nn.SetReplication(path, repl)

@@ -92,6 +92,31 @@ func BenchmarkExecuteMapWordCount(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteMapTeraSort is one TeraSort-shaped map task (100 k
+// records, three reducers, no combiner, one reused Text value) on a warm
+// scratch, as every map attempt of a job after the first runs.
+func BenchmarkExecuteMapTeraSort(b *testing.B) {
+	recs := teraRecords(rand.New(rand.NewSource(1)), 100_000)
+	job := teraMapJob()
+	fs := vfs.NewMemFS()
+	var bytes int64
+	for _, r := range recs {
+		bytes += int64(len(r.Line)) + 1
+	}
+	var s MapScratch
+	if _, err := s.ExecuteMap(NewTaskContext("bench", "m0", fs, job), job, recs); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ExecuteMap(NewTaskContext("bench", "m0", fs, job), job, recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkExecuteMapWithCombiner(b *testing.B) {
 	job := wordCountJob()
 	job.NewCombiner = job.NewReducer

@@ -37,11 +37,13 @@ func (s FileSplit) String() string {
 }
 
 // ComputeSplits expands the input paths (files or directories) on fs and
-// carves each file into splits of at most splitSize bytes. Empty files
-// yield no splits. Files whose format cannot be split — whole-stream
-// compressed text like .gz — become exactly one split covering the whole
-// file, which is how gzipping an input silently caps a job at one map
-// task.
+// carves each file into splits: one per extent where fs stores the file
+// in extents (one per HDFS block, carrying the block's hosts for locality
+// scheduling), else of at most splitSize bytes. Empty files yield no
+// splits. Files whose format cannot be split — whole-stream compressed
+// text like .gz — become exactly one split covering the whole file, which
+// is how gzipping an input silently caps a job at one map task however
+// many blocks HDFS stores.
 func ComputeSplits(fs vfs.FileSystem, inputs []string, splitSize int64) ([]FileSplit, error) {
 	if splitSize <= 0 {
 		splitSize = DefaultSplitSize
@@ -62,19 +64,27 @@ func ComputeSplits(fs vfs.FileSystem, inputs []string, splitSize int64) ([]FileS
 		if f.Size == 0 {
 			continue
 		}
-		if !iofmt.SplittablePath(f.Path) {
-			splits = append(splits, FileSplit{
-				Path: f.Path, Offset: 0, Length: f.Size, FileSize: f.Size,
-			})
-			continue
+		extents, err := vfs.Extents(fs, f.Path)
+		if err != nil {
+			return nil, err
 		}
-		for off := int64(0); off < f.Size; off += splitSize {
-			length := splitSize
-			if off+length > f.Size {
-				length = f.Size - off
+		switch {
+		case !iofmt.SplittablePath(f.Path):
+			// Locality can only target the first extent; the task streams
+			// the rest across the network regardless.
+			var hosts []string
+			if len(extents) > 0 {
+				hosts = extents[0].Hosts
 			}
+			extents = []vfs.Extent{{Length: f.Size, Hosts: hosts}}
+		case len(extents) == 0:
+			for off := int64(0); off < f.Size; off += splitSize {
+				extents = append(extents, vfs.Extent{Offset: off, Length: min(splitSize, f.Size-off)})
+			}
+		}
+		for _, e := range extents {
 			splits = append(splits, FileSplit{
-				Path: f.Path, Offset: off, Length: length, FileSize: f.Size,
+				Path: f.Path, Offset: e.Offset, Length: e.Length, FileSize: f.Size, Hosts: e.Hosts,
 			})
 		}
 	}

@@ -147,7 +147,7 @@ func ReadOutput(fs vfs.FileSystem, outputPath string) (string, error) {
 		if fi.IsDir || fi.Name() == "_SUCCESS" {
 			continue
 		}
-		data, err := vfs.ReadFile(fs, fi.Path)
+		data, err := vfs.ReadView(fs, fi.Path)
 		if err != nil {
 			return "", err
 		}

@@ -10,6 +10,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cluster"
+	"repro/internal/hdfs"
+	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
@@ -192,6 +195,42 @@ func TestComputeSplitsCoverage(t *testing.T) {
 	}
 	if covered["/in/a.txt"] != 100 || covered["/in/b.txt"] != 45 {
 		t.Fatalf("coverage: %v", covered)
+	}
+}
+
+// On a filesystem that stores files in extents (HDFS blocks) a split is
+// one extent with its hosts, whatever the split size; an unsplittable file
+// is one split placed by its first extent.
+func TestComputeSplitsCutsAtExtents(t *testing.T) {
+	d, err := hdfs.NewMiniDFS(sim.NewEngine(), cluster.NewTopology(cluster.PaperNodeConfig(4, 1)), hdfs.Options{Seed: 1, Config: hdfs.Config{BlockSize: 1024}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := d.Client(0)
+	for path, size := range map[string]int{"/in/a.txt": 2500, "/in/b.gz": 1500, "/in/empty.txt": 0} {
+		if err := vfs.WriteFile(c, path, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	splits, err := ComputeSplits(c, []string{"/in"}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locsA, err := c.BlockLocations("/in/a.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	locsB, err := c.BlockLocations("/in/b.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []FileSplit
+	for _, l := range locsA {
+		want = append(want, FileSplit{Path: "/in/a.txt", Offset: l.Offset, Length: l.Length, FileSize: 2500, Hosts: l.Hosts})
+	}
+	want = append(want, FileSplit{Path: "/in/b.gz", Length: 1500, FileSize: 1500, Hosts: locsB[0].Hosts})
+	if len(locsA) != 3 || len(locsB) != 2 || !reflect.DeepEqual(splits, want) {
+		t.Fatalf("splits = %v, want %v", splits, want)
 	}
 }
 

@@ -40,6 +40,55 @@ func fieldsMapper(ctx *TaskContext, off int64, line string, out Emitter) error {
 	return nil
 }
 
+// textMapper emits, per space-separated word, the word and the rest of its
+// line as a Text value. With reuse set it is Hadoop-style: it sets its one
+// Text field, emits a pointer to it and overwrites it straight after Emit
+// returns; otherwise every emit boxes a fresh Text.
+type textMapper struct {
+	reuse bool
+	val   Text
+}
+
+func (m *textMapper) Map(ctx *TaskContext, off int64, line string, out Emitter) error {
+	for len(line) > 0 {
+		var w string
+		w, line, _ = strings.Cut(line, " ")
+		if w == "" {
+			continue
+		}
+		var err error
+		if m.reuse {
+			m.val = Text(line)
+			err = out.Emit(w, &m.val)
+			m.val = "overwritten after Emit"
+		} else {
+			err = out.Emit(w, Text(line))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// minTextReducer keeps the smallest Text value of each group: a combiner
+// for textMapper's output.
+func minTextReducer(ctx *TaskContext, key string, values *Values, out Emitter) error {
+	var least Text
+	for i := 0; ; i++ {
+		v, ok, err := values.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return out.Emit(key, least)
+		}
+		if t := v.(Text); i == 0 || t < least {
+			least = t
+		}
+	}
+}
+
 // randomRecords builds one task's input: nLines lines of eight words drawn
 // from a vocabulary of vocab words (small vocab = duplicate-heavy output).
 func randomRecords(rng *rand.Rand, nLines, vocab int) []Record {
@@ -64,7 +113,7 @@ func cloneOutput(out *MapOutput) *MapOutput {
 		}
 		c.Partitions[p] = make([]Pair, len(part))
 		for i, kv := range part {
-			c.Partitions[p][i] = Pair{Key: strings.Clone(kv.Key), Val: append([]byte(nil), kv.Val...)}
+			c.Partitions[p][i] = Pair{Key: strings.Clone(kv.Key), Val: bytes.Clone(kv.Val)}
 		}
 	}
 	return c
@@ -83,58 +132,75 @@ func TestSharedScratchMatchesFreshAndNeverAliasesOutput(t *testing.T) {
 	}
 	var history []kept
 
+	// The value kinds: interned Int64 encodings, and Text values copied
+	// into the task's slab from a fresh Text per emit or from one reused
+	// Text that the mapper overwrites after every Emit.
+	values := []struct {
+		name      string
+		newMapper func() Mapper
+	}{
+		{"int64", func() Mapper { return MapperFunc(fieldsMapper) }},
+		{"text-fresh", func() Mapper { return &textMapper{} }},
+		{"text-reused", func() Mapper { return &textMapper{reuse: true} }},
+	}
 	for _, combiner := range []bool{false, true} {
 		for _, reducers := range []int{1, 3, 8} {
 			for _, spill := range []int{0, 7, 1000} {
 				for _, vocab := range []int{12, 1 << 30} { // duplicate-heavy, (nearly) all distinct
-					job := wordCountJob()
-					job.NewMapper = func() Mapper { return MapperFunc(fieldsMapper) }
-					if combiner {
-						job.NewCombiner = job.NewReducer
-					}
-					job.NumReducers = reducers
-					job.SpillRecords = spill
-					// Task sizes go up and down so the scratch is both
-					// regrown and reused with stale capacity to spare; the
-					// larger ones cross dupSampleMinLen per partition.
-					for task, nLines := range []int{rng.Intn(40), 300 + rng.Intn(900), rng.Intn(200), 150} {
-						name := fmt.Sprintf("combiner=%v reducers=%d spill=%d vocab=%d task=%d", combiner, reducers, spill, vocab, task)
-						recs := randomRecords(rng, nLines, vocab)
+					for _, val := range values {
+						job := wordCountJob()
+						job.NewMapper = val.newMapper
+						if val.name != "int64" {
+							job.DecodeValue = DecodeText
+							job.NewReducer = func() Reducer { return ReducerFunc(minTextReducer) }
+						}
+						if combiner {
+							job.NewCombiner = job.NewReducer
+						}
+						job.NumReducers = reducers
+						job.SpillRecords = spill
+						// Task sizes go up and down so the scratch is both
+						// regrown and reused with stale capacity to spare; the
+						// larger ones cross dupSampleMinLen per partition.
+						for task, nLines := range []int{rng.Intn(40), 300 + rng.Intn(900), rng.Intn(200), 150} {
+							name := fmt.Sprintf("combiner=%v reducers=%d spill=%d vocab=%d values=%s task=%d", combiner, reducers, spill, vocab, val.name, task)
+							recs := randomRecords(rng, nLines, vocab)
 
-						freshCtx := NewTaskContext("p", "fresh", fs, job)
-						fresh, err := new(MapScratch).ExecuteMap(freshCtx, job, recs)
-						if err != nil {
-							t.Fatalf("%s: fresh: %v", name, err)
-						}
-						sharedCtx := NewTaskContext("p", "shared", fs, job)
-						got, err := shared.ExecuteMap(sharedCtx, job, recs)
-						if err != nil {
-							t.Fatalf("%s: shared: %v", name, err)
-						}
-						if !reflect.DeepEqual(got, fresh) {
-							t.Fatalf("%s: output on the shared scratch differs from a fresh one", name)
-						}
-						if !reflect.DeepEqual(sharedCtx.Counters.Snapshot(), freshCtx.Counters.Snapshot()) {
-							t.Fatalf("%s: counters differ:\nshared %v\nfresh  %v", name, sharedCtx.Counters.Snapshot(), freshCtx.Counters.Snapshot())
-						}
-						history = append(history, kept{name, got, cloneOutput(got)})
-					}
-
-					// A task that dies mid-collect must not leave its pairs
-					// behind for the next one.
-					failing := *job
-					failing.NewMapper = func() Mapper {
-						n := 0
-						return MapperFunc(func(ctx *TaskContext, off int64, line string, out Emitter) error {
-							if n++; n > 20 {
-								return errBoom
+							freshCtx := NewTaskContext("p", "fresh", fs, job)
+							fresh, err := new(MapScratch).ExecuteMap(freshCtx, job, recs)
+							if err != nil {
+								t.Fatalf("%s: fresh: %v", name, err)
 							}
-							return fieldsMapper(ctx, off, line, out)
-						})
-					}
-					_, err := shared.ExecuteMap(NewTaskContext("p", "failing", fs, &failing), &failing, randomRecords(rng, 50, vocab))
-					if !errors.Is(err, errBoom) {
-						t.Fatalf("failing task: err = %v", err)
+							sharedCtx := NewTaskContext("p", "shared", fs, job)
+							got, err := shared.ExecuteMap(sharedCtx, job, recs)
+							if err != nil {
+								t.Fatalf("%s: shared: %v", name, err)
+							}
+							if !reflect.DeepEqual(got, fresh) {
+								t.Fatalf("%s: output on the shared scratch differs from a fresh one", name)
+							}
+							if !reflect.DeepEqual(sharedCtx.Counters.Snapshot(), freshCtx.Counters.Snapshot()) {
+								t.Fatalf("%s: counters differ:\nshared %v\nfresh  %v", name, sharedCtx.Counters.Snapshot(), freshCtx.Counters.Snapshot())
+							}
+							history = append(history, kept{name, got, cloneOutput(got)})
+						}
+
+						// A task that dies mid-collect must not leave its pairs
+						// behind for the next one.
+						failing := *job
+						failing.NewMapper = func() Mapper {
+							n, m := 0, val.newMapper()
+							return MapperFunc(func(ctx *TaskContext, off int64, line string, out Emitter) error {
+								if n++; n > 20 {
+									return errBoom
+								}
+								return m.Map(ctx, off, line, out)
+							})
+						}
+						_, err := shared.ExecuteMap(NewTaskContext("p", "failing", fs, &failing), &failing, randomRecords(rng, 50, vocab))
+						if !errors.Is(err, errBoom) {
+							t.Fatalf("failing task: err = %v", err)
+						}
 					}
 				}
 			}
@@ -154,6 +220,31 @@ func TestSharedScratchMatchesFreshAndNeverAliasesOutput(t *testing.T) {
 	}
 	assertZeroed(t, "run", shared.run[:cap(shared.run)])
 	assertSortScratchClear(t, &shared.sort)
+}
+
+// Every window slabAppend returns keeps its bytes while later values are
+// appended, whether they share its chunk, start the next one or are larger
+// than a chunk, and appending to a window never writes into its neighbour.
+func TestSlabAppendKeepsEveryWindow(t *testing.T) {
+	sizes := []int{0, 5, slabChunk - 6, 1, 10, slabChunk + 100, 7, slabChunk, 3}
+	var slab []byte
+	vals := make([]string, len(sizes))
+	wins := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		vals[i] = strings.Repeat(string(rune('a'+i)), n)
+		wins[i], slab = slabAppend(slab, vals[i])
+		if len(wins[i]) != n || cap(wins[i]) != n {
+			t.Fatalf("value %d: window len %d cap %d, want both %d", i, len(wins[i]), cap(wins[i]), n)
+		}
+	}
+	for _, w := range wins {
+		_ = append(w, '!')
+	}
+	for i, w := range wins {
+		if string(w) != vals[i] {
+			t.Errorf("value %d (%d bytes) changed after later values and appends", i, sizes[i])
+		}
+	}
 }
 
 func assertZeroed[T any](t *testing.T, what string, s []T) {
@@ -315,6 +406,60 @@ func TestWarmScratchAllocationBudget(t *testing.T) {
 			t.Errorf("combiner=%v: warm task allocated %d bytes, budget %d", combiner, got, budget)
 		}
 	}
+
+	// TeraSort's map reuses one Text and the emitter copies each value
+	// into the task's slab: the task allocates per slab chunk and output
+	// slice, not per record.
+	job := teraMapJob()
+	recs = teraRecords(rng, nPairs)
+	var s MapScratch
+	var out *MapOutput
+	allocs := testing.AllocsPerRun(1, func() {
+		var err error
+		if out, err = s.ExecuteMap(NewTaskContext("j", "m0", fs, job), job, recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if out.Records() != nPairs {
+		t.Fatalf("terasort task emitted %d pairs, want %d", out.Records(), nPairs)
+	}
+	t.Logf("warm terasort task: %.0f allocations", allocs)
+	if budget := float64(nPairs/64 + 64); allocs > budget {
+		t.Errorf("warm terasort task made %.0f allocations, budget %.0f", allocs, budget)
+	}
+}
+
+// teraMapper is TeraSort's map function: it splits "key<TAB>payload"
+// lines and emits the payload through one reused Text.
+type teraMapper struct{ val Text }
+
+func (m *teraMapper) Map(ctx *TaskContext, off int64, line string, out Emitter) error {
+	key, payload, ok := strings.Cut(line, "\t")
+	if !ok {
+		return nil
+	}
+	m.val = Text(payload)
+	return out.Emit(key, &m.val)
+}
+
+// teraMapJob is TeraSort's map side over three reducers.
+func teraMapJob() *Job {
+	job := identityJob()
+	job.NewMapper = func() Mapper { return new(teraMapper) }
+	job.NumReducers = 3
+	return job
+}
+
+// teraRecords builds n TeraSort input lines, teraRuns' pairs in the order
+// they were drawn, each written as "key<TAB>value".
+func teraRecords(rng *rand.Rand, n int) []Record {
+	recs := make([]Record, n)
+	var off int64
+	for i, run := range teraRuns(rng, n, n) { // one pair per run
+		recs[i] = Record{Offset: off, Line: run[0].Key + "\t" + string(run[0].Val)}
+		off += int64(len(recs[i].Line)) + 1
+	}
+	return recs
 }
 
 // identityJob is TeraSort's reduce side: Text values, each written out
@@ -363,6 +508,8 @@ func teraRuns(rng *rand.Rand, k, n int) [][]Pair {
 // filesystem copies what WriteFile is given: after a second task on the
 // same scratch, the first part must still read back as it was written,
 // and as a fresh scratch writes it, for every container and filesystem.
+// ReadOutput reads HDFS parts through views of the stored blocks; what it
+// returns must equal what it returns over MemFS, empty parts included.
 func TestReduceScratchPartsOutliveTheScratch(t *testing.T) {
 	filesystems := []struct {
 		name string
@@ -383,7 +530,8 @@ func TestReduceScratchPartsOutliveTheScratch(t *testing.T) {
 		{"seq", OutputFormatSeq, ""},
 	}
 	rng := rand.New(rand.NewSource(37))
-	parts := [][][]Pair{teraRuns(rng, 3, 400), teraRuns(rng, 2, 300)}
+	parts := [][][]Pair{teraRuns(rng, 3, 400), nil, teraRuns(rng, 2, 300)} // part 1 is empty
+	memOutput := map[string]string{}                                       // by format
 	for _, fsys := range filesystems {
 		for _, f := range formats {
 			job := identityJob()
@@ -434,6 +582,11 @@ func TestReduceScratchPartsOutliveTheScratch(t *testing.T) {
 			}
 			if got != want || strings.Count(got, "\n") != 700 {
 				t.Fatalf("%s: output on a shared scratch (%d lines) differs from fresh scratches (%d lines)", name, strings.Count(got, "\n"), strings.Count(want, "\n"))
+			}
+			if fsys.name == "memfs" {
+				memOutput[f.name] = got
+			} else if got != memOutput[f.name] {
+				t.Fatalf("%s: ReadOutput differs from the same parts on memfs", name)
 			}
 		}
 	}

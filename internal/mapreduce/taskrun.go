@@ -111,12 +111,24 @@ func (s *MapScratch) ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*
 	// two map-assigns per emitted pair was a measurable slice of the map
 	// phase on counting jobs.
 	var outRecords, outBytes int64
+	// slab holds this task's Text values back to back, Hadoop's collect
+	// buffer: one allocation per chunk instead of one per value. It is a
+	// local, not scratch state, because the output keeps pointing into it.
+	var slab []byte
 	emit := EmitterFunc(func(key string, value Value) error {
 		p := part(key, nParts)
 		if p < 0 || p >= nParts {
 			return fmt.Errorf("mapreduce: partitioner returned %d for %d reducers", p, nParts)
 		}
-		pair := Pair{Key: key, Val: value.EncodeValue()}
+		pair := Pair{Key: key}
+		switch v := value.(type) {
+		case Text:
+			pair.Val, slab = slabAppend(slab, string(v))
+		case *Text:
+			pair.Val, slab = slabAppend(slab, string(*v))
+		default:
+			pair.Val = value.EncodeValue()
+		}
 		buf := buffer[p]
 		if len(buf) == cap(buf) {
 			// Double: append's 1.25x steps for large slices would put a
@@ -178,6 +190,23 @@ func (s *MapScratch) ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*
 		}
 	}
 	return out, nil
+}
+
+// slabChunk is the size of a map task's value slab chunks.
+const slabChunk = 32 << 10
+
+// slabAppend copies v to the end of slab, starting a new chunk when it
+// does not fit (a chunk of v's own size when v is larger than slabChunk).
+// It returns v's bytes as a window capped at its length, so an append to
+// one value copies instead of overwriting the next, and the slab to use
+// next. Chunks are never rewound: every window stays valid.
+func slabAppend(slab []byte, v string) (val, rest []byte) {
+	if len(v) > cap(slab)-len(slab) {
+		slab = make([]byte, 0, max(slabChunk, len(v)))
+	}
+	a := len(slab)
+	slab = append(slab, v...)
+	return slab[a:len(slab):len(slab)], slab
 }
 
 // ReduceScratch is a reduce task's working memory, the reduce-side twin

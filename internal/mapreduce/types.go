@@ -118,7 +118,12 @@ func HashPartition(key string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// Emitter receives key/value pairs from map and reduce functions.
+// Emitter receives key/value pairs from map and reduce functions. Emit
+// has encoded the value by the time it returns, so the caller may reuse
+// one value object across calls and change it after each Emit — Hadoop's
+// object-reuse idiom (one Text field per mapper, set and written per
+// record). Every emitter the framework hands out keeps that contract: the
+// map task's, the combiner's and the reduce task's.
 type Emitter interface {
 	Emit(key string, value Value) error
 }

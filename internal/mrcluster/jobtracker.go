@@ -489,7 +489,7 @@ func (jt *JobTracker) submit(job *mapreduce.Job) (*JobHandle, error) {
 	if vfs.Exists(gw, job.OutputPath) {
 		return nil, &vfs.PathError{Op: "submit", Path: job.OutputPath, Err: vfs.ErrExist}
 	}
-	splits, err := jt.computeSplits(job)
+	splits, err := mapreduce.ComputeSplits(gw, job.InputPaths, job.EffectiveSplitSize())
 	if err != nil {
 		return nil, err
 	}
@@ -561,57 +561,6 @@ func (c *cacheFS) Open(path string) (io.ReadCloser, error) {
 		return vfs.BytesFile(data), nil
 	}
 	return c.FileSystem.Open(path)
-}
-
-// computeSplits builds one split per HDFS block of each input file, with
-// the block's replica hostnames attached for locality scheduling. Files
-// whose format cannot be split — whole-stream compressed text — become
-// exactly one split spanning every block: gzipping a big input silently
-// caps the job at one map task however many blocks HDFS stores.
-func (jt *JobTracker) computeSplits(job *mapreduce.Job) ([]mapreduce.FileSplit, error) {
-	client := jt.mc.DFS.Client(GatewayForSubmit)
-	var files []vfs.FileInfo
-	for _, in := range job.InputPaths {
-		if err := vfs.Walk(client, in, func(fi vfs.FileInfo) error {
-			files = append(files, fi)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
-	var splits []mapreduce.FileSplit
-	for _, f := range files {
-		if f.Size == 0 {
-			continue
-		}
-		locs, err := client.BlockLocations(f.Path)
-		if err != nil {
-			return nil, err
-		}
-		if !iofmt.SplittablePath(f.Path) {
-			// Locality can only target the first block; the task streams
-			// the rest across the network regardless.
-			var hosts []string
-			if len(locs) > 0 {
-				hosts = locs[0].Hosts
-			}
-			splits = append(splits, mapreduce.FileSplit{
-				Path: f.Path, Offset: 0, Length: f.Size, FileSize: f.Size, Hosts: hosts,
-			})
-			continue
-		}
-		for _, loc := range locs {
-			splits = append(splits, mapreduce.FileSplit{
-				Path:     f.Path,
-				Offset:   loc.Offset,
-				Length:   loc.Length,
-				FileSize: f.Size,
-				Hosts:    loc.Hosts,
-			})
-		}
-	}
-	return splits, nil
 }
 
 // --- scheduling ---

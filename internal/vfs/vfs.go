@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -173,6 +174,38 @@ func ReadFile(fs FileSystem, path string) ([]byte, error) {
 		return data, err
 	}
 	return io.ReadAll(r)
+}
+
+// ReadView reads the whole file at path for a caller that only reads the
+// bytes. A filesystem with a ReadRange method (the HDFS client) may hand
+// back a view of its stored bytes, which the caller must not modify;
+// others fall back to ReadFile.
+func ReadView(fs FileSystem, path string) ([]byte, error) {
+	if rr, ok := fs.(interface {
+		ReadRange(path string, off, length int64) ([]byte, error)
+	}); ok {
+		return rr.ReadRange(path, 0, math.MaxInt64)
+	}
+	return ReadFile(fs, path)
+}
+
+// Extent is a contiguous byte range of a file stored as one unit — an
+// HDFS block — with the hosts that hold it.
+type Extent struct {
+	Offset, Length int64
+	Hosts          []string
+}
+
+// Extents returns the storage layout of the file at path, from a
+// filesystem with an Extents method (the HDFS client), or nil from one
+// without: a file there is one byte range with no host to be near.
+func Extents(fs FileSystem, path string) ([]Extent, error) {
+	if ef, ok := fs.(interface {
+		Extents(path string) ([]Extent, error)
+	}); ok {
+		return ef.Extents(path)
+	}
+	return nil, nil
 }
 
 // BytesFile returns a read handle over data, which the caller must not
