@@ -72,7 +72,7 @@ func E1Meltdown(seed int64) (*Result, error) {
 	// Production-scale replay: 35 jobs, fault-driven resubmissions, tens
 	// of attempts each. Head-sample 1-in-8 job traces — keep-everything is
 	// the teaching default; a deadline crunch is where sampling earns its
-	// keep (unsampled jobs still record their flat spans as before).
+	// keep (unsampled jobs record no spans; their history files remain).
 	c.Obs.SetTraceSampling(8)
 	for _, dn := range c.DFS.DataNodes() {
 		dn.SetPreloadedBytes(preloadBytes)

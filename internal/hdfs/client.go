@@ -64,8 +64,8 @@ type Client struct {
 	// Trace is where the client's HDFS spans go. A task attempt sets its
 	// own context, which parents write pipelines and block reads under the
 	// attempt — how a reduce attempt's critical path reaches into the
-	// DataNode layer. The default is the registry's untraced context:
-	// write pipelines record flat, block reads not at all.
+	// DataNode layer. The zero default belongs to no trace and records no
+	// span (staged input, shell sessions, datagen, history files).
 	Trace obs.Ctx
 	// AutoAdvance, when set, advances the sim clock by each operation's
 	// modelled cost — right for interactive flows (shell sessions, data
@@ -317,9 +317,8 @@ func (c *Client) readBlock(bm *blockMeta) (*storedBlock, error) {
 			c.m.bytesReadRemote.Add(int64(len(data)))
 		}
 		c.m.readBlockTime.Observe(total)
-		// Traced clients (task attempts) get a read span under their
-		// attempt; untraced bulk readers stay span-free — block reads are
-		// far too hot to record unconditionally.
+		// A read span under the client's attempt; guarded because
+		// building attrs costs.
 		if c.Trace.Valid() {
 			start := time.Duration(c.eng.Now())
 			c.Trace.ChildSpan(SpanReadBlock, start, start+total, map[string]string{

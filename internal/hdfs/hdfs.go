@@ -109,8 +109,6 @@ func (d *MiniDFS) Client(from cluster.NodeID) *Client {
 		net:  d.Net,
 		from: from,
 		m:    d.cm,
-
-		Trace: d.Obs.Untraced(),
 	}
 }
 

@@ -154,8 +154,8 @@ type jobRun struct {
 	// from submit to finish, persisted into HDFS when the job completes.
 	hist *history.Log
 
-	// ctx roots the job's trace (invalid when head sampling dropped it:
-	// every downstream span then records flat, exactly as before tracing).
+	// ctx roots the job's trace (the zero Ctx when head sampling dropped
+	// it: then no span of the job is recorded; its history file still is).
 	ctx obs.Ctx
 
 	// YARN mode: the job's application handle plus the outstanding
@@ -1034,6 +1034,7 @@ func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative boo
 	}
 	jt.m.shuffleBytes.Add(shuffleBytes)
 	jt.m.shuffleTime.Observe(shuffleTime)
+	// Guarded because building attrs costs.
 	if a.ctx.Valid() {
 		a.ctx.ChildSpan(SpanShuffle, time.Duration(a.startedAt), time.Duration(a.startedAt)+shuffleTime, map[string]string{
 			"attempt": a.id(),

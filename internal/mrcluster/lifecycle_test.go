@@ -369,17 +369,11 @@ func checkLifecycle(t *testing.T, rig *lcRig, jr *jobRun, k *attemptKind, outcom
 	}
 }
 
-// TestUnsampledTaskSpanStartsAtFirstLaunch: a task's mr.task span runs
-// from its first launch whether or not the job's trace is sampled. The
-// job here is unsampled, and the first attempt of map task 0 fails and is
-// retried. The failure is keyed on the attempt's own id, so the mapper
-// shares no mutable state across attempts and the test stays race-free
-// however attempts are run.
-func TestUnsampledTaskSpanStartsAtFirstLaunch(t *testing.T) {
-	rig := newLCRig(t, Config{}, false)
-	rig.mc.Obs.SetTraceSampling(1 << 30)
-	rig.mc.Obs.NewTrace(0) // spend the window's one sampled trace
-	job := lcJob(2, nil)
+// retryFirstMap makes the first attempt of map task 0 fail, so the task
+// is retried. The failure is keyed on the attempt's own id, so the mapper
+// shares no mutable state across attempts and a test using it stays
+// race-free however attempts are run.
+func retryFirstMap(job *mapreduce.Job) *mapreduce.Job {
 	newMapper := job.NewMapper
 	job.NewMapper = func() mapreduce.Mapper {
 		m := newMapper()
@@ -390,7 +384,15 @@ func TestUnsampledTaskSpanStartsAtFirstLaunch(t *testing.T) {
 			return m.Map(ctx, off, line, emit)
 		})
 	}
-	h := rig.submit(t, job)
+	return job
+}
+
+// TestTaskSpanStartsAtFirstLaunch: a retried task's mr.task span runs
+// from its first launch, not from the launch of the attempt that
+// finished it. The first attempt of map task 0 fails and is retried.
+func TestTaskSpanStartsAtFirstLaunch(t *testing.T) {
+	rig := newLCRig(t, Config{}, false)
+	h := rig.submit(t, retryFirstMap(lcJob(2, nil)))
 	rig.stepUntil(t, "the job finished", h.Done)
 	if h.Err() != nil {
 		t.Fatal(h.Err())
@@ -403,8 +405,8 @@ func TestUnsampledTaskSpanStartsAtFirstLaunch(t *testing.T) {
 		if s.Name != SpanMapAttempt {
 			continue
 		}
-		if s.Trace != "" {
-			t.Fatalf("attempt span %s is traced; want the job unsampled", s.Attrs["attempt"])
+		if s.Trace == "" {
+			t.Fatalf("attempt span %s has no trace; want the job sampled", s.Attrs["attempt"])
 		}
 		id := s.Attrs["attempt"]
 		task := id[len("attempt_"):strings.LastIndex(id, "_")]
@@ -427,4 +429,60 @@ func TestUnsampledTaskSpanStartsAtFirstLaunch(t *testing.T) {
 		}
 	}
 	t.Errorf("no %s span for %s", SpanTask, retried)
+}
+
+// TestUnsampledJobRecordsNoSpans: a job whose trace head sampling drops
+// records no span at all — job, task, attempt, shuffle or HDFS — while
+// its persisted history file still holds the whole attempt lifecycle,
+// here a failed and retried map included.
+func TestUnsampledJobRecordsNoSpans(t *testing.T) {
+	rig := newLCRig(t, Config{}, false)
+	rig.mc.Obs.SetTraceSampling(1 << 30)
+	rig.mc.Obs.NewTrace(0) // spend the window's one sampled trace
+	before := len(rig.mc.Obs.Spans())
+	h := rig.submit(t, retryFirstMap(lcJob(2, nil)))
+	rig.stepUntil(t, "the job finished", h.Done)
+	if h.Err() != nil {
+		t.Fatal(h.Err())
+	}
+	if spans := rig.mc.Obs.Spans(); len(spans) != before {
+		t.Fatalf("an unsampled job recorded %d span(s), the first %s", len(spans)-before, spans[before].Name)
+	}
+
+	data, err := vfs.ReadFile(rig.mc.DFS.Client(hdfs.GatewayNode), history.EventsPath(h.Report().JobID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := history.Parse[history.Event](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends, failed := map[string]string{}, ""
+	for _, e := range events {
+		id := e.Attrs["attempt"]
+		switch e.Type {
+		case history.EvAttemptStart:
+			ends[id] = ""
+		case history.EvAttemptFinish, history.EvAttemptFail:
+			if ends[id] != "" {
+				t.Errorf("%s ends twice", id)
+			}
+			ends[id] = e.Type
+			if e.Type == history.EvAttemptFail {
+				failed = id
+			}
+		}
+	}
+	if !strings.HasSuffix(failed, "_m_000000_1") {
+		t.Errorf("failed attempt %q, want map task 0's first", failed)
+	}
+	ctr := h.Report().Counters
+	if got, want := len(ends), int(ctr.Get(mapreduce.CtrLaunchedMaps)+ctr.Get(mapreduce.CtrLaunchedReduces)); got != want {
+		t.Errorf("history starts %d attempts, want %d", got, want)
+	}
+	for id, end := range ends {
+		if end == "" {
+			t.Errorf("%s has no finish or fail event", id)
+		}
+	}
 }

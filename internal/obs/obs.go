@@ -142,9 +142,9 @@ func Percentile(sorted []time.Duration, q float64) time.Duration {
 
 // Span is one completed operation on the virtual clock. Start and End
 // are instants on the sim engine's clock (durations since engine start).
-// Trace/ID/Parent carry the causal identity of spans recorded through a
-// sampled obs.Ctx (see trace.go); spans of unsampled traces leave all
-// three zero, which omitempty drops from the export.
+// Trace/ID/Parent carry the span's causal identity (see trace.go). Every
+// span a registry records has them; a span read from a file may not, and
+// readers of such files skip it.
 type Span struct {
 	Name   string            `json:"name"`
 	Start  time.Duration     `json:"start_ns"`

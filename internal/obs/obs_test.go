@@ -45,7 +45,7 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	r.Counter("a").Add(1)
 	r.Gauge("b").Set(1)
 	r.Histogram("c").Observe(time.Second)
-	r.Untraced().End("d", 0, 1, nil)
+	r.NewTrace(0).End("d", 0, 1, nil)
 	if r.CounterValue("a") != 0 || len(r.Spans()) != 0 {
 		t.Fatal("nil registry must be inert")
 	}
@@ -67,10 +67,10 @@ func spansNamed(r *obs.Registry, name string) []obs.Span {
 
 func TestSpansKeepRecordOrder(t *testing.T) {
 	r := obs.NewRegistry()
-	flat := r.Untraced()
-	flat.End("b", 10, 20, map[string]string{"k": "1"})
-	flat.End("a", 5, 15, nil)
-	flat.End("b", 30, 40, nil)
+	root := r.NewTrace(0)
+	root.End("b", 10, 20, map[string]string{"k": "1"})
+	root.ChildSpan("a", 5, 15, nil)
+	root.End("b", 30, 40, nil)
 	spans := r.Spans()
 	if len(spans) != 3 || spans[0].Name != "b" || spans[1].Name != "a" {
 		t.Fatalf("spans out of record order: %+v", spans)
@@ -142,7 +142,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 			r.Gauge("g." + n).Set(42)
 			r.Histogram("h." + n).Observe(time.Duration(len(n)) * time.Millisecond)
 		}
-		r.Untraced().End("op", 100, 200, map[string]string{"zz": "2", "aa": "1"})
+		r.NewTrace(0).End("op", 100, 200, map[string]string{"zz": "2", "aa": "1"})
 		data, err := r.SnapshotJSON()
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +171,7 @@ func TestConcurrentUse(t *testing.T) {
 				h.Observe(time.Duration(j) * time.Microsecond)
 				r.Counter("par.shared").Inc()
 				if j%100 == 0 {
-					r.Untraced().End("par.op", time.Duration(i), time.Duration(j), nil)
+					r.NewTrace(0).End("par.op", time.Duration(i), time.Duration(j), nil)
 				}
 			}
 		}(i)

@@ -25,17 +25,16 @@ import (
 // (unsampled) ID.
 type TraceID string
 
-// SpanID identifies one span within a registry; 0 means "none" (an
-// untraced span, or a root's parent).
+// SpanID identifies one span within a registry; 0 means "none" (a
+// root's parent).
 type SpanID uint64
 
 // Ctx is the trace context threaded through a call chain, and the one
 // handle spans are recorded through: the registry it records into, which
 // trace the caller belongs to, the caller's own span identity, and its
-// parent's. A context of an unsampled trace knows its registry and
-// nothing else: End still records, as a flat span without identity, so
-// lifecycle spans exist whatever the sampling rate.
-// The zero Ctx has no registry and every operation on it is a no-op.
+// parent's. A context is either sampled or inert: head sampling hands an
+// unsampled trace the zero Ctx, which records nothing, as Dapper records
+// nothing for a request it did not sample.
 type Ctx struct {
 	r      *Registry
 	trace  TraceID
@@ -43,19 +42,13 @@ type Ctx struct {
 	parent SpanID
 }
 
-// Valid reports whether the context carries a sampled trace. Detail
-// spans too hot to record unconditionally (requests, block reads,
-// shuffles) are guarded by it, so sampling bounds span volume.
+// Valid reports whether the context carries a sampled trace. Call sites
+// whose attrs cost something to build (block reads, shuffles, cache
+// lookups) check it first, so those attrs exist only in sampled traces.
 func (c Ctx) Valid() bool { return c.trace != "" }
 
 // Trace returns the context's trace ID ("" when unsampled).
 func (c Ctx) Trace() TraceID { return c.trace }
-
-// Untraced returns a context that records flat spans into r and belongs
-// to no trace — the default of a component whose caller may or may not
-// hand it a context later (an HDFS client before a task attempt owns it).
-// Unlike NewTrace it does not spend a slot of the sampling window.
-func (r *Registry) Untraced() Ctx { return Ctx{r: r} }
 
 // SetTraceSampling sets head-based sampling: keep 1 trace in every n
 // (the first of each window, deterministically). n <= 1 keeps all — the
@@ -76,9 +69,9 @@ func (r *Registry) SetTraceSampling(n int) {
 
 // NewTrace starts a trace at the given virtual-clock instant and returns
 // its root context. The head-sampling decision happens here: an
-// unsampled trace returns r's untraced context, and so does every
-// NewChild below it. The trace ID embeds the registry's trace sequence
-// number and the start instant — both replay-deterministic.
+// unsampled trace returns the zero Ctx, and so does every NewChild below
+// it. The trace ID embeds the registry's trace sequence number and the
+// start instant — both replay-deterministic.
 func (r *Registry) NewTrace(now time.Duration) Ctx {
 	if r == nil {
 		return Ctx{}
@@ -87,7 +80,7 @@ func (r *Registry) NewTrace(now time.Duration) Ctx {
 	defer r.mu.Unlock()
 	r.traceSeq++
 	if r.sampleEvery > 1 && (r.traceSeq-1)%r.sampleEvery != 0 {
-		return Ctx{r: r}
+		return Ctx{}
 	}
 	r.spanSeq++
 	return Ctx{
@@ -113,10 +106,10 @@ func (c Ctx) NewChild() Ctx {
 // End records the span this context identifies — the only way a span
 // enters a registry. Callers pass explicit virtual-clock instants: in a
 // discrete-event simulation the modelled end of an operation is known
-// when it is scheduled. A sampled context stamps its trace, span and
-// parent IDs on the span; an unsampled one leaves all three zero.
+// when it is scheduled. The span carries the context's trace, span and
+// parent IDs; an unsampled context records nothing.
 func (c Ctx) End(name string, start, end time.Duration, attrs map[string]string) {
-	if c.r == nil {
+	if !c.Valid() {
 		return
 	}
 	c.r.mu.Lock()

@@ -58,7 +58,6 @@ func TestTraceInvalidCtxNoops(t *testing.T) {
 		t.Fatal("nil registry produced a valid ctx")
 	}
 	nilReg.NewTrace(0).End("nope", 0, 1, nil) // nil-safe
-	nilReg.Untraced().End("nope", 0, 1, nil)
 }
 
 func TestTraceHeadSampling(t *testing.T) {
@@ -80,10 +79,10 @@ func TestTraceHeadSampling(t *testing.T) {
 	}
 }
 
-// TestSpanCtxFallsBackToOrphan: a context of an unsampled trace — and
-// every context derived from it — still records, as a flat span without
-// identity that spends no span ID.
-func TestSpanCtxFallsBackToOrphan(t *testing.T) {
+// TestUnsampledTraceRecordsNothing: a context of an unsampled trace —
+// its root, every context derived from it, a leaf under it — and the zero
+// Ctx record no span, spend no span ID and spend no sampling slot.
+func TestUnsampledTraceRecordsNothing(t *testing.T) {
 	r := obs.NewRegistry()
 	r.SetTraceSampling(2)
 	kept, dropped := r.NewTrace(0), r.NewTrace(0)
@@ -91,26 +90,18 @@ func TestSpanCtxFallsBackToOrphan(t *testing.T) {
 		t.Fatalf("1-in-2 sampling: first valid=%v second valid=%v", kept.Valid(), dropped.Valid())
 	}
 	for name, ctx := range map[string]obs.Ctx{
-		"flat.op":       dropped,
-		"flat.child":    dropped.NewChild().NewChild(),
-		"flat.untraced": r.Untraced(),
+		"dropped.root":  dropped,
+		"dropped.child": dropped.NewChild().NewChild(),
+		"zero":          {},
 	} {
 		if ctx.Valid() || ctx.Trace() != "" {
 			t.Fatalf("%s: unsampled ctx reports valid / trace %q", name, ctx.Trace())
 		}
 		ctx.End(name, 1, 2, nil)
-		spans := spansNamed(r, name)
-		if len(spans) != 1 {
-			t.Fatalf("%s: got %d spans, want 1", name, len(spans))
-		}
-		if spans[0].Trace != "" || spans[0].ID != 0 || spans[0].Parent != 0 {
-			t.Fatalf("orphan span carries identity: %+v", spans[0])
-		}
+		ctx.ChildSpan(name+".leaf", 2, 3, nil)
 	}
-	// ChildSpan under an unsampled parent also degrades to an orphan.
-	dropped.ChildSpan("flat.leaf", 2, 3, nil)
-	if got := spansNamed(r, "flat.leaf"); len(got) != 1 || got[0].ID != 0 {
-		t.Fatalf("orphan child spans = %+v, want 1 without identity", got)
+	if spans := r.Spans(); len(spans) != 0 {
+		t.Fatalf("unsampled contexts recorded %d span(s): %+v", len(spans), spans)
 	}
 	// None of the above allocated a span ID: the next sampled child
 	// follows the kept root directly.
@@ -120,10 +111,9 @@ func TestSpanCtxFallsBackToOrphan(t *testing.T) {
 	if leaf.Parent != root.ID || leaf.ID != root.ID+1 || leaf.Trace != root.Trace {
 		t.Fatalf("sampled child %+v does not follow root %+v", leaf, root)
 	}
-	// Untraced spends no slot of the sampling window either: trace 3 is
-	// the next kept one.
+	// Nor a slot of the sampling window: trace 3 is the next kept one.
 	if next := r.NewTrace(0); !next.Valid() {
-		t.Fatal("Untraced or a flat End consumed a sampling slot")
+		t.Fatal("an unsampled End consumed a sampling slot")
 	}
 }
 

@@ -63,9 +63,11 @@ func (cl *Client) reqCtx(at sim.Time) obs.Ctx {
 	return cl.m.reg.NewTrace(at)
 }
 
-// requestSpan closes a sampled request's root span; callers skip it when
-// ctx is not a sampled trace.
+// requestSpan closes a sampled request's root span.
 func (cl *Client) requestSpan(ctx obs.Ctx, op, table string, at, done sim.Time, err error) {
+	if !ctx.Valid() {
+		return
+	}
 	result := "ok"
 	if err != nil && !errors.Is(err, kvstore.ErrNotFound) {
 		result = "error"
@@ -140,24 +142,18 @@ func (cl *Client) do(ctx obs.Ctx, at sim.Time, table, key string,
 		info, srv, t, err := cl.route(now, table, key, stale)
 		now = t
 		if err != nil {
-			if ctx.Valid() {
-				regionCallSpan(ctx, "", "", attempt, callStart, now, err)
-			}
+			regionCallSpan(ctx, "", "", attempt, callStart, now, err)
 			return now, err
 		}
 		done, err := op(info, srv, now)
 		if err == nil || !retryable(err) {
-			if ctx.Valid() {
-				regionCallSpan(ctx, info.ID, info.Srv, attempt, callStart, done+cost.RTT, err)
-			}
+			regionCallSpan(ctx, info.ID, info.Srv, attempt, callStart, done+cost.RTT, err)
 			return done + cost.RTT, err
 		}
 		lastErr = err
 		now = done
 		stale = true
-		if ctx.Valid() {
-			regionCallSpan(ctx, info.ID, info.Srv, attempt, callStart, now, err)
-		}
+		regionCallSpan(ctx, info.ID, info.Srv, attempt, callStart, now, err)
 		if errors.Is(err, ErrServerDown) && attempt > 0 {
 			// Refreshed and still down: META hasn't moved the region yet.
 			// Recovery takes virtual time; hand the backoff to the caller.
@@ -167,9 +163,11 @@ func (cl *Client) do(ctx obs.Ctx, at sim.Time, table, key string,
 	return now, lastErr
 }
 
-// regionCallSpan records one routed attempt under a sampled request;
-// callers skip it when ctx is not a sampled trace.
+// regionCallSpan records one routed attempt under a sampled request.
 func regionCallSpan(ctx obs.Ctx, region, server string, attempt int, start, end sim.Time, err error) {
+	if !ctx.Valid() {
+		return
+	}
 	result := "ok"
 	switch {
 	case errors.Is(err, ErrNotServing):
@@ -200,9 +198,7 @@ func (cl *Client) Get(at sim.Time, table, key string) ([]byte, sim.Time, error) 
 func (cl *Client) getInto(buf []byte, at sim.Time, table, key string) ([]byte, sim.Time, error) {
 	ctx := cl.reqCtx(at)
 	v, done, err := cl.get(ctx, buf, at, table, key)
-	if ctx.Valid() {
-		cl.requestSpan(ctx, "get", table, at, done, err)
-	}
+	cl.requestSpan(ctx, "get", table, at, done, err)
 	return v, done, err
 }
 
@@ -210,6 +206,7 @@ func (cl *Client) get(ctx obs.Ctx, buf []byte, at sim.Time, table, key string) (
 	now := at
 	if cl.cache != nil {
 		v, ok, done := cl.cache.Get(now, table, key)
+		// Guarded because building attrs costs.
 		if ctx.Valid() {
 			result := "miss"
 			if ok {
@@ -247,9 +244,7 @@ func (cl *Client) get(ctx obs.Ctx, buf []byte, at sim.Time, table, key string) (
 func (cl *Client) Put(at sim.Time, table, key string, value []byte) (sim.Time, error) {
 	ctx := cl.reqCtx(at)
 	done, err := cl.put(ctx, at, table, key, value)
-	if ctx.Valid() {
-		cl.requestSpan(ctx, "put", table, at, done, err)
-	}
+	cl.requestSpan(ctx, "put", table, at, done, err)
 	return done, err
 }
 
@@ -272,9 +267,7 @@ func (cl *Client) Delete(at sim.Time, table, key string) (sim.Time, error) {
 	if err == nil && cl.cache != nil {
 		done = cl.cache.Invalidate(done, table, key)
 	}
-	if ctx.Valid() {
-		cl.requestSpan(ctx, "delete", table, at, done, err)
-	}
+	cl.requestSpan(ctx, "delete", table, at, done, err)
 	return done, err
 }
 
@@ -290,9 +283,7 @@ func (cl *Client) ReadModifyWrite(at sim.Time, table, key string, value []byte) 
 	if err == nil || errors.Is(err, kvstore.ErrNotFound) {
 		done, err = cl.put(ctx, done, table, key, value)
 	}
-	if ctx.Valid() {
-		cl.requestSpan(ctx, "rmw", table, at, done, err)
-	}
+	cl.requestSpan(ctx, "rmw", table, at, done, err)
 	return done, err
 }
 
@@ -327,9 +318,7 @@ func (cl *Client) Scan(at sim.Time, table, start, end string, limit int) ([]kvst
 		})
 		now = done
 		if err != nil {
-			if ctx.Valid() {
-				cl.requestSpan(ctx, "scan", table, at, now, err)
-			}
+			cl.requestSpan(ctx, "scan", table, at, now, err)
 			return out, now, err
 		}
 		out = append(out, kvs...)
@@ -342,8 +331,6 @@ func (cl *Client) Scan(at sim.Time, table, start, end string, limit int) ([]kvst
 		}
 		cursor = regEnd
 	}
-	if ctx.Valid() {
-		cl.requestSpan(ctx, "scan", table, at, now, nil)
-	}
+	cl.requestSpan(ctx, "scan", table, at, now, nil)
 	return out, now, nil
 }

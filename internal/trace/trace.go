@@ -40,7 +40,7 @@ type Node struct {
 
 // Build reconstructs the trees of one or more traces from a flat span
 // list: spans with no parent — or whose parent never recorded — become
-// roots, in record order. Untraced spans (no identity) are ignored.
+// roots, in record order. Spans without identity are ignored.
 func Build(spans []obs.Span) []*Node {
 	byID := map[obs.SpanID]*Node{}
 	var nodes []*Node
@@ -158,7 +158,7 @@ type Summary struct {
 
 // Summaries groups a flat span list by trace and summarizes each, the
 // slowest trace first (ties keep first-recorded order). A trace's root is
-// its first recorded parentless span; untraced spans are skipped.
+// its first recorded parentless span; identity-less spans are skipped.
 func Summaries(spans []obs.Span) []Summary {
 	idx := map[obs.TraceID]int{}
 	var out []Summary
@@ -206,7 +206,7 @@ func Analyze(spans []obs.Span, id obs.TraceID) (*Analysis, error) {
 			a.Spans = append(a.Spans, s)
 		}
 	}
-	// The empty id is what untraced spans carry; it names no trace.
+	// The empty id is what identity-less spans carry; it names no trace.
 	if id == "" || len(a.Spans) == 0 {
 		return nil, fmt.Errorf("%w %q", ErrNoTrace, id)
 	}
