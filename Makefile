@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short static check race chaos bench bench-smoke bench-selftest ci lint
+.PHONY: build test short static check race chaos bench bench-smoke bench-selftest bench-pairs ci lint
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,13 @@ bench-smoke:
 # the gate that catches an exported-API deletion the benchmark depended on.
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Alternating pairs of one wall-clock benchmark workload, a git archive of
+# BASE against the working tree, summarised per end-to-end metric
+# (scripts/bench-pairs.sh; PAIRS and SEED default there):
+#   make bench-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1234]
+bench-pairs:
+	PAIRS="$(PAIRS)" SEED="$(SEED)" bash scripts/bench-pairs.sh "$(BASE)" "$(WORKLOAD)"
 
 # The gate a PR must pass end to end: build, the static gate, tier-1 tests
 # (which include the goldens, replay digests and E12/E13 smokes), the

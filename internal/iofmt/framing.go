@@ -12,8 +12,9 @@ import "encoding/binary"
 
 // AppendRecord appends one framed record (keyLen key valLen val, lengths
 // as uvarints) to dst and returns the extended buffer, in the manner of
-// strconv's Append functions.
-func AppendRecord(dst, key, val []byte) []byte {
+// strconv's Append functions. Key and value may each be a string or a
+// []byte, so no caller converts (and copies) one into the other.
+func AppendRecord[K, V string | []byte](dst []byte, key K, val V) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	dst = binary.AppendUvarint(dst, uint64(len(val)))
@@ -21,14 +22,9 @@ func AppendRecord(dst, key, val []byte) []byte {
 	return dst
 }
 
-// AppendRecordString is AppendRecord for string key/value without forcing
-// the caller through a []byte conversion (and its allocation).
+// AppendRecordString is AppendRecord for a string key and value.
 func AppendRecordString(dst []byte, key, val string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(key)))
-	dst = append(dst, key...)
-	dst = binary.AppendUvarint(dst, uint64(len(val)))
-	dst = append(dst, val...)
-	return dst
+	return AppendRecord(dst, key, val)
 }
 
 // RecordSize returns the framed size of a record without building it.

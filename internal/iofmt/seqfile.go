@@ -125,14 +125,13 @@ func (sw *SeqWriter) Append(key, val []byte) error {
 	return sw.noteAppend()
 }
 
-// AppendString adds one record from string key/value. It frames directly
-// into the open block's buffer, so (unlike Append on converted strings)
-// no per-record []byte copies are made.
+// AppendString adds one record from a string key and value, framed
+// straight into the open block's buffer with no []byte copies.
 func (sw *SeqWriter) AppendString(key, val string) error {
 	if sw.closed {
 		return io.ErrClosedPipe
 	}
-	sw.buf = AppendRecordString(sw.buf, key, val)
+	sw.buf = AppendRecord(sw.buf, key, val)
 	return sw.noteAppend()
 }
 

@@ -13,17 +13,29 @@ import (
 	"repro/internal/vfs"
 )
 
-// textEmitter emits Text values: a fresh Text per call, or with reuse one
-// Text field, overwritten as soon as Emit returns — Hadoop's object reuse,
-// which is sound only because every Emitter has encoded the value by then.
-type textEmitter struct {
-	reuse bool
-	val   mapreduce.Text
+// valueEmitter emits Text values, or Bytes ones when raw is set: a fresh
+// value per call, or with reuse one value field (for Bytes, one buffer),
+// overwritten as soon as Emit returns — Hadoop's object reuse, which is
+// sound only because every Emitter has encoded the value by then.
+type valueEmitter struct {
+	raw, reuse bool
+	val        mapreduce.Text
+	buf        mapreduce.Bytes
 }
 
-func (e *textEmitter) emit(out mapreduce.Emitter, key, val string) error {
-	if !e.reuse {
+func (e *valueEmitter) emit(out mapreduce.Emitter, key, val string) error {
+	switch {
+	case !e.reuse && e.raw:
+		return out.Emit(key, mapreduce.Bytes(val))
+	case !e.reuse:
 		return out.Emit(key, mapreduce.Text(val))
+	case e.raw:
+		e.buf = append(e.buf[:0], val...)
+		err := out.Emit(key, &e.buf)
+		for i := range e.buf {
+			e.buf[i] = '#'
+		}
+		return err
 	}
 	e.val = mapreduce.Text(val)
 	err := out.Emit(key, &e.val)
@@ -33,12 +45,13 @@ func (e *textEmitter) emit(out mapreduce.Emitter, key, val string) error {
 
 // successorJob maps each word to the word after it on its line ("$" at
 // the end) and reduces, and combines, each word's successors to the
-// smallest and the largest. Each of its mapper, combiner and reducer
-// reuses its value object when asked.
-func successorJob(reuseMap, reuseCombine, reuseReduce bool) *mapreduce.Job {
+// smallest and the largest. Its mapper, combiner and reducer emit Bytes
+// values when raw is set, Text ones otherwise, and each reuses its value
+// object when asked.
+func successorJob(raw, reuseMap, reuseCombine, reuseReduce bool) *mapreduce.Job {
 	minMax := func(reuse bool) func() mapreduce.Reducer {
 		return func() mapreduce.Reducer {
-			e := &textEmitter{reuse: reuse}
+			e := &valueEmitter{raw: raw, reuse: reuse}
 			return mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key string, values *mapreduce.Values, out mapreduce.Emitter) error {
 				var lo, hi string
 				for i := 0; ; i++ {
@@ -65,7 +78,7 @@ func successorJob(reuseMap, reuseCombine, reuseReduce bool) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name: "successor",
 		NewMapper: func() mapreduce.Mapper {
-			e := &textEmitter{reuse: reuseMap}
+			e := &valueEmitter{raw: raw, reuse: reuseMap}
 			return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, off int64, line string, out mapreduce.Emitter) error {
 				words := strings.Fields(line)
 				for i, w := range words {
@@ -92,18 +105,20 @@ func successorJob(reuseMap, reuseCombine, reuseReduce bool) *mapreduce.Job {
 // TestReusedValuesMatchFreshOnBothRuntimes pins the Emitter contract on
 // all three emitters: a mapper, a combiner and a reducer that each reuse
 // one value object, mutated after every Emit, write byte-identical output
-// to their fresh-value twins, standalone and on a MiniCluster.
+// to their fresh-value twins, standalone and on a MiniCluster. Bytes
+// values, whose reused buffer is overwritten in place, must write what
+// Text values write.
 func TestReusedValuesMatchFreshOnBothRuntimes(t *testing.T) {
 	var want string
-	for mask := 0; mask < 8; mask++ {
-		reuseMap, reuseCombine, reuseReduce := mask&1 != 0, mask&2 != 0, mask&4 != 0
-		name := fmt.Sprintf("reuse map=%v combine=%v reduce=%v", reuseMap, reuseCombine, reuseReduce)
+	for mask := 0; mask < 16; mask++ {
+		raw, reuseMap, reuseCombine, reuseReduce := mask&8 != 0, mask&1 != 0, mask&2 != 0, mask&4 != 0
+		name := fmt.Sprintf("raw=%v reuse map=%v combine=%v reduce=%v", raw, reuseMap, reuseCombine, reuseReduce)
 
 		local := vfs.NewMemFS()
 		if _, _, err := datagen.Text(local, "/in/corpus.txt", datagen.TextOpts{Lines: 400, Seed: 77}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := (&serial.Runner{FS: local, Parallelism: 3}).Run(successorJob(reuseMap, reuseCombine, reuseReduce)); err != nil {
+		if _, err := (&serial.Runner{FS: local, Parallelism: 3}).Run(successorJob(raw, reuseMap, reuseCombine, reuseReduce)); err != nil {
 			t.Fatalf("%s: serial: %v", name, err)
 		}
 		serialOut, err := mapreduce.ReadOutput(local, "/out")
@@ -119,7 +134,7 @@ func TestReusedValuesMatchFreshOnBothRuntimes(t *testing.T) {
 		if _, _, err := datagen.Text(c.FS(), "/in/corpus.txt", datagen.TextOpts{Lines: 400, Seed: 77}); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := c.Run(successorJob(reuseMap, reuseCombine, reuseReduce))
+		rep, err := c.Run(successorJob(raw, reuseMap, reuseCombine, reuseReduce))
 		if err != nil {
 			t.Fatalf("%s: cluster: %v", name, err)
 		}

@@ -2,10 +2,13 @@ package jobs
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"os/exec"
 	"strings"
+	"syscall"
 
 	"repro/internal/mapreduce"
 )
@@ -50,7 +53,10 @@ func streamCmd(argv []string, input func(w io.Writer) error) ([]string, error) {
 	if err := cmd.Wait(); err != nil {
 		return nil, fmt.Errorf("jobs: %q failed: %w", strings.Join(argv, " "), err)
 	}
-	if err := <-writeErr; err != nil && err != io.ErrClosedPipe {
+	// A command may exit without reading all its input (`head -n 1`): the
+	// writer then sees EPIPE, or os.ErrClosed once Wait has closed the
+	// pipe, and the exit status alone decides.
+	if err := <-writeErr; err != nil && !errors.Is(err, syscall.EPIPE) && !errors.Is(err, os.ErrClosed) {
 		return nil, err
 	}
 	return lines, scanErr
@@ -101,10 +107,10 @@ type streamingReducer struct {
 }
 
 func (r *streamingReducer) Reduce(ctx *mapreduce.TaskContext, key string, values *mapreduce.Values, out mapreduce.Emitter) error {
-	return values.Each(func(v mapreduce.Value) error {
-		r.lines = append(r.lines, key+"\t"+v.String())
-		return nil
-	})
+	for b, ok := values.NextBytes(); ok; b, ok = values.NextBytes() {
+		r.lines = append(r.lines, key+"\t"+string(b))
+	}
+	return nil
 }
 
 func (r *streamingReducer) Close(ctx *mapreduce.TaskContext, out mapreduce.Emitter) error {

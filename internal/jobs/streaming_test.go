@@ -1,6 +1,7 @@
 package jobs_test
 
 import (
+	"fmt"
 	"os/exec"
 	"sort"
 	"strings"
@@ -84,5 +85,41 @@ func TestStreamingCommandFailureSurfaces(t *testing.T) {
 	job := jobs.Streaming("/in", "/out", []string{"sh", "-c", "exit 3"}, []string{"sh", "-c", "cat"})
 	if _, err := (&serial.Runner{FS: fs}).Run(job); err == nil {
 		t.Fatal("failing mapper command did not fail the job")
+	}
+}
+
+// A reducer command may exit 0 without reading all its input. The broken
+// pipe its input writer then sees must not decide the task: the exit
+// status does, on every run.
+func TestStreamingCommandThatStopsReading(t *testing.T) {
+	requireTools(t, "cat", "true", "head")
+	var in strings.Builder
+	for i := 0; i < 20_000; i++ {
+		fmt.Fprintf(&in, "k%05d\tv%d\n", i, i)
+	}
+	for _, tc := range []struct {
+		reducer []string
+		want    string
+	}{
+		{[]string{"true"}, ""},
+		{[]string{"head", "-n", "1"}, "k00000\tv0\n"},
+	} {
+		for run := 0; run < 5; run++ {
+			fs := vfs.NewMemFS()
+			if err := vfs.WriteFile(fs, "/in/f.tsv", []byte(in.String())); err != nil {
+				t.Fatal(err)
+			}
+			job := jobs.Streaming("/in", "/out", []string{"cat"}, tc.reducer)
+			if _, err := (&serial.Runner{FS: fs}).Run(job); err != nil {
+				t.Fatalf("%v reducer, run %d: %v", tc.reducer, run, err)
+			}
+			out, err := mapreduce.ReadOutput(fs, "/out")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != tc.want {
+				t.Fatalf("%v reducer, run %d: output %q, want %q", tc.reducer, run, out, tc.want)
+			}
+		}
 	}
 }

@@ -29,13 +29,19 @@ func (m *teraMapper) Map(ctx *mapreduce.TaskContext, off int64, line string, out
 }
 
 // teraReducer is the identity: emit every record under its key. Values
-// for equal keys arrive in deterministic (map-task) order.
-type teraReducer struct{}
+// for equal keys arrive in deterministic (map-task) order. Like Hadoop's
+// identity reduce it never deserialises a value: it passes each value's
+// shuffled bytes on through one reused Bytes.
+type teraReducer struct{ val mapreduce.Bytes }
 
-func (teraReducer) Reduce(ctx *mapreduce.TaskContext, key string, values *mapreduce.Values, out mapreduce.Emitter) error {
-	return values.Each(func(v mapreduce.Value) error {
-		return out.Emit(key, v)
-	})
+func (r *teraReducer) Reduce(ctx *mapreduce.TaskContext, key string, values *mapreduce.Values, out mapreduce.Emitter) error {
+	for b, ok := values.NextBytes(); ok; b, ok = values.NextBytes() {
+		r.val = b
+		if err := out.Emit(key, &r.val); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SampleSplitPoints reads up to maxSamples keys from the input and
@@ -113,7 +119,7 @@ func TeraSort(fs vfs.FileSystem, input, output string, reducers int) (*mapreduce
 	return &mapreduce.Job{
 		Name:        "terasort",
 		NewMapper:   func() mapreduce.Mapper { return new(teraMapper) },
-		NewReducer:  func() mapreduce.Reducer { return teraReducer{} },
+		NewReducer:  func() mapreduce.Reducer { return new(teraReducer) },
 		DecodeValue: mapreduce.DecodeText,
 		NumReducers: reducers,
 		Partition:   RangePartition(splits),

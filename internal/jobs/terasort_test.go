@@ -12,6 +12,7 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/serial"
 	"repro/internal/vfs"
+	"repro/internal/yarn"
 )
 
 func TestTeraSortGlobalOrderSerial(t *testing.T) {
@@ -96,36 +97,65 @@ func TestTeraSortBalancedPartitions(t *testing.T) {
 	}
 }
 
+// TestTeraSortOnCluster runs TeraSort on a MiniCluster, with slots and
+// under MR-on-YARN: each output must be globally sorted and equal the
+// standalone runner's.
 func TestTeraSortOnCluster(t *testing.T) {
-	c, err := core.New(core.Options{Nodes: 6, Seed: 8, HDFS: hdfs.Config{BlockSize: 16 << 10}})
+	local := vfs.NewMemFS()
+	rows, _, err := datagen.Sortable(local, "/in/r.txt", datagen.SortableOpts{Rows: 6000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := datagen.Sortable(c.FS(), "/in/r.txt", datagen.SortableOpts{Rows: 6000, Seed: 3})
+	sj, err := jobs.TeraSort(local, "/in", "/out", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := jobs.TeraSort(c.FS(), "/in", "/out", 5)
+	if _, err := (&serial.Runner{FS: local, Parallelism: 3}).Run(sj); err != nil {
+		t.Fatal(err)
+	}
+	serialOut, err := mapreduce.ReadOutput(local, "/out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.Output("/out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := jobs.ValidateSorted(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != rows {
-		t.Fatalf("rows = %d, want %d", n, rows)
-	}
-	if rep.ReduceTasks != 5 {
-		t.Fatalf("reduce tasks = %d", rep.ReduceTasks)
+	for _, rm := range []*yarn.CapacityOptions{nil, {}} {
+		c, err := core.New(core.Options{Nodes: 6, Seed: 8, HDFS: hdfs.Config{BlockSize: 16 << 10}, YARN: rm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := datagen.Sortable(c.FS(), "/in/r.txt", datagen.SortableOpts{Rows: 6000, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		job, err := jobs.TeraSort(c.FS(), "/in", "/out", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed {
+			t.Fatalf("yarn=%v: job failed: %v", rm != nil, rep.Err)
+		}
+		out, err := c.Output("/out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := jobs.ValidateSorted(out)
+		if err != nil {
+			t.Fatalf("yarn=%v: %v", rm != nil, err)
+		}
+		if n != rows {
+			t.Fatalf("yarn=%v: rows = %d, want %d", rm != nil, n, rows)
+		}
+		if out != serialOut {
+			t.Fatalf("yarn=%v: cluster output (%d bytes) differs from serial (%d bytes)", rm != nil, len(out), len(serialOut))
+		}
+		if rep.ReduceTasks != 5 {
+			t.Fatalf("yarn=%v: reduce tasks = %d", rm != nil, rep.ReduceTasks)
+		}
+		if rm != nil && (c.RM == nil || !c.RM.AllFinished()) {
+			t.Fatal("yarn=true: the job did not run as a finished YARN application")
+		}
 	}
 }
 

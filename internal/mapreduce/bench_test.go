@@ -146,24 +146,38 @@ func BenchmarkHashPartition(b *testing.B) {
 }
 
 // BenchmarkExecuteReduce is one TeraSort-shaped reduce task (8 runs, 100 k
-// pairs, identity reducer, text part) on a warm scratch, as every reduce
-// attempt of a job after the first runs.
+// pairs, identity reducer) on a warm scratch, as every reduce attempt of
+// a job after the first runs: decode reads each value with Next, raw
+// passes its shuffled bytes on (NextBytes, one reused Bytes), each into a
+// text part and, under -seq, a SequenceFile part.
 func BenchmarkExecuteReduce(b *testing.B) {
 	runs := teraRuns(rand.New(rand.NewSource(1)), 8, 100_000)
-	job := identityJob()
-	fs := vfs.NewMemFS()
 	var bytes int64
 	for _, run := range runs {
 		for _, p := range run {
 			bytes += p.Bytes()
 		}
 	}
-	var s ReduceScratch
-	reducePart(b, &s, NewTaskContext(job.Name, "r", fs, job), job, runs)
-	b.SetBytes(bytes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reducePart(b, &s, NewTaskContext(job.Name, "r", fs, job), job, runs)
+	for _, bc := range []struct {
+		name string
+		job  *Job
+	}{{"decode", identityJob()}, {"raw", rawIdentityJob()}} {
+		for _, format := range []string{OutputFormatText, OutputFormatSeq} {
+			name, job := bc.name, *bc.job
+			if format == OutputFormatSeq {
+				name, job.OutputFormat = name+"-seq", format
+			}
+			b.Run(name, func(b *testing.B) {
+				fs := vfs.NewMemFS()
+				var s ReduceScratch
+				reducePart(b, &s, NewTaskContext(job.Name, "r", fs, &job), &job, runs)
+				b.SetBytes(bytes)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					reducePart(b, &s, NewTaskContext(job.Name, "r", fs, &job), &job, runs)
+				}
+			})
+		}
 	}
 }

@@ -32,6 +32,7 @@ type OutputWriter struct {
 	codec iofmt.Codec
 	buf   *bytes.Buffer // the text records, or the SequenceFile under seq
 	seq   *iofmt.SeqWriter
+	key   *[]byte // the scratch's buffer for a key framed with a []byte value under seq
 }
 
 // NewOutputWriter builds the writer for one reduce partition of job, over
@@ -48,7 +49,7 @@ func (s *ReduceScratch) NewOutputWriter(job *Job) (*OutputWriter, error) {
 		return nil, err
 	}
 	s.part.Reset()
-	w := &OutputWriter{codec: codec, buf: &s.part}
+	w := &OutputWriter{codec: codec, buf: &s.part, key: &s.key}
 	if job.outputFormat() == OutputFormatSeq {
 		sw, err := iofmt.NewSeqWriter(w.buf, iofmt.SeqWriterOptions{Codec: codec})
 		if err != nil {
@@ -59,16 +60,23 @@ func (s *ReduceScratch) NewOutputWriter(job *Job) (*OutputWriter, error) {
 	return w, nil
 }
 
-// WriteRecord adds one reduce output record.
-func (w *OutputWriter) WriteRecord(key, val string) error {
+// writeRecord adds one reduce output record, its value held as a string
+// or as bytes: the writer's one record encoder.
+func writeRecord[V string | []byte](w *OutputWriter, key string, val V) error {
 	if w.seq != nil {
-		return w.seq.AppendString(key, val)
+		if v, ok := any(val).(string); ok {
+			return w.seq.AppendString(key, v)
+		}
+		// The value is framed straight from its bytes; only the key is
+		// copied, into a buffer the scratch keeps from task to task.
+		*w.key = append((*w.key)[:0], key...)
+		return w.seq.Append(*w.key, []byte(val))
 	}
 	w.buf.Grow(len(key) + len(val) + 2)
-	w.buf.WriteString(key)
-	w.buf.WriteByte('\t')
-	w.buf.WriteString(val)
-	w.buf.WriteByte('\n')
+	line := append(w.buf.AvailableBuffer(), key...)
+	line = append(line, '\t')
+	line = append(line, val...)
+	w.buf.Write(append(line, '\n'))
 	return nil
 }
 

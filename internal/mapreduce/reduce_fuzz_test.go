@@ -14,14 +14,25 @@ type reduceGroup struct {
 	vals []string
 }
 
-// recordGroup drains values into a reduceGroup.
-func recordGroup(key string, values *Values) (reduceGroup, error) {
+// recordGroup drains values into a reduceGroup, reading each value with
+// NextBytes when raw says so and with Next otherwise.
+func recordGroup(key string, values *Values, raw func() bool) (reduceGroup, error) {
 	g := reduceGroup{key: key, n: values.Len()}
-	err := values.Each(func(v Value) error {
+	for {
+		if raw() {
+			b, ok := values.NextBytes()
+			if !ok {
+				return g, nil
+			}
+			g.vals = append(g.vals, string(b))
+			continue
+		}
+		v, ok, err := values.Next()
+		if !ok || err != nil {
+			return g, err
+		}
 		g.vals = append(g.vals, v.String())
-		return nil
-	})
-	return g, err
+	}
 }
 
 // prefixGroup is the fuzz target's grouping comparator: the key up to '#'.
@@ -83,8 +94,10 @@ func fuzzSeed(n int, grouped bool, pairs ...[2]int) []byte {
 // reducer — key, Len and values in order — are those of grouping one
 // fresh merged slice. The reference merge is a stable sort of the runs
 // concatenated in run order (equal keys keep run order, then position),
-// which MergeSortedRuns must also equal. One scratch serves every input,
-// so state an input leaves behind shows up in a later one.
+// which MergeSortedRuns must also equal. The reference reads every value
+// with Next; the reducer reads each with Next or NextBytes, as a bit of
+// the input picks. One scratch serves every input, so state an input
+// leaves behind shows up in a later one.
 func FuzzReduceGroups(f *testing.F) {
 	const a, b, c, aH0, aH1, bH0 = 0, 1, 2, 3, 6, 4
 	f.Add(fuzzSeed(1, false))
@@ -112,7 +125,7 @@ func FuzzReduceGroups(f *testing.F) {
 
 		var want []reduceGroup
 		addWant := func(key string, values *Values) error {
-			g, err := recordGroup(key, values)
+			g, err := recordGroup(key, values, func() bool { return false })
 			want = append(want, g)
 			return err
 		}
@@ -134,10 +147,15 @@ func FuzzReduceGroups(f *testing.F) {
 		}
 
 		var got []reduceGroup
+		reads := 0
+		raw := func() bool { // a bit of the input per value read
+			reads++
+			return data[reads%len(data)]>>(reads%7)&1 != 0
+		}
 		job := &Job{
 			NewReducer: func() Reducer {
 				return ReducerFunc(func(ctx *TaskContext, key string, values *Values, out Emitter) error {
-					g, err := recordGroup(key, values)
+					g, err := recordGroup(key, values, raw)
 					got = append(got, g)
 					return err
 				})

@@ -485,6 +485,26 @@ func identityJob() *Job {
 	}
 }
 
+// rawIdentityJob is identityJob with TeraSort's pass-through reduce: it
+// emits each value's shuffled bytes through one reused Bytes and decodes
+// none.
+func rawIdentityJob() *Job {
+	job := identityJob()
+	job.NewReducer = func() Reducer {
+		var val Bytes
+		return ReducerFunc(func(ctx *TaskContext, key string, values *Values, out Emitter) error {
+			for b, ok := values.NextBytes(); ok; b, ok = values.NextBytes() {
+				val = b
+				if err := out.Emit(key, &val); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	return job
+}
+
 // teraRuns deals n TeraSort-shaped pairs (10-byte key, 88-byte value)
 // round-robin into k runs and sorts each, as k map tasks would.
 func teraRuns(rng *rand.Rand, k, n int) [][]Pair {
@@ -510,6 +530,8 @@ func teraRuns(rng *rand.Rand, k, n int) [][]Pair {
 // and as a fresh scratch writes it, for every container and filesystem.
 // ReadOutput reads HDFS parts through views of the stored blocks; what it
 // returns must equal what it returns over MemFS, empty parts included.
+// The pass-through reduce (NextBytes, one reused Bytes) must store every
+// part byte for byte as the reduce that decodes each value with Next.
 func TestReduceScratchPartsOutliveTheScratch(t *testing.T) {
 	filesystems := []struct {
 		name string
@@ -524,19 +546,29 @@ func TestReduceScratchPartsOutliveTheScratch(t *testing.T) {
 			return d.Client(0)
 		}},
 	}
-	formats := []struct{ name, format, codec string }{
-		{"text", "", ""},
-		{"gzip", "", "gzip"},
-		{"seq", OutputFormatSeq, ""},
+	formats := []struct {
+		name, format, codec string
+		raw                 bool // the pass-through reduce, after the Next one
+	}{
+		{"text", "", "", false},
+		{"gzip", "", "gzip", false},
+		{"seq", OutputFormatSeq, "", false},
+		{"text", "", "", true},
+		{"gzip", "", "gzip", true},
+		{"seq", OutputFormatSeq, "", true},
 	}
 	rng := rand.New(rand.NewSource(37))
 	parts := [][][]Pair{teraRuns(rng, 3, 400), nil, teraRuns(rng, 2, 300)} // part 1 is empty
 	memOutput := map[string]string{}                                       // by format
+	nextParts := map[string][][]byte{}                                     // by filesystem and format
 	for _, fsys := range filesystems {
 		for _, f := range formats {
 			job := identityJob()
+			if f.raw {
+				job = rawIdentityJob()
+			}
 			job.OutputFormat, job.OutputCodec = f.format, f.codec
-			name := fsys.name + "/" + f.name
+			name := fmt.Sprintf("%s/%s (raw %v)", fsys.name, f.name, f.raw)
 
 			// written runs both parts on s (fresh scratches when nil) and
 			// returns the filesystem and part 0's bytes as first stored.
@@ -583,10 +615,23 @@ func TestReduceScratchPartsOutliveTheScratch(t *testing.T) {
 			if got != want || strings.Count(got, "\n") != 700 {
 				t.Fatalf("%s: output on a shared scratch (%d lines) differs from fresh scratches (%d lines)", name, strings.Count(got, "\n"), strings.Count(want, "\n"))
 			}
-			if fsys.name == "memfs" {
+			if mem, ok := memOutput[f.name]; !ok {
 				memOutput[f.name] = got
-			} else if got != memOutput[f.name] {
-				t.Fatalf("%s: ReadOutput differs from the same parts on memfs", name)
+			} else if got != mem {
+				t.Fatalf("%s: ReadOutput differs from the Next path's parts on memfs", name)
+			}
+			var stored [][]byte
+			for p := range parts {
+				b, err := vfs.ReadFile(sharedFS, vfs.Join(job.OutputPath, job.OutputPartName(p)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stored = append(stored, b)
+			}
+			if key := fsys.name + "/" + f.name; !f.raw {
+				nextParts[key] = stored
+			} else if !reflect.DeepEqual(stored, nextParts[key]) {
+				t.Fatalf("%s: stored parts differ from the Next path's", name)
 			}
 		}
 	}
@@ -598,45 +643,55 @@ var valueSink Value
 
 // On a warm scratch an identity reduce allocates what its decoder does
 // (DecodeText: the value's string and its interface box) and a fixed
-// amount per task. The parent runtime also spent, per task, the merged
+// amount per task; the pass-through reduce, which decodes nothing, only
+// the fixed amount. The parent runtime also spent, per task, the merged
 // slice (100 k × 40 B = 4 MB here), one Values per group (48 B each,
 // 4.8 MB) and a part buffer regrown by doubling (~2 × 10 MB): any one of
 // them coming back breaks the 1 KiB slack many times over.
 func TestWarmReduceScratchAllocationBudget(t *testing.T) {
 	const nPairs = 100_000
 	runs := teraRuns(rand.New(rand.NewSource(1)), 8, nPairs)
-	job := identityJob()
 	fs := vfs.NewMemFS()
-	var s ReduceScratch
-	var ctx *TaskContext
-	task := func() {
-		w, err := s.NewOutputWriter(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.ExecuteReduce(ctx, job, runs, w); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := w.Finish(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx = NewTaskContext("j", "r0", fs, job)
-	task() // warm up
-	ctx = NewTaskContext("j", "r1", fs, job)
-	got := allocatedBy(task)
-	decoded := allocatedBy(func() {
-		for _, run := range runs {
-			for _, p := range run {
-				valueSink, _ = job.DecodeValue(p.Val)
+	for _, tc := range []struct {
+		name   string
+		job    *Job
+		decode bool
+	}{{"decode", identityJob(), true}, {"raw", rawIdentityJob(), false}} {
+		job := tc.job
+		var s ReduceScratch
+		var ctx *TaskContext
+		task := func() {
+			w, err := s.NewOutputWriter(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.ExecuteReduce(ctx, job, runs, w); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := w.Finish(); err != nil {
+				t.Fatal(err)
 			}
 		}
-	})
-	if n := ctx.Counters.Get(CtrReduceOutputRecords); n != nPairs {
-		t.Fatalf("task wrote %d records, want %d", n, nPairs)
-	}
-	t.Logf("warm reduce task: %d bytes allocated, its decoder %d", got, decoded)
-	if budget := decoded + 1<<10; got > budget {
-		t.Errorf("warm reduce task allocated %d bytes; its decoder %d, budget %d", got, decoded, budget)
+		ctx = NewTaskContext("j", "r0", fs, job)
+		task() // warm up
+		ctx = NewTaskContext("j", "r1", fs, job)
+		got := allocatedBy(task)
+		var decoded uint64
+		if tc.decode {
+			decoded = allocatedBy(func() {
+				for _, run := range runs {
+					for _, p := range run {
+						valueSink, _ = job.DecodeValue(p.Val)
+					}
+				}
+			})
+		}
+		if n := ctx.Counters.Get(CtrReduceOutputRecords); n != nPairs {
+			t.Fatalf("%s: task wrote %d records, want %d", tc.name, n, nPairs)
+		}
+		t.Logf("%s: warm reduce task: %d bytes allocated, its decoder %d", tc.name, got, decoded)
+		if budget := decoded + 1<<10; got > budget {
+			t.Errorf("%s: warm reduce task allocated %d bytes; its decoder %d, budget %d", tc.name, got, decoded, budget)
+		}
 	}
 }

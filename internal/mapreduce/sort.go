@@ -263,6 +263,22 @@ func (v *Values) Next() (Value, bool, error) {
 	return val, true, nil
 }
 
+// NextBytes returns the next value's encoded bytes as they crossed the
+// shuffle, without decoding them, or ok=false when exhausted. It advances
+// the cursor Next does. The bytes are read-only and valid until the Reduce
+// call returns; their capacity is clipped, so an append copies instead of
+// writing into a neighbouring value. A reducer that only passes values
+// through emits them as Bytes, as Hadoop's identity reduce passes a raw or
+// reused value on.
+func (v *Values) NextBytes() ([]byte, bool) {
+	if v.i >= len(v.pairs) {
+		return nil, false
+	}
+	b := v.pairs[v.i].Val
+	v.i++
+	return b[:len(b):len(b)], true
+}
+
 // Each applies fn to every remaining value.
 func (v *Values) Each(fn func(Value) error) error {
 	for {

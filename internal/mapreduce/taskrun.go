@@ -212,7 +212,8 @@ func slabAppend(slab []byte, v string) (val, rest []byte) {
 // ReduceScratch is a reduce task's working memory, the reduce-side twin
 // of MapScratch: the k-way merge over the runs fetched from each map
 // task, the window holding one group's pairs, the one Values every group
-// is handed, and the buffer the task's part file is encoded into. The
+// is handed, the buffer the task's part file is encoded into, and the one
+// a SequenceFile part copies each key into beside a raw value. The
 // zero value is ready. A scratch serves one task at a time. The part
 // bytes that Finish returns on its writer belong to the scratch until its
 // next task starts, so write them out first (vfs.WriteFile copies them).
@@ -221,6 +222,7 @@ type ReduceScratch struct {
 	window []Pair
 	values Values
 	part   bytes.Buffer
+	key    []byte
 }
 
 // ExecuteReduce runs one reduce task on a scratch of its own.
@@ -240,9 +242,19 @@ func (s *ReduceScratch) ExecuteReduce(ctx *TaskContext, job *Job, runs [][]Pair,
 	var written, outRecords int64
 	emit := EmitterFunc(func(key string, value Value) error {
 		outRecords++
-		v := value.String()
-		written += int64(len(key) + len(v) + 2) // tab + newline
-		return w.WriteRecord(key, v)
+		var raw []byte
+		switch v := value.(type) {
+		case Bytes:
+			raw = v
+		case *Bytes:
+			raw = *v
+		default:
+			s := value.String()
+			written += int64(len(key) + len(s) + 2) // tab + newline
+			return writeRecord(w, key, s)
+		}
+		written += int64(len(key) + len(raw) + 2)
+		return writeRecord(w, key, raw)
 	})
 
 	if su, ok := reducer.(Setupper); ok {

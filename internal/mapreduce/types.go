@@ -39,6 +39,15 @@ func (t Text) String() string      { return string(t) }
 // DecodeText decodes a Text value.
 func DecodeText(b []byte) (Value, error) { return Text(b), nil }
 
+// Bytes is a raw-bytes Value (Hadoop's BytesWritable): what a reducer
+// that interprets no value emits for the bytes Values.NextBytes hands it.
+// Its owner may overwrite those bytes after Emit returns, so EncodeValue
+// returns a copy; the reduce task's emitter writes them out without one.
+type Bytes []byte
+
+func (b Bytes) EncodeValue() []byte { return append([]byte(nil), b...) }
+func (b Bytes) String() string      { return string(b) }
+
 // Int64 is an integer Value (Hadoop's LongWritable).
 type Int64 int64
 
