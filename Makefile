@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short static check race chaos bench bench-smoke bench-selftest bench-pairs ci lint
+.PHONY: build test short static check race chaos bench bench-smoke bench-selftest bench-pairs ci lint loc
 
 build:
 	$(GO) build ./...
@@ -81,7 +81,13 @@ bench-selftest:
 bench-pairs:
 	PAIRS="$(PAIRS)" SEED="$(SEED)" bash scripts/bench-pairs.sh "$(BASE)" "$(WORKLOAD)"
 
-# The gate a PR must pass end to end: build, the static gate, tier-1 tests
+# The line budget (scripts/loc.sh): non-test Go lines outside bench/ and
+# testdata, per directory and in total; fails above the budget.
+loc:
+	bash scripts/loc.sh
+
+# The gate a PR must pass end to end: build, the static gate, the line
+# budget, tier-1 tests
 # (which include the goldens, replay digests and E12/E13 smokes), the
 # race-checked subset (`make race`), five seconds of each fuzz target
 # (the event-queue and ranged-read ones without corpus minimisation: each
@@ -92,7 +98,7 @@ bench-pairs:
 # on still fails the gate — the nested bench module's self-test. The
 # static gate comes before tests so a determinism violation fails the
 # build even when no test happens to exercise it.
-ci: build static
+ci: build static loc
 	$(GO) test ./...
 	$(MAKE) race
 	$(GO) test -run '^$$' -fuzz FuzzSeqSplit -fuzztime 5s ./internal/iofmt/

@@ -112,9 +112,6 @@ func New(opts Options) (*MiniCluster, error) {
 // FS returns a gateway (off-cluster) HDFS client — the login node view.
 func (c *MiniCluster) FS() *hdfs.Client { return c.DFS.Client(hdfs.GatewayNode) }
 
-// NodeFS returns an HDFS client located on a cluster node.
-func (c *MiniCluster) NodeFS(id cluster.NodeID) *hdfs.Client { return c.DFS.Client(id) }
-
 // Run submits a job and drives the simulation to completion.
 func (c *MiniCluster) Run(job *mapreduce.Job) (*mrcluster.Report, error) {
 	return c.MR.Run(job)

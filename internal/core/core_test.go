@@ -154,7 +154,7 @@ func TestMetadataPersistenceThroughFacade(t *testing.T) {
 	if _, err := c.DFS.NN.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if !vfs.Exists(meta, "/dfs/name/current/fsimage") {
+	if !vfs.Exists(meta, "/dfs/name/current/fsimage_1") {
 		t.Fatal("fsimage not written through the facade")
 	}
 }

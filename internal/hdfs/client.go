@@ -96,9 +96,6 @@ func (c *Client) auditEv(typ string, attrs map[string]string, err error) {
 	c.nn.audit.Append(time.Duration(c.eng.Now()), typ, attrs)
 }
 
-// Location returns the node the client runs on (GatewayNode if off-cluster).
-func (c *Client) Location() cluster.NodeID { return c.from }
-
 // NameNode exposes the cluster's NameNode (for fsck, locations, admin).
 func (c *Client) NameNode() *NameNode { return c.nn }
 
@@ -263,7 +260,7 @@ func (c *Client) writeBlock(f *inode, path string, buf []byte, off, end int) err
 		c.m.pipelineShrunk.Inc()
 	}
 	start := c.eng.Now()
-	c.Trace.ChildSpan(SpanWritePipeline, time.Duration(start), time.Duration(start)+bottleneck, map[string]string{
+	c.Trace.ChildSpan("hdfs.write_pipeline", time.Duration(start), time.Duration(start)+bottleneck, map[string]string{
 		"block":    fmt.Sprint(id),
 		"bytes":    fmt.Sprint(len(data)),
 		"replicas": fmt.Sprint(len(written)),
@@ -321,7 +318,7 @@ func (c *Client) readBlock(bm *blockMeta) (*storedBlock, error) {
 		// building attrs costs.
 		if c.Trace.Valid() {
 			start := time.Duration(c.eng.Now())
-			c.Trace.ChildSpan(SpanReadBlock, start, start+total, map[string]string{
+			c.Trace.ChildSpan("hdfs.read_block", start, start+total, map[string]string{
 				"block": fmt.Sprint(id),
 				"bytes": fmt.Sprint(len(data)),
 				"node":  dn.Hostname(),

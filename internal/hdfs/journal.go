@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -17,11 +18,15 @@ import (
 // *locations* are deliberately not persisted — they are rebuilt from
 // DataNode block reports on every startup, which is exactly why the
 // paper's cluster restarts took fifteen minutes.
+//
+// The files are numbered as Hadoop numbers them: fsimage_<n> is the
+// namespace at the n-th checkpoint and edits_<n> the edits made since
+// (edits_0 has no image). A cold start loads the highest n whose edits_<n>
+// exists, so creating edits_<n> is a checkpoint's commit point: a failure
+// before it leaves generation n-1 whole, and older files go only after it.
+const metaDir = "/dfs/name/current"
 
-const (
-	fsimagePath = "/dfs/name/current/fsimage"
-	editsPath   = "/dfs/name/current/edits"
-)
+func metaPath(kind string, n int) string { return fmt.Sprintf("%s/%s_%d", metaDir, kind, n) }
 
 // editRecord is one logged namespace mutation.
 type editRecord struct {
@@ -45,7 +50,7 @@ func (nn *NameNode) journal(rec editRecord) error {
 	if err != nil {
 		return err
 	}
-	if err := vfs.AppendFile(nn.metaFS, editsPath, line); err != nil {
+	if err := vfs.AppendFile(nn.metaFS, metaPath("edits", nn.metaGen), line); err != nil {
 		return err
 	}
 	nn.m.editLogRecords.Inc()
@@ -64,8 +69,9 @@ func (nn *NameNode) closeRecord(path string, f *inode) editRecord {
 }
 
 // Checkpoint is the Secondary NameNode's job: serialise the current
-// namespace as a new fsimage and truncate the edit log. Returns the
-// number of namespace entries written.
+// namespace as the next generation's fsimage, start its empty edit log and
+// remove the older generation. Returns the number of namespace entries
+// written.
 func (nn *NameNode) Checkpoint() (int, error) {
 	if nn.metaFS == nil {
 		return 0, fmt.Errorf("hdfs: no metadata filesystem configured")
@@ -88,26 +94,39 @@ func (nn *NameNode) Checkpoint() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if vfs.Exists(nn.metaFS, fsimagePath) {
-		if err := nn.metaFS.Remove(fsimagePath, false); err != nil {
-			return 0, err
-		}
-	}
-	if err := vfs.WriteFile(nn.metaFS, fsimagePath, data); err != nil {
+	// Clear what an earlier checkpoint left when it failed.
+	if err := nn.pruneMeta(nn.metaGen); err != nil {
 		return 0, err
 	}
-	if vfs.Exists(nn.metaFS, editsPath) {
-		if err := nn.metaFS.Remove(editsPath, false); err != nil {
-			return 0, err
+	n := nn.metaGen + 1
+	if err := vfs.WriteFile(nn.metaFS, metaPath("fsimage", n), data); err != nil {
+		return 0, err
+	}
+	if err := vfs.WriteFile(nn.metaFS, metaPath("edits", n), nil); err != nil {
+		return 0, err
+	}
+	nn.metaGen = n
+	nn.m.checkpoints.Inc()
+	return len(image), nn.pruneMeta(n)
+}
+
+// pruneMeta removes every metadata file but generation keep's.
+func (nn *NameNode) pruneMeta(keep int) error {
+	// A file left unlisted is harmless, or the next Create reports it.
+	infos, _ := nn.metaFS.List(metaDir)
+	for _, fi := range infos {
+		if fi.Path != metaPath("fsimage", keep) && fi.Path != metaPath("edits", keep) {
+			if err := nn.metaFS.Remove(fi.Path, false); err != nil {
+				return err
+			}
 		}
 	}
-	nn.m.checkpoints.Inc()
-	return len(image), nil
+	return nil
 }
 
 // loadNamespaceFromDisk rebuilds the namespace tree and block metadata
-// by replaying the fsimage and then the edit log. Block replica locations
-// are NOT restored — they arrive via block reports.
+// by replaying the newest generation's fsimage and then its edit log.
+// Block replica locations are NOT restored — they arrive via block reports.
 func (nn *NameNode) loadNamespaceFromDisk() error {
 	if nn.metaFS == nil {
 		return fmt.Errorf("hdfs: no metadata filesystem configured")
@@ -115,9 +134,20 @@ func (nn *NameNode) loadNamespaceFromDisk() error {
 	nn.ns = newNamespace()
 	nn.blocks = map[BlockID]*blockMeta{}
 	nn.nextBlock = 0
-	for _, path := range []string{fsimagePath, editsPath} {
-		if !vfs.Exists(nn.metaFS, path) {
-			continue
+	nn.metaGen = 0
+	infos, err := nn.metaFS.List(metaDir)
+	if err != nil && !errors.Is(err, vfs.ErrNotExist) {
+		return err
+	}
+	for _, fi := range infos {
+		var n int
+		if _, err := fmt.Sscanf(fi.Name(), "edits_%d", &n); err == nil {
+			nn.metaGen = max(nn.metaGen, n)
+		}
+	}
+	for _, path := range []string{metaPath("fsimage", nn.metaGen), metaPath("edits", nn.metaGen)} {
+		if nn.metaGen == 0 && !vfs.Exists(nn.metaFS, path) {
+			continue // generation 0 has no image, and no edits until the first
 		}
 		data, err := vfs.ReadFile(nn.metaFS, path)
 		if err != nil {

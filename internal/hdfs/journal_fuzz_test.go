@@ -52,11 +52,11 @@ func FuzzEditLog(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	image, err := vfs.ReadFile(meta, fsimagePath)
+	image, err := vfs.ReadFile(meta, metaPath("fsimage", 1))
 	if err != nil {
 		f.Fatal(err)
 	}
-	edits, err := vfs.ReadFile(meta, editsPath)
+	edits, err := vfs.ReadFile(meta, metaPath("edits", 1))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -84,10 +84,10 @@ func FuzzEditLog(f *testing.F) {
 		}
 
 		meta := vfs.NewMemFS()
-		if err := vfs.WriteFile(meta, fsimagePath, image); err != nil {
+		if err := vfs.WriteFile(meta, metaPath("fsimage", 1), image); err != nil {
 			t.Fatal(err)
 		}
-		if err := vfs.WriteFile(meta, editsPath, edits); err != nil {
+		if err := vfs.WriteFile(meta, metaPath("edits", 1), edits); err != nil {
 			t.Fatal(err)
 		}
 		d := newMetaDFS(t, meta)

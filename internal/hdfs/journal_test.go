@@ -2,6 +2,7 @@ package hdfs_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/sim"
 	"repro/internal/vfs"
+	"repro/internal/vfs/vfstest"
 )
 
 func newPersistentDFS(t *testing.T, nodes int) (*hdfs.MiniDFS, *vfs.MemFS) {
@@ -86,7 +88,7 @@ func TestCheckpointTruncatesEditLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !vfs.Exists(meta, "/dfs/name/current/edits") {
+	if !vfs.Exists(meta, "/dfs/name/current/edits_0") {
 		t.Fatal("edit log missing")
 	}
 	entries, err := d.NN.Checkpoint()
@@ -96,11 +98,11 @@ func TestCheckpointTruncatesEditLog(t *testing.T) {
 	if entries != 5 {
 		t.Fatalf("checkpoint wrote %d entries, want 5", entries)
 	}
-	if vfs.Exists(meta, "/dfs/name/current/edits") {
+	if vfs.Exists(meta, "/dfs/name/current/edits_0") {
 		t.Fatal("edit log not truncated by checkpoint")
 	}
-	if !vfs.Exists(meta, "/dfs/name/current/fsimage") {
-		t.Fatal("fsimage missing")
+	if !vfs.Exists(meta, "/dfs/name/current/fsimage_1") || !vfs.Exists(meta, "/dfs/name/current/edits_1") {
+		t.Fatal("fsimage or its edit log missing")
 	}
 	// Post-checkpoint edits land in a fresh log; recovery uses both.
 	if err := vfs.WriteFile(c, "/later", []byte("y")); err != nil {
@@ -113,6 +115,74 @@ func TestCheckpointTruncatesEditLog(t *testing.T) {
 	d.Engine.Advance(5 * time.Second)
 	if after := treeString(t, c); after != before {
 		t.Fatalf("fsimage+edits recovery diverged:\n%s\nvs\n%s", before, after)
+	}
+}
+
+// TestCheckpointFailureKeepsNamespace fails each mutating call of a
+// checkpoint in turn. Whichever call fails, the checkpoint reports the
+// injected error, a cold start loads the namespace as it was before the
+// checkpoint, and a retried checkpoint succeeds and loads it too.
+func TestCheckpointFailureKeepsNamespace(t *testing.T) {
+	run := func(failAt int) (calls int) {
+		t.Helper()
+		meta := &vfstest.FailFS{FileSystem: vfs.NewMemFS()}
+		d, err := hdfs.NewMiniDFS(sim.NewEngine(), cluster.NewTopology(cluster.PaperNodeConfig(3, 1)), hdfs.Options{
+			Seed: 3, Config: hdfs.Config{BlockSize: 1 << 10, Replication: 2, HeartbeatInterval: time.Second}, MetadataFS: meta,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := d.Client(0)
+		steps := []func() error{
+			func() error { return vfs.WriteFile(c, "/old/x.txt", []byte("from before the first checkpoint")) },
+			func() error { _, err := d.NN.Checkpoint(); return err },
+			func() error { return vfs.WriteFile(c, "/a", []byte("renamed after it")) },
+			func() error { return c.Rename("/a", "/b") },
+		}
+		for _, step := range steps {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := treeString(t, c)
+		restart := func(when string) {
+			t.Helper()
+			if err := d.NN.RestartFromDisk(); err != nil {
+				t.Fatalf("call %d (%s) failed; cold start %s: %v", failAt, meta.Failed, when, err)
+			}
+			d.Engine.Advance(5 * time.Second)
+			if after := treeString(t, c); after != before {
+				t.Fatalf("call %d (%s) failed; cold start %s loaded\n%swant\n%s", failAt, meta.Failed, when, after, before)
+			}
+		}
+		start := meta.Calls
+		if failAt > 0 {
+			meta.FailAt = start + failAt
+		}
+		_, err = d.NN.Checkpoint()
+		calls = meta.Calls - start
+		if failAt == 0 {
+			if err != nil {
+				t.Fatal(err)
+			}
+			return calls
+		}
+		if !errors.Is(err, vfstest.ErrInjected) {
+			t.Fatalf("call %d (%s) failed; checkpoint returned %v, want the injected error", failAt, meta.Failed, err)
+		}
+		restart("after the failed checkpoint")
+		if _, err := d.NN.Checkpoint(); err != nil {
+			t.Fatalf("call %d (%s) failed; the retried checkpoint: %v", failAt, meta.Failed, err)
+		}
+		restart("after the retried checkpoint")
+		return calls
+	}
+	n := run(0)
+	if n == 0 {
+		t.Fatal("a checkpoint made no mutating call")
+	}
+	for k := 1; k <= n; k++ {
+		run(k)
 	}
 }
 
@@ -315,7 +385,7 @@ func TestEditLogAppendIsLinear(t *testing.T) {
 	if got := d.NN.EditLogRecords(); got != edits {
 		t.Fatalf("journalled %d edits, want %d", got, edits)
 	}
-	fi, err := meta.Stat("/dfs/name/current/edits")
+	fi, err := meta.Stat("/dfs/name/current/edits_0")
 	if err != nil {
 		t.Fatal(err)
 	}

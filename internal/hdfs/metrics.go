@@ -2,56 +2,22 @@ package hdfs
 
 import "repro/internal/obs"
 
-// Metric names emitted by the HDFS layer. The full taxonomy is
-// documented in docs/OBSERVABILITY.md.
+// Names other packages and tests read; every other HDFS name is written
+// once, where it is registered or recorded (docs/OBSERVABILITY.md).
 const (
 	// NameNode (control plane).
-	MetricNNBlocksAllocated       = "hdfs.nn.blocks_allocated"
-	MetricNNReplicationsScheduled = "hdfs.nn.replications_scheduled"
-	MetricNNReplicationsCompleted = "hdfs.nn.replications_completed"
-	MetricNNCorruptionsDetected   = "hdfs.nn.corruptions_detected"
-	MetricNNExcessReplicasDropped = "hdfs.nn.excess_replicas_dropped"
 	MetricNNDataNodesDeclaredDead = "hdfs.nn.datanodes_declared_dead"
-	MetricNNRegistrations         = "hdfs.nn.registrations"
 	MetricNNHeartbeats            = "hdfs.nn.heartbeats"
-	MetricNNBlockReports          = "hdfs.nn.block_reports"
-	MetricNNEditLogRecords        = "hdfs.nn.editlog_records"
-	MetricNNCheckpoints           = "hdfs.nn.checkpoints"
-	MetricNNSafeMode              = "hdfs.nn.safemode"
-	MetricNNSafeModeExits         = "hdfs.nn.safemode_exits"
-	MetricNNSafeModeExitedAt      = "hdfs.nn.safemode_exited_at_ns"
-	MetricNNHeartbeatGap          = "hdfs.nn.heartbeat_gap"
 
 	// DataNodes (aggregate across all nodes; spans carry per-node detail).
-	MetricDNHeartbeatsSent   = "hdfs.dn.heartbeats_sent"
-	MetricDNBlockReportsSent = "hdfs.dn.block_reports_sent"
 	MetricDNBlocksWritten    = "hdfs.dn.blocks_written"
 	MetricDNBytesWritten     = "hdfs.dn.bytes_written"
-	MetricDNBlocksRead       = "hdfs.dn.blocks_read"
-	MetricDNBytesRead        = "hdfs.dn.bytes_read"
-	MetricDNBlocksDeleted    = "hdfs.dn.blocks_deleted"
 	MetricDNChecksumFailures = "hdfs.dn.checksum_failures"
-	MetricDNDiskReadTime     = "hdfs.dn.disk_read_time"
-	MetricDNDiskWriteTime    = "hdfs.dn.disk_write_time"
 
 	// Clients (data plane, locality hit/miss).
-	MetricClientReadsLocal      = "hdfs.client.reads_local"
-	MetricClientReadsRack       = "hdfs.client.reads_rack"
-	MetricClientReadsRemote     = "hdfs.client.reads_remote"
-	MetricClientBytesReadLocal  = "hdfs.client.bytes_read_local"
-	MetricClientBytesReadRack   = "hdfs.client.bytes_read_rack"
-	MetricClientBytesReadRemote = "hdfs.client.bytes_read_remote"
-	MetricClientBytesWritten    = "hdfs.client.bytes_written"
-	MetricClientPipelineWrites  = "hdfs.client.pipeline_writes"
-	MetricClientPipelineShrunk  = "hdfs.client.pipeline_shrunk"
-	MetricClientReadRetries     = "hdfs.client.read_retries"
-	MetricClientReadBlockTime   = "hdfs.client.read_block_time"
-
-	// Span names.
-	SpanSafeMode      = "hdfs.safemode"
-	SpanRereplicate   = "hdfs.rereplicate"
-	SpanWritePipeline = "hdfs.write_pipeline"
-	SpanReadBlock     = "hdfs.read_block"
+	MetricClientReadsLocal  = "hdfs.client.reads_local"
+	MetricClientReadsRack   = "hdfs.client.reads_rack"
+	MetricClientReadsRemote = "hdfs.client.reads_remote"
 )
 
 // nnMetrics holds the NameNode's interned metric handles so the hot
@@ -76,21 +42,21 @@ type nnMetrics struct {
 
 func newNNMetrics(r *obs.Registry) nnMetrics {
 	return nnMetrics{
-		blocksAllocated:       r.Counter(MetricNNBlocksAllocated),
-		replicationsScheduled: r.Counter(MetricNNReplicationsScheduled),
-		replicationsCompleted: r.Counter(MetricNNReplicationsCompleted),
-		corruptionsDetected:   r.Counter(MetricNNCorruptionsDetected),
-		excessReplicasDropped: r.Counter(MetricNNExcessReplicasDropped),
+		blocksAllocated:       r.Counter("hdfs.nn.blocks_allocated"),
+		replicationsScheduled: r.Counter("hdfs.nn.replications_scheduled"),
+		replicationsCompleted: r.Counter("hdfs.nn.replications_completed"),
+		corruptionsDetected:   r.Counter("hdfs.nn.corruptions_detected"),
+		excessReplicasDropped: r.Counter("hdfs.nn.excess_replicas_dropped"),
 		datanodesDeclaredDead: r.Counter(MetricNNDataNodesDeclaredDead),
-		registrations:         r.Counter(MetricNNRegistrations),
+		registrations:         r.Counter("hdfs.nn.registrations"),
 		heartbeats:            r.Counter(MetricNNHeartbeats),
-		blockReports:          r.Counter(MetricNNBlockReports),
-		editLogRecords:        r.Counter(MetricNNEditLogRecords),
-		checkpoints:           r.Counter(MetricNNCheckpoints),
-		safeMode:              r.Gauge(MetricNNSafeMode),
-		safeModeExits:         r.Counter(MetricNNSafeModeExits),
-		safeModeExitedAt:      r.Gauge(MetricNNSafeModeExitedAt),
-		heartbeatGap:          r.Histogram(MetricNNHeartbeatGap),
+		blockReports:          r.Counter("hdfs.nn.block_reports"),
+		editLogRecords:        r.Counter("hdfs.nn.editlog_records"),
+		checkpoints:           r.Counter("hdfs.nn.checkpoints"),
+		safeMode:              r.Gauge("hdfs.nn.safemode"),
+		safeModeExits:         r.Counter("hdfs.nn.safemode_exits"),
+		safeModeExitedAt:      r.Gauge("hdfs.nn.safemode_exited_at_ns"),
+		heartbeatGap:          r.Histogram("hdfs.nn.heartbeat_gap"),
 	}
 }
 
@@ -111,16 +77,16 @@ type dnMetrics struct {
 
 func newDNMetrics(r *obs.Registry) *dnMetrics {
 	return &dnMetrics{
-		heartbeatsSent:   r.Counter(MetricDNHeartbeatsSent),
-		blockReportsSent: r.Counter(MetricDNBlockReportsSent),
+		heartbeatsSent:   r.Counter("hdfs.dn.heartbeats_sent"),
+		blockReportsSent: r.Counter("hdfs.dn.block_reports_sent"),
 		blocksWritten:    r.Counter(MetricDNBlocksWritten),
 		bytesWritten:     r.Counter(MetricDNBytesWritten),
-		blocksRead:       r.Counter(MetricDNBlocksRead),
-		bytesRead:        r.Counter(MetricDNBytesRead),
-		blocksDeleted:    r.Counter(MetricDNBlocksDeleted),
+		blocksRead:       r.Counter("hdfs.dn.blocks_read"),
+		bytesRead:        r.Counter("hdfs.dn.bytes_read"),
+		blocksDeleted:    r.Counter("hdfs.dn.blocks_deleted"),
 		checksumFailures: r.Counter(MetricDNChecksumFailures),
-		diskReadTime:     r.Histogram(MetricDNDiskReadTime),
-		diskWriteTime:    r.Histogram(MetricDNDiskWriteTime),
+		diskReadTime:     r.Histogram("hdfs.dn.disk_read_time"),
+		diskWriteTime:    r.Histogram("hdfs.dn.disk_write_time"),
 	}
 }
 
@@ -145,13 +111,13 @@ func newClientMetrics(r *obs.Registry) *clientMetrics {
 		readsLocal:      r.Counter(MetricClientReadsLocal),
 		readsRack:       r.Counter(MetricClientReadsRack),
 		readsRemote:     r.Counter(MetricClientReadsRemote),
-		bytesReadLocal:  r.Counter(MetricClientBytesReadLocal),
-		bytesReadRack:   r.Counter(MetricClientBytesReadRack),
-		bytesReadRemote: r.Counter(MetricClientBytesReadRemote),
-		bytesWritten:    r.Counter(MetricClientBytesWritten),
-		pipelineWrites:  r.Counter(MetricClientPipelineWrites),
-		pipelineShrunk:  r.Counter(MetricClientPipelineShrunk),
-		readRetries:     r.Counter(MetricClientReadRetries),
-		readBlockTime:   r.Histogram(MetricClientReadBlockTime),
+		bytesReadLocal:  r.Counter("hdfs.client.bytes_read_local"),
+		bytesReadRack:   r.Counter("hdfs.client.bytes_read_rack"),
+		bytesReadRemote: r.Counter("hdfs.client.bytes_read_remote"),
+		bytesWritten:    r.Counter("hdfs.client.bytes_written"),
+		pipelineWrites:  r.Counter("hdfs.client.pipeline_writes"),
+		pipelineShrunk:  r.Counter("hdfs.client.pipeline_shrunk"),
+		readRetries:     r.Counter("hdfs.client.read_retries"),
+		readBlockTime:   r.Histogram("hdfs.client.read_block_time"),
 	}
 }

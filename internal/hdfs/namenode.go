@@ -109,8 +109,9 @@ type NameNode struct {
 	decommissioning map[cluster.NodeID]bool
 
 	// metaFS, when set, persists the namespace (fsimage + edit log);
-	// see journal.go.
-	metaFS vfs.FileSystem
+	// see journal.go. Edits go to generation metaGen's log.
+	metaFS  vfs.FileSystem
+	metaGen int
 
 	// obs is the cluster-wide observability registry; m holds the
 	// NameNode's interned metric handles (see metrics.go).
@@ -133,13 +134,6 @@ type NameNode struct {
 
 // EditLogRecords reports how many edit-log records have been journalled.
 func (nn *NameNode) EditLogRecords() int64 { return nn.m.editLogRecords.Value() }
-
-// Checkpoints reports how many fsimage checkpoints have been written.
-func (nn *NameNode) Checkpoints() int { return int(nn.m.checkpoints.Value()) }
-
-// ReplicationsScheduled reports how many re-replication copies the
-// replication monitor has initiated.
-func (nn *NameNode) ReplicationsScheduled() int64 { return nn.m.replicationsScheduled.Value() }
 
 // CorruptionsDetected reports how many corrupt replicas readers or scans
 // have surfaced.
@@ -346,7 +340,7 @@ func (nn *NameNode) exitSafeMode() {
 	nn.m.safeMode.Set(0)
 	nn.m.safeModeExits.Inc()
 	nn.m.safeModeExitedAt.Set(int64(now))
-	nn.obs.NewTrace(time.Duration(now)).End(SpanSafeMode, time.Duration(nn.safeModeEnteredAt), time.Duration(now), nil)
+	nn.obs.NewTrace(time.Duration(now)).End("hdfs.safemode", time.Duration(nn.safeModeEnteredAt), time.Duration(now), nil)
 	nn.auditEv(history.EvAuditSafemodeExit, map[string]string{"blocks": fmt.Sprint(len(nn.blocks))})
 }
 
@@ -820,7 +814,7 @@ func (nn *NameNode) scheduleReplication(bm *blockMeta) bool {
 	start := nn.eng.Now()
 	// Re-replication is NameNode-initiated — no client request above it —
 	// so each transfer roots its own trace; "node" blames the source disk.
-	nn.obs.NewTrace(time.Duration(start)).End(SpanRereplicate, time.Duration(start), time.Duration(start)+readCost+xfer, map[string]string{
+	nn.obs.NewTrace(time.Duration(start)).End("hdfs.rereplicate", time.Duration(start), time.Duration(start)+readCost+xfer, map[string]string{
 		"block": fmt.Sprint(blockID),
 		"src":   fmt.Sprint(src),
 		"dst":   fmt.Sprint(dst),

@@ -27,20 +27,6 @@ func AppendRecordString(dst []byte, key, val string) []byte {
 	return AppendRecord(dst, key, val)
 }
 
-// RecordSize returns the framed size of a record without building it.
-func RecordSize(keyLen, valLen int) int {
-	return uvarintLen(uint64(keyLen)) + keyLen + uvarintLen(uint64(valLen)) + valLen
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // ConsumeRecord pops one framed record off the front of b, returning the
 // key and value as subslices of b plus the remainder. The error is
 // ErrCorrupt for a malformed length and ErrTruncated for a buffer that

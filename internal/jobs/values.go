@@ -157,14 +157,3 @@ func (u UserStats) EncodeValue() []byte {
 func (u UserStats) String() string {
 	return fmt.Sprintf("ratings=%d favorite=%s", u.Ratings, u.FavGenre)
 }
-
-// DecodeUserStats decodes a UserStats value.
-func DecodeUserStats(b []byte) (UserStats, error) {
-	if len(b) < 8 {
-		return UserStats{}, fmt.Errorf("jobs: UserStats wants >=8 bytes, got %d", len(b))
-	}
-	return UserStats{
-		Ratings:  int64(binary.BigEndian.Uint64(b)),
-		FavGenre: string(b[8:]),
-	}, nil
-}

@@ -238,10 +238,6 @@ type localityCounter struct {
 	n   *obs.Counter
 }
 
-// TotalTrackerLosses reports how many TaskTracker losses the JobTracker
-// has processed.
-func (jt *JobTracker) TotalTrackerLosses() int { return int(jt.m.trackerLosses.Value()) }
-
 func newJobTracker(mc *MRCluster, rng *sim.Rand) *JobTracker {
 	jt := &JobTracker{
 		mc:                mc,
@@ -257,16 +253,16 @@ func newJobTracker(mc *MRCluster, rng *sim.Rand) *JobTracker {
 		idx: kindMap, name: tagMap, span: SpanMapAttempt, hasLocality: true,
 		slotCap: mc.cfg.MapSlotsPerNode, container: mapContainer,
 		ctrLaunched: mapreduce.CtrLaunchedMaps, ctrFailed: mapreduce.CtrFailedMaps,
-		launched: mc.Obs.Counter(MetricJTMapsLaunched), failed: mc.Obs.Counter(MetricJTMapsFailed),
-		attemptTime: mc.Obs.Histogram(MetricMapAttemptTime),
+		launched: mc.Obs.Counter(MetricJTMapsLaunched), failed: mc.Obs.Counter("mr.jt.maps_failed"),
+		attemptTime: mc.Obs.Histogram("mr.map_attempt_time"),
 		launch:      jt.runMapAttempt,
 	}
 	jt.reduceKind = &attemptKind{
 		idx: kindReduce, name: tagReduce, span: SpanReduceAttempt,
 		slotCap: reduceSlotsPerNode, container: reduceContainer,
 		ctrLaunched: mapreduce.CtrLaunchedReduces, ctrFailed: mapreduce.CtrFailedReduces,
-		launched: mc.Obs.Counter(MetricJTReducesLaunched), failed: mc.Obs.Counter(MetricJTReducesFailed),
-		attemptTime: mc.Obs.Histogram(MetricReduceAttemptTime),
+		launched: mc.Obs.Counter(MetricJTReducesLaunched), failed: mc.Obs.Counter("mr.jt.reduces_failed"),
+		attemptTime: mc.Obs.Histogram("mr.reduce_attempt_time"),
 		launch:      jt.runReduceAttempt,
 	}
 	jt.mapLocality = [3]localityCounter{
@@ -1036,7 +1032,7 @@ func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative boo
 	jt.m.shuffleTime.Observe(shuffleTime)
 	// Guarded because building attrs costs.
 	if a.ctx.Valid() {
-		a.ctx.ChildSpan(SpanShuffle, time.Duration(a.startedAt), time.Duration(a.startedAt)+shuffleTime, map[string]string{
+		a.ctx.ChildSpan("mr.shuffle", time.Duration(a.startedAt), time.Duration(a.startedAt)+shuffleTime, map[string]string{
 			"attempt": a.id(),
 			"bytes":   fmt.Sprint(shuffleBytes),
 			"node":    tt.node.Hostname,

@@ -5,37 +5,22 @@ import (
 	"repro/internal/obs"
 )
 
-// Metric names emitted by the MapReduce runtime. The full taxonomy is
-// documented in docs/OBSERVABILITY.md.
+// Names other packages and tests read; every other MapReduce name is
+// written once, where it is registered or recorded (docs/OBSERVABILITY.md).
 const (
-	MetricJTJobsSubmitted     = "mr.jt.jobs_submitted"
-	MetricJTJobsSucceeded     = "mr.jt.jobs_succeeded"
-	MetricJTJobsFailed        = "mr.jt.jobs_failed"
-	MetricJTMapsLaunched      = "mr.jt.maps_launched"
-	MetricJTReducesLaunched   = "mr.jt.reduces_launched"
-	MetricJTSpeculativeLaunch = "mr.jt.speculative_launched"
-	MetricJTMapsFailed        = "mr.jt.maps_failed"
-	MetricJTReducesFailed     = "mr.jt.reduces_failed"
-	MetricJTAttemptsKilled    = "mr.jt.attempts_killed"
-	MetricJTTrackerLosses     = "mr.jt.tracker_losses"
-	MetricJTSchedulePasses    = "mr.jt.schedule_passes"
-	MetricJTShuffleBytes      = "mr.jt.shuffle_bytes"
-	MetricJTInputDecodedBytes = "mr.jt.input_decoded_bytes"
-	MetricJTOutputFileBytes   = "mr.jt.output_file_bytes"
-	MetricJTMapsDataLocal     = "mr.jt.maps_data_local"
-	MetricJTMapsRackLocal     = "mr.jt.maps_rack_local"
-	MetricJTMapsRemote        = "mr.jt.maps_remote"
-	MetricMapAttemptTime      = "mr.map_attempt_time"
-	MetricReduceAttemptTime   = "mr.reduce_attempt_time"
-	MetricShuffleTime         = "mr.shuffle_time"
-	MetricJTTracesPersisted   = "mr.jt.traces_persisted"
+	MetricJTMapsLaunched    = "mr.jt.maps_launched"
+	MetricJTReducesLaunched = "mr.jt.reduces_launched"
+	MetricJTAttemptsKilled  = "mr.jt.attempts_killed"
+	MetricJTSchedulePasses  = "mr.jt.schedule_passes"
+	MetricJTMapsDataLocal   = "mr.jt.maps_data_local"
+	MetricJTMapsRackLocal   = "mr.jt.maps_rack_local"
+	MetricJTMapsRemote      = "mr.jt.maps_remote"
 
 	// Span names.
 	SpanMapAttempt    = "mr.map_attempt"
 	SpanReduceAttempt = "mr.reduce_attempt"
 	SpanJob           = "mr.job"
 	SpanTask          = "mr.task"
-	SpanShuffle       = "mr.shuffle"
 )
 
 // jtMetrics holds the JobTracker's interned metric handles; the per-kind
@@ -63,21 +48,21 @@ type jtMetrics struct {
 
 func newJTMetrics(r *obs.Registry) jtMetrics {
 	return jtMetrics{
-		jobsSubmitted:     r.Counter(MetricJTJobsSubmitted),
-		jobsSucceeded:     r.Counter(MetricJTJobsSucceeded),
-		jobsFailed:        r.Counter(MetricJTJobsFailed),
-		speculativeLaunch: r.Counter(MetricJTSpeculativeLaunch),
+		jobsSubmitted:     r.Counter("mr.jt.jobs_submitted"),
+		jobsSucceeded:     r.Counter("mr.jt.jobs_succeeded"),
+		jobsFailed:        r.Counter("mr.jt.jobs_failed"),
+		speculativeLaunch: r.Counter("mr.jt.speculative_launched"),
 		attemptsKilled:    r.Counter(MetricJTAttemptsKilled),
-		trackerLosses:     r.Counter(MetricJTTrackerLosses),
+		trackerLosses:     r.Counter("mr.jt.tracker_losses"),
 		schedulePasses:    r.Counter(MetricJTSchedulePasses),
-		shuffleBytes:      r.Counter(MetricJTShuffleBytes),
-		inputDecodedBytes: r.Counter(MetricJTInputDecodedBytes),
-		outputFileBytes:   r.Counter(MetricJTOutputFileBytes),
-		shuffleTime:       r.Histogram(MetricShuffleTime),
+		shuffleBytes:      r.Counter("mr.jt.shuffle_bytes"),
+		inputDecodedBytes: r.Counter("mr.jt.input_decoded_bytes"),
+		outputFileBytes:   r.Counter("mr.jt.output_file_bytes"),
+		shuffleTime:       r.Histogram("mr.shuffle_time"),
 
 		historyEvents:         r.Counter(history.MetricJobEvents),
 		historyFilesPersisted: r.Counter(history.MetricFilesPersisted),
 		historyBytesPersisted: r.Counter(history.MetricBytesPersisted),
-		tracesPersisted:       r.Counter(MetricJTTracesPersisted),
+		tracesPersisted:       r.Counter("mr.jt.traces_persisted"),
 	}
 }

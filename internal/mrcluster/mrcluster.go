@@ -296,9 +296,6 @@ func (mc *MRCluster) KillTaskTracker(id cluster.NodeID) {
 // InjectTaskFault arms a fault for future attempts of a job.
 func (mc *MRCluster) InjectTaskFault(f TaskFault) { mc.JT.faults = append(mc.JT.faults, f) }
 
-// ClearTaskFaults disarms every injected task fault.
-func (mc *MRCluster) ClearTaskFaults() { mc.JT.faults = nil }
-
 // SetNodeSlowdown sets (or, with factor <= 0, clears) the straggler
 // multiplier applied to task attempts that start on a node from now on;
 // attempts already running keep their original modelled duration.

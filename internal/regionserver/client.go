@@ -72,7 +72,7 @@ func (cl *Client) requestSpan(ctx obs.Ctx, op, table string, at, done sim.Time, 
 	if err != nil && !errors.Is(err, kvstore.ErrNotFound) {
 		result = "error"
 	}
-	ctx.End(SpanRequest, at, done, map[string]string{
+	ctx.End("serving.request", at, done, map[string]string{
 		"op": op, "table": table, "result": result,
 	})
 }
@@ -177,7 +177,7 @@ func regionCallSpan(ctx obs.Ctx, region, server string, attempt int, start, end 
 	case err != nil && !errors.Is(err, kvstore.ErrNotFound):
 		result = "error"
 	}
-	ctx.ChildSpan(SpanRegionCall, start, end, map[string]string{
+	ctx.ChildSpan("serving.region_call", start, end, map[string]string{
 		"region":  region,
 		"server":  server,
 		"attempt": fmt.Sprint(attempt),
@@ -212,7 +212,7 @@ func (cl *Client) get(ctx obs.Ctx, buf []byte, at sim.Time, table, key string) (
 			if ok {
 				result = "hit"
 			}
-			ctx.ChildSpan(SpanCacheLookup, now, done, map[string]string{
+			ctx.ChildSpan("serving.cache_lookup", now, done, map[string]string{
 				"table": table, "result": result,
 			})
 		}

@@ -67,7 +67,7 @@ func newMaster(eng *sim.Engine, fs vfs.FileSystem, servers []*Server, opts Optio
 		servers:  servers,
 		byName:   map[string]*Server{},
 		meta:     map[string][]RegionInfo{},
-		metaLog:  history.NewLog(m.reg.Counter(MetricMetaEvents)),
+		metaLog:  history.NewLog(m.reg.Counter("serving.meta_events")),
 		read:     map[string]bool{},
 		lastBeat: map[string]sim.Time{},
 		dead:     map[string]bool{},

@@ -38,20 +38,13 @@ var (
 	ErrNoLiveServer = errors.New("regionserver: no live region server")
 )
 
-// Metric names published into internal/obs.
+// Names other packages, tests and docs read; every other serving name is
+// written once, where it is registered or recorded (docs/OBSERVABILITY.md).
 const (
-	MetricGets        = "serving.gets"
-	MetricPuts        = "serving.puts"
-	MetricDeletes     = "serving.deletes"
-	MetricScans       = "serving.scans"
-	MetricNotServing  = "serving.not_serving"
-	MetricServerDown  = "serving.server_down"
 	MetricSplits      = "serving.splits"
 	MetricMerges      = "serving.merges"
 	MetricReassigns   = "serving.reassigns"
 	MetricMetaRefresh = "serving.meta_refreshes"
-	MetricRetries     = "serving.client_retries"
-	MetricMetaEvents  = "serving.meta_events"
 	MetricCacheHits   = "serving.cache.hits"
 	MetricCacheMisses = "serving.cache.misses"
 	MetricCacheInval  = "serving.cache.invalidations"
@@ -60,13 +53,9 @@ const (
 	// HistOpLatency is the histogram of end-to-end client op latencies.
 	HistOpLatency = "serving.op_latency"
 
-	// Span names recorded on splits and crash recoveries, plus the
-	// sampled client request path (request → cache lookup → region call).
-	SpanSplit       = "serving.split"
-	SpanRecover     = "serving.recover"
-	SpanRequest     = "serving.request"
-	SpanCacheLookup = "serving.cache_lookup"
-	SpanRegionCall  = "serving.region_call"
+	// Span names recorded on splits and crash recoveries.
+	SpanSplit   = "serving.split"
+	SpanRecover = "serving.recover"
 )
 
 // cost holds the virtual-time charges for the serving data path. The

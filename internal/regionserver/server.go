@@ -25,17 +25,17 @@ type metrics struct {
 
 func newMetrics(r *obs.Registry) *metrics {
 	return &metrics{
-		gets:        r.Counter(MetricGets),
-		puts:        r.Counter(MetricPuts),
-		deletes:     r.Counter(MetricDeletes),
-		scans:       r.Counter(MetricScans),
-		notServing:  r.Counter(MetricNotServing),
-		serverDown:  r.Counter(MetricServerDown),
+		gets:        r.Counter("serving.gets"),
+		puts:        r.Counter("serving.puts"),
+		deletes:     r.Counter("serving.deletes"),
+		scans:       r.Counter("serving.scans"),
+		notServing:  r.Counter("serving.not_serving"),
+		serverDown:  r.Counter("serving.server_down"),
 		splits:      r.Counter(MetricSplits),
 		merges:      r.Counter(MetricMerges),
 		reassigns:   r.Counter(MetricReassigns),
 		metaRefresh: r.Counter(MetricMetaRefresh),
-		retries:     r.Counter(MetricRetries),
+		retries:     r.Counter("serving.client_retries"),
 		cacheHits:   r.Counter(MetricCacheHits),
 		cacheMisses: r.Counter(MetricCacheMisses),
 		cacheInval:  r.Counter(MetricCacheInval),

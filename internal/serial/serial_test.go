@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/mapreduce"
 	"repro/internal/vfs"
+	"repro/internal/vfs/vfstest"
 )
 
 func wordCountJob(in, out string) *mapreduce.Job {
@@ -124,6 +125,36 @@ func TestMissingInputFails(t *testing.T) {
 	r := &Runner{FS: fs}
 	if _, err := r.Run(wordCountJob("/nope", "/out")); err == nil {
 		t.Fatal("job with missing input succeeded")
+	}
+}
+
+// TestFailedWriteLeavesNoSuccessMarker fails each mutating storage call
+// of a two-reducer job in turn: Run must return the injected error, and
+// _SUCCESS must exist exactly when Run returned nil.
+func TestFailedWriteLeavesNoSuccessMarker(t *testing.T) {
+	run := func(failAt int) (*vfstest.FailFS, error) {
+		mem := vfs.NewMemFS()
+		if err := vfs.WriteFile(mem, "/in/a.txt", []byte("the cat\nthe dog\na cat\n")); err != nil {
+			t.Fatal(err)
+		}
+		ffs := &vfstest.FailFS{FileSystem: mem, FailAt: failAt}
+		job := wordCountJob("/in", "/out")
+		job.NumReducers = 2
+		_, err := (&Runner{FS: ffs}).Run(job)
+		return ffs, err
+	}
+	dry, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= dry.Calls; k++ {
+		ffs, err := run(k)
+		if !errors.Is(err, vfstest.ErrInjected) {
+			t.Errorf("call %d (%s) failed; Run returned %v, want the injected error", k, ffs.Failed, err)
+		}
+		if done := vfs.Exists(ffs, "/out/_SUCCESS"); done != (err == nil) {
+			t.Errorf("call %d (%s) failed; Run returned %v and _SUCCESS exists: %t", k, ffs.Failed, err, done)
+		}
 	}
 }
 

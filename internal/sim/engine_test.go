@@ -2,7 +2,6 @@ package sim
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -332,20 +331,6 @@ func TestRandDeriveIndependentOfCallOrder(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different labels produced identical streams")
-	}
-}
-
-func TestIntBetween(t *testing.T) {
-	r := NewRand(3)
-	if err := quick.Check(func(lo, hi int16) bool {
-		v := r.IntBetween(int(lo), int(hi))
-		l, h := int(lo), int(hi)
-		if h < l {
-			l, h = h, l
-		}
-		return v >= l && v <= h
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -41,14 +41,6 @@ func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// IntBetween returns a uniform integer in [lo, hi] inclusive.
-func (r *Rand) IntBetween(lo, hi int) int {
-	if hi < lo {
-		lo, hi = hi, lo
-	}
-	return lo + r.Intn(hi-lo+1)
-}
-
 // Choice returns a uniformly chosen index in [0, n).
 func (r *Rand) Choice(n int) int { return r.Intn(n) }
 

@@ -217,7 +217,8 @@ type bytesFile struct{ *bytes.Reader }
 
 func (bytesFile) Close() error { return nil }
 
-// WriteFile creates path with the given contents, creating parents.
+// WriteFile creates path with the given contents, creating parents. On
+// error it leaves no file behind.
 func WriteFile(fs FileSystem, path string, data []byte) error {
 	dir, _ := Split(path)
 	if err := fs.Mkdir(dir); err != nil {
@@ -227,7 +228,13 @@ func WriteFile(fs FileSystem, path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return writeAndClose(w, data)
+	if err := writeAndClose(w, data); err != nil {
+		if Exists(fs, path) { // a failed Write still Closes, which commits
+			_ = fs.Remove(path, false) // the write's error is the one to report
+		}
+		return err
+	}
+	return nil
 }
 
 func writeAndClose(w io.WriteCloser, data []byte) error {

@@ -2,12 +2,6 @@ package yarn
 
 import "repro/internal/obs"
 
-// Span names.
-const (
-	SpanApp       = "yarn.app"
-	SpanContainer = "yarn.container"
-)
-
 // rmMetrics is the ResourceManager's interned metric bundle. All handles
 // are nil-safe, so an RM built without a registry costs nothing. reg
 // keeps the registry itself for span recording.

@@ -143,10 +143,6 @@ type Container struct {
 	state containerState
 }
 
-// Preempted reports whether the RM killed this container to rebalance
-// capacity.
-func (c *Container) Preempted() bool { return c.state == containerPreempted }
-
 // Released reports whether the container has ended (release or preempt).
 func (c *Container) Released() bool { return c.state != containerLive }
 
@@ -518,7 +514,7 @@ func (rm *ResourceManager) endContainer(c *Container, state containerState, coun
 	if c.AM {
 		span["am"] = "1"
 	}
-	c.ctx.End(SpanContainer, time.Duration(c.StartedAt), time.Duration(rm.eng.Now()), span)
+	c.ctx.End("yarn.container", time.Duration(c.StartedAt), time.Duration(rm.eng.Now()), span)
 	counter.Inc()
 	attrs := map[string]string{
 		"container": c.idStr,
@@ -569,7 +565,7 @@ func (rm *ResourceManager) FinishApp(app *Application) {
 	app.queue.removeApp(app)
 	rm.appsFinished++
 	rm.m.appsFinished.Inc()
-	app.ctx.End(SpanApp, time.Duration(app.SubmittedAt), time.Duration(app.FinishedAt), map[string]string{
+	app.ctx.End("yarn.app", time.Duration(app.SubmittedAt), time.Duration(app.FinishedAt), map[string]string{
 		"app":   app.idStr,
 		"queue": app.Queue,
 		"user":  app.User,
