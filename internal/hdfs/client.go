@@ -96,9 +96,6 @@ func (c *Client) auditEv(typ string, attrs map[string]string, err error) {
 	c.nn.audit.Append(time.Duration(c.eng.Now()), typ, attrs)
 }
 
-// NameNode exposes the cluster's NameNode (for fsck, locations, admin).
-func (c *Client) NameNode() *NameNode { return c.nn }
-
 func (c *Client) charge(read bool, d time.Duration) {
 	if read {
 		c.Meter.ReadTime += d

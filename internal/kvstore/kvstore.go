@@ -7,7 +7,8 @@
 // store files (HFiles) flushed to HDFS, read-path merging across
 // MemStore and store files, tombstone deletes, minor compaction, and
 // range scans — over any vfs.FileSystem, so a table survives whatever
-// the underlying DFS survives.
+// the underlying DFS survives. Newest-version-wins is written once, as
+// the merger that Compact, ScanRange, Scan and MidKey all walk.
 //
 // The store is the storage engine of the online serving tier
 // (internal/regionserver): a region is one Table hosting a contiguous
@@ -493,6 +494,9 @@ func (t *Table) Put(key string, value []byte) error {
 
 // Delete writes a tombstone for key (idempotent).
 func (t *Table) Delete(key string) error {
+	if key == "" {
+		return errors.New("kvstore: empty key")
+	}
 	t.seq++
 	c := cell{seq: t.seq, tombstone: true}
 	if err := t.appendWAL(key, c); err != nil {
@@ -698,30 +702,25 @@ func (t *Table) readMarker(marker string) (storeFile, error) {
 	return f, nil
 }
 
-// Compact merges all store files into one, dropping overwritten versions
-// and tombstoned keys (a major compaction at teaching scale). References
+// Compact merges all store files into one with the merger reads walk,
+// dropping overwritten versions and tombstoned keys (a major compaction at
+// teaching scale); the MemStore stays where it is. References
 // are rewritten with the rest: once Compactions has counted it, the table
 // owns every byte it serves and no marker of its is left on disk.
 func (t *Table) Compact() error {
 	if n := len(t.files); n == 0 || (n == 1 && t.files[0].marker == "") {
 		return nil
 	}
-	latest := map[string]cell{}
-	for _, f := range t.files {
-		for _, e := range f.entries {
-			if cur, ok := latest[e.key]; !ok || e.cell.seq > cur.seq {
-				latest[e.key] = e.cell
-			}
-		}
+	m := make(merger, len(t.files))
+	for i := range t.files {
+		m[i] = t.files[i].entries
 	}
 	var merged []entry
-	for k, c := range latest {
-		if c.tombstone {
-			continue // tombstones can drop: no older files remain
+	for key, c, ok := m.next(); ok; key, c, ok = m.next() {
+		if !c.tombstone { // tombstones can drop: no older files remain
+			merged = append(merged, entry{key, c})
 		}
-		merged = append(merged, entry{k, c})
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].key < merged[j].key })
 	// The merge is written before its inputs go, and they go oldest
 	// first: whatever a failure leaves on disk still holds every row, and
 	// never a put without the tombstone written after it.
@@ -749,14 +748,19 @@ func (t *Table) Compact() error {
 
 // BulkLoad writes kvs directly as one sorted store file, bypassing the
 // WAL and MemStore — the bulk-import path dataset loads use. Keys within
-// kvs must be unique; later sequence numbers are assigned in slice order
-// after sorting by key.
+// kvs must be unique and non-empty, or nothing is written; sequence
+// numbers are assigned in key order.
 func (t *Table) BulkLoad(kvs []KV) error {
 	if len(kvs) == 0 {
 		return nil
 	}
 	sorted := append([]KV(nil), kvs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	for i, kv := range sorted {
+		if kv.Key == "" || i > 0 && kv.Key == sorted[i-1].Key {
+			return fmt.Errorf("kvstore: bulk load key %q is empty or repeated", kv.Key)
+		}
+	}
 	entries := make([]entry, len(sorted))
 	for i, kv := range sorted {
 		t.seq++
@@ -805,7 +809,7 @@ func Reference(root, start, end string, sources ...*Table) (*Table, error) {
 				path:    f.path,
 				marker:  t.nextFilePath(refSuffix),
 				lo:      max(f.lo, start),
-				hi:      minBound(f.hi, end),
+				hi:      MinBound(f.hi, end),
 				size:    f.size * int64(len(sub)) / int64(len(f.entries)),
 				entries: sub,
 			}
@@ -820,8 +824,8 @@ func Reference(root, start, end string, sources ...*Table) (*Table, error) {
 	return t, nil
 }
 
-// minBound is the smaller of two exclusive upper bounds, "" being +inf.
-func minBound(a, b string) string {
+// MinBound is the smaller of two exclusive upper bounds, "" being +inf.
+func MinBound(a, b string) string {
 	if a == "" || (b != "" && b < a) {
 		return b
 	}
@@ -875,7 +879,8 @@ type KV struct {
 }
 
 // merger walks key-sorted entry slices as one: every distinct key once, in
-// ascending order, with its newest cell.
+// ascending order, with its newest cell (on a sequence tie, the cell of
+// the first source that holds the key).
 type merger [][]entry
 
 // merger returns the table's sources clipped to [startKey, endKey): the
@@ -932,11 +937,8 @@ func (m merger) next() (key string, newest cell, ok bool) {
 func (t *Table) ScanRange(startKey, endKey string, limit int) ([]KV, string, error) {
 	t.m.scans.Inc()
 	var out []KV
-	for m := t.merger(startKey, endKey); ; {
-		key, c, ok := m.next()
-		if !ok {
-			return out, "", nil
-		}
+	m := t.merger(startKey, endKey)
+	for key, c, ok := m.next(); ok; key, c, ok = m.next() {
 		if c.tombstone {
 			continue
 		}
@@ -945,25 +947,14 @@ func (t *Table) ScanRange(startKey, endKey string, limit int) ([]KV, string, err
 			return out, key + "\x00", nil
 		}
 	}
+	return out, "", nil
 }
 
 // Scan returns all live key-value pairs with startKey <= key < endKey
-// (endKey "" = unbounded), in key order. It is a wrapper that drains
-// ScanRange.
+// (endKey "" = unbounded), in key order: ScanRange without a limit.
 func (t *Table) Scan(startKey, endKey string) ([]KV, error) {
-	var out []KV
-	cur := startKey
-	for {
-		kvs, next, err := t.ScanRange(cur, endKey, 1024)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, kvs...)
-		if next == "" {
-			return out, nil
-		}
-		cur = next
-	}
+	kvs, _, err := t.ScanRange(startKey, endKey, 0)
+	return kvs, err
 }
 
 // MidKey returns the median live key — the natural split point for a
@@ -972,11 +963,8 @@ func (t *Table) Scan(startKey, endKey string) ([]KV, error) {
 // and copies no value.
 func (t *Table) MidKey() (string, error) {
 	live := 0
-	for m := t.merger("", ""); ; {
-		_, c, ok := m.next()
-		if !ok {
-			break
-		}
+	m := t.merger("", "")
+	for _, c, ok := m.next(); ok; _, c, ok = m.next() {
 		if !c.tombstone {
 			live++
 		}
@@ -984,7 +972,8 @@ func (t *Table) MidKey() (string, error) {
 	if live < 2 {
 		return "", nil
 	}
-	for m, i := t.merger("", ""), 0; ; {
+	m = t.merger("", "")
+	for i := 0; ; {
 		key, c, _ := m.next()
 		if c.tombstone {
 			continue
@@ -994,15 +983,6 @@ func (t *Table) MidKey() (string, error) {
 		}
 		i++
 	}
-}
-
-// Len returns the number of live keys.
-func (t *Table) Len() (int, error) {
-	kvs, err := t.Scan("", "")
-	if err != nil {
-		return 0, err
-	}
-	return len(kvs), nil
 }
 
 // StoreFileCount reports the current number of store files.

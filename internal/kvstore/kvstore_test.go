@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -51,10 +52,38 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
+// TestEmptyKeyRejected: no write path takes the empty key, and a bulk
+// load that holds one writes none of its rows.
 func TestEmptyKeyRejected(t *testing.T) {
 	tbl, _ := openMem(t, kvstore.Config{})
 	if err := tbl.Put("", []byte("x")); err == nil {
-		t.Fatal("empty key accepted")
+		t.Fatal("Put: empty key accepted")
+	}
+	if err := tbl.Delete(""); err == nil {
+		t.Fatal("Delete: empty key accepted")
+	}
+	if err := tbl.BulkLoad([]kvstore.KV{{Key: "b", Value: []byte("1")}, {Key: "", Value: []byte("x")}}); err == nil {
+		t.Fatal("BulkLoad: empty key accepted")
+	}
+	if n := tbl.StoreFileCount(); n != 0 {
+		t.Fatalf("a rejected bulk load left %d store files", n)
+	}
+}
+
+// TestBulkLoadRejectsDuplicateKeys: two rows under one key would both
+// come back from a scan, and a get would return whichever the sort put
+// first; the load fails before writing anything.
+func TestBulkLoadRejectsDuplicateKeys(t *testing.T) {
+	tbl, _ := openMem(t, kvstore.Config{})
+	kvs := []kvstore.KV{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("x")}, {Key: "a", Value: []byte("2")}}
+	if err := tbl.BulkLoad(kvs); err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("BulkLoad with key a twice: err = %v, want one naming \"a\"", err)
+	}
+	if n := tbl.StoreFileCount(); n != 0 {
+		t.Fatalf("a rejected bulk load left %d store files", n)
+	}
+	if kvs, _ := tbl.Scan("", ""); len(kvs) != 0 {
+		t.Fatalf("a rejected bulk load left rows %v", kvs)
 	}
 }
 
@@ -131,8 +160,8 @@ func TestCompactionMergesAndDropsTombstones(t *testing.T) {
 	if _, err := tbl.Get("k9"); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Fatal("tombstoned key resurrected by compaction")
 	}
-	if n, _ := tbl.Len(); n != 9 {
-		t.Fatalf("len = %d, want 9", n)
+	if kvs, _ := tbl.Scan("", ""); len(kvs) != 9 {
+		t.Fatalf("len = %d, want 9", len(kvs))
 	}
 }
 
@@ -310,9 +339,8 @@ func TestModelCheck(t *testing.T) {
 			t.Fatalf("%s should be absent, got %q err=%v", k, got, err)
 		}
 	}
-	n, _ := tbl.Len()
-	if n != len(model) {
-		t.Fatalf("len = %d, model %d", n, len(model))
+	if kvs, _ := tbl.Scan("", ""); len(kvs) != len(model) {
+		t.Fatalf("len = %d, model %d", len(kvs), len(model))
 	}
 }
 

@@ -352,8 +352,8 @@ func TestBulkLoadAndMidKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := re.Len(); n != 100 {
-		t.Fatalf("reopened len = %d, want 100", n)
+	if kvs, _ := re.Scan("", ""); len(kvs) != 100 {
+		t.Fatalf("reopened len = %d, want 100", len(kvs))
 	}
 	// Degenerate MidKey: below two live keys there is nothing to split.
 	empty, _ := openMemAt(t, "/empty")

@@ -3,7 +3,6 @@ package regionserver
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // RegionInfo is one row of META: a contiguous row-key range of a table,
@@ -89,19 +88,4 @@ func checkContiguous(regions []RegionInfo) error {
 		return fmt.Errorf("last region %s ends at %q, not +inf", last.ID, last.End)
 	}
 	return nil
-}
-
-// minNonEmpty returns the smaller of two range bounds where "" means
-// +inf (used for scan clamping).
-func minEnd(a, b string) string {
-	if a == "" {
-		return b
-	}
-	if b == "" {
-		return a
-	}
-	if strings.Compare(a, b) < 0 {
-		return a
-	}
-	return b
 }

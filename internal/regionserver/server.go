@@ -207,7 +207,7 @@ func (s *Server) Scan(at sim.Time, regionID string, epoch int, start, end string
 	if hr.info.Start > start {
 		start = hr.info.Start
 	}
-	end = minEnd(end, hr.info.End)
+	end = kvstore.MinBound(end, hr.info.End)
 	kvs, cursor, err := hr.tbl.ScanRange(start, end, limit)
 	if err != nil {
 		return nil, "", at, err
