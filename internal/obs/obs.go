@@ -19,6 +19,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -136,7 +137,8 @@ func Percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q*float64(len(sorted))+0.5) - 1
+	// Rank ceil(q·n), less a hair: 0.07·100 = 7.000000000000001 is rank 7.
+	i := int(math.Ceil(q*float64(len(sorted))-1e-9)) - 1
 	return sorted[max(0, min(i, len(sorted)-1))]
 }
 

@@ -112,9 +112,6 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSONDeterministic builds the same registry twice through
-// different interleavings and expects byte-identical exports — the
-// property the golden-trace harness rests on.
 func TestPercentileNearestRank(t *testing.T) {
 	sorted := []time.Duration{10, 20, 30, 40}
 	for _, c := range []struct {
@@ -130,6 +127,28 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
+// TestPercentileRankIsCeiling: the nearest rank of q over n values is
+// ceil(q·n), not q·n rounded, and a product that float arithmetic puts a
+// hair past an integer keeps that integer.
+func TestPercentileRankIsCeiling(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		q    float64
+		rank time.Duration
+	}{{10, 0.14, 2}, {100, 0.07, 7}, {1260, 0.99, 1248}, {1260, 1, 1260}, {1, 0.5, 1}} {
+		sorted := make([]time.Duration, c.n)
+		for i := range sorted {
+			sorted[i] = time.Duration(i + 1)
+		}
+		if got := obs.Percentile(sorted, c.q); got != c.rank {
+			t.Errorf("Percentile(n=%d, q=%v) = value %d, want value %d", c.n, c.q, got, c.rank)
+		}
+	}
+}
+
+// TestSnapshotJSONDeterministic builds the same registry twice through
+// different interleavings and expects byte-identical exports — the
+// property the golden-trace harness rests on.
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func(reverse bool) []byte {
 		r := obs.NewRegistry()
