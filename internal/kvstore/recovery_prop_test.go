@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -460,6 +461,9 @@ func TestLifecycleAgainstModel(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			rng := sim.NewRand(seed).Derive("kv-lifecycle")
+			// The bounded scans draw from their own stream, so the op
+			// sequence does not depend on them.
+			scanRng := sim.NewRand(seed).Derive("kv-lifecycle-scan")
 			fs := vfs.NewMemFS()
 			cfg := kvstore.Config{FlushThresholdBytes: 768, CompactTrigger: 4, WALSegmentBytes: 256}
 			model := map[string]string{}
@@ -487,6 +491,39 @@ func TestLifecycleAgainstModel(t *testing.T) {
 					t.Errorf("%s: Get(%s) = %q, %v; want %q", label, k, got, err, v)
 				} else if !ok && !errors.Is(err, kvstore.ErrNotFound) {
 					t.Errorf("%s: Get(%s) = %q, %v; want ErrNotFound", label, k, got, err)
+				}
+				// A bounded scan of a random [lo, hi), paged through its
+				// resume cursor, yields the model's rows in order.
+				lo := tb.lo + scanRng.Intn(tb.hi-tb.lo)
+				hi := lo + 1 + scanRng.Intn(tb.hi-lo)
+				limit := scanRng.Intn(5)
+				var wantRows, gotRows []string
+				for i := lo; i < hi; i++ {
+					if v, ok := model[modelKey(i)]; ok {
+						wantRows = append(wantRows, modelKey(i)+"="+v)
+					}
+				}
+				for cursor, pages := bound(lo), 0; ; pages++ {
+					if pages > modelRows {
+						t.Fatalf("%s: ScanRange [%d,%d) limit %d did not end after %d pages", label, lo, hi, limit, pages)
+					}
+					kvs, next, err := tb.tbl.ScanRange(cursor, bound(hi), limit)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if limit > 0 && len(kvs) > limit {
+						t.Errorf("%s: ScanRange page of %d rows, limit %d", label, len(kvs), limit)
+					}
+					for _, kv := range kvs {
+						gotRows = append(gotRows, kv.Key+"="+string(kv.Value))
+					}
+					if next == "" {
+						break
+					}
+					cursor = next
+				}
+				if !slices.Equal(gotRows, wantRows) {
+					t.Errorf("%s: ScanRange [%d,%d) limit %d = %v; want %v", label, lo, hi, limit, gotRows, wantRows)
 				}
 				if t.Failed() {
 					t.FailNow()
