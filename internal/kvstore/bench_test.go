@@ -87,19 +87,72 @@ func BenchmarkGetAfterFlush(b *testing.B) {
 	}
 }
 
-func BenchmarkScan(b *testing.B) {
+// scanTable holds row000000..row001999 in an unflushed MemStore, or in
+// one store file when flushed is set.
+func scanTable(tb testing.TB, flushed bool) *kvstore.Table {
 	tbl, err := kvstore.Open(vfs.NewMemFS(), "/t", kvstore.Config{FlushThresholdBytes: 1 << 40})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; i < 2000; i++ {
 		tbl.Put(fmt.Sprintf("row%06d", i), []byte("value"))
 	}
-	tbl.Flush()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tbl.Scan("row000500", "row001500"); err != nil {
-			b.Fatal(err)
+	if flushed {
+		if err := tbl.Flush(); err != nil {
+			tb.Fatal(err)
 		}
+	}
+	return tbl
+}
+
+// BenchmarkScan reads 1 000 of 2 000 rows, and a 10-row page of them,
+// from one store file and from the MemStore.
+func BenchmarkScan(b *testing.B) {
+	for _, flushed := range []bool{true, false} {
+		name := "memstore"
+		if flushed {
+			name = "flushed"
+		}
+		b.Run(name, func(b *testing.B) {
+			tbl := scanTable(b, flushed)
+			for _, limit := range []int{0, 10} {
+				b.Run(fmt.Sprintf("limit%d", limit), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, _, err := tbl.ScanRange("row000500", "row001500", limit); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestShortScanAllocationsFollowFilesNotMemStoreRows: a one-row page of
+// an unflushed table seeks into the MemStore, so a hundred times the
+// MemStore rows cost the same allocations.
+func TestShortScanAllocationsFollowFilesNotMemStoreRows(t *testing.T) {
+	perScan := func(rows int) float64 {
+		tbl, err := kvstore.Open(vfs.NewMemFS(), "/t", kvstore.Config{FlushThresholdBytes: 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			// 7919 is prime to every row count here: each row once, out of order.
+			if err := tbl.Put(fmt.Sprintf("row%06d", i*7919%rows), []byte("value")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(10, func() {
+			if kvs, _, err := tbl.ScanRange("row000005", "", 1); err != nil || len(kvs) != 1 {
+				t.Fatalf("ScanRange = %v, %v; want one row", kvs, err)
+			}
+		})
+	}
+	small, large := perScan(20), perScan(2000)
+	t.Logf("%.0f allocations per one-row page of a 20-row MemStore, %.0f of 2000", small, large)
+	if large != small {
+		t.Fatalf("a one-row page of a 2000-row MemStore made %.0f allocations, of a 20-row one %.0f; want the same", large, small)
 	}
 }

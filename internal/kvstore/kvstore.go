@@ -7,8 +7,9 @@
 // store files (HFiles) flushed to HDFS, read-path merging across
 // MemStore and store files, tombstone deletes, minor compaction, and
 // range scans — over any vfs.FileSystem, so a table survives whatever
-// the underlying DFS survives. Newest-version-wins is written once, as
-// the merger that Compact, ScanRange, Scan and MidKey all walk.
+// the underlying DFS survives. The MemStore is a key-sorted run like a
+// store file, and one merger over the runs, which Compact, ScanRange,
+// Scan and MidKey all walk, is where newest-version-wins is written.
 //
 // The store is the storage engine of the online serving tier
 // (internal/regionserver): a region is one Table hosting a contiguous
@@ -20,8 +21,8 @@
 //     one replay reads and what one torn tail can touch.
 //   - Store files are parsed once, when they are written or when Open
 //     finds them, and their sorted entries stay in the table's file list
-//     (the block cache at teaching scale), so a point read is a binary
-//     search per file and never touches the filesystem.
+//     (the block cache at teaching scale): a point read is a binary search
+//     per run, the MemStore's included, and never touches the filesystem.
 //   - A region split or merge moves no rows: Reference opens a new table
 //     over a key range of other tables' store files, each named by a
 //     one-record marker, and the new table's first compaction writes
@@ -147,7 +148,7 @@ type Table struct {
 	cfg  Config
 	m    kvMetrics
 
-	mem      map[string]cell
+	mem      []entry // the MemStore: one cell per key, in key order
 	memBytes int64
 	seq      uint64
 	nextFile int
@@ -182,7 +183,6 @@ func Open(fs vfs.FileSystem, root string, cfg Config) (*Table, error) {
 		root: vfs.Clean(root),
 		cfg:  cfg,
 		m:    newKVMetrics(cfg.Obs),
-		mem:  map[string]cell{},
 	}
 	if err := fs.Mkdir(t.hfileDir()); err != nil {
 		return nil, err
@@ -468,10 +468,12 @@ func (t *Table) truncateWAL() error {
 }
 
 func (t *Table) applyToMem(key string, c cell) {
-	if old, ok := t.mem[key]; ok {
-		t.memBytes -= int64(len(key) + len(old.value))
+	if i, ok := search(t.mem, key); ok {
+		t.memBytes -= int64(len(key) + len(t.mem[i].cell.value))
+		t.mem[i].cell = c
+	} else {
+		t.mem = slices.Insert(t.mem, i, entry{key, c})
 	}
-	t.mem[key] = c
 	t.memBytes += int64(len(key) + len(c.value))
 }
 
@@ -575,23 +577,20 @@ func clip(entries []entry, lo, hi string) []entry {
 	return entries
 }
 
-// find returns the file's cell for key.
-func (f *storeFile) find(key string) (cell, bool) {
+// search finds key in a key-sorted run: its index, or where it would go.
+func search(entries []entry, key string) (int, bool) {
 	// Hand-written binary search: the closure sort.Search takes costs a
 	// call per probe on the hottest loop of a get.
-	lo, hi := 0, len(f.entries)
+	lo, hi := 0, len(entries)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if f.entries[mid].key < key {
+		if entries[mid].key < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(f.entries) && f.entries[lo].key == key {
-		return f.entries[lo].cell, true
-	}
-	return cell{}, false
+	return lo, lo < len(entries) && entries[lo].key == key
 }
 
 // Flush writes the MemStore as a new sorted store file and truncates the
@@ -600,17 +599,11 @@ func (t *Table) Flush() error {
 	if len(t.mem) == 0 {
 		return nil
 	}
-	entries := make([]entry, 0, len(t.mem))
-	for k, c := range t.mem {
-		entries = append(entries, entry{k, c})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	n, err := t.writeStoreFile(entries)
+	n, err := t.writeStoreFile(t.mem)
 	if err != nil {
 		return err
 	}
-	t.mem = map[string]cell{}
-	t.memBytes = 0
+	t.mem, t.memBytes = nil, 0
 	if err := t.truncateWAL(); err != nil {
 		return err
 	}
@@ -860,10 +853,15 @@ func (t *Table) Get(key string) ([]byte, error) {
 // its next buf reads any number of rows without allocating.
 func (t *Table) GetInto(buf []byte, key string) ([]byte, error) {
 	t.m.gets.Inc()
-	best, found := t.mem[key]
+	var best cell
+	at, found := search(t.mem, key)
+	if found {
+		best = t.mem[at].cell
+	}
 	for i := range t.files {
-		if c, ok := t.files[i].find(key); ok && (!found || c.seq > best.seq) {
-			best, found = c, true
+		run := t.files[i].entries
+		if j, ok := search(run, key); ok && (!found || run[j].cell.seq > best.seq) {
+			best, found = run[j].cell, true
 		}
 	}
 	if !found || best.tombstone {
@@ -883,20 +881,11 @@ type KV struct {
 // the first source that holds the key).
 type merger [][]entry
 
-// merger returns the table's sources clipped to [startKey, endKey): the
-// MemStore's in-range keys, sorted, and each store file's sub-slice.
+// merger returns the table's runs clipped to [startKey, endKey): the
+// MemStore's first, then each store file's.
 func (t *Table) merger(startKey, endKey string) merger {
-	m := make(merger, 0, len(t.files)+1)
-	if len(t.mem) > 0 {
-		var memEntries []entry
-		for k, c := range t.mem {
-			if k >= startKey && (endKey == "" || k < endKey) {
-				memEntries = append(memEntries, entry{k, c})
-			}
-		}
-		sort.Slice(memEntries, func(i, j int) bool { return memEntries[i].key < memEntries[j].key })
-		m = append(m, memEntries)
-	}
+	m := make(merger, 1, len(t.files)+1)
+	m[0] = clip(t.mem, startKey, endKey)
 	for i := range t.files {
 		m = append(m, clip(t.files[i].entries, startKey, endKey))
 	}
@@ -990,9 +979,6 @@ func (t *Table) StoreFileCount() int { return len(t.files) }
 
 // MemStoreBytes reports the current MemStore footprint.
 func (t *Table) MemStoreBytes() int64 { return t.memBytes }
-
-// DiskBytes reports the total store-file footprint.
-func (t *Table) DiskBytes() int64 { return t.diskBytes }
 
 // SizeBytes reports the table's total footprint (MemStore + store
 // files) — the size signal region auto-splitting keys on.
