@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -245,10 +246,18 @@ hadoop fs -fsck /
 	if err := sh.RunScript(script); err != nil {
 		return nil, err
 	}
-	// Lose a DataNode holding replicas.
-	fmt.Fprintf(&buf, "\n--- datanode on node002 crashes; heartbeats expire ---\n")
-	c.DFS.DataNode(2).Kill()
-	c.Engine.Advance(15 * time.Second)
+	// Lose a DataNode holding a replica of the 3-replica file, and fsck
+	// as soon as the NameNode has declared it dead.
+	locs, err := c.DFS.NN.BlockLocations("/user/student/ratings.tsv")
+	if err != nil {
+		return nil, err
+	}
+	victim := locs[0].Nodes[0]
+	fmt.Fprintf(&buf, "\n--- datanode on %s crashes; heartbeats expire ---\n", locs[0].Hosts[0])
+	c.DFS.DataNode(victim).Kill()
+	for slices.Contains(c.DFS.NN.LiveDataNodes(), victim) {
+		c.Engine.Advance(time.Second)
+	}
 	midFsck, err := c.Fsck()
 	if err != nil {
 		return nil, err

@@ -294,6 +294,24 @@ func TestE8TranscriptShowsRecovery(t *testing.T) {
 	}
 }
 
+// TestE8RobustAcrossSeeds: E8 kills a DataNode that holds a replica, so
+// the lesson — fsck reports under-replication, then the cluster heals —
+// shows on every seed, not only on seeds whose placement happens to put
+// a replica on one fixed node.
+func TestE8RobustAcrossSeeds(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		r, err := E8FsckRecovery(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := r.Raw.(*E8Result)
+		if res.UnderReplicatedAfterKill == 0 || !res.HealthyAfterRecovery {
+			t.Fatalf("seed %d: under-replicated after kill = %d, healthy after recovery = %v\n%s",
+				seed, res.UnderReplicatedAfterKill, res.HealthyAfterRecovery, res.Transcript)
+		}
+	}
+}
+
 func TestE9ScalabilityShape(t *testing.T) {
 	r, err := E9Scalability(testSeed)
 	if err != nil {
