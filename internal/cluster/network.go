@@ -1,7 +1,5 @@
 package cluster
 
-import "slices"
-
 // Network is the mutable connectivity overlay on a Topology: the topology
 // says what the wiring *is*, the network says which links currently work.
 // Every data-plane transfer in the stack (HDFS reads and pipeline writes,
@@ -67,26 +65,4 @@ func (n *Network) IsolateRack(rack int) int {
 // Heal restores full connectivity.
 func (n *Network) Heal() {
 	n.group = map[NodeID]int{}
-}
-
-// Partitioned reports whether any node is currently cut off.
-func (n *Network) Partitioned() bool {
-	for _, g := range n.group {
-		if g != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// IsolatedNodes returns the nodes not in the majority group, sorted.
-func (n *Network) IsolatedNodes() []NodeID {
-	var out []NodeID
-	for id, g := range n.group {
-		if g != 0 {
-			out = append(out, id)
-		}
-	}
-	slices.Sort(out)
-	return out
 }

@@ -1,17 +1,30 @@
 package cluster_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 )
 
+// cutOff lists the nodes of an n-node network that the off-cluster
+// gateway (NodeID -1) cannot reach.
+func cutOff(net *cluster.Network, n int) []cluster.NodeID {
+	var out []cluster.NodeID
+	for id := cluster.NodeID(0); id < cluster.NodeID(n); id++ {
+		if !net.Reachable(-1, id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 func TestNetworkIslands(t *testing.T) {
 	topo := cluster.NewTopology(cluster.Config{Nodes: 6, Racks: 2})
 	net := cluster.NewNetwork(topo)
 
-	if net.Partitioned() {
-		t.Fatal("fresh network reports partitioned")
+	if got := cutOff(net, 6); got != nil {
+		t.Fatalf("fresh network cuts off %v", got)
 	}
 	if !net.Reachable(0, 5) || !net.Reachable(cluster.NodeID(-1), 3) {
 		t.Fatal("healed network should connect everything")
@@ -27,8 +40,8 @@ func TestNetworkIslands(t *testing.T) {
 	if !net.Reachable(0, 1) {
 		t.Fatal("majority side broken by isolating one node")
 	}
-	if got := net.IsolatedNodes(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("IsolatedNodes = %v", got)
+	if got := cutOff(net, 6); !slices.Equal(got, []cluster.NodeID{3}) {
+		t.Fatalf("cut off = %v, want [3]", got)
 	}
 
 	// A second island cannot talk to the first.
@@ -41,8 +54,8 @@ func TestNetworkIslands(t *testing.T) {
 	}
 
 	net.Heal()
-	if net.Partitioned() || !net.Reachable(0, 3) {
-		t.Fatal("heal did not restore connectivity")
+	if got := cutOff(net, 6); got != nil || !net.Reachable(3, 4) {
+		t.Fatalf("heal did not restore connectivity: cut off %v", got)
 	}
 }
 

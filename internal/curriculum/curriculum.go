@@ -81,16 +81,3 @@ func Render() string {
 	}
 	return b.String()
 }
-
-// Levels returns the distinct outcome levels in table order.
-func Levels() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, o := range TableV {
-		if !seen[o.Level] {
-			seen[o.Level] = true
-			out = append(out, o.Level)
-		}
-	}
-	return out
-}

@@ -20,15 +20,16 @@ func TestTableVComplete(t *testing.T) {
 }
 
 func TestLevelsMatchPaper(t *testing.T) {
-	levels := Levels()
 	want := map[string]bool{"Familiarity": true, "Usage": true, "Assessment": true}
-	if len(levels) != len(want) {
-		t.Fatalf("levels = %v", levels)
-	}
-	for _, l := range levels {
-		if !want[l] {
-			t.Fatalf("unexpected level %q", l)
+	seen := map[string]bool{}
+	for _, o := range TableV {
+		if !want[o.Level] {
+			t.Fatalf("unexpected level %q", o.Level)
 		}
+		seen[o.Level] = true
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("levels = %v, want every one of %v", seen, want)
 	}
 }
 

@@ -37,14 +37,6 @@ type MovieTruth struct {
 	MovieGenres  map[int][]string
 }
 
-// GenreAvg returns the true mean rating for a genre.
-func (t *MovieTruth) GenreAvg(g string) float64 {
-	if t.GenreCount[g] == 0 {
-		return 0
-	}
-	return t.GenreSum[g] / float64(t.GenreCount[g])
-}
-
 // Movies writes movies.dat ("MovieID::Title::Genre|Genre") and
 // ratings.dat ("UserID::MovieID::Rating::Timestamp") in MovieLens 10M
 // format and returns the truth. movies.dat is the side file whose access

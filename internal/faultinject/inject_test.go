@@ -150,7 +150,9 @@ func TestScenarioSweepHoldsInvariants(t *testing.T) {
 			return err
 		},
 	}
-	if err := faultinject.FirstError(sc.Sweep(1, 2, 3, 4, 5)); err != nil {
-		t.Fatal(err)
+	for seed := int64(1); seed <= 5; seed++ {
+		if err := sc.Run(seed).Err; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -79,16 +79,16 @@ func TestFsckSettledHealsAndTimesOut(t *testing.T) {
 }
 
 func goodReport() *mrcluster.Report {
-	ctr := mapreduce.NewCounters()
-	ctr.Set(mapreduce.CtrLaunchedMaps, 5)
-	ctr.Set(mapreduce.CtrLaunchedReduces, 2)
-	ctr.Set(mapreduce.CtrDataLocalMaps, 3)
-	ctr.Set(mapreduce.CtrRackLocalMaps, 1)
-	ctr.Set(mapreduce.CtrRemoteMaps, 1)
-	ctr.Set(mapreduce.CtrSpeculativeLaunch, 1)
-	ctr.Set(mapreduce.CtrSpeculativeWon, 1)
-	ctr.Set(mapreduce.CtrFailedMaps, 1)
-	ctr.Set(mapreduce.CtrTaskRetries, 1)
+	ctr := mapreduce.NewCounters() // every counter starts at zero
+	ctr.Inc(mapreduce.CtrLaunchedMaps, 5)
+	ctr.Inc(mapreduce.CtrLaunchedReduces, 2)
+	ctr.Inc(mapreduce.CtrDataLocalMaps, 3)
+	ctr.Inc(mapreduce.CtrRackLocalMaps, 1)
+	ctr.Inc(mapreduce.CtrRemoteMaps, 1)
+	ctr.Inc(mapreduce.CtrSpeculativeLaunch, 1)
+	ctr.Inc(mapreduce.CtrSpeculativeWon, 1)
+	ctr.Inc(mapreduce.CtrFailedMaps, 1)
+	ctr.Inc(mapreduce.CtrTaskRetries, 1)
 	return &mrcluster.Report{MapTasks: 4, ReduceTasks: 2, Counters: ctr}
 }
 
@@ -100,10 +100,10 @@ func TestCountersConsistent(t *testing.T) {
 		name  string
 		mutil func(*mrcluster.Report)
 	}{
-		{"launched < tasks", func(r *mrcluster.Report) { r.Counters.Set(mapreduce.CtrLaunchedMaps, 3) }},
-		{"locality > launched", func(r *mrcluster.Report) { r.Counters.Set(mapreduce.CtrDataLocalMaps, 9) }},
-		{"spec won > launched", func(r *mrcluster.Report) { r.Counters.Set(mapreduce.CtrSpeculativeWon, 2) }},
-		{"retries != failures", func(r *mrcluster.Report) { r.Counters.Set(mapreduce.CtrTaskRetries, 7) }},
+		{"launched < tasks", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrLaunchedMaps, 3-5) }},
+		{"locality > launched", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrDataLocalMaps, 9-3) }},
+		{"spec won > launched", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrSpeculativeWon, 2-1) }},
+		{"retries != failures", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrTaskRetries, 7-1) }},
 	}
 	for _, b := range breakers {
 		r := goodReport()

@@ -52,23 +52,3 @@ func (s Scenario) Run(seed int64) SeedResult {
 	res.Log = in.LogString()
 	return res
 }
-
-// Sweep runs the scenario across seeds and returns every result; the
-// caller decides whether any failure is fatal.
-func (s Scenario) Sweep(seeds ...int64) []SeedResult {
-	out := make([]SeedResult, 0, len(seeds))
-	for _, seed := range seeds {
-		out = append(out, s.Run(seed))
-	}
-	return out
-}
-
-// FirstError returns the first failed result of a sweep, or nil.
-func FirstError(results []SeedResult) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
-}

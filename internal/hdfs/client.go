@@ -37,9 +37,6 @@ func (m Meter) BytesRead() int64 {
 	return m.BytesReadLocal + m.BytesReadRack + m.BytesReadRemote
 }
 
-// Reset zeroes the meter.
-func (m *Meter) Reset() { *m = Meter{} }
-
 // Client is an HDFS client bound to a location in the topology. It
 // implements vfs.FileSystem, which is what lets a MapReduce jar written
 // against the standalone runner rerun on HDFS unchanged.

@@ -188,8 +188,8 @@ func TestCorruptionDetectedAndRepaired(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read with corrupt local replica: err=%v", err)
 	}
-	if d.NN.CorruptionsDetected() != 1 {
-		t.Fatalf("corruptions detected = %d", d.NN.CorruptionsDetected())
+	if got := d.Obs.CounterValue("hdfs.nn.corruptions_detected"); got != 1 {
+		t.Fatalf("corruptions detected = %d", got)
 	}
 	// Replication monitor restores the third replica.
 	d.Engine.Advance(time.Minute)

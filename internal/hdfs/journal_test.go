@@ -50,7 +50,7 @@ func TestEditLogReplayRebuildsNamespace(t *testing.T) {
 	if err := c.SetReplication("/a/kept.txt", 4); err != nil {
 		t.Fatal(err)
 	}
-	if d.NN.EditLogRecords() == 0 {
+	if d.Obs.CounterValue("hdfs.nn.editlog_records") == 0 {
 		t.Fatal("nothing journaled")
 	}
 	before := treeString(t, c)
@@ -382,7 +382,7 @@ func TestEditLogAppendIsLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := d.NN.EditLogRecords(); got != edits {
+	if got := d.Obs.CounterValue("hdfs.nn.editlog_records"); got != edits {
 		t.Fatalf("journalled %d edits, want %d", got, edits)
 	}
 	fi, err := meta.Stat("/dfs/name/current/edits_0")

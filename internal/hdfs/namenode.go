@@ -132,13 +132,6 @@ type NameNode struct {
 	monitors [2]*sim.Ticker
 }
 
-// EditLogRecords reports how many edit-log records have been journalled.
-func (nn *NameNode) EditLogRecords() int64 { return nn.m.editLogRecords.Value() }
-
-// CorruptionsDetected reports how many corrupt replicas readers or scans
-// have surfaced.
-func (nn *NameNode) CorruptionsDetected() int64 { return nn.m.corruptionsDetected.Value() }
-
 // SafeModeExitedAt reports the sim instant of the most recent safe-mode
 // exit (zero if the NameNode never left safe mode).
 func (nn *NameNode) SafeModeExitedAt() sim.Time { return sim.Time(nn.m.safeModeExitedAt.Value()) }

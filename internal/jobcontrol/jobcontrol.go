@@ -2,8 +2,9 @@
 // Hadoop's JobControl: real analyses (like the Google-trace assignment
 // done properly with multiple reducers) are pipelines where one job's
 // output directory is the next job's input. The controller runs jobs in
-// dependency order over any runtime — the standalone runner or the
-// cluster — and can clean up intermediate outputs afterwards.
+// the order they were added (a dependency order: a dependency must already
+// be a node of the same Control) over any runtime — the standalone runner
+// or the cluster — and can clean up intermediate outputs afterwards.
 package jobcontrol
 
 import (
@@ -37,10 +38,6 @@ type Node struct {
 	deps []*Node
 }
 
-// AddDepForTest appends a dependency after construction; tests use it to
-// build deliberately malformed graphs.
-func (n *Node) AddDepForTest(dep *Node) { n.deps = append(n.deps, dep) }
-
 // Control is a set of jobs with dependencies.
 type Control struct {
 	nodes []*Node
@@ -51,7 +48,8 @@ type Control struct {
 // New returns an empty controller.
 func New() *Control { return &Control{} }
 
-// Add registers a job that runs after all deps succeed.
+// Add registers a job that runs after all deps succeed. Each dep must be a
+// node this Control already returned, so no cycle can be built.
 func (c *Control) Add(job *mapreduce.Job, deps ...*Node) *Node {
 	n := &Node{Job: job, deps: deps}
 	c.nodes = append(c.nodes, n)
@@ -85,14 +83,10 @@ func (c *Control) Chain(jobs ...*mapreduce.Job) []*Node {
 // ErrPipelineFailed reports at least one failed job.
 var ErrPipelineFailed = errors.New("jobcontrol: pipeline failed")
 
-// Run executes all jobs in dependency order. On success it deletes the
-// registered intermediate outputs from fs (pass nil to keep them).
+// Run executes all jobs in the order they were added. On success it
+// deletes the registered intermediate outputs from fs (pass nil to keep them).
 func (c *Control) Run(run RunFunc, fs vfs.FileSystem) error {
-	order, err := c.topoOrder()
-	if err != nil {
-		return err
-	}
-	for _, n := range order {
+	for _, n := range c.nodes {
 		blocked := false
 		for _, d := range n.deps {
 			if d.State != Succeeded {
@@ -125,39 +119,4 @@ func (c *Control) Run(run RunFunc, fs vfs.FileSystem) error {
 		}
 	}
 	return nil
-}
-
-// topoOrder returns the nodes in dependency order, failing on cycles.
-func (c *Control) topoOrder() ([]*Node, error) {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[*Node]int{}
-	var order []*Node
-	var visit func(n *Node) error
-	visit = func(n *Node) error {
-		switch color[n] {
-		case gray:
-			return fmt.Errorf("jobcontrol: dependency cycle through job %q", n.Job.Name)
-		case black:
-			return nil
-		}
-		color[n] = gray
-		for _, d := range n.deps {
-			if err := visit(d); err != nil {
-				return err
-			}
-		}
-		color[n] = black
-		order = append(order, n)
-		return nil
-	}
-	for _, n := range c.nodes {
-		if err := visit(n); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
 }

@@ -147,14 +147,3 @@ func TestIndependentJobsBothRun(t *testing.T) {
 		t.Fatal("independent jobs incomplete")
 	}
 }
-
-func TestCycleDetected(t *testing.T) {
-	ctl := jobcontrol.New()
-	a := ctl.Add(jobs.WordCount("/in", "/o1", false))
-	b := ctl.Add(jobs.WordCount("/in", "/o2", false), a)
-	a.AddDepForTest(b)
-	err := ctl.Run(func(j *mapreduce.Job) error { return nil }, nil)
-	if err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("cycle not detected: %v", err)
-	}
-}

@@ -977,9 +977,6 @@ func (t *Table) MidKey() (string, error) {
 // StoreFileCount reports the current number of store files.
 func (t *Table) StoreFileCount() int { return len(t.files) }
 
-// MemStoreBytes reports the current MemStore footprint.
-func (t *Table) MemStoreBytes() int64 { return t.memBytes }
-
 // SizeBytes reports the table's total footprint (MemStore + store
 // files) — the size signal region auto-splitting keys on.
 func (t *Table) SizeBytes() int64 { return t.memBytes + t.diskBytes }

@@ -103,8 +103,9 @@ func TestFlushCreatesStoreFilesAndTruncatesWAL(t *testing.T) {
 	if tbl.StoreFileCount() != 1 {
 		t.Fatalf("store files = %d", tbl.StoreFileCount())
 	}
-	if tbl.MemStoreBytes() != 0 {
-		t.Fatal("memstore not cleared")
+	// The flush drained the MemStore, so a second one writes no file.
+	if err := tbl.Flush(); err != nil || tbl.StoreFileCount() != 1 || tbl.Flushes != 1 {
+		t.Fatalf("memstore not cleared: second flush left %d store files, %d flushes, err=%v", tbl.StoreFileCount(), tbl.Flushes, err)
 	}
 	if vfs.Exists(fs, "/hbase/table/wal") {
 		t.Fatal("WAL survived flush")

@@ -57,11 +57,6 @@ type CallGraph struct {
 	Funcs map[FuncID]*FuncNode
 }
 
-// Node returns the node for id, or nil.
-func (g *CallGraph) Node(id FuncID) *FuncNode {
-	return g.Funcs[id]
-}
-
 // SortedIDs returns every FuncID in lexical order, for deterministic
 // iteration by analyzers.
 func (g *CallGraph) SortedIDs() []FuncID {

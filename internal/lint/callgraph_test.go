@@ -51,7 +51,7 @@ func TestCallGraphMultiPackage(t *testing.T) {
 	)
 
 	for _, id := range []FuncID{run, tick, stamp} {
-		node := g.Node(id)
+		node := g.Funcs[id]
 		if node == nil {
 			t.Fatalf("missing internal node %s; have %v", id, g.SortedIDs())
 		}
@@ -62,29 +62,29 @@ func TestCallGraphMultiPackage(t *testing.T) {
 
 	// Run calls the method statically (outside any literal) and the
 	// cross-package function from inside a closure.
-	if e := edgeTo(g.Node(run), tick); e == nil {
+	if e := edgeTo(g.Funcs[run], tick); e == nil {
 		t.Errorf("no edge %s -> %s", run, tick)
 	} else if e.InFuncLit {
 		t.Errorf("edge %s -> %s wrongly marked InFuncLit", run, tick)
 	}
-	if e := edgeTo(g.Node(run), stamp); e == nil {
+	if e := edgeTo(g.Funcs[run], stamp); e == nil {
 		t.Errorf("no edge %s -> %s", run, stamp)
 	} else if !e.InFuncLit {
 		t.Errorf("edge %s -> %s should be marked InFuncLit", run, stamp)
 	}
 
 	// Tick's cross-package call resolves through the import.
-	if e := edgeTo(g.Node(tick), stamp); e == nil {
+	if e := edgeTo(g.Funcs[tick], stamp); e == nil {
 		t.Errorf("no edge %s -> %s", tick, stamp)
 	} else if e.InFuncLit {
 		t.Errorf("edge %s -> %s wrongly marked InFuncLit", tick, stamp)
 	}
 
 	// util.Stamp's stdlib callee appears as a body-less external leaf.
-	if e := edgeTo(g.Node(stamp), now); e == nil {
+	if e := edgeTo(g.Funcs[stamp], now); e == nil {
 		t.Errorf("no edge %s -> %s", stamp, now)
 	}
-	ext := g.Node(now)
+	ext := g.Funcs[now]
 	if ext == nil {
 		t.Fatalf("missing external node %s", now)
 	}

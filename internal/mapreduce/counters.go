@@ -70,9 +70,6 @@ func (c *Counters) Inc(name string, delta int64) {
 // Get returns the value of the named counter (zero if never set).
 func (c *Counters) Get(name string) int64 { return c.m[name] }
 
-// Set overwrites the named counter.
-func (c *Counters) Set(name string, v int64) { c.m[name] = v }
-
 // Max raises the named counter to v if v is larger (for peak metrics).
 func (c *Counters) Max(name string, v int64) {
 	if v > c.m[name] {

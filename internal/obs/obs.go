@@ -119,16 +119,6 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Percentile returns the nearest-rank q-th percentile (0 < q <= 1) of an
 // ascending slice of durations, or 0 for an empty one. Exact where the
 // histogram's buckets are not: for latency tables that a test or golden

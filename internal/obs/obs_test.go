@@ -29,8 +29,8 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	h := r.Histogram("x.hist")
 	h.Observe(time.Millisecond)
 	h.Observe(3 * time.Millisecond)
-	if h.Count() != 2 || h.Sum() != 4*time.Millisecond {
-		t.Fatalf("hist count=%d sum=%v", h.Count(), h.Sum())
+	if hs := r.Snapshot().Histograms; h.Count() != 2 || len(hs) != 1 || hs[0].Sum != int64(4*time.Millisecond) {
+		t.Fatalf("hist count=%d snapshot=%+v", h.Count(), hs)
 	}
 	if r.CounterValue("x.count") != 3 || r.Gauge("x.gauge").Value() != -1 {
 		t.Fatal("value lookup by name failed")

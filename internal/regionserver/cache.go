@@ -57,9 +57,6 @@ func newCacheTier(shards, capacity int, m *metrics) *CacheTier {
 	return ct
 }
 
-// Shards returns the shard count.
-func (ct *CacheTier) Shards() int { return len(ct.shards) }
-
 // shardOf routes a key to its shard by FNV-32 hash.
 func (ct *CacheTier) shardOf(table, key string) *cacheShard {
 	h := fnv.New32a()

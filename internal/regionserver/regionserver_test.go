@@ -347,7 +347,8 @@ func TestCacheTierHitsAndCoherence(t *testing.T) {
 	if err := c.Master.CreateTable("t", nil); err != nil {
 		t.Fatal(err)
 	}
-	cl := c.NewCachedClient(4, 8)
+	const shards = 4
+	cl := c.NewCachedClient(shards, 8)
 	now := eng.Now()
 	done, err := cl.Put(now, "t", "k", []byte("v1"))
 	if err != nil {
@@ -382,7 +383,7 @@ func TestCacheTierHitsAndCoherence(t *testing.T) {
 	}
 	// Per-shard counters landed too.
 	total := int64(0)
-	for i := 0; i < cl.Cache().Shards(); i++ {
+	for i := 0; i < shards; i++ {
 		total += reg.CounterValue(fmt.Sprintf("serving.cache.s%02d.hits", i))
 	}
 	if total != reg.CounterValue(MetricCacheHits) {

@@ -99,9 +99,6 @@ func (s *Server) Name() string { return s.name }
 // Node returns the cluster node the server runs on.
 func (s *Server) Node() cluster.NodeID { return s.node }
 
-// Alive reports whether the server is up.
-func (s *Server) Alive() bool { return s.alive }
-
 // RegionCount returns the number of regions currently hosted.
 func (s *Server) RegionCount() int { return len(s.regions) }
 

@@ -274,14 +274,3 @@ func (m *MemFS) Rename(oldPath, newPath string) error {
 	}
 	return &PathError{Op: "rename", Path: op, Err: ErrNotExist}
 }
-
-// TotalBytes returns the sum of all file sizes (for quota-style tests).
-func (m *MemFS) TotalBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var n int64
-	for _, data := range m.files {
-		n += int64(len(data))
-	}
-	return n
-}

@@ -33,9 +33,6 @@ func NewOsFS(dir string) (*OsFS, error) {
 	return &OsFS{root: abs}, nil
 }
 
-// Root returns the host directory backing this filesystem.
-func (o *OsFS) Root() string { return o.root }
-
 func (o *OsFS) hostPath(path string) (string, error) {
 	p := Clean(path)
 	if !Valid(p) {

@@ -65,19 +65,6 @@ func TestJoinSplitRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMemFSTotalBytes(t *testing.T) {
-	fs := NewMemFS()
-	if err := WriteFile(fs, "/a", make([]byte, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFile(fs, "/b", make([]byte, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if fs.TotalBytes() != 12 {
-		t.Fatalf("TotalBytes = %d", fs.TotalBytes())
-	}
-}
-
 func TestMemFSRenameDirMovesChildren(t *testing.T) {
 	fs := NewMemFS()
 	if err := WriteFile(fs, "/old/sub/f", []byte("z")); err != nil {

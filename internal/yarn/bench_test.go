@@ -48,11 +48,13 @@ func BenchmarkKickFullCluster(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rm.Request(holder, req)
-				rm.CancelRequests(holder, "more", 1)
+				if rm.CancelRequests(holder, "more", 1) != 1 {
+					b.Fatal("the pass placed the request")
+				}
 			}
 			b.StopTimer()
-			if len(holder.Containers()) != 16*16-1 || holder.PendingRequests() != 0 {
-				b.Fatalf("the pass placed something: %d containers, %d requests", len(holder.Containers()), holder.PendingRequests())
+			if len(holder.Containers()) != 16*16-1 {
+				b.Fatalf("the pass placed something: %d containers", len(holder.Containers()))
 			}
 		})
 	}

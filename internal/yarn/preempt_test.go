@@ -77,8 +77,8 @@ func TestPreemptionRestoresGuarantee(t *testing.T) {
 	if got := usedBy(b); got < 14 {
 		t.Fatalf("queue b runs %d task vc after preemption, want its full 14-task demand", got)
 	}
-	if got := b.PendingRequests(); got != 0 {
-		t.Fatalf("queue b still has %d unserved requests", got)
+	if got := len(b.Containers()); got != 14 {
+		t.Fatalf("queue b has %d live task containers, want all 14 requests served", got)
 	}
 	// a keeps at most its guarantee (16 vc incl. its AM -> ≤15 task vc)
 	// plus the one-container overshoot the round granularity allows.

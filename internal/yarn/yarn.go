@@ -207,9 +207,6 @@ func (a *Application) Containers() []*Container {
 	return append([]*Container(nil), a.containers...)
 }
 
-// PendingRequests returns the number of outstanding container requests.
-func (a *Application) PendingRequests() int { return len(a.requests) }
-
 // nodeManager tracks one node's container capacity.
 type nodeManager struct {
 	id       cluster.NodeID
