@@ -14,9 +14,9 @@ import (
 
 // Lockorder checks the mutex discipline this codebase uses — a struct
 // guards its state with a sync.Mutex/RWMutex field and locks it through
-// recv.field.Lock() (the NameNode, JobTracker, Master, RegionServer
-// shape). It replays each such method's statements in source order
-// against the set of fields it holds, following static calls, and
+// recv.field.Lock() (the history.Log, obs.Registry, obs.Histogram and
+// vfs.MemFS shape). It replays each such method's statements in source
+// order against the set of fields it holds, following static calls, and
 // reports three shapes:
 //
 //   - Self-deadlock: while holding a field, the method calls a method on
@@ -64,8 +64,8 @@ func sortedMapKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
-// shortLockID compresses "repro/internal/hdfs.NameNode.mu" to
-// "hdfs.NameNode.mu" for diagnostics.
+// shortLockID compresses "repro/internal/vfs.MemFS.mu" to
+// "vfs.MemFS.mu" for diagnostics.
 func shortLockID(l lockID) string {
 	s := string(l)
 	if i := strings.LastIndex(s, "/"); i >= 0 {
