@@ -16,8 +16,10 @@ short:
 
 # Determinism & concurrency lint (see docs/LINT.md): five rules over one
 # static call graph — order-dependent map iteration, library hygiene,
-# wall-clock and shared-rand taint (dettaint), lock misuse (lockorder)
-# and dropped commit errors (commiterr). Runs after vet — vet catches
+# wall-clock and shared-rand taint (dettaint), the leaf-lock rule
+# (lockorder: every mutex released in the block that locks it, with no
+# return leaking it and no call under it reaching another lock) and
+# dropped commit errors (commiterr). Runs after vet — vet catches
 # what the compiler misses, lint catches what vet can't know (the repo's
 # own sim-clock/seeded-rand contracts). -trace prints the call chain
 # behind each finding that has one.
@@ -47,9 +49,10 @@ check: static
 # worker on its own mapreduce.MapScratch; its reduce loop is sequential,
 # on one mapreduce.ReduceScratch), and the internal/jobs tests
 # drive it at Parallelism 3 and 4. internal/webui's handlers run on
-# httptest server goroutines.
+# httptest server goroutines. internal/vfs's MemFS is what those workers
+# read concurrently.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/... ./internal/mapreduce/... ./internal/serial/... ./internal/jobs/... ./internal/webui/...
+	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/... ./internal/mapreduce/... ./internal/serial/... ./internal/jobs/... ./internal/webui/... ./internal/vfs/...
 
 chaos: race
 

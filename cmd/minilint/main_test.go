@@ -78,11 +78,18 @@ func TestSelfCheckDirty(t *testing.T) {
 		"lockguard.go:27 lockorder",
 		"lockguard.go:35 lockorder",
 		"lockguard.go:66 lockorder",
+		"lockguard.go:73 lockorder",
+		"lockguard.go:88 lockorder",
 		"lockguard.go:92 lockorder",
 		"lockorder.go:16 lockorder",
 		"lockorder.go:48 lockorder",
 		"lockorder.go:60 lockorder",
+		"lockorder.go:80 lockorder",
 		"lockorder.go:102 lockorder",
+		"lockreach.go:20 lockorder",
+		"lockreach.go:45 lockorder",
+		"lockreach.go:70 lockorder",
+		"lockreach.go:79 lockorder",
 		"maporder.go:11 maporder",
 		"maporder.go:43 maporder",
 		"maporder.go:49 maporder",

@@ -92,24 +92,35 @@ func goodReport() *mrcluster.Report {
 	return &mrcluster.Report{MapTasks: 4, ReduceTasks: 2, Counters: ctr}
 }
 
+// TestCountersConsistent breaks each of CountersConsistent's six
+// relations alone and checks that the error names that relation, so
+// disabling any one check fails the test. The "launched maps" breaker
+// runs on a Failed report (no locality floor) and lowers data-local
+// maps with launched maps, so locality never exceeds launched.
 func TestCountersConsistent(t *testing.T) {
 	if err := invariant.CountersConsistent(goodReport()); err != nil {
 		t.Fatalf("consistent report rejected: %v", err)
 	}
 	breakers := []struct {
-		name  string
+		want  string
 		mutil func(*mrcluster.Report)
 	}{
-		{"launched < tasks", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrLaunchedMaps, 3-5) }},
-		{"locality > launched", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrDataLocalMaps, 9-3) }},
-		{"spec won > launched", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrSpeculativeWon, 2-1) }},
-		{"retries != failures", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrTaskRetries, 7-1) }},
+		{"launched maps 3 < map tasks 4", func(r *mrcluster.Report) {
+			r.Failed = true
+			r.Counters.Inc(mapreduce.CtrLaunchedMaps, 3-5)
+			r.Counters.Inc(mapreduce.CtrDataLocalMaps, 1-3)
+		}},
+		{"launched reduces 1 < reduce tasks 2", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrLaunchedReduces, 1-2) }},
+		{"locality-counted maps 3 < map tasks 4", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrDataLocalMaps, 1-3) }},
+		{"locality-counted maps 11 > launched maps 5", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrDataLocalMaps, 9-3) }},
+		{"speculative wins 2 > speculative launches 1", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrSpeculativeWon, 2-1) }},
+		{"task retries 7 != failed attempts 1", func(r *mrcluster.Report) { r.Counters.Inc(mapreduce.CtrTaskRetries, 7-1) }},
 	}
 	for _, b := range breakers {
 		r := goodReport()
 		b.mutil(r)
-		if err := invariant.CountersConsistent(r); err == nil {
-			t.Fatalf("%s: inconsistency not detected", b.name)
+		if err := invariant.CountersConsistent(r); err == nil || !strings.Contains(err.Error(), b.want) {
+			t.Errorf("%s: got error %v", b.want, err)
 		}
 	}
 }

@@ -30,10 +30,11 @@ type CallEdge struct {
 	Call   *ast.CallExpr
 	// InFuncLit marks calls made inside a function literal nested in the
 	// caller's body. The closure may run later (or never), but whatever
-	// nondeterminism or lock activity it performs is still attributed to
-	// the function that created it — dettaint follows these edges,
-	// lockorder does not (the closure does not run under the caller's
-	// held set).
+	// nondeterminism it performs is still attributed to the function
+	// that created it, so dettaint follows these edges. lockorder does
+	// not: a closure may run after the critical section that built it
+	// has ended, so a lock it takes does not count as taken under that
+	// section's lock.
 	InFuncLit bool
 	fn        *types.Func // the callee, for its external node
 }

@@ -2,11 +2,12 @@
 // analyzers enforcing the repo's determinism and hygiene invariants:
 // no wall-clock time or global randomness in sim-facing packages, no
 // order-dependent iteration over maps, no printing or exiting from
-// library code, no self-deadlocking or leaked locks, and no dropped
-// errors on commit paths. Every subsystem's testability (golden traces,
-// seed sweeps, fault-injection replays) rests on bit-for-bit
-// reproducibility; these rules make that a machine-checked property of
-// the build instead of a convention.
+// library code, every mutex a leaf lock (released in the block that
+// locks it, never leaked by a return or held across a call that locks),
+// and no dropped errors on commit paths. Every subsystem's testability
+// (golden traces, seed sweeps, fault-injection replays) rests on
+// bit-for-bit reproducibility; these rules make that a machine-checked
+// property of the build instead of a convention.
 //
 // The framework loads packages with go/parser and type-checks them with
 // go/types (see load.go), builds one module-aware static call graph over
@@ -14,7 +15,8 @@
 // packages and the graph. The interprocedural rules see through helper
 // functions and report the call chain behind a finding: dettaint
 // (determinism taint, from a direct call to any depth), lockorder
-// (re-acquired and leaked locks, lock-order cycles) and commiterr
+// (a call under a held lock that reaches another lock acquisition:
+// self-deadlock, ABBA, recursive read locks) and commiterr
 // (dropped errors on durability-critical commit paths). Run then applies
 // "//lint:ignore RULE reason" suppression directives and reports stale
 // ones as unused-ignore findings. cmd/minilint is the CLI driver.

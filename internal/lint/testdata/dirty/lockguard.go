@@ -68,15 +68,15 @@ func (s *shared) writeThenRead(k string) int {
 	return v
 }
 
-func (s *shared) readChainAllowed(k string) int {
+func (s *shared) readChain(k string) int {
 	s.RLock()
-	v := s.lookup(k) // RLock while RLocked: shared locks nest
+	v := s.lookup(k) // a blocked Lock call excludes new readers (sync.RWMutex.RLock doc); want: lockorder
 	s.RUnlock()
 	return v
 }
 
-// Leaked locks are tracked per field: releasing b does not release a, so
-// the early return still holds a.
+// Each lock has its own section: releasing b does not end a's, so the
+// early return still holds a; taking b inside a's section is flagged.
 
 type twoLocks struct {
 	a, b sync.Mutex
@@ -85,7 +85,7 @@ type twoLocks struct {
 
 func (t *twoLocks) leakOuter(fail bool) error {
 	t.a.Lock()
-	t.b.Lock()
+	t.b.Lock() // want: lockorder
 	t.n++
 	t.b.Unlock()
 	if fail {

@@ -28,8 +28,8 @@ func (d *deepLocker) inner() {
 }
 
 // ABBA: nodeA.poke acquires nodeB.mu while holding nodeA.mu; nodeB.poke
-// takes the opposite order. Each edge of the cycle is flagged at its
-// witness call site.
+// takes the opposite order. Each takes a second lock under its first,
+// so both call sites are flagged.
 
 type nodeA struct {
 	mu   sync.Mutex
@@ -67,8 +67,8 @@ func (b *nodeB) touch() {
 	b.mu.Unlock()
 }
 
-// Read-read chains on one RWMutex nest safely and must stay silent,
-// unless a callee write-locks.
+// A read-read chain on one RWMutex is flagged too: a blocked Lock call
+// excludes new readers (sync.RWMutex.RLock doc), so the inner RLock waits.
 
 type rwPair struct {
 	mu sync.RWMutex
@@ -77,7 +77,7 @@ type rwPair struct {
 
 func (p *rwPair) readOuter() int {
 	p.mu.RLock()
-	v := p.readMiddle()
+	v := p.readMiddle() // want: lockorder
 	p.mu.RUnlock()
 	return v
 }
@@ -94,8 +94,8 @@ func (p *rwPair) readInner() int {
 
 // A read lock does not let a callee take the write lock: readThenUpgrade
 // holds mu for reading while upgrade, two calls down, releases its own
-// read lock and then write-locks mu. The check looks at every
-// acquisition of the callee, not only its first.
+// read lock and then write-locks mu; the finding's trace ends at that
+// write lock.
 
 func (p *rwPair) readThenUpgrade() int {
 	p.mu.RLock()

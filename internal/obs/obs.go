@@ -19,6 +19,7 @@ package obs
 
 import (
 	"encoding/json"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -274,13 +275,16 @@ type Snapshot struct {
 	Spans      []Span        `json:"spans"`
 }
 
-// Snapshot captures the registry's current state.
+// Snapshot captures the registry's current state. It is not atomic
+// across metrics: the histogram handles are copied under r.mu and each
+// is read under its own lock after r.mu is released, because every
+// mutex is a leaf lock (docs/LINT.md), so a concurrent Observe may land
+// in a histogram after the counters were read.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	snap := Snapshot{
 		Counters:   make([]CounterSnap, 0, len(r.counters)),
 		Gauges:     make([]GaugeSnap, 0, len(r.gauges)),
@@ -293,7 +297,9 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		snap.Gauges = append(snap.Gauges, GaugeSnap{Name: name, Value: g.Value()})
 	}
-	for name, h := range r.hists {
+	hists := maps.Clone(r.hists)
+	r.mu.Unlock()
+	for name, h := range hists {
 		h.mu.Lock()
 		hs := HistSnap{Name: name, Count: h.count, Sum: int64(h.sum)}
 		for i, n := range h.buckets {

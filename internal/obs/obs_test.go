@@ -173,13 +173,29 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentUse hammers one registry from many goroutines; run
-// under -race (make check / make race) this proves the hot paths are
-// race-clean, which the serial runner's parallel mappers require.
+// TestConcurrentUse hammers one registry from many goroutines while a
+// reader takes snapshots and span copies; run under -race (make check /
+// make race) this proves the hot paths and Snapshot, which reads each
+// histogram after releasing the registry lock, are race-clean, which the
+// serial runner's parallel mappers require.
 func TestConcurrentUse(t *testing.T) {
 	r := obs.NewRegistry()
 	c := r.Counter("par.count")
 	h := r.Histogram("par.hist")
+	done := make(chan struct{})
+	reader := make(chan struct{})
+	go func() {
+		defer close(reader)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				r.Snapshot()
+				r.Spans()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -196,6 +212,19 @@ func TestConcurrentUse(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	close(done)
+	<-reader
+	hists := r.Snapshot().Histograms
+	if len(hists) != 1 || hists[0].Name != "par.hist" {
+		t.Fatalf("snapshot histograms = %+v, want par.hist alone", hists)
+	}
+	var sum int64
+	for _, b := range hists[0].Buckets {
+		sum += b.Count
+	}
+	if hists[0].Count != 8000 || sum != 8000 {
+		t.Fatalf("snapshot of par.hist: count %d, buckets sum to %d; want 8000 both", hists[0].Count, sum)
+	}
 	if c.Value() != 8000 || r.CounterValue("par.shared") != 8000 {
 		t.Fatalf("lost updates: %d / %d", c.Value(), r.CounterValue("par.shared"))
 	}

@@ -1,7 +1,9 @@
 package vfs
 
 import (
+	"fmt"
 	"io"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +95,66 @@ func TestWriterAfterCloseFails(t *testing.T) {
 	}
 	if _, err := w.Write([]byte("x")); err != io.ErrClosedPipe {
 		t.Fatalf("write after close: %v", err)
+	}
+}
+
+// TestMemFSConcurrentUse: writers create and close distinct files and
+// append to one shared file while readers stat, list and read. Under
+// -race (make race) it checks MemFS's locking, which serial.Runner's
+// parallel map workers depend on, and that an append extending the
+// shared file in place never touches bytes an open reader holds.
+func TestMemFSConcurrentUse(t *testing.T) {
+	const writers, files = 4, 50
+	fs := NewMemFS()
+	if err := WriteFile(fs, "/log", nil); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var readers, wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := fs.Stat("/log"); err != nil {
+					t.Error(err)
+				}
+				if _, err := fs.List("/"); err != nil {
+					t.Error(err)
+				}
+				if _, err := ReadFile(fs, "/log"); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 0; j < files; j++ {
+				if err := WriteFile(fs, fmt.Sprintf("/w%d-%d", w, j), []byte("data")); err != nil {
+					t.Error(err)
+				}
+				if err := AppendFile(fs, "/log", []byte("ab")); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if fi, err := fs.Stat("/log"); err != nil || fi.Size != 2*writers*files {
+		t.Fatalf("/log = %+v, %v; want %d bytes", fi, err, 2*writers*files)
+	}
+	if list, err := fs.List("/"); err != nil || len(list) != writers*files+1 {
+		t.Fatalf("List(/) = %d entries, %v; want %d", len(list), err, writers*files+1)
 	}
 }
 
