@@ -64,11 +64,12 @@ bench:
 	$(GO) run ./cmd/benchreport
 
 # One-iteration benchmark smoke pass — proves every experiment, and every
-# package benchmark under internal/, still runs without paying for
+# package benchmark under internal/ and cmd/ (minilint's whole-repo
+# BenchmarkLintRepo included), still runs without paying for
 # steady-state timing.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ .
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/... ./cmd/...
 
 # The wall-clock benchmark (bench/, see BENCHMARK.json) is its own module
 # with `replace repro => ../`, so root `go build ./...` and `go test ./...`

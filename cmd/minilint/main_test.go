@@ -48,6 +48,8 @@ func TestSelfCheckDirty(t *testing.T) {
 		"commiterr.go:17 commiterr",
 		"commiterr.go:18 commiterr",
 		"commiterr.go:19 commiterr",
+		"commiterr.go:49 commiterr",
+		"commiterr.go:53 commiterr",
 		"dettaint.go:13 dettaint",
 		"dettaint.go:17 dettaint",
 		"dettaint.go:21 dettaint",
@@ -90,6 +92,8 @@ func TestSelfCheckDirty(t *testing.T) {
 		"lockreach.go:45 lockorder",
 		"lockreach.go:70 lockorder",
 		"lockreach.go:79 lockorder",
+		"lockreach.go:94 lockorder",
+		"lockreach.go:103 lockorder",
 		"maporder.go:11 maporder",
 		"maporder.go:43 maporder",
 		"maporder.go:49 maporder",

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -31,10 +32,10 @@ type CallEdge struct {
 	// InFuncLit marks calls made inside a function literal nested in the
 	// caller's body. The closure may run later (or never), but whatever
 	// nondeterminism it performs is still attributed to the function
-	// that created it, so dettaint follows these edges. lockorder does
-	// not: a closure may run after the critical section that built it
-	// has ended, so a lock it takes does not count as taken under that
-	// section's lock.
+	// that created it, so dettaint follows these edges. lockorder and
+	// commiterr do not: a closure may run after the critical section
+	// that built it has ended, and the error of a call inside it is not
+	// the enclosing function's to return.
 	InFuncLit bool
 	fn        *types.Func // the callee, for its external node
 }
@@ -67,6 +68,74 @@ func (g *CallGraph) SortedIDs() []FuncID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
+}
+
+// Reach gives every function that reaches a seed its distance to the
+// nearest one: 0 for a seed, n when the shortest chain of followed calls
+// from it down to a seed has n calls. It is a breadth-first walk
+// backwards over the call edges follow accepts, and it enters only the
+// callers admit accepts, so no chain runs through a caller admit
+// refuses. Recursion needs no special case.
+func (g *CallGraph) Reach(seed func(*FuncNode) bool, follow func(CallEdge) bool, admit func(*FuncNode) bool) map[FuncID]int {
+	dist := map[FuncID]int{}
+	callers := map[FuncID][]FuncID{}
+	var queue []FuncID
+	for _, id := range g.SortedIDs() {
+		if seed(g.Funcs[id]) {
+			dist[id] = 0
+			queue = append(queue, id)
+		}
+		for _, e := range g.Funcs[id].Calls {
+			if follow(e) {
+				callers[e.Callee] = append(callers[e.Callee], id)
+			}
+		}
+	}
+	for ; len(queue) > 0; queue = queue[1:] {
+		for _, c := range callers[queue[0]] {
+			if _, ok := dist[c]; !ok && admit(g.Funcs[c]) {
+				dist[c] = dist[queue[0]] + 1
+				queue = append(queue, c)
+			}
+		}
+	}
+	return dist
+}
+
+// Chain returns the shortest chain of followed calls from id down to a
+// seed of dist, a Reach result with the same follow: id first, the seed
+// last. Each step takes the first followed call, in source order, whose
+// callee is one step nearer, so ties break the same way every run. It
+// also returns the call that starts the chain, the zero CallEdge when id
+// is a seed.
+func (g *CallGraph) Chain(dist map[FuncID]int, id FuncID, follow func(CallEdge) bool) ([]FuncID, CallEdge) {
+	chain := []FuncID{id}
+	var first CallEdge
+	for d := dist[id] - 1; d >= 0; d-- {
+		calls := g.Funcs[chain[len(chain)-1]].Calls
+		e := calls[slices.IndexFunc(calls, func(e CallEdge) bool {
+			n, ok := dist[e.Callee]
+			return ok && n == d && follow(e)
+		})]
+		if len(chain) == 1 {
+			first = e
+		}
+		chain = append(chain, e.Callee)
+	}
+	return chain, first
+}
+
+// outsideFuncLit follows the calls that run when the caller runs: every
+// call but those inside a function literal.
+func outsideFuncLit(e CallEdge) bool { return !e.InFuncLit }
+
+// shortChain renders a chain with shortFuncID.
+func shortChain(chain []FuncID) []string {
+	short := make([]string, len(chain))
+	for i, c := range chain {
+		short[i] = shortFuncID(c)
+	}
+	return short
 }
 
 // BuildCallGraph constructs the static call graph of the loaded

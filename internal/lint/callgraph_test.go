@@ -1,11 +1,13 @@
 package lint
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// loadMultimod loads the synthetic two-package module under
+// loadMultimod loads the synthetic three-package module under
 // testdata/multimod through its own go.mod, the way the driver loads
 // the real repo.
 func loadMultimod(t *testing.T) []*Package {
@@ -16,7 +18,7 @@ func loadMultimod(t *testing.T) []*Package {
 		t.Fatalf("creating loader: %v", err)
 	}
 	var pkgs []*Package
-	for _, dir := range []string{"app", "util"} {
+	for _, dir := range []string{"app", "sim", "util"} {
 		pkg, err := loader.Load(filepath.Join(root, dir))
 		if err != nil {
 			t.Fatalf("loading %s: %v", dir, err)
@@ -94,31 +96,25 @@ func TestCallGraphMultiPackage(t *testing.T) {
 }
 
 // TestDettaintAcrossPackages runs the taint analyzer over the synthetic
-// module: util.Stamp's direct time.Now call is flagged in util, and the
-// taint entering through it surfaces in the other package at depth 2
-// with the full chain.
+// module and pins every finding's place and chain. util.Stamp's direct
+// time.Now call is flagged in util, and its taint surfaces in app two
+// calls down. Package sim sanctions the shared rand source: sim.Draw is
+// not flagged, nor is drawOnly, which reaches the source only through
+// it, and no chain runs through it, so both is flagged at roll().
 func TestDettaintAcrossPackages(t *testing.T) {
-	pkgs := loadMultimod(t)
-	diags := Run(pkgs, []*Analyzer{Dettaint})
 	var got []string
-	for _, d := range diags {
-		got = append(got, filepath.Base(d.Pos.Filename)+" "+d.Rule+" "+d.Message)
+	for _, d := range Run(loadMultimod(t), []*Analyzer{Dettaint}) {
+		got = append(got, fmt.Sprintf("%s:%d %s", filepath.Base(d.Pos.Filename), d.Pos.Line, strings.Join(d.Trace, " → ")))
 	}
-	if len(diags) != 3 {
-		t.Fatalf("want 3 dettaint findings (Stamp at depth 1, Run and Tick at depth 2), got %d:\n%v", len(diags), got)
+	want := []string{
+		"app.go:13 (*app.Runner).Tick → util.Stamp → time.Now",
+		"app.go:21 app.Run → util.Stamp → time.Now",
+		"dice.go:11 app.roll → rand.Intn",
+		"dice.go:25 app.both → app.roll → rand.Intn",
+		"dice.go:29 app.top → app.both → app.roll → rand.Intn",
+		"util.go:10 util.Stamp → time.Now",
 	}
-	for _, d := range diags {
-		switch filepath.Base(d.Pos.Filename) {
-		case "util.go":
-			if len(d.Trace) != 2 || d.Trace[0] != "util.Stamp" || d.Trace[1] != "time.Now" {
-				t.Errorf("trace %v, want [util.Stamp, time.Now]", d.Trace)
-			}
-		case "app.go":
-			if len(d.Trace) != 3 || d.Trace[1] != "util.Stamp" || d.Trace[2] != "time.Now" {
-				t.Errorf("trace %v, want [caller, util.Stamp, time.Now]", d.Trace)
-			}
-		default:
-			t.Errorf("finding in %s, want app.go or util.go: %s", d.Pos.Filename, d)
-		}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("dettaint findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

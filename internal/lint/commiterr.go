@@ -16,10 +16,11 @@ import (
 // A callee is commit-critical if it is one of the durability sinks
 // (kvstore WAL append/truncate, iofmt sequence-writer flush/close, the
 // vfs whole-file writer and record appender every journal and history
-// persist path funnels through) or if it returns an error and transitively calls one through
-// static calls. Dropping the error of a commit-critical call — calling
-// it as a bare statement, blanking the error with _, or deferring it —
-// is reported with the chain that makes it critical
+// persist path funnels through) or if it returns an error and
+// transitively calls one through static calls outside function literals.
+// Dropping the error of a commit-critical call — calling it as a bare
+// statement, blanking the error with _, or deferring it — is reported
+// with the shortest chain that makes it critical
 // (journal → vfs.AppendFile).
 //
 // One idiom is exempt: a drop inside an if-block whose condition tests
@@ -64,53 +65,25 @@ func isCommitSink(fn *types.Func) bool {
 func runCommiterr(pass *Pass) {
 	g := pass.Graph
 
-	// critical maps each commit-critical function to the call chain that
-	// reaches a sink (the function itself first). Non-sink functions are
-	// critical only if they return an error: a function that swallows
+	// critical gives each commit-critical function the shortest chain
+	// that reaches a sink (the function itself first). Non-sink functions
+	// are critical only if they return an error: a function that swallows
 	// the sink's error internally is reported at the swallow site, not
 	// at its callers (there is nothing the caller could check).
-	memo := map[FuncID][]FuncID{}
-	inProgress := map[FuncID]bool{}
-	var critical func(id FuncID) []FuncID
-	critical = func(id FuncID) []FuncID {
-		if c, ok := memo[id]; ok {
-			return c
-		}
-		// id is always a callee, so its node exists and has a Func.
-		node := g.Funcs[id]
-		if isCommitSink(node.Func) {
-			memo[id] = []FuncID{id}
-			return memo[id]
-		}
-		if node.Decl == nil || inProgress[id] {
+	dist := g.Reach(func(n *FuncNode) bool { return n.Func != nil && isCommitSink(n.Func) }, outsideFuncLit,
+		func(n *FuncNode) bool { return n.Func != nil && returnsError(n.Func) })
+	critical := func(id FuncID) []FuncID {
+		if _, ok := dist[id]; !ok {
 			return nil
 		}
-		if !returnsError(node.Func) {
-			memo[id] = nil
-			return nil
-		}
-		inProgress[id] = true
-		var chain []FuncID
-		for _, e := range node.Calls {
-			if e.InFuncLit {
-				continue
-			}
-			if sub := critical(e.Callee); sub != nil {
-				chain = append([]FuncID{id}, sub...)
-				break
-			}
-		}
-		delete(inProgress, id)
-		memo[id] = chain
+		chain, _ := g.Chain(dist, id, outsideFuncLit)
 		return chain
 	}
 
 	for _, id := range g.SortedIDs() {
-		node := g.Funcs[id]
-		if node == nil || node.Decl == nil {
-			continue
+		if node := g.Funcs[id]; node.Decl != nil {
+			reportDrops(pass, node, critical)
 		}
-		reportDrops(pass, node, critical)
 	}
 }
 
@@ -139,10 +112,7 @@ func reportDrops(pass *Pass, node *FuncNode, critical func(FuncID) []FuncID) {
 		if chain == nil || !calleeReturnsError(pkg, call) {
 			return
 		}
-		short := make([]string, len(chain))
-		for i, c := range chain {
-			short[i] = shortFuncID(c)
-		}
+		short := shortChain(chain)
 		pass.Report(call.Pos(), short,
 			"%s the error from %s, which commits durable state (%s); a silent failure here loses acked writes",
 			how, short[0], strings.Join(short, " → "))

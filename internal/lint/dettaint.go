@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -34,7 +33,8 @@ import (
 // Exemptions: binaries under cmd/ may read the wall clock (a CLI may
 // measure real elapsed time for its user), and internal/sim is the
 // sanctioned randomness wrapper. Taint of those kinds neither propagates
-// out of such a package nor is reported inside it.
+// out of such a package nor is reported inside it, and no chain of that
+// kind runs through it.
 var Dettaint = &Analyzer{
 	Name: "dettaint",
 	Doc:  "flag calls and call chains that reach the wall clock, global rand, or map-order-dependent helpers",
@@ -73,14 +73,8 @@ func runDettaint(pass *Pass) {
 	// Classify sources. External leaves give wallclock/globalrand taint;
 	// loaded functions that return map-order-dependent values are
 	// maporder sources, remembered with the offending return position.
-	sources := map[FuncID]map[string]bool{}
+	sources := map[string]map[FuncID]bool{taintWallclock: {}, taintGlobalrand: {}, taintMaporder: {}}
 	maporderPos := map[FuncID]token.Pos{}
-	addSource := func(id FuncID, kind string) {
-		if sources[id] == nil {
-			sources[id] = map[string]bool{}
-		}
-		sources[id][kind] = true
-	}
 	for _, id := range ids {
 		node := g.Funcs[id]
 		if node.Decl == nil {
@@ -89,61 +83,26 @@ func runDettaint(pass *Pass) {
 				continue // methods (e.g. (*rand.Rand).Intn on a seeded instance) are fine
 			}
 			if pkgPath == "time" && wallclockFuncs[name] {
-				addSource(id, taintWallclock)
+				sources[taintWallclock][id] = true
 			}
 			if isRandPkg(pkgPath) && !randConstructors[name] {
-				addSource(id, taintGlobalrand)
+				sources[taintGlobalrand][id] = true
 			}
 			continue
 		}
 		if pos := mapOrderReturnPos(node.Pkg, node.Decl); pos != token.NoPos {
-			addSource(id, taintMaporder)
+			sources[taintMaporder][id] = true
 			maporderPos[id] = pos
 		}
 	}
 
-	// Reverse adjacency for the taint BFS, deterministic order.
-	callers := map[FuncID][]FuncID{}
-	for _, id := range ids {
-		seen := map[FuncID]bool{}
-		for _, e := range g.Funcs[id].Calls {
-			if !seen[e.Callee] {
-				seen[e.Callee] = true
-				callers[e.Callee] = append(callers[e.Callee], id)
-			}
-		}
-	}
-	for _, cs := range callers {
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-	}
-
-	// BFS per kind from the sources, respecting propagation barriers.
+	// Every call carries taint, closures' included, into every caller
+	// outside a package that sanctions the kind.
+	every := func(CallEdge) bool { return true }
 	dist := map[string]map[FuncID]int{}
 	for _, kind := range taintKinds {
-		d := map[FuncID]int{}
-		var frontier []FuncID
-		for _, id := range ids {
-			if sources[id][kind] {
-				d[id] = 0
-				frontier = append(frontier, id)
-			}
-		}
-		for len(frontier) > 0 {
-			var next []FuncID
-			for _, u := range frontier {
-				if taintBarrier(g.Funcs[u], kind) {
-					continue
-				}
-				for _, c := range callers[u] {
-					if _, ok := d[c]; !ok {
-						d[c] = d[u] + 1
-						next = append(next, c)
-					}
-				}
-			}
-			frontier = next
-		}
-		dist[kind] = d
+		dist[kind] = g.Reach(func(n *FuncNode) bool { return sources[kind][n.ID] }, every,
+			func(n *FuncNode) bool { return !taintBarrier(n, kind) })
 	}
 
 	for _, id := range ids {
@@ -162,23 +121,21 @@ func runDettaint(pass *Pass) {
 		}
 		for _, kind := range taintKinds {
 			d, tainted := dist[kind][id]
-			if !tainted || taintBarrier(node, kind) {
-				continue
-			}
-			switch d {
-			case 0:
+			switch {
+			case !tainted:
+			case d == 0:
 				// A maporder source reports itself; wallclock/globalrand
 				// sources are external and never reach this loop.
 				pass.Report(maporderPos[id], []string{shortFuncID(id)},
 					"returned value is chosen by map iteration order; collect and sort keys before choosing")
-			case 1:
+			case d == 1:
 				for _, e := range node.Calls {
-					if sources[e.Callee][kind] {
+					if sources[kind][e.Callee] {
 						reportTaint(pass, kind, e, []FuncID{id, e.Callee})
 					}
 				}
 			default:
-				edge, chain := taintChain(g, dist[kind], id)
+				chain, edge := g.Chain(dist[kind], id, every)
 				reportTaint(pass, kind, edge, chain)
 			}
 		}
@@ -188,10 +145,7 @@ func runDettaint(pass *Pass) {
 // reportTaint reports a tainted call at edge, naming the chain from the
 // caller down to the source.
 func reportTaint(pass *Pass, kind string, edge CallEdge, chain []FuncID) {
-	short := make([]string, len(chain))
-	for i, c := range chain {
-		short[i] = shortFuncID(c)
-	}
+	short := shortChain(chain)
 	route := strings.Join(short, " → ")
 	switch kind {
 	case taintWallclock:
@@ -207,7 +161,8 @@ func reportTaint(pass *Pass, kind string, edge CallEdge, chain []FuncID) {
 }
 
 // taintBarrier reports whether node's package sanctions taint of the
-// given kind: it is neither reported there nor inherited by callers.
+// given kind: the walk for that kind does not enter it, so taint is
+// neither reported there nor inherited through it by callers.
 func taintBarrier(node *FuncNode, kind string) bool {
 	if node.Pkg == nil {
 		return false
@@ -230,36 +185,6 @@ func isSeededSource(pkg *Package, expr ast.Expr) bool {
 	}
 	path, fn, ok := pkgFuncCall(pkg, call)
 	return ok && isRandPkg(path) && (fn == "NewSource" || fn == "NewPCG")
-}
-
-// taintChain reconstructs the shortest tainted call chain from id down
-// to a source, returning the first edge taken (for the report position)
-// and the full chain including id and the source. Ties between equally
-// short callees break on source position, so the chain is deterministic.
-func taintChain(g *CallGraph, dist map[FuncID]int, id FuncID) (CallEdge, []FuncID) {
-	chain := []FuncID{id}
-	var first CallEdge
-	cur := id
-	for dist[cur] > 0 {
-		node := g.Funcs[cur]
-		var best *CallEdge
-		for i := range node.Calls {
-			e := &node.Calls[i]
-			if d, ok := dist[e.Callee]; ok && d == dist[cur]-1 {
-				best = e
-				break // Calls are in source order; first hit is the earliest site
-			}
-		}
-		if best == nil {
-			break // should not happen: BFS distance guarantees a step down
-		}
-		if cur == id {
-			first = *best
-		}
-		chain = append(chain, best.Callee)
-		cur = best.Callee
-	}
-	return first, chain
 }
 
 // mapOrderReturnPos scans a function body for a return statement inside

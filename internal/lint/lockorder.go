@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"slices"
 	"strings"
 )
 
@@ -21,7 +20,10 @@ import (
 //   - a return inside the section, unless the release was deferred: the
 //     lock leaks on that path;
 //   - a call inside the section whose callee reaches a lock acquisition
-//     down the static call graph, with the chain as the trace.
+//     down the static call graph, with the shortest chain as the trace.
+//     A deferred call runs at return: after an explicit release, so it
+//     does not count, but before a deferred one (LIFO), so it does. Its
+//     arguments are evaluated at the defer and always count.
 //
 // The last covers self-deadlock (the callee re-locks the held mutex),
 // ABBA (two paths each take a second lock under a first) and recursive
@@ -47,7 +49,8 @@ var lockFuncs = map[FuncID]string{
 }
 
 func runLockorder(pass *Pass) {
-	reach := lockReach(pass.Graph)
+	reach := pass.Graph.Reach(func(n *FuncNode) bool { _, ok := lockFuncs[n.ID]; return ok },
+		outsideFuncLit, func(*FuncNode) bool { return true })
 	for _, id := range pass.Graph.SortedIDs() {
 		node := pass.Graph.Funcs[id]
 		if node.Decl == nil {
@@ -77,7 +80,7 @@ func runLockorder(pass *Pass) {
 
 // checkLockSite checks one statement of a list, given the statements
 // after it, if it is a lock site.
-func checkLockSite(pass *Pass, id FuncID, rest []ast.Stmt, s ast.Stmt, callees map[*ast.CallExpr]FuncID, reach map[FuncID][]FuncID) {
+func checkLockSite(pass *Pass, id FuncID, rest []ast.Stmt, s ast.Stmt, callees map[*ast.CallExpr]FuncID, reach map[FuncID]int) {
 	es, ok := s.(*ast.ExprStmt)
 	if !ok {
 		return
@@ -118,6 +121,7 @@ func checkLockSite(pass *Pass, id FuncID, rest []ast.Stmt, s ast.Stmt, callees m
 		return
 	}
 
+	var later *ast.CallExpr // a deferred call that runs after an explicit release
 	for _, t := range section {
 		ast.Inspect(t, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -127,12 +131,14 @@ func checkLockSite(pass *Pass, id FuncID, rest []ast.Stmt, s ast.Stmt, callees m
 				if !deferred {
 					pass.Report(n.Pos(), nil, "return while holding %s with no deferred unlock; the lock leaks on this path", x)
 				}
+			case *ast.DeferStmt:
+				if !deferred {
+					later = n.Call
+				}
 			case *ast.CallExpr:
-				if chain := reach[callees[n]]; chain != nil {
-					trace := []string{shortFuncID(id)}
-					for _, c := range chain {
-						trace = append(trace, shortFuncID(c))
-					}
+				if _, ok := reach[callees[n]]; ok && n != later {
+					chain, _ := pass.Graph.Chain(reach, callees[n], outsideFuncLit)
+					trace := shortChain(append([]FuncID{id}, chain...))
 					pass.Report(n.Pos(), trace, "%s() takes a lock while %s is held: %s; every mutex is a leaf lock, so release %s before this call",
 						types.ExprString(n.Fun), x, strings.Join(trace, " → "), x)
 				}
@@ -151,35 +157,4 @@ func anyNode(root ast.Node, match func(ast.Node) bool) bool {
 		return !found
 	})
 	return found
-}
-
-// lockReach maps every function that reaches a lock acquisition down
-// static, non-closure call edges to its shortest chain to one, from the
-// function itself down to the sync method. It is a breadth-first walk
-// backwards from the acquisitions, so recursion needs no special case.
-func lockReach(g *CallGraph) map[FuncID][]FuncID {
-	callers := map[FuncID][]FuncID{}
-	for _, id := range g.SortedIDs() {
-		for _, e := range g.Funcs[id].Calls {
-			if !e.InFuncLit {
-				callers[e.Callee] = append(callers[e.Callee], id)
-			}
-		}
-	}
-	reach := map[FuncID][]FuncID{}
-	var queue []FuncID
-	for id := range lockFuncs {
-		reach[id] = []FuncID{id}
-		queue = append(queue, id)
-	}
-	slices.Sort(queue) // ties between chains break the same way every run
-	for ; len(queue) > 0; queue = queue[1:] {
-		for _, caller := range callers[queue[0]] {
-			if reach[caller] == nil {
-				reach[caller] = append([]FuncID{caller}, reach[queue[0]]...)
-				queue = append(queue, caller)
-			}
-		}
-	}
-	return reach
 }

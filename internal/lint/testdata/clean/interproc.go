@@ -61,3 +61,11 @@ func checkAndPersist(fs vfs.FileSystem, data []byte) error {
 	}
 	return nil
 }
+
+// pokeLater defers the call into back between its lock and an explicit
+// unlock: the deferred call runs at return, after f.mu is released.
+func (f *front) pokeLater() {
+	f.mu.Lock()
+	defer f.back.bump()
+	f.mu.Unlock()
+}

@@ -29,3 +29,26 @@ func cleanupOnError(fs vfs.FileSystem, data []byte) error {
 	}
 	return nil
 }
+
+// retryA and retryB call each other, and both return the sink's error,
+// so each drop below is a finding whatever the functions are named. A
+// walk that cuts the cycle at the first function it enters marks the
+// other non-critical and misses the second drop.
+func retryA(fs vfs.FileSystem, n int) error {
+	if n > 0 {
+		return retryB(fs, n-1)
+	}
+	return vfs.WriteFile(fs, "/meta", nil)
+}
+
+func retryB(fs vfs.FileSystem, n int) error {
+	return retryA(fs, n)
+}
+
+func aDrops(fs vfs.FileSystem) {
+	_ = retryA(fs, 1) // want: commiterr
+}
+
+func zDrops(fs vfs.FileSystem) {
+	_ = retryB(fs, 1) // want: commiterr
+}

@@ -93,9 +93,9 @@ func (p *rwPair) readInner() int {
 }
 
 // A read lock does not let a callee take the write lock: readThenUpgrade
-// holds mu for reading while upgrade, two calls down, releases its own
-// read lock and then write-locks mu; the finding's trace ends at that
-// write lock.
+// holds mu for reading while upgrade, two calls down, read-locks mu and
+// then write-locks it; the finding's trace ends at upgrade's first lock
+// in source order, the RLock.
 
 func (p *rwPair) readThenUpgrade() int {
 	p.mu.RLock()

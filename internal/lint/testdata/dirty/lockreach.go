@@ -79,3 +79,26 @@ func (m *memTable) reset() {
 	m.mu.Lock() // want: lockorder
 	m.files = map[string][]byte{}
 }
+
+// A deferred call runs at return. Under an explicit unlock that is
+// after the release, so the deferred h.add is no finding, but its
+// argument is evaluated at the defer, under h.mu, and h.count() is.
+func (h *hist) add(n int) {
+	h.mu.Lock()
+	h.n += n
+	h.mu.Unlock()
+}
+
+func (h *hist) addCount() {
+	h.mu.Lock()
+	defer h.add(h.count()) // want: lockorder
+	h.mu.Unlock()
+}
+
+// Under a deferred unlock a later defer runs first (LIFO), so h.add
+// runs while h.mu is still held.
+func (h *hist) addOnReturn(n int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	defer h.add(n) // want: lockorder
+}

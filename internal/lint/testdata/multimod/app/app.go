@@ -1,4 +1,4 @@
-// Package app is the caller half of the synthetic module: it exercises
+// Package app is the caller side of the synthetic module: it exercises
 // cross-package calls, method resolution and function-literal edges.
 package app
 

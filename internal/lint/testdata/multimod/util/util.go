@@ -1,6 +1,6 @@
-// Package util is half of the synthetic two-package module the
-// callgraph tests load: a leaf helper whose only call is an external
-// stdlib function.
+// Package util is one package of the synthetic module the callgraph
+// tests load: a leaf helper whose only call is an external stdlib
+// function.
 package util
 
 import "time"
