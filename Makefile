@@ -112,6 +112,7 @@ ci: build static loc
 	$(GO) test -run '^$$' -fuzz FuzzEventQueueMatchesOracle -fuzztime 5s -fuzzminimizetime 1x ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzRecord -fuzztime 5s ./internal/kvstore/
 	$(GO) test -run '^$$' -fuzz FuzzCompactMatchesMapMerge -fuzztime 5s ./internal/kvstore/
+	$(GO) test -run '^$$' -fuzz FuzzEventLog -fuzztime 5s ./internal/history/
 	$(GO) test -run '^$$' -fuzz FuzzEditLog -fuzztime 5s ./internal/hdfs/
 	$(GO) test -run '^$$' -fuzz FuzzReadRange -fuzztime 5s -fuzzminimizetime 1x ./internal/hdfs/
 	$(GO) test -run '^$$' -fuzz FuzzRecordsInRange -fuzztime 5s ./internal/mapreduce/

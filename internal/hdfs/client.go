@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -79,18 +80,19 @@ const DefaultUser = "student"
 
 // auditEv appends a client-facing entry to the NameNode audit log:
 // principal, operation, path(s), and whether the NameNode said yes.
-func (c *Client) auditEv(typ string, attrs map[string]string, err error) {
+func (c *Client) auditEv(typ string, err error, attrs ...obs.Attr) {
 	user := c.User
 	if user == "" {
 		user = DefaultUser
 	}
-	attrs["user"] = user
+	result := "ok"
 	if err != nil {
-		attrs["result"] = "error"
-	} else {
-		attrs["result"] = "ok"
+		result = "error"
 	}
-	c.nn.audit.Append(time.Duration(c.eng.Now()), typ, attrs)
+	all := make(obs.Attrs, 0, len(attrs)+2)
+	all = append(all, attrs...)
+	all = append(all, obs.Attr{Key: "result", Value: result}, obs.Attr{Key: "user", Value: user})
+	c.nn.audit.Append(time.Duration(c.eng.Now()), typ, all)
 }
 
 func (c *Client) charge(read bool, d time.Duration) {
@@ -128,7 +130,7 @@ func (c *Client) Create(path string) (io.WriteCloser, error) {
 // (0 = cluster default).
 func (c *Client) CreateRepl(path string, repl int) (io.WriteCloser, error) {
 	f, err := c.nn.createFileEntry(path, repl)
-	c.auditEv(history.EvAuditCreate, map[string]string{"src": vfs.Clean(path)}, err)
+	c.auditEv(history.EvAuditCreate, err, obs.Attr{Key: "src", Value: vfs.Clean(path)})
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +144,7 @@ func (c *Client) CreateRepl(path string, repl int) (io.WriteCloser, error) {
 // no generation stamps. It is audited as a create with mode=append.
 func (c *Client) Append(path string) (io.WriteCloser, error) {
 	f, err := c.nn.appendFileEntry(path)
-	c.auditEv(history.EvAuditCreate, map[string]string{"src": vfs.Clean(path), "mode": "append"}, err)
+	c.auditEv(history.EvAuditCreate, err, obs.Attr{Key: "mode", Value: "append"}, obs.Attr{Key: "src", Value: vfs.Clean(path)})
 	if err != nil {
 		return nil, err
 	}
@@ -254,12 +256,14 @@ func (c *Client) writeBlock(f *inode, path string, buf []byte, off, end int) err
 		c.m.pipelineShrunk.Inc()
 	}
 	start := c.eng.Now()
-	c.Trace.ChildSpan("hdfs.write_pipeline", time.Duration(start), time.Duration(start)+bottleneck, map[string]string{
-		"block":    fmt.Sprint(id),
-		"bytes":    fmt.Sprint(len(data)),
-		"replicas": fmt.Sprint(len(written)),
-		"node":     bottleneckNode,
-	})
+	if c.Trace.Valid() {
+		c.Trace.ChildSpan("hdfs.write_pipeline", time.Duration(start), time.Duration(start)+bottleneck, obs.Attrs{
+			{Key: "block", Value: id.String()},
+			{Key: "bytes", Value: strconv.Itoa(len(data))},
+			{Key: "node", Value: bottleneckNode},
+			{Key: "replicas", Value: strconv.Itoa(len(written))},
+		})
+	}
 	c.charge(false, bottleneck)
 	return nil
 }
@@ -312,10 +316,10 @@ func (c *Client) readBlock(bm *blockMeta) (*storedBlock, error) {
 		// building attrs costs.
 		if c.Trace.Valid() {
 			start := time.Duration(c.eng.Now())
-			c.Trace.ChildSpan("hdfs.read_block", start, start+total, map[string]string{
-				"block": fmt.Sprint(id),
-				"bytes": fmt.Sprint(len(data)),
-				"node":  dn.Hostname(),
+			c.Trace.ChildSpan("hdfs.read_block", start, start+total, obs.Attrs{
+				{Key: "block", Value: id.String()},
+				{Key: "bytes", Value: strconv.Itoa(len(data))},
+				{Key: "node", Value: dn.Hostname()},
 			})
 		}
 		c.charge(true, total)
@@ -366,10 +370,10 @@ func (c *Client) read(op, path string, off, length int64, view bool) ([]byte, er
 	}
 	f := c.nn.ns.lookup(path)
 	if f == nil {
-		c.auditEv(history.EvAuditOpen, map[string]string{"src": vfs.Clean(path)}, vfs.ErrNotExist)
+		c.auditEv(history.EvAuditOpen, vfs.ErrNotExist, obs.Attr{Key: "src", Value: vfs.Clean(path)})
 		return nil, &vfs.PathError{Op: op, Path: path, Err: vfs.ErrNotExist}
 	}
-	c.auditEv(history.EvAuditOpen, map[string]string{"src": vfs.Clean(path)}, nil)
+	c.auditEv(history.EvAuditOpen, nil, obs.Attr{Key: "src", Value: vfs.Clean(path)})
 	if f.dir {
 		return nil, &vfs.PathError{Op: op, Path: path, Err: vfs.ErrIsDir}
 	}
@@ -439,27 +443,25 @@ func (c *Client) List(path string) ([]vfs.FileInfo, error) { return c.nn.List(pa
 // Mkdir implements vfs.FileSystem.
 func (c *Client) Mkdir(path string) error {
 	err := c.nn.MkdirAll(path)
-	c.auditEv(history.EvAuditMkdir, map[string]string{"src": vfs.Clean(path)}, err)
+	c.auditEv(history.EvAuditMkdir, err, obs.Attr{Key: "src", Value: vfs.Clean(path)})
 	return err
 }
 
 // Remove implements vfs.FileSystem.
 func (c *Client) Remove(path string, recursive bool) error {
 	err := c.nn.Delete(path, recursive)
-	c.auditEv(history.EvAuditDelete, map[string]string{
-		"src":       vfs.Clean(path),
-		"recursive": fmt.Sprint(recursive),
-	}, err)
+	c.auditEv(history.EvAuditDelete, err,
+		obs.Attr{Key: "recursive", Value: strconv.FormatBool(recursive)},
+		obs.Attr{Key: "src", Value: vfs.Clean(path)})
 	return err
 }
 
 // Rename implements vfs.FileSystem.
 func (c *Client) Rename(oldPath, newPath string) error {
 	err := c.nn.Rename(oldPath, newPath)
-	c.auditEv(history.EvAuditRename, map[string]string{
-		"src": vfs.Clean(oldPath),
-		"dst": vfs.Clean(newPath),
-	}, err)
+	c.auditEv(history.EvAuditRename, err,
+		obs.Attr{Key: "dst", Value: vfs.Clean(newPath)},
+		obs.Attr{Key: "src", Value: vfs.Clean(oldPath)})
 	return err
 }
 
@@ -485,10 +487,9 @@ func (c *Client) Extents(path string) ([]vfs.Extent, error) {
 // SetReplication changes a file's replication factor (hadoop fs -setrep).
 func (c *Client) SetReplication(path string, repl int) error {
 	err := c.nn.SetReplication(path, repl)
-	c.auditEv(history.EvAuditSetrep, map[string]string{
-		"src":  vfs.Clean(path),
-		"repl": fmt.Sprint(repl),
-	}, err)
+	c.auditEv(history.EvAuditSetrep, err,
+		obs.Attr{Key: "repl", Value: strconv.Itoa(repl)},
+		obs.Attr{Key: "src", Value: vfs.Clean(path)})
 	return err
 }
 

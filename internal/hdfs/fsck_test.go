@@ -126,12 +126,12 @@ func TestAuditLogRecordsClientOps(t *testing.T) {
 		}
 	}
 	create := byType[history.EvAuditCreate][0]
-	if create.Attrs["user"] != hdfs.DefaultUser || create.Attrs["src"] != "/a" || create.Attrs["result"] != "ok" {
+	if create.Attrs.Get("user") != hdfs.DefaultUser || create.Attrs.Get("src") != "/a" || create.Attrs.Get("result") != "ok" {
 		t.Fatalf("create attrs: %v", create.Attrs)
 	}
 	var sawDenied bool
 	for _, e := range byType[history.EvAuditOpen] {
-		if e.Attrs["src"] == "/ghost" && e.Attrs["result"] == "error" {
+		if e.Attrs.Get("src") == "/ghost" && e.Attrs.Get("result") == "error" {
 			sawDenied = true
 		}
 	}
@@ -139,7 +139,7 @@ func TestAuditLogRecordsClientOps(t *testing.T) {
 		t.Fatal("failed open not audited as result=error")
 	}
 	alloc := byType[history.EvAuditBlockAllocate][0]
-	if alloc.Attrs["user"] != history.PrincipalNameNode || alloc.Attrs["src"] != "/a" || alloc.Attrs["targets"] == "" {
+	if alloc.Attrs.Get("user") != history.PrincipalNameNode || alloc.Attrs.Get("src") != "/a" || alloc.Attrs.Get("targets") == "" {
 		t.Fatalf("block_allocate attrs: %v", alloc.Attrs)
 	}
 	// The audit counter tracks the log.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -267,9 +268,11 @@ func (nn *NameNode) blockReport(id cluster.NodeID, held []BlockID) {
 
 // auditEv appends a control-plane audit event as principal "hdfs" —
 // a decision the NameNode took on its own, not on behalf of a client.
-func (nn *NameNode) auditEv(typ string, attrs map[string]string) {
-	attrs["user"] = history.PrincipalNameNode
-	nn.audit.Append(time.Duration(nn.eng.Now()), typ, attrs)
+func (nn *NameNode) auditEv(typ string, attrs ...obs.Attr) {
+	all := make(obs.Attrs, 0, len(attrs)+1)
+	all = append(all, attrs...)
+	all = append(all, obs.Attr{Key: "user", Value: history.PrincipalNameNode})
+	nn.audit.Append(time.Duration(nn.eng.Now()), typ, all)
 }
 
 // hostname resolves a node ID for audit attrs (IDs are stable too, but
@@ -296,7 +299,7 @@ func (nn *NameNode) checkLiveness() {
 	for _, id := range dead {
 		nn.dns[id].alive = false
 		nn.m.datanodesDeclaredDead.Inc()
-		nn.auditEv(history.EvAuditDatanodeDead, map[string]string{"node": nn.hostname(id)})
+		nn.auditEv(history.EvAuditDatanodeDead, obs.Attr{Key: "node", Value: nn.hostname(id)})
 		// Replicas on a dead node no longer count; the replication
 		// monitor will notice the deficit on its next pass.
 		for _, bm := range nn.blocks {
@@ -334,7 +337,7 @@ func (nn *NameNode) exitSafeMode() {
 	nn.m.safeModeExits.Inc()
 	nn.m.safeModeExitedAt.Set(int64(now))
 	nn.obs.NewTrace(time.Duration(now)).End("hdfs.safemode", time.Duration(nn.safeModeEnteredAt), time.Duration(now), nil)
-	nn.auditEv(history.EvAuditSafemodeExit, map[string]string{"blocks": fmt.Sprint(len(nn.blocks))})
+	nn.auditEv(history.EvAuditSafemodeExit, obs.Attr{Key: "blocks", Value: strconv.Itoa(len(nn.blocks))})
 }
 
 // liveReplicas counts confirmed replicas on live, non-draining nodes,
@@ -523,11 +526,10 @@ func (nn *NameNode) allocateBlock(f *inode, path string, writer cluster.NodeID) 
 	for i, t := range targets {
 		hosts[i] = nn.hostname(t)
 	}
-	nn.auditEv(history.EvAuditBlockAllocate, map[string]string{
-		"src":     path,
-		"block":   fmt.Sprint(id),
-		"targets": strings.Join(hosts, ","),
-	})
+	nn.auditEv(history.EvAuditBlockAllocate,
+		obs.Attr{Key: "block", Value: id.String()},
+		obs.Attr{Key: "src", Value: path},
+		obs.Attr{Key: "targets", Value: strings.Join(hosts, ",")})
 	return id, targets, nil
 }
 
@@ -706,10 +708,9 @@ func (nn *NameNode) markCorrupt(id BlockID, node cluster.NodeID) {
 	if !bm.corrupt[node] {
 		bm.corrupt[node] = true
 		nn.m.corruptionsDetected.Inc()
-		nn.auditEv(history.EvAuditCorrupt, map[string]string{
-			"block": fmt.Sprint(id),
-			"node":  nn.hostname(node),
-		})
+		nn.auditEv(history.EvAuditCorrupt,
+			obs.Attr{Key: "block", Value: id.String()},
+			obs.Attr{Key: "node", Value: nn.hostname(node)})
 	}
 	delete(bm.replicas, node)
 	if dn := nn.datanodes[node]; dn != nil {
@@ -797,22 +798,23 @@ func (nn *NameNode) scheduleReplication(bm *blockMeta) bool {
 	}
 	nn.pendingRepl[bm.id] = true
 	nn.m.replicationsScheduled.Inc()
-	nn.auditEv(history.EvAuditRereplicate, map[string]string{
-		"block": fmt.Sprint(bm.id),
-		"src":   nn.hostname(src),
-		"dst":   nn.hostname(dst),
-	})
+	nn.auditEv(history.EvAuditRereplicate,
+		obs.Attr{Key: "block", Value: bm.id.String()},
+		obs.Attr{Key: "dst", Value: nn.hostname(dst)},
+		obs.Attr{Key: "src", Value: nn.hostname(src)})
 	xfer := nn.cost.Transfer(nn.topo.Distance(src, dst), int64(len(sb.data)))
 	blockID := bm.id
 	start := nn.eng.Now()
 	// Re-replication is NameNode-initiated — no client request above it —
 	// so each transfer roots its own trace; "node" blames the source disk.
-	nn.obs.NewTrace(time.Duration(start)).End("hdfs.rereplicate", time.Duration(start), time.Duration(start)+readCost+xfer, map[string]string{
-		"block": fmt.Sprint(blockID),
-		"src":   fmt.Sprint(src),
-		"dst":   fmt.Sprint(dst),
-		"node":  nn.hostname(src),
-	})
+	if ctx := nn.obs.NewTrace(time.Duration(start)); ctx.Valid() {
+		ctx.End("hdfs.rereplicate", time.Duration(start), time.Duration(start)+readCost+xfer, obs.Attrs{
+			{Key: "block", Value: blockID.String()},
+			{Key: "dst", Value: strconv.Itoa(int(dst))},
+			{Key: "node", Value: nn.hostname(src)},
+			{Key: "src", Value: strconv.Itoa(int(src))},
+		})
+	}
 	nn.eng.After(readCost+xfer, func() {
 		delete(nn.pendingRepl, blockID)
 		meta, ok := nn.blocks[blockID]
@@ -855,10 +857,9 @@ func (nn *NameNode) dropExcessReplica(bm *blockMeta) {
 	}
 	delete(bm.replicas, victim)
 	nn.m.excessReplicasDropped.Inc()
-	nn.auditEv(history.EvAuditReplicaDrop, map[string]string{
-		"block": fmt.Sprint(bm.id),
-		"node":  nn.hostname(victim),
-	})
+	nn.auditEv(history.EvAuditReplicaDrop,
+		obs.Attr{Key: "block", Value: bm.id.String()},
+		obs.Attr{Key: "node", Value: nn.hostname(victim)})
 	if dn := nn.datanodes[victim]; dn != nil {
 		dn.deleteBlock(bm.id)
 	}

@@ -6,18 +6,20 @@
 // lifecycle, persisted into HDFS itself under /history/<jobid>/).
 //
 // Records are JSONL: one JSON object per line, keyed on the sim clock.
-// Because attr maps marshal with sorted keys and every value comes off
-// the virtual clock or the seeded scheduler, the serialized log is
-// byte-identical across replays of the same seed — the property the
-// golden-history test (internal/jobs) pins. On top of the log, report.go
-// reconstructs per-task timelines, the job critical path and straggler
-// attribution; cmd/mrhistory and the webui /history pages render it.
+// Each record's attrs are an ordered obs.Attrs slice written with sorted
+// keys, and every value comes off the virtual clock or the seeded
+// scheduler, so the serialized log is byte-identical across replays of
+// the same seed — the property the golden-history test (internal/jobs)
+// pins. On top of the log, report.go reconstructs per-task timelines,
+// the job critical path and straggler attribution; cmd/mrhistory and the
+// webui /history pages render it.
 package history
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -25,12 +27,12 @@ import (
 )
 
 // Event is one record of the log: a virtual-clock timestamp, a type tag,
-// and a flat string attribute map. Marshalling an Event with
-// encoding/json is byte-stable (attrs render with sorted keys).
+// and flat string attributes. Marshalling an Event with encoding/json is
+// byte-stable (attrs render with sorted keys).
 type Event struct {
-	TS    time.Duration     `json:"ts_ns"`
-	Type  string            `json:"type"`
-	Attrs map[string]string `json:"attrs,omitempty"`
+	TS    time.Duration `json:"ts_ns"`
+	Type  string        `json:"type"`
+	Attrs obs.Attrs     `json:"attrs,omitempty"`
 }
 
 // Event types emitted by the NameNode audit producer (internal/hdfs).
@@ -102,7 +104,7 @@ func NewLog(ctr *obs.Counter) *Log {
 }
 
 // Append records one event.
-func (l *Log) Append(ts time.Duration, typ string, attrs map[string]string) {
+func (l *Log) Append(ts time.Duration, typ string, attrs obs.Attrs) {
 	if l == nil {
 		return
 	}
@@ -139,9 +141,17 @@ func (l *Log) Bytes() ([]byte, error) {
 }
 
 // Marshal renders records — Events, or the obs.Spans of a trace export —
-// as JSONL: one compact JSON object per line. Byte-stable, since attr
-// maps marshal with sorted keys and record order is deterministic.
+// as JSONL: one compact JSON object per line, the bytes encoding/json
+// writes for each record. Byte-stable, since attrs marshal with sorted
+// keys and record order is deterministic. Events and Spans go through a
+// hand-written appender; a record that sets one attr twice is an error.
 func Marshal[T any](recs []T) ([]byte, error) {
+	switch rs := any(recs).(type) {
+	case []Event:
+		return appendLines(rs, appendEvent)
+	case []obs.Span:
+		return appendLines(rs, appendSpan)
+	}
 	var buf bytes.Buffer
 	for _, rec := range recs {
 		b, err := json.Marshal(rec)
@@ -152,6 +162,67 @@ func Marshal[T any](recs []T) ([]byte, error) {
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes(), nil
+}
+
+// appendLines renders recs one line each through enc, which shares one
+// attr-order scratch across the records.
+func appendLines[T any](recs []T, enc func([]byte, T, *[]int) ([]byte, error)) ([]byte, error) {
+	var out []byte
+	var idx []int
+	for _, rec := range recs {
+		var err error
+		if out, err = enc(out, rec, &idx); err != nil {
+			return nil, err
+		}
+		out = append(out, '\n')
+	}
+	return out, nil
+}
+
+// appendEvent writes e as Event's struct tags say: ts_ns, type, then
+// attrs unless empty.
+func appendEvent(dst []byte, e Event, idx *[]int) ([]byte, error) {
+	dst = append(dst, `{"ts_ns":`...)
+	dst = strconv.AppendInt(dst, int64(e.TS), 10)
+	dst = append(dst, `,"type":`...)
+	dst = obs.AppendJSONString(dst, e.Type)
+	return appendAttrs(dst, e.Attrs, idx)
+}
+
+// appendSpan writes s as obs.Span's struct tags say: name, start_ns,
+// end_ns, then trace, span, parent and attrs unless zero.
+func appendSpan(dst []byte, s obs.Span, idx *[]int) ([]byte, error) {
+	dst = append(dst, `{"name":`...)
+	dst = obs.AppendJSONString(dst, s.Name)
+	dst = append(dst, `,"start_ns":`...)
+	dst = strconv.AppendInt(dst, int64(s.Start), 10)
+	dst = append(dst, `,"end_ns":`...)
+	dst = strconv.AppendInt(dst, int64(s.End), 10)
+	if s.Trace != "" {
+		dst = append(dst, `,"trace":`...)
+		dst = obs.AppendJSONString(dst, string(s.Trace))
+	}
+	if s.ID != 0 {
+		dst = append(dst, `,"span":`...)
+		dst = strconv.AppendUint(dst, uint64(s.ID), 10)
+	}
+	if s.Parent != 0 {
+		dst = append(dst, `,"parent":`...)
+		dst = strconv.AppendUint(dst, uint64(s.Parent), 10)
+	}
+	return appendAttrs(dst, s.Attrs, idx)
+}
+
+// appendAttrs closes a record: its attrs field unless empty, then '}'.
+func appendAttrs(dst []byte, attrs obs.Attrs, idx *[]int) ([]byte, error) {
+	if len(attrs) > 0 {
+		var err error
+		dst = append(dst, `,"attrs":`...)
+		if dst, err = attrs.AppendJSON(dst, idx); err != nil {
+			return nil, err
+		}
+	}
+	return append(dst, '}'), nil
 }
 
 // Parse decodes a JSONL log of T records (the inverse of Marshal; blank

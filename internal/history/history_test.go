@@ -21,8 +21,8 @@ func TestNilLogIsSafe(t *testing.T) {
 func TestLogAppendAndCounter(t *testing.T) {
 	reg := obs.NewRegistry()
 	l := NewLog(reg.Counter(MetricAuditEvents))
-	l.Append(ms(1), EvAuditCreate, map[string]string{"src": "/a", "user": "student"})
-	l.Append(ms(2), EvAuditDelete, map[string]string{"src": "/a"})
+	l.Append(ms(1), EvAuditCreate, obs.Attrs{{Key: "src", Value: "/a"}, {Key: "user", Value: "student"}})
+	l.Append(ms(2), EvAuditDelete, obs.Attrs{{Key: "src", Value: "/a"}})
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())
 	}
@@ -37,8 +37,8 @@ func TestLogAppendAndCounter(t *testing.T) {
 
 func TestMarshalParseRoundTrip(t *testing.T) {
 	in := []Event{
-		{TS: ms(1), Type: EvAuditCreate, Attrs: map[string]string{"src": "/a", "user": "student", "result": "ok"}},
-		{TS: ms(2), Type: EvAuditOpen, Attrs: map[string]string{"src": "/a", "user": "student", "result": "ok"}},
+		{TS: ms(1), Type: EvAuditCreate, Attrs: obs.Attrs{{Key: "src", Value: "/a"}, {Key: "user", Value: "student"}, {Key: "result", Value: "ok"}}},
+		{TS: ms(2), Type: EvAuditOpen, Attrs: obs.Attrs{{Key: "src", Value: "/a"}, {Key: "user", Value: "student"}, {Key: "result", Value: "ok"}}},
 		{TS: ms(3), Type: EvAuditSafemodeExit},
 	}
 	b1, err := Marshal(in)
@@ -56,7 +56,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Fatalf("round trip not byte-stable:\n%s\nvs\n%s", b1, b2)
 	}
-	if len(out) != 3 || out[2].Type != EvAuditSafemodeExit || out[0].Attrs["src"] != "/a" {
+	if len(out) != 3 || out[2].Type != EvAuditSafemodeExit || out[0].Attrs.Get("src") != "/a" {
 		t.Fatalf("parsed: %+v", out)
 	}
 }
@@ -78,17 +78,17 @@ func sampleJob() []Event {
 	m0, m1 := "task_"+j+"_m_000000", "task_"+j+"_m_000001"
 	r0 := "task_" + j + "_r_000000"
 	return []Event{
-		{TS: ms(0), Type: EvJobSubmit, Attrs: map[string]string{"job": j, "name": "wc", "user": "student"}},
-		{TS: ms(0), Type: EvJobInit, Attrs: map[string]string{"job": j, "maps": "2", "reduces": "1"}},
-		{TS: ms(10), Type: EvAttemptStart, Attrs: map[string]string{"attempt": a(m0, "0"), "job": j, "task": m0, "kind": "map", "node": "node0", "locality": "0"}},
-		{TS: ms(10), Type: EvAttemptStart, Attrs: map[string]string{"attempt": a(m1, "0"), "job": j, "task": m1, "kind": "map", "node": "node1", "locality": "2"}},
-		{TS: ms(60), Type: EvAttemptFinish, Attrs: map[string]string{"attempt": a(m0, "0"), "job": j}},
-		{TS: ms(80), Type: EvAttemptFail, Attrs: map[string]string{"attempt": a(m1, "0"), "job": j, "error": "task fault"}},
-		{TS: ms(90), Type: EvAttemptStart, Attrs: map[string]string{"attempt": a(m1, "1"), "job": j, "task": m1, "kind": "map", "node": "node2", "locality": "1"}},
-		{TS: ms(200), Type: EvAttemptFinish, Attrs: map[string]string{"attempt": a(m1, "1"), "job": j}},
-		{TS: ms(210), Type: EvAttemptStart, Attrs: map[string]string{"attempt": a(r0, "0"), "job": j, "task": r0, "kind": "reduce", "node": "node0", "shuffle_ns": "30000000"}},
-		{TS: ms(300), Type: EvAttemptFinish, Attrs: map[string]string{"attempt": a(r0, "0"), "job": j}},
-		{TS: ms(310), Type: EvJobFinish, Attrs: map[string]string{"job": j, "outcome": "succeeded", "ctr.MAP_INPUT_RECORDS": "42"}},
+		{TS: ms(0), Type: EvJobSubmit, Attrs: obs.Attrs{{Key: "job", Value: j}, {Key: "name", Value: "wc"}, {Key: "user", Value: "student"}}},
+		{TS: ms(0), Type: EvJobInit, Attrs: obs.Attrs{{Key: "job", Value: j}, {Key: "maps", Value: "2"}, {Key: "reduces", Value: "1"}}},
+		{TS: ms(10), Type: EvAttemptStart, Attrs: obs.Attrs{{Key: "attempt", Value: a(m0, "0")}, {Key: "job", Value: j}, {Key: "task", Value: m0}, {Key: "kind", Value: "map"}, {Key: "node", Value: "node0"}, {Key: "locality", Value: "0"}}},
+		{TS: ms(10), Type: EvAttemptStart, Attrs: obs.Attrs{{Key: "attempt", Value: a(m1, "0")}, {Key: "job", Value: j}, {Key: "task", Value: m1}, {Key: "kind", Value: "map"}, {Key: "node", Value: "node1"}, {Key: "locality", Value: "2"}}},
+		{TS: ms(60), Type: EvAttemptFinish, Attrs: obs.Attrs{{Key: "attempt", Value: a(m0, "0")}, {Key: "job", Value: j}}},
+		{TS: ms(80), Type: EvAttemptFail, Attrs: obs.Attrs{{Key: "attempt", Value: a(m1, "0")}, {Key: "job", Value: j}, {Key: "error", Value: "task fault"}}},
+		{TS: ms(90), Type: EvAttemptStart, Attrs: obs.Attrs{{Key: "attempt", Value: a(m1, "1")}, {Key: "job", Value: j}, {Key: "task", Value: m1}, {Key: "kind", Value: "map"}, {Key: "node", Value: "node2"}, {Key: "locality", Value: "1"}}},
+		{TS: ms(200), Type: EvAttemptFinish, Attrs: obs.Attrs{{Key: "attempt", Value: a(m1, "1")}, {Key: "job", Value: j}}},
+		{TS: ms(210), Type: EvAttemptStart, Attrs: obs.Attrs{{Key: "attempt", Value: a(r0, "0")}, {Key: "job", Value: j}, {Key: "task", Value: r0}, {Key: "kind", Value: "reduce"}, {Key: "node", Value: "node0"}, {Key: "shuffle_ns", Value: "30000000"}}},
+		{TS: ms(300), Type: EvAttemptFinish, Attrs: obs.Attrs{{Key: "attempt", Value: a(r0, "0")}, {Key: "job", Value: j}}},
+		{TS: ms(310), Type: EvJobFinish, Attrs: obs.Attrs{{Key: "job", Value: j}, {Key: "outcome", Value: "succeeded"}, {Key: "ctr.MAP_INPUT_RECORDS", Value: "42"}}},
 	}
 }
 
@@ -187,8 +187,8 @@ func TestBuildJobReportErrors(t *testing.T) {
 		t.Fatal("want error for empty log")
 	}
 	bad := []Event{
-		{TS: 0, Type: EvJobSubmit, Attrs: map[string]string{"job": "j"}},
-		{TS: 1, Type: EvAttemptFinish, Attrs: map[string]string{"attempt": "ghost"}},
+		{TS: 0, Type: EvJobSubmit, Attrs: obs.Attrs{{Key: "job", Value: "j"}}},
+		{TS: 1, Type: EvAttemptFinish, Attrs: obs.Attrs{{Key: "attempt", Value: "ghost"}}},
 	}
 	if _, err := BuildJobReport(bad); err == nil {
 		t.Fatal("want error for finish without start")

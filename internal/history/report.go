@@ -75,19 +75,19 @@ func BuildJobReport(events []Event) (*JobReport, error) {
 	for _, e := range events {
 		switch e.Type {
 		case EvJobSubmit:
-			r.JobID = e.Attrs["job"]
-			r.Name = e.Attrs["name"]
-			r.User = e.Attrs["user"]
+			r.JobID = e.Attrs.Get("job")
+			r.Name = e.Attrs.Get("name")
+			r.User = e.Attrs.Get("user")
 			r.Submitted = e.TS
 		case EvJobInit:
-			r.MapTasks, _ = strconv.Atoi(e.Attrs["maps"])
-			r.Reduces, _ = strconv.Atoi(e.Attrs["reduces"])
+			r.MapTasks, _ = strconv.Atoi(e.Attrs.Get("maps"))
+			r.Reduces, _ = strconv.Atoi(e.Attrs.Get("reduces"))
 		case EvJobFinish:
 			r.Finished = e.TS
-			r.Outcome = e.Attrs["outcome"]
-			for k, v := range e.Attrs {
-				if name, ok := strings.CutPrefix(k, "ctr."); ok {
-					n, err := strconv.ParseInt(v, 10, 64)
+			r.Outcome = e.Attrs.Get("outcome")
+			for _, at := range e.Attrs {
+				if name, ok := strings.CutPrefix(at.Key, "ctr."); ok {
+					n, err := strconv.ParseInt(at.Value, 10, 64)
 					if err == nil {
 						r.Counters[name] = n
 					}
@@ -95,28 +95,28 @@ func BuildJobReport(events []Event) (*JobReport, error) {
 			}
 		case EvAttemptStart:
 			a := AttemptInfo{
-				ID:          e.Attrs["attempt"],
-				Task:        e.Attrs["task"],
-				Kind:        e.Attrs["kind"],
-				Node:        e.Attrs["node"],
+				ID:          e.Attrs.Get("attempt"),
+				Task:        e.Attrs.Get("task"),
+				Kind:        e.Attrs.Get("kind"),
+				Node:        e.Attrs.Get("node"),
 				Locality:    -1,
-				Speculative: e.Attrs["speculative"] == "true",
+				Speculative: e.Attrs.Get("speculative") == "true",
 				Start:       e.TS,
 				Outcome:     "running",
 			}
-			if l, ok := e.Attrs["locality"]; ok {
+			if l, ok := e.Attrs.Lookup("locality"); ok {
 				a.Locality, _ = strconv.Atoi(l)
 			}
-			if s, ok := e.Attrs["shuffle_ns"]; ok {
+			if s, ok := e.Attrs.Lookup("shuffle_ns"); ok {
 				ns, _ := strconv.ParseInt(s, 10, 64)
 				a.Shuffle = time.Duration(ns)
 			}
 			idx[a.ID] = len(r.Attempts)
 			r.Attempts = append(r.Attempts, a)
 		case EvAttemptFinish, EvAttemptFail, EvAttemptKill:
-			i, ok := idx[e.Attrs["attempt"]]
+			i, ok := idx[e.Attrs.Get("attempt")]
 			if !ok {
-				return nil, fmt.Errorf("history: %s for unknown attempt %q", e.Type, e.Attrs["attempt"])
+				return nil, fmt.Errorf("history: %s for unknown attempt %q", e.Type, e.Attrs.Get("attempt"))
 			}
 			a := &r.Attempts[i]
 			a.End = e.TS
@@ -125,10 +125,10 @@ func BuildJobReport(events []Event) (*JobReport, error) {
 				a.Outcome = "succeeded"
 			case EvAttemptFail:
 				a.Outcome = "failed"
-				a.Reason = e.Attrs["error"]
+				a.Reason = e.Attrs.Get("error")
 			case EvAttemptKill:
 				a.Outcome = "killed"
-				a.Reason = e.Attrs["reason"]
+				a.Reason = e.Attrs.Get("reason")
 			}
 		}
 	}

@@ -85,18 +85,18 @@ func TestTraceExportStructure(t *testing.T) {
 				switch leaf.Span.Name {
 				case "hdfs.write_pipeline", "hdfs.read_block":
 					hdfsSpans++
-					if leaf.Span.Attrs["node"] == "" {
-						t.Fatalf("%s under %s has no node attr", leaf.Span.Name, att.Span.Attrs["attempt"])
+					if leaf.Span.Attrs.Get("node") == "" {
+						t.Fatalf("%s under %s has no node attr", leaf.Span.Name, att.Span.Attrs.Get("attempt"))
 					}
 				case "mr.shuffle":
 					shuffles++
 					shuffled = true
 				default:
-					t.Fatalf("unexpected span %q under %s", leaf.Span.Name, att.Span.Attrs["attempt"])
+					t.Fatalf("unexpected span %q under %s", leaf.Span.Name, att.Span.Attrs.Get("attempt"))
 				}
 			}
-			if att.Span.Name == "mr.reduce_attempt" && att.Span.Attrs["outcome"] == "succeeded" && !shuffled {
-				t.Fatalf("reduce attempt %s has no shuffle span", att.Span.Attrs["attempt"])
+			if att.Span.Name == "mr.reduce_attempt" && att.Span.Attrs.Get("outcome") == "succeeded" && !shuffled {
+				t.Fatalf("reduce attempt %s has no shuffle span", att.Span.Attrs.Get("attempt"))
 			}
 		}
 	}
@@ -147,9 +147,9 @@ func slowNodeAnalysis(t *testing.T) []byte {
 	if !sawReduce {
 		t.Fatalf("critical path has no reduce attempt:\n%s", trace.RenderCriticalPath(steps))
 	}
-	if leaf.Span.Name != "hdfs.write_pipeline" || leaf.Span.Attrs["node"] != slow.Hostname() {
+	if leaf.Span.Name != "hdfs.write_pipeline" || leaf.Span.Attrs.Get("node") != slow.Hostname() {
 		t.Fatalf("critical path leaf = %s on %q, want hdfs.write_pipeline on %q:\n%s",
-			leaf.Span.Name, leaf.Span.Attrs["node"], slow.Hostname(), trace.RenderCriticalPath(steps))
+			leaf.Span.Name, leaf.Span.Attrs.Get("node"), slow.Hostname(), trace.RenderCriticalPath(steps))
 	}
 	// The top HDFS-layer blame row must be the slow node's pipeline. (The
 	// mr-layer rows above it are the job/attempt self time — scheduling

@@ -103,15 +103,6 @@ func (c *Counters) Names() []string {
 	return names
 }
 
-// Snapshot returns a copy of the underlying map.
-func (c *Counters) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
-}
-
 // String renders the counters like the tail of a Hadoop job report.
 func (c *Counters) String() string {
 	var b strings.Builder

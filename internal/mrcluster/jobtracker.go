@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -384,18 +385,22 @@ func (jt *JobTracker) abandon(a *attempt, evType, why string) {
 // --- the attempt record: job history (internal/history) and spans ---
 
 // histEv appends one event to a job's history log at the current sim time.
-func (jt *JobTracker) histEv(jr *jobRun, typ string, attrs map[string]string) {
+func (jt *JobTracker) histEv(jr *jobRun, typ string, attrs obs.Attrs) {
 	jr.hist.Append(time.Duration(jt.mc.Engine.Now()), typ, attrs)
 }
 
-// attemptAttrs is what an attempt's start event and its span both say.
-func attemptAttrs(a *attempt) map[string]string {
-	attrs := map[string]string{"attempt": a.id(), "job": a.t.jr.id, "node": a.tt.node.Hostname}
+// attemptAttrs is what an attempt's start event and its span both say,
+// with room for what each appends.
+func attemptAttrs(a *attempt) obs.Attrs {
+	attrs := append(make(obs.Attrs, 0, 8),
+		obs.Attr{Key: "attempt", Value: a.id()},
+		obs.Attr{Key: "job", Value: a.t.jr.id},
+		obs.Attr{Key: "node", Value: a.tt.node.Hostname})
 	if a.t.kind.hasLocality {
-		attrs["locality"] = fmt.Sprint(a.locality)
+		attrs = append(attrs, obs.Attr{Key: "locality", Value: strconv.Itoa(a.locality)})
 	}
 	if a.speculative {
-		attrs["speculative"] = "true"
+		attrs = append(attrs, obs.Attr{Key: "speculative", Value: "true"})
 	}
 	return attrs
 }
@@ -403,10 +408,11 @@ func attemptAttrs(a *attempt) map[string]string {
 // attemptStarted records an attempt launch in the job's history. shuffle
 // is the modelled shuffle time (reduces only; pass <0 for maps).
 func (jt *JobTracker) attemptStarted(a *attempt, shuffle time.Duration) {
-	attrs := attemptAttrs(a)
-	attrs["task"], attrs["kind"] = a.t.id(), a.t.kind.name
+	attrs := append(attemptAttrs(a),
+		obs.Attr{Key: "kind", Value: a.t.kind.name},
+		obs.Attr{Key: "task", Value: a.t.id()})
 	if shuffle >= 0 {
-		attrs["shuffle_ns"] = fmt.Sprint(int64(shuffle))
+		attrs = append(attrs, obs.Attr{Key: "shuffle_ns", Value: strconv.FormatInt(int64(shuffle), 10)})
 	}
 	jt.histEv(a.t.jr, history.EvAttemptStart, attrs)
 }
@@ -415,16 +421,20 @@ func (jt *JobTracker) attemptStarted(a *attempt, shuffle time.Duration) {
 // evType says, for reason why — once: the terminal history event every
 // attempt timeline is built from, and the attempt's span for its trace.
 func (jt *JobTracker) attemptEnded(a *attempt, evType, why string) {
-	outcome, ev := "succeeded", map[string]string{"attempt": a.id(), "job": a.t.jr.id}
+	outcome := "succeeded"
+	ev := append(make(obs.Attrs, 0, 3),
+		obs.Attr{Key: "attempt", Value: a.id()},
+		obs.Attr{Key: "job", Value: a.t.jr.id})
 	switch evType {
 	case history.EvAttemptFail:
-		outcome, ev["error"] = "failed", why
+		outcome, ev = "failed", append(ev, obs.Attr{Key: "error", Value: why})
 	case history.EvAttemptKill:
-		outcome, ev["reason"] = "killed:"+why, why
+		outcome, ev = "killed:"+why, append(ev, obs.Attr{Key: "reason", Value: why})
 	}
-	attrs := attemptAttrs(a)
-	attrs["outcome"] = outcome
-	a.ctx.End(a.t.kind.span, time.Duration(a.startedAt), time.Duration(jt.mc.Engine.Now()), attrs)
+	if a.ctx.Valid() {
+		attrs := append(attemptAttrs(a), obs.Attr{Key: "outcome", Value: outcome})
+		a.ctx.End(a.t.kind.span, time.Duration(a.startedAt), time.Duration(jt.mc.Engine.Now()), attrs)
+	}
 	jt.histEv(a.t.jr, evType, ev)
 }
 
@@ -516,13 +526,15 @@ func (jt *JobTracker) submit(job *mapreduce.Job) (*JobHandle, error) {
 	jt.jobs = append(jt.jobs, jr)
 	jt.live = append(jt.live, jr)
 	jt.m.jobsSubmitted.Inc()
-	jt.histEv(jr, history.EvJobSubmit, map[string]string{
-		"job": jr.id, "name": job.Name, "user": hdfs.DefaultUser,
+	jt.histEv(jr, history.EvJobSubmit, obs.Attrs{
+		{Key: "job", Value: jr.id},
+		{Key: "name", Value: job.Name},
+		{Key: "user", Value: hdfs.DefaultUser},
 	})
-	jt.histEv(jr, history.EvJobInit, map[string]string{
-		"job":     jr.id,
-		"maps":    fmt.Sprint(len(jr.maps)),
-		"reduces": fmt.Sprint(len(jr.reduces)),
+	jt.histEv(jr, history.EvJobInit, obs.Attrs{
+		{Key: "job", Value: jr.id},
+		{Key: "maps", Value: strconv.Itoa(len(jr.maps))},
+		{Key: "reduces", Value: strconv.Itoa(len(jr.reduces))},
 	})
 	jt.schedule()
 	return jr.handle, nil
@@ -807,11 +819,13 @@ func (jt *JobTracker) completeAttempt(a *attempt, p attemptPlan) {
 	jt.attemptEnded(a, history.EvAttemptFinish, "")
 	// The task's span runs from its first launch to now — the parent of
 	// its attempt spans in the trace tree.
-	t.ctx.End(SpanTask, time.Duration(t.firstStart), time.Duration(jt.mc.Engine.Now()), map[string]string{
-		"task": t.id(),
-		"job":  jr.id,
-		"kind": k.name,
-	})
+	if t.ctx.Valid() {
+		t.ctx.End(SpanTask, time.Duration(t.firstStart), time.Duration(jt.mc.Engine.Now()), obs.Attrs{
+			{Key: "job", Value: jr.id},
+			{Key: "kind", Value: k.name},
+			{Key: "task", Value: t.id()},
+		})
+	}
 	if a.speculative {
 		jr.counters.Inc(mapreduce.CtrSpeculativeWon, 1)
 	}
@@ -1032,10 +1046,10 @@ func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative boo
 	jt.m.shuffleTime.Observe(shuffleTime)
 	// Guarded because building attrs costs.
 	if a.ctx.Valid() {
-		a.ctx.ChildSpan("mr.shuffle", time.Duration(a.startedAt), time.Duration(a.startedAt)+shuffleTime, map[string]string{
-			"attempt": a.id(),
-			"bytes":   fmt.Sprint(shuffleBytes),
-			"node":    tt.node.Hostname,
+		a.ctx.ChildSpan("mr.shuffle", time.Duration(a.startedAt), time.Duration(a.startedAt)+shuffleTime, obs.Attrs{
+			{Key: "attempt", Value: a.id()},
+			{Key: "bytes", Value: strconv.FormatInt(shuffleBytes, 10)},
+			{Key: "node", Value: tt.node.Hostname},
 		})
 	}
 	jt.attemptStarted(a, shuffleTime)
@@ -1236,11 +1250,13 @@ func (jt *JobTracker) endJob(jr *jobRun, cause error) {
 		t.output = nil
 	}
 	ended.Inc()
-	jr.ctx.End(SpanJob, time.Duration(jr.submittedAt), time.Duration(jr.finishedAt), map[string]string{
-		"job":     jr.id,
-		"name":    jr.job.Name,
-		"outcome": outcome,
-	})
+	if jr.ctx.Valid() {
+		jr.ctx.End(SpanJob, time.Duration(jr.submittedAt), time.Duration(jr.finishedAt), obs.Attrs{
+			{Key: "job", Value: jr.id},
+			{Key: "name", Value: jr.job.Name},
+			{Key: "outcome", Value: outcome},
+		})
+	}
 	if cause != nil {
 		// Kill leftover attempts before sealing the history file, so their
 		// attempt.kill events precede the job.finish record.
@@ -1253,10 +1269,12 @@ func (jt *JobTracker) endJob(jr *jobRun, cause error) {
 	// The terminal event carries the final counter snapshot flattened into
 	// ctr.<NAME> attrs — the numbers `mrhistory` reprints without the
 	// cluster object.
-	attrs := map[string]string{"job": jr.id, "outcome": outcome}
-	for name, v := range jr.counters.Snapshot() {
-		attrs["ctr."+name] = fmt.Sprint(v)
+	names := jr.counters.Names()
+	attrs := make(obs.Attrs, 0, len(names)+2)
+	for _, name := range names {
+		attrs = append(attrs, obs.Attr{Key: "ctr." + name, Value: strconv.FormatInt(jr.counters.Get(name), 10)})
 	}
+	attrs = append(attrs, obs.Attr{Key: "job", Value: jr.id}, obs.Attr{Key: "outcome", Value: outcome})
 	jt.histEv(jr, history.EvJobFinish, attrs)
 	jt.persistHistory(jr)
 	if jt.yarnMode() && jr.app != nil {

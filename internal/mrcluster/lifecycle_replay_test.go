@@ -124,7 +124,7 @@ func TestYARNModePreemptionReplay(t *testing.T) {
 	}
 	killed := map[string]int{}
 	for _, s := range rig.mc.Obs.Spans() {
-		if s.Attrs["outcome"] == "killed:preempted" {
+		if s.Attrs.Get("outcome") == "killed:preempted" {
 			killed[s.Name]++
 		}
 	}
@@ -178,9 +178,9 @@ func TestReduceCommitFailureFailsTheAttempt(t *testing.T) {
 	for _, e := range events {
 		switch e.Type {
 		case history.EvAttemptStart:
-			terminals[e.Attrs["attempt"]] += 0
+			terminals[e.Attrs.Get("attempt")] += 0
 		case history.EvAttemptFinish, history.EvAttemptFail, history.EvAttemptKill:
-			terminals[e.Attrs["attempt"]]++
+			terminals[e.Attrs.Get("attempt")]++
 		}
 	}
 	for id, n := range terminals {

@@ -293,11 +293,11 @@ func checkLifecycle(t *testing.T, rig *lcRig, jr *jobRun, k *attemptKind, outcom
 	// Spans: the attempts of this kind that ended this way.
 	want := map[string]bool{}
 	for _, s := range rig.mc.Obs.Spans() {
-		if s.Name == k.span && s.Attrs["outcome"] == outcome {
-			if want[s.Attrs["attempt"]] {
-				t.Errorf("%s has two %q spans", s.Attrs["attempt"], outcome)
+		if s.Name == k.span && s.Attrs.Get("outcome") == outcome {
+			if want[s.Attrs.Get("attempt")] {
+				t.Errorf("%s has two %q spans", s.Attrs.Get("attempt"), outcome)
 			}
-			want[s.Attrs["attempt"]] = true
+			want[s.Attrs.Get("attempt")] = true
 		}
 	}
 	if len(want) == 0 {
@@ -309,12 +309,12 @@ func checkLifecycle(t *testing.T, rig *lcRig, jr *jobRun, k *attemptKind, outcom
 	starts, ends, kinds := map[string]int{}, map[string]string{}, map[string]string{}
 	launched, killed := int64(0), int64(0)
 	for _, e := range jr.hist.Events() {
-		id := e.Attrs["attempt"]
+		id := e.Attrs.Get("attempt")
 		switch e.Type {
 		case history.EvAttemptStart:
 			starts[id]++
-			kinds[id] = e.Attrs["kind"]
-			if e.Attrs["kind"] == k.name {
+			kinds[id] = e.Attrs.Get("kind")
+			if e.Attrs.Get("kind") == k.name {
 				launched++
 			}
 		case history.EvAttemptFinish, history.EvAttemptFail, history.EvAttemptKill:
@@ -324,8 +324,8 @@ func checkLifecycle(t *testing.T, rig *lcRig, jr *jobRun, k *attemptKind, outcom
 			ends[id] = e.Type
 			if e.Type == history.EvAttemptKill {
 				killed++
-				if want[id] && "killed:"+e.Attrs["reason"] != outcome {
-					t.Errorf("%s killed for %q, span says %q", id, e.Attrs["reason"], outcome)
+				if want[id] && "killed:"+e.Attrs.Get("reason") != outcome {
+					t.Errorf("%s killed for %q, span says %q", id, e.Attrs.Get("reason"), outcome)
 				}
 			}
 		}
@@ -406,14 +406,14 @@ func TestTaskSpanStartsAtFirstLaunch(t *testing.T) {
 			continue
 		}
 		if s.Trace == "" {
-			t.Fatalf("attempt span %s has no trace; want the job sampled", s.Attrs["attempt"])
+			t.Fatalf("attempt span %s has no trace; want the job sampled", s.Attrs.Get("attempt"))
 		}
-		id := s.Attrs["attempt"]
+		id := s.Attrs.Get("attempt")
 		task := id[len("attempt_"):strings.LastIndex(id, "_")]
 		if st, ok := first[task]; !ok || s.Start < st {
 			first[task] = s.Start
 		}
-		if s.Attrs["outcome"] == "failed" {
+		if s.Attrs.Get("outcome") == "failed" {
 			retried = task
 		}
 	}
@@ -421,7 +421,7 @@ func TestTaskSpanStartsAtFirstLaunch(t *testing.T) {
 		t.Fatalf("retried task %q, want map task 0", retried)
 	}
 	for _, s := range rig.mc.Obs.Spans() {
-		if s.Name == SpanTask && s.Attrs["task"] == retried {
+		if s.Name == SpanTask && s.Attrs.Get("task") == retried {
 			if s.Start != first[retried] {
 				t.Errorf("%s span starts at %v, want its first launch at %v", retried, s.Start, first[retried])
 			}
@@ -459,7 +459,7 @@ func TestUnsampledJobRecordsNoSpans(t *testing.T) {
 	}
 	ends, failed := map[string]string{}, ""
 	for _, e := range events {
-		id := e.Attrs["attempt"]
+		id := e.Attrs.Get("attempt")
 		switch e.Type {
 		case history.EvAttemptStart:
 			ends[id] = ""

@@ -139,13 +139,13 @@ func Percentile(sorted []time.Duration, q float64) time.Duration {
 // span a registry records has them; a span read from a file may not, and
 // readers of such files skip it.
 type Span struct {
-	Name   string            `json:"name"`
-	Start  time.Duration     `json:"start_ns"`
-	End    time.Duration     `json:"end_ns"`
-	Trace  TraceID           `json:"trace,omitempty"`
-	ID     SpanID            `json:"span,omitempty"`
-	Parent SpanID            `json:"parent,omitempty"`
-	Attrs  map[string]string `json:"attrs,omitempty"`
+	Name   string        `json:"name"`
+	Start  time.Duration `json:"start_ns"`
+	End    time.Duration `json:"end_ns"`
+	Trace  TraceID       `json:"trace,omitempty"`
+	ID     SpanID        `json:"span,omitempty"`
+	Parent SpanID        `json:"parent,omitempty"`
+	Attrs  Attrs         `json:"attrs,omitempty"`
 }
 
 // Duration returns the span's extent.
@@ -267,7 +267,7 @@ type HistSnap struct {
 
 // Snapshot is the full, deterministic state of a registry: metrics in
 // sorted name order, spans in record order. Marshalling a Snapshot with
-// encoding/json is byte-stable (attr maps render with sorted keys).
+// encoding/json is byte-stable (attrs render with sorted keys).
 type Snapshot struct {
 	Counters   []CounterSnap `json:"counters"`
 	Gauges     []GaugeSnap   `json:"gauges"`

@@ -68,7 +68,7 @@ func spansNamed(r *obs.Registry, name string) []obs.Span {
 func TestSpansKeepRecordOrder(t *testing.T) {
 	r := obs.NewRegistry()
 	root := r.NewTrace(0)
-	root.End("b", 10, 20, map[string]string{"k": "1"})
+	root.End("b", 10, 20, obs.Attrs{{Key: "k", Value: "1"}})
 	root.ChildSpan("a", 5, 15, nil)
 	root.End("b", 30, 40, nil)
 	spans := r.Spans()
@@ -161,7 +161,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 			r.Gauge("g." + n).Set(42)
 			r.Histogram("h." + n).Observe(time.Duration(len(n)) * time.Millisecond)
 		}
-		r.NewTrace(0).End("op", 100, 200, map[string]string{"zz": "2", "aa": "1"})
+		r.NewTrace(0).End("op", 100, 200, obs.Attrs{{Key: "zz", Value: "2"}, {Key: "aa", Value: "1"}})
 		data, err := r.SnapshotJSON()
 		if err != nil {
 			t.Fatal(err)

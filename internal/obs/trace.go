@@ -17,7 +17,7 @@
 package obs
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -43,8 +43,7 @@ type Ctx struct {
 }
 
 // Valid reports whether the context carries a sampled trace. Call sites
-// whose attrs cost something to build (block reads, shuffles, cache
-// lookups) check it first, so those attrs exist only in sampled traces.
+// that build attrs check it first, so attrs exist only in sampled traces.
 func (c Ctx) Valid() bool { return c.trace != "" }
 
 // Trace returns the context's trace ID ("" when unsampled).
@@ -83,11 +82,23 @@ func (r *Registry) NewTrace(now time.Duration) Ctx {
 		return Ctx{}
 	}
 	r.spanSeq++
-	return Ctx{
-		r:     r,
-		trace: TraceID(fmt.Sprintf("t%06d-%d", r.traceSeq, now.Nanoseconds())),
-		span:  SpanID(r.spanSeq),
+	return Ctx{r: r, trace: traceID(r.traceSeq, now), span: SpanID(r.spanSeq)}
+}
+
+// traceID formats "t%06d-%d" of seq and the start instant's
+// nanoseconds without fmt: one allocation, the string itself.
+func traceID(seq uint64, now time.Duration) TraceID {
+	var buf [48]byte
+	b := append(buf[:0], 't')
+	for digits := uint64(10); digits < 1e6; digits *= 10 {
+		if seq < digits {
+			b = append(b, '0')
+		}
 	}
+	b = strconv.AppendUint(b, seq, 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, now.Nanoseconds(), 10)
+	return TraceID(b)
 }
 
 // NewChild allocates a child context under c: same trace, fresh span ID,
@@ -108,7 +119,7 @@ func (c Ctx) NewChild() Ctx {
 // discrete-event simulation the modelled end of an operation is known
 // when it is scheduled. The span carries the context's trace, span and
 // parent IDs; an unsampled context records nothing.
-func (c Ctx) End(name string, start, end time.Duration, attrs map[string]string) {
+func (c Ctx) End(name string, start, end time.Duration, attrs Attrs) {
 	if !c.Valid() {
 		return
 	}
@@ -123,7 +134,7 @@ func (c Ctx) End(name string, start, end time.Duration, attrs map[string]string)
 
 // ChildSpan records [start, end] as a child of c: NewChild then End, for
 // a leaf operation nothing nests under.
-func (c Ctx) ChildSpan(name string, start, end time.Duration, attrs map[string]string) {
+func (c Ctx) ChildSpan(name string, start, end time.Duration, attrs Attrs) {
 	c.NewChild().End(name, start, end, attrs)
 }
 

@@ -18,7 +18,7 @@ func TestTraceIdentity(t *testing.T) {
 	// Record out of order: leaf first, root last — identity was allocated
 	// at Ctx creation, so the tree still hangs together.
 	grand.End("leaf.op", 10, 20, nil)
-	child.End("mid.op", 5, 25, map[string]string{"k": "v"})
+	child.End("mid.op", 5, 25, obs.Attrs{{Key: "k", Value: "v"}})
 	root.End("root.op", 0, 30, nil)
 
 	spans := r.SpansTraced(root.Trace())

@@ -2,7 +2,7 @@ package regionserver
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 
 	"repro/internal/kvstore"
 	"repro/internal/obs"
@@ -72,8 +72,10 @@ func (cl *Client) requestSpan(ctx obs.Ctx, op, table string, at, done sim.Time, 
 	if err != nil && !errors.Is(err, kvstore.ErrNotFound) {
 		result = "error"
 	}
-	ctx.End("serving.request", at, done, map[string]string{
-		"op": op, "table": table, "result": result,
+	ctx.End("serving.request", at, done, obs.Attrs{
+		{Key: "op", Value: op},
+		{Key: "result", Value: result},
+		{Key: "table", Value: table},
 	})
 }
 
@@ -177,11 +179,11 @@ func regionCallSpan(ctx obs.Ctx, region, server string, attempt int, start, end 
 	case err != nil && !errors.Is(err, kvstore.ErrNotFound):
 		result = "error"
 	}
-	ctx.ChildSpan("serving.region_call", start, end, map[string]string{
-		"region":  region,
-		"server":  server,
-		"attempt": fmt.Sprint(attempt),
-		"result":  result,
+	ctx.ChildSpan("serving.region_call", start, end, obs.Attrs{
+		{Key: "attempt", Value: strconv.Itoa(attempt)},
+		{Key: "region", Value: region},
+		{Key: "result", Value: result},
+		{Key: "server", Value: server},
 	})
 }
 
@@ -212,8 +214,9 @@ func (cl *Client) get(ctx obs.Ctx, buf []byte, at sim.Time, table, key string) (
 			if ok {
 				result = "hit"
 			}
-			ctx.ChildSpan("serving.cache_lookup", now, done, map[string]string{
-				"table": table, "result": result,
+			ctx.ChildSpan("serving.cache_lookup", now, done, obs.Attrs{
+				{Key: "result", Value: result},
+				{Key: "table", Value: table},
 			})
 		}
 		if ok {

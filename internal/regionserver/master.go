@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/history"
 	"repro/internal/kvstore"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -87,8 +89,17 @@ func newMaster(eng *sim.Engine, fs vfs.FileSystem, servers []*Server, opts Optio
 // engine after the cluster is done).
 func (ma *Master) Stop() { ma.ticker.Stop() }
 
-func (ma *Master) logEvent(typ string, attrs map[string]string) {
+func (ma *Master) logEvent(typ string, attrs obs.Attrs) {
 	ma.metaLog.Append(ma.eng.Now(), typ, attrs)
+}
+
+// logAssign logs that server now serves region at epoch.
+func (ma *Master) logAssign(region, server string, epoch int) {
+	ma.logEvent(EvRegionAssign, obs.Attrs{
+		{Key: "epoch", Value: strconv.Itoa(epoch)},
+		{Key: "region", Value: region},
+		{Key: "server", Value: server},
+	})
 }
 
 // MetaLogBytes marshals the META log — the byte-comparable determinism
@@ -194,12 +205,12 @@ func (ma *Master) CreateTable(table string, splitKeys []string) error {
 			return err
 		}
 		regions = append(regions, info)
-		ma.logEvent(EvRegionCreate, map[string]string{
-			"region": info.ID, "table": table, "range": info.RangeString(),
+		ma.logEvent(EvRegionCreate, obs.Attrs{
+			{Key: "range", Value: info.RangeString()},
+			{Key: "region", Value: info.ID},
+			{Key: "table", Value: table},
 		})
-		ma.logEvent(EvRegionAssign, map[string]string{
-			"region": info.ID, "server": srv.name, "epoch": fmt.Sprint(info.Epoch),
-		})
+		ma.logAssign(info.ID, srv.name, info.Epoch)
 	}
 	ma.meta[table] = regions
 	return nil
@@ -347,18 +358,18 @@ func (ma *Master) splitRegion(info RegionInfo, srv *Server, hr *hostedRegion) er
 		target.occupy(now, work/2)
 	}
 	ma.m.splits.Inc()
-	ma.m.reg.NewTrace(now).End(SpanSplit, now, done, map[string]string{
-		"region": info.ID, "mid": mid, "low": low.ID, "high": high.ID,
-	})
-	ma.logEvent(EvRegionSplit, map[string]string{
-		"region": info.ID, "mid": mid, "low": low.ID, "high": high.ID,
-	})
-	ma.logEvent(EvRegionAssign, map[string]string{
-		"region": low.ID, "server": low.Srv, "epoch": fmt.Sprint(low.Epoch),
-	})
-	ma.logEvent(EvRegionAssign, map[string]string{
-		"region": high.ID, "server": high.Srv, "epoch": fmt.Sprint(high.Epoch),
-	})
+	// The span and the META event say the same; a record's attrs never
+	// change once recorded, so one slice serves both.
+	split := obs.Attrs{
+		{Key: "high", Value: high.ID},
+		{Key: "low", Value: low.ID},
+		{Key: "mid", Value: mid},
+		{Key: "region", Value: info.ID},
+	}
+	ma.m.reg.NewTrace(now).End(SpanSplit, now, done, split)
+	ma.logEvent(EvRegionSplit, split)
+	ma.logAssign(low.ID, low.Srv, low.Epoch)
+	ma.logAssign(high.ID, high.Srv, high.Epoch)
 	return nil
 }
 
@@ -458,12 +469,12 @@ func (ma *Master) mergeRegions(a, b RegionInfo, ha, hb *hostedRegion) error {
 	ma.updateMeta(a.Table, []string{a.ID, b.ID}, []RegionInfo{merged})
 	ma.janitor(a.Path, b.Path)
 	ma.m.merges.Inc()
-	ma.logEvent(EvRegionMerge, map[string]string{
-		"low": a.ID, "high": b.ID, "merged": merged.ID,
+	ma.logEvent(EvRegionMerge, obs.Attrs{
+		{Key: "high", Value: b.ID},
+		{Key: "low", Value: a.ID},
+		{Key: "merged", Value: merged.ID},
 	})
-	ma.logEvent(EvRegionAssign, map[string]string{
-		"region": merged.ID, "server": merged.Srv, "epoch": fmt.Sprint(merged.Epoch),
-	})
+	ma.logAssign(merged.ID, merged.Srv, merged.Epoch)
 	return nil
 }
 
@@ -478,7 +489,7 @@ func (ma *Master) tick() {
 		case s.alive && ma.dead[s.name]:
 			ma.dead[s.name] = false
 			ma.lastBeat[s.name] = now
-			ma.logEvent(EvServerJoin, map[string]string{"server": s.name})
+			ma.logEvent(EvServerJoin, obs.Attrs{{Key: "server", Value: s.name}})
 		case s.alive:
 			ma.lastBeat[s.name] = now
 		case !ma.dead[s.name] && now-ma.lastBeat[s.name] >= heartbeatExpiry:
@@ -496,7 +507,7 @@ func (ma *Master) declareDead(s *Server) {
 	ma.dead[s.name] = true
 	ma.recoverStart = now
 	ma.recoverEnd = now
-	ma.logEvent(EvServerDead, map[string]string{"server": s.name})
+	ma.logEvent(EvServerDead, obs.Attrs{{Key: "server", Value: s.name}})
 	ma.reassign()
 }
 
@@ -532,13 +543,20 @@ func (ma *Master) reassign() {
 			ma.updateMeta(table, []string{info.ID}, []RegionInfo{next})
 			ma.recovered++
 			ma.m.reassigns.Inc()
-			ma.m.reg.NewTrace(now).End(SpanRecover, now, done, map[string]string{
-				"region": info.ID, "from": info.Srv, "to": target.name,
-				"replayed": fmt.Sprint(replayed),
-			})
-			ma.logEvent(EvRegionReassign, map[string]string{
-				"region": info.ID, "from": info.Srv, "to": target.name,
-				"epoch": fmt.Sprint(next.Epoch), "replayed": fmt.Sprint(replayed),
+			if ctx := ma.m.reg.NewTrace(now); ctx.Valid() {
+				ctx.End(SpanRecover, now, done, obs.Attrs{
+					{Key: "from", Value: info.Srv},
+					{Key: "region", Value: info.ID},
+					{Key: "replayed", Value: strconv.Itoa(replayed)},
+					{Key: "to", Value: target.name},
+				})
+			}
+			ma.logEvent(EvRegionReassign, obs.Attrs{
+				{Key: "epoch", Value: strconv.Itoa(next.Epoch)},
+				{Key: "from", Value: info.Srv},
+				{Key: "region", Value: info.ID},
+				{Key: "replayed", Value: strconv.Itoa(replayed)},
+				{Key: "to", Value: target.name},
 			})
 		}
 	}

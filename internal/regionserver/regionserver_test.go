@@ -274,7 +274,7 @@ func TestCrashRecoveryReassignsWithWALReplay(t *testing.T) {
 	eng.Advance(time.Second)
 	found := false
 	for _, ev := range mustEvents(t, c) {
-		if ev.Type == EvServerJoin && ev.Attrs["server"] == victim.Name() {
+		if ev.Type == EvServerJoin && ev.Attrs.Get("server") == victim.Name() {
 			found = true
 		}
 	}

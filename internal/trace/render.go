@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // RenderSummary renders one line of a trace index: id, root span name,
@@ -40,10 +42,10 @@ func RenderTree(root *Node) string {
 // and blame, not raw sizes.
 var renderAttrKeys = []string{"job", "task", "attempt", "node", "block", "op", "table", "region", "server", "app", "container", "outcome", "result", "reason"}
 
-func attrSuffix(attrs map[string]string) string {
+func attrSuffix(attrs obs.Attrs) string {
 	var parts []string
 	for _, k := range renderAttrKeys {
-		if v, ok := attrs[k]; ok {
+		if v, ok := attrs.Lookup(k); ok {
 			parts = append(parts, k+"="+v)
 		}
 	}
@@ -60,7 +62,7 @@ func RenderCriticalPath(steps []Step) string {
 	b.WriteString("Critical path (root -> leaf, self = time not explained by the critical child):\n")
 	for i, st := range steps {
 		fmt.Fprintf(&b, "  %d. %-24s %-10s span %10v  self %10v%s\n",
-			i+1, st.Span.Name, orDash(st.Span.Attrs["node"]),
+			i+1, st.Span.Name, orDash(st.Span.Attrs.Get("node")),
 			st.Span.Duration().Round(time.Microsecond), st.Self.Round(time.Microsecond),
 			attrSuffix(st.Span.Attrs))
 	}

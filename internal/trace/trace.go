@@ -123,7 +123,7 @@ func BlameTable(steps []Step) []Blame {
 	idx := map[key]int{}
 	var out []Blame
 	for _, st := range steps {
-		k := key{Layer(st.Span.Name), st.Span.Name, st.Span.Attrs["node"]}
+		k := key{Layer(st.Span.Name), st.Span.Name, st.Span.Attrs.Get("node")}
 		i, ok := idx[k]
 		if !ok {
 			i = len(out)

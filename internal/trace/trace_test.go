@@ -19,14 +19,14 @@ func fixture() []obs.Span {
 	att := slow.NewChild()
 	pipe := att.NewChild()
 	shuf := att.NewChild()
-	shuf.End("mr.shuffle", 10, 40, map[string]string{"attempt": "a1"})
-	pipe.End("hdfs.write_pipeline", 10, 90, map[string]string{"node": "node3"})
-	att.End("mr.reduce_attempt", 10, 100, map[string]string{"node": "node1"})
-	slow.End("mr.job", 0, 120, map[string]string{"job": "job_x"})
+	shuf.End("mr.shuffle", 10, 40, obs.Attrs{{Key: "attempt", Value: "a1"}})
+	pipe.End("hdfs.write_pipeline", 10, 90, obs.Attrs{{Key: "node", Value: "node3"}})
+	att.End("mr.reduce_attempt", 10, 100, obs.Attrs{{Key: "node", Value: "node1"}})
+	slow.End("mr.job", 0, 120, obs.Attrs{{Key: "job", Value: "job_x"}})
 
 	fast := r.NewTrace(time.Second)
-	fast.End("serving.request", 0, 5, map[string]string{"op": "get"})
-	flat := obs.Span{Name: "hdfs.write_pipeline", Start: 0, End: 500, Attrs: map[string]string{"node": "node9"}}
+	fast.End("serving.request", 0, 5, obs.Attrs{{Key: "op", Value: "get"}})
+	flat := obs.Span{Name: "hdfs.write_pipeline", Start: 0, End: 500, Attrs: obs.Attrs{{Key: "node", Value: "node9"}}}
 	return append([]obs.Span{flat}, r.Spans()...)
 }
 

@@ -25,9 +25,9 @@ func tracesPage(reg *obs.Registry) string {
 }
 
 // attrSummary picks the identity attr worth showing on an index line.
-func attrSummary(attrs map[string]string) string {
+func attrSummary(attrs obs.Attrs) string {
 	for _, k := range []string{"job", "op", "block", "region", "app"} {
-		if v, ok := attrs[k]; ok && v != "" {
+		if v := attrs.Get(k); v != "" {
 			return "  " + k + "=" + v
 		}
 	}
@@ -60,7 +60,7 @@ func traceWaterfallPage(reg *obs.Registry, id string) (string, error) {
 	walk = func(n *trace.Node, depth int) {
 		s := n.Span
 		label := strings.Repeat("  ", depth) + s.Name
-		node := s.Attrs["node"]
+		node := s.Attrs.Get("node")
 		fmt.Fprintf(&b, "|%s| %-34s %-10s %v\n",
 			ganttBar(s.Start, s.End, origin, width), label, node,
 			s.Duration().Round(time.Millisecond))

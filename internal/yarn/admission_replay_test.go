@@ -194,7 +194,7 @@ func admissionScenario(t *testing.T, seed int64) (log, snap []byte, st admission
 		t.Fatalf("event log violates scheduler invariants: %v", err)
 	}
 	for _, ev := range events {
-		if ev.Type == yarn.EvAlloc && ev.Attrs["vc"] == "0" {
+		if ev.Type == yarn.EvAlloc && ev.Attrs.Get("vc") == "0" {
 			st["0-vcore grants"]++
 		}
 	}
@@ -232,8 +232,8 @@ func amNode(t *testing.T, rm *yarn.ResourceManager, app *yarn.Application) clust
 	t.Helper()
 	node := -1
 	for _, ev := range rm.EventLog().Events() {
-		if ev.Type == yarn.EvAMStart && ev.Attrs["app"] == fmt.Sprintf("app%05d", app.ID) {
-			if _, err := fmt.Sscan(ev.Attrs["node"], &node); err != nil {
+		if ev.Type == yarn.EvAMStart && ev.Attrs.Get("app") == fmt.Sprintf("app%05d", app.ID) {
+			if _, err := fmt.Sscan(ev.Attrs.Get("node"), &node); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,8 +1,9 @@
 package yarn
 
 import (
-	"fmt"
 	"strconv"
+
+	"repro/internal/obs"
 )
 
 // This file is the capacity scheduler's allocation engine: a
@@ -138,7 +139,7 @@ func (rm *ResourceManager) grantContainer(app *Application, q *leafQueue, nm *no
 		AM:        isAM,
 		StartedAt: rm.eng.Now(),
 		ctx:       app.ctx.NewChild(),
-		idStr:     fmt.Sprintf("c%06d", rm.containerSeq),
+		idStr:     seqID("c", rm.containerSeq, 6),
 	}
 	if isAM {
 		app.amContainer = c
@@ -152,7 +153,12 @@ func (rm *ResourceManager) grantContainer(app *Application, q *leafQueue, nm *no
 		}
 	} else {
 		c.Tag = app.requests[0].Tag
-		app.requests = app.requests[1:]
+		if len(app.requests) == 1 {
+			// Keep the array: the next Request appends into it.
+			app.requests = app.requests[:0]
+		} else {
+			app.requests = app.requests[1:]
+		}
 		app.containers = append(app.containers, c)
 	}
 	nm.used = nm.used.plus(res)
@@ -160,24 +166,26 @@ func (rm *ResourceManager) grantContainer(app *Application, q *leafQueue, nm *no
 	q.charge(app.User, res)
 	rm.ContainersLaunched++
 	rm.m.containersAllocated.Inc()
-	attrs := map[string]string{
-		"container": c.idStr,
-		"app":       app.idStr,
-		"queue":     q.path,
-		"user":      app.User,
-		"node":      nm.idStr,
-		"vc":        strconv.Itoa(res.VCores),
-		"mb":        strconv.FormatInt(res.MemoryMB, 10),
-	}
+	attrs := append(make(obs.Attrs, 0, 8),
+		obs.Attr{Key: "app", Value: app.idStr},
+		obs.Attr{Key: "container", Value: c.idStr},
+		obs.Attr{Key: "mb", Value: strconv.FormatInt(res.MemoryMB, 10)},
+		obs.Attr{Key: "node", Value: nm.idStr},
+		obs.Attr{Key: "queue", Value: q.path},
+		obs.Attr{Key: "user", Value: app.User},
+		obs.Attr{Key: "vc", Value: strconv.Itoa(res.VCores)},
+	)
 	if isAM {
-		attrs["am"] = "1"
+		attrs = append(attrs, obs.Attr{Key: "am", Value: "1"})
 	} else if c.Tag != "" {
-		attrs["tag"] = c.Tag
+		attrs = append(attrs, obs.Attr{Key: "tag", Value: c.Tag})
 	}
 	rm.event(EvAlloc, attrs)
 	if isAM {
-		rm.event(EvAMStart, map[string]string{
-			"app": app.idStr, "container": c.idStr, "node": nm.idStr,
+		rm.event(EvAMStart, obs.Attrs{
+			{Key: "app", Value: app.idStr},
+			{Key: "container", Value: c.idStr},
+			{Key: "node", Value: nm.idStr},
 		})
 		return
 	}

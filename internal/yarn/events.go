@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/history"
+	"repro/internal/obs"
 )
 
 // Scheduler event types. Every scheduling decision appends one of
@@ -37,19 +38,32 @@ const (
 )
 
 // event appends one scheduler event at the current sim time.
-func (rm *ResourceManager) event(typ string, attrs map[string]string) {
+func (rm *ResourceManager) event(typ string, attrs obs.Attrs) {
 	rm.log.Append(rm.eng.Now(), typ, attrs)
+}
+
+// seqID formats prefix and n zero-padded to width digits, as
+// fmt.Sprintf("c%06d", n) does, in one allocation: the string.
+func seqID(prefix string, n, width int) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	for pow := 10; width > 1; pow, width = pow*10, width-1 {
+		if n < pow {
+			b = append(b, '0')
+		}
+	}
+	return string(strconv.AppendInt(b, int64(n), 10))
 }
 
 // logInit records the queue tree and the initial node pool so CheckLog
 // can replay from an empty state.
 func (rm *ResourceManager) logInit() {
 	for _, q := range rm.leaves {
-		rm.event(EvQueue, map[string]string{
-			"queue":      q.path,
-			"guaranteed": strconv.FormatFloat(q.guaranteedFrac, 'g', -1, 64),
-			"max":        strconv.FormatFloat(q.maxFrac, 'g', -1, 64),
-			"ulf":        strconv.FormatFloat(q.ulf, 'g', -1, 64),
+		rm.event(EvQueue, obs.Attrs{
+			{Key: "guaranteed", Value: strconv.FormatFloat(q.guaranteedFrac, 'g', -1, 64)},
+			{Key: "max", Value: strconv.FormatFloat(q.maxFrac, 'g', -1, 64)},
+			{Key: "queue", Value: q.path},
+			{Key: "ulf", Value: strconv.FormatFloat(q.ulf, 'g', -1, 64)},
 		})
 	}
 	for _, nm := range rm.nodes {
@@ -61,16 +75,16 @@ func (rm *ResourceManager) logInit() {
 
 // logNodeUp and logNodeDown record a pool transition.
 func (rm *ResourceManager) logNodeUp(nm *nodeManager, reason string) {
-	rm.event(EvNodeUp, map[string]string{
-		"node":   nm.idStr,
-		"vc":     strconv.Itoa(nm.capacity.VCores),
-		"mb":     strconv.FormatInt(nm.capacity.MemoryMB, 10),
-		"reason": reason,
+	rm.event(EvNodeUp, obs.Attrs{
+		{Key: "mb", Value: strconv.FormatInt(nm.capacity.MemoryMB, 10)},
+		{Key: "node", Value: nm.idStr},
+		{Key: "reason", Value: reason},
+		{Key: "vc", Value: strconv.Itoa(nm.capacity.VCores)},
 	})
 }
 
 func (rm *ResourceManager) logNodeDown(nm *nodeManager, reason string) {
-	rm.event(EvNodeDown, map[string]string{"node": nm.idStr, "reason": reason})
+	rm.event(EvNodeDown, obs.Attrs{{Key: "node", Value: nm.idStr}, {Key: "reason", Value: reason}})
 }
 
 // --- event-sourced invariant checker ---
@@ -145,89 +159,89 @@ func (st *ckState) apply(ev history.Event) error {
 	a := ev.Attrs
 	switch ev.Type {
 	case EvQueue:
-		guar, err1 := strconv.ParseFloat(a["guaranteed"], 64)
-		max, err2 := strconv.ParseFloat(a["max"], 64)
+		guar, err1 := strconv.ParseFloat(a.Get("guaranteed"), 64)
+		max, err2 := strconv.ParseFloat(a.Get("max"), 64)
 		if err1 != nil || err2 != nil {
-			return fmt.Errorf("bad queue fractions %q/%q", a["guaranteed"], a["max"])
+			return fmt.Errorf("bad queue fractions %q/%q", a.Get("guaranteed"), a.Get("max"))
 		}
-		st.queues[a["queue"]] = &ckQueue{guarFrac: guar, maxFrac: max}
+		st.queues[a.Get("queue")] = &ckQueue{guarFrac: guar, maxFrac: max}
 
 	case EvNodeUp:
-		n := st.nodes[a["node"]]
+		n := st.nodes[a.Get("node")]
 		if n == nil {
 			n = &ckNode{}
-			st.nodes[a["node"]] = n
+			st.nodes[a.Get("node")] = n
 		}
 		if n.active {
-			return fmt.Errorf("node %s already active", a["node"])
+			return fmt.Errorf("node %s already active", a.Get("node"))
 		}
-		vc, err1 := strconv.Atoi(a["vc"])
-		mb, err2 := strconv.ParseInt(a["mb"], 10, 64)
+		vc, err1 := strconv.Atoi(a.Get("vc"))
+		mb, err2 := strconv.ParseInt(a.Get("mb"), 10, 64)
 		if err1 != nil || err2 != nil {
-			return fmt.Errorf("bad node capacity %q/%q", a["vc"], a["mb"])
+			return fmt.Errorf("bad node capacity %q/%q", a.Get("vc"), a.Get("mb"))
 		}
 		n.capVC, n.capMB, n.active = vc, mb, true
 		st.clusterVC += vc
 
 	case EvNodeDown:
-		n := st.nodes[a["node"]]
+		n := st.nodes[a.Get("node")]
 		if n == nil || !n.active {
-			return fmt.Errorf("node %s not active", a["node"])
+			return fmt.Errorf("node %s not active", a.Get("node"))
 		}
 		if n.nlive > 0 {
-			return fmt.Errorf("node %s removed with %d live containers", a["node"], n.nlive)
+			return fmt.Errorf("node %s removed with %d live containers", a.Get("node"), n.nlive)
 		}
 		n.active = false
 		st.clusterVC -= n.capVC
 
 	case EvAppSubmit:
-		st.liveApps[a["app"]] = true
+		st.liveApps[a.Get("app")] = true
 
 	case EvAlloc:
-		n := st.nodes[a["node"]]
+		n := st.nodes[a.Get("node")]
 		if n == nil || !n.active {
-			return fmt.Errorf("allocation on inactive node %s", a["node"])
+			return fmt.Errorf("allocation on inactive node %s", a.Get("node"))
 		}
-		q := st.queues[a["queue"]]
+		q := st.queues[a.Get("queue")]
 		if q == nil {
-			return fmt.Errorf("allocation in unknown queue %q", a["queue"])
+			return fmt.Errorf("allocation in unknown queue %q", a.Get("queue"))
 		}
-		vc, err1 := strconv.Atoi(a["vc"])
-		mb, err2 := strconv.ParseInt(a["mb"], 10, 64)
+		vc, err1 := strconv.Atoi(a.Get("vc"))
+		mb, err2 := strconv.ParseInt(a.Get("mb"), 10, 64)
 		if err1 != nil || err2 != nil {
-			return fmt.Errorf("bad container size %q/%q", a["vc"], a["mb"])
+			return fmt.Errorf("bad container size %q/%q", a.Get("vc"), a.Get("mb"))
 		}
-		if _, dup := st.containers[a["container"]]; dup {
-			return fmt.Errorf("container %s allocated twice", a["container"])
+		if _, dup := st.containers[a.Get("container")]; dup {
+			return fmt.Errorf("container %s allocated twice", a.Get("container"))
 		}
 		if n.usedVC+vc > n.capVC || n.usedMB+mb > n.capMB {
 			return fmt.Errorf("node %s over capacity: %d+%dvc/%d, %d+%dMB/%d",
-				a["node"], n.usedVC, vc, n.capVC, n.usedMB, mb, n.capMB)
+				a.Get("node"), n.usedVC, vc, n.capVC, n.usedMB, mb, n.capMB)
 		}
 		maxVC := int(float64(st.clusterVC) * q.maxFrac)
 		if q.usedVC+vc > maxVC {
-			return fmt.Errorf("queue %s over max capacity: %d+%dvc > %dvc", a["queue"], q.usedVC, vc, maxVC)
+			return fmt.Errorf("queue %s over max capacity: %d+%dvc > %dvc", a.Get("queue"), q.usedVC, vc, maxVC)
 		}
 		n.usedVC += vc
 		n.usedMB += mb
 		n.nlive++
 		q.usedVC += vc
-		st.appLive[a["app"]]++
-		st.containers[a["container"]] = ckContainer{
-			app: a["app"], queue: a["queue"], node: a["node"],
-			vc: vc, mb: mb, am: a["am"] == "1",
+		st.appLive[a.Get("app")]++
+		st.containers[a.Get("container")] = ckContainer{
+			app: a.Get("app"), queue: a.Get("queue"), node: a.Get("node"),
+			vc: vc, mb: mb, am: a.Get("am") == "1",
 		}
 
 	case EvRelease, EvPreempt:
-		c, ok := st.containers[a["container"]]
+		c, ok := st.containers[a.Get("container")]
 		if !ok {
-			return fmt.Errorf("container %s not live", a["container"])
+			return fmt.Errorf("container %s not live", a.Get("container"))
 		}
 		if ev.Type == EvPreempt {
 			if c.am {
-				return fmt.Errorf("AM container %s preempted", a["container"])
+				return fmt.Errorf("AM container %s preempted", a.Get("container"))
 			}
-			if forQ := a["for_queue"]; forQ != "" {
+			if forQ := a.Get("for_queue"); forQ != "" {
 				victim := st.queues[c.queue]
 				target := st.queues[forQ]
 				if target == nil {
@@ -241,7 +255,7 @@ func (st *ckState) apply(ev history.Event) error {
 					return fmt.Errorf("preempt target queue %s not under guarantee (%dvc >= %dvc)",
 						forQ, target.usedVC, targetGuar)
 				}
-			} else if a["reason"] != "node_drain" {
+			} else if a.Get("reason") != "node_drain" {
 				return fmt.Errorf("preempt without for_queue or node_drain reason")
 			}
 		}
@@ -251,16 +265,16 @@ func (st *ckState) apply(ev history.Event) error {
 		n.nlive--
 		st.queues[c.queue].usedVC -= c.vc
 		st.appLive[c.app]--
-		delete(st.containers, a["container"])
+		delete(st.containers, a.Get("container"))
 
 	case EvAppFinish:
-		if !st.liveApps[a["app"]] {
-			return fmt.Errorf("app %s finished without submit (or twice)", a["app"])
+		if !st.liveApps[a.Get("app")] {
+			return fmt.Errorf("app %s finished without submit (or twice)", a.Get("app"))
 		}
-		if n := st.appLive[a["app"]]; n > 0 {
-			return fmt.Errorf("app %s finished with %d containers still live", a["app"], n)
+		if n := st.appLive[a.Get("app")]; n > 0 {
+			return fmt.Errorf("app %s finished with %d containers still live", a.Get("app"), n)
 		}
-		delete(st.liveApps, a["app"])
+		delete(st.liveApps, a.Get("app"))
 
 	case EvAMStart:
 		// lifecycle marker only; the AM's resources travel in its EvAlloc.

@@ -120,7 +120,7 @@ func TestAMContainerNeverPreempted(t *testing.T) {
 		t.Fatal("scenario produced no preemptions")
 	}
 	for _, ev := range preemptEvents(rm) {
-		if ev.Attrs["am"] == "1" {
+		if ev.Attrs.Get("am") == "1" {
 			t.Fatalf("AM container preempted: %v", ev)
 		}
 	}
@@ -204,9 +204,9 @@ func TestScaleDownNeverKillsLiveContainers(t *testing.T) {
 	ups, downs := 0, 0
 	for _, ev := range rm.EventLog().Events() {
 		switch {
-		case ev.Type == yarn.EvNodeUp && ev.Attrs["reason"] == "scale_up":
+		case ev.Type == yarn.EvNodeUp && ev.Attrs.Get("reason") == "scale_up":
 			ups++
-		case ev.Type == yarn.EvNodeDown && ev.Attrs["reason"] == "scale_down":
+		case ev.Type == yarn.EvNodeDown && ev.Attrs.Get("reason") == "scale_down":
 			downs++
 		}
 	}

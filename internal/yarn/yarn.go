@@ -423,7 +423,7 @@ func (rm *ResourceManager) SubmitManaged(spec AppSpec, master AppMaster) (*Appli
 		Queue:       q.path,
 		User:        spec.User,
 		SubmittedAt: rm.eng.Now(),
-		idStr:       fmt.Sprintf("app%05d", rm.next),
+		idStr:       seqID("app", rm.next, 5),
 		master:      master,
 		queue:       q,
 	}
@@ -433,9 +433,12 @@ func (rm *ResourceManager) SubmitManaged(spec AppSpec, master AppMaster) (*Appli
 	rm.minAsk = rm.minAsk.lower(spec.AMResource)
 	q.apps = append(q.apps, app)
 	rm.m.appsSubmitted.Inc()
-	rm.event(EvAppSubmit, map[string]string{
-		"app": app.idStr, "name": spec.Name, "queue": q.path, "user": spec.User,
-		"tasks": strconv.Itoa(len(spec.Tasks)),
+	rm.event(EvAppSubmit, obs.Attrs{
+		{Key: "app", Value: app.idStr},
+		{Key: "name", Value: spec.Name},
+		{Key: "queue", Value: q.path},
+		{Key: "tasks", Value: strconv.Itoa(len(spec.Tasks))},
+		{Key: "user", Value: spec.User},
 	})
 	rm.kick()
 	return app, nil
@@ -502,29 +505,30 @@ func (rm *ResourceManager) endContainer(c *Container, state containerState, coun
 	nm.containers = without(nm.containers, c)
 	c.App.containers = without(c.App.containers, c) // no-op for an AM
 	c.App.queue.uncharge(c.App.User, c.Resource)
-	span := map[string]string{
-		"container": c.idStr,
-		"app":       c.App.idStr,
-		"node":      nm.idStr,
-		"reason":    reason,
+	if c.ctx.Valid() {
+		span := append(make(obs.Attrs, 0, 5),
+			obs.Attr{Key: "app", Value: c.App.idStr},
+			obs.Attr{Key: "container", Value: c.idStr},
+			obs.Attr{Key: "node", Value: nm.idStr},
+			obs.Attr{Key: "reason", Value: reason},
+		)
+		if c.AM {
+			span = append(span, obs.Attr{Key: "am", Value: "1"})
+		}
+		c.ctx.End("yarn.container", time.Duration(c.StartedAt), time.Duration(rm.eng.Now()), span)
 	}
-	if c.AM {
-		span["am"] = "1"
-	}
-	c.ctx.End("yarn.container", time.Duration(c.StartedAt), time.Duration(rm.eng.Now()), span)
 	counter.Inc()
-	attrs := map[string]string{
-		"container": c.idStr,
-		"app":       c.App.idStr,
-		"queue":     c.App.Queue,
-		"node":      nm.idStr,
-	}
+	last := obs.Attr{Key: "reason", Value: reason}
 	if forQueue != "" {
-		attrs["for_queue"] = forQueue
-	} else {
-		attrs["reason"] = reason
+		last = obs.Attr{Key: "for_queue", Value: forQueue}
 	}
-	rm.event(evType, attrs)
+	rm.event(evType, obs.Attrs{
+		{Key: "app", Value: c.App.idStr},
+		{Key: "container", Value: c.idStr},
+		{Key: "node", Value: nm.idStr},
+		{Key: "queue", Value: c.App.Queue},
+		last,
+	})
 }
 
 // release ends a live container whose work is done.
@@ -562,15 +566,18 @@ func (rm *ResourceManager) FinishApp(app *Application) {
 	app.queue.removeApp(app)
 	rm.appsFinished++
 	rm.m.appsFinished.Inc()
-	app.ctx.End("yarn.app", time.Duration(app.SubmittedAt), time.Duration(app.FinishedAt), map[string]string{
-		"app":   app.idStr,
-		"queue": app.Queue,
-		"user":  app.User,
-	})
-	rm.event(EvAppFinish, map[string]string{
-		"app": app.idStr, "queue": app.Queue,
-		"wait_ns":     strconv.FormatInt(int64(app.WaitTime()), 10),
-		"makespan_ns": strconv.FormatInt(int64(app.Makespan()), 10),
+	if app.ctx.Valid() {
+		app.ctx.End("yarn.app", time.Duration(app.SubmittedAt), time.Duration(app.FinishedAt), obs.Attrs{
+			{Key: "app", Value: app.idStr},
+			{Key: "queue", Value: app.Queue},
+			{Key: "user", Value: app.User},
+		})
+	}
+	rm.event(EvAppFinish, obs.Attrs{
+		{Key: "app", Value: app.idStr},
+		{Key: "makespan_ns", Value: strconv.FormatInt(int64(app.Makespan()), 10)},
+		{Key: "queue", Value: app.Queue},
+		{Key: "wait_ns", Value: strconv.FormatInt(int64(app.WaitTime()), 10)},
 	})
 	rm.kick()
 }

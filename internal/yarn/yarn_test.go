@@ -256,7 +256,7 @@ func TestWaitTimeSurvivesAMDrain(t *testing.T) {
 	amStarts := func() (n int, node cluster.NodeID) {
 		for _, ev := range rm.EventLog().Events() {
 			if ev.Type == yarn.EvAMStart {
-				id, err := strconv.Atoi(ev.Attrs["node"])
+				id, err := strconv.Atoi(ev.Attrs.Get("node"))
 				if err != nil {
 					t.Fatal(err)
 				}
