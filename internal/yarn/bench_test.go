@@ -92,10 +92,7 @@ func BenchmarkContainerLifecycle(b *testing.B) {
 // may allocate — the container, its id string, the two event attr slices,
 // the span's attr slice and the formatted memory size; the log and span
 // lists grow amortised: 6 allocations measured, budgeted with a fifth of
-// headroom. Attr maps (two allocations each), fmt-built ids and a request
-// queue that reallocated on every request made it 11; before that, ids
-// formatted three to four times per container and leaves sorted through
-// reflection on every pass made it 27.
+// headroom.
 func TestContainerLifecycleAllocationBudget(t *testing.T) {
 	rm, holder, m := fullCluster(t, obs.NewRegistry(), 100)
 	before := len(rm.EventLog().Events())
