@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -141,17 +140,10 @@ func (l *Log) Bytes() ([]byte, error) {
 }
 
 // Marshal renders records — Events, or the obs.Spans of a trace export —
-// as JSONL: one compact JSON object per line, the bytes encoding/json
-// writes for each record. Byte-stable, since attrs marshal with sorted
-// keys and record order is deterministic. Events and Spans go through a
-// hand-written appender; a record that sets one attr twice is an error.
+// as JSONL: one compact JSON object per line. Byte-stable, since attrs
+// marshal with sorted keys and record order is deterministic. A record
+// that sets one attr twice is an error.
 func Marshal[T any](recs []T) ([]byte, error) {
-	switch rs := any(recs).(type) {
-	case []Event:
-		return appendLines(rs, appendEvent)
-	case []obs.Span:
-		return appendLines(rs, appendSpan)
-	}
 	var buf bytes.Buffer
 	for _, rec := range recs {
 		b, err := json.Marshal(rec)
@@ -162,67 +154,6 @@ func Marshal[T any](recs []T) ([]byte, error) {
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes(), nil
-}
-
-// appendLines renders recs one line each through enc, which shares one
-// attr-order scratch across the records.
-func appendLines[T any](recs []T, enc func([]byte, T, *[]int) ([]byte, error)) ([]byte, error) {
-	var out []byte
-	var idx []int
-	for _, rec := range recs {
-		var err error
-		if out, err = enc(out, rec, &idx); err != nil {
-			return nil, err
-		}
-		out = append(out, '\n')
-	}
-	return out, nil
-}
-
-// appendEvent writes e as Event's struct tags say: ts_ns, type, then
-// attrs unless empty.
-func appendEvent(dst []byte, e Event, idx *[]int) ([]byte, error) {
-	dst = append(dst, `{"ts_ns":`...)
-	dst = strconv.AppendInt(dst, int64(e.TS), 10)
-	dst = append(dst, `,"type":`...)
-	dst = obs.AppendJSONString(dst, e.Type)
-	return appendAttrs(dst, e.Attrs, idx)
-}
-
-// appendSpan writes s as obs.Span's struct tags say: name, start_ns,
-// end_ns, then trace, span, parent and attrs unless zero.
-func appendSpan(dst []byte, s obs.Span, idx *[]int) ([]byte, error) {
-	dst = append(dst, `{"name":`...)
-	dst = obs.AppendJSONString(dst, s.Name)
-	dst = append(dst, `,"start_ns":`...)
-	dst = strconv.AppendInt(dst, int64(s.Start), 10)
-	dst = append(dst, `,"end_ns":`...)
-	dst = strconv.AppendInt(dst, int64(s.End), 10)
-	if s.Trace != "" {
-		dst = append(dst, `,"trace":`...)
-		dst = obs.AppendJSONString(dst, string(s.Trace))
-	}
-	if s.ID != 0 {
-		dst = append(dst, `,"span":`...)
-		dst = strconv.AppendUint(dst, uint64(s.ID), 10)
-	}
-	if s.Parent != 0 {
-		dst = append(dst, `,"parent":`...)
-		dst = strconv.AppendUint(dst, uint64(s.Parent), 10)
-	}
-	return appendAttrs(dst, s.Attrs, idx)
-}
-
-// appendAttrs closes a record: its attrs field unless empty, then '}'.
-func appendAttrs(dst []byte, attrs obs.Attrs, idx *[]int) ([]byte, error) {
-	if len(attrs) > 0 {
-		var err error
-		dst = append(dst, `,"attrs":`...)
-		if dst, err = attrs.AppendJSON(dst, idx); err != nil {
-			return nil, err
-		}
-	}
-	return append(dst, '}'), nil
 }
 
 // Parse decodes a JSONL log of T records (the inverse of Marshal; blank

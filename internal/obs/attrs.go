@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"unicode/utf8"
 )
 
 // Attr is one key/value attribute of a span or a log event.
@@ -36,44 +35,22 @@ func (a Attrs) Get(k string) string {
 	return v
 }
 
-// AppendJSON appends a as a JSON object with sorted keys. idx is the
-// caller's scratch for the sort order, reused across records. A key set
-// twice is an error: a map could not have held both values.
-func (a Attrs) AppendJSON(dst []byte, idx *[]int) ([]byte, error) {
-	order := (*idx)[:0]
-	for i := range a {
-		// Insertion sort: a record has a handful of attrs, often in order.
-		j := len(order)
-		order = append(order, i)
-		for ; j > 0 && a[order[j-1]].Key > a[i].Key; j-- {
-			order[j] = order[j-1]
-		}
-		order[j] = i
-		if j > 0 && a[order[j-1]].Key == a[i].Key {
-			return dst, fmt.Errorf("obs: attr %q set twice", a[i].Key)
-		}
-	}
-	*idx = order
-	dst = append(dst, '{')
-	for n, i := range order {
-		if n > 0 {
-			dst = append(dst, ',')
-		}
-		dst = AppendJSONString(dst, a[i].Key)
-		dst = append(dst, ':')
-		dst = AppendJSONString(dst, a[i].Value)
-	}
-	return append(dst, '}'), nil
-}
-
-// MarshalJSON implements json.Marshaler: the sorted-key object, or null
-// for a nil Attrs, as for a nil map.
+// MarshalJSON implements json.Marshaler: the object encoding/json
+// writes for the pairs as a map[string]string (sorted keys), or null for
+// a nil Attrs. A key set twice is an error: a map could not have held
+// both values.
 func (a Attrs) MarshalJSON() ([]byte, error) {
 	if a == nil {
 		return []byte("null"), nil
 	}
-	var idx []int
-	return a.AppendJSON(nil, &idx)
+	m := make(map[string]string, len(a))
+	for _, at := range a {
+		if _, dup := m[at.Key]; dup {
+			return nil, fmt.Errorf("obs: attr %q set twice", at.Key)
+		}
+		m[at.Key] = at.Value
+	}
+	return json.Marshal(m)
 }
 
 // UnmarshalJSON implements json.Unmarshaler: an object becomes its pairs
@@ -95,57 +72,4 @@ func (a *Attrs) UnmarshalJSON(data []byte) error {
 	slices.SortFunc(out, func(x, y Attr) int { return strings.Compare(x.Key, y.Key) })
 	*a = out
 	return nil
-}
-
-// AppendJSONString appends s as a JSON string, escaped exactly as
-// encoding/json escapes it: `<`, `>` and `&` as \u00XX, control
-// characters, each byte of invalid UTF-8 as \ufffd, and U+2028/U+2029.
-func AppendJSONString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '"', '\\':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case c == '\u2028' || c == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }

@@ -89,16 +89,20 @@ func (r *Registry) NewTrace(now time.Duration) Ctx {
 // nanoseconds without fmt: one allocation, the string itself.
 func traceID(seq uint64, now time.Duration) TraceID {
 	var buf [48]byte
-	b := append(buf[:0], 't')
-	for digits := uint64(10); digits < 1e6; digits *= 10 {
-		if seq < digits {
-			b = append(b, '0')
+	b := AppendPadded(append(buf[:0], 't'), seq, 6)
+	b = append(b, '-')
+	return TraceID(strconv.AppendInt(b, now.Nanoseconds(), 10))
+}
+
+// AppendPadded appends n in decimal, zero-padded to width digits, as
+// fmt's %0*d writes it; a wider n is written whole.
+func AppendPadded(dst []byte, n uint64, width int) []byte {
+	for pow := uint64(10); width > 1; pow, width = pow*10, width-1 {
+		if n < pow {
+			dst = append(dst, '0')
 		}
 	}
-	b = strconv.AppendUint(b, seq, 10)
-	b = append(b, '-')
-	b = strconv.AppendInt(b, now.Nanoseconds(), 10)
-	return TraceID(b)
+	return strconv.AppendUint(dst, n, 10)
 }
 
 // NewChild allocates a child context under c: same trace, fresh span ID,

@@ -46,13 +46,7 @@ func (rm *ResourceManager) event(typ string, attrs obs.Attrs) {
 // fmt.Sprintf("c%06d", n) does, in one allocation: the string.
 func seqID(prefix string, n, width int) string {
 	var buf [32]byte
-	b := append(buf[:0], prefix...)
-	for pow := 10; width > 1; pow, width = pow*10, width-1 {
-		if n < pow {
-			b = append(b, '0')
-		}
-	}
-	return string(strconv.AppendInt(b, int64(n), 10))
+	return string(obs.AppendPadded(append(buf[:0], prefix...), uint64(n), width))
 }
 
 // logInit records the queue tree and the initial node pool so CheckLog
