@@ -45,10 +45,11 @@ check: static
 # Just the concurrency-sensitive surface, race-checked. internal/sim is
 # single-threaded by contract but included so the detector verifies the
 # engine's free-list never leaks events across goroutines in tests.
-# internal/serial is the one place map tasks run on real goroutines (each
-# worker on its own mapreduce.MapScratch; its reduce loop is sequential,
-# on one mapreduce.ReduceScratch), and the internal/jobs tests
-# drive it at Parallelism 3 and 4. internal/webui's handlers run on
+# Map user code runs on real goroutines in two places, both through
+# mapreduce.RunMapTasks (each worker on its own mapreduce.MapScratch):
+# internal/serial, whose internal/jobs tests drive it at Parallelism 3
+# and 4, and the JobTracker's schedule passes in internal/mrcluster.
+# Reduce loops are sequential, each on one mapreduce.ReduceScratch. internal/webui's handlers run on
 # httptest server goroutines. internal/vfs's MemFS is what those workers
 # read concurrently.
 race:
@@ -93,7 +94,9 @@ loc:
 # The gate a PR must pass end to end: build, the static gate, the line
 # budget, tier-1 tests
 # (which include the goldens, replay digests and E12/E13 smokes), the
-# race-checked subset (`make race`), five seconds of each fuzz target
+# race-checked subset (`make race`), the pooled-map referee race-checked
+# at one and at four procs (so both the inline and the worker-pool path
+# run under the detector whatever the box's core count), five seconds of each fuzz target
 # (the event-queue and ranged-read ones without corpus minimisation: each
 # input runs two engines through a script, or builds a cluster and reads
 # it range by range, and minimising the first interesting one would
@@ -105,6 +108,7 @@ loc:
 ci: build static loc
 	$(GO) test ./...
 	$(MAKE) race
+	$(GO) test -race -cpu 1,4 -run 'TestPooledMapsMatchInline' ./internal/mrcluster/
 	$(GO) test -run '^$$' -fuzz FuzzSeqSplit -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzSeqReadCorrupt -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/iofmt/

@@ -22,7 +22,10 @@ type Job struct {
 	// Name labels the job in reports.
 	Name string
 	// NewMapper constructs a fresh Mapper per map task (tasks may hold
-	// per-task state, e.g. in-mapper combining aggregates).
+	// per-task state, e.g. in-mapper combining aggregates). A task's map
+	// code may run on a worker goroutine at the same time as other
+	// tasks' — both runtimes run map tasks on a worker pool — so a
+	// Mapper shares no mutable state with other Mappers.
 	NewMapper func() Mapper
 	// NewReducer constructs a fresh Reducer per reduce task.
 	NewReducer func() Reducer

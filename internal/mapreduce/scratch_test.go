@@ -212,13 +212,21 @@ func TestSharedScratchMatchesFreshAndNeverAliasesOutput(t *testing.T) {
 			t.Errorf("%s: retained output changed after later tasks ran on the same scratch", k.name)
 		}
 	}
-	for p, buf := range shared.collect {
-		if len(buf) != 0 {
-			t.Errorf("collect[%d] left with %d pairs", p, len(buf))
+	for p, chunks := range shared.collect {
+		if len(chunks) != 0 {
+			t.Errorf("collect[%d] left with %d chunks", p, len(chunks))
 		}
-		assertZeroed(t, fmt.Sprintf("collect[%d]", p), buf[:cap(buf)])
+		assertZeroed(t, fmt.Sprintf("collect[%d]", p), chunks[:cap(chunks)])
 	}
-	assertZeroed(t, "run", shared.run[:cap(shared.run)])
+	if len(shared.free) == 0 {
+		t.Error("no chunk came back to the free list")
+	}
+	for i, chunk := range shared.free {
+		if len(chunk) != 0 || cap(chunk) != collectChunk {
+			t.Fatalf("free chunk %d: len %d cap %d, want 0 and %d", i, len(chunk), cap(chunk), collectChunk)
+		}
+		assertZeroed(t, fmt.Sprintf("free[%d]", i), chunk[:cap(chunk)])
+	}
 	assertSortScratchClear(t, &shared.sort)
 }
 
@@ -283,7 +291,7 @@ func samePairs(a, b []Pair) bool {
 func TestSortPairsIntoMatchesStableSortOnBothStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var s sortScratch // shared by every case: stale capacity must not leak in
-	sizes := []int{0, 1, 2, 63, dupSampleMinLen - 1, dupSampleMinLen, dupSampleMinLen + 1, 5000, 700}
+	sizes := []int{0, 1, 2, 63, dupSampleMinLen - 1, dupSampleMinLen, dupSampleMinLen + 1, collectChunk, collectChunk + 1, 5000, 700}
 	for _, n := range sizes {
 		for _, vocab := range []int{3, 40, n/2 + 1, 1 << 30} {
 			src := make([]Pair, n)
@@ -297,7 +305,7 @@ func TestSortPairsIntoMatchesStableSortOnBothStrategies(t *testing.T) {
 			name := fmt.Sprintf("n=%d vocab=%d", n, vocab)
 
 			dst := make([]Pair, n)
-			sortPairsInto(dst, src, &s)
+			sortPairsInto(dst, chunksOf(src), &s)
 			if !samePairs(dst, want) {
 				t.Fatalf("%s: sortPairsInto differs from a stable sort", name)
 			}
@@ -308,10 +316,22 @@ func TestSortPairsIntoMatchesStableSortOnBothStrategies(t *testing.T) {
 
 			// The sample picks a strategy by input; force the grouped one on
 			// every input too, since it must be correct wherever it is used.
-			clear(dst)
-			s.groupSortInto(dst, src)
+			order := make([]int32, n)
+			keys := s.groupOrder(order, chunksOf(src))
+			for i, j := range order {
+				dst[i] = src[j]
+			}
 			if !samePairs(dst, want) {
-				t.Fatalf("%s: groupSortInto differs from a stable sort", name)
+				t.Fatalf("%s: groupOrder differs from a stable sort", name)
+			}
+			distinct := 0
+			for i := range want {
+				if i == 0 || want[i].Key != want[i-1].Key {
+					distinct++
+				}
+			}
+			if _, general := s.sortOrder(chunksOf(src)); keys != general || keys != distinct {
+				t.Fatalf("%s: %d keys grouped, %d sorted, want %d", name, keys, general, distinct)
 			}
 			assertSortScratchClear(t, &s)
 
@@ -327,13 +347,13 @@ func TestSortPairsIntoMatchesStableSortOnBothStrategies(t *testing.T) {
 	for i := range dup {
 		dup[i].Key = fmt.Sprint(i % 3)
 	}
-	if !s.looksDuplicateHeavy(dup) {
+	if !s.looksDuplicateHeavy(chunksOf(dup)) {
 		t.Error("a 3-key input does not look duplicate-heavy")
 	}
 	for i := range dup {
 		dup[i].Key = fmt.Sprint(i)
 	}
-	if s.looksDuplicateHeavy(dup) {
+	if s.looksDuplicateHeavy(chunksOf(dup)) {
 		t.Error("an all-distinct input looks duplicate-heavy")
 	}
 }
@@ -426,6 +446,40 @@ func TestWarmScratchAllocationBudget(t *testing.T) {
 	t.Logf("warm terasort task: %.0f allocations", allocs)
 	if budget := float64(nPairs/64 + 64); allocs > budget {
 		t.Errorf("warm terasort task made %.0f allocations, budget %.0f", allocs, budget)
+	}
+}
+
+// A cold scratch allocates what its first task collects once, plus the
+// sort's working memory: the collect buffer grows a chunk at a time (a
+// doubled slice allocated ~2x its final size on the way up) and the
+// combiner reads its groups in place (a sorted copy of the partition was
+// as large again). A runtime with one scratch per worker pays this once
+// per worker.
+func TestColdScratchAllocationBudget(t *testing.T) {
+	const nPairs = 100_000
+	recs := randomRecords(rand.New(rand.NewSource(1)), nPairs/8, 1000)
+	job := wordCountJob()
+	job.NewMapper = func() Mapper { return MapperFunc(fieldsMapper) }
+	job.NewCombiner = job.NewReducer
+	fs := vfs.NewMemFS()
+	var out *MapOutput
+	got := allocatedBy(func() {
+		var err error
+		if out, err = new(MapScratch).ExecuteMap(NewTaskContext("j", "m0", fs, job), job, recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := out.Records(); n != 1000 {
+		t.Fatalf("task output %d combined pairs, want 1000", n)
+	}
+	// The collect buffer, then the sort's (key, index) headers and the
+	// order it returns, each with a quarter to spare, and 1 MiB.
+	pairSize := uint64(reflect.TypeOf(Pair{}).Size())
+	headerSize := uint64(reflect.TypeOf(keyIndex{}).Size())
+	budget := nPairs*pairSize + nPairs*(headerSize+4)*5/4 + 1<<20
+	t.Logf("cold task allocated %.2f MB, budget %.2f MB", float64(got)/1e6, float64(budget)/1e6)
+	if got > budget {
+		t.Errorf("cold task allocated %d bytes, budget %d", got, budget)
 	}
 }
 

@@ -16,11 +16,12 @@ type keyIndex struct {
 	i   int32
 }
 
-// sortScratch is the working memory of sortPairsInto, kept between calls
-// so a map task's spills — and the next task's — pay for it once. The zero
-// value is ready to use. Every call clears the keys it stored before it
-// returns, so an idle scratch pins no map output.
+// sortScratch is the working memory of a map task's sort, kept between
+// calls so a map task's spills — and the next task's — pay for it once.
+// The zero value is ready to use. Every call clears the keys it stored
+// before it returns, so an idle scratch pins no map output.
 type sortScratch struct {
+	order  []int32          // the result: emission indices in sorted order
 	idx    []keyIndex       // general path: one (key, index) header per pair
 	gids   []int32          // grouped path: each pair's group id
 	groups []keyIndex       // grouped path: each distinct key plus its group id
@@ -47,32 +48,43 @@ func SortPairs(pairs []Pair) {
 	if len(pairs) < 2 {
 		return
 	}
-	sortPairsInto(pairs, slices.Clone(pairs), new(sortScratch))
+	sortPairsInto(pairs, chunksOf(slices.Clone(pairs)), new(sortScratch))
 }
 
 // sortPairsInto writes src's pairs into dst (same length, no overlap) in
 // SortPairs order, leaving src untouched.
+func sortPairsInto(dst []Pair, src pairChunks, s *sortScratch) {
+	order, _ := s.sortOrder(src)
+	for i, j := range order {
+		dst[i] = src.at(int(j))
+	}
+}
+
+// sortOrder returns the emission indices of src's pairs in SortPairs
+// order, and how many distinct keys they hold. src is a map task's
+// collect buffer; the order is the scratch's until its next call.
 //
 // Two strategies produce that order. The general path sorts (key, index)
 // headers. Duplicate-heavy outputs — counting jobs emit each word
 // thousands of times — instead group by key first and sort only the
 // distinct keys, turning an O(n log n) comparison sort into O(u log u)
 // for u unique keys plus two linear passes. A small sample of the input
-// picks the strategy; both yield byte-identical results.
-func sortPairsInto(dst, src []Pair, s *sortScratch) {
-	n := len(src)
-	if n < 2 {
-		copy(dst, src)
-		return
-	}
+// picks the strategy; both yield the same order.
+func (s *sortScratch) sortOrder(src pairChunks) ([]int32, int) {
+	n := src.len()
+	order := resized(s.order, n)
+	s.order = order
 	if n >= dupSampleMinLen && s.looksDuplicateHeavy(src) {
-		s.groupSortInto(dst, src)
-		return
+		return order, s.groupOrder(order, src)
 	}
 	idx := resized(s.idx, n)
 	s.idx = idx
-	for i, p := range src {
-		idx[i] = keyIndex{key: p.Key, i: int32(i)}
+	i := 0
+	for _, chunk := range src {
+		for _, p := range chunk {
+			idx[i] = keyIndex{key: p.Key, i: int32(i)}
+			i++
+		}
 	}
 	slices.SortFunc(idx, func(a, b keyIndex) int {
 		if c := strings.Compare(a.key, b.key); c != 0 {
@@ -80,10 +92,15 @@ func sortPairsInto(dst, src []Pair, s *sortScratch) {
 		}
 		return int(a.i) - int(b.i)
 	})
+	keys := 0
 	for i, k := range idx {
-		dst[i] = src[k.i]
+		if i == 0 || k.key != idx[i-1].key {
+			keys++
+		}
+		order[i] = k.i
 	}
 	clear(idx)
+	return order, keys
 }
 
 const (
@@ -94,11 +111,11 @@ const (
 // looksDuplicateHeavy samples evenly spaced keys and reports whether the
 // sample repeats keys enough to justify the grouped sort. It is only a
 // performance heuristic: either answer leaves the sorted output identical.
-func (s *sortScratch) looksDuplicateHeavy(pairs []Pair) bool {
+func (s *sortScratch) looksDuplicateHeavy(pairs pairChunks) bool {
 	seen := s.keyMap()
-	step := len(pairs) / dupSampleSize
+	step := pairs.len() / dupSampleSize
 	for i := 0; i < dupSampleSize; i++ {
-		seen[pairs[i*step].Key] = 0
+		seen[pairs.at(i*step).Key] = 0
 	}
 	distinct := len(seen)
 	clear(seen)
@@ -113,24 +130,28 @@ func (s *sortScratch) keyMap() map[string]int32 {
 	return s.gidOf
 }
 
-// groupSortInto is the duplicate-heavy strategy: assign each distinct key
-// a group, sort the groups, then scatter the pairs into their group's
-// window of dst in emission order.
-func (s *sortScratch) groupSortInto(dst, src []Pair) {
-	gids := resized(s.gids, len(src))
+// groupOrder is the duplicate-heavy strategy: assign each distinct key
+// a group, sort the groups, then scatter the pairs' indices into their
+// group's window of order in emission order. It returns the group count.
+func (s *sortScratch) groupOrder(order []int32, src pairChunks) int {
+	gids := resized(s.gids, src.len())
 	s.gids = gids
 	groups, counts := s.groups[:0], s.counts[:0]
 	gidOf := s.keyMap()
-	for i, p := range src {
-		g, ok := gidOf[p.Key]
-		if !ok {
-			g = int32(len(groups))
-			gidOf[p.Key] = g
-			groups = append(groups, keyIndex{key: p.Key, i: g})
-			counts = append(counts, 0)
+	i := 0
+	for _, chunk := range src {
+		for _, p := range chunk {
+			g, ok := gidOf[p.Key]
+			if !ok {
+				g = int32(len(groups))
+				gidOf[p.Key] = g
+				groups = append(groups, keyIndex{key: p.Key, i: g})
+				counts = append(counts, 0)
+			}
+			gids[i] = g
+			counts[g]++
+			i++
 		}
-		gids[i] = g
-		counts[g]++
 	}
 	slices.SortFunc(groups, func(a, b keyIndex) int {
 		return strings.Compare(a.key, b.key) // keys are distinct: no ties
@@ -142,14 +163,15 @@ func (s *sortScratch) groupSortInto(dst, src []Pair) {
 		offs[g.i] = off
 		off += counts[g.i]
 	}
-	for i, p := range src {
-		g := gids[i]
-		dst[offs[g]] = p
+	for i, g := range gids {
+		order[offs[g]] = int32(i)
 		offs[g]++
 	}
+	n := len(groups)
 	clear(groups)
 	clear(gidOf)
 	s.groups, s.counts = groups, counts
+	return n
 }
 
 // mergeCursor is one run's position inside the k-way merge heap, with
@@ -247,15 +269,27 @@ func MergeSortedRuns(runs [][]Pair) []Pair {
 type Values struct {
 	decode ValueDecoder
 	pairs  []Pair
-	i      int
+	// A map-side combiner reads its group in place instead: the pairs of
+	// the task's collect buffer src at the emission indices order.
+	src   pairChunks
+	order []int32
+	i     int
+}
+
+// at returns the group's i-th pair.
+func (v *Values) at(i int) Pair {
+	if v.order != nil {
+		return v.src.at(int(v.order[i]))
+	}
+	return v.pairs[i]
 }
 
 // Next returns the next value, or ok=false when exhausted.
 func (v *Values) Next() (Value, bool, error) {
-	if v.i >= len(v.pairs) {
+	if v.i >= v.Len() {
 		return nil, false, nil
 	}
-	val, err := v.decode(v.pairs[v.i].Val)
+	val, err := v.decode(v.at(v.i).Val)
 	if err != nil {
 		return nil, false, err
 	}
@@ -271,10 +305,10 @@ func (v *Values) Next() (Value, bool, error) {
 // through emits them as Bytes, as Hadoop's identity reduce passes a raw or
 // reused value on.
 func (v *Values) NextBytes() ([]byte, bool) {
-	if v.i >= len(v.pairs) {
+	if v.i >= v.Len() {
 		return nil, false
 	}
-	b := v.pairs[v.i].Val
+	b := v.at(v.i).Val
 	v.i++
 	return b[:len(b):len(b)], true
 }
@@ -296,7 +330,7 @@ func (v *Values) Each(fn func(Value) error) error {
 }
 
 // Len returns the total number of values in the group.
-func (v *Values) Len() int { return len(v.pairs) }
+func (v *Values) Len() int { return len(v.pairs) + len(v.order) }
 
 // GroupIterate walks a sorted pair slice group by group, invoking fn once
 // per distinct key with an iterator over that key's values. Every group
@@ -335,15 +369,36 @@ func RunCombiner(ctx *TaskContext, job *Job, sorted []Pair) ([]Pair, error) {
 	if job.NewCombiner == nil {
 		return sorted, nil
 	}
+	return combineChunks(ctx, job, chunksOf(sorted), new(sortScratch))
+}
+
+// combineChunks runs the job's combiner over a map task's collect buffer
+// src in sort order: the sort on s yields the order, and the combiner is
+// handed each group in place, a Values over src at the group's stretch of
+// the order, so the sorted partition is never copied out. It returns the
+// combined pairs, a fresh slice, sorted, and updates the combine counters.
+func combineChunks(ctx *TaskContext, job *Job, src pairChunks, s *sortScratch) ([]Pair, error) {
+	order, groups := s.sortOrder(src)
 	combiner := job.NewCombiner()
 	// One pair per group is what every combiner in internal/jobs emits;
 	// one that emits more just grows the slice.
-	col := &pairCollector{pairs: make([]Pair, 0, countGroups(sorted))}
+	col := &pairCollector{pairs: make([]Pair, 0, groups)}
+	values := new(Values) // every group is handed this one
 	var inRecords int64
-	err := GroupIterate(sorted, job.DecodeValue, func(key string, values *Values) error {
-		inRecords += int64(values.Len())
-		return combiner.Reduce(ctx, key, values, col)
-	})
+	var err error
+	for i := 0; i < len(order); {
+		key := src.at(int(order[i])).Key
+		j := i + 1
+		for j < len(order) && src.at(int(order[j])).Key == key {
+			j++
+		}
+		*values = Values{decode: job.DecodeValue, src: src, order: order[i:j]}
+		inRecords += int64(j - i)
+		if err = combiner.Reduce(ctx, key, values, col); err != nil {
+			break
+		}
+		i = j
+	}
 	ctx.Counters.Inc(CtrCombineInputRecords, inRecords)
 	if err != nil {
 		return nil, err
@@ -355,15 +410,4 @@ func RunCombiner(ctx *TaskContext, job *Job, sorted []Pair) ([]Pair, error) {
 		SortPairs(col.pairs)
 	}
 	return col.pairs, nil
-}
-
-// countGroups returns the number of distinct keys in a sorted run.
-func countGroups(sorted []Pair) int {
-	n := 0
-	for i := range sorted {
-		if i == 0 || sorted[i].Key != sorted[i-1].Key {
-			n++
-		}
-	}
-	return n
 }

@@ -3,7 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
-	"slices"
+	"sync"
 )
 
 // MapOutput is one map task's output: a sorted (and, if configured,
@@ -41,9 +41,102 @@ func (m *MapOutput) Records() int64 {
 // earlier, speculative and re-run attempts stay independent of whatever
 // runs on the scratch next.
 type MapScratch struct {
-	collect [][]Pair // per partition: pairs emitted and not yet spilled
-	run     []Pair   // the sorted run a combiner consumes
+	collect []pairChunks // per partition: pairs emitted and not yet spilled
+	free    [][]Pair     // empty chunks for the next partition that fills one
 	sort    sortScratch
+}
+
+// collectChunk is the pair count of one chunk of the collect buffer: a
+// power of two, so a buffered pair's chunk and slot are a shift and a mask.
+const (
+	collectShift = 10
+	collectChunk = 1 << collectShift
+)
+
+// pairChunks holds a partition's collected pairs in emission order, in
+// chunks of collectChunk pairs; only the last may be short. The buffer
+// grows a chunk at a time, so what it holds is never copied to make room,
+// as a doubled slice's would be: a cold scratch allocates what it
+// collects, once.
+type pairChunks [][]Pair
+
+// len returns the number of pairs held.
+func (c pairChunks) len() int {
+	if len(c) == 0 {
+		return 0
+	}
+	return (len(c)-1)<<collectShift + len(c[len(c)-1])
+}
+
+// at returns the i-th pair held.
+func (c pairChunks) at(i int) Pair { return c[i>>collectShift][i&(collectChunk-1)] }
+
+// chunksOf views pairs as pairChunks, without copying them.
+func chunksOf(pairs []Pair) pairChunks {
+	var c pairChunks
+	for len(pairs) > collectChunk {
+		c = append(c, pairs[:collectChunk:collectChunk])
+		pairs = pairs[collectChunk:]
+	}
+	return append(c, pairs)
+}
+
+// appendPair appends pair to c, taking an empty chunk from the free list
+// (or a new one) when the last chunk is full.
+func (s *MapScratch) appendPair(c pairChunks, pair Pair) pairChunks {
+	n := len(c)
+	if n == 0 || len(c[n-1]) == collectChunk {
+		var chunk []Pair
+		if f := len(s.free); f > 0 {
+			chunk, s.free = s.free[f-1], s.free[:f-1]
+		} else {
+			chunk = make([]Pair, 0, collectChunk)
+		}
+		c, n = append(c, chunk), n+1
+	}
+	c[n-1] = append(c[n-1], pair)
+	return c
+}
+
+// release clears c's chunks onto the free list and returns c emptied.
+func (s *MapScratch) release(c pairChunks) pairChunks {
+	for _, chunk := range c {
+		clear(chunk)
+		s.free = append(s.free, chunk[:0])
+	}
+	clear(c)
+	return c[:0]
+}
+
+// RunMapTasks calls task(i, s) for every i in [0, n), one worker per
+// scratch, each worker handing its own scratch s to every call it makes.
+// Indices go out in order through one channel, so which worker runs
+// which task is not fixed: a task must write only to what index i owns.
+// With one scratch, or one task, it runs them inline on the caller's
+// goroutine. It returns when every call has returned.
+func RunMapTasks(n int, scratches []*MapScratch, task func(i int, s *MapScratch)) {
+	if len(scratches) == 1 || n == 1 {
+		for i := 0; i < n; i++ {
+			task(i, scratches[0])
+		}
+		return
+	}
+	taskCh := make(chan int)
+	var wg sync.WaitGroup
+	for _, s := range scratches[:min(len(scratches), n)] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range taskCh {
+				task(i, s)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		taskCh <- i
+	}
+	close(taskCh)
+	wg.Wait()
 }
 
 // ExecuteMap runs one map task on a scratch of its own.
@@ -72,27 +165,24 @@ func (s *MapScratch) ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*
 	buffered := 0
 	defer func() { // a task that failed mid-collect still leaves the scratch clear
 		for p, pairs := range buffer {
-			clear(pairs)
-			buffer[p] = pairs[:0]
+			buffer[p] = s.release(pairs)
 		}
 	}()
 
 	spill := func() error {
 		for p, pairs := range buffer {
-			if len(pairs) == 0 {
+			n := pairs.len()
+			if n == 0 {
 				continue
 			}
 			var run []Pair
 			if job.NewCombiner == nil {
 				// The sorted run is the task's output: sort straight into
 				// the slice that will be kept.
-				run = make([]Pair, len(pairs))
+				run = make([]Pair, n)
 				sortPairsInto(run, pairs, &s.sort)
 			} else {
-				s.run = resized(s.run, len(pairs))
-				sortPairsInto(s.run, pairs, &s.sort)
-				combined, err := RunCombiner(ctx, job, s.run)
-				clear(s.run)
+				combined, err := combineChunks(ctx, job, pairs, &s.sort)
 				if err != nil {
 					return fmt.Errorf("combiner: %w", err)
 				}
@@ -100,8 +190,7 @@ func (s *MapScratch) ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*
 			}
 			spills[p] = append(spills[p], run)
 			ctx.Counters.Inc(CtrSpilledRecords, int64(len(run)))
-			clear(pairs)
-			buffer[p] = pairs[:0]
+			buffer[p] = s.release(pairs)
 		}
 		buffered = 0
 		return nil
@@ -129,13 +218,7 @@ func (s *MapScratch) ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*
 		default:
 			pair.Val = value.EncodeValue()
 		}
-		buf := buffer[p]
-		if len(buf) == cap(buf) {
-			// Double: append's 1.25x steps for large slices would put a
-			// cold scratch through ~5x its final size on the way up.
-			buf = slices.Grow(buf, max(len(buf), 64))
-		}
-		buffer[p] = append(buf, pair)
+		buffer[p] = s.appendPair(buffer[p], pair)
 		buffered++
 		outRecords++
 		outBytes += pair.Bytes()

@@ -44,7 +44,7 @@ func TestFinishedJobReleasesMapOutputs(t *testing.T) {
 					t.Fatalf("after job %d ended, %s of %s still holds its output", i, m.id(), jr.id)
 				}
 			}
-			if jr.scratch != nil || jr.reduceScratch != nil {
+			if jr.reduceScratch != nil {
 				t.Fatalf("after job %d ended, %s still holds a task scratch", i, jr.id)
 			}
 		}

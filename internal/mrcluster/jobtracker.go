@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -143,12 +145,9 @@ type jobRun struct {
 
 	durations [2][]time.Duration // completed attempts' run times, by kind
 
-	// scratch is the map-side collect/sort buffer every map attempt of the
-	// job runs on, one after another (the engine is single-threaded), and
-	// reduceScratch the reduce attempts' merge and part buffer. Each is
-	// allocated by the first attempt of its kind and dropped when the job
-	// ends.
-	scratch       *mapreduce.MapScratch
+	// reduceScratch is the reduce attempts' merge and part buffer, which
+	// they use one after another (the engine is single-threaded). It is
+	// allocated by the first reduce attempt and dropped when the job ends.
 	reduceScratch *mapreduce.ReduceScratch
 
 	// hist is the job's history file in the making: every lifecycle event
@@ -229,6 +228,9 @@ type JobTracker struct {
 	ticker *sim.Ticker
 
 	mapKind, reduceKind *attemptKind
+	// scratch holds the map-side collect/sort buffers, one per worker
+	// that runs map user code (see runMaps), shared by every job.
+	scratch []*mapreduce.MapScratch
 	// mapLocality counts completed maps by locality rank (0 data-local, 1
 	// rack-local, 2 remote): the job counter's name and the metric.
 	mapLocality [3]localityCounter
@@ -621,6 +623,11 @@ func (jt *JobTracker) schedule() {
 	// strictly by rank keeps a slot from greedily stealing a task that is
 	// local to another node — the matching that makes HDFS data locality
 	// pay off.
+	//
+	// The pass launches its picks in order, runs their user code as one
+	// batch on the worker pool, then commits them in the same order. The
+	// batch is this call's own: a nested pass runs a batch of its own.
+	var batch []*mapRun
 	for rank := 0; rank <= 2; rank++ {
 		for _, tt := range jt.mc.trackers {
 			if !tt.alive {
@@ -631,9 +638,12 @@ func (jt *JobTracker) schedule() {
 				if best == nil {
 					break
 				}
-				jt.runMapAttempt(best, tt, false, nil)
+				batch = append(batch, jt.launchMap(best, tt, false, nil))
 			}
 		}
+	}
+	if len(batch) > 0 {
+		jt.runMaps(batch)
 	}
 	// Reduce assignment: only once a job's maps are all complete.
 	for _, tt := range jt.mc.trackers {
@@ -870,18 +880,77 @@ func (jt *JobTracker) failAttempt(a *attempt, cause error, crashDaemons, fatal b
 
 // --- the two kind-specific bodies ---
 
-// runMapAttempt launches a map attempt of t on tt: reads the split and
-// runs the user's mapper over it.
+// runMapAttempt launches a map attempt of t on tt, runs the user's mapper
+// over its split inline and commits its outcome: the path of every map
+// launch outside a schedule pass's batch (speculation, YARN containers).
 func (jt *JobTracker) runMapAttempt(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) bool {
+	jt.runMaps([]*mapRun{jt.launchMap(t, tt, speculative, c)})
+	return true
+}
+
+// mapRun is one map attempt between its launch and its commit: what the
+// launch read on the engine goroutine, and what the user code returned.
+type mapRun struct {
+	a       *attempt
+	client  *hdfs.Client
+	ctx     *mapreduce.TaskContext
+	records []mapreduce.Record
+	rstats  mapreduce.ReadStats
+	readers int  // map attempts running at launch (SharedStorage contention)
+	ran     bool // the user code has run
+	out     *mapreduce.MapOutput
+	err     error
+}
+
+// runMaps executes the user code of a batch of launched map attempts on
+// the JobTracker's map scratches, min(GOMAXPROCS, len(batch)) workers of
+// them, then commits every attempt in launch order on the engine
+// goroutine. Execution touches nothing the simulation sees, so the order
+// the workers finish in cannot reach the history, the spans or the clock.
+func (jt *JobTracker) runMaps(batch []*mapRun) {
+	mapreduce.RunMapTasks(len(batch), jt.mapScratches(min(runtime.GOMAXPROCS(0), len(batch))),
+		func(i int, s *mapreduce.MapScratch) { batch[i].execute(s) })
+	for _, r := range batch {
+		jt.commitMap(r)
+	}
+}
+
+// mapScratches returns the first n map-side collect/sort buffers, making
+// any not yet made. Worker i of runMaps runs on scratch i, so each serves
+// one task at a time; they outlive jobs, and an idle one holds no pairs.
+func (jt *JobTracker) mapScratches(n int) []*mapreduce.MapScratch {
+	for len(jt.scratch) < n {
+		jt.scratch = append(jt.scratch, new(mapreduce.MapScratch))
+	}
+	return jt.scratch[:n]
+}
+
+// execute runs the attempt's user code on s, unless it has run or the
+// split could not be read. It reads only the attempt's own launch state.
+func (r *mapRun) execute(s *mapreduce.MapScratch) {
+	if r.ran || r.err != nil {
+		return
+	}
+	r.ran = true
+	r.out, r.err = s.ExecuteMap(r.ctx, r.a.t.jr.job, r.records)
+	r.records = nil
+}
+
+// launchMap starts a map attempt of t on tt on the engine goroutine: the
+// attempt's bookkeeping and its split read through the HDFS client. A job
+// whose user code can reach HDFS — a side file the node has not cached —
+// runs that code here too, since its reads are simulated I/O.
+func (jt *JobTracker) launchMap(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) *mapRun {
 	jr := t.jr
 	a := jt.newAttempt(t, tt, speculative, c)
 	jt.attemptStarted(a, -1)
 
-	// Execute the user code now (real data, exact results); the modelled
+	// The user code runs over real data, for exact results; the modelled
 	// duration decides when the completion event lands.
 	client := jt.mc.DFS.Client(tt.id)
 	client.Trace = a.ctx
 	var taskFS vfs.FileSystem = client
+	var cached map[string][]byte
 	if jt.mc.cfg.DistributedCache && len(jr.job.SideFiles) > 0 {
 		// Localise side files once per tracker; tasks then read the node-
 		// local copy without touching HDFS.
@@ -896,44 +965,53 @@ func (jt *JobTracker) runMapAttempt(t *task, tt *TaskTracker, speculative bool, 
 			}
 			tt.sideCache[cp] = data
 		}
-		taskFS = &cacheFS{FileSystem: client, cache: tt.sideCache}
+		cached = tt.sideCache
+		taskFS = &cacheFS{FileSystem: client, cache: cached}
 	}
-	ctx := mapreduce.NewTaskContext(jr.id, a.id(), taskFS, jr.job)
+	r := &mapRun{a: a, client: client, ctx: mapreduce.NewTaskContext(jr.id, a.id(), taskFS, jr.job)}
 	split := t.split
-	records, rstats, err := mapreduce.ReadSplit(func(off, length int64) ([]byte, error) {
+	r.records, r.rstats, r.err = mapreduce.ReadSplit(func(off, length int64) ([]byte, error) {
 		return client.ReadRange(split.Path, off, length)
 	}, split)
-	var out *mapreduce.MapOutput
-	if err == nil {
-		ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, rstats.BytesDecoded)
-		jt.m.inputDecodedBytes.Add(rstats.BytesDecoded)
-		if jr.scratch == nil {
-			jr.scratch = new(mapreduce.MapScratch)
-		}
-		out, err = jr.scratch.ExecuteMap(ctx, jr.job, records)
+	if r.err == nil {
+		r.ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, r.rstats.BytesDecoded)
+		jt.m.inputDecodedBytes.Add(r.rstats.BytesDecoded)
 	}
+	if jt.mc.cfg.SharedStorage {
+		r.readers = jt.runningMapAttempts()
+	}
+	if slices.ContainsFunc(jr.job.SideFiles, func(p string) bool { _, ok := cached[vfs.Clean(p)]; return !ok }) {
+		r.execute(jt.mapScratches(1)[0])
+	}
+	return r
+}
 
+// commitMap models how long the attempt took and arms its outcome, on the
+// engine goroutine.
+func (jt *JobTracker) commitMap(r *mapRun) {
+	a, client, ctx, out := r.a, r.client, r.ctx, r.out
+	t, tt, jr := a.t, a.tt, a.t.jr
 	bytesRead := client.Meter.BytesRead()
 	readCost := client.Meter.ReadTime
 	if jt.mc.cfg.SharedStorage {
 		// HPC layout: the bytes come from the shared parallel filesystem,
-		// contended by every map task running right now.
-		readCost = jt.mc.Cost.ParallelStorageRead(bytesRead, jt.runningMapAttempts())
+		// contended by every map task running at the launch.
+		readCost = jt.mc.Cost.ParallelStorageRead(bytesRead, r.readers)
 	}
 	// The mapper's CPU runs over logical (decoded) bytes; for plain text
 	// that is the split length it always was.
-	mapBytes := split.Length
-	if rstats.Compressed {
-		mapBytes = rstats.BytesDecoded
+	mapBytes := t.split.Length
+	if r.rstats.Compressed {
+		mapBytes = r.rstats.BytesDecoded
 	}
 	duration := readCost +
 		jt.mc.cfg.MapWork.Cost(mapBytes, ctx.Counters.Get(mapreduce.CtrMapInputRecords)) +
 		// Parsing side data costs CPU every time it is read, whether the
 		// bytes came from HDFS or from the DistributedCache copy.
 		jt.mc.cfg.MapWork.Cost(ctx.Counters.Get(mapreduce.CtrSideFileBytesRead), 0)
-	if rstats.Compressed {
+	if r.rstats.Compressed {
 		// Inflating the input costs CPU per decoded byte.
-		duration += compressWork.Cost(rstats.BytesDecoded, 0)
+		duration += compressWork.Cost(r.rstats.BytesDecoded, 0)
 	}
 	if jr.job.NewCombiner != nil {
 		duration += jt.mc.cfg.CombineWork.Cost(0, ctx.Counters.Get(mapreduce.CtrCombineInputRecords))
@@ -946,7 +1024,7 @@ func (jt *JobTracker) runMapAttempt(t *task, tt *TaskTracker, speculative bool, 
 	jt.armOutcome(a, attemptPlan{
 		duration: duration,
 		counters: ctx.Counters,
-		err:      err,
+		err:      r.err,
 		errAfter: duration / 2,
 		faults:   []faultPoint{{ScopeMap, duration, injectedTaskError}},
 		// Commit: the output stays on the tracker's local disk for the
@@ -964,7 +1042,6 @@ func (jt *JobTracker) runMapAttempt(t *task, tt *TaskTracker, speculative bool, 
 			return nil
 		},
 	})
-	return true
 }
 
 // runReduceAttempt launches a reduce attempt of t on tt, reporting whether
@@ -1245,7 +1322,7 @@ func (jt *JobTracker) endJob(jr *jobRun, cause error) {
 	// (completeAttempt, failAttempt and onContainerAllocated all check the
 	// state first); dropping them here is what lets a long-lived cluster's
 	// heap forget the datasets of the jobs it has run.
-	jr.scratch, jr.reduceScratch = nil, nil
+	jr.reduceScratch = nil
 	for _, t := range jr.maps {
 		t.output = nil
 	}

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"maps"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,6 +86,16 @@ func histBound(i int) int64 {
 	return int64(time.Microsecond) << uint(i)
 }
 
+// histBucket returns the bucket of d: the least i with d <= 1µs<<i, or
+// the overflow bucket. For d > 1µs that i is the bit length of
+// (d-1)/1µs, since d <= 1µs<<i exactly when ceil(d/1µs) <= 1<<i.
+func histBucket(d time.Duration) int {
+	if d <= time.Microsecond {
+		return 0
+	}
+	return min(bits.Len64(uint64((d-1)/time.Microsecond)), histBuckets-1)
+}
+
 // Histogram accumulates virtual-time durations into exponential
 // power-of-two buckets from 1µs to ~1.2h, plus an overflow bucket.
 type Histogram struct {
@@ -99,10 +110,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
-	i := 0
-	for i < histBuckets-1 && int64(d) > histBound(i) {
-		i++
-	}
+	i := histBucket(d)
 	h.mu.Lock()
 	h.count++
 	h.sum += d

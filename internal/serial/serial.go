@@ -9,7 +9,6 @@ package serial
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/iofmt"
 	"repro/internal/mapreduce"
@@ -78,36 +77,26 @@ func (r *Runner) Run(job *mapreduce.Job) (*mapreduce.Counters, error) {
 			readers[split.Path] = mapreduce.FSRangeReader(r.FS, split.Path)
 		}
 	}
-	// par long-lived workers drain the splits in order. Each owns one
-	// map-side scratch for its whole run; results land in results[i], so
+	// par workers (inline when par is 1) drain the splits in order, each
+	// on one map-side scratch of its own; results land in results[i], so
 	// output and counter merge order do not depend on which worker ran what.
-	splitCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(par, len(splits)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch mapreduce.MapScratch
-			for i := range splitCh {
-				split := splits[i]
-				ctx := mapreduce.NewTaskContext(job.Name, fmt.Sprintf("attempt_m_%06d_0", i), r.FS, job)
-				recs, rstats, err := mapreduce.ReadSplit(readers[split.Path], split)
-				if err != nil {
-					results[i] = mapResult{err: fmt.Errorf("split %v: %w", split, err)}
-					continue
-				}
-				ctx.Counters.Inc(mapreduce.CtrFileBytesRead, rstats.BytesRead)
-				ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, rstats.BytesDecoded)
-				out, err := scratch.ExecuteMap(ctx, job, recs)
-				results[i] = mapResult{out: out, ctx: ctx, err: err}
-			}
-		}()
+	scratches := make([]*mapreduce.MapScratch, min(par, len(splits)))
+	for w := range scratches {
+		scratches[w] = new(mapreduce.MapScratch)
 	}
-	for i := range splits {
-		splitCh <- i
-	}
-	close(splitCh)
-	wg.Wait()
+	mapreduce.RunMapTasks(len(splits), scratches, func(i int, scratch *mapreduce.MapScratch) {
+		split := splits[i]
+		ctx := mapreduce.NewTaskContext(job.Name, fmt.Sprintf("attempt_m_%06d_0", i), r.FS, job)
+		recs, rstats, err := mapreduce.ReadSplit(readers[split.Path], split)
+		if err != nil {
+			results[i] = mapResult{err: fmt.Errorf("split %v: %w", split, err)}
+			return
+		}
+		ctx.Counters.Inc(mapreduce.CtrFileBytesRead, rstats.BytesRead)
+		ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, rstats.BytesDecoded)
+		out, err := scratch.ExecuteMap(ctx, job, recs)
+		results[i] = mapResult{out: out, ctx: ctx, err: err}
+	})
 	runsByPartition := make([][][]mapreduce.Pair, nReduce)
 	for _, res := range results {
 		if res.err != nil {

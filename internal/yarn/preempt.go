@@ -1,7 +1,8 @@
 package yarn
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -110,6 +111,28 @@ func (rm *ResourceManager) headNeed(q *leafQueue) (Resource, bool) {
 	return Resource{}, false
 }
 
+// victimScratch is planVictims' working memory, kept on the RM so that a
+// pass allocates only the victims it returns.
+type victimScratch struct {
+	cands, victims, best []*Container
+	reduced              []queueVCores
+}
+
+// queueVCores is the vcores a victim plan has already taken from a queue.
+type queueVCores struct {
+	q      *leafQueue
+	vcores int
+}
+
+// youngestFirst orders containers by start, latest first, then by id,
+// highest first. Ids are unique, so the order is total.
+func youngestFirst(a, b *Container) int {
+	if a.StartedAt != b.StartedAt {
+		return cmp.Compare(b.StartedAt, a.StartedAt)
+	}
+	return cmp.Compare(b.ID, a.ID)
+}
+
 // planVictims finds the cheapest single-node victim set that frees room
 // for res: per node, take youngest eligible containers until the node
 // fits the request; across nodes, prefer the fewest victims, then the
@@ -117,49 +140,62 @@ func (rm *ResourceManager) headNeed(q *leafQueue) (Resource, bool) {
 // queue stays at or above its guarantee after the kill. Returns nil when
 // no node can be cleared within budget.
 func (rm *ResourceManager) planVictims(starved *leafQueue, res Resource, capNow Resource, budget int) []*Container {
-	var bestVictims []*Container
+	sc := &rm.victims
+	best := sc.best[:0]
 	bestNode := cluster.NodeID(-1)
 	for _, nm := range rm.nodes {
 		if !nm.active || !res.Fits(nm.capacity) {
 			continue
 		}
 		need := res.minus(nm.free())
-		cands := make([]*Container, 0, len(nm.containers))
+		cands := sc.cands[:0]
 		for _, c := range nm.containers {
 			if c.state == containerLive && !c.AM && c.App.queue != starved {
 				cands = append(cands, c)
 			}
 		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			if cands[i].StartedAt != cands[j].StartedAt {
-				return cands[i].StartedAt > cands[j].StartedAt
-			}
-			return cands[i].ID > cands[j].ID
-		})
-		reduced := map[*leafQueue]int{} // vcores already planned away, per queue
-		var victims []*Container
+		slices.SortFunc(cands, youngestFirst)
+		victims, reduced := sc.victims[:0], sc.reduced[:0]
 		freed := Resource{}
 		for _, c := range cands {
 			if freed.VCores >= need.VCores && freed.MemoryMB >= need.MemoryMB {
 				break
 			}
 			vq := c.App.queue
-			if vq.used.VCores-reduced[vq]-c.Resource.VCores < vq.guaranteed(capNow).VCores {
+			i := 0
+			for i < len(reduced) && reduced[i].q != vq {
+				i++
+			}
+			if i == len(reduced) {
+				reduced = append(reduced, queueVCores{q: vq})
+			}
+			if vq.used.VCores-reduced[i].vcores-c.Resource.VCores < vq.guaranteed(capNow).VCores {
 				continue // would cut the victim queue below its guarantee
 			}
 			victims = append(victims, c)
-			reduced[vq] += c.Resource.VCores
+			reduced[i].vcores += c.Resource.VCores
 			freed = freed.plus(c.Resource)
 		}
+		clear(cands)
+		clear(reduced)
+		sc.cands, sc.victims, sc.reduced = cands, victims, reduced
 		if freed.VCores < need.VCores || freed.MemoryMB < need.MemoryMB || len(victims) > budget {
 			continue
 		}
-		if bestVictims == nil || len(victims) < len(bestVictims) ||
-			(len(victims) == len(bestVictims) && nm.id < bestNode) {
-			bestVictims, bestNode = victims, nm.id
+		// An empty plan is no plan: the next node that qualifies replaces it.
+		if len(best) == 0 || len(victims) < len(best) ||
+			(len(victims) == len(best) && nm.id < bestNode) {
+			best, bestNode = append(best[:0], victims...), nm.id
 		}
 	}
-	return bestVictims
+	var out []*Container
+	if len(best) > 0 {
+		out = slices.Clone(best)
+	}
+	clear(best)
+	clear(sc.victims[:cap(sc.victims)])
+	sc.best = best[:0]
+	return out
 }
 
 // preemptContainer kills one container to rebalance capacity (forQueue

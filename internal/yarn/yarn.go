@@ -264,6 +264,7 @@ type ResourceManager struct {
 
 	leaves       []*leafQueue // path-sorted
 	order        []*leafQueue // allocateOne's scratch: leaves, most underserved first
+	victims      victimScratch
 	preemptCfg   PreemptionConfig
 	autoscaleCfg AutoscaleConfig
 	log          *history.Log
