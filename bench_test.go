@@ -9,8 +9,8 @@
 // paper-vs-measured discussion); the asserted *shapes* — who wins, by
 // what factor, where saturation sets in — are the reproduction targets.
 //
-// The reported metrics are extracted by experiments.HeadlineMetrics, the
-// same code path cmd/benchreport uses to write the regression artifact
+// The reported metrics are each experiment's Result.Headline, the same
+// numbers cmd/benchreport writes to the regression artifact
 // (experiments.HeadlineArtifact, diffed by TestBenchRegression).
 package repro_test
 
@@ -45,25 +45,22 @@ func runExperiment(b *testing.B, id string, report func(b *testing.B, r *experim
 	}
 }
 
-// headlines reports id's headline metrics (sorted for stable output).
-func headlines(id string) func(b *testing.B, r *experiments.Result) {
-	return func(b *testing.B, r *experiments.Result) {
-		m := experiments.HeadlineMetrics(id, r)
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b.ReportMetric(m[k], k)
-		}
+// headlines reports r's headline metrics (sorted for stable output).
+func headlines(b *testing.B, r *experiments.Result) {
+	keys := make([]string, 0, len(r.Headline))
+	for k := range r.Headline {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		b.ReportMetric(r.Headline[k], k)
 	}
 }
 
 // BenchmarkFig1ArchitectureComparison regenerates Figure 1's point: the
 // HPC compute/storage split versus the Hadoop data-local layout.
 func BenchmarkFig1ArchitectureComparison(b *testing.B) {
-	runExperiment(b, "FIG1", headlines("FIG1"))
+	runExperiment(b, "FIG1", headlines)
 }
 
 // BenchmarkFig2TopologyRender regenerates Figure 2 from live state.
@@ -89,51 +86,51 @@ func BenchmarkTable4YearToTeach(b *testing.B) { runExperiment(b, "T4", nil) }
 func BenchmarkTable5Curriculum(b *testing.B) { runExperiment(b, "T5", nil) }
 
 // BenchmarkE1DeadlineMeltdown replays the Fall 2012 meltdown.
-func BenchmarkE1DeadlineMeltdown(b *testing.B) { runExperiment(b, "E1", headlines("E1")) }
+func BenchmarkE1DeadlineMeltdown(b *testing.B) { runExperiment(b, "E1", headlines) }
 
 // BenchmarkE2CombinerTradeoff measures the combiner's shuffle/map-time trade.
-func BenchmarkE2CombinerTradeoff(b *testing.B) { runExperiment(b, "E2", headlines("E2")) }
+func BenchmarkE2CombinerTradeoff(b *testing.B) { runExperiment(b, "E2", headlines) }
 
 // BenchmarkE3AirlineVariants compares the three delay-average designs.
-func BenchmarkE3AirlineVariants(b *testing.B) { runExperiment(b, "E3", headlines("E3")) }
+func BenchmarkE3AirlineVariants(b *testing.B) { runExperiment(b, "E3", headlines) }
 
 // BenchmarkE4SideDataAccess measures naive vs cached side-file access.
-func BenchmarkE4SideDataAccess(b *testing.B) { runExperiment(b, "E4", headlines("E4")) }
+func BenchmarkE4SideDataAccess(b *testing.B) { runExperiment(b, "E4", headlines) }
 
 // BenchmarkE5SerialVsCluster measures the same-jar cluster speedup.
-func BenchmarkE5SerialVsCluster(b *testing.B) { runExperiment(b, "E5", headlines("E5")) }
+func BenchmarkE5SerialVsCluster(b *testing.B) { runExperiment(b, "E5", headlines) }
 
 // BenchmarkE6GhostDaemons sweeps the scheduler cleanup interval.
-func BenchmarkE6GhostDaemons(b *testing.B) { runExperiment(b, "E6", headlines("E6")) }
+func BenchmarkE6GhostDaemons(b *testing.B) { runExperiment(b, "E6", headlines) }
 
 // BenchmarkE7StagingTime evaluates staging cost at paper scale.
-func BenchmarkE7StagingTime(b *testing.B) { runExperiment(b, "E7", headlines("E7")) }
+func BenchmarkE7StagingTime(b *testing.B) { runExperiment(b, "E7", headlines) }
 
 // BenchmarkE8FsckRecovery replays the shell observation exercise.
-func BenchmarkE8FsckRecovery(b *testing.B) { runExperiment(b, "E8", headlines("E8")) }
+func BenchmarkE8FsckRecovery(b *testing.B) { runExperiment(b, "E8", headlines) }
 
 // BenchmarkE9Scalability measures the 1–16 node speedup curve.
-func BenchmarkE9Scalability(b *testing.B) { runExperiment(b, "E9", headlines("E9")) }
+func BenchmarkE9Scalability(b *testing.B) { runExperiment(b, "E9", headlines) }
 
 // BenchmarkE10FileFormats compares the same corpus as text, whole-stream
 // gzip and block-compressed SequenceFile, plus the shuffle-compression
 // ablation.
-func BenchmarkE10FileFormats(b *testing.B) { runExperiment(b, "E10", headlines("E10")) }
+func BenchmarkE10FileFormats(b *testing.B) { runExperiment(b, "E10", headlines) }
 
 // BenchmarkE11JobHistory measures the history subsystem: event volumes,
 // persisted bytes, and the critical path rebuilt from the event log.
-func BenchmarkE11JobHistory(b *testing.B) { runExperiment(b, "E11", headlines("E11")) }
+func BenchmarkE11JobHistory(b *testing.B) { runExperiment(b, "E11", headlines) }
 
 // BenchmarkE12Multitenant replays the 1,200-app Google-trace workload —
 // the deadline meltdown at 10x enrollment — through FIFO and capacity
 // scheduling and reports the fairness/cost headline metrics.
-func BenchmarkE12Multitenant(b *testing.B) { runExperiment(b, "E12", headlines("E12")) }
+func BenchmarkE12Multitenant(b *testing.B) { runExperiment(b, "E12", headlines) }
 
 // BenchmarkE13Serving sweeps the YCSB core mixes against the region
 // server tier with and without the front-line cache, plus the
 // crash-recovery scenario, and reports ops/sec, tail latency, cache
 // speedup, and recovery headline metrics.
-func BenchmarkE13Serving(b *testing.B) { runExperiment(b, "E13", headlines("E13")) }
+func BenchmarkE13Serving(b *testing.B) { runExperiment(b, "E13", headlines) }
 
 // BenchmarkIdleControlPlane is what a cluster costs while it waits: 64
 // nodes that have run one small job, then nothing but heartbeats, block

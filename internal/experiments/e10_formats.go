@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/hdfs"
 	"repro/internal/jobs"
 	"repro/internal/mapreduce"
 )
@@ -53,12 +51,7 @@ func E10Formats(seed int64) (*Result, error) {
 	const lines = 20000
 	res := &E10Result{}
 	for _, format := range []string{"text", "gz", "seq-gzip"} {
-		c, err := core.New(core.Options{
-			Nodes: 8,
-			Seed:  seed,
-			HDFS:  hdfs.Config{BlockSize: 64 << 10, Replication: 3},
-			MR:    expMRConfig(),
-		})
+		c, err := expCluster(seed, 8, 64<<10, expMRConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -86,12 +79,7 @@ func E10Formats(seed int64) (*Result, error) {
 	for _, compress := range []bool{false, true} {
 		cfg := expMRConfig()
 		cfg.CompressShuffle = compress
-		c, err := core.New(core.Options{
-			Nodes: 8,
-			Seed:  seed,
-			HDFS:  hdfs.Config{BlockSize: 64 << 10, Replication: 3},
-			MR:    cfg,
-		})
+		c, err := expCluster(seed, 8, 64<<10, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -112,11 +100,20 @@ func E10Formats(seed int64) (*Result, error) {
 		}
 	}
 
+	text, gz, seq := res.e10Format("text"), res.e10Format("gz"), res.e10Format("seq-gzip")
 	out := &Result{
 		ID:     "E10",
 		Title:  "File formats: storage, parallelism and makespan for the same corpus",
 		Header: []string{"format", "stored size", "map tasks", "bytes read", "makespan"},
 		Raw:    res,
+		Headline: map[string]float64{
+			"gz-map-tasks":          float64(gz.MapTasks),
+			"seq-parallelism-x":     float64(seq.MapTasks) / float64(gz.MapTasks),
+			"seq-storage-savings-x": float64(text.FileBytes) / float64(seq.FileBytes),
+			"gz-vs-seq-makespan-x":  float64(gz.Makespan) / float64(seq.Makespan),
+			"seq-read-reduction-x":  float64(text.BytesRead) / float64(seq.BytesRead),
+			"shuffle-compression-x": float64(res.ShuffleRawBytes) / float64(res.ShuffleWireBytes),
+		},
 	}
 	for _, p := range res.Points {
 		out.Rows = append(out.Rows, []string{

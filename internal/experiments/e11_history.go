@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/hdfs"
 	"repro/internal/history"
 	"repro/internal/jobs"
 	"repro/internal/vfs"
@@ -34,12 +32,7 @@ type E11Result struct {
 // /history/<jobid>/events.jsonl file — the same exercise the history lab
 // asks students to do by hand.
 func E11History(seed int64) (*Result, error) {
-	c, err := core.New(core.Options{
-		Nodes: 8,
-		Seed:  seed,
-		HDFS:  hdfs.Config{BlockSize: 64 << 10, Replication: 3},
-		MR:    expMRConfig(),
-	})
+	c, err := expCluster(seed, 8, 64<<10, expMRConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -90,6 +83,13 @@ func E11History(seed int64) (*Result, error) {
 		Title:  "Job history & audit: reconstructing a run from its event logs",
 		Header: []string{"record", "value"},
 		Raw:    res,
+		Headline: map[string]float64{
+			"audit-events":       float64(res.AuditEvents),
+			"job-events":         float64(res.JobEvents),
+			"history-bytes":      float64(res.BytesPersisted),
+			"critical-path-len":  float64(res.CriticalPathLen),
+			"path-work-fraction": res.PathWorkFraction,
+		},
 		Rows: [][]string{
 			{"NameNode audit events", fmt.Sprintf("%d", res.AuditEvents)},
 			{"job-history events", fmt.Sprintf("%d", res.JobEvents)},

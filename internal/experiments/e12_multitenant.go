@@ -187,7 +187,7 @@ func E12Scaled(seed int64, o E12Opts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	capa, rm, _, err := e12Replay(workload, true)
+	capa, _, _, err := e12Replay(workload, true)
 	if err != nil {
 		return nil, err
 	}
@@ -199,11 +199,22 @@ func E12Scaled(seed int64, o E12Opts) (*Result, error) {
 		Capacity: *capa,
 	}
 
+	fifoP99 := fifo.QueueStats(datagen.QueueStudents).P99
+	capP99 := capa.QueueStats(datagen.QueueStudents).P99
 	out := &Result{
 		ID:     "E12",
 		Title:  fmt.Sprintf("Deadline meltdown at 10x: %d apps, %d students, FIFO vs capacity+preemption", res.Apps, res.Students),
 		Header: []string{"scheduler", "tenant", "apps", "p50 latency", "p99 latency", "makespan", "preemptions", "node-hours"},
 		Raw:    res,
+		Headline: map[string]float64{
+			"apps":                      float64(res.Apps),
+			"students-p99-reduction-x":  float64(fifoP99) / float64(capP99),
+			"students-p99-cap-minutes":  capP99.Minutes(),
+			"students-p99-fifo-minutes": fifoP99.Minutes(),
+			"preemptions":               float64(capa.Preemptions),
+			"node-hours-saved-x":        fifo.NodeHours / capa.NodeHours,
+			"cap-makespan-minutes":      capa.Makespan.Minutes(),
+		},
 	}
 	addRows := func(name string, s *E12RunStats) {
 		for i, q := range s.Queues {
@@ -220,8 +231,6 @@ func E12Scaled(seed int64, o E12Opts) (*Result, error) {
 	}
 	addRows("fifo", fifo)
 	addRows("capacity", capa)
-	fifoP99 := fifo.QueueStats(datagen.QueueStudents).P99
-	capP99 := capa.QueueStats(datagen.QueueStudents).P99
 	if capP99 > 0 {
 		out.Notes = append(out.Notes, fmt.Sprintf(
 			"students p99: %s (fifo) -> %s (capacity): %.1fx better under deadline load",
@@ -230,7 +239,6 @@ func E12Scaled(seed int64, o E12Opts) (*Result, error) {
 	out.Notes = append(out.Notes, fmt.Sprintf(
 		"node-hours: %.1f (fifo, fixed %d nodes) -> %.1f (autoscaled, %d preemptions)",
 		fifo.NodeHours, e12Nodes, capa.NodeHours, capa.Preemptions))
-	_ = rm
 	return out, nil
 }
 

@@ -149,12 +149,29 @@ func E13Scaled(seed int64, o E13Opts) (*Result, error) {
 		LostAckedWrites: cr.LostAckedWrites,
 	}
 
+	aPlain, ePlain := res.Run("a", false), res.Run("e", false)
+	bPlain, bCached := res.Run("b", false), res.Run("b", true)
+	cPlain, cCached := res.Run("c", false), res.Run("c", true)
 	out := &Result{
 		ID: "E13",
 		Title: fmt.Sprintf("Online serving: YCSB mixes on %d region servers, with and without the cache tier (%d rows, %d ops/mix, %d clients)",
 			o.Servers, o.Records, o.Ops, o.Clients),
 		Header: []string{"mix", "cache", "ops/sec", "p50", "p99", "p999", "hit rate", "splits", "regions"},
 		Raw:    res,
+		Headline: map[string]float64{
+			"workloada-ops-per-sec":     aPlain.OpsPerSec,
+			"workloada-p99-ms":          float64(aPlain.P99.Milliseconds()),
+			"workloadc-ops-per-sec":     cPlain.OpsPerSec,
+			"workloadc-p99-ms":          float64(cPlain.P99.Milliseconds()),
+			"workloade-ops-per-sec":     ePlain.OpsPerSec,
+			"workloadc-cache-speedup-x": cCached.OpsPerSec / cPlain.OpsPerSec,
+			"workloadb-cache-speedup-x": bCached.OpsPerSec / bPlain.OpsPerSec,
+			"cache-hit-rate":            cCached.CacheHitRate,
+			"region-splits":             float64(aPlain.Splits),
+			"recovery-seconds":          res.Crash.RecoverySeconds,
+			"reassigned-regions":        float64(res.Crash.Reassigns),
+			"lost-acked-writes":         float64(res.Crash.LostAckedWrites),
+		},
 	}
 	for _, s := range res.Runs {
 		hit := ""

@@ -58,8 +58,8 @@ func TestE13Smoke(t *testing.T) {
 	if raw.Crash.RecoverySeconds <= 0 {
 		t.Errorf("recovery window %.2fs", raw.Crash.RecoverySeconds)
 	}
-	// Headline extraction works on the scaled run too.
-	m := HeadlineMetrics("E13", res)
+	// The scaled run states its headline metrics too.
+	m := res.Headline
 	if m["workloadc-cache-speedup-x"] <= 1 {
 		t.Errorf("headline speedup %.2f, want > 1", m["workloadc-cache-speedup-x"])
 	}

@@ -179,6 +179,11 @@ func E1Meltdown(seed int64) (*Result, error) {
 		Title:  "Deadline meltdown: 35 students, buggy jobs crash TaskTracker+DataNode daemons",
 		Header: []string{"metric", "value", "paper says"},
 		Raw:    res,
+		Headline: map[string]float64{
+			"completed-fraction": res.CompletedFraction(),
+			"recovery-minutes":   res.RecoveryTime.Minutes(),
+			"dead-datanodes":     float64(res.DeadDataNodes),
+		},
 	}
 	addRow := func(metric, value, paper string) {
 		out.Rows = append(out.Rows, []string{metric, value, paper})

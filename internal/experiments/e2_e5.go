@@ -4,23 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/hdfs"
 	"repro/internal/jobs"
 	"repro/internal/mapreduce"
 	"repro/internal/mrcluster"
 )
-
-// expCluster builds the standard 8-node experiment cluster.
-func expCluster(seed int64, blockSize int64) (*core.MiniCluster, error) {
-	return core.New(core.Options{
-		Nodes: 8,
-		Seed:  seed,
-		HDFS:  hdfs.Config{BlockSize: blockSize, Replication: 3},
-		MR:    expMRConfig(),
-	})
-}
 
 // VariantRow is one job variant's measurements, shared by E2/E3/E4.
 type VariantRow struct {
@@ -59,7 +47,7 @@ type E2Result struct {
 func E2Combiner(seed int64) (*Result, error) {
 	res := &E2Result{}
 	for _, withCombiner := range []bool{false, true} {
-		c, err := expCluster(seed, 64<<10)
+		c, err := expCluster(seed, 8, 64<<10, expMRConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -82,6 +70,10 @@ func E2Combiner(seed int64) (*Result, error) {
 		Title:  "WordCount with and without the reducer-as-combiner",
 		Header: []string{"variant", "map phase", "shuffle", "reduce phase", "makespan"},
 		Raw:    res,
+		Headline: map[string]float64{
+			"shuffle-reduction-x": float64(res.Plain.ShuffleBytes) / float64(res.Combiner.ShuffleBytes),
+			"map-phase-ratio":     float64(res.Combiner.MapPhase) / float64(res.Plain.MapPhase),
+		},
 		Notes: []string{
 			"combiner raises map-side work but collapses shuffle volume to the per-split vocabulary",
 		},
@@ -117,7 +109,7 @@ func E3Airline(seed int64) (*Result, error) {
 		{"in-mapper-combining", jobs.AirlineAvgDelayInMapper, &res.InMapper},
 	}
 	for _, b := range builders {
-		c, err := expCluster(seed, 64<<10)
+		c, err := expCluster(seed, 8, 64<<10, expMRConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -136,6 +128,10 @@ func E3Airline(seed int64) (*Result, error) {
 		Title:  "Three average-delay implementations (Lin's algorithmic choices)",
 		Header: []string{"variant", "shuffle", "mapper memory peak", "map phase", "makespan"},
 		Raw:    res,
+		Headline: map[string]float64{
+			"plain-vs-imc-shuffle-x": float64(res.Plain.ShuffleBytes) / float64(res.InMapper.ShuffleBytes),
+			"imc-memory-bytes":       float64(res.InMapper.MemoryPeak),
+		},
 	}
 	for _, r := range []VariantRow{res.Plain, res.Combiner, res.InMapper} {
 		out.Rows = append(out.Rows, []string{
@@ -172,12 +168,7 @@ func E4SideData(seed int64) (*Result, error) {
 	for _, v := range variants {
 		cfg := expMRConfig()
 		cfg.DistributedCache = v.distCache
-		c, err := core.New(core.Options{
-			Nodes: 8,
-			Seed:  seed,
-			HDFS:  hdfs.Config{BlockSize: 128 << 10, Replication: 3},
-			MR:    cfg,
-		})
+		c, err := expCluster(seed, 8, 128<<10, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -193,10 +184,11 @@ func E4SideData(seed int64) (*Result, error) {
 	}
 	res.Ratio = float64(res.Naive.Makespan) / float64(res.Cached.Makespan)
 	out := &Result{
-		ID:     "E4",
-		Title:  "Side-data access pattern in the movie-genre join",
-		Header: []string{"variant", "side opens", "side bytes read", "map phase", "makespan"},
-		Raw:    res,
+		ID:       "E4",
+		Title:    "Side-data access pattern in the movie-genre join",
+		Header:   []string{"variant", "side opens", "side bytes read", "map phase", "makespan"},
+		Raw:      res,
+		Headline: map[string]float64{"naive-vs-cached-x": res.Ratio},
 		Notes: []string{
 			fmt.Sprintf("naive/cached makespan ratio: %.1fx (paper: one order of magnitude; hours vs minutes at full scale)", res.Ratio),
 			"ablation: DistributedCache removes the repeated HDFS reads but not the repeated parsing CPU",
@@ -224,16 +216,6 @@ type E5Result struct {
 // the application without having to worry about parallel workload
 // division, process' ranks, etc."
 func E5SerialVsCluster(seed int64) (*Result, error) {
-	build := func(nodes, mapSlots int) (*core.MiniCluster, error) {
-		cfg := expMRConfig()
-		cfg.MapSlotsPerNode = mapSlots
-		return core.New(core.Options{
-			Nodes: nodes,
-			Seed:  seed,
-			HDFS:  hdfs.Config{BlockSize: 64 << 10, Replication: 3},
-			MR:    cfg,
-		})
-	}
 	outputs := map[string]string{}
 	times := map[string]time.Duration{}
 	for _, mode := range []struct {
@@ -241,7 +223,9 @@ func E5SerialVsCluster(seed int64) (*Result, error) {
 		nodes int
 		slots int
 	}{{"standalone (1 node, 1 slot)", 1, 1}, {"8-node HDFS cluster", 8, 2}} {
-		c, err := build(mode.nodes, mode.slots)
+		cfg := expMRConfig()
+		cfg.MapSlotsPerNode = mode.slots
+		c, err := expCluster(seed, mode.nodes, 64<<10, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -278,6 +262,7 @@ func E5SerialVsCluster(seed int64) (*Result, error) {
 			{"speedup", fmt.Sprintf("%.2fx", res.Speedup)},
 			{"identical output", fmt.Sprintf("%v", res.SameAnswer)},
 		},
-		Raw: res,
+		Raw:      res,
+		Headline: map[string]float64{"cluster-speedup-x": res.Speedup},
 	}, nil
 }

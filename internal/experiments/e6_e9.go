@@ -95,6 +95,9 @@ func E6GhostDaemons(seed int64) (*Result, error) {
 		Title:  "Provisioning failures from ghost daemons vs scheduler cleanup interval",
 		Header: []string{"cleanup interval", "sessions", "ghost failures", "failure rate", "orphans killed"},
 		Raw:    res,
+		Headline: map[string]float64{
+			"failure-rate-at-30m": res.Points[len(res.Points)-1].FailureRate,
+		},
 		Notes: []string{
 			"40% of students exit without stopping Hadoop; ports stay bound until the cleanup script runs",
 		},
@@ -172,10 +175,11 @@ func E7Staging(seed int64) (*Result, error) {
 	}
 	res := &E7Result{}
 	out := &Result{
-		ID:     "E7",
-		Title:  "Modelled `hadoop fs -put` staging time from the login node",
-		Header: []string{"dataset", "size", "staging time", "paper anchor"},
-		Raw:    res,
+		ID:       "E7",
+		Title:    "Modelled `hadoop fs -put` staging time from the login node",
+		Header:   []string{"dataset", "size", "staging time", "paper anchor"},
+		Raw:      res,
+		Headline: map[string]float64{},
 		Notes: []string{
 			"64 MB blocks, 3-way pipeline, oversubscribed core uplink (default cost model)",
 		},
@@ -187,6 +191,9 @@ func E7Staging(seed int64) (*Result, error) {
 	for _, d := range datasets {
 		t := StagingTime(d.size, blockSize, cm)
 		res.Points = append(res.Points, E7Point{Dataset: d.name, Size: d.size, Staging: t})
+		if d.size == 171*cluster.GB {
+			out.Headline["trace-staging-minutes"] = t.Minutes()
+		}
 		sizeStr := fmt.Sprintf("%d GB", d.size/cluster.GB)
 		if d.size < cluster.GB {
 			sizeStr = fmt.Sprintf("%d MB", d.size/cluster.MB)
@@ -282,6 +289,9 @@ hadoop fs -fsck /
 		Title: "Shell transcript: observe how HDFS stores, replicates and recovers",
 		Text:  res.Transcript,
 		Raw:   res,
+		Headline: map[string]float64{
+			"under-replicated-after-kill": float64(res.UnderReplicatedAfterKill),
+		},
 	}, nil
 }
 
@@ -317,12 +327,7 @@ func E9Scalability(seed int64) (*Result, error) {
 	res := &E9Result{}
 	var base time.Duration
 	for _, nodes := range []int{1, 2, 4, 8, 16} {
-		c, err := core.New(core.Options{
-			Nodes: nodes,
-			Seed:  seed,
-			HDFS:  hdfs.Config{BlockSize: 64 << 10, Replication: 3},
-			MR:    expMRConfig(),
-		})
+		c, err := expCluster(seed, nodes, 64<<10, expMRConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -349,12 +354,7 @@ func E9Scalability(seed int64) (*Result, error) {
 		cfg := expMRConfig()
 		cfg.Speculative = spec
 		cfg.NodeSlowdown = map[cluster.NodeID]float64{3: 8}
-		c, err := core.New(core.Options{
-			Nodes: 8,
-			Seed:  seed,
-			HDFS:  hdfs.Config{BlockSize: 64 << 10, Replication: 3},
-			MR:    cfg,
-		})
+		c, err := expCluster(seed, 8, 64<<10, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -431,6 +431,10 @@ func E9Scalability(seed int64) (*Result, error) {
 		Title:  "Airline job scalability (1-16 nodes) and speculative-execution ablation",
 		Header: []string{"nodes", "makespan", "speedup", "data-local maps"},
 		Raw:    res,
+		Headline: map[string]float64{
+			"speedup-at-16-nodes": res.Points[len(res.Points)-1].Speedup,
+			"speculation-gain-x":  res.SpeculationGain,
+		},
 	}
 	for _, p := range res.Points {
 		out.Rows = append(out.Rows, []string{

@@ -13,6 +13,8 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/hdfs"
 	"repro/internal/mrcluster"
 )
 
@@ -29,6 +31,13 @@ type Result struct {
 
 	// Raw holds the experiment-specific result struct.
 	Raw any
+
+	// Headline holds the few "who wins, by what factor" numbers the
+	// experiment's claim turns on; nil for the figures and tables that
+	// make no quantitative claim. Names ending in "-x" are ratios where
+	// >1 means the paper's claimed winner won; the regression test keys
+	// its direction checks on that convention.
+	Headline map[string]float64
 }
 
 // String renders the artifact.
@@ -99,6 +108,17 @@ func Lookup(id string) (Spec, bool) {
 		}
 	}
 	return Spec{}, false
+}
+
+// expCluster builds a standard experiment cluster: nodes, HDFS block size
+// and MR config are all that differ between them.
+func expCluster(seed int64, nodes int, blockSize int64, mr mrcluster.Config) (*core.MiniCluster, error) {
+	return core.New(core.Options{
+		Nodes: nodes,
+		Seed:  seed,
+		HDFS:  hdfs.Config{BlockSize: blockSize},
+		MR:    mr,
+	})
 }
 
 // expMRConfig is the calibrated runtime config for scaled-down data: task

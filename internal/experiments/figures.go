@@ -92,11 +92,16 @@ func Fig1(seed int64) (*Result, error) {
 			LocalityPercent: locality,
 		})
 	}
+	last := res.Points[len(res.Points)-1]
 	out := &Result{
 		ID:     "FIG1",
 		Title:  "WordCount makespan: Hadoop data-local layout vs HPC shared-storage layout",
 		Header: []string{"nodes", "hadoop (fig 1b)", "hpc (fig 1a)", "hpc/hadoop", "data-local maps"},
 		Raw:    res,
+		Headline: map[string]float64{
+			"hpc-slowdown-at-16-nodes": last.Slowdown,
+			"locality-%":               last.LocalityPercent,
+		},
 		Notes: []string{
 			"same job, same bytes; only the storage architecture differs",
 			"HPC reads contend for the parallel array's aggregate bandwidth, so added nodes stop helping",

@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -87,20 +88,25 @@ func (d *MiniDFS) Balance(threshold float64) (int, error) {
 			return moves, nil
 		}
 		mean := float64(total) / float64(live)
-		// Most-loaded live node above threshold, least-loaded below.
+		// Most-loaded live node above threshold, then the least-loaded
+		// one below it that src can reach: a move is a data-plane
+		// transfer, so it never crosses a network partition.
 		var src, dst *DataNode
 		for _, dn := range d.datanodes {
-			if !dn.Alive() {
-				continue
-			}
-			if float64(dn.used) > mean*(1+threshold) && (src == nil || dn.used > src.used) {
+			if dn.Alive() && float64(dn.used) > mean*(1+threshold) && (src == nil || dn.used > src.used) {
 				src = dn
 			}
-			if float64(dn.used) < mean*(1-threshold) && (dst == nil || dn.used < dst.used) {
+		}
+		if src == nil {
+			return moves, nil
+		}
+		for _, dn := range d.datanodes {
+			if dn.Alive() && float64(dn.used) < mean*(1-threshold) && (dst == nil || dn.used < dst.used) &&
+				d.Net.Reachable(src.id, dn.id) {
 				dst = dn
 			}
 		}
-		if src == nil || dst == nil {
+		if dst == nil {
 			return moves, nil
 		}
 		if !d.moveOneBlock(src, dst) {
@@ -112,8 +118,9 @@ func (d *MiniDFS) Balance(threshold float64) (int, error) {
 }
 
 // moveOneBlock relocates one replica from src to dst, preferring the
-// largest block dst does not already hold. Returns false when no block is
-// movable.
+// largest block dst does not already hold. A replica that fails its
+// checksum is reported to the NameNode, as any reader reports it, and
+// skipped. Returns false when no block is movable.
 func (d *MiniDFS) moveOneBlock(src, dst *DataNode) bool {
 	ids := src.BlockIDs()
 	sort.Slice(ids, func(i, j int) bool {
@@ -126,6 +133,10 @@ func (d *MiniDFS) moveOneBlock(src, dst *DataNode) bool {
 		}
 		sb, readCost, err := src.readBlock(id)
 		if err != nil {
+			var ce *ChecksumError
+			if errors.As(err, &ce) {
+				d.NN.markCorrupt(id, src.id)
+			}
 			continue
 		}
 		if _, err := dst.writeBlock(id, sb); err != nil {

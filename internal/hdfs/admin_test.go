@@ -85,9 +85,10 @@ func TestDecommissioningNodeGetsNoNewBlocks(t *testing.T) {
 	}
 }
 
-func TestBalancerEvensOutUtilization(t *testing.T) {
-	// Create imbalance: write with replication 1 from one node, so that
-	// node holds everything.
+// imbalancedDFS writes 12 files with replication 1 from node 2 of four,
+// so node 2 holds all 48 blocks; it returns the cluster and node 2's
+// client.
+func imbalancedDFS(t *testing.T) (*hdfs.MiniDFS, *hdfs.Client) {
 	d := newDFS(t, 4, 1, hdfs.Config{BlockSize: 1 << 10, Replication: 1, ReplMonitorInterval: time.Hour})
 	c := d.Client(2)
 	for i := 0; i < 12; i++ {
@@ -95,6 +96,11 @@ func TestBalancerEvensOutUtilization(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return d, c
+}
+
+func TestBalancerEvensOutUtilization(t *testing.T) {
+	d, c := imbalancedDFS(t)
 	before := d.UtilizationSpread()
 	if before < 1 {
 		t.Fatalf("expected heavy imbalance, spread = %.2f", before)
@@ -120,6 +126,52 @@ func TestBalancerEvensOutUtilization(t *testing.T) {
 	if !rep.Healthy() {
 		t.Fatalf("fsck after balance:\n%s", rep)
 	}
+}
+
+// TestBalancerHonoursPartitionsAndChecksums: a balancer move is a
+// data-plane transfer and a read like any other, so it never crosses a
+// network partition, and a replica that fails its checksum is reported to
+// the NameNode rather than silently skipped.
+func TestBalancerHonoursPartitionsAndChecksums(t *testing.T) {
+	t.Run("partition", func(t *testing.T) {
+		d, _ := imbalancedDFS(t)
+		d.Net.Isolate(0)
+		moves, err := d.Balance(0.10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moves == 0 {
+			t.Fatal("balancer moved nothing to the reachable nodes")
+		}
+		if n := d.DataNode(0).NumBlocks(); n != 0 {
+			t.Fatalf("isolated node 0 received %d blocks across the partition", n)
+		}
+	})
+	t.Run("corrupt", func(t *testing.T) {
+		d, _ := imbalancedDFS(t)
+		src := d.DataNode(2)
+		ids := src.BlockIDs()
+		for _, id := range ids {
+			src.CorruptBlock(id)
+		}
+		moves, err := d.Balance(0.10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moves != 0 {
+			t.Fatalf("balancer moved %d corrupt replicas", moves)
+		}
+		if got := d.Obs.CounterValue("hdfs.nn.corruptions_detected"); got != int64(len(ids)) {
+			t.Fatalf("corruptions detected = %d, want %d", got, len(ids))
+		}
+		rep, err := d.Fsck()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Healthy() || rep.CorruptReplicas != len(ids) {
+			t.Fatalf("fsck after balancing over %d corrupt replicas:\n%s", len(ids), rep)
+		}
+	})
 }
 
 func TestBalancerNoopWhenBalanced(t *testing.T) {

@@ -41,10 +41,3 @@ func pkgFuncCall(pkg *Package, call *ast.CallExpr) (path, fn string, ok bool) {
 	}
 	return pn.Imported().Path(), sel.Sel.Name, true
 }
-
-// inspectAll walks every file of the package.
-func inspectAll(pkg *Package, fn func(ast.Node) bool) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, fn)
-	}
-}

@@ -88,6 +88,26 @@ func fuzzSeed(n int, grouped bool, pairs ...[2]int) []byte {
 	return data
 }
 
+// GroupIterate walks a sorted pair slice group by group, invoking fn once
+// per distinct key with an iterator over that key's values. Every group
+// is handed the same *Values. It is the plain reference the streaming
+// reduce is checked against (FuzzReduceGroups, TestGroupIterate).
+func GroupIterate(sorted []Pair, decode ValueDecoder, fn func(key string, values *Values) error) error {
+	v := new(Values)
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j].Key == sorted[i].Key {
+			j++
+		}
+		*v = Values{decode: decode, pairs: sorted[i:j]}
+		if err := fn(sorted[i].Key, v); err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
+}
+
 // FuzzReduceGroups is a differential target for the streaming reduce: for
 // any 1–9 sorted runs, with duplicate keys inside and across runs and
 // with or without a GroupKey, the groups a ReduceScratch hands its

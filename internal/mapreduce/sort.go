@@ -332,25 +332,6 @@ func (v *Values) Each(fn func(Value) error) error {
 // Len returns the total number of values in the group.
 func (v *Values) Len() int { return len(v.pairs) + len(v.order) }
 
-// GroupIterate walks a sorted pair slice group by group, invoking fn once
-// per distinct key with an iterator over that key's values. Every group
-// is handed the same *Values.
-func GroupIterate(sorted []Pair, decode ValueDecoder, fn func(key string, values *Values) error) error {
-	v := new(Values)
-	for i := 0; i < len(sorted); {
-		j := i + 1
-		for j < len(sorted) && sorted[j].Key == sorted[i].Key {
-			j++
-		}
-		*v = Values{decode: decode, pairs: sorted[i:j]}
-		if err := fn(sorted[i].Key, v); err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
-}
-
 // pairCollector is an Emitter that appends encoded pairs to a slice.
 type pairCollector struct {
 	pairs []Pair

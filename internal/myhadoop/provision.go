@@ -70,14 +70,9 @@ func Provision(p *PBS, r *Reservation, opts ProvisionOptions) (*HadoopRun, error
 		}
 	}
 	// The student's private cluster spans only the reserved nodes.
-	subTopo := cluster.NewTopology(cluster.Config{
-		Nodes:        len(r.Allocated),
-		Racks:        1,
-		CoresPerNode: 16,
-		RAMPerNode:   64 << 30,
-		DiskPerNode:  850 << 30,
-		HostPrefix:   fmt.Sprintf("%s-node", r.User),
-	})
+	topoCfg := cluster.PaperNodeConfig(len(r.Allocated), 1)
+	topoCfg.HostPrefix = fmt.Sprintf("%s-node", r.User)
+	subTopo := cluster.NewTopology(topoCfg)
 	dfs, err := hdfs.NewMiniDFS(p.Engine, subTopo, hdfs.Options{Config: opts.HDFS, Seed: opts.Seed})
 	if err != nil {
 		run.unbindAll()
