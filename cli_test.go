@@ -81,6 +81,58 @@ func TestCLIMrrunClusterMode(t *testing.T) {
 	}
 }
 
+// TestCLILab7Straggler runs docs/LABS.md's Lab 7 at small scale — a job
+// on a cluster whose node 2 is 8x slow, with speculation on — and checks
+// that the exported history shows what the lab tells students to find.
+// A straggler node off the cluster is an error, as a slow disk is.
+func TestCLILab7Straggler(t *testing.T) {
+	const jobID = "job_wordcount_0001"
+	dir := t.TempDir()
+	runCmd(t, "", "datagen", "-out", dir, "-only", "corpus", "-scale", "0.02")
+	corpus, hist := filepath.Join(dir, "corpus"), filepath.Join(dir, "hist")
+	runCmd(t, "", "mrrun", "-job", "wordcount", "-mode", "cluster", "-in", corpus,
+		"-out", filepath.Join(dir, "out"), "-block", "16384",
+		"-slow-node", "2", "-speculative", "-history", hist)
+
+	// The slow node's attempts were all killed when their backups won.
+	slowKilled := 0
+	for _, line := range strings.Split(runCmd(t, "", "mrhistory", "-dir", hist, "-job", jobID), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || !strings.HasPrefix(f[1], "attempt_") || f[2] != "node002" {
+			continue
+		}
+		if !strings.HasPrefix(f[len(f)-1], "killed") {
+			t.Fatalf("node002 attempt not killed: %s", line)
+		}
+		slowKilled++
+	}
+	events, err := os.ReadFile(filepath.Join(hist, jobID, "events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slowKilled == 0 || !strings.Contains(string(events), `"reason":"sibling finished first"`) {
+		t.Fatalf("%d node002 attempts killed; events:\n%s", slowKilled, events)
+	}
+	out := runCmd(t, "", "mrhistory", "-dir", hist, "-job", jobID, "-analyze")
+	_, critical, _ := strings.Cut(out, "Critical path")
+	critical, _, _ = strings.Cut(critical, "Slowest")
+	_, perNode, _ := strings.Cut(out, "Per-node successful attempts:")
+	if perNode == "" || strings.Contains(perNode, "node002") || !strings.Contains(critical, "speculative") {
+		t.Fatalf("-analyze should run the critical path through a speculative backup and list no success on node002:\n%s", out)
+	}
+
+	for _, flag := range []string{"-slow-node", "-slow-disk"} {
+		cmd := exec.Command("go", "run", "./cmd/mrrun", "-job", "wordcount", "-mode", "cluster",
+			"-in", corpus, "-out", filepath.Join(dir, "out"+flag), flag, "99")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || !strings.Contains(string(out), "exit status 1") ||
+			!strings.Contains(string(out), flag+" 99: no such node") {
+			t.Fatalf("mrrun %s 99 on 8 nodes: err %v, output:\n%s", flag, err, out)
+		}
+	}
+}
+
 func TestCLIMinihdfsSession(t *testing.T) {
 	script := "-mkdir /user/student\n-ls /\n-fsck /\n"
 	out := runCmd(t, script, "minihdfs", "-nodes", "4")

@@ -99,6 +99,7 @@ func TestSelfCheckDirty(t *testing.T) {
 		"maporder.go:49 maporder",
 		"maporder.go:55 maporder",
 		"maporder.go:71 maporder",
+		"maporder.go:80 maporder",
 		"wallclock.go:10 dettaint",
 		"wallclock.go:11 dettaint",
 		"wallclock.go:12 dettaint",

@@ -93,15 +93,11 @@ func main() {
 		fmt.Printf("Output written to %s\n", outAbs)
 		writeMetrics(reg, *metrics)
 	case "cluster":
-		mrCfg := mrcluster.Config{Speculative: *speculative}
-		if *slowNode >= 0 {
-			mrCfg.NodeSlowdown = map[cluster.NodeID]float64{cluster.NodeID(*slowNode): *slowFactor}
-		}
 		copts := core.Options{
 			Nodes: *nodes,
 			Seed:  *seed,
 			HDFS:  hdfs.Config{BlockSize: *blockSize},
-			MR:    mrCfg,
+			MR:    mrcluster.Config{Speculative: *speculative},
 		}
 		if *yarnMode {
 			copts.YARN = &yarn.CapacityOptions{}
@@ -111,6 +107,12 @@ func main() {
 		c, err := core.New(copts)
 		if err != nil {
 			fatal(err)
+		}
+		if *slowNode >= 0 {
+			if c.MR.TaskTracker(cluster.NodeID(*slowNode)) == nil {
+				fatal(fmt.Errorf("-slow-node %d: no such node (cluster has %d)", *slowNode, *nodes))
+			}
+			c.MR.SetNodeSlowdown(cluster.NodeID(*slowNode), *slowFactor)
 		}
 		if *slowDisk >= 0 {
 			dn := c.DFS.DataNode(cluster.NodeID(*slowDisk))

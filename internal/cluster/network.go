@@ -10,21 +10,22 @@ package cluster
 // The model is island-based rather than per-link: each node belongs to a
 // partition group, and two endpoints can talk iff they are in the same
 // group. A healed network has every node in group 0. Off-cluster clients
-// (negative NodeIDs — the login gateway) always sit in group 0, so an
-// isolated node is also unreachable from outside. Control-plane traffic
+// (negative NodeIDs — the login gateway) and any other id off the
+// topology always sit in group 0 (Isolate ignores them), so an isolated
+// node is also unreachable from outside. Control-plane traffic
 // (heartbeats, block reports) is modelled separately via heartbeat-drop
 // faults and deliberately does not consult the Network: real partitions
 // rarely take the management VLAN down with the data path, and keeping
 // the planes independent lets scenarios exercise them independently.
 type Network struct {
 	topo  *Topology
-	group map[NodeID]int
+	group []int // by node ID
 	next  int
 }
 
 // NewNetwork returns a fully healed network over the topology.
 func NewNetwork(t *Topology) *Network {
-	return &Network{topo: t, group: map[NodeID]int{}}
+	return &Network{topo: t, group: make([]int, t.Len())}
 }
 
 // Reachable reports whether a data transfer between the two endpoints can
@@ -37,7 +38,7 @@ func (n *Network) Reachable(a, b NodeID) bool {
 }
 
 func (n *Network) groupOf(id NodeID) int {
-	if id < 0 {
+	if id < 0 || int(id) >= len(n.group) {
 		return 0 // off-cluster clients live with the majority
 	}
 	return n.group[id]
@@ -49,7 +50,7 @@ func (n *Network) groupOf(id NodeID) int {
 func (n *Network) Isolate(nodes ...NodeID) int {
 	n.next++
 	for _, id := range nodes {
-		if id >= 0 {
+		if id >= 0 && int(id) < len(n.group) {
 			n.group[id] = n.next
 		}
 	}
@@ -63,6 +64,4 @@ func (n *Network) IsolateRack(rack int) int {
 }
 
 // Heal restores full connectivity.
-func (n *Network) Heal() {
-	n.group = map[NodeID]int{}
-}
+func (n *Network) Heal() { clear(n.group) }

@@ -10,7 +10,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a machine in the cluster.
@@ -121,7 +120,7 @@ func (t *Topology) RackOf(id NodeID) int {
 	return n.Rack
 }
 
-// NodesInRack returns node IDs in the given rack, sorted.
+// NodesInRack returns node IDs in the given rack, in ID order.
 func (t *Topology) NodesInRack(rack int) []NodeID {
 	var ids []NodeID
 	for _, n := range t.nodes {
@@ -129,7 +128,6 @@ func (t *Topology) NodesInRack(rack int) []NodeID {
 			ids = append(ids, n.ID)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 

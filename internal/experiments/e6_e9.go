@@ -353,11 +353,11 @@ func E9Scalability(seed int64) (*Result, error) {
 	for _, spec := range []bool{false, true} {
 		cfg := expMRConfig()
 		cfg.Speculative = spec
-		cfg.NodeSlowdown = map[cluster.NodeID]float64{3: 8}
 		c, err := expCluster(seed, 8, 64<<10, cfg)
 		if err != nil {
 			return nil, err
 		}
+		c.MR.SetNodeSlowdown(3, 8)
 		if _, _, err := datagen.Airline(c.FS(), "/in/ontime.csv",
 			datagen.AirlineOpts{Rows: 40000, Seed: seed}); err != nil {
 			return nil, err

@@ -17,18 +17,18 @@ import (
 // counting toward replication targets, so the replication monitor copies
 // them elsewhere. Reads may still use the node while it drains.
 func (nn *NameNode) StartDecommission(id cluster.NodeID) error {
-	info := nn.dns[id]
-	if info == nil {
+	dn := nn.datanode(id)
+	if dn == nil || !dn.registered {
 		return fmt.Errorf("hdfs: node %d is not a registered datanode", id)
 	}
-	nn.decommissioning[id] = true
+	dn.draining = true
 	return nil
 }
 
 // DecommissionComplete reports whether every block on the node has enough
 // replicas elsewhere, i.e. the daemon can be stopped without data loss.
 func (nn *NameNode) DecommissionComplete(id cluster.NodeID) bool {
-	if !nn.decommissioning[id] {
+	if dn := nn.datanode(id); dn == nil || !dn.draining {
 		return false
 	}
 	for _, bm := range nn.blocks {
@@ -37,10 +37,7 @@ func (nn *NameNode) DecommissionComplete(id cluster.NodeID) bool {
 		}
 		elsewhere := 0
 		for rid := range bm.replicas {
-			if rid == id || bm.corrupt[rid] {
-				continue
-			}
-			if info := nn.dns[rid]; info != nil && info.alive {
+			if rid != id && !bm.corrupt[rid] && nn.datanodes[rid].declaredLive {
 				elsewhere++
 			}
 		}
@@ -56,8 +53,8 @@ func (nn *NameNode) DecommissionComplete(id cluster.NodeID) bool {
 // completes when every other node has a copy.
 func (nn *NameNode) maxPlaceable(excluding cluster.NodeID) int {
 	n := 0
-	for id, info := range nn.dns {
-		if id != excluding && info.alive {
+	for _, dn := range nn.datanodes {
+		if dn.id != excluding && dn.declaredLive {
 			n++
 		}
 	}

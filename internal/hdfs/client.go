@@ -214,9 +214,6 @@ func (c *Client) writeBlock(f *inode, path string, buf []byte, off, end int) err
 	prev := c.from
 	for _, t := range targets {
 		dn := c.nn.datanodes[t]
-		if dn == nil {
-			continue
-		}
 		// A partitioned target is as good as a dead one: the pipeline
 		// shrinks past it, exactly as it does past a failed DataNode.
 		if !c.net.Reachable(prev, t) {
@@ -282,9 +279,6 @@ func (c *Client) readBlock(bm *blockMeta) (*storedBlock, error) {
 	slices.SortStableFunc(cands, func(a, b cluster.NodeID) int { return c.distanceTo(a) - c.distanceTo(b) })
 	for _, nodeID := range cands {
 		dn := c.nn.datanodes[nodeID]
-		if dn == nil {
-			continue
-		}
 		sb, diskCost, err := dn.readBlock(id)
 		if err != nil {
 			var ce *ChecksumError

@@ -49,6 +49,15 @@ type DataNode struct {
 	// instant (fault injection): the daemon keeps running and serving
 	// data, but the NameNode stops hearing from it.
 	muteUntil sim.Time
+
+	// The NameNode's view of this node, written only by the NameNode:
+	// registered since its last restart, when it last heard from the
+	// node, whether it has not declared the node dead, and whether the
+	// node is being decommissioned.
+	registered    bool
+	lastHeartbeat sim.Time
+	declaredLive  bool
+	draining      bool
 }
 
 // storedBlock is a block's bytes and the checksum the writer made over
@@ -203,7 +212,7 @@ func (dn *DataNode) diskCost(d time.Duration) time.Duration {
 func (dn *DataNode) sendHeartbeat() {
 	if dn.alive && !dn.muted() {
 		dn.m.heartbeatsSent.Inc()
-		dn.nn.heartbeat(dn.id)
+		dn.nn.heartbeat(dn)
 	}
 }
 
@@ -212,7 +221,7 @@ func (dn *DataNode) sendBlockReport() {
 		return
 	}
 	dn.m.blockReportsSent.Inc()
-	dn.nn.blockReport(dn.id, dn.BlockIDs())
+	dn.nn.blockReport(dn, dn.BlockIDs())
 }
 
 // writeBlock stores a replica locally: the block itself, not a copy (see

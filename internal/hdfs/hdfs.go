@@ -68,7 +68,7 @@ func NewMiniDFS(eng *sim.Engine, topo *cluster.Topology, opts Options) (*MiniDFS
 	d := &MiniDFS{Engine: eng, Topology: topo, Cost: cost, NN: nn, Net: net, Obs: reg, cm: newClientMetrics(reg)}
 	dnm := newDNMetrics(reg)
 	for _, n := range topo.Nodes() {
-		dn := &DataNode{
+		d.datanodes = append(d.datanodes, &DataNode{
 			id:     n.ID,
 			node:   n,
 			nn:     nn,
@@ -76,9 +76,10 @@ func NewMiniDFS(eng *sim.Engine, topo *cluster.Topology, opts Options) (*MiniDFS
 			cost:   cost,
 			blocks: map[BlockID]*storedBlock{},
 			m:      dnm,
-		}
-		nn.datanodes[n.ID] = dn
-		d.datanodes = append(d.datanodes, dn)
+		})
+	}
+	nn.datanodes = d.datanodes
+	for _, dn := range d.datanodes {
 		dn.Start()
 	}
 	nn.start()
@@ -91,12 +92,7 @@ func NewMiniDFS(eng *sim.Engine, topo *cluster.Topology, opts Options) (*MiniDFS
 func (d *MiniDFS) DataNodes() []*DataNode { return d.datanodes }
 
 // DataNode returns the DataNode on the given node, or nil.
-func (d *MiniDFS) DataNode(id cluster.NodeID) *DataNode {
-	if int(id) < 0 || int(id) >= len(d.datanodes) {
-		return nil
-	}
-	return d.datanodes[id]
-}
+func (d *MiniDFS) DataNode(id cluster.NodeID) *DataNode { return d.NN.datanode(id) }
 
 // Client returns a client located at the given node (GatewayNode for an
 // off-cluster client, e.g. the login node students staged data from).

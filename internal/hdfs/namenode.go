@@ -76,12 +76,11 @@ type blockMeta struct {
 	expected int
 	replicas map[cluster.NodeID]bool
 	corrupt  map[cluster.NodeID]bool
-}
 
-type dnInfo struct {
-	id            cluster.NodeID
-	lastHeartbeat sim.Time
-	alive         bool
+	// pendingRepl is set while a re-replication copy is in flight;
+	// replRetryAt is when the monitor may retry after a failed attempt.
+	pendingRepl bool
+	replRetryAt sim.Time
 }
 
 // NameNode owns the namespace tree and the block map, chooses replica
@@ -101,13 +100,12 @@ type NameNode struct {
 	blocks    map[BlockID]*blockMeta
 	nextBlock BlockID
 
-	dns       map[cluster.NodeID]*dnInfo
-	datanodes map[cluster.NodeID]*DataNode // direct handles (the simulation's RPC)
+	// datanodes is MiniDFS's slice, indexed by node ID: direct handles
+	// (the simulation's RPC) that also carry the NameNode's view of each
+	// node (registered, last heartbeat, declared live, draining).
+	datanodes []*DataNode
 
-	safeMode        bool
-	pendingRepl     map[BlockID]bool
-	replRetryAt     map[BlockID]sim.Time // failed attempts back off until here
-	decommissioning map[cluster.NodeID]bool
+	safeMode bool
 
 	// metaFS, when set, persists the namespace (fsimage + edit log);
 	// see journal.go. Edits go to generation metaGen's log.
@@ -140,22 +138,17 @@ func (nn *NameNode) SafeModeExitedAt() sim.Time { return sim.Time(nn.m.safeModeE
 // newNameNode constructs an unstarted NameNode.
 func newNameNode(eng *sim.Engine, topo *cluster.Topology, cost cluster.CostModel, cfg Config, rng *sim.Rand, reg *obs.Registry) *NameNode {
 	nn := &NameNode{
-		eng:             eng,
-		topo:            topo,
-		cost:            cost,
-		cfg:             cfg,
-		rng:             rng,
-		ns:              newNamespace(),
-		blocks:          map[BlockID]*blockMeta{},
-		dns:             map[cluster.NodeID]*dnInfo{},
-		datanodes:       map[cluster.NodeID]*DataNode{},
-		safeMode:        true,
-		pendingRepl:     map[BlockID]bool{},
-		replRetryAt:     map[BlockID]sim.Time{},
-		decommissioning: map[cluster.NodeID]bool{},
-		obs:             reg,
-		m:               newNNMetrics(reg),
-		audit:           history.NewLog(reg.Counter(history.MetricAuditEvents)),
+		eng:      eng,
+		topo:     topo,
+		cost:     cost,
+		cfg:      cfg,
+		rng:      rng,
+		ns:       newNamespace(),
+		blocks:   map[BlockID]*blockMeta{},
+		safeMode: true,
+		obs:      reg,
+		m:        newNNMetrics(reg),
+		audit:    history.NewLog(reg.Counter(history.MetricAuditEvents)),
 	}
 	nn.m.safeMode.Set(1)
 	return nn
@@ -186,81 +179,88 @@ func (nn *NameNode) InSafeMode() bool { return nn.safeMode }
 // Config returns the effective configuration.
 func (nn *NameNode) Config() Config { return nn.cfg }
 
-// Restart models a NameNode restart: registrations and replica maps are
-// forgotten (they live only in memory); the namespace survives (fsimage).
-// The cluster re-enters safe mode until block reports rebuild the map.
+// Restart models a NameNode restart: registrations, replica maps and
+// replication state are forgotten (they live only in memory); the
+// namespace survives (fsimage), and so does a node's draining mark. The
+// cluster re-enters safe mode until block reports rebuild the map.
 func (nn *NameNode) Restart() {
 	nn.safeMode = true
 	nn.safeModeEnteredAt = nn.eng.Now()
 	nn.m.safeMode.Set(1)
-	nn.dns = map[cluster.NodeID]*dnInfo{}
-	nn.pendingRepl = map[BlockID]bool{}
-	nn.replRetryAt = map[BlockID]sim.Time{}
+	for _, dn := range nn.datanodes {
+		dn.registered, dn.declaredLive = false, false
+	}
 	for _, bm := range nn.blocks {
 		bm.replicas = map[cluster.NodeID]bool{}
 		bm.corrupt = map[cluster.NodeID]bool{}
+		bm.pendingRepl, bm.replRetryAt = false, 0
 	}
+}
+
+// datanode returns the DataNode on node id, or nil for an id off the
+// cluster (GatewayNode, a mistyped admin argument).
+func (nn *NameNode) datanode(id cluster.NodeID) *DataNode {
+	if id < 0 || int(id) >= len(nn.datanodes) {
+		return nil
+	}
+	return nn.datanodes[id]
 }
 
 // --- DataNode protocol ---
 
 func (nn *NameNode) register(dn *DataNode) {
-	nn.datanodes[dn.id] = dn
-	nn.dns[dn.id] = &dnInfo{id: dn.id, lastHeartbeat: nn.eng.Now(), alive: true}
+	dn.registered, dn.declaredLive = true, true
+	dn.lastHeartbeat = nn.eng.Now()
 	nn.m.registrations.Inc()
 }
 
-func (nn *NameNode) heartbeat(id cluster.NodeID) {
-	info, ok := nn.dns[id]
-	if !ok {
+func (nn *NameNode) heartbeat(dn *DataNode) {
+	if !dn.registered {
 		// Unknown node (e.g. after a NameNode restart): ask it to
 		// re-register and re-report.
-		if dn, have := nn.datanodes[id]; have && dn.alive {
+		if dn.alive {
 			nn.register(dn)
 			dn.sendBlockReport()
 		}
 		return
 	}
 	nn.m.heartbeats.Inc()
-	nn.m.heartbeatGap.Observe(time.Duration(nn.eng.Now() - info.lastHeartbeat))
-	info.lastHeartbeat = nn.eng.Now()
-	if !info.alive {
+	nn.m.heartbeatGap.Observe(time.Duration(nn.eng.Now() - dn.lastHeartbeat))
+	dn.lastHeartbeat = nn.eng.Now()
+	if !dn.declaredLive {
 		// A node returning from the dead (e.g. after a heartbeat-drop
 		// window) re-reports its blocks immediately, as real HDFS asks a
 		// rejoining DataNode to do — otherwise its replicas would stay
 		// invisible until the next scheduled block report.
-		info.alive = true
-		if dn := nn.datanodes[id]; dn != nil && dn.alive {
+		dn.declaredLive = true
+		if dn.alive {
 			dn.sendBlockReport()
 		}
 	}
 }
 
-func (nn *NameNode) blockReport(id cluster.NodeID, held []BlockID) {
-	info, ok := nn.dns[id]
-	if !ok {
+func (nn *NameNode) blockReport(dn *DataNode, held []BlockID) {
+	if !dn.registered {
 		return
 	}
 	nn.m.blockReports.Inc()
-	info.lastHeartbeat = nn.eng.Now()
+	dn.lastHeartbeat = nn.eng.Now()
 	heldSet := make(map[BlockID]bool, len(held))
 	for _, b := range held {
 		heldSet[b] = true
 	}
 	for bid, bm := range nn.blocks {
 		if heldSet[bid] {
-			bm.replicas[id] = true
+			bm.replicas[dn.id] = true
 		} else {
-			delete(bm.replicas, id)
+			delete(bm.replicas, dn.id)
 		}
 	}
 	// Blocks the DataNode holds that the namespace no longer references
 	// are garbage from deleted files; tell it to drop them.
-	if dn := nn.datanodes[id]; dn != nil {
-		for _, bid := range held {
-			if _, known := nn.blocks[bid]; !known {
-				dn.deleteBlock(bid)
-			}
+	for _, bid := range held {
+		if _, known := nn.blocks[bid]; !known {
+			dn.deleteBlock(bid)
 		}
 	}
 	nn.maybeLeaveSafeMode()
@@ -284,26 +284,22 @@ func (nn *NameNode) hostname(id cluster.NodeID) string {
 	return fmt.Sprint(id)
 }
 
+// checkLiveness declares dead every live node whose last heartbeat is
+// older than the expiry, in node-ID order: two nodes expiring on the same
+// tick produce the same audit-log order on every replay.
 func (nn *NameNode) checkLiveness() {
 	now := nn.eng.Now()
-	// Collect expired nodes first and process them in ID order: two nodes
-	// expiring on the same tick must produce the same audit-log order on
-	// every replay.
-	var dead []cluster.NodeID
-	for id, info := range nn.dns {
-		if info.alive && now-info.lastHeartbeat > nn.cfg.HeartbeatExpiry {
-			dead = append(dead, id)
+	for _, dn := range nn.datanodes {
+		if !dn.declaredLive || now-dn.lastHeartbeat <= nn.cfg.HeartbeatExpiry {
+			continue
 		}
-	}
-	sortNodeIDs(dead)
-	for _, id := range dead {
-		nn.dns[id].alive = false
+		dn.declaredLive = false
 		nn.m.datanodesDeclaredDead.Inc()
-		nn.auditEv(history.EvAuditDatanodeDead, obs.Attr{Key: "node", Value: nn.hostname(id)})
+		nn.auditEv(history.EvAuditDatanodeDead, obs.Attr{Key: "node", Value: dn.node.Hostname})
 		// Replicas on a dead node no longer count; the replication
 		// monitor will notice the deficit on its next pass.
 		for _, bm := range nn.blocks {
-			delete(bm.replicas, id)
+			delete(bm.replicas, dn.id)
 		}
 	}
 }
@@ -314,7 +310,7 @@ func (nn *NameNode) maybeLeaveSafeMode() {
 	}
 	total := len(nn.blocks)
 	if total == 0 {
-		if len(nn.dns) > 0 || len(nn.datanodes) == 0 {
+		if len(nn.datanodes) == 0 || slices.ContainsFunc(nn.datanodes, func(dn *DataNode) bool { return dn.registered }) {
 			nn.exitSafeMode()
 		}
 		return
@@ -346,7 +342,7 @@ func (nn *NameNode) exitSafeMode() {
 func (nn *NameNode) liveReplicas(bm *blockMeta) int {
 	n := 0
 	for id := range bm.replicas {
-		if info := nn.dns[id]; info != nil && info.alive && !bm.corrupt[id] && !nn.decommissioning[id] {
+		if dn := nn.datanodes[id]; dn.declaredLive && !dn.draining && !bm.corrupt[id] {
 			n++
 		}
 	}
@@ -359,28 +355,23 @@ func (nn *NameNode) liveReplicas(bm *blockMeta) int {
 func (nn *NameNode) usableReplicas(bm *blockMeta) []cluster.NodeID {
 	var out []cluster.NodeID
 	for id := range bm.replicas {
-		if info := nn.dns[id]; info != nil && info.alive && !bm.corrupt[id] {
+		if nn.datanodes[id].declaredLive && !bm.corrupt[id] {
 			out = append(out, id)
 		}
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 
 // LiveDataNodes returns the IDs of registered, live DataNodes, sorted.
 func (nn *NameNode) LiveDataNodes() []cluster.NodeID {
 	var out []cluster.NodeID
-	for id, info := range nn.dns {
-		if info.alive {
-			out = append(out, id)
+	for _, dn := range nn.datanodes {
+		if dn.declaredLive {
+			out = append(out, dn.id)
 		}
 	}
-	sortNodeIDs(out)
 	return out
-}
-
-func sortNodeIDs(ids []cluster.NodeID) {
-	slices.Sort(ids)
 }
 
 // --- placement ---
@@ -405,12 +396,11 @@ func (nn *NameNode) chooseTargets(writer cluster.NodeID, n int, exclude map[clus
 		}
 		return false
 	}
-	liveIDs := nn.LiveDataNodes()
 	pickWhere := func(pred func(cluster.NodeID) bool) (cluster.NodeID, bool) {
 		var cands []cluster.NodeID
-		for _, id := range liveIDs {
-			if !taken(id) && !nn.decommissioning[id] && pred(id) {
-				cands = append(cands, id)
+		for _, dn := range nn.datanodes {
+			if dn.declaredLive && !dn.draining && !taken(dn.id) && pred(dn.id) {
+				cands = append(cands, dn.id)
 			}
 		}
 		if len(cands) == 0 {
@@ -432,7 +422,7 @@ func (nn *NameNode) chooseTargets(writer cluster.NodeID, n int, exclude map[clus
 	}
 
 	// Replica 1: writer-local when possible.
-	if info := nn.dns[writer]; info != nil && info.alive && !taken(writer) && !nn.decommissioning[writer] {
+	if dn := nn.datanode(writer); dn != nil && dn.declaredLive && !dn.draining && !taken(writer) {
 		targets = append(targets, writer)
 	} else if id, ok := pickWhere(any); ok {
 		targets = append(targets, id)
@@ -577,7 +567,7 @@ func (nn *NameNode) invalidateBlocks(ids []BlockID) {
 	for _, bid := range ids {
 		if bm, ok := nn.blocks[bid]; ok {
 			for nodeID := range bm.replicas {
-				if dn := nn.datanodes[nodeID]; dn != nil && dn.alive {
+				if dn := nn.datanodes[nodeID]; dn.alive {
 					dn.deleteBlock(bid)
 				}
 			}
@@ -713,9 +703,7 @@ func (nn *NameNode) markCorrupt(id BlockID, node cluster.NodeID) {
 			obs.Attr{Key: "node", Value: nn.hostname(node)})
 	}
 	delete(bm.replicas, node)
-	if dn := nn.datanodes[node]; dn != nil {
-		dn.deleteBlock(id)
-	}
+	nn.datanodes[node].deleteBlock(id)
 }
 
 // --- replication monitor ---
@@ -737,14 +725,14 @@ func (nn *NameNode) replicationMonitor() {
 		switch {
 		case live == 0:
 			// Missing: nothing to copy from; fsck will report it.
-		case live < bm.expected && !nn.pendingRepl[id]:
-			if nn.replRetryAt[id] > now {
+		case live < bm.expected && !bm.pendingRepl:
+			if bm.replRetryAt > now {
 				continue // last attempt failed; wait out the backoff
 			}
 			if nn.scheduleReplication(bm) {
-				delete(nn.replRetryAt, id)
+				bm.replRetryAt = 0
 			} else {
-				nn.replRetryAt[id] = now + replRetryBackoff
+				bm.replRetryAt = now + replRetryBackoff
 			}
 		case live > bm.expected:
 			nn.dropExcessReplica(bm)
@@ -777,9 +765,6 @@ func (nn *NameNode) scheduleReplication(bm *blockMeta) bool {
 	}
 	dst := targets[0]
 	srcDN, dstDN := nn.datanodes[src], nn.datanodes[dst]
-	if srcDN == nil || dstDN == nil {
-		return false
-	}
 	// The copy is a data-plane transfer: a partition between source and
 	// target stalls re-replication until the network heals (or another
 	// source/target pair becomes eligible on a later monitor pass).
@@ -796,7 +781,7 @@ func (nn *NameNode) scheduleReplication(bm *blockMeta) bool {
 		}
 		return false
 	}
-	nn.pendingRepl[bm.id] = true
+	bm.pendingRepl = true
 	nn.m.replicationsScheduled.Inc()
 	nn.auditEv(history.EvAuditRereplicate,
 		obs.Attr{Key: "block", Value: bm.id.String()},
@@ -816,11 +801,11 @@ func (nn *NameNode) scheduleReplication(bm *blockMeta) bool {
 		})
 	}
 	nn.eng.After(readCost+xfer, func() {
-		delete(nn.pendingRepl, blockID)
 		meta, ok := nn.blocks[blockID]
 		if !ok {
 			return // file deleted meanwhile
 		}
+		meta.pendingRepl = false
 		if !dstDN.alive {
 			return
 		}
@@ -841,14 +826,9 @@ func (nn *NameNode) dropExcessReplica(bm *blockMeta) {
 	for id := range bm.replicas {
 		holders = append(holders, id)
 	}
-	sortNodeIDs(holders)
+	slices.Sort(holders)
 	for _, id := range holders {
-		info := nn.dns[id]
-		dn := nn.datanodes[id]
-		if info == nil || !info.alive || dn == nil {
-			continue
-		}
-		if dn.used > victimUsed {
+		if dn := nn.datanodes[id]; dn.declaredLive && dn.used > victimUsed {
 			victim, victimUsed = id, dn.used
 		}
 	}
@@ -860,7 +840,5 @@ func (nn *NameNode) dropExcessReplica(bm *blockMeta) {
 	nn.auditEv(history.EvAuditReplicaDrop,
 		obs.Attr{Key: "block", Value: bm.id.String()},
 		obs.Attr{Key: "node", Value: nn.hostname(victim)})
-	if dn := nn.datanodes[victim]; dn != nil {
-		dn.deleteBlock(bm.id)
-	}
+	nn.datanodes[victim].deleteBlock(bm.id)
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // Maporder flags range loops over maps whose bodies have order-dependent
-// effects: appending to a slice, writing formatted output, or spawning
-// work. Go randomizes map iteration order per run, so any such loop is a
+// effects: appending to a slice, writing formatted output, spawning work,
+// or a last write wins (an argmax whose pick among ties follows map
+// order). Go randomizes map iteration order per run, so any such loop is a
 // golden-trace killer — the fix is to collect the keys, sort them, and
 // range over the sorted slice. The collection step of that very fix
 // (append keys, then sort) is recognized: an append whose slice is
@@ -53,7 +54,7 @@ func runMaporder(pass *Pass) {
 				if _, isMap := pkg.Info.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
 					return true
 				}
-				effect, slice := orderDependentEffect(pkg, rs.Body)
+				effect, slice := orderDependentEffect(pkg, rs)
 				if effect == "" {
 					return true
 				}
@@ -71,14 +72,29 @@ func runMaporder(pass *Pass) {
 // outcome depends on iteration order, returning a short description of
 // it ("" if none) and, for appends, the name of the target slice.
 // Appends to slices declared inside the body are skipped: a loop-local
-// collection is rebuilt per element and never observes map order.
-func orderDependentEffect(pkg *Package, body *ast.BlockStmt) (effect, slice string) {
-	local := localNames(body)
-	ast.Inspect(body, func(node ast.Node) bool {
+// collection is rebuilt per element and never observes map order. A plain
+// assignment to a variable declared outside the loop is last-write-wins
+// when its right side names the key, the value or a body variable, and
+// not the variable itself (x = append(x, k) and m = max(m, v) fold).
+func orderDependentEffect(pkg *Package, rs *ast.RangeStmt) (effect, slice string) {
+	local := localNames(rs.Body)
+	inLoop := func(node ast.Node) bool { // an identifier declared in the loop
+		id, _ := node.(*ast.Ident)
+		obj := pkg.Info.ObjectOf(id)
+		return obj != nil && obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()
+	}
+	ast.Inspect(rs.Body, func(node ast.Node) bool {
 		if effect != "" {
 			return false
 		}
 		switch n := node.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && id.Name != "_" &&
+					!inLoop(id) && anyNode(n.Rhs[i], inLoop) && !mentionsIdent(n.Rhs[i], id.Name) {
+					effect = "assigns " + id.Name + " per element; the last write wins"
+				}
+			}
 		case *ast.GoStmt:
 			effect = "spawns a goroutine per element"
 		case *ast.SendStmt:
@@ -120,7 +136,7 @@ func orderDependentEffect(pkg *Package, body *ast.BlockStmt) (effect, slice stri
 
 // sortedAfter reports whether a sorting call mentioning the named slice
 // appears in the file after pos: any sort/slices package call, or a
-// call to a local helper whose name contains "sort" (sortNodeIDs,
+// call to a local helper whose name contains "sort" (sortRegions,
 // sortStrings — this codebase's idiom). Matching by name within the
 // file is a deliberate over-approximation: a same-named slice sorted in
 // a different function suppresses the finding, which is the cheap side
@@ -191,12 +207,8 @@ func localNames(body *ast.BlockStmt) map[string]bool {
 
 // mentionsIdent reports whether the identifier appears anywhere in expr.
 func mentionsIdent(expr ast.Expr, name string) bool {
-	found := false
-	ast.Inspect(expr, func(node ast.Node) bool {
-		if id, ok := node.(*ast.Ident); ok && id.Name == name {
-			found = true
-		}
-		return !found
+	return anyNode(expr, func(node ast.Node) bool {
+		id, ok := node.(*ast.Ident)
+		return ok && id.Name == name
 	})
-	return found
 }

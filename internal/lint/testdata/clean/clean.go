@@ -88,3 +88,50 @@ func audit(l *eventLog, m map[string]int) {
 		l.Append(k)
 	}
 }
+
+// contains sets a flag every match sets the same way: no write depends on
+// which entry came last.
+func contains(m map[string]int, want int) bool {
+	found := false
+	for _, v := range m {
+		if v == want {
+			found = true
+		}
+	}
+	return found
+}
+
+// total folds the values with a commutative operator.
+func total(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
+// copyMap writes each entry under its own key.
+func copyMap(m map[string]int) map[string]int {
+	m2 := make(map[string]int, len(m))
+	for k, v := range m {
+		m2[k] = v
+	}
+	return m2
+}
+
+// argmax collects and sorts the keys first, so a tie goes to the first
+// key in order on every run.
+func argmax(m map[string]int) string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	best := ""
+	for _, k := range keys {
+		if best == "" || m[k] > m[best] {
+			best = k
+		}
+	}
+	return best
+}

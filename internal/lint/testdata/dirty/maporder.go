@@ -73,3 +73,14 @@ func auditInMapOrder(l *eventLog, m map[string]int) {
 	}
 }
 
+// argmaxTies returns the key of the largest value; among tied values it
+// keeps whichever key the map happened to yield first.
+func argmaxTies(m map[string]int) string {
+	best, bestN := "", -1
+	for k, n := range m { // want: maporder
+		if n > bestN {
+			best, bestN = k, n
+		}
+	}
+	return best
+}

@@ -694,14 +694,6 @@ func (jt *JobTracker) pickMapTaskAtRank(tt *TaskTracker, rank int) *task {
 	return nil
 }
 
-// slowdown returns the straggler multiplier for a node.
-func (jt *JobTracker) slowdown(id cluster.NodeID) float64 {
-	if f, ok := jt.mc.slow[id]; ok && f > 0 {
-		return f
-	}
-	return 1
-}
-
 // pickFault returns the armed fault for a job attempt in the given scope,
 // if it fires. The random draw happens only for matching faults, so arming
 // a fault for one job/scope never perturbs another's schedule.
@@ -1019,7 +1011,7 @@ func (jt *JobTracker) commitMap(r *mapRun) {
 	if out != nil {
 		duration += jt.mc.Cost.DiskWrite(out.Bytes())
 	}
-	duration = time.Duration(float64(duration) * jt.slowdown(tt.id))
+	duration = time.Duration(float64(duration) * tt.slowdown())
 
 	jt.armOutcome(a, attemptPlan{
 		duration: duration,
@@ -1168,7 +1160,7 @@ func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative boo
 		// Compressing the committed output costs CPU per raw byte.
 		duration += compressWork.Cost(ostats.RawBytes, 0)
 	}
-	duration = time.Duration(float64(duration) * jt.slowdown(tt.id))
+	duration = time.Duration(float64(duration) * tt.slowdown())
 
 	written := client.Meter.BytesWritten
 	jt.armOutcome(a, attemptPlan{

@@ -204,8 +204,9 @@ func TestAttemptLifecycleParity(t *testing.T) {
 			name:    "killed: sibling won",
 			outcome: func(*attemptKind) string { return "killed:sibling finished first" },
 			evType:  history.EvAttemptKill,
-			cfg:     Config{Speculative: true, NodeSlowdown: map[cluster.NodeID]float64{2: 8}},
+			cfg:     Config{Speculative: true},
 			run: func(t *testing.T, rig *lcRig, k *attemptKind) *JobHandle {
+				rig.mc.SetNodeSlowdown(2, 8)
 				return rig.submit(t, lcJob(6, nil))
 			},
 		},

@@ -48,9 +48,6 @@ type Config struct {
 	// HeartbeatInterval and TrackerExpiry govern TaskTracker liveness.
 	HeartbeatInterval time.Duration
 	TrackerExpiry     time.Duration
-	// NodeSlowdown multiplies task durations on specific nodes (straggler
-	// injection for the speculative-execution experiments).
-	NodeSlowdown map[cluster.NodeID]float64
 	// YARN, when set, runs the JobTracker as a YARN application: jobs
 	// become managed apps on this capacity ResourceManager (which must be
 	// built over the same engine and topology) and every task attempt
@@ -130,6 +127,11 @@ type TaskTracker struct {
 	// injection); past TrackerExpiry the JobTracker declares the node lost.
 	muteUntil sim.Time
 
+	// slow multiplies the modelled duration of attempts that start here
+	// (straggler injection, SetNodeSlowdown); 0 means a healthy node. It
+	// outlives tracker restarts: the slowness is the machine's.
+	slow float64
+
 	// sideCache holds side files localised by the DistributedCache,
 	// keyed by path. Lost when the tracker dies.
 	sideCache map[string][]byte
@@ -145,6 +147,14 @@ func (tt *TaskTracker) Hostname() string { return tt.node.Hostname }
 
 // Alive reports whether the daemon is running.
 func (tt *TaskTracker) Alive() bool { return tt.alive }
+
+// slowdown returns the straggler multiplier for attempts on the node.
+func (tt *TaskTracker) slowdown() float64 {
+	if tt.slow > 0 {
+		return tt.slow
+	}
+	return 1
+}
 
 // TaskScope selects which part of a job's execution a TaskFault strikes.
 type TaskScope int
@@ -209,10 +219,6 @@ type MRCluster struct {
 	// also return the node to the YARN pool (initial starts must not, or
 	// they would override the autoscaler's initial pool size).
 	started bool
-
-	// slow holds the current per-node straggler factors; seeded from
-	// Config.NodeSlowdown and mutable at runtime via SetNodeSlowdown.
-	slow map[cluster.NodeID]float64
 }
 
 // NewMRCluster starts TaskTrackers on every node of the DFS topology.
@@ -226,10 +232,6 @@ func NewMRCluster(dfs *hdfs.MiniDFS, cfg Config, seed int64) *MRCluster {
 		Net:      dfs.Net,
 		Obs:      dfs.Obs,
 		cfg:      cfg,
-		slow:     map[cluster.NodeID]float64{},
-	}
-	for id, f := range cfg.NodeSlowdown {
-		mc.slow[id] = f
 	}
 	jt := newJobTracker(mc, sim.NewRand(seed).Derive("jobtracker"))
 	mc.JT = jt
@@ -298,13 +300,12 @@ func (mc *MRCluster) InjectTaskFault(f TaskFault) { mc.JT.faults = append(mc.JT.
 
 // SetNodeSlowdown sets (or, with factor <= 0, clears) the straggler
 // multiplier applied to task attempts that start on a node from now on;
-// attempts already running keep their original modelled duration.
+// attempts already running keep their original modelled duration. An id
+// off the cluster is ignored.
 func (mc *MRCluster) SetNodeSlowdown(id cluster.NodeID, factor float64) {
-	if factor <= 0 {
-		delete(mc.slow, id)
-		return
+	if tt := mc.TaskTracker(id); tt != nil {
+		tt.slow = max(factor, 0)
 	}
-	mc.slow[id] = factor
 }
 
 // DropTrackerHeartbeatsFor mutes a TaskTracker's heartbeats for the next d

@@ -291,10 +291,8 @@ func TestSpeculativeExecutionBeatsStraggler(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc := mrcluster.NewMRCluster(dfs, mrcluster.Config{
-			Speculative:  spec,
-			NodeSlowdown: map[cluster.NodeID]float64{3: 8.0},
-		}, 13)
+		mc := mrcluster.NewMRCluster(dfs, mrcluster.Config{Speculative: spec}, 13)
+		mc.SetNodeSlowdown(3, 8.0)
 		c := dfs.Client(hdfs.GatewayNode)
 		if err := vfs.WriteFile(c, "/in/data.txt", data); err != nil {
 			t.Fatal(err)

@@ -247,6 +247,28 @@ func TestPreemptionOrphansDaemons(t *testing.T) {
 	}
 }
 
+// TestPreemptTieGoesToLowestNode: two reservations started at the same
+// instant are ordered by the lowest node each holds, so the same scenario
+// evicts the same student on every build.
+func TestPreemptTieGoesToLowestNode(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		_, pbs := newPBS(t, 8, 15*time.Minute)
+		alice, _ := pbs.Submit("alice", 3, 2*time.Hour)
+		bob, _ := pbs.Submit("bob", 3, 2*time.Hour)
+		if alice.StartedAt != bob.StartedAt || alice.Allocated[0] > bob.Allocated[0] {
+			t.Fatalf("setup: alice %v at %v, bob %v at %v", alice.Allocated, alice.StartedAt, bob.Allocated, bob.StartedAt)
+		}
+		evicted := pbs.Preempt(4)
+		if len(evicted) != 1 || evicted[0] != alice {
+			users := make([]string, len(evicted))
+			for j, r := range evicted {
+				users[j] = r.User
+			}
+			t.Fatalf("build %d evicted %v, want [alice]", i, users)
+		}
+	}
+}
+
 // TestStoppedDaemonsStopTicking: removing a daemon's port binding ends the
 // process behind it. An 8-node session runs 27 tickers on the shared PBS
 // engine (per node a DataNode heartbeat, a block report and a TaskTracker

@@ -88,7 +88,7 @@ type PBS struct {
 	// orphaned daemons on free nodes (the paper's ~15 minutes).
 	CleanupInterval time.Duration
 
-	nodes map[cluster.NodeID]*nodeState
+	nodes []*nodeState // by node ID
 	queue []*Reservation
 
 	// OrphansKilled counts ghost daemons removed by the clean-up cycle.
@@ -104,24 +104,30 @@ func NewPBS(eng *sim.Engine, topo *cluster.Topology, cleanup time.Duration) *PBS
 		Engine:          eng,
 		Topo:            topo,
 		CleanupInterval: cleanup,
-		nodes:           map[cluster.NodeID]*nodeState{},
 	}
 	for _, n := range topo.Nodes() {
-		p.nodes[n.ID] = &nodeState{id: n.ID, ports: map[int]*Daemon{}}
+		p.nodes = append(p.nodes, &nodeState{id: n.ID, ports: map[int]*Daemon{}})
 	}
 	eng.Every(cleanup, p.cleanupOrphans)
 	return p
 }
 
-// FreeNodes returns the currently unreserved node IDs, sorted.
+// node returns the state of node id, or nil for an id off the cluster.
+func (p *PBS) node(id cluster.NodeID) *nodeState {
+	if id < 0 || int(id) >= len(p.nodes) {
+		return nil
+	}
+	return p.nodes[id]
+}
+
+// FreeNodes returns the currently unreserved node IDs, in ID order.
 func (p *PBS) FreeNodes() []cluster.NodeID {
 	var out []cluster.NodeID
-	for id, ns := range p.nodes {
+	for _, ns := range p.nodes {
 		if ns.reservedBy == nil {
-			out = append(out, id)
+			out = append(out, ns.id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -172,8 +178,8 @@ func (p *PBS) release(r *Reservation) {
 	}
 	r.State = ResDone
 	for _, id := range r.Allocated {
-		if p.nodes[id].reservedBy == r {
-			p.nodes[id].reservedBy = nil
+		if ns := p.nodes[id]; ns.reservedBy == r {
+			ns.reservedBy = nil
 		}
 	}
 	p.tryStart()
@@ -182,9 +188,10 @@ func (p *PBS) release(r *Reservation) {
 // Preempt evicts the most recently started reservations until n nodes are
 // free — the supercomputer's policy the paper warns about: "their jobs can
 // be preempted from the system by higher priority research jobs asking for
-// more computational resources". Evicted students' daemons become orphans
-// unless they had already stopped cleanly. Returns the evicted
-// reservations.
+// more computational resources". Among reservations started at the same
+// instant, the one holding the lowest-numbered node goes first. Evicted
+// students' daemons become orphans unless they had already stopped
+// cleanly. Returns the evicted reservations.
 func (p *PBS) Preempt(n int) []*Reservation {
 	var evicted []*Reservation
 	for len(p.FreeNodes()) < n {
@@ -212,13 +219,12 @@ func (p *PBS) Preempt(n int) []*Reservation {
 // free nodes, and daemons owned by anyone other than a node's current
 // reservation holder, are killed — the 15-minute wait of §II-B.
 func (p *PBS) cleanupOrphans() {
-	for _, n := range p.Topo.Nodes() {
-		ns := p.nodes[n.ID]
+	for _, ns := range p.nodes {
 		owner := ""
 		if ns.reservedBy != nil {
 			owner = ns.reservedBy.User
 		}
-		for _, d := range p.Daemons(n.ID) {
+		for _, d := range p.Daemons(ns.id) {
 			if owner == "" || d.Owner != owner {
 				ns.killDaemon(d.Port)
 				p.OrphansKilled++
@@ -245,7 +251,7 @@ func (e *GhostDaemonError) Error() string {
 // "if the orphaned daemons belonged to the same student, they could be
 // terminated individually"); another user's orphan is fatal.
 func (p *PBS) bindDaemon(r *Reservation, node cluster.NodeID, kind string, port int) (*Daemon, error) {
-	ns := p.nodes[node]
+	ns := p.node(node)
 	if ns == nil || ns.reservedBy != r {
 		return nil, fmt.Errorf("myhadoop: node %d is not reserved by %s", node, r.User)
 	}
@@ -262,7 +268,7 @@ func (p *PBS) bindDaemon(r *Reservation, node cluster.NodeID, kind string, port 
 
 // unbindDaemon stops a daemon and releases its port, if it still owns it.
 func (p *PBS) unbindDaemon(node cluster.NodeID, d *Daemon) {
-	ns := p.nodes[node]
+	ns := p.node(node)
 	if ns != nil && ns.ports[d.Port] == d {
 		ns.killDaemon(d.Port)
 	}
@@ -270,7 +276,7 @@ func (p *PBS) unbindDaemon(node cluster.NodeID, d *Daemon) {
 
 // Daemons lists the daemons currently bound on a node, sorted by port.
 func (p *PBS) Daemons(node cluster.NodeID) []*Daemon {
-	ns := p.nodes[node]
+	ns := p.node(node)
 	if ns == nil {
 		return nil
 	}

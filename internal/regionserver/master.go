@@ -52,9 +52,7 @@ type Master struct {
 	retired []string
 	read    map[string]bool
 
-	lastBeat map[string]sim.Time
-	dead     map[string]bool
-	ticker   *sim.Ticker
+	ticker *sim.Ticker
 
 	recoverStart, recoverEnd sim.Time
 	recovered                int
@@ -63,20 +61,18 @@ type Master struct {
 // newMaster wires the master over an existing server set.
 func newMaster(eng *sim.Engine, fs vfs.FileSystem, servers []*Server, opts Options, m *metrics) *Master {
 	ma := &Master{
-		eng:      eng,
-		fs:       fs,
-		m:        m,
-		servers:  servers,
-		byName:   map[string]*Server{},
-		meta:     map[string][]RegionInfo{},
-		metaLog:  history.NewLog(m.reg.Counter("serving.meta_events")),
-		read:     map[string]bool{},
-		lastBeat: map[string]sim.Time{},
-		dead:     map[string]bool{},
+		eng:     eng,
+		fs:      fs,
+		m:       m,
+		servers: servers,
+		byName:  map[string]*Server{},
+		meta:    map[string][]RegionInfo{},
+		metaLog: history.NewLog(m.reg.Counter("serving.meta_events")),
+		read:    map[string]bool{},
 	}
 	for _, s := range servers {
 		ma.byName[s.name] = s
-		ma.lastBeat[s.name] = eng.Now()
+		s.lastBeat = eng.Now()
 		s.askSplit = ma.requestSplit
 		s.splitMaxBytes = opts.SplitMaxBytes
 		s.splitMaxOps = opts.SplitMaxOps
@@ -486,13 +482,13 @@ func (ma *Master) tick() {
 	now := ma.eng.Now()
 	for _, s := range ma.servers {
 		switch {
-		case s.alive && ma.dead[s.name]:
-			ma.dead[s.name] = false
-			ma.lastBeat[s.name] = now
+		case s.alive && s.dead:
+			s.dead = false
+			s.lastBeat = now
 			ma.logEvent(EvServerJoin, obs.Attrs{{Key: "server", Value: s.name}})
 		case s.alive:
-			ma.lastBeat[s.name] = now
-		case !ma.dead[s.name] && now-ma.lastBeat[s.name] >= heartbeatExpiry:
+			s.lastBeat = now
+		case !s.dead && now-s.lastBeat >= heartbeatExpiry:
 			ma.declareDead(s)
 		}
 	}
@@ -504,7 +500,7 @@ func (ma *Master) tick() {
 // regions at once.
 func (ma *Master) declareDead(s *Server) {
 	now := ma.eng.Now()
-	ma.dead[s.name] = true
+	s.dead = true
 	ma.recoverStart = now
 	ma.recoverEnd = now
 	ma.logEvent(EvServerDead, obs.Attrs{{Key: "server", Value: s.name}})
@@ -523,7 +519,7 @@ func (ma *Master) reassign() {
 	for _, table := range ma.Tables() {
 		// updateMeta replaces the slice and never edits it.
 		for _, info := range ma.meta[table] {
-			if srv := ma.byName[info.Srv]; (!srv.alive && !ma.dead[srv.name]) || ma.open(info) != nil {
+			if srv := ma.byName[info.Srv]; (!srv.alive && !srv.dead) || ma.open(info) != nil {
 				continue
 			}
 			target := ma.leastLoaded(nil)

@@ -86,6 +86,11 @@ type Server struct {
 	alive   bool
 	regions map[string]*hostedRegion // by region ID
 
+	// The master's view of the server, written only by Master.tick:
+	// when it last heard from it, and whether it declared it dead.
+	lastBeat sim.Time
+	dead     bool
+
 	// askSplit is the master's hot-region hook; called (deferred via the
 	// engine, never reentrantly) when a region crosses the thresholds.
 	askSplit      func(regionID string)

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"time"
 
@@ -623,9 +622,7 @@ func (rm *ResourceManager) SetNodeActive(id cluster.NodeID, active bool) {
 
 // Apps returns all applications in submission order.
 func (rm *ResourceManager) Apps() []*Application {
-	out := append([]*Application(nil), rm.apps...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append([]*Application(nil), rm.apps...)
 }
 
 // AllFinished reports whether every submitted app reached AppFinished.
