@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/digesttest"
 	"repro/internal/hdfs"
@@ -13,7 +14,9 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/mapreduce"
 	"repro/internal/mrcluster"
+	"repro/internal/sim"
 	"repro/internal/vfs"
+	"repro/internal/yarn"
 )
 
 // sideFileJob is wordcount over the words its side file does not list: a
@@ -52,53 +55,104 @@ func (m *stopWordMapper) Map(ctx *mapreduce.TaskContext, off int64, line string,
 	return nil
 }
 
-// pooledRun runs one case's job on a fresh 8-node cluster (16 map slots,
-// 16 KiB blocks: the first schedule pass launches 16 of ~20 maps at once)
-// and returns the run's artifacts: the persisted history file, every
-// span, the job's counters and its output.
-func pooledRun(t *testing.T, cfg mrcluster.Config, fault *mrcluster.TaskFault, build func(*testRig) *mapreduce.Job) [4][]byte {
+// pooledCase is one job mix TestPooledMapsMatchInline runs.
+type pooledCase struct {
+	name  string
+	cfg   mrcluster.Config
+	yarn  bool                 // the JobTracker runs as a YARN application
+	fault *mrcluster.TaskFault // armed for the first job
+	// loseTracker kills node 1's TaskTracker once the first reduce has
+	// launched: the maps it held re-run, and so do the reduces.
+	loseTracker bool
+	build       func(*testRig) []*mapreduce.Job
+}
+
+// pooledRun runs a case's jobs, submitted together, on a fresh 8-node
+// cluster (16 map slots, 16 KiB blocks: the first schedule pass launches
+// 16 of ~20 maps at once) and returns the run's artifacts — the persisted
+// history files, every span, the jobs' counters and their outputs — and
+// the rig.
+func pooledRun(t *testing.T, tc pooledCase) ([4][]byte, *testRig) {
 	t.Helper()
-	rig := newRig(t, 8, 2, hdfs.Config{BlockSize: 16 << 10}, cfg)
-	rig.stage(t, "/side/stop.txt", []byte("the over dog"))
-	job := build(rig)
-	if fault != nil {
-		fault.JobName = job.Name
-		rig.mc.InjectTaskFault(*fault)
-	}
-	rep, err := rig.mc.Run(job)
-	if rep == nil {
-		t.Fatal(err) // a failed job still has a report to compare
-	}
-	if fault != nil && rep.Counters.Get(mapreduce.CtrFailedMaps) == 0 {
-		t.Fatal("the armed fault failed no map attempt")
-	}
-	gw := rig.dfs.Client(hdfs.GatewayNode)
-	events, err := vfs.ReadFile(gw, history.EventsPath(rep.JobID))
+	eng := sim.NewEngine()
+	topo := cluster.NewTopology(cluster.PaperNodeConfig(8, 2))
+	dfs, err := hdfs.NewMiniDFS(eng, topo, hdfs.Options{Config: hdfs.Config{BlockSize: 16 << 10}, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
+	}
+	cfg := tc.cfg
+	if tc.yarn {
+		if cfg.YARN, err = yarn.NewCapacityResourceManager(eng, topo, yarn.CapacityOptions{Obs: dfs.Obs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rig := &testRig{eng: eng, dfs: dfs, mc: mrcluster.NewMRCluster(dfs, cfg, 13)}
+	rig.stage(t, "/side/stop.txt", []byte("the over dog"))
+	jobs := tc.build(rig)
+	if tc.fault != nil {
+		fault := *tc.fault
+		fault.JobName = jobs[0].Name
+		rig.mc.InjectTaskFault(fault)
+	}
+	var handles []*mrcluster.JobHandle
+	for _, job := range jobs {
+		h, err := rig.mc.Submit(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	lost := false
+	for _, h := range handles {
+		for !h.Done() {
+			if tc.loseTracker && !lost && rig.mc.Obs.CounterValue(mrcluster.MetricJTReducesLaunched) > 0 {
+				rig.mc.KillTaskTracker(1)
+				lost = true
+			}
+			if !eng.Step() {
+				t.Fatalf("simulation stalled with %d jobs submitted", len(jobs))
+			}
+		}
+	}
+	if tc.loseTracker && !lost {
+		t.Fatal("no reduce launched before the jobs ended")
+	}
+	gw := rig.dfs.Client(hdfs.GatewayNode)
+	var events, counters, output []byte
+	failed := int64(0)
+	for i, h := range handles {
+		rep := h.Report()
+		failed += rep.Counters.Get(mapreduce.CtrFailedMaps) + rep.Counters.Get(mapreduce.CtrFailedReduces)
+		hist, err := vfs.ReadFile(gw, history.EventsPath(rep.JobID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, hist...)
+		counters = append(counters, rep.Counters.String()...)
+		if !rep.Failed {
+			out, err := mapreduce.ReadOutput(gw, jobs[i].OutputPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			output = append(output, out...)
+		}
+	}
+	if tc.fault != nil && failed == 0 {
+		t.Fatal("the armed fault failed no attempt")
 	}
 	spans, err := history.Marshal(rig.mc.Obs.Spans())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var output string
-	if !rep.Failed {
-		if output, err = mapreduce.ReadOutput(gw, "/out"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return [4][]byte{events, spans, []byte(rep.Counters.String()), []byte(output)}
+	return [4][]byte{events, spans, counters, output}, rig
 }
 
-// TestPooledMapsMatchInline runs jobs whose first schedule pass launches
-// a batch of maps, once with GOMAXPROCS 1 (every batch runs inline) and
-// once with 4 (the batch's user code runs on the worker pool). Both must
-// leave the same history file, spans, counters and output, and those
-// must be what the JobTracker left when it ran each map's user code at
-// its launch: testdata/pooled_maps.sha256 was recorded at 8d9bf8c, the
-// commit before the pool. A commit out of pick order moves the fault
-// draws and the event sequence; a commit on a worker races the engine.
-func TestPooledMapsMatchInline(t *testing.T) {
+// pooledCases are TestPooledMapsMatchInline's job mixes: six whose maps
+// the pool runs, then four that reach the reduce side's failure paths.
+func pooledCases(t *testing.T) []pooledCase {
+	one := func(build func(*testRig) *mapreduce.Job) func(*testRig) []*mapreduce.Job {
+		return func(rig *testRig) []*mapreduce.Job { return []*mapreduce.Job{build(rig)} }
+	}
 	wordcount := func(rig *testRig) *mapreduce.Job {
 		rig.stage(t, "/in/data.txt", corpus(8000))
 		job := wordCountJob("/in", "/out")
@@ -110,42 +164,65 @@ func TestPooledMapsMatchInline(t *testing.T) {
 		rig.stage(t, "/in/data.txt", corpus(8000))
 		return sideFileJob("/in", "/out")
 	}
-	cases := []struct {
-		name  string
-		cfg   mrcluster.Config
-		fault *mrcluster.TaskFault
-		build func(*testRig) *mapreduce.Job
-	}{
-		{name: "wordcount-combiner", build: wordcount},
-		{name: "terasort-8", build: func(rig *testRig) *mapreduce.Job {
-			if _, _, err := datagen.Sortable(rig.dfs.Client(hdfs.GatewayNode), "/in/rows.txt", datagen.SortableOpts{Rows: 3000, Seed: 3}); err != nil {
-				t.Fatal(err)
-			}
-			job, err := jobs.TeraSort(rig.dfs.Client(hdfs.GatewayNode), "/in", "/out", 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return job
-		}},
-		{name: "side-files-inline", build: sideFiles},
-		{name: "side-files-cached", cfg: mrcluster.Config{DistributedCache: true}, build: sideFiles},
-		{name: "task-fault", fault: &mrcluster.TaskFault{Probability: 0.15, AfterFraction: 0.5}, build: wordcount},
-		{name: "shared-storage", cfg: mrcluster.Config{SharedStorage: true}, build: wordcount},
+	terasort := func(rig *testRig, reduces int) *mapreduce.Job {
+		if _, _, err := datagen.Sortable(rig.dfs.Client(hdfs.GatewayNode), "/in/rows.txt", datagen.SortableOpts{Rows: 3000, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		job, err := jobs.TeraSort(rig.dfs.Client(hdfs.GatewayNode), "/in", "/out", reduces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
 	}
+	terasort8 := func(rig *testRig) *mapreduce.Job { return terasort(rig, 8) }
+	return []pooledCase{
+		{name: "wordcount-combiner", build: one(wordcount)},
+		{name: "terasort-8", build: one(terasort8)},
+		{name: "side-files-inline", build: one(sideFiles)},
+		{name: "side-files-cached", cfg: mrcluster.Config{DistributedCache: true}, build: one(sideFiles)},
+		{name: "task-fault", fault: &mrcluster.TaskFault{Probability: 0.15, AfterFraction: 0.5}, build: one(wordcount)},
+		{name: "shared-storage", cfg: mrcluster.Config{SharedStorage: true}, build: one(wordcount)},
+		{name: "reduce-fault", build: one(terasort8),
+			fault: &mrcluster.TaskFault{Scope: mrcluster.ScopeReduce, Probability: 0.3, AfterFraction: 0.5}},
+		// Sixteen reduces on 8 reduce slots: half of them launch after
+		// the maps that node 1 held have re-run.
+		{name: "tracker-lost-after-maps", loseTracker: true, build: one(func(rig *testRig) *mapreduce.Job { return terasort(rig, 16) })},
+		{name: "yarn-mode", yarn: true, build: one(terasort8)},
+		// Twenty reduces each on 8 reduce slots: most of the first job's
+		// reduces still wait for a slot when the second job's maps end.
+		{name: "two-jobs", build: func(rig *testRig) []*mapreduce.Job {
+			rig.stage(t, "/in/data.txt", corpus(4000))
+			var out []*mapreduce.Job
+			for _, name := range []string{"first", "second"} {
+				job := wordCountJob("/in", "/out-"+name)
+				job.Name = name
+				job.NumReducers = 20
+				out = append(out, job)
+			}
+			return out
+		}},
+	}
+}
+
+// TestPooledMapsMatchInline runs job mixes once with GOMAXPROCS 1 (the
+// pool's workers take turns) and once with 4. Both must leave the same
+// history files, spans, counters and outputs, and those must be what the
+// JobTracker left when it ran every task's user code at its launch on
+// the engine goroutine: testdata/pooled_maps.sha256 recorded the first
+// six cases at 8d9bf8c, the commit before the map pool, and the last four
+// at e104d72, the commit before reduces ran ahead of their launch. A
+// commit out of pick order moves the fault draws and the event sequence;
+// a commit on a worker races the engine.
+func TestPooledMapsMatchInline(t *testing.T) {
 	parts := [4]string{"history", "spans", "counters", "output"}
 	pinned := digesttest.Read(t, "testdata/pooled_maps.sha256")
-	for _, tc := range cases {
+	for _, tc := range pooledCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			var runs [2][4][]byte
 			for i, procs := range []int{1, 4} {
 				func() {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					var fault *mrcluster.TaskFault
-					if tc.fault != nil {
-						f := *tc.fault
-						fault = &f
-					}
-					runs[i] = pooledRun(t, tc.cfg, fault, tc.build)
+					runs[i], _ = pooledRun(t, tc)
 				}()
 			}
 			for p, name := range parts {
