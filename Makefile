@@ -49,9 +49,11 @@ check: static
 # mapreduce.RunMapTasks (each worker on its own mapreduce.MapScratch):
 # internal/serial, whose internal/jobs tests drive it at Parallelism 3
 # and 4, and the JobTracker's schedule passes in internal/mrcluster.
-# Reduce loops are sequential, each on one mapreduce.ReduceScratch. internal/webui's handlers run on
-# httptest server goroutines. internal/vfs's MemFS is what those workers
-# read concurrently.
+# Reduce user code runs on real goroutines in the JobTracker, ahead of
+# each reduce's launch (each worker on a mapreduce.ReduceScratch off the
+# JobTracker's free list); internal/serial's reduce loop is sequential.
+# internal/webui's handlers run on httptest server goroutines.
+# internal/vfs's MemFS is what those workers read concurrently.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/... ./internal/mapreduce/... ./internal/serial/... ./internal/jobs/... ./internal/webui/... ./internal/vfs/...
 
@@ -94,7 +96,9 @@ loc:
 # The gate a PR must pass end to end: build, the static gate, the line
 # budget, tier-1 tests
 # (which include the goldens, replay digests and E12/E13 smokes), the
-# race-checked subset (`make race`), the pooled-map referee race-checked
+# race-checked subset (`make race`), the pooled-task referee — map
+# batches, reduces run ahead, two jobs' reduces at once — and the check
+# that an ended job leaves no worker or map output behind, race-checked
 # at one and at four procs (so both the inline and the worker-pool path
 # run under the detector whatever the box's core count), five seconds of each fuzz target
 # (the event-queue and ranged-read ones without corpus minimisation: each
@@ -108,7 +112,7 @@ loc:
 ci: build static loc
 	$(GO) test ./...
 	$(MAKE) race
-	$(GO) test -race -cpu 1,4 -run 'TestPooledMapsMatchInline' ./internal/mrcluster/
+	$(GO) test -race -cpu 1,4 -run 'TestPooledMapsMatchInline|TestReducesRunInlineOnlyWhenTheyMust|TestFinishedJobReleasesMapOutputs' ./internal/mrcluster/
 	$(GO) test -run '^$$' -fuzz FuzzSeqSplit -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzSeqReadCorrupt -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/iofmt/

@@ -172,6 +172,14 @@ func (w *hdfsWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
+// Adopt is Write without the copy, for a writer nothing was written to
+// yet (vfs.WriteFileOwned): p becomes the buffer, so Close cuts the
+// stored blocks from p itself, and the caller must never modify p again.
+func (w *hdfsWriter) Adopt(p []byte) error {
+	w.buf = *bytes.NewBuffer(p)
+	return nil
+}
+
 func (w *hdfsWriter) Close() error {
 	if w.closed {
 		return nil

@@ -120,3 +120,71 @@ func TestReplicaWritesDoNotCopy(t *testing.T) {
 			len(data), got, 4*len(data))
 	}
 }
+
+// WriteFileOwned hands the caller's bytes to the writer: every replica of
+// every block is a window of the caller's array. Corrupting one replica
+// copies it first, so the caller's bytes and the sibling replicas stay as
+// written; a buffer with more than an eighth of slack is copied; and a
+// write that fails leaves no file, as WriteFile's does.
+func TestWriteFileOwnedAdoptsTheCallersBytes(t *testing.T) {
+	d := viewDFS(t, 3)
+	data := pattern(3 * replicaTestBlock)
+	want := bytes.Clone(data)
+	if err := vfs.WriteFileOwned(d.Client(GatewayNode), "/f", data); err != nil {
+		t.Fatal(err)
+	}
+	locs, err := d.NN.BlockLocations("/f")
+	if err != nil || len(locs) != 3 {
+		t.Fatalf("locations: %+v err=%v", locs, err)
+	}
+	for _, loc := range locs {
+		reps := replicasOf(d, loc.Block)
+		if len(reps) != 3 {
+			t.Fatalf("%v: %d replicas, want 3", loc.Block, len(reps))
+		}
+		for _, r := range reps {
+			if &r.sb.data[0] != &data[loc.Offset] {
+				t.Fatalf("%v: the replica on %s is a copy of the caller's bytes", loc.Block, r.dn.Hostname())
+			}
+		}
+	}
+
+	mid := locs[1]
+	reps := replicasOf(d, mid.Block)
+	if !reps[0].dn.CorruptBlock(mid.Block) {
+		t.Fatal("corrupt failed")
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatal("corrupting an adopted replica wrote to the caller's bytes")
+	}
+	if _, _, err := reps[0].dn.readBlock(mid.Block); err == nil {
+		t.Fatal("the corrupted replica still verifies")
+	}
+	for _, r := range reps[1:] {
+		sb, _, err := r.dn.readBlock(mid.Block)
+		if err != nil || &sb.data[0] != &data[mid.Offset] {
+			t.Fatalf("sibling on %s after corruption: err=%v", r.dn.Hostname(), err)
+		}
+	}
+	if got, err := vfs.ReadFile(d.Client(GatewayNode), "/f"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read back after corruption: equal=%t err=%v", bytes.Equal(got, want), err)
+	}
+
+	slack := append(make([]byte, 0, 2*replicaTestBlock), want[:replicaTestBlock]...)
+	if err := vfs.WriteFileOwned(d.Client(GatewayNode), "/slack", slack); err != nil {
+		t.Fatal(err)
+	}
+	if sb, _ := storedAt(t, d, "/slack", 0); &sb.data[0] == &slack[0] {
+		t.Fatal("a buffer twice its length was adopted")
+	}
+
+	for _, dn := range d.datanodes {
+		dn.Kill()
+	}
+	if err := vfs.WriteFileOwned(d.Client(GatewayNode), "/lost", bytes.Clone(want)); err == nil {
+		t.Fatal("a write with every DataNode down succeeded")
+	}
+	if vfs.Exists(d.Client(GatewayNode), "/lost") {
+		t.Fatal("a failed adopted write left its file behind")
+	}
+}

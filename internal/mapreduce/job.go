@@ -27,7 +27,11 @@ type Job struct {
 	// tasks' — both runtimes run map tasks on a worker pool — so a
 	// Mapper shares no mutable state with other Mappers.
 	NewMapper func() Mapper
-	// NewReducer constructs a fresh Reducer per reduce task.
+	// NewReducer constructs a fresh Reducer per reduce task. A task's
+	// reduce code may run on a worker goroutine at the same time as other
+	// tasks' — the JobTracker runs a job's reduces on a worker pool ahead
+	// of their launches — so a Reducer shares no mutable state with other
+	// Reducers.
 	NewReducer func() Reducer
 	// NewCombiner optionally constructs a map-side combiner. As in Hadoop,
 	// it must be an associative, commutative reduction whose output type

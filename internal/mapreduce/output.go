@@ -44,12 +44,33 @@ func NewOutputWriter(job *Job) (*OutputWriter, error) {
 // NewOutputWriter builds the writer for the scratch's next task: it
 // encodes into the scratch's part buffer, emptied first.
 func (s *ReduceScratch) NewOutputWriter(job *Job) (*OutputWriter, error) {
+	s.part.Reset()
+	return s.writerOver(job, &s.part)
+}
+
+// NewOwnedOutputWriter builds the writer for the scratch's next task over
+// a buffer of its own, so the part Finish returns belongs to the caller
+// alone and outlives the scratch's next task. The buffer is presized for
+// runs reduced one record per pair as text, every pair's bytes plus a tab
+// and a newline: exact for an identity reduce, when it is the part's one
+// allocation.
+func (s *ReduceScratch) NewOwnedOutputWriter(job *Job, runs [][]Pair) (*OutputWriter, error) {
+	size := 0
+	for _, run := range runs {
+		for _, p := range run {
+			size += len(p.Key) + len(p.Val) + 2
+		}
+	}
+	return s.writerOver(job, bytes.NewBuffer(make([]byte, 0, size)))
+}
+
+// writerOver builds a writer for job that encodes into buf.
+func (s *ReduceScratch) writerOver(job *Job, buf *bytes.Buffer) (*OutputWriter, error) {
 	codec, err := iofmt.ByName(job.OutputCodec)
 	if err != nil {
 		return nil, err
 	}
-	s.part.Reset()
-	w := &OutputWriter{codec: codec, buf: &s.part, key: &s.key}
+	w := &OutputWriter{codec: codec, buf: buf, key: &s.key}
 	if job.outputFormat() == OutputFormatSeq {
 		sw, err := iofmt.NewSeqWriter(w.buf, iofmt.SeqWriterOptions{Codec: codec})
 		if err != nil {
@@ -82,8 +103,8 @@ func writeRecord[V string | []byte](w *OutputWriter, key string, val V) error {
 
 // Finish closes the container and returns the encoded part file bytes.
 // Uncompressed text and SequenceFile parts are the writer's buffer itself:
-// on a ReduceScratch's writer they belong to the scratch until its next
-// task starts.
+// on a ReduceScratch's NewOutputWriter they belong to the scratch until
+// its next task starts.
 func (w *OutputWriter) Finish() ([]byte, OutputStats, error) {
 	if w.seq != nil {
 		if err := w.seq.Close(); err != nil {

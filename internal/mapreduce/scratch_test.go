@@ -749,3 +749,43 @@ func TestWarmReduceScratchAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// A part from NewOwnedOutputWriter is the caller's: the scratch's next
+// task does not touch it, its bytes are those of the scratch's own
+// writer in every container, and for an identity reduce written as text
+// it is exactly the presize, one allocation with no slack.
+func TestOwnedOutputWriterPartIsTheCallers(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	first, second := teraRuns(rng, 3, 400), teraRuns(rng, 2, 300)
+	for _, f := range []struct{ format, codec string }{{"", ""}, {"", "gzip"}, {OutputFormatSeq, ""}} {
+		for _, job := range []*Job{identityJob(), rawIdentityJob()} {
+			job.OutputFormat, job.OutputCodec = f.format, f.codec
+			ctx := func() *TaskContext { return NewTaskContext(job.Name, "r", nil, job) }
+			owned := func(s *ReduceScratch, runs [][]Pair) []byte {
+				w, err := s.NewOwnedOutputWriter(job, runs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.ExecuteReduce(ctx(), job, runs, w); err != nil {
+					t.Fatal(err)
+				}
+				data, _, err := w.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			s := new(ReduceScratch)
+			part := owned(s, first)
+			want := bytes.Clone(reducePart(t, nil, ctx(), job, first))
+			owned(s, second)
+			reducePart(t, s, ctx(), job, second)
+			if !bytes.Equal(part, want) {
+				t.Fatalf("%q/%q: the owned part changed under the scratch's next tasks, or differs from the scratch writer's", f.format, f.codec)
+			}
+			if f == (struct{ format, codec string }{}) && cap(part) != len(part) {
+				t.Fatalf("an identity text part of %d bytes has capacity %d", len(part), cap(part))
+			}
+		}
+	}
+}

@@ -298,8 +298,9 @@ func slabAppend(slab []byte, v string) (val, rest []byte) {
 // is handed, the buffer the task's part file is encoded into, and the one
 // a SequenceFile part copies each key into beside a raw value. The
 // zero value is ready. A scratch serves one task at a time. The part
-// bytes that Finish returns on its writer belong to the scratch until its
-// next task starts, so write them out first (vfs.WriteFile copies them).
+// bytes that Finish returns on its NewOutputWriter belong to the scratch
+// until its next task starts, so write them out first (vfs.WriteFile
+// copies them); those of its NewOwnedOutputWriter are the caller's.
 type ReduceScratch struct {
 	merge  mergeHeap
 	window []Pair

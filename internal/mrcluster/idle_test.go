@@ -28,9 +28,11 @@ func outcomeOf(r *Report) string {
 
 // TestFinishedJobReleasesMapOutputs: a job's map outputs are its shuffle's
 // input and nothing else, so a job that has ended — either way — must not
-// keep them reachable through the JobTracker's job table, or a cluster
-// that has run a TeraSort holds the dataset for the rest of its life.
+// keep them reachable through the JobTracker's job table or a reduce run
+// made ahead of its launch, nor leave a worker running, or a cluster that
+// has run a TeraSort holds the dataset for the rest of its life.
 func TestFinishedJobReleasesMapOutputs(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
 	used := newLCRig(t, Config{MaxAttempts: 1}, false)
 	var last *Report
 	for i, failing := range []*attemptKind{nil, used.mc.JT.reduceKind, nil} {
@@ -44,8 +46,16 @@ func TestFinishedJobReleasesMapOutputs(t *testing.T) {
 					t.Fatalf("after job %d ended, %s of %s still holds its output", i, m.id(), jr.id)
 				}
 			}
-			if jr.reduceScratch != nil {
-				t.Fatalf("after job %d ended, %s still holds a task scratch", i, jr.id)
+			for _, r := range jr.reduces {
+				if r.ahead != nil {
+					t.Fatalf("after job %d ended, %s of %s still holds a run made ahead", i, r.id(), jr.id)
+				}
+			}
+		}
+		// endJob waited for the job's workers; each exits right after.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("after job %d ended, %d goroutines run, %d before the cluster", i, runtime.NumGoroutine(), goroutines)
 			}
 		}
 	}

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -76,6 +78,8 @@ type task struct {
 	output   *mapreduce.MapOutput // completed map output
 	outputOn cluster.NodeID
 
+	ahead *reduceRun // reduce tasks: the user code run ahead of the task's next launch
+
 	// ctx parents every attempt of this task in the job's trace; it is
 	// allocated lazily at the first attempt launch (firstStart), and its
 	// span records when the task completes.
@@ -113,10 +117,12 @@ type attempt struct {
 
 func (a *attempt) id() string {
 	if a.cachedID == "" {
-		a.cachedID = fmt.Sprintf("attempt_%s_%d", a.t.id(), a.seq)
+		a.cachedID = attemptID(a.t, a.seq)
 	}
 	return a.cachedID
 }
+
+func attemptID(t *task, seq int) string { return fmt.Sprintf("attempt_%s_%d", t.id(), seq) }
 
 type jobState int
 
@@ -145,10 +151,8 @@ type jobRun struct {
 
 	durations [2][]time.Duration // completed attempts' run times, by kind
 
-	// reduceScratch is the reduce attempts' merge and part buffer, which
-	// they use one after another (the engine is single-threaded). It is
-	// allocated by the first reduce attempt and dropped when the job ends.
-	reduceScratch *mapreduce.ReduceScratch
+	// workers counts the goroutines running the job's reduces ahead.
+	workers sync.WaitGroup
 
 	// hist is the job's history file in the making: every lifecycle event
 	// from submit to finish, persisted into HDFS when the job completes.
@@ -231,6 +235,15 @@ type JobTracker struct {
 	// scratch holds the map-side collect/sort buffers, one per worker
 	// that runs map user code (see runMaps), shared by every job.
 	scratch []*mapreduce.MapScratch
+	// reduceFree holds the reduce-side merge buffers no task is using. A
+	// worker running reduces ahead takes one until its queue is empty, an
+	// inline reduce for as long as it runs, so none serves two tasks at
+	// once; they outlive jobs, and an idle one holds no pairs.
+	reduceMu   sync.Mutex
+	reduceFree []*mapreduce.ReduceScratch
+	// reducesInline counts the reduce attempts whose user code ran on the
+	// engine goroutine (mr.jt.reduces_inline, see ReducesInline).
+	reducesInline int64
 	// mapLocality counts completed maps by locality rank (0 data-local, 1
 	// rack-local, 2 remote): the job counter's name and the metric.
 	mapLocality [3]localityCounter
@@ -1030,16 +1043,145 @@ func (jt *JobTracker) commitMap(r *mapRun) {
 			loc.n.Inc()
 			if jr.mapsDone == len(jr.maps) && jr.mapsDoneAt == 0 {
 				jr.mapsDoneAt = jt.mc.Engine.Now()
+				jt.runReducesAhead(jr)
 			}
 			return nil
 		},
 	})
 }
 
+// reduceRun is one run of a reduce task's user code — ExecuteReduce and
+// Finish over the map outputs outs — on a worker ahead of the launch of
+// the task's attempt seq, or inline by a launch. Whoever runs it sets
+// data, ostats and err, then closes done (an inline run has no done).
+// The part in data is the run's alone: an owned output writer made it.
+type reduceRun struct {
+	seq  int                    // the attempt that consumes the run
+	idx  int                    // the reduce partition
+	outs []*mapreduce.MapOutput // the map outputs it reads, in map order
+	ctx  *mapreduce.TaskContext // names the consuming attempt
+	// skip is set once no attempt will consume the run: a worker that has
+	// not started it passes it by.
+	skip   atomic.Bool
+	done   chan struct{}
+	data   []byte
+	ostats mapreduce.OutputStats
+	err    error
+}
+
+// execute runs r's user code, a reduce task of job, on s.
+func (r *reduceRun) execute(s *mapreduce.ReduceScratch, job *mapreduce.Job) {
+	runs := make([][]mapreduce.Pair, len(r.outs))
+	for i, o := range r.outs {
+		runs[i] = o.Partitions[r.idx]
+	}
+	ow, err := s.NewOwnedOutputWriter(job, runs)
+	if err == nil {
+		_, err = s.ExecuteReduce(r.ctx, job, runs, ow)
+	}
+	if err == nil {
+		r.data, r.ostats, err = ow.Finish()
+	}
+	r.err = err
+}
+
+// mapOutputs returns the map outputs jr's tasks hold now, in map order.
+func mapOutputs(jr *jobRun) []*mapreduce.MapOutput {
+	outs := make([]*mapreduce.MapOutput, len(jr.maps))
+	for i, m := range jr.maps {
+		outs[i] = m.output
+	}
+	return outs
+}
+
+// runReducesAhead starts the user code of jr's pending reduces, in task
+// order, on min(GOMAXPROCS, reduces) workers, the instant the job's last
+// map first commits. Each run is keyed by its task and made for the
+// task's next attempt, whose launch then waits for the run instead of
+// executing the code itself (takeAhead). A worker reads only the job and
+// committed map outputs, which never change, and never waits on the
+// engine. A job whose user code can reach HDFS through side files runs
+// its reduces inline, as it does its maps.
+func (jt *JobTracker) runReducesAhead(jr *jobRun) {
+	if len(jr.job.SideFiles) > 0 {
+		return
+	}
+	outs := mapOutputs(jr)
+	queue := make(chan *reduceRun, len(jr.reduces))
+	for _, t := range jr.reduces {
+		if t.state == taskPending && t.ahead == nil {
+			seq := t.attemptSeq + 1
+			t.ahead = &reduceRun{seq: seq, idx: t.idx, outs: outs, done: make(chan struct{}),
+				ctx: mapreduce.NewTaskContext(jr.id, attemptID(t, seq), nil, jr.job)}
+			queue <- t.ahead
+		}
+	}
+	close(queue)
+	for range min(runtime.GOMAXPROCS(0), len(queue)) {
+		jr.workers.Add(1)
+		go func() {
+			defer jr.workers.Done()
+			s := jt.takeReduceScratch()
+			for r := range queue {
+				if !r.skip.Load() {
+					r.execute(s, jr.job)
+				}
+				close(r.done)
+			}
+			jt.putReduceScratch(s)
+		}()
+	}
+}
+
+// takeAhead hands t's run-ahead to a, once it has finished, if a is the
+// attempt it was made for and it read the map outputs the job holds now.
+// Otherwise it drops the run, and the launch runs the code inline.
+func (jt *JobTracker) takeAhead(t *task, a *attempt) *reduceRun {
+	r := t.ahead
+	if r == nil {
+		return nil
+	}
+	t.ahead = nil
+	if r.seq != a.seq || !slices.EqualFunc(r.outs, t.jr.maps, func(o *mapreduce.MapOutput, m *task) bool { return o == m.output }) {
+		r.skip.Store(true)
+		return nil
+	}
+	<-r.done
+	return r
+}
+
+// takeReduceScratch takes a reduce scratch off the free list, making one
+// when it is empty; putReduceScratch puts it back.
+func (jt *JobTracker) takeReduceScratch() *mapreduce.ReduceScratch {
+	jt.reduceMu.Lock()
+	defer jt.reduceMu.Unlock()
+	n := len(jt.reduceFree)
+	if n == 0 {
+		return new(mapreduce.ReduceScratch)
+	}
+	s := jt.reduceFree[n-1]
+	jt.reduceFree = jt.reduceFree[:n-1]
+	return s
+}
+
+func (jt *JobTracker) putReduceScratch(s *mapreduce.ReduceScratch) {
+	jt.reduceMu.Lock()
+	defer jt.reduceMu.Unlock()
+	jt.reduceFree = append(jt.reduceFree, s)
+}
+
+// ReducesInline returns mr.jt.reduces_inline: how many reduce attempts
+// ran their user code on the engine goroutine rather than ahead on the
+// pool — those of jobs with side files, retries, speculative attempts,
+// and first attempts whose run-ahead read map outputs since lost. It is
+// kept off the registry, whose key set the goldens pin.
+func (jt *JobTracker) ReducesInline() int64 { return jt.reducesInline }
+
 // runReduceAttempt launches a reduce attempt of t on tt, reporting whether
 // it actually started (false when map outputs are gone or unfetchable, so
 // the scheduler does not spin re-picking the same task for the same slot):
-// costs the shuffle, runs the user's reducer and stages its output.
+// costs the shuffle, runs the user's reducer — or takes the run made
+// ahead for the attempt — and stages its output.
 func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) bool {
 	jr := t.jr
 	// Verify every map output is still reachable; a lost tracker between
@@ -1083,12 +1225,10 @@ func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative boo
 	if jt.mc.cfg.CompressShuffle {
 		shufCodec, _ = iofmt.ByName(shuffleCodec)
 	}
-	var runs [][]mapreduce.Pair
 	var perSource []time.Duration
 	var shuffleBytes, rawBytes, shuffleRecords int64
 	for _, m := range jr.maps {
 		part := m.output.Partitions[t.idx]
-		runs = append(runs, part)
 		var b int64
 		for _, p := range part {
 			b += p.Bytes()
@@ -1125,29 +1265,25 @@ func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative boo
 
 	client := jt.mc.DFS.Client(tt.id)
 	client.Trace = a.ctx
-	ctx := mapreduce.NewTaskContext(jr.id, a.id(), client, jr.job)
+	// The run made ahead for this attempt hands its part over to HDFS;
+	// an inline run's part is copied, as every other write is.
+	r, write := jt.takeAhead(t, a), vfs.WriteFileOwned
+	if r == nil {
+		jt.reducesInline++
+		r, write = &reduceRun{idx: t.idx, outs: mapOutputs(jr), ctx: mapreduce.NewTaskContext(jr.id, a.id(), client, jr.job)}, vfs.WriteFile
+		s := jt.takeReduceScratch()
+		r.execute(s, jr.job)
+		jt.putReduceScratch(s)
+	}
+	ctx, ostats, err := r.ctx, r.ostats, r.err
 	ctx.Counters.Inc(mapreduce.CtrShuffleBytes, shuffleBytes)
-	if jr.reduceScratch == nil {
-		jr.reduceScratch = new(mapreduce.ReduceScratch)
-	}
-	// data is the scratch's part buffer: WriteFile below copies it before
-	// the next reduce attempt of the job reuses it.
-	ow, err := jr.reduceScratch.NewOutputWriter(jr.job)
-	if err == nil {
-		_, err = jr.reduceScratch.ExecuteReduce(ctx, jr.job, runs, ow)
-	}
-	var data []byte
-	var ostats mapreduce.OutputStats
-	if err == nil {
-		data, ostats, err = ow.Finish()
-	}
 	if err == nil {
 		ctx.Counters.Inc(mapreduce.CtrOutputRawBytes, ostats.RawBytes)
 		jt.m.outputFileBytes.Add(ostats.FileBytes)
 		// Commit protocol: write to a temporary attempt file now, rename to
 		// the final part file at completion (Hadoop's OutputCommitter).
 		a.tempPath = vfs.Join(jr.job.OutputPath, "_temporary", a.id())
-		err = vfs.WriteFile(client, a.tempPath, data)
+		err = write(client, a.tempPath, r.data)
 	}
 	if err != nil {
 		jt.armOutcome(a, attemptPlan{err: err, errAfter: shuffleTime})
@@ -1310,14 +1446,21 @@ func (jt *JobTracker) endJob(jr *jobRun, cause error) {
 			break
 		}
 	}
-	// Nothing reads a job's map outputs or scratches once it is not running
-	// (completeAttempt, failAttempt and onContainerAllocated all check the
-	// state first); dropping them here is what lets a long-lived cluster's
-	// heap forget the datasets of the jobs it has run.
-	jr.reduceScratch = nil
+	// Nothing reads a job's map outputs or reduce runs once it is not
+	// running (completeAttempt, failAttempt and onContainerAllocated all
+	// check the state first); dropping them here, and waiting out the
+	// workers still on the job's runs, is what lets a long-lived
+	// cluster's heap forget the datasets of the jobs it has run.
 	for _, t := range jr.maps {
 		t.output = nil
 	}
+	for _, t := range jr.reduces {
+		if t.ahead != nil {
+			t.ahead.skip.Store(true)
+			t.ahead = nil
+		}
+	}
+	jr.workers.Wait()
 	ended.Inc()
 	if jr.ctx.Valid() {
 		jr.ctx.End(SpanJob, time.Duration(jr.submittedAt), time.Duration(jr.finishedAt), obs.Attrs{

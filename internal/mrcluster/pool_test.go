@@ -234,3 +234,22 @@ func TestPooledMapsMatchInline(t *testing.T) {
 		})
 	}
 }
+
+// TestReducesRunInlineOnlyWhenTheyMust reads mr.jt.reduces_inline after
+// each job mix: a reduce runs its user code on the engine goroutine only
+// when its job has side files, when it is a retry, or when the map
+// outputs its run-ahead read are gone; never for a clean job, whatever
+// the mode or the number of jobs.
+func TestReducesRunInlineOnlyWhenTheyMust(t *testing.T) {
+	inline := map[string]bool{"side-files-inline": true, "side-files-cached": true, "reduce-fault": true, "tracker-lost-after-maps": true}
+	for _, tc := range pooledCases(t) {
+		_, rig := pooledRun(t, tc)
+		got := rig.mc.JT.ReducesInline()
+		if launched := rig.mc.Obs.CounterValue(mrcluster.MetricJTReducesLaunched); got > launched {
+			t.Errorf("%s: %d reduces inline of %d launched", tc.name, got, launched)
+		}
+		if (got > 0) != inline[tc.name] {
+			t.Errorf("%s: %d reduces ran inline", tc.name, got)
+		}
+	}
+}

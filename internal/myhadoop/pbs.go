@@ -36,6 +36,8 @@ type Daemon struct {
 	// monitors on the shared engine. Provision sets it once the private
 	// cluster is up; nil until then.
 	kill func()
+	// run is the provisioned cluster that bound the daemon.
+	run *HadoopRun
 }
 
 type nodeState struct {
@@ -264,14 +266,6 @@ func (p *PBS) bindDaemon(r *Reservation, node cluster.NodeID, kind string, port 
 	d := &Daemon{Kind: kind, Port: port, Owner: r.User}
 	ns.ports[port] = d
 	return d, nil
-}
-
-// unbindDaemon stops a daemon and releases its port, if it still owns it.
-func (p *PBS) unbindDaemon(node cluster.NodeID, d *Daemon) {
-	ns := p.node(node)
-	if ns != nil && ns.ports[d.Port] == d {
-		ns.killDaemon(d.Port)
-	}
 }
 
 // Daemons lists the daemons currently bound on a node, sorted by port.

@@ -2,7 +2,7 @@ package myhadoop
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -22,7 +22,6 @@ type HadoopRun struct {
 	MR  *mrcluster.MRCluster
 
 	pbs     *PBS
-	daemons map[cluster.NodeID][]*Daemon
 	stopped bool
 }
 
@@ -40,14 +39,13 @@ func Provision(p *PBS, r *Reservation, opts ProvisionOptions) (*HadoopRun, error
 	if r.State != ResRunning {
 		return nil, fmt.Errorf("myhadoop: reservation is not running")
 	}
-	run := &HadoopRun{Res: r, pbs: p, daemons: map[cluster.NodeID][]*Daemon{}}
+	run := &HadoopRun{Res: r, pbs: p}
 	bind := func(node cluster.NodeID, kind string, port int) error {
 		d, err := p.bindDaemon(r, node, kind, port)
-		if err != nil {
-			return err
+		if err == nil {
+			d.run = run
 		}
-		run.daemons[node] = append(run.daemons[node], d)
-		return nil
+		return err
 	}
 	for i, node := range r.Allocated {
 		if i == 0 {
@@ -85,7 +83,7 @@ func Provision(p *PBS, r *Reservation, opts ProvisionOptions) (*HadoopRun, error
 	// own ghost — ends that process's heartbeats on the shared engine too.
 	for i, node := range r.Allocated {
 		id := cluster.NodeID(i) // the private topology numbers its nodes from 0
-		for _, d := range run.daemons[node] {
+		for _, d := range run.daemons(node) {
 			switch d.Kind {
 			case "namenode":
 				d.kill = dfs.NN.Shutdown
@@ -101,17 +99,20 @@ func Provision(p *PBS, r *Reservation, opts ProvisionOptions) (*HadoopRun, error
 	return run, nil
 }
 
+// daemons lists the daemons the run bound on node that still hold their
+// ports, in port order: PBS keeps the bindings, this run owns some.
+func (h *HadoopRun) daemons(node cluster.NodeID) []*Daemon {
+	return slices.DeleteFunc(h.pbs.Daemons(node), func(d *Daemon) bool { return d.run != h })
+}
+
 // unbindAll stops the run's daemons and releases their ports, in node and
 // then port order.
 func (h *HadoopRun) unbindAll() {
 	for _, node := range h.Res.Allocated {
-		ds := h.daemons[node]
-		sort.Slice(ds, func(i, j int) bool { return ds[i].Port < ds[j].Port })
-		for _, d := range ds {
-			h.pbs.unbindDaemon(node, d)
+		for _, d := range h.daemons(node) {
+			h.pbs.node(node).killDaemon(d.Port)
 		}
 	}
-	h.daemons = map[cluster.NodeID][]*Daemon{}
 }
 
 // StopDaemons shuts the Hadoop daemons down cleanly, stopping them and

@@ -220,6 +220,20 @@ func (bytesFile) Close() error { return nil }
 // WriteFile creates path with the given contents, creating parents. On
 // error it leaves no file behind.
 func WriteFile(fs FileSystem, path string, data []byte) error {
+	return writeFile(fs, path, data, false)
+}
+
+// WriteFileOwned is WriteFile for a caller that hands data over and never
+// touches it again. A writer with an Adopt method (the HDFS client's)
+// keeps data itself as the file's contents, without a copy, unless its
+// capacity exceeds its length by more than an eighth: the filesystem
+// never pins that much slack. Every other writer copies, as WriteFile
+// does.
+func WriteFileOwned(fs FileSystem, path string, data []byte) error {
+	return writeFile(fs, path, data, cap(data)-len(data) <= len(data)/8)
+}
+
+func writeFile(fs FileSystem, path string, data []byte, adopt bool) error {
 	dir, _ := Split(path)
 	if err := fs.Mkdir(dir); err != nil {
 		return err
@@ -228,7 +242,7 @@ func WriteFile(fs FileSystem, path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := writeAndClose(w, data); err != nil {
+	if err := writeAndClose(w, data, adopt); err != nil {
 		if Exists(fs, path) { // a failed Write still Closes, which commits
 			_ = fs.Remove(path, false) // the write's error is the one to report
 		}
@@ -237,8 +251,14 @@ func WriteFile(fs FileSystem, path string, data []byte) error {
 	return nil
 }
 
-func writeAndClose(w io.WriteCloser, data []byte) error {
-	if _, err := w.Write(data); err != nil {
+func writeAndClose(w io.WriteCloser, data []byte, adopt bool) error {
+	var err error
+	if a, ok := w.(interface{ Adopt([]byte) error }); ok && adopt {
+		err = a.Adopt(data)
+	} else {
+		_, err = w.Write(data)
+	}
+	if err != nil {
 		w.Close()
 		return err
 	}
@@ -256,7 +276,7 @@ func AppendFile(fs FileSystem, path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return writeAndClose(w, data)
+	return writeAndClose(w, data, false)
 }
 
 // Exists reports whether path names a file or directory.

@@ -209,3 +209,32 @@ func TestCleanOfCleanPathDoesNotAllocate(t *testing.T) {
 }
 
 var sinkPath string
+
+// On a filesystem whose writers cannot adopt, WriteFileOwned is
+// WriteFile: the same file, and a copy the caller's later writes do not
+// reach.
+func TestWriteFileOwnedCopiesOnMemFS(t *testing.T) {
+	fs := NewMemFS()
+	for _, data := range [][]byte{nil, []byte("part-r-00000 bytes\n"), make([]byte, 3, 64)} {
+		owned := append([]byte(nil), data...)
+		if err := WriteFile(fs, "/a/copied", data); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileOwned(fs, "/b/owned", owned); err != nil {
+			t.Fatal(err)
+		}
+		for i := range owned {
+			owned[i] = '!'
+		}
+		a, errA := ReadFile(fs, "/a/copied")
+		b, errB := ReadFile(fs, "/b/owned")
+		if errA != nil || errB != nil || string(a) != string(b) || string(b) != string(data) {
+			t.Fatalf("WriteFile stored %q (%v), WriteFileOwned %q (%v)", a, errA, b, errB)
+		}
+		for _, p := range []string{"/a/copied", "/b/owned"} {
+			if err := fs.Remove(p, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

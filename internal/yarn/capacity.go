@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // This file is the capacity scheduler's allocation engine: a
@@ -205,6 +206,50 @@ type taskMaster struct {
 	done int
 }
 
+// taskEnds is a min-heap of every granted task container by the instant
+// its task ends, ties in grant order: the order the engine fires their
+// end events in, so each firing ends the top one. One heap serves the
+// RM's task masters, and each end event runs the same bound callback,
+// so once warm a grant and its end allocate nothing.
+type taskEnds struct {
+	h      []taskEnd
+	grants uint64
+	fire   func() // rm.endTask, bound once
+}
+
+type taskEnd struct {
+	at    sim.Time
+	grant uint64
+	tm    *taskMaster
+	c     *Container
+}
+
+func (e taskEnd) before(o taskEnd) bool { return e.at < o.at || e.at == o.at && e.grant < o.grant }
+
+func (q *taskEnds) push(e taskEnd) {
+	q.h = append(q.h, e)
+	for i := len(q.h) - 1; i > 0 && q.h[i].before(q.h[(i-1)/2]); i = (i - 1) / 2 {
+		q.h[i], q.h[(i-1)/2] = q.h[(i-1)/2], q.h[i]
+	}
+}
+
+func (q *taskEnds) pop() taskEnd {
+	top, n := q.h[0], len(q.h)-1
+	q.h[0], q.h[n] = q.h[n], taskEnd{}
+	q.h = q.h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && q.h[c+1].before(q.h[c]) {
+			c++
+		}
+		if c >= n || !q.h[c].before(q.h[i]) {
+			return top
+		}
+		q.h[i], q.h[c] = q.h[c], q.h[i]
+		i = c
+	}
+}
+
 // start enqueues every task's request, then schedules once: from the
 // fix-point Submit's own pass left, new requests of one app can place
 // only that app's requests, in their FIFO order — a pass only consumes
@@ -222,17 +267,24 @@ func (tm *taskMaster) OnAllocated(c *Container) {
 		tm.rm.Release(c, "bad_tag")
 		return
 	}
-	d := tm.app.Spec.Tasks[idx].Duration
-	tm.rm.eng.After(d, func() {
-		if c.Released() {
-			return // preempted (and re-requested) before it could finish
-		}
-		tm.done++
-		tm.rm.Release(c, "complete")
-		if tm.done == len(tm.app.Spec.Tasks) {
-			tm.rm.FinishApp(tm.app)
-		}
-	})
+	d := max(tm.app.Spec.Tasks[idx].Duration, 0)
+	ends := &tm.rm.taskEnds
+	ends.grants++
+	ends.push(taskEnd{at: tm.rm.eng.Now() + d, grant: ends.grants, tm: tm, c: c})
+	tm.rm.eng.After(d, ends.fire)
+}
+
+// endTask is the end event of the task in the top container of taskEnds.
+func (rm *ResourceManager) endTask() {
+	e := rm.taskEnds.pop()
+	if e.c.Released() {
+		return // preempted (and re-requested) before it could finish
+	}
+	e.tm.done++
+	rm.Release(e.c, "complete")
+	if e.tm.done == len(e.tm.app.Spec.Tasks) {
+		rm.FinishApp(e.tm.app)
+	}
 }
 
 func (tm *taskMaster) OnPreempted(c *Container) {

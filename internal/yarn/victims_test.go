@@ -55,3 +55,38 @@ func TestPlanVictimsAllocatesOnlyItsVictims(t *testing.T) {
 		t.Errorf("a warm plan made %.0f allocations, want 1 (its victims)", allocs)
 	}
 }
+
+// A task container's end is an engine event from the free list and a
+// place in its master's end order: once warm, granting a container and
+// firing its end allocates nothing.
+func TestTaskEndAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	rm, err := NewCapacityResourceManager(eng, cluster.NewTopology(cluster.PaperNodeConfig(2, 1)), CapacityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := TaskSpec{Resource: Resource{VCores: 1, MemoryMB: 1024}, Duration: 30 * 24 * time.Hour}
+	short := TaskSpec{Resource: Resource{VCores: 1, MemoryMB: 1024}, Duration: time.Minute}
+	app, err := rm.Submit(AppSpec{Name: "app", User: "u", Tasks: []TaskSpec{long, long, short}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Advance(2 * time.Minute)
+	tm := app.master.(*taskMaster)
+	if tm.done != 1 || len(rm.taskEnds.h) != 2 {
+		t.Fatalf("done=%d, %d task ends pending; want the short task done and the long two pending", tm.done, len(rm.taskEnds.h))
+	}
+	// A released container of the short task: its end fires and finds it
+	// gone.
+	c := &Container{App: app, Tag: "2", state: containerReleased}
+	grantAndEnd := func() {
+		tm.OnAllocated(c)
+		eng.Advance(time.Minute)
+	}
+	if allocs := testing.AllocsPerRun(100, grantAndEnd); allocs != 0 {
+		t.Fatalf("a task container's grant and end allocate %.1f times, want 0", allocs)
+	}
+	if tm.done != 1 || len(rm.taskEnds.h) != 2 {
+		t.Fatalf("done=%d, %d task ends pending after the released container's ends fired", tm.done, len(rm.taskEnds.h))
+	}
+}

@@ -277,6 +277,8 @@ type ResourceManager struct {
 	// (AM or task): a lower bound on every head request, so when it does
 	// not fit the cluster's free room a pass has nothing to place.
 	minAsk Resource
+	// taskEnds orders the ends of the task masters' containers.
+	taskEnds taskEnds
 	// pending counts apps in AppPending: up at submit and when a node
 	// drain takes an AM, down at an AM grant and when a pending app
 	// finishes.
@@ -312,6 +314,7 @@ func NewCapacityResourceManager(eng *sim.Engine, topo *cluster.Topology, opts Ca
 		minAsk:       Resource{VCores: math.MaxInt, MemoryMB: math.MaxInt64},
 	}
 	rm.log = history.NewLog(rm.m.events)
+	rm.taskEnds.fire = rm.endTask
 	initial := topo.Len()
 	if rm.autoscaleCfg.Enabled {
 		initial = rm.autoscaleCfg.MinNodes
