@@ -3,6 +3,7 @@ package mrcluster_test
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -148,7 +149,9 @@ func pooledRun(t *testing.T, tc pooledCase) ([4][]byte, *testRig) {
 }
 
 // pooledCases are TestPooledMapsMatchInline's job mixes: six whose maps
-// the pool runs, then four that reach the reduce side's failure paths.
+// the pool runs, then four that reach the reduce side's failure paths,
+// then three that reach the map side's: a read that fails over, a read
+// that fails, and speculative attempts.
 func pooledCases(t *testing.T) []pooledCase {
 	one := func(build func(*testRig) *mapreduce.Job) func(*testRig) []*mapreduce.Job {
 		return func(rig *testRig) []*mapreduce.Job { return []*mapreduce.Job{build(rig)} }
@@ -175,6 +178,25 @@ func pooledCases(t *testing.T) []pooledCase {
 		return job
 	}
 	terasort8 := func(rig *testRig) *mapreduce.Job { return terasort(rig, 8) }
+	// corrupt is wordcount with n replicas of the input's first block
+	// corrupted before submit, the lowest node first: that node's tracker
+	// takes map 0 data-local, so one corrupt replica makes its read fail
+	// over, and all of them fail the reads of the maps that read the block.
+	corrupt := func(n int) func(*testRig) *mapreduce.Job {
+		return func(rig *testRig) *mapreduce.Job {
+			job := wordcount(rig)
+			locs, err := rig.dfs.Client(hdfs.GatewayNode).BlockLocations("/in/data.txt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := slices.Clone(locs[0].Nodes)
+			slices.Sort(nodes)
+			for _, id := range nodes[:min(n, len(nodes))] {
+				rig.dfs.DataNode(id).CorruptBlock(locs[0].Block)
+			}
+			return job
+		}
+	}
 	return []pooledCase{
 		{name: "wordcount-combiner", build: one(wordcount)},
 		{name: "terasort-8", build: one(terasort8)},
@@ -201,6 +223,14 @@ func pooledCases(t *testing.T) []pooledCase {
 			}
 			return out
 		}},
+		{name: "corrupt-replica", build: one(corrupt(1))},
+		{name: "unreadable-split", build: one(corrupt(3))},
+		// Node 2 runs eight times slower, so its maps are speculated
+		// on other nodes and race their originals.
+		{name: "speculative", cfg: mrcluster.Config{Speculative: true}, build: one(func(rig *testRig) *mapreduce.Job {
+			rig.mc.SetNodeSlowdown(2, 8)
+			return wordcount(rig)
+		})},
 	}
 }
 
@@ -209,8 +239,9 @@ func pooledCases(t *testing.T) []pooledCase {
 // history files, spans, counters and outputs, and those must be what the
 // JobTracker left when it ran every task's user code at its launch on
 // the engine goroutine: testdata/pooled_maps.sha256 recorded the first
-// six cases at 8d9bf8c, the commit before the map pool, and the last four
-// at e104d72, the commit before reduces ran ahead of their launch. A
+// six cases at 8d9bf8c, the commit before the map pool, the next four at
+// e104d72, the commit before reduces ran ahead of their launch, and the
+// last three at e228cf4, the commit before maps ran ahead of theirs. A
 // commit out of pick order moves the fault draws and the event sequence;
 // a commit on a worker races the engine.
 func TestPooledMapsMatchInline(t *testing.T) {
