@@ -45,13 +45,13 @@ check: static
 # Just the concurrency-sensitive surface, race-checked. internal/sim is
 # single-threaded by contract but included so the detector verifies the
 # engine's free-list never leaks events across goroutines in tests.
-# Map user code runs on real goroutines in two places, both through
-# mapreduce.RunMapTasks (each worker on its own mapreduce.MapScratch):
-# internal/serial, whose internal/jobs tests drive it at Parallelism 3
-# and 4, and the JobTracker's schedule passes in internal/mrcluster.
-# Reduce user code runs on real goroutines in the JobTracker, ahead of
-# each reduce's launch (each worker on a mapreduce.ReduceScratch off the
-# JobTracker's free list); internal/serial's reduce loop is sequential.
+# Map user code runs on real goroutines in two places: internal/serial,
+# through mapreduce.RunMapTasks (each worker on its own
+# mapreduce.MapScratch), whose internal/jobs tests drive it at
+# Parallelism 3 and 4, and the JobTracker in internal/mrcluster, which
+# runs map and reduce user code ahead of each task's launch (each worker
+# on a scratch off the JobTracker's free list); internal/serial's reduce
+# loop is sequential.
 # internal/webui's handlers run on httptest server goroutines.
 # internal/vfs's MemFS is what those workers read concurrently.
 race:
@@ -96,9 +96,10 @@ loc:
 # The gate a PR must pass end to end: build, the static gate, the line
 # budget, tier-1 tests
 # (which include the goldens, replay digests and E12/E13 smokes), the
-# race-checked subset (`make race`), the pooled-task referee — map
-# batches, reduces run ahead, two jobs' reduces at once — and the check
-# that an ended job leaves no worker or map output behind, race-checked
+# race-checked subset (`make race`), the pooled-task referee — maps and
+# reduces run ahead, failed-over and failed reads, speculative maps, two
+# jobs at once — the count of tasks that ran inline, and the check that
+# an ended job leaves no worker, run or map output behind, race-checked
 # at one and at four procs (so both the inline and the worker-pool path
 # run under the detector whatever the box's core count), five seconds of each fuzz target
 # (the event-queue and ranged-read ones without corpus minimisation: each
@@ -112,7 +113,7 @@ loc:
 ci: build static loc
 	$(GO) test ./...
 	$(MAKE) race
-	$(GO) test -race -cpu 1,4 -run 'TestPooledMapsMatchInline|TestReducesRunInlineOnlyWhenTheyMust|TestFinishedJobReleasesMapOutputs' ./internal/mrcluster/
+	$(GO) test -race -cpu 1,4 -run 'TestPooledMapsMatchInline|TestTasksRunInlineOnlyWhenTheyMust|TestFinishedJobReleasesMapOutputs' ./internal/mrcluster/
 	$(GO) test -run '^$$' -fuzz FuzzSeqSplit -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzSeqReadCorrupt -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/iofmt/

@@ -361,6 +361,37 @@ func (c *Client) ReadRange(path string, off, length int64) ([]byte, error) {
 	return c.read("read", path, off, length, true)
 }
 
+// StoredBytes returns a whole file, uncopied, as a live replica of each
+// block whose checksum passes holds it, and charges, traces, audits and
+// reports nothing (a corrupt replica is passed over unreported). ok is
+// false when a block has no such replica or the blocks are not one write
+// buffer.
+func (c *Client) StoredBytes(path string) (data []byte, ok bool) {
+	f := c.nn.ns.lookup(path)
+	if f == nil || f.dir {
+		return nil, false
+	}
+	var buf []byte
+	lo, hi := 0, 0
+	for _, bid := range f.blocks {
+		var sb *storedBlock
+		for _, dn := range c.nn.datanodes {
+			if b, ok := dn.blocks[bid]; ok && dn.alive && dn.declaredLive && b.verified() {
+				sb = b
+				break
+			}
+		}
+		if sb == nil || len(sb.data) == 0 || buf != nil && (&sb.buf[0] != &buf[0] || sb.off != hi) {
+			return nil, false
+		}
+		if buf == nil {
+			buf, lo = sb.buf, sb.off
+		}
+		hi = sb.off + len(sb.data)
+	}
+	return buf[lo:hi:hi], buf != nil
+}
+
 // read is the body of Open, ReadFile and ReadRange; its errors carry op.
 // With view set, a range whose pieces are consecutive windows of one
 // write buffer comes back as that buffer's [a:b:b]; otherwise (pieces

@@ -158,6 +158,47 @@ func TestReadRangeOverACorruptReplica(t *testing.T) {
 	}
 }
 
+// StoredBytes is the whole file as a view of the written bytes, read past
+// a corrupt replica, and it charges, audits and reports nothing. It gives
+// nothing for a block no live replica holds intact, for a file written in
+// two pieces, or for a path that is not a file.
+func TestStoredBytesIsAnUnchargedView(t *testing.T) {
+	d := viewDFS(t, 3)
+	data := pattern(3 * replicaTestBlock)
+	w := d.Client(GatewayNode)
+	if err := vfs.WriteFile(w, "/f", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.AppendFile(w, "/g", data[:10]); err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.AppendFile(w, "/g", data[10:]); err != nil {
+		t.Fatal(err)
+	}
+	locs, _ := d.NN.BlockLocations("/f")
+	mid := locs[1]
+	d.datanodes[mid.Nodes[0]].CorruptBlock(mid.Block)
+	c, audited := d.Client(mid.Nodes[0]), d.AuditLog().Len()
+	got, ok := c.StoredBytes("/f")
+	if !ok || !bytes.Equal(got, data) || cap(got) != len(got) {
+		t.Fatalf("StoredBytes(/f): ok=%v, right bytes %v, capacity %d of %d", ok, bytes.Equal(got, data), cap(got), len(got))
+	}
+	if sb, _ := storedAt(t, d, "/f", 0); &got[0] != &sb.data[0] {
+		t.Fatal("StoredBytes copied")
+	}
+	if c.Meter != (Meter{}) || d.AuditLog().Len() != audited || len(d.NN.blocks[mid.Block].corrupt) != 0 ||
+		d.Obs.CounterValue(MetricDNChecksumFailures) != 0 || c.m.readRetries.Value() != 0 {
+		t.Fatalf("StoredBytes charged, audited or reported: meter %+v", c.Meter)
+	}
+	d.datanodes[mid.Nodes[1]].CorruptBlock(mid.Block)
+	d.datanodes[mid.Nodes[2]].Kill() // its replica is intact, but no read reaches it
+	for _, path := range []string{"/f", "/g", "/", "/missing"} {
+		if _, ok := c.StoredBytes(path); ok {
+			t.Errorf("StoredBytes(%s) gave bytes", path)
+		}
+	}
+}
+
 // The balancer moves a replica by storing the same block on its new
 // node, so ranged reads from anywhere stay right after it.
 func TestReadRangeAfterBalance(t *testing.T) {

@@ -416,7 +416,8 @@ func ReadSeqBytes(data []byte) ([]SeqRecord, SeqStats, error) {
 }
 
 // BytesRangeReader adapts an in-memory file to a RangeReaderFunc whose
-// results are windows of data.
+// results are windows of data, clipped to their length so that an append
+// to one copies.
 func BytesRangeReader(data []byte) RangeReaderFunc {
 	return func(off, length int64) ([]byte, error) {
 		if off < 0 || length < 0 {
@@ -429,7 +430,7 @@ func BytesRangeReader(data []byte) RangeReaderFunc {
 		if off >= end {
 			return nil, nil
 		}
-		return data[off:end], nil
+		return data[off:end:end], nil
 	}
 }
 

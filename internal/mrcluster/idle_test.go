@@ -3,6 +3,7 @@ package mrcluster
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -28,27 +29,26 @@ func outcomeOf(r *Report) string {
 
 // TestFinishedJobReleasesMapOutputs: a job's map outputs are its shuffle's
 // input and nothing else, so a job that has ended — either way — must not
-// keep them reachable through the JobTracker's job table or a reduce run
-// made ahead of its launch, nor leave a worker running, or a cluster that
-// has run a TeraSort holds the dataset for the rest of its life.
+// keep them reachable through the JobTracker's job table or a map or
+// reduce run made ahead of its launch, nor leave a worker running, or a
+// cluster that has run a TeraSort holds the dataset for the rest of its
+// life.
 func TestFinishedJobReleasesMapOutputs(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	used := newLCRig(t, Config{MaxAttempts: 1}, false)
 	var last *Report
-	for i, failing := range []*attemptKind{nil, used.mc.JT.reduceKind, nil} {
+	for i, failing := range []*attemptKind{nil, used.mc.JT.reduceKind, used.mc.JT.mapKind, nil} {
 		last = used.runTo(t, fmt.Sprintf("/out%d", i), failing)
 		if last.Failed != (failing != nil) {
 			t.Fatalf("job %d: failed = %v", i, last.Failed)
 		}
 		for _, jr := range used.mc.JT.jobs {
-			for _, m := range jr.maps {
-				if m.output != nil {
-					t.Fatalf("after job %d ended, %s of %s still holds its output", i, m.id(), jr.id)
+			for _, tk := range append(slices.Clone(jr.maps), jr.reduces...) {
+				if tk.output != nil {
+					t.Fatalf("after job %d ended, %s of %s still holds its output", i, tk.id(), jr.id)
 				}
-			}
-			for _, r := range jr.reduces {
-				if r.ahead != nil {
-					t.Fatalf("after job %d ended, %s of %s still holds a run made ahead", i, r.id(), jr.id)
+				if tk.ahead != nil {
+					t.Fatalf("after job %d ended, %s of %s still holds a run made ahead", i, tk.id(), jr.id)
 				}
 			}
 		}

@@ -62,6 +62,9 @@ type attemptKind struct {
 	// launch starts an attempt of t on tt, reporting whether it actually
 	// started.
 	launch func(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) bool
+	// inline counts the attempts whose user code ran on the engine
+	// goroutine (mr.jt.maps_inline, mr.jt.reduces_inline; TasksInline).
+	inline int64
 }
 
 type task struct {
@@ -78,7 +81,7 @@ type task struct {
 	output   *mapreduce.MapOutput // completed map output
 	outputOn cluster.NodeID
 
-	ahead *reduceRun // reduce tasks: the user code run ahead of the task's next launch
+	ahead *run // the user code run ahead of the task's next launch (runAhead)
 
 	// ctx parents every attempt of this task in the job's trace; it is
 	// allocated lazily at the first attempt launch (firstStart), and its
@@ -151,7 +154,7 @@ type jobRun struct {
 
 	durations [2][]time.Duration // completed attempts' run times, by kind
 
-	// workers counts the goroutines running the job's reduces ahead.
+	// workers counts the goroutines running the job's tasks ahead.
 	workers sync.WaitGroup
 
 	// hist is the job's history file in the making: every lifecycle event
@@ -232,18 +235,12 @@ type JobTracker struct {
 	ticker *sim.Ticker
 
 	mapKind, reduceKind *attemptKind
-	// scratch holds the map-side collect/sort buffers, one per worker
-	// that runs map user code (see runMaps), shared by every job.
-	scratch []*mapreduce.MapScratch
-	// reduceFree holds the reduce-side merge buffers no task is using. A
-	// worker running reduces ahead takes one until its queue is empty, an
-	// inline reduce for as long as it runs, so none serves two tasks at
-	// once; they outlive jobs, and an idle one holds no pairs.
-	reduceMu   sync.Mutex
-	reduceFree []*mapreduce.ReduceScratch
-	// reducesInline counts the reduce attempts whose user code ran on the
-	// engine goroutine (mr.jt.reduces_inline, see ReducesInline).
-	reducesInline int64
+	// free holds the scratches no task is using. A worker running tasks
+	// ahead takes one until its queue is empty, an inline task for as long
+	// as it runs, so none serves two tasks at once; they outlive jobs, and
+	// an idle one holds no pairs.
+	scratchMu sync.Mutex
+	free      []*scratch
 	// mapLocality counts completed maps by locality rank (0 data-local, 1
 	// rack-local, 2 remote): the job counter's name and the metric.
 	mapLocality [3]localityCounter
@@ -636,11 +633,6 @@ func (jt *JobTracker) schedule() {
 	// strictly by rank keeps a slot from greedily stealing a task that is
 	// local to another node — the matching that makes HDFS data locality
 	// pay off.
-	//
-	// The pass launches its picks in order, runs their user code as one
-	// batch on the worker pool, then commits them in the same order. The
-	// batch is this call's own: a nested pass runs a batch of its own.
-	var batch []*mapRun
 	for rank := 0; rank <= 2; rank++ {
 		for _, tt := range jt.mc.trackers {
 			if !tt.alive {
@@ -651,12 +643,9 @@ func (jt *JobTracker) schedule() {
 				if best == nil {
 					break
 				}
-				batch = append(batch, jt.launchMap(best, tt, false, nil))
+				jt.runMapAttempt(best, tt, false, nil)
 			}
 		}
-	}
-	if len(batch) > 0 {
-		jt.runMaps(batch)
 	}
 	// Reduce assignment: only once a job's maps are all complete.
 	for _, tt := range jt.mc.trackers {
@@ -763,6 +752,9 @@ func (jt *JobTracker) newAttempt(t *task, tt *TaskTracker, speculative bool, c *
 		speculative: speculative,
 		startedAt:   jt.mc.Engine.Now(),
 		container:   c,
+	}
+	if r := t.ahead; r != nil && r.seq == a.seq {
+		a.cachedID = r.ctx.TaskID // named when the run was queued
 	}
 	if k.hasLocality {
 		a.locality = jt.localityRank(t, tt)
@@ -885,68 +877,15 @@ func (jt *JobTracker) failAttempt(a *attempt, cause error, crashDaemons, fatal b
 
 // --- the two kind-specific bodies ---
 
-// runMapAttempt launches a map attempt of t on tt, runs the user's mapper
-// over its split inline and commits its outcome: the path of every map
-// launch outside a schedule pass's batch (speculation, YARN containers).
+// runMapAttempt launches a map attempt of t on tt: its bookkeeping, its
+// split read charged through the HDFS client, the user's mapper (or the
+// run made ahead for it), the modelled duration and the outcome. A job's
+// first map launch queues runs of all its pending maps (runMapsAhead).
 func (jt *JobTracker) runMapAttempt(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) bool {
-	jt.runMaps([]*mapRun{jt.launchMap(t, tt, speculative, c)})
-	return true
-}
-
-// mapRun is one map attempt between its launch and its commit: what the
-// launch read on the engine goroutine, and what the user code returned.
-type mapRun struct {
-	a       *attempt
-	client  *hdfs.Client
-	ctx     *mapreduce.TaskContext
-	records []mapreduce.Record
-	rstats  mapreduce.ReadStats
-	readers int  // map attempts running at launch (SharedStorage contention)
-	ran     bool // the user code has run
-	out     *mapreduce.MapOutput
-	err     error
-}
-
-// runMaps executes the user code of a batch of launched map attempts on
-// the JobTracker's map scratches, min(GOMAXPROCS, len(batch)) workers of
-// them, then commits every attempt in launch order on the engine
-// goroutine. Execution touches nothing the simulation sees, so the order
-// the workers finish in cannot reach the history, the spans or the clock.
-func (jt *JobTracker) runMaps(batch []*mapRun) {
-	mapreduce.RunMapTasks(len(batch), jt.mapScratches(min(runtime.GOMAXPROCS(0), len(batch))),
-		func(i int, s *mapreduce.MapScratch) { batch[i].execute(s) })
-	for _, r := range batch {
-		jt.commitMap(r)
-	}
-}
-
-// mapScratches returns the first n map-side collect/sort buffers, making
-// any not yet made. Worker i of runMaps runs on scratch i, so each serves
-// one task at a time; they outlive jobs, and an idle one holds no pairs.
-func (jt *JobTracker) mapScratches(n int) []*mapreduce.MapScratch {
-	for len(jt.scratch) < n {
-		jt.scratch = append(jt.scratch, new(mapreduce.MapScratch))
-	}
-	return jt.scratch[:n]
-}
-
-// execute runs the attempt's user code on s, unless it has run or the
-// split could not be read. It reads only the attempt's own launch state.
-func (r *mapRun) execute(s *mapreduce.MapScratch) {
-	if r.ran || r.err != nil {
-		return
-	}
-	r.ran = true
-	r.out, r.err = s.ExecuteMap(r.ctx, r.a.t.jr.job, r.records)
-	r.records = nil
-}
-
-// launchMap starts a map attempt of t on tt on the engine goroutine: the
-// attempt's bookkeeping and its split read through the HDFS client. A job
-// whose user code can reach HDFS — a side file the node has not cached —
-// runs that code here too, since its reads are simulated I/O.
-func (jt *JobTracker) launchMap(t *task, tt *TaskTracker, speculative bool, c *yarn.Container) *mapRun {
 	jr := t.jr
+	if jr.counters.Get(mapreduce.CtrLaunchedMaps) == 0 {
+		jt.runMapsAhead(jr)
+	}
 	a := jt.newAttempt(t, tt, speculative, c)
 	jt.attemptStarted(a, -1)
 
@@ -955,7 +894,6 @@ func (jt *JobTracker) launchMap(t *task, tt *TaskTracker, speculative bool, c *y
 	client := jt.mc.DFS.Client(tt.id)
 	client.Trace = a.ctx
 	var taskFS vfs.FileSystem = client
-	var cached map[string][]byte
 	if jt.mc.cfg.DistributedCache && len(jr.job.SideFiles) > 0 {
 		// Localise side files once per tracker; tasks then read the node-
 		// local copy without touching HDFS.
@@ -970,38 +908,41 @@ func (jt *JobTracker) launchMap(t *task, tt *TaskTracker, speculative bool, c *y
 			}
 			tt.sideCache[cp] = data
 		}
-		cached = tt.sideCache
-		taskFS = &cacheFS{FileSystem: client, cache: cached}
+		taskFS = &cacheFS{FileSystem: client, cache: tt.sideCache}
 	}
-	r := &mapRun{a: a, client: client, ctx: mapreduce.NewTaskContext(jr.id, a.id(), taskFS, jr.job)}
-	split := t.split
-	r.records, r.rstats, r.err = mapreduce.ReadSplit(func(off, length int64) ([]byte, error) {
-		return client.ReadRange(split.Path, off, length)
-	}, split)
-	if r.err == nil {
-		r.ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, r.rstats.BytesDecoded)
-		jt.m.inputDecodedBytes.Add(r.rstats.BytesDecoded)
+	// The charged read: each range the run made ahead read goes through
+	// the client, in order. The run is the attempt's if the client returns
+	// what it read: the same window of the same buffer (which bytes.Equal
+	// finds equal without reading it) or equal bytes. Otherwise the split
+	// is read inline, the ranges already charged answered as they were.
+	r, done := jt.takeAhead(t, a), []splitRead(nil)
+	for i := 0; r != nil && i < len(r.reads); i++ {
+		x := r.reads[i]
+		if data, err := client.ReadRange(t.split.Path, x.off, x.length); err != nil || !bytes.Equal(data, x.data) {
+			done, r = append(r.reads[:i:i], splitRead{x.off, x.length, data, err}), nil
+		}
 	}
-	if jt.mc.cfg.SharedStorage {
-		r.readers = jt.runningMapAttempts()
+	if r == nil {
+		replay := done
+		r = &run{t: t, ctx: mapreduce.NewTaskContext(jr.id, a.id(), taskFS, jr.job), read: func(off, length int64) ([]byte, error) {
+			if x := replay; len(x) > 0 {
+				replay = x[1:]
+				return x[0].data, x[0].err
+			}
+			return client.ReadRange(t.split.Path, off, length)
+		}}
+		jt.runInline(jt.mapKind, r, jr.job)
 	}
-	if slices.ContainsFunc(jr.job.SideFiles, func(p string) bool { _, ok := cached[vfs.Clean(p)]; return !ok }) {
-		r.execute(jt.mapScratches(1)[0])
-	}
-	return r
-}
+	ctx, out := r.ctx, r.out
+	ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, r.rstats.BytesDecoded)
+	jt.m.inputDecodedBytes.Add(r.rstats.BytesDecoded)
 
-// commitMap models how long the attempt took and arms its outcome, on the
-// engine goroutine.
-func (jt *JobTracker) commitMap(r *mapRun) {
-	a, client, ctx, out := r.a, r.client, r.ctx, r.out
-	t, tt, jr := a.t, a.tt, a.t.jr
 	bytesRead := client.Meter.BytesRead()
 	readCost := client.Meter.ReadTime
 	if jt.mc.cfg.SharedStorage {
 		// HPC layout: the bytes come from the shared parallel filesystem,
 		// contended by every map task running at the launch.
-		readCost = jt.mc.Cost.ParallelStorageRead(bytesRead, r.readers)
+		readCost = jt.mc.Cost.ParallelStorageRead(bytesRead, jt.runningMapAttempts())
 	}
 	// The mapper's CPU runs over logical (decoded) bytes; for plain text
 	// that is the split length it always was.
@@ -1043,41 +984,68 @@ func (jt *JobTracker) commitMap(r *mapRun) {
 			loc.n.Inc()
 			if jr.mapsDone == len(jr.maps) && jr.mapsDoneAt == 0 {
 				jr.mapsDoneAt = jt.mc.Engine.Now()
-				jt.runReducesAhead(jr)
+				outs := mapOutputs(jr)
+				jt.runAhead(jr, jr.reduces, func(r *run) bool { r.outs = outs; return true })
 			}
 			return nil
 		},
 	})
+	return true
 }
 
-// reduceRun is one run of a reduce task's user code — ExecuteReduce and
-// Finish over the map outputs outs — on a worker ahead of the launch of
-// the task's attempt seq, or inline by a launch. Whoever runs it sets
-// data, ostats and err, then closes done (an inline run has no done).
-// The part in data is the run's alone: an owned output writer made it.
-type reduceRun struct {
+// run is one run of a task's user code, on a worker ahead of the launch
+// of the task's attempt seq, or inline by a launch. A map run reads its
+// split through read and leaves its output in out; a reduce run reads
+// the map outputs outs and leaves its part in data, the run's alone (an
+// owned output writer made it). A worker marks done when it has run it.
+type run struct {
+	t    *task                  // read for its kind, idx and split, which never change
 	seq  int                    // the attempt that consumes the run
-	idx  int                    // the reduce partition
-	outs []*mapreduce.MapOutput // the map outputs it reads, in map order
 	ctx  *mapreduce.TaskContext // names the consuming attempt
-	// skip is set once no attempt will consume the run: a worker that has
-	// not started it passes it by.
-	skip   atomic.Bool
-	done   chan struct{}
+	skip atomic.Bool            // no attempt will consume the run: a worker passes it by
+	done sync.WaitGroup
+	err  error
+
+	read   iofmt.RangeReaderFunc
+	reads  []splitRead // a run made ahead: every range read, in order
+	read1  [1]splitRead
+	rstats mapreduce.ReadStats
+	out    *mapreduce.MapOutput
+
+	outs   []*mapreduce.MapOutput // in map order
 	data   []byte
 	ostats mapreduce.OutputStats
-	err    error
 }
 
-// execute runs r's user code, a reduce task of job, on s.
-func (r *reduceRun) execute(s *mapreduce.ReduceScratch, job *mapreduce.Job) {
+// splitRead is one ranged read of a map's split and what it returned.
+type splitRead struct {
+	off, length int64
+	data        []byte
+	err         error
+}
+
+// scratch is the buffers one task's user code runs on at a time.
+type scratch struct {
+	m mapreduce.MapScratch
+	r mapreduce.ReduceScratch
+}
+
+// execute runs r's user code, a task of job, on s.
+func (r *run) execute(s *scratch, job *mapreduce.Job) {
+	if r.t.kind.idx == kindMap {
+		var records []mapreduce.Record
+		if records, r.rstats, r.err = mapreduce.ReadSplit(r.read, r.t.split); r.err == nil {
+			r.out, r.err = s.m.ExecuteMap(r.ctx, job, records)
+		}
+		return
+	}
 	runs := make([][]mapreduce.Pair, len(r.outs))
 	for i, o := range r.outs {
-		runs[i] = o.Partitions[r.idx]
+		runs[i] = o.Partitions[r.t.idx]
 	}
-	ow, err := s.NewOwnedOutputWriter(job, runs)
+	ow, err := s.r.NewOwnedOutputWriter(job, runs)
 	if err == nil {
-		_, err = s.ExecuteReduce(r.ctx, job, runs, ow)
+		_, err = s.r.ExecuteReduce(r.ctx, job, runs, ow)
 	}
 	if err == nil {
 		r.data, r.ostats, err = ow.Finish()
@@ -1094,26 +1062,27 @@ func mapOutputs(jr *jobRun) []*mapreduce.MapOutput {
 	return outs
 }
 
-// runReducesAhead starts the user code of jr's pending reduces, in task
-// order, on min(GOMAXPROCS, reduces) workers, the instant the job's last
-// map first commits. Each run is keyed by its task and made for the
-// task's next attempt, whose launch then waits for the run instead of
-// executing the code itself (takeAhead). A worker reads only the job and
-// committed map outputs, which never change, and never waits on the
-// engine. A job whose user code can reach HDFS through side files runs
-// its reduces inline, as it does its maps.
-func (jt *JobTracker) runReducesAhead(jr *jobRun) {
+// runAhead queues a run of the user code of each pending task of tasks
+// (one kind of jr's) in task order, for the task's next attempt, whose
+// launch takes it (takeAhead), and starts min(GOMAXPROCS, runs) workers.
+// input gives a run what it reads, or reports that it has nothing. A
+// worker reads only its run, the job and what input gave it, which never
+// change, and never waits on the engine. Side files keep tasks inline.
+func (jt *JobTracker) runAhead(jr *jobRun, tasks []*task, input func(*run) bool) {
 	if len(jr.job.SideFiles) > 0 {
 		return
 	}
-	outs := mapOutputs(jr)
-	queue := make(chan *reduceRun, len(jr.reduces))
-	for _, t := range jr.reduces {
-		if t.state == taskPending && t.ahead == nil {
-			seq := t.attemptSeq + 1
-			t.ahead = &reduceRun{seq: seq, idx: t.idx, outs: outs, done: make(chan struct{}),
-				ctx: mapreduce.NewTaskContext(jr.id, attemptID(t, seq), nil, jr.job)}
-			queue <- t.ahead
+	queue := make(chan *run, len(tasks))
+	for _, t := range tasks {
+		if t.state != taskPending || t.ahead != nil {
+			continue
+		}
+		r := &run{t: t, seq: t.attemptSeq + 1}
+		if input(r) {
+			r.ctx = mapreduce.NewTaskContext(jr.id, attemptID(t, r.seq), nil, jr.job)
+			r.done.Add(1)
+			t.ahead = r
+			queue <- r
 		}
 	}
 	close(queue)
@@ -1121,61 +1090,94 @@ func (jt *JobTracker) runReducesAhead(jr *jobRun) {
 		jr.workers.Add(1)
 		go func() {
 			defer jr.workers.Done()
-			s := jt.takeReduceScratch()
+			s := jt.takeScratch()
 			for r := range queue {
 				if !r.skip.Load() {
 					r.execute(s, jr.job)
 				}
-				close(r.done)
+				r.done.Done()
 			}
-			jt.putReduceScratch(s)
+			jt.putScratch(s)
 		}()
 	}
 }
 
-// takeAhead hands t's run-ahead to a, once it has finished, if a is the
-// attempt it was made for and it read the map outputs the job holds now.
-// Otherwise it drops the run, and the launch runs the code inline.
-func (jt *JobTracker) takeAhead(t *task, a *attempt) *reduceRun {
+// runMapsAhead queues runs of jr's pending maps. Each reads its split out
+// of its file as stored (StoredBytes, taken on the engine goroutine once
+// per file), cut as ReadRange cuts it, and keeps every range it read for
+// its launch to check. A file StoredBytes cannot give gets no runs.
+func (jt *JobTracker) runMapsAhead(jr *jobRun) {
+	gw := jt.mc.DFS.Client(GatewayForSubmit)
+	path, file, ok := "", iofmt.RangeReaderFunc(nil), false
+	jt.runAhead(jr, jr.maps, func(r *run) bool {
+		if r.t.split.Path != path {
+			var data []byte
+			path = r.t.split.Path
+			data, ok = gw.StoredBytes(path)
+			file = iofmt.BytesRangeReader(data)
+		}
+		read := file
+		r.reads = r.read1[:0] // a text split's one read, unless its last line runs on past 1 MiB
+		r.read = func(off, length int64) ([]byte, error) {
+			data, err := read(off, length)
+			r.reads = append(r.reads, splitRead{off, length, data, err})
+			return data, err
+		}
+		return ok
+	})
+}
+
+// takeAhead hands t's run to a, once it has finished, if a is the attempt
+// it was made for and, for a reduce, it read the map outputs the job holds
+// now; otherwise it drops the run. (A map's launch checks its reads.)
+func (jt *JobTracker) takeAhead(t *task, a *attempt) *run {
 	r := t.ahead
 	if r == nil {
 		return nil
 	}
 	t.ahead = nil
-	if r.seq != a.seq || !slices.EqualFunc(r.outs, t.jr.maps, func(o *mapreduce.MapOutput, m *task) bool { return o == m.output }) {
+	if r.seq != a.seq || t.kind.idx == kindReduce && !slices.EqualFunc(r.outs, t.jr.maps, func(o *mapreduce.MapOutput, m *task) bool { return o == m.output }) {
 		r.skip.Store(true)
 		return nil
 	}
-	<-r.done
+	r.done.Wait()
 	return r
 }
 
-// takeReduceScratch takes a reduce scratch off the free list, making one
-// when it is empty; putReduceScratch puts it back.
-func (jt *JobTracker) takeReduceScratch() *mapreduce.ReduceScratch {
-	jt.reduceMu.Lock()
-	defer jt.reduceMu.Unlock()
-	n := len(jt.reduceFree)
+// runInline runs r, an attempt of kind k of job, on the engine goroutine.
+func (jt *JobTracker) runInline(k *attemptKind, r *run, job *mapreduce.Job) {
+	k.inline++
+	s := jt.takeScratch()
+	r.execute(s, job)
+	jt.putScratch(s)
+}
+
+// takeScratch takes a scratch off the free list, making one when it is
+// empty; putScratch puts it back.
+func (jt *JobTracker) takeScratch() *scratch {
+	jt.scratchMu.Lock()
+	defer jt.scratchMu.Unlock()
+	n := len(jt.free)
 	if n == 0 {
-		return new(mapreduce.ReduceScratch)
+		return new(scratch)
 	}
-	s := jt.reduceFree[n-1]
-	jt.reduceFree = jt.reduceFree[:n-1]
+	s := jt.free[n-1]
+	jt.free = jt.free[:n-1]
 	return s
 }
 
-func (jt *JobTracker) putReduceScratch(s *mapreduce.ReduceScratch) {
-	jt.reduceMu.Lock()
-	defer jt.reduceMu.Unlock()
-	jt.reduceFree = append(jt.reduceFree, s)
+func (jt *JobTracker) putScratch(s *scratch) {
+	jt.scratchMu.Lock()
+	defer jt.scratchMu.Unlock()
+	jt.free = append(jt.free, s)
 }
 
-// ReducesInline returns mr.jt.reduces_inline: how many reduce attempts
-// ran their user code on the engine goroutine rather than ahead on the
-// pool — those of jobs with side files, retries, speculative attempts,
-// and first attempts whose run-ahead read map outputs since lost. It is
-// kept off the registry, whose key set the goldens pin.
-func (jt *JobTracker) ReducesInline() int64 { return jt.reducesInline }
+// TasksInline returns mr.jt.maps_inline and mr.jt.reduces_inline, the
+// attempts whose user code ran on the engine goroutine, not ahead on the
+// pool; they are kept off the registry, whose key set the goldens pin.
+func (jt *JobTracker) TasksInline() (maps, reduces int64) {
+	return jt.mapKind.inline, jt.reduceKind.inline
+}
 
 // runReduceAttempt launches a reduce attempt of t on tt, reporting whether
 // it actually started (false when map outputs are gone or unfetchable, so
@@ -1269,11 +1271,8 @@ func (jt *JobTracker) runReduceAttempt(t *task, tt *TaskTracker, speculative boo
 	// an inline run's part is copied, as every other write is.
 	r, write := jt.takeAhead(t, a), vfs.WriteFileOwned
 	if r == nil {
-		jt.reducesInline++
-		r, write = &reduceRun{idx: t.idx, outs: mapOutputs(jr), ctx: mapreduce.NewTaskContext(jr.id, a.id(), client, jr.job)}, vfs.WriteFile
-		s := jt.takeReduceScratch()
-		r.execute(s, jr.job)
-		jt.putReduceScratch(s)
+		r, write = &run{t: t, outs: mapOutputs(jr), ctx: mapreduce.NewTaskContext(jr.id, a.id(), client, jr.job)}, vfs.WriteFile
+		jt.runInline(jt.reduceKind, r, jr.job)
 	}
 	ctx, ostats, err := r.ctx, r.ostats, r.err
 	ctx.Counters.Inc(mapreduce.CtrShuffleBytes, shuffleBytes)
@@ -1451,13 +1450,13 @@ func (jt *JobTracker) endJob(jr *jobRun, cause error) {
 	// check the state first); dropping them here, and waiting out the
 	// workers still on the job's runs, is what lets a long-lived
 	// cluster's heap forget the datasets of the jobs it has run.
-	for _, t := range jr.maps {
-		t.output = nil
-	}
-	for _, t := range jr.reduces {
-		if t.ahead != nil {
-			t.ahead.skip.Store(true)
-			t.ahead = nil
+	for _, tasks := range [2][]*task{jr.maps, jr.reduces} {
+		for _, t := range tasks {
+			t.output = nil
+			if t.ahead != nil {
+				t.ahead.skip.Store(true)
+				t.ahead = nil
+			}
 		}
 	}
 	jr.workers.Wait()

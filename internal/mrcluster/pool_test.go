@@ -266,21 +266,39 @@ func TestPooledMapsMatchInline(t *testing.T) {
 	}
 }
 
-// TestReducesRunInlineOnlyWhenTheyMust reads mr.jt.reduces_inline after
-// each job mix: a reduce runs its user code on the engine goroutine only
-// when its job has side files, when it is a retry, or when the map
-// outputs its run-ahead read are gone; never for a clean job, whatever
-// the mode or the number of jobs.
-func TestReducesRunInlineOnlyWhenTheyMust(t *testing.T) {
-	inline := map[string]bool{"side-files-inline": true, "side-files-cached": true, "reduce-fault": true, "tracker-lost-after-maps": true}
+// TestTasksRunInlineOnlyWhenTheyMust reads mr.jt.maps_inline and
+// mr.jt.reduces_inline after each job mix. A task runs its user code on
+// the engine goroutine only when its job has side files, when it is a
+// retry, a speculative attempt or a re-run after a lost tracker, when a
+// map's charged read failed, or when the map outputs a reduce's run read
+// are gone; never for a clean job, whatever the mode, the number of jobs
+// or a corrupt replica its read fails over.
+func TestTasksRunInlineOnlyWhenTheyMust(t *testing.T) {
+	inline := map[string][2]bool{ // maps, reduces
+		"side-files-inline":       {true, true},
+		"side-files-cached":       {true, true},
+		"task-fault":              {true, false},
+		"reduce-fault":            {false, true},
+		"tracker-lost-after-maps": {true, true},
+		"unreadable-split":        {true, false},
+		"speculative":             {true, false},
+	}
 	for _, tc := range pooledCases(t) {
 		_, rig := pooledRun(t, tc)
-		got := rig.mc.JT.ReducesInline()
-		if launched := rig.mc.Obs.CounterValue(mrcluster.MetricJTReducesLaunched); got > launched {
-			t.Errorf("%s: %d reduces inline of %d launched", tc.name, got, launched)
-		}
-		if (got > 0) != inline[tc.name] {
-			t.Errorf("%s: %d reduces ran inline", tc.name, got)
+		maps, reduces := rig.mc.JT.TasksInline()
+		for i, kind := range []struct {
+			name             string
+			inline, launched int64
+		}{
+			{"maps", maps, rig.mc.Obs.CounterValue(mrcluster.MetricJTMapsLaunched)},
+			{"reduces", reduces, rig.mc.Obs.CounterValue(mrcluster.MetricJTReducesLaunched)},
+		} {
+			if kind.inline > kind.launched {
+				t.Errorf("%s: %d %s inline of %d launched", tc.name, kind.inline, kind.name, kind.launched)
+			}
+			if (kind.inline > 0) != inline[tc.name][i] {
+				t.Errorf("%s: %d %s ran inline", tc.name, kind.inline, kind.name)
+			}
 		}
 	}
 }
