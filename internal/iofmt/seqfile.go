@@ -372,8 +372,10 @@ func ReadSeqSplit(read RangeReaderFunc, fileSize, off, end int64) ([]SeqRecord, 
 		if int64(len(raw)) != rawLen {
 			return nil, stats, fmt.Errorf("%w: block at %d decoded %d bytes, header says %d", ErrCorrupt, blockStart, len(raw), rawLen)
 		}
-		if need := len(recs) + int(recCount); cap(recs) < need {
-			recs = slices.Grow(recs, int(recCount))
+		// A record takes at least two bytes, so a corrupt count the block
+		// cannot hold does not size the slice; the loop below reports it.
+		if n := int(min(recCount, int64(len(raw)/2))); cap(recs) < len(recs)+n {
+			recs = slices.Grow(recs, n)
 		}
 		for i := int64(0); i < recCount; i++ {
 			key, val, rest, err := ConsumeRecord(raw)
