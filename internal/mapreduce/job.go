@@ -24,9 +24,9 @@ type Job struct {
 	// NewMapper constructs a fresh Mapper per map task (tasks may hold
 	// per-task state, e.g. in-mapper combining aggregates). A task's map
 	// code may run on a worker goroutine at the same time as other
-	// tasks' — both runtimes run map tasks on a worker pool, and the
-	// cluster runtime may run it before the task's attempt launches — so
-	// a Mapper shares no mutable state with other Mappers.
+	// tasks' — both runtimes run map tasks on a worker pool, the
+	// JobTracker ahead of their launches — so a Mapper shares no mutable
+	// state with other Mappers.
 	NewMapper func() Mapper
 	// NewReducer constructs a fresh Reducer per reduce task. A task's
 	// reduce code may run on a worker goroutine at the same time as other

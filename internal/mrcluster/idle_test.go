@@ -60,8 +60,8 @@ func TestFinishedJobReleasesMapOutputs(t *testing.T) {
 		}
 	}
 	fresh := newLCRig(t, Config{MaxAttempts: 1}, false)
-	if got, want := outcomeOf(last), outcomeOf(fresh.runTo(t, "/out2", nil)); got != want {
-		t.Fatalf("third job on a used cluster:\n%s\non a fresh cluster:\n%s", got, want)
+	if got, want := outcomeOf(last), outcomeOf(fresh.runTo(t, "/out3", nil)); got != want {
+		t.Fatalf("last job on a used cluster:\n%s\non a fresh cluster:\n%s", got, want)
 	}
 }
 

@@ -44,8 +44,8 @@ const (
 
 // attemptKind is one row of the JobTracker's per-kind table: everything
 // in an attempt's lifecycle that differs between map and reduce in name
-// only, plus the one step that genuinely differs — launch, which runs the
-// kind's user code and plans the attempt's outcome. The table is built
+// only, plus the one step that genuinely differs — launch, which gets the
+// kind's user code run and plans the attempt's outcome. The table is built
 // once per JobTracker (newJobTracker) because the metric handles are.
 type attemptKind struct {
 	idx         taskKind
@@ -713,9 +713,9 @@ func (jt *JobTracker) pickFault(jr *jobRun, scope TaskScope) *TaskFault {
 //
 // Every attempt, map or reduce, goes through the same four steps: launch
 // bookkeeping (newAttempt), the kind's own body (runMapAttempt /
-// runReduceAttempt: run the user code now over real data, model how long
-// it took), one outcome event on the sim clock (armOutcome), and then
-// exactly one of completeAttempt, failAttempt or killAttempt.
+// runReduceAttempt: the user code's result over real data, run ahead or
+// now, and how long it took), one outcome event on the sim clock
+// (armOutcome), then one of completeAttempt, failAttempt or killAttempt.
 
 // attemptPlan is what an attempt's body hands to armOutcome: when the
 // outcome lands and what completing the attempt commits.
@@ -997,7 +997,7 @@ func (jt *JobTracker) runMapAttempt(t *task, tt *TaskTracker, speculative bool, 
 // of the task's attempt seq, or inline by a launch. A map run reads its
 // split through read and leaves its output in out; a reduce run reads
 // the map outputs outs and leaves its part in data, the run's alone (an
-// owned output writer made it). A worker marks done when it has run it.
+// owned output writer made it). A worker marks done when through with it.
 type run struct {
 	t    *task                  // read for its kind, idx and split, which never change
 	seq  int                    // the attempt that consumes the run
