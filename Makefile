@@ -126,6 +126,7 @@ ci: build static loc
 	$(GO) test -run '^$$' -fuzz FuzzReadRange -fuzztime 5s -fuzzminimizetime 1x ./internal/hdfs/
 	$(GO) test -run '^$$' -fuzz FuzzRecordsInRange -fuzztime 5s ./internal/mapreduce/
 	$(GO) test -run '^$$' -fuzz FuzzReduceGroups -fuzztime 5s ./internal/mapreduce/
+	$(GO) test -run '^$$' -fuzz FuzzCombineGroups -fuzztime 5s ./internal/mapreduce/
 	$(GO) test -run '^$$' -fuzz FuzzCleanMatchesSlow -fuzztime 5s ./internal/vfs/
 	$(MAKE) bench-smoke
 	$(MAKE) bench-selftest
