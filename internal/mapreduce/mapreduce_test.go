@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -369,6 +370,60 @@ func TestValuesLenAndExhaustion(t *testing.T) {
 	}
 	if _, ok, _ := v.Next(); ok {
 		t.Fatal("iterator did not exhaust")
+	}
+}
+
+// Each resumes where Next stopped, leaves a value that does not decode
+// under the cursor and stops behind the value its fn fails on, whether
+// the group is a window of pairs or a combiner's view of the collect
+// buffer through an order.
+func TestValuesEachContract(t *testing.T) {
+	vals := [][]byte{Int64(1).EncodeValue(), Int64(2).EncodeValue(), []byte("bad"), Int64(4).EncodeValue(), Int64(5).EncodeValue()}
+	group := make([]Pair, len(vals))
+	src := make([]Pair, len(vals)) // group in reverse, as an emission order
+	order := make([]int32, len(vals))
+	for i, v := range vals {
+		group[i] = Pair{Key: "k", Val: v}
+		src[len(vals)-1-i] = group[i]
+		order[i] = int32(len(vals) - 1 - i)
+	}
+	stop := errors.New("stop")
+	forms := map[string]*Values{
+		"pairs": {decode: DecodeInt64, pairs: group},
+		"order": {decode: DecodeInt64, src: chunksOf(src), order: order},
+	}
+	for name, v := range forms {
+		next := func() string {
+			val, ok, err := v.Next()
+			return fmt.Sprint(val, ok, err != nil)
+		}
+		var seen []Value
+		collect := func(val Value) error {
+			seen = append(seen, val)
+			return nil
+		}
+		if got := next(); got != "1 true false" {
+			t.Fatalf("%s: first Next = %s", name, got)
+		}
+		if err := v.Each(collect); err == nil || fmt.Sprint(seen) != "[2]" {
+			t.Fatalf("%s: Each after Next saw %v, err %v; want [2] and a decode error", name, seen, err)
+		}
+		if got := next(); got != "<nil> false true" {
+			t.Fatalf("%s: Next after Each's decode error = %s, want the error again", name, got)
+		}
+		if b, ok := v.NextBytes(); !ok || string(b) != "bad" {
+			t.Fatalf("%s: the cursor is not on the bad value (%q, %v)", name, b, ok)
+		}
+		seen = nil
+		if err := v.Each(func(val Value) error { seen = append(seen, val); return stop }); err != stop || fmt.Sprint(seen) != "[4]" {
+			t.Fatalf("%s: Each with a failing fn saw %v, err %v; want [4] and its error", name, seen, err)
+		}
+		if got := next(); got != "5 true false" {
+			t.Fatalf("%s: Next after fn's error = %s, want the value behind it", name, got)
+		}
+		if err := v.Each(collect); err != nil || fmt.Sprint(seen) != "[4]" || next() != "<nil> false false" {
+			t.Fatalf("%s: an exhausted Each saw %v, err %v", name, seen, err)
+		}
 	}
 }
 

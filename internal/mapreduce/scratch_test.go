@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -317,21 +318,26 @@ func TestSortPairsIntoMatchesStableSortOnBothStrategies(t *testing.T) {
 			// The sample picks a strategy by input; force the grouped one on
 			// every input too, since it must be correct wherever it is used.
 			order := make([]int32, n)
-			keys := s.groupOrder(order, chunksOf(src))
+			grouped := slices.Clone(s.groupOrder(order, chunksOf(src)))
 			for i, j := range order {
 				dst[i] = src[j]
 			}
 			if !samePairs(dst, want) {
 				t.Fatalf("%s: groupOrder differs from a stable sort", name)
 			}
-			distinct := 0
-			for i := range want {
-				if i == 0 || want[i].Key != want[i-1].Key {
-					distinct++
+			// Each distinct key's group ends where the stable sort's key
+			// changes, and at n; an empty input has no groups.
+			var wantEnds []int32
+			for i := 1; i <= n; i++ {
+				if i == n || want[i].Key != want[i-1].Key {
+					wantEnds = append(wantEnds, int32(i))
 				}
 			}
-			if _, general := s.sortOrder(chunksOf(src)); keys != general || keys != distinct {
-				t.Fatalf("%s: %d keys grouped, %d sorted, want %d", name, keys, general, distinct)
+			if !slices.Equal(grouped, wantEnds) {
+				t.Fatalf("%s: groupOrder's ends %v, want %v", name, grouped, wantEnds)
+			}
+			if _, ends := s.sortOrder(chunksOf(src)); !slices.Equal(ends, wantEnds) {
+				t.Fatalf("%s: sortOrder's ends %v, want %v", name, ends, wantEnds)
 			}
 			assertSortScratchClear(t, &s)
 

@@ -22,6 +22,7 @@ type keyIndex struct {
 // before it returns, so an idle scratch pins no map output.
 type sortScratch struct {
 	order  []int32          // the result: emission indices in sorted order
+	ends   []int32          // the result: each key group's end index into order
 	idx    []keyIndex       // general path: one (key, index) header per pair
 	gids   []int32          // grouped path: each pair's group id
 	groups []keyIndex       // grouped path: each distinct key plus its group id
@@ -61,8 +62,10 @@ func sortPairsInto(dst []Pair, src pairChunks, s *sortScratch) {
 }
 
 // sortOrder returns the emission indices of src's pairs in SortPairs
-// order, and how many distinct keys they hold. src is a map task's
-// collect buffer; the order is the scratch's until its next call.
+// order, and the end of each distinct key's stretch of that order, in
+// key order: group g is order[ends[g-1]:ends[g]], from 0 for g = 0. src
+// is a map task's collect buffer; both slices are the scratch's until
+// its next call.
 //
 // Two strategies produce that order. The general path sorts (key, index)
 // headers. Duplicate-heavy outputs — counting jobs emit each word
@@ -70,9 +73,9 @@ func sortPairsInto(dst []Pair, src pairChunks, s *sortScratch) {
 // distinct keys, turning an O(n log n) comparison sort into O(u log u)
 // for u unique keys plus two linear passes. A small sample of the input
 // picks the strategy; both yield the same order.
-func (s *sortScratch) sortOrder(src pairChunks) ([]int32, int) {
+func (s *sortScratch) sortOrder(src pairChunks) (order, ends []int32) {
 	n := src.len()
-	order := resized(s.order, n)
+	order = resized(s.order, n)
 	s.order = order
 	if n >= dupSampleMinLen && s.looksDuplicateHeavy(src) {
 		return order, s.groupOrder(order, src)
@@ -92,15 +95,20 @@ func (s *sortScratch) sortOrder(src pairChunks) ([]int32, int) {
 		}
 		return int(a.i) - int(b.i)
 	})
-	keys := 0
+	// A key's group ends where the sorted headers' key changes.
+	ends = resized(s.ends, n)[:0]
 	for i, k := range idx {
-		if i == 0 || k.key != idx[i-1].key {
-			keys++
+		if i > 0 && k.key != idx[i-1].key {
+			ends = append(ends, int32(i))
 		}
 		order[i] = k.i
 	}
+	if n > 0 {
+		ends = append(ends, int32(n))
+	}
 	clear(idx)
-	return order, keys
+	s.ends = ends
+	return order, ends
 }
 
 const (
@@ -132,8 +140,9 @@ func (s *sortScratch) keyMap() map[string]int32 {
 
 // groupOrder is the duplicate-heavy strategy: assign each distinct key
 // a group, sort the groups, then scatter the pairs' indices into their
-// group's window of order in emission order. It returns the group count.
-func (s *sortScratch) groupOrder(order []int32, src pairChunks) int {
+// group's window of order in emission order. It returns the groups' ends,
+// the prefix sums that place the windows.
+func (s *sortScratch) groupOrder(order []int32, src pairChunks) []int32 {
 	gids := resized(s.gids, src.len())
 	s.gids = gids
 	groups, counts := s.groups[:0], s.counts[:0]
@@ -157,21 +166,22 @@ func (s *sortScratch) groupOrder(order []int32, src pairChunks) int {
 		return strings.Compare(a.key, b.key) // keys are distinct: no ties
 	})
 	offs := resized(s.offs, len(groups))
-	s.offs = offs
+	ends := resized(s.ends, len(groups))
+	s.offs, s.ends = offs, ends
 	var off int32
-	for _, g := range groups {
+	for k, g := range groups {
 		offs[g.i] = off
 		off += counts[g.i]
+		ends[k] = off
 	}
 	for i, g := range gids {
 		order[offs[g]] = int32(i)
 		offs[g]++
 	}
-	n := len(groups)
 	clear(groups)
 	clear(gidOf)
 	s.groups, s.counts = groups, counts
-	return n
+	return ends
 }
 
 // mergeCursor is one run's position inside the k-way merge heap, with
@@ -313,20 +323,22 @@ func (v *Values) NextBytes() ([]byte, bool) {
 	return b[:len(b):len(b)], true
 }
 
-// Each applies fn to every remaining value.
+// Each applies fn to every remaining value, from the cursor Next and
+// NextBytes advance. It stops at the first error: a value that does not
+// decode is left under the cursor, as Next leaves it; a value fn fails
+// on is behind it.
 func (v *Values) Each(fn func(Value) error) error {
-	for {
-		val, ok, err := v.Next()
+	for n := v.Len(); v.i < n; {
+		val, err := v.decode(v.at(v.i).Val)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return nil
-		}
+		v.i++
 		if err := fn(val); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 // Len returns the total number of values in the group.
@@ -354,31 +366,29 @@ func RunCombiner(ctx *TaskContext, job *Job, sorted []Pair) ([]Pair, error) {
 }
 
 // combineChunks runs the job's combiner over a map task's collect buffer
-// src in sort order: the sort on s yields the order, and the combiner is
-// handed each group in place, a Values over src at the group's stretch of
-// the order, so the sorted partition is never copied out. It returns the
-// combined pairs, a fresh slice, sorted, and updates the combine counters.
+// src in sort order: the sort on s yields the order and where each key's
+// group ends in it, and the combiner is handed each group in place, a
+// Values over src at the group's stretch of the order, so the sorted
+// partition is never copied out and no key is compared again. It returns
+// the combined pairs, a fresh slice, sorted, and updates the combine
+// counters.
 func combineChunks(ctx *TaskContext, job *Job, src pairChunks, s *sortScratch) ([]Pair, error) {
-	order, groups := s.sortOrder(src)
+	order, ends := s.sortOrder(src)
 	combiner := job.NewCombiner()
 	// One pair per group is what every combiner in internal/jobs emits;
 	// one that emits more just grows the slice.
-	col := &pairCollector{pairs: make([]Pair, 0, groups)}
+	col := &pairCollector{pairs: make([]Pair, 0, len(ends))}
 	values := new(Values) // every group is handed this one
 	var inRecords int64
 	var err error
-	for i := 0; i < len(order); {
-		key := src.at(int(order[i])).Key
-		j := i + 1
-		for j < len(order) && src.at(int(order[j])).Key == key {
-			j++
-		}
-		*values = Values{decode: job.DecodeValue, src: src, order: order[i:j]}
-		inRecords += int64(j - i)
-		if err = combiner.Reduce(ctx, key, values, col); err != nil {
+	start := int32(0)
+	for _, end := range ends {
+		*values = Values{decode: job.DecodeValue, src: src, order: order[start:end]}
+		inRecords += int64(end - start)
+		if err = combiner.Reduce(ctx, src.at(int(order[start])).Key, values, col); err != nil {
 			break
 		}
-		i = j
+		start = end
 	}
 	ctx.Counters.Inc(CtrCombineInputRecords, inRecords)
 	if err != nil {
