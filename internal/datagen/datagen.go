@@ -107,21 +107,29 @@ func textStream(opts TextOpts) ([]string, *TextTruth) {
 	}
 	rng := sim.NewRand(opts.Seed).Derive("text")
 	zipf := rng.Zipf(1.1, uint64(len(textVocabulary)))
-	truth := &TextTruth{Counts: map[string]int64{}}
+	// Tokens are counted by vocabulary rank, a slice index rather than a
+	// map assign per token; the map is built once from the counts.
+	counts := make([]int64, len(textVocabulary))
 	lines := make([]string, opts.Lines)
 	var b strings.Builder
 	for i := 0; i < opts.Lines; i++ {
 		b.Reset()
 		for j := 0; j < wordsPerLine; j++ {
-			word := textVocabulary[zipf.Uint64()]
-			truth.Counts[word]++
-			truth.TotalWords++
+			rank := zipf.Uint64()
+			counts[rank]++
 			if j > 0 {
 				b.WriteByte(' ')
 			}
-			b.WriteString(word)
+			b.WriteString(textVocabulary[rank])
 		}
 		lines[i] = b.String()
+	}
+	truth := &TextTruth{Counts: map[string]int64{}}
+	for rank, c := range counts {
+		if c > 0 {
+			truth.Counts[textVocabulary[rank]] += c
+			truth.TotalWords += c
+		}
 	}
 	for word, c := range truth.Counts {
 		if c > truth.TopWordCount || (c == truth.TopWordCount && word < truth.TopWord) {
