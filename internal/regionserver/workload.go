@@ -3,7 +3,7 @@ package regionserver
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -77,7 +77,7 @@ func RunWorkload(eng *sim.Engine, cl *Client, table string, ops []datagen.YCSBOp
 	if res.Makespan > 0 {
 		res.OpsPerSec = float64(res.Ops) / res.Makespan.Seconds()
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	slices.Sort(lats)
 	res.P50 = obs.Percentile(lats, 0.50)
 	res.P99 = obs.Percentile(lats, 0.99)
 	res.P999 = obs.Percentile(lats, 0.999)
@@ -359,7 +359,7 @@ func benchRun(o BenchOpts) (*BenchResult, *Cluster, error) {
 	for k := range wl.Acked {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	verify := c.NewClient() // cache-free read of the authoritative tier
 	for _, k := range keys {
 		v, _, err := verify.Get(eng.Now(), BenchTable, k)
