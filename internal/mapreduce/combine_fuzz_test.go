@@ -61,33 +61,6 @@ func TestCombineSeedsTakeBothStrategies(t *testing.T) {
 	}
 }
 
-// readGroup drains values into a reduceGroup. pick chooses how each value
-// is read: 0 by Next, 1 by NextBytes, 2 by Each for all that remain.
-func readGroup(key string, values *Values, pick func() int) (reduceGroup, error) {
-	g := reduceGroup{key: key, n: values.Len()}
-	for {
-		switch pick() {
-		case 0:
-			v, ok, err := values.Next()
-			if !ok || err != nil {
-				return g, err
-			}
-			g.vals = append(g.vals, v.String())
-		case 1:
-			b, ok := values.NextBytes()
-			if !ok {
-				return g, nil
-			}
-			g.vals = append(g.vals, string(b))
-		default:
-			return g, values.Each(func(v Value) error {
-				g.vals = append(g.vals, v.String())
-				return nil
-			})
-		}
-	}
-}
-
 // FuzzCombineGroups is a differential target for the map-side combine:
 // for any emission sequence, the groups combineChunks hands its combiner
 // — key, Len and values in emission order — are those GroupIterate finds

@@ -14,24 +14,30 @@ type reduceGroup struct {
 	vals []string
 }
 
-// recordGroup drains values into a reduceGroup, reading each value with
-// NextBytes when raw says so and with Next otherwise.
-func recordGroup(key string, values *Values, raw func() bool) (reduceGroup, error) {
+// readGroup drains values into a reduceGroup. pick chooses how each value
+// is read: 0 by Next, 1 by NextBytes, 2 by Each for all that remain.
+func readGroup(key string, values *Values, pick func() int) (reduceGroup, error) {
 	g := reduceGroup{key: key, n: values.Len()}
 	for {
-		if raw() {
+		switch pick() {
+		case 0:
+			v, ok, err := values.Next()
+			if !ok || err != nil {
+				return g, err
+			}
+			g.vals = append(g.vals, v.String())
+		case 1:
 			b, ok := values.NextBytes()
 			if !ok {
 				return g, nil
 			}
 			g.vals = append(g.vals, string(b))
-			continue
+		default:
+			return g, values.Each(func(v Value) error {
+				g.vals = append(g.vals, v.String())
+				return nil
+			})
 		}
-		v, ok, err := values.Next()
-		if !ok || err != nil {
-			return g, err
-		}
-		g.vals = append(g.vals, v.String())
 	}
 }
 
@@ -145,7 +151,7 @@ func FuzzReduceGroups(f *testing.F) {
 
 		var want []reduceGroup
 		addWant := func(key string, values *Values) error {
-			g, err := recordGroup(key, values, func() bool { return false })
+			g, err := readGroup(key, values, func() int { return 0 })
 			want = append(want, g)
 			return err
 		}
@@ -168,14 +174,14 @@ func FuzzReduceGroups(f *testing.F) {
 
 		var got []reduceGroup
 		reads := 0
-		raw := func() bool { // a bit of the input per value read
+		pick := func() int { // a bit of the input per value read: Next or NextBytes
 			reads++
-			return data[reads%len(data)]>>(reads%7)&1 != 0
+			return int(data[reads%len(data)] >> (reads % 7) & 1)
 		}
 		job := &Job{
 			NewReducer: func() Reducer {
 				return ReducerFunc(func(ctx *TaskContext, key string, values *Values, out Emitter) error {
-					g, err := recordGroup(key, values, raw)
+					g, err := readGroup(key, values, pick)
 					got = append(got, g)
 					return err
 				})

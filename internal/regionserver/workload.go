@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -359,7 +360,7 @@ func benchRun(o BenchOpts) (*BenchResult, *Cluster, error) {
 	for k := range wl.Acked {
 		keys = append(keys, k)
 	}
-	slices.Sort(keys)
+	sort.Strings(keys)
 	verify := c.NewClient() // cache-free read of the authoritative tier
 	for _, k := range keys {
 		v, _, err := verify.Get(eng.Now(), BenchTable, k)
