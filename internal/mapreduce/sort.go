@@ -98,13 +98,10 @@ func (s *sortScratch) sortOrder(src pairChunks) (order, ends []int32) {
 	// A key's group ends where the sorted headers' key changes.
 	ends = resized(s.ends, n)[:0]
 	for i, k := range idx {
-		if i > 0 && k.key != idx[i-1].key {
-			ends = append(ends, int32(i))
+		if i+1 == n || k.key != idx[i+1].key {
+			ends = append(ends, int32(i+1))
 		}
 		order[i] = k.i
-	}
-	if n > 0 {
-		ends = append(ends, int32(n))
 	}
 	clear(idx)
 	s.ends = ends
