@@ -14,6 +14,7 @@ type MemFS struct {
 	mu    sync.RWMutex
 	files map[string][]byte // cleaned path -> contents
 	dirs  map[string]bool   // cleaned path -> exists
+	spare []byte            // the next append writer's buffer, empty
 }
 
 var _ FileSystem = (*MemFS)(nil)
@@ -44,11 +45,13 @@ func (m *MemFS) Create(path string) (io.WriteCloser, error) {
 }
 
 // Append buffers like Create; Close then extends the stored slice in
-// place, so an append costs its own bytes, not the file's.
+// place, so an append costs its own bytes, not the file's. The writer
+// buffers in the filesystem's spare buffer and hands it back at Close,
+// so a log appended one record at a time reuses one buffer.
 func (m *MemFS) Append(path string) (io.WriteCloser, error) {
 	p := Clean(path)
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.dirs[p] {
 		return nil, &PathError{Op: "append", Path: p, Err: ErrIsDir}
 	}
@@ -57,7 +60,9 @@ func (m *MemFS) Append(path string) (io.WriteCloser, error) {
 			return nil, &PathError{Op: "append", Path: p, Err: ErrNotExist}
 		}
 	}
-	return &memWriter{fs: m, path: p, appending: true}, nil
+	w := &memWriter{fs: m, path: p, buf: *bytes.NewBuffer(m.spare), appending: true}
+	m.spare = nil
+	return w, nil
 }
 
 type memWriter struct {
@@ -86,6 +91,8 @@ func (w *memWriter) Close() error {
 		// Readers hold slices of the old length; bytes written past it,
 		// in place or in a regrown array, are invisible to them.
 		w.fs.files[w.path] = append(w.fs.files[w.path], w.buf.Bytes()...)
+		w.fs.spare = w.buf.Bytes()[:0]
+		w.buf = bytes.Buffer{}
 		return nil
 	}
 	w.fs.files[w.path] = append([]byte(nil), w.buf.Bytes()...)

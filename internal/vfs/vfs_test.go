@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -101,8 +102,10 @@ func TestWriterAfterCloseFails(t *testing.T) {
 // TestMemFSConcurrentUse: writers create and close distinct files and
 // append to one shared file while readers stat, list and read. Under
 // -race (make race) it checks MemFS's locking, which serial.Runner's
-// parallel map workers depend on, and that an append extending the
-// shared file in place never touches bytes an open reader holds.
+// parallel map workers depend on, that an append extending the
+// shared file in place never touches bytes an open reader holds, and
+// that writers handed the one spare append buffer never share it: each
+// writer's records must all arrive whole.
 func TestMemFSConcurrentUse(t *testing.T) {
 	const writers, files = 4, 50
 	fs := NewMemFS()
@@ -141,7 +144,7 @@ func TestMemFSConcurrentUse(t *testing.T) {
 				if err := WriteFile(fs, fmt.Sprintf("/w%d-%d", w, j), []byte("data")); err != nil {
 					t.Error(err)
 				}
-				if err := AppendFile(fs, "/log", []byte("ab")); err != nil {
+				if err := AppendFile(fs, "/log", []byte{'a' + byte(w), '|'}); err != nil {
 					t.Error(err)
 				}
 			}
@@ -150,8 +153,14 @@ func TestMemFSConcurrentUse(t *testing.T) {
 	wg.Wait()
 	close(done)
 	readers.Wait()
-	if fi, err := fs.Stat("/log"); err != nil || fi.Size != 2*writers*files {
-		t.Fatalf("/log = %+v, %v; want %d bytes", fi, err, 2*writers*files)
+	log, err := ReadFile(fs, "/log")
+	if err != nil || len(log) != 2*writers*files {
+		t.Fatalf("/log = %d bytes, %v; want %d", len(log), err, 2*writers*files)
+	}
+	for w := 0; w < writers; w++ {
+		if n := bytes.Count(log, []byte{'a' + byte(w), '|'}); n != files {
+			t.Fatalf("/log holds %d records of writer %d, want %d", n, w, files)
+		}
 	}
 	if list, err := fs.List("/"); err != nil || len(list) != writers*files+1 {
 		t.Fatalf("List(/) = %d entries, %v; want %d", len(list), err, writers*files+1)

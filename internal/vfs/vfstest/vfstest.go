@@ -320,6 +320,68 @@ func Run(t *testing.T, name string, mk func(t *testing.T) vfs.FileSystem) {
 			t.Fatalf("reader opened before the append read %q err=%v, want %q", got, err, "old")
 		}
 	})
+	t.Run(name+"/ReadBytesOutliveLaterAppends", func(t *testing.T) {
+		fs := mk(t)
+		var held [][]byte // every view and copy read so far
+		want := ""
+		for _, rec := range []string{"first record\n", "2\n", "a longer third record\n", "4\n"} {
+			if err := vfs.AppendFile(fs, "/wal", []byte(rec)); err != nil {
+				t.Fatal(err)
+			}
+			want += rec
+			view, err := vfs.ReadView(fs, "/wal")
+			got, err2 := vfs.ReadFile(fs, "/wal")
+			if err != nil || err2 != nil || string(view) != want || string(got) != want {
+				t.Fatalf("after appending %q: read %q and %q, err %v and %v", rec, view, got, err, err2)
+			}
+			held = append(held, view, got)
+			for _, b := range held {
+				if string(b) != want[:len(b)] {
+					t.Fatalf("after appending %q: bytes read earlier became %q", rec, b)
+				}
+			}
+		}
+	})
+	t.Run(name+"/AppendWriterAfterClose", func(t *testing.T) {
+		fs := mk(t)
+		open := func(rec string) io.WriteCloser {
+			t.Helper()
+			w, err := fs.Append("/log")
+			if err == nil {
+				_, err = io.WriteString(w, rec)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}
+		check := func(when, want string) {
+			t.Helper()
+			if got, err := vfs.ReadFile(fs, "/log"); err != nil || string(got) != want {
+				t.Fatalf("%s: read %q err=%v, want %q", when, got, err, want)
+			}
+		}
+		a := open("one|")
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := a.Write([]byte("late|")); err == nil || n != 0 {
+			t.Fatalf("write after close: n=%d err=%v, want an error", n, err)
+		}
+		check("after a write to a closed writer", "one|")
+		// A second Close commits nothing and gives up nothing that a
+		// writer opened since might be using.
+		b := open("two|")
+		if err := a.Close(); err != nil {
+			t.Fatalf("second close: %v", err)
+		}
+		check("after a second close", "one|")
+		c := open("three|")
+		if err := errors.Join(b.Close(), c.Close()); err != nil {
+			t.Fatal(err)
+		}
+		check("after the later writers closed", "one|two|three|")
+	})
 	t.Run(name+"/AppendBadPaths", func(t *testing.T) {
 		fs := mk(t)
 		if err := fs.Mkdir("/d"); err != nil {
