@@ -13,10 +13,11 @@ import (
 
 // routedGets builds a 4-server cluster holding 2 000 bulk-loaded rows in 8
 // regions and returns a function performing n routed gets into one reused
-// buffer, cycling over the keys. Traces are sampled out, as in a timed
-// benchmark run, and the split triggers are out of reach: what is left is
-// the per-op path — route, epoch check, server queue, store lookup.
-func routedGets(tb testing.TB) func(n int) {
+// buffer, cycling over the first `span` keys. Traces are sampled out, as
+// in a timed benchmark run, and the split triggers are out of reach: what
+// is left is the per-op path — route, epoch check, server queue, store
+// lookup — read through a 4×16-entry cache tier when cached is set.
+func routedGets(tb testing.TB, cached bool) func(n, span int) {
 	reg := obs.NewRegistry()
 	reg.SetTraceSampling(1 << 30)
 	eng := sim.NewEngine()
@@ -39,13 +40,17 @@ func routedGets(tb testing.TB) func(n int) {
 		tb.Fatal(err)
 	}
 	cl := c.NewClient()
+	if cached {
+		cl = c.NewCachedClient(4, 16)
+	}
 	var buf []byte
 	i := 0
-	return func(n int) {
+	return func(n, span int) {
 		for ; n > 0; n-- {
-			v, _, err := cl.getInto(buf, eng.Now(), "t", keys[i%rows])
+			k := keys[i%span]
+			v, _, err := cl.getInto(buf, eng.Now(), "t", k)
 			if err != nil || len(v) != 100 {
-				tb.Fatalf("get %s: %d bytes, %v", keys[i%rows], len(v), err)
+				tb.Fatalf("get %s: %d bytes, %v", k, len(v), err)
 			}
 			buf = v
 			i++
@@ -56,19 +61,53 @@ func routedGets(tb testing.TB) func(n int) {
 // TestRoutedGetDoesNotAllocate: a get that discards its value costs no
 // garbage — no value copy, no closure, no RegionInfo on the heap.
 func TestRoutedGetDoesNotAllocate(t *testing.T) {
-	get := routedGets(t)
-	get(10) // fetch the region list, size the buffer
-	if n := testing.AllocsPerRun(500, func() { get(1) }); n != 0 {
+	get := routedGets(t, false)
+	get(10, 2000) // fetch the region list, size the buffer
+	if n := testing.AllocsPerRun(500, func() { get(1, 2000) }); n != 0 {
 		t.Fatalf("a routed get into a reused buffer made %v allocations, want 0", n)
 	}
 }
 
+// TestCachedGetDoesNotAllocate: through a warmed cache tier, neither a
+// hit nor a miss that reads through, fills and evicts makes garbage — no
+// key string, no list element, no entry, no value copy for the shard.
+func TestCachedGetDoesNotAllocate(t *testing.T) {
+	get := routedGets(t, true)
+	get(2000, 2000) // fill and overflow every shard
+	if n := testing.AllocsPerRun(500, func() { get(1, 2000) }); n != 0 {
+		t.Fatalf("a cache miss that fills and evicts made %v allocations, want 0", n)
+	}
+	get(1, 1) // the first key is now cached
+	if n := testing.AllocsPerRun(500, func() { get(1, 1) }); n != 0 {
+		t.Fatalf("a cache hit made %v allocations, want 0", n)
+	}
+}
+
 func BenchmarkRoutedGet(b *testing.B) {
-	get := routedGets(b)
-	get(10)
+	get := routedGets(b, false)
+	get(10, 2000)
 	b.ReportAllocs()
 	b.ResetTimer()
-	get(b.N)
+	get(b.N, 2000)
+}
+
+// BenchmarkCachedGet is BenchmarkRoutedGet through the cache tier: hit
+// gets one cached row, miss cycles over more rows than the tier holds,
+// so every get reads through, fills and evicts.
+func BenchmarkCachedGet(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		span int
+	}{{"hit", 1}, {"miss", 2000}} {
+		b.Run(c.name, func(b *testing.B) {
+			get := routedGets(b, true)
+			get(2000, 2000)
+			get(1, c.span)
+			b.ReportAllocs()
+			b.ResetTimer()
+			get(b.N, c.span)
+		})
+	}
 }
 
 // splitter builds a cluster whose table has `regions` regions of `rows`

@@ -14,22 +14,29 @@ import (
 // counters. Clients read through it (miss → region server → fill) and
 // invalidate on write, so a single shared tier stays coherent. It caches
 // presence only — a read miss for an absent row still hits the server
-// (no negative caching).
+// (no negative caching). In steady state it allocates nothing: entries
+// are keyed by a comparable struct, and an evicted or invalidated entry,
+// value buffer and all, serves the next fill.
 type CacheTier struct {
 	shards []*cacheShard
 	m      *metrics
 }
 
+type cacheKey struct{ table, key string }
+
 type cacheEntry struct {
-	key string
-	val []byte
+	key cacheKey
+	val []byte // the entry's own copy, reused by its next fill
 }
 
+// cacheShard's list holds its live entries, most recently used first,
+// then the invalidated ones that wait for a fill to reuse them; the map
+// indexes the live ones only.
 type cacheShard struct {
 	queue
 	capacity int
-	items    map[string]*list.Element
-	lru      *list.List // front = most recently used
+	items    map[cacheKey]*list.Element
+	lru      *list.List
 	hits     *obs.Counter
 	misses   *obs.Counter
 }
@@ -48,7 +55,7 @@ func newCacheTier(shards, capacity int, m *metrics) *CacheTier {
 	for i := 0; i < shards; i++ {
 		ct.shards = append(ct.shards, &cacheShard{
 			capacity: capacity,
-			items:    map[string]*list.Element{},
+			items:    map[cacheKey]*list.Element{},
 			lru:      list.New(),
 			hits:     m.reg.Counter(fmt.Sprintf("serving.cache.s%02d.hits", i)),
 			misses:   m.reg.Counter(fmt.Sprintf("serving.cache.s%02d.misses", i)),
@@ -67,11 +74,12 @@ func (ct *CacheTier) shardOf(table, key string) *cacheShard {
 }
 
 // Get probes the key's shard. On a hit the value and completion time
-// come back with ok=true; a miss only charges the probe.
+// come back with ok=true; the value is the entry's own buffer, good until
+// the shard's next Fill. A miss only charges the probe.
 func (ct *CacheTier) Get(at sim.Time, table, key string) ([]byte, bool, sim.Time) {
 	sh := ct.shardOf(table, key)
 	done := sh.occupy(at, cost.CacheOp)
-	el, ok := sh.items[cacheKey(table, key)]
+	el, ok := sh.items[cacheKey{table, key}]
 	if !ok {
 		sh.misses.Inc()
 		ct.m.cacheMisses.Inc()
@@ -83,24 +91,28 @@ func (ct *CacheTier) Get(at sim.Time, table, key string) ([]byte, bool, sim.Time
 	return el.Value.(*cacheEntry).val, true, done
 }
 
-// Fill installs a value after a read-through miss, evicting the shard's
-// LRU tail when full.
+// Fill installs a copy of val after a read-through miss, evicting the
+// shard's LRU tail when full.
 func (ct *CacheTier) Fill(at sim.Time, table, key string, val []byte) sim.Time {
 	sh := ct.shardOf(table, key)
 	done := sh.occupy(at, cost.CacheOp)
-	ck := cacheKey(table, key)
-	if el, ok := sh.items[ck]; ok {
-		el.Value.(*cacheEntry).val = val
-		sh.lru.MoveToFront(el)
-		return done
-	}
-	if sh.lru.Len() >= sh.capacity {
-		tail := sh.lru.Back()
-		sh.lru.Remove(tail)
-		delete(sh.items, tail.Value.(*cacheEntry).key)
+	ck := cacheKey{table, key}
+	el, ok := sh.items[ck]
+	switch {
+	case ok:
+	case len(sh.items) >= sh.capacity:
+		el = sh.lru.Back()
+		delete(sh.items, el.Value.(*cacheEntry).key)
 		ct.m.cacheEvict.Inc()
+	case sh.lru.Len() > len(sh.items): // reuse an invalidated entry
+		el = sh.lru.Back()
+	default:
+		el = sh.lru.PushFront(&cacheEntry{})
 	}
-	sh.items[ck] = sh.lru.PushFront(&cacheEntry{key: ck, val: val})
+	e := el.Value.(*cacheEntry)
+	e.key, e.val = ck, append(e.val[:0], val...)
+	sh.items[ck] = el
+	sh.lru.MoveToFront(el)
 	return done
 }
 
@@ -109,9 +121,9 @@ func (ct *CacheTier) Fill(at sim.Time, table, key string, val []byte) sim.Time {
 func (ct *CacheTier) Invalidate(at sim.Time, table, key string) sim.Time {
 	sh := ct.shardOf(table, key)
 	done := sh.occupy(at, cost.CacheOp)
-	ck := cacheKey(table, key)
+	ck := cacheKey{table, key}
 	if el, ok := sh.items[ck]; ok {
-		sh.lru.Remove(el)
+		sh.lru.MoveToBack(el)
 		delete(sh.items, ck)
 		ct.m.cacheInval.Inc()
 	}
@@ -122,9 +134,7 @@ func (ct *CacheTier) Invalidate(at sim.Time, table, key string) sim.Time {
 func (ct *CacheTier) Len() int {
 	n := 0
 	for _, sh := range ct.shards {
-		n += sh.lru.Len()
+		n += len(sh.items)
 	}
 	return n
 }
-
-func cacheKey(table, key string) string { return table + "\x00" + key }

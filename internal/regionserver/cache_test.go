@@ -12,7 +12,9 @@ import (
 // TestCacheTierAgainstModel drives a small tier with seeded random
 // Get/Fill/Invalidate calls and checks it after every step against a
 // slice-based LRU per shard: the hit or miss, the bytes a hit returns,
-// Len, and the hit, miss, invalidation and eviction counters.
+// Len, and the hit, miss, invalidation and eviction counters. Every fill
+// passes the same buffer, so a tier that kept the caller's bytes would
+// return a later fill's value.
 func TestCacheTierAgainstModel(t *testing.T) {
 	type entry struct{ table, key, val string }
 	tables := []string{"t", "users"}
@@ -24,6 +26,7 @@ func TestCacheTierAgainstModel(t *testing.T) {
 		ct := newCacheTier(shards, capacity, newMetrics(reg))
 		model := make([][]entry, shards) // per shard, most recently used first
 		var hits, misses, invals, evicts int64
+		var fill []byte
 		find := func(table, key string) (int, int) {
 			s := slices.Index(ct.shards, ct.shardOf(table, key))
 			return s, slices.IndexFunc(model[s], func(e entry) bool { return e.table == table && e.key == key })
@@ -57,7 +60,8 @@ func TestCacheTierAgainstModel(t *testing.T) {
 			case op < 8:
 				what = "fill"
 				val := fmt.Sprintf("%s-%d-%0*d", key, step, rng.Intn(20), 0)
-				ct.Fill(at, table, key, []byte(val))
+				fill = append(fill[:0], val...) // Fill copies: one buffer serves every call
+				ct.Fill(at, table, key, fill)
 				switch {
 				case i >= 0:
 					model[s][i].val = val

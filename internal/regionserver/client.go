@@ -236,8 +236,7 @@ func (cl *Client) get(ctx obs.Ctx, buf []byte, at sim.Time, table, key string) (
 		return nil, done, err
 	}
 	if cl.cache != nil {
-		// The shard keeps its own copy: val is the caller's buffer.
-		done = cl.cache.Fill(done, table, key, append([]byte(nil), val...))
+		done = cl.cache.Fill(done, table, key, val) // the shard copies val
 	}
 	return val, done, nil
 }

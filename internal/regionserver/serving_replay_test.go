@@ -57,7 +57,7 @@ func TestServingReplay(t *testing.T) {
 			}
 			acked := make([]string, 0, len(res.Acked))
 			for k, v := range res.Acked {
-				acked = append(acked, k+"="+v)
+				acked = append(acked, k+"="+string(v))
 			}
 			sort.Strings(acked)
 			digesttest.Assert(t, pinned, name+"/state", tableState(t, c, BenchTable), []byte(fmt.Sprint(acked)))

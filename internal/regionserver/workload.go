@@ -1,6 +1,7 @@
 package regionserver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -30,7 +31,9 @@ type WorkloadResult struct {
 	P999      time.Duration `json:"p999"`
 	// Acked maps row key → last acknowledged written value, the model the
 	// zero-lost-writes verification replays against the recovered table.
-	Acked map[string]string `json:"-"`
+	// Each value is the op stream's own slice, not a copy: the stream's
+	// values must not change while the result is read.
+	Acked map[string][]byte `json:"-"`
 }
 
 // workloadRetries bounds per-op retries; with workloadBackoff between
@@ -57,7 +60,7 @@ func RunWorkload(eng *sim.Engine, cl *Client, table string, ops []datagen.YCSBOp
 	}
 	run := &workloadRun{
 		eng: eng, cl: cl, table: table, ops: ops, stride: clients,
-		res:  &WorkloadResult{Acked: map[string]string{}},
+		res:  &WorkloadResult{Acked: map[string][]byte{}},
 		lats: make([]time.Duration, 0, len(ops)),
 		last: eng.Now(),
 	}
@@ -171,7 +174,7 @@ func (vc *virtualClient) doExec() {
 		cl.m.opLatency.Observe(lat)
 		switch op.Type {
 		case datagen.YCSBUpdate, datagen.YCSBInsert, datagen.YCSBRMW:
-			res.Acked[op.Key] = string(op.Value)
+			res.Acked[op.Key] = op.Value
 		}
 	}
 	r.eng.Schedule(done, vc.step)
@@ -364,7 +367,7 @@ func benchRun(o BenchOpts) (*BenchResult, *Cluster, error) {
 	verify := c.NewClient() // cache-free read of the authoritative tier
 	for _, k := range keys {
 		v, _, err := verify.Get(eng.Now(), BenchTable, k)
-		if err != nil || string(v) != wl.Acked[k] {
+		if err != nil || !bytes.Equal(v, wl.Acked[k]) {
 			res.LostAckedWrites++
 			continue
 		}
