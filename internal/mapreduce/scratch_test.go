@@ -336,7 +336,7 @@ func TestSortPairsIntoMatchesStableSortOnBothStrategies(t *testing.T) {
 			if !slices.Equal(grouped, wantEnds) {
 				t.Fatalf("%s: groupOrder's ends %v, want %v", name, grouped, wantEnds)
 			}
-			if _, ends := s.sortOrder(chunksOf(src)); !slices.Equal(ends, wantEnds) {
+			if _, ends := s.sortOrder(chunksOf(src), true); !slices.Equal(ends, wantEnds) {
 				t.Fatalf("%s: sortOrder's ends %v, want %v", name, ends, wantEnds)
 			}
 			assertSortScratchClear(t, &s)

@@ -55,17 +55,18 @@ func SortPairs(pairs []Pair) {
 // sortPairsInto writes src's pairs into dst (same length, no overlap) in
 // SortPairs order, leaving src untouched.
 func sortPairsInto(dst []Pair, src pairChunks, s *sortScratch) {
-	order, _ := s.sortOrder(src)
+	order, _ := s.sortOrder(src, false)
 	for i, j := range order {
 		dst[i] = src.at(int(j))
 	}
 }
 
 // sortOrder returns the emission indices of src's pairs in SortPairs
-// order, and the end of each distinct key's stretch of that order, in
-// key order: group g is order[ends[g-1]:ends[g]], from 0 for g = 0. src
-// is a map task's collect buffer; both slices are the scratch's until
-// its next call.
+// order and, when withEnds is set, the end of each distinct key's stretch
+// of that order, in key order: group g is order[ends[g-1]:ends[g]], from
+// 0 for g = 0. Without withEnds the general path records no ends (the
+// grouped path finds them anyway). src is a map task's collect buffer;
+// both slices are the scratch's until its next call.
 //
 // Two strategies produce that order. The general path sorts (key, index)
 // headers. Duplicate-heavy outputs — counting jobs emit each word
@@ -73,7 +74,7 @@ func sortPairsInto(dst []Pair, src pairChunks, s *sortScratch) {
 // distinct keys, turning an O(n log n) comparison sort into O(u log u)
 // for u unique keys plus two linear passes. A small sample of the input
 // picks the strategy; both yield the same order.
-func (s *sortScratch) sortOrder(src pairChunks) (order, ends []int32) {
+func (s *sortScratch) sortOrder(src pairChunks, withEnds bool) (order, ends []int32) {
 	n := src.len()
 	order = resized(s.order, n)
 	s.order = order
@@ -95,16 +96,20 @@ func (s *sortScratch) sortOrder(src pairChunks) (order, ends []int32) {
 		}
 		return int(a.i) - int(b.i)
 	})
-	// A key's group ends where the sorted headers' key changes.
-	ends = resized(s.ends, n)[:0]
 	for i, k := range idx {
-		if i+1 == n || k.key != idx[i+1].key {
-			ends = append(ends, int32(i+1))
-		}
 		order[i] = k.i
 	}
+	if withEnds {
+		// A key's group ends where the sorted headers' key changes.
+		ends = resized(s.ends, n)[:0]
+		for i, k := range idx {
+			if i+1 == n || k.key != idx[i+1].key {
+				ends = append(ends, int32(i+1))
+			}
+		}
+		s.ends = ends
+	}
 	clear(idx)
-	s.ends = ends
 	return order, ends
 }
 
@@ -370,7 +375,7 @@ func RunCombiner(ctx *TaskContext, job *Job, sorted []Pair) ([]Pair, error) {
 // the combined pairs, a fresh slice, sorted, and updates the combine
 // counters.
 func combineChunks(ctx *TaskContext, job *Job, src pairChunks, s *sortScratch) ([]Pair, error) {
-	order, ends := s.sortOrder(src)
+	order, ends := s.sortOrder(src, true)
 	combiner := job.NewCombiner()
 	// One pair per group is what every combiner in internal/jobs emits;
 	// one that emits more just grows the slice.
