@@ -92,7 +92,6 @@ func (w *memWriter) Close() error {
 		// in place or in a regrown array, are invisible to them.
 		w.fs.files[w.path] = append(w.fs.files[w.path], w.buf.Bytes()...)
 		w.fs.spare = w.buf.Bytes()[:0]
-		w.buf = bytes.Buffer{}
 		return nil
 	}
 	w.fs.files[w.path] = append([]byte(nil), w.buf.Bytes()...)
