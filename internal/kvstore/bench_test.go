@@ -57,8 +57,7 @@ func BenchmarkPutSegment16K(b *testing.B) {
 // segment or for cleaning a path that is clean. (Rewriting the segment
 // per record cost 55 allocations and 10.7 KB per put at the default 8 KiB
 // segment; cleaning the segment path on every vfs call cost 4 of the 8.9
-// allocations left after that; a fresh buffer per append writer cost one
-// more.)
+// allocations left after that.)
 func TestPutAllocationBudget(t *testing.T) {
 	put := putLoop(t, kvstore.Config{})
 	put(2000) // warm: every key in the MemStore, the encoder's buffer grown
